@@ -33,6 +33,14 @@ fn main() {
                     std::process::exit(1);
                 }
             },
+            "kernel" => print!("{}", subgraph_bench::kernel_bench::run_and_record().table()),
+            "kernel-gate" => match subgraph_bench::kernel_bench::kernel_gate() {
+                Ok(table) => print!("{table}"),
+                Err(report) => {
+                    eprint!("{report}");
+                    std::process::exit(1);
+                }
+            },
             "shuffle" => print!("{}", subgraph_bench::shuffle::shuffle_throughput(false)),
             "shuffle-quick" => print!("{}", subgraph_bench::shuffle::shuffle_throughput(true)),
             "shuffle-gate" => match subgraph_bench::shuffle::shuffle_gate() {
@@ -98,6 +106,10 @@ fn print_usage() {
          search per catalog pattern (writes BENCH_planner.json)\n  \
          plan-gate             the same sweep as a CI gate: hypercube3 must plan within \
          50 ms (release) and both search modes must agree (exits 1 on regression)\n  \
+         kernel                reduce kernel: one reducer's local-graph build and compiled join vs \
+         the generic oracle (writes BENCH_kernel.json)\n  \
+         kernel-gate           the same as a CI gate: kernel >= 3x the generic oracle on the square \
+         input, identical counts (exits 1 on regression)\n  \
          shuffle               engine shuffle throughput sweep (writes BENCH_shuffle.json)\n  \
          shuffle-quick         the same sweep in CI smoke mode\n  \
          shuffle-gate          quick sweep + multi-core scaling assertion (CI gate; \

@@ -1,0 +1,356 @@
+//! The reducer join kernel in isolation: one reducer's input, the local-graph
+//! build and the compiled join timed separately, against the generic
+//! backtracking oracle on the same edges.
+//!
+//! The inputs are what the heaviest reducers of the repo benchmark's
+//! bucket-oriented rounds receive: a triangle reducer with three distinct
+//! buckets out of six (a quarter of a 1.2M-edge graph) and a square reducer
+//! with four distinct buckets out of four (the whole 110k-edge graph).
+//! `reproduce kernel` prints the table and writes `BENCH_kernel.json`;
+//! `reproduce kernel-gate` is the CI form, and is *relative* — the compiled
+//! kernel must beat `enumerate_generic` on the square input by
+//! [`MIN_SPEEDUP_OVER_ORACLE`] with identical counts — so a busy runner
+//! slows both sides and cannot flake it.
+
+use crate::report::Table;
+use std::time::Instant;
+use subgraph_core::enumerate::bucket_oriented::BucketQuota;
+use subgraph_core::serial::generic::enumerate_generic_into;
+use subgraph_core::sink::CountSink;
+use subgraph_cq::{cqs_for_sample, JoinPlan, LocalGraph};
+use subgraph_graph::{generators, BucketThenIdOrder, DataGraph, Edge};
+use subgraph_pattern::{catalog, SampleGraph};
+
+/// How much faster than the generic oracle the kernel (build + join) must be
+/// on the square input.
+pub const MIN_SPEEDUP_OVER_ORACLE: f64 = 3.0;
+
+/// One reducer input, measured.
+#[derive(Clone, Debug)]
+pub struct KernelTiming {
+    /// Row label.
+    pub input: &'static str,
+    /// Pattern joined.
+    pub pattern: &'static str,
+    /// Edges the reducer received.
+    pub edges: usize,
+    /// Distinct nodes among them (the local graph's size).
+    pub local_nodes: usize,
+    /// Heap bytes of the built local graph.
+    pub local_bytes: usize,
+    /// `LocalGraph::build`, best of three.
+    pub build_millis: f64,
+    /// All CQs of the pattern joined with the reducer's ownership test
+    /// pushed in, best of three.
+    pub join_millis: f64,
+    /// Candidate bindings that join tried (the kernel's share of
+    /// `reducer_work`).
+    pub candidates: u64,
+    /// Instances the reducer owns.
+    pub owned: usize,
+    /// Assignments of the unrestricted join — every instance in the input.
+    pub assignments: usize,
+    /// The unrestricted join, best of three.
+    pub full_join_millis: f64,
+    /// The generic oracle over the same edges, one run.
+    pub oracle_millis: f64,
+    /// Instances the oracle found.
+    pub oracle_count: usize,
+}
+
+impl KernelTiming {
+    /// Oracle time over kernel time (build + unrestricted join).
+    pub fn speedup_over_oracle(&self) -> f64 {
+        self.oracle_millis / (self.build_millis + self.full_join_millis)
+    }
+}
+
+/// The sweep's results plus the host facts needed to read them.
+#[derive(Clone, Debug)]
+pub struct KernelReport {
+    /// `std::thread::available_parallelism` on the benchmarking host (the
+    /// kernel itself is single-threaded; recorded like every tracked sweep).
+    pub available_parallelism: usize,
+    /// One entry per input.
+    pub inputs: Vec<KernelTiming>,
+}
+
+fn best_of_three<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..3 {
+        let started = Instant::now();
+        let out = f();
+        best = best.min(started.elapsed().as_secs_f64() * 1e3);
+        last = Some(out);
+    }
+    (best, last.expect("three runs happened"))
+}
+
+/// Measures one reducer: the edges of `graph` whose endpoint buckets both
+/// occur in `key`, joined for `sample` under `BucketThenIdOrder::new(b)`.
+fn measure(
+    input: &'static str,
+    pattern: &'static str,
+    sample: &SampleGraph,
+    graph: &DataGraph,
+    b: usize,
+    key: &[u32],
+) -> KernelTiming {
+    let order = BucketThenIdOrder::new(b);
+    let in_key = |v| key.contains(&(order.bucket(v) as u32));
+    let edges: Vec<Edge> = graph
+        .edges()
+        .iter()
+        .copied()
+        .filter(|e| in_key(e.lo()) && in_key(e.hi()))
+        .collect();
+    let plans: Vec<JoinPlan> = cqs_for_sample(sample)
+        .iter()
+        .map(JoinPlan::compile)
+        .collect();
+
+    let (build_millis, local) = best_of_three(|| LocalGraph::build(&edges, &order));
+    let quota = BucketQuota::new(&local, &order, key.iter().copied());
+    let (join_millis, (candidates, owned)) = best_of_three(|| {
+        let (mut candidates, mut owned) = (0u64, 0usize);
+        for plan in &plans {
+            candidates += plan.run(
+                &local,
+                |_, node, bound| quota.admits(node, bound),
+                |_| owned += 1,
+            );
+        }
+        (candidates, owned)
+    });
+    let (full_join_millis, assignments) = best_of_three(|| {
+        let mut assignments = 0usize;
+        for plan in &plans {
+            plan.run(&local, |_, _, _| true, |_| assignments += 1);
+        }
+        assignments
+    });
+    let reducer_graph =
+        DataGraph::from_edges(graph.num_nodes(), edges.iter().map(|e| e.endpoints()));
+    let started = Instant::now();
+    let oracle_count =
+        enumerate_generic_into(sample, &reducer_graph, &mut CountSink::new()).outputs;
+    let oracle_millis = started.elapsed().as_secs_f64() * 1e3;
+    KernelTiming {
+        input,
+        pattern,
+        edges: edges.len(),
+        local_nodes: local.num_nodes(),
+        local_bytes: local.heap_bytes(),
+        build_millis,
+        join_millis,
+        candidates,
+        owned,
+        assignments,
+        full_join_millis,
+        oracle_millis,
+        oracle_count,
+    }
+}
+
+/// Runs the sweep on its two fixed-seed inputs.
+pub fn kernel_timing() -> KernelReport {
+    let triangle_graph = generators::gnm(360_000, 1_200_000, 11);
+    let square_graph = generators::gnm(22_000, 110_000, 11);
+    KernelReport {
+        available_parallelism: std::thread::available_parallelism().map_or(1, usize::from),
+        inputs: vec![
+            measure(
+                "gnm 360k/1.2M, b=6, key {0,1,2}",
+                "triangle",
+                &catalog::triangle(),
+                &triangle_graph,
+                6,
+                &[0, 1, 2],
+            ),
+            measure(
+                "gnm 22k/110k, b=4, key {0,1,2,3}",
+                "square",
+                &catalog::square(),
+                &square_graph,
+                4,
+                &[0, 1, 2, 3],
+            ),
+        ],
+    }
+}
+
+impl KernelReport {
+    /// Renders the sweep as a table.
+    pub fn table(&self) -> String {
+        let mut table = Table::new(
+            "Reduce kernel — one reducer's local-graph build and compiled join",
+            &[
+                "input",
+                "pattern",
+                "edges",
+                "local nodes",
+                "build ms",
+                "join ms",
+                "candidates",
+                "owned",
+                "all",
+                "full join ms",
+                "oracle ms",
+                "vs oracle",
+            ],
+        );
+        for t in &self.inputs {
+            table.row(&[
+                t.input.to_string(),
+                t.pattern.to_string(),
+                t.edges.to_string(),
+                t.local_nodes.to_string(),
+                format!("{:.2}", t.build_millis),
+                format!("{:.2}", t.join_millis),
+                t.candidates.to_string(),
+                t.owned.to_string(),
+                t.assignments.to_string(),
+                format!("{:.2}", t.full_join_millis),
+                format!("{:.1}", t.oracle_millis),
+                format!("{:.1}x", t.speedup_over_oracle()),
+            ]);
+        }
+        table.note(
+            "join: every CQ of the pattern with the bucket-multiset ownership test pushed into \
+             the join (what the bucket-oriented reducer runs); owned = instances this reducer \
+             emits; full join: the same plans unrestricted, all = their assignments",
+        );
+        table.note(&format!(
+            "oracle: serial::generic::enumerate_generic over the same edges; vs oracle = oracle / \
+             (build + full join); single-threaded, best of three, host available_parallelism = \
+             {}; written to BENCH_kernel.json",
+            self.available_parallelism,
+        ));
+        table.render()
+    }
+
+    /// Serializes the report as pretty-printed JSON.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        out.push_str("{\n");
+        out.push_str("  \"benchmark\": \"reduce_kernel\",\n");
+        out.push_str(&format!(
+            "  \"host\": {{ \"available_parallelism\": {} }},\n",
+            self.available_parallelism
+        ));
+        out.push_str("  \"results\": [\n");
+        for (i, t) in self.inputs.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{ \"input\": \"{}\", \"pattern\": \"{}\", \"edges\": {}, \"local_nodes\": {}, \
+                 \"local_bytes\": {}, \"build_ms\": {:.3}, \"join_ms\": {:.3}, \"candidates\": {}, \
+                 \"owned\": {}, \"assignments\": {}, \"full_join_ms\": {:.3}, \"oracle_ms\": {:.3}, \
+                 \"speedup_over_oracle\": {:.2} }}{}\n",
+                t.input,
+                t.pattern,
+                t.edges,
+                t.local_nodes,
+                t.local_bytes,
+                t.build_millis,
+                t.join_millis,
+                t.candidates,
+                t.owned,
+                t.assignments,
+                t.full_join_millis,
+                t.oracle_millis,
+                t.speedup_over_oracle(),
+                if i + 1 == self.inputs.len() { "" } else { "," },
+            ));
+        }
+        out.push_str("  ]\n");
+        out.push_str("}\n");
+        out
+    }
+}
+
+/// Path of the tracked benchmark file: `BENCH_kernel.json` at the repo root.
+pub fn bench_json_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernel.json")
+}
+
+/// Runs the sweep and writes `BENCH_kernel.json` (validated after writing).
+pub fn run_and_record() -> KernelReport {
+    let report = kernel_timing();
+    let path = bench_json_path();
+    std::fs::write(&path, report.to_json())
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    let written = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot re-read {}: {e}", path.display()));
+    crate::shuffle::validate_json(&written)
+        .unwrap_or_else(|e| panic!("{} is malformed JSON: {e}", path.display()));
+    report
+}
+
+/// The CI kernel gate: every input's assignment count must equal the
+/// oracle's, and on the square input the kernel must be at least
+/// [`MIN_SPEEDUP_OVER_ORACLE`] times faster than the oracle (release builds).
+pub fn kernel_gate() -> Result<String, String> {
+    let report = run_and_record();
+    let mut out = report.table();
+    for t in &report.inputs {
+        if t.oracle_count != t.assignments {
+            return Err(format!(
+                "{out}\nkernel gate FAILED: {} — kernel found {} {}s, the oracle {}\n",
+                t.input, t.assignments, t.pattern, t.oracle_count,
+            ));
+        }
+    }
+    let square = report
+        .inputs
+        .iter()
+        .find(|t| t.pattern == "square")
+        .expect("the sweep has a square input");
+    let speedup = square.speedup_over_oracle();
+    if cfg!(debug_assertions) {
+        out.push_str(&format!(
+            "\nkernel gate: speed-up bound skipped in debug builds ({speedup:.1}x); counts \
+             checked against the oracle on all {} inputs\n",
+            report.inputs.len(),
+        ));
+        return Ok(out);
+    }
+    if speedup < MIN_SPEEDUP_OVER_ORACLE {
+        return Err(format!(
+            "{out}\nkernel gate FAILED: the compiled kernel is {speedup:.2}x the generic oracle \
+             on the square input, below the {MIN_SPEEDUP_OVER_ORACLE}x bound\n",
+        ));
+    }
+    out.push_str(&format!(
+        "\nkernel gate passed: {speedup:.1}x the generic oracle on the square input (bound \
+         {MIN_SPEEDUP_OVER_ORACLE}x), counts identical on all {} inputs\n",
+        report.inputs.len(),
+    ));
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_small_reducer_input_matches_the_oracle() {
+        let graph = generators::gnm(300, 1_500, 5);
+        let t = measure(
+            "small",
+            "square",
+            &catalog::square(),
+            &graph,
+            3,
+            &[0, 1, 1, 2],
+        );
+        assert_eq!(t.assignments, t.oracle_count);
+        assert!(t.owned <= t.assignments);
+        assert!(t.candidates > 0);
+        let report = KernelReport {
+            available_parallelism: 1,
+            inputs: vec![t],
+        };
+        crate::shuffle::validate_json(&report.to_json()).expect("valid JSON");
+        assert!(report.table().contains("vs oracle"));
+    }
+}

@@ -30,6 +30,7 @@
 //! | shuffle throughput sweep (engine perf trajectory) | [`shuffle::shuffle_throughput`] |
 //! | streaming-sink sweep (count-only, ≥ 1M edges, peak RSS) | [`sink_bench::sink_throughput`] |
 //! | serve amortization (warm cached queries vs one-shot) | [`serve_bench::serve_amortization`] |
+//! | reduce kernel (local-graph build + compiled join vs the generic oracle) | [`kernel_bench::kernel_timing`] |
 //! | CLI parity (`enumerate \| wc -l` vs `count`) | [`cli_table::cli_parity`] |
 //!
 //! The measured columns drive every algorithm through the
@@ -42,6 +43,7 @@ pub mod computation;
 pub mod cq_tables;
 pub mod figures;
 pub mod harness;
+pub mod kernel_bench;
 pub mod planner_table;
 pub mod report;
 pub mod serve_bench;

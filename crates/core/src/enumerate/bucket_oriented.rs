@@ -8,13 +8,16 @@
 //! endpoints — `C(b + p − 3, p − 2)` reducers per edge. Each reducer evaluates
 //! all CQs on its local subgraph and emits a solution only if the multiset of
 //! its nodes' buckets equals the reducer's key, which makes every instance
-//! come out of exactly one reducer.
+//! come out of exactly one reducer. That ownership test is pushed into the
+//! join: a variable may bind to a node only while the buckets bound so far
+//! stay a sub-multiset of the key, so partial matches another reducer owns
+//! are cut at the first node that gives them away.
 
 use super::key::{BucketKey, INLINE_COORDS};
 use super::nondecreasing_sequences;
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
-use subgraph_cq::{cqs_for_sample, evaluate_cqs, ConjunctiveQuery};
+use subgraph_cq::{cqs_for_sample, ConjunctiveQuery, JoinPlan, LocalGraph};
 use subgraph_graph::{BucketThenIdOrder, DataGraph, Edge};
 use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
 use subgraph_pattern::{Instance, SampleGraph};
@@ -27,6 +30,51 @@ use subgraph_pattern::{Instance, SampleGraph};
 /// planner's predicted byte costs are unchanged by the inline encoding.
 pub(crate) fn vec_key_record_bytes(p: usize) -> usize {
     p * std::mem::size_of::<u32>() + std::mem::size_of::<Edge>()
+}
+
+/// The ownership test of one bucket-oriented reducer, in the form the join
+/// kernel's `admit` hook takes: a node may be bound only while the buckets of
+/// the nodes bound so far, plus its own, stay a sub-multiset of the reducer's
+/// key. A full assignment that passes uses the key up exactly — the paper's
+/// "emit only if the bucket multiset equals the key" — and a partial one that
+/// another reducer owns is cut at the first node that gives it away.
+pub struct BucketQuota {
+    /// Bucket of each local node.
+    bucket_of: Vec<u32>,
+    /// How often each bucket occurs in the key.
+    quota: Vec<usize>,
+}
+
+impl BucketQuota {
+    /// The test for the reducer whose key holds the buckets `key`, over the
+    /// local graph it built under `order`.
+    pub fn new(
+        local: &LocalGraph,
+        order: &BucketThenIdOrder,
+        key: impl IntoIterator<Item = u32>,
+    ) -> Self {
+        let mut quota = vec![0; order.num_buckets()];
+        for bucket in key {
+            quota[bucket as usize] += 1;
+        }
+        let bucket_of = local
+            .nodes()
+            .iter()
+            .map(|&v| order.bucket(v) as u32)
+            .collect();
+        BucketQuota { bucket_of, quota }
+    }
+
+    /// May `node` join the local nodes in `bound`?
+    #[inline]
+    pub fn admits(&self, node: u32, bound: &[u32]) -> bool {
+        let bucket = self.bucket_of[node as usize];
+        let used = bound
+            .iter()
+            .filter(|&&v| self.bucket_of[v as usize] == bucket)
+            .count();
+        used < self.quota[bucket as usize]
+    }
 }
 
 /// Runs bucket-oriented enumeration of `sample` over `graph` with `b`
@@ -73,7 +121,6 @@ pub fn bucket_oriented_with_cqs_into(
     assert!(b >= 1, "at least one bucket is required");
     assert!(p >= 2, "patterns need at least one edge");
     let order = BucketThenIdOrder::new(b);
-    let num_nodes = graph.num_nodes();
 
     let mapper = move |edge: &Edge, ctx: &mut MapContext<BucketKey, Edge>| {
         let bu = order.bucket(edge.lo()) as u32;
@@ -95,24 +142,19 @@ pub fn bucket_oriented_with_cqs_into(
         });
     };
 
-    let cqs_for_reducer = cqs.to_vec();
+    let plans: Vec<JoinPlan> = cqs.iter().map(JoinPlan::compile).collect();
     let reducer = move |key: &BucketKey, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        let local = DataGraph::from_edges(num_nodes, edges.iter().map(|e| e.endpoints()));
-        ctx.add_work(edges.len() as u64);
-        let outcome = evaluate_cqs(&cqs_for_reducer, &local, &order);
-        ctx.add_work(outcome.assignments as u64);
-        for instance in outcome.instances {
-            // Emit only from the reducer whose key is the instance's bucket multiset.
-            let mut buckets: Vec<u32> = instance
-                .nodes()
-                .iter()
-                .map(|&v| order.bucket(v) as u32)
-                .collect();
-            buckets.sort_unstable();
-            if key.matches(&buckets) {
-                ctx.emit(instance);
-            }
+        let local = LocalGraph::build(edges, &order);
+        let mut work = edges.len() as u64;
+        let owned = BucketQuota::new(&local, &order, (0..key.len()).map(|i| key.coord(i)));
+        for plan in &plans {
+            work += plan.run(
+                &local,
+                |_, node, bound| owned.admits(node, bound),
+                |assignment| ctx.emit(plan.instance(&local, assignment)),
+            );
         }
+        ctx.add_work(work);
     };
 
     let report = crate::stream::run_streamed_with_sink(

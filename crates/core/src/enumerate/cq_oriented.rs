@@ -6,12 +6,12 @@
 //! variable-oriented processing against.
 
 use super::key::BucketKey;
-use super::{integer_shares, variable_bucket};
+use super::{integer_shares, reduce_by_variable_buckets, variable_bucket};
 use crate::enumerate::bucket_oriented::vec_key_record_bytes;
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
-use subgraph_cq::{cqs_for_sample, evaluate_cq_filtered, ConjunctiveQuery, Var};
-use subgraph_graph::{DataGraph, Edge, IdOrder};
+use subgraph_cq::{cqs_for_sample, ConjunctiveQuery, JoinPlan, Var};
+use subgraph_graph::{DataGraph, Edge};
 use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
 use subgraph_pattern::{Instance, SampleGraph};
 use subgraph_shares::dominance::single_cq_expression_with_dominance;
@@ -86,22 +86,9 @@ pub fn single_cq_job_into(
         }
     };
 
-    let cq_for_reducer = cq.clone();
-    let shares_for_reducer = shares.clone();
-    let num_nodes = graph.num_nodes();
+    let plans = [JoinPlan::compile(cq)];
     let reducer = move |key: &BucketKey, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        let local = DataGraph::from_edges(num_nodes, edges.iter().map(|e| e.endpoints()));
-        ctx.add_work(edges.len() as u64);
-        let key = key.to_vec();
-        let shares = shares_for_reducer.clone();
-        let filter = move |var: Var, node: subgraph_graph::NodeId| -> bool {
-            variable_bucket(node, var, shares[var as usize]) == key[var as usize]
-        };
-        let outcome = evaluate_cq_filtered(&cq_for_reducer, &local, &IdOrder, &filter);
-        ctx.add_work(outcome.assignments as u64);
-        for instance in outcome.instances {
-            ctx.emit(instance);
-        }
+        reduce_by_variable_buckets(&plans, &shares, key, edges, ctx)
     };
 
     let report = crate::stream::run_streamed_with_sink(

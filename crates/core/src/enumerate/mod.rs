@@ -26,7 +26,10 @@ pub use key::BucketKey;
 // points (`bucket_oriented_with_cqs`, `single_cq_job`, `run_with_plan`) and
 // their `_into` streaming variants remain public.
 
-use subgraph_graph::NodeId;
+use subgraph_cq::{JoinPlan, LocalGraph};
+use subgraph_graph::{Edge, IdOrder, NodeId};
+use subgraph_mapreduce::ReduceContext;
+use subgraph_pattern::Instance;
 
 /// Per-variable hash of a data node into one of `share` buckets. Each variable
 /// uses a different seed so the hash functions are independent, as the share
@@ -42,6 +45,33 @@ pub(crate) fn variable_bucket(node: NodeId, variable: u8, share: u32) -> u32 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
     (x % share as u64) as u32
+}
+
+/// The reducer of variable- and CQ-oriented processing (Sections 4.1, 4.3):
+/// joins each compiled query over the reducer's edges under the identifier
+/// order, letting variable `X` bind only to nodes whose `X`-hash is the key's
+/// bucket for `X` — which is what makes exactly one reducer find each
+/// solution, and prunes the join at the first variable that hashes elsewhere.
+pub(crate) fn reduce_by_variable_buckets(
+    plans: &[JoinPlan],
+    shares: &[u32],
+    key: &BucketKey,
+    edges: &[Edge],
+    ctx: &mut ReduceContext<Instance>,
+) {
+    let local = LocalGraph::build(edges, &IdOrder);
+    let mut work = edges.len() as u64;
+    for plan in plans {
+        work += plan.run(
+            &local,
+            |var, node, _| {
+                let share = shares[var as usize];
+                variable_bucket(local.global(node), var, share) == key.coord(var as usize)
+            },
+            |assignment| ctx.emit(plan.instance(&local, assignment)),
+        );
+    }
+    ctx.add_work(work);
 }
 
 /// Rounds the real-valued optimal shares to integers (at least 1 each), the

@@ -3,13 +3,13 @@
 //! one bucket number per variable.
 
 use super::key::BucketKey;
-use super::{integer_shares, variable_bucket};
+use super::{integer_shares, reduce_by_variable_buckets, variable_bucket};
 use crate::enumerate::bucket_oriented::vec_key_record_bytes;
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
 use std::collections::BTreeSet;
-use subgraph_cq::{cqs_for_sample, evaluate_cq_filtered, ConjunctiveQuery, Var};
-use subgraph_graph::{DataGraph, Edge, IdOrder};
+use subgraph_cq::{cqs_for_sample, ConjunctiveQuery, JoinPlan, Var};
+use subgraph_graph::{DataGraph, Edge};
 use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
 use subgraph_pattern::{Instance, SampleGraph};
 use subgraph_shares::{optimize_shares, CostExpression};
@@ -110,24 +110,9 @@ pub fn run_with_plan_into(
         }
     };
 
-    let cqs = plan.cqs.clone();
-    let shares_for_reducer = shares.clone();
-    let num_nodes = graph.num_nodes();
+    let plans: Vec<JoinPlan> = plan.cqs.iter().map(JoinPlan::compile).collect();
     let reducer = move |key: &BucketKey, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        let local = DataGraph::from_edges(num_nodes, edges.iter().map(|e| e.endpoints()));
-        ctx.add_work(edges.len() as u64);
-        let key = key.to_vec();
-        let shares = shares_for_reducer.clone();
-        let filter = move |var: Var, node: subgraph_graph::NodeId| -> bool {
-            variable_bucket(node, var, shares[var as usize]) == key[var as usize]
-        };
-        for cq in &cqs {
-            let outcome = evaluate_cq_filtered(cq, &local, &IdOrder, &filter);
-            ctx.add_work(outcome.assignments as u64);
-            for instance in outcome.instances {
-                ctx.emit(instance);
-            }
-        }
+        reduce_by_variable_buckets(&plans, &shares, key, edges, ctx)
     };
 
     let report = crate::stream::run_streamed_with_sink(

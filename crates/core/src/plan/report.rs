@@ -217,10 +217,12 @@ impl RunReport {
     }
 
     /// A human-readable multi-line summary of the run — what the `subgraph`
-    /// CLI prints after a `count`/`enumerate` and what table generators embed.
-    /// Serial strategies render without the map-reduce counters; streamed and
-    /// collected runs both describe their output honestly (via
-    /// [`RunReport::describe_output`]).
+    /// CLI prints (to stderr, under `--verbose`) after a `count`/`enumerate`.
+    /// Each map-reduce round lists its shipped pairs and the wall-clock of its
+    /// map, exchange and reduce phases (grouping and the reducers' join both
+    /// fall in `reduce`). Serial strategies render without the map-reduce
+    /// counters; streamed and collected runs both describe their output
+    /// honestly (via [`RunReport::describe_output`]).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -238,10 +240,18 @@ impl RunReport {
                 "shuffle:  {} pairs shipped ({} emitted before combining, {} bytes)\n",
                 metrics.shuffle_records, metrics.key_value_pairs, metrics.shuffle_bytes,
             ));
+            let millis = |d: std::time::Duration| d.as_secs_f64() * 1e3;
             for round in &self.round_metrics {
+                let m = &round.metrics;
                 out.push_str(&format!(
                     "          round {}: {} pairs shipped, {} outputs\n",
-                    round.name, round.metrics.shuffle_records, round.metrics.outputs,
+                    round.name, m.shuffle_records, m.outputs,
+                ));
+                out.push_str(&format!(
+                    "            map {:.1} ms, exchange {:.1} ms, reduce {:.1} ms\n",
+                    millis(m.map_time),
+                    millis(m.shuffle_time),
+                    millis(m.reduce_time),
                 ));
             }
         }
@@ -376,6 +386,9 @@ mod tests {
                     shuffle_bytes: 840,
                     reducer_work: 7,
                     outputs: 3,
+                    map_time: std::time::Duration::from_micros(1_500),
+                    shuffle_time: std::time::Duration::from_micros(20),
+                    reduce_time: std::time::Duration::from_millis(12),
                     ..JobMetrics::default()
                 },
             ),
@@ -385,6 +398,7 @@ mod tests {
         assert!(text.contains("3 instances streamed"));
         assert!(text.contains("42 pairs shipped (45 emitted before combining, 840 bytes)"));
         assert!(text.contains("round bucket-oriented"));
+        assert!(text.contains("map 1.5 ms, exchange 0.0 ms, reduce 12.0 ms"));
         assert!(!text.contains("duplicate discoveries"));
     }
 }

@@ -9,9 +9,10 @@
 //! cost is `b` per edge — a factor 3/2 better than Partition and 1.65 better
 //! than the plain multiway join at equal reducer counts (Figure 1).
 
+use super::{local_triangles, TRIANGLE_EDGES};
 use crate::result::RunStats;
-use crate::serial::triangles::enumerate_triangles_with_order_into;
 use crate::sink::InstanceSink;
+use subgraph_cq::LocalGraph;
 use subgraph_graph::{BucketThenIdOrder, DataGraph, Edge};
 use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
 use subgraph_pattern::Instance;
@@ -35,7 +36,6 @@ pub(crate) fn run_bucket_ordered_triangles_into(
 ) -> RunStats {
     assert!(b >= 1, "at least one bucket is required");
     let order = BucketThenIdOrder::new(b);
-    let num_nodes = graph.num_nodes();
 
     let mapper = move |edge: &Edge, ctx: &mut MapContext<[u32; 3], Edge>| {
         let bu = order.bucket(edge.lo()) as u32;
@@ -48,30 +48,23 @@ pub(crate) fn run_bucket_ordered_triangles_into(
     };
 
     let reducer = move |key: &[u32; 3], edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        let local = DataGraph::from_edges(num_nodes, edges.iter().map(|e| e.endpoints()));
+        let local = LocalGraph::build(edges, &order);
+        let bucket_of = |v: u32| order.bucket(local.global(v)) as u32;
         // The local enumeration streams straight through to the round's
         // output: no per-reducer triangle buffer exists.
-        let work = {
-            let mut filter = crate::sink::FnSink::new(|instance: Instance| {
-                // A triangle is emitted only by the reducer whose key is the
-                // sorted bucket triple of its nodes. For triangles spanning
-                // two or three distinct buckets that reducer is the only one
-                // holding all three edges anyway; for triangles whose nodes
-                // share a single bucket `a` every reducer [a, a, *] holds the
-                // edges, and this check keeps the paper's "discovered by only
-                // one reducer" guarantee.
-                let mut triple: Vec<u32> = instance
-                    .nodes()
-                    .iter()
-                    .map(|&v| order.bucket(v) as u32)
-                    .collect();
-                triple.sort_unstable();
-                if triple.as_slice() == key {
-                    ctx.emit(instance);
-                }
-            });
-            enumerate_triangles_with_order_into(&local, &order, &mut filter).work
-        };
+        let work = local_triangles(&local, |triangle| {
+            // A triangle is emitted only by the reducer whose key is the
+            // sorted bucket triple of its nodes (local ids ascend in
+            // (bucket, id) order, so the triple arrives sorted). For
+            // triangles spanning two or three distinct buckets that reducer
+            // is the only one holding all three edges anyway; for triangles
+            // whose nodes share a single bucket `a` every reducer [a, a, *]
+            // holds the edges, and this check keeps the paper's "discovered
+            // by only one reducer" guarantee.
+            if triangle.map(bucket_of) == *key {
+                ctx.emit(local.instance(&triangle, &TRIANGLE_EDGES));
+            }
+        });
         ctx.add_work(work);
     };
 

@@ -22,3 +22,32 @@ pub mod partition;
 // strategy if needed, and `plan()/execute()` (or `run_with_sink()` for
 // streaming results). `cascade::wedge_round` remains public for inspecting
 // the intermediate wedge stream.
+
+use subgraph_cq::LocalGraph;
+use subgraph_pattern::PatternNode;
+
+/// The triangle's edges over pattern nodes `0, 1, 2`.
+pub(crate) const TRIANGLE_EDGES: [(PatternNode, PatternNode); 3] = [(0, 1), (0, 2), (1, 2)];
+
+/// The serial triangle algorithm of Section 2 over a reducer's local graph:
+/// for every node `v`, every pair `u < w` of its successors is a properly
+/// ordered 2-path, closed into a triangle when `w` is a successor of `u`.
+/// `visit` receives each triangle as local ids `[v, u, w]`, ascending in the
+/// graph's order; the return value is the number of 2-paths examined — the
+/// work the paper's `O(m^{3/2})` bound counts.
+pub(crate) fn local_triangles(local: &LocalGraph, mut visit: impl FnMut([u32; 3])) -> u64 {
+    let mut work = 0;
+    for v in 0..local.num_nodes() as u32 {
+        let later = local.successors(v);
+        for (i, &u) in later.iter().enumerate() {
+            let closing = local.successors(u);
+            for &w in &later[i + 1..] {
+                work += 1;
+                if closing.binary_search(&w).is_ok() {
+                    visit([v, u, w]);
+                }
+            }
+        }
+    }
+    work
+}

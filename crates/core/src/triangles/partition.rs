@@ -11,9 +11,10 @@
 //! for that triangle (the group multiset completed with the smallest unused
 //! group numbers), which costs the same extra bookkeeping the paper mentions.
 
+use super::{local_triangles, TRIANGLE_EDGES};
 use crate::result::RunStats;
-use crate::serial::triangles::enumerate_triangles_with_order_into;
 use crate::sink::InstanceSink;
+use subgraph_cq::LocalGraph;
 use subgraph_graph::{DataGraph, Edge, IdOrder, NodeId};
 use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
 use subgraph_pattern::Instance;
@@ -27,7 +28,6 @@ pub(crate) fn run_partition_triangles_into(
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
     assert!(b >= 3, "Partition needs at least 3 groups");
-    let num_nodes = graph.num_nodes();
     let group = move |v: NodeId| -> u32 { hash_group(v, b) };
 
     let mapper = move |edge: &Edge, ctx: &mut MapContext<[u32; 3], Edge>| {
@@ -46,20 +46,17 @@ pub(crate) fn run_partition_triangles_into(
     };
 
     let reducer = move |key: &[u32; 3], edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        let local = DataGraph::from_edges(num_nodes, edges.iter().map(|e| e.endpoints()));
+        let local = LocalGraph::build(edges, &IdOrder);
         // The local enumeration streams straight through to the round's
         // output: no per-reducer triangle buffer exists.
-        let work = {
-            let mut filter = crate::sink::FnSink::new(|instance: Instance| {
-                // De-duplicate triangles that span fewer than three groups:
-                // emit only from the canonical reducer for the group set.
-                let groups: Vec<u32> = instance.nodes().iter().map(|&v| group(v)).collect();
-                if canonical_triple(&groups, b) == *key {
-                    ctx.emit(instance);
-                }
-            });
-            enumerate_triangles_with_order_into(&local, &IdOrder, &mut filter).work
-        };
+        let work = local_triangles(&local, |triangle| {
+            // De-duplicate triangles that span fewer than three groups:
+            // emit only from the canonical reducer for the group set.
+            let groups = triangle.map(|v| group(local.global(v)));
+            if canonical_triple(&groups, b) == *key {
+                ctx.emit(local.instance(&triangle, &TRIANGLE_EDGES));
+            }
+        });
         ctx.add_work(work);
     };
 

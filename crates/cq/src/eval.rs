@@ -1,19 +1,35 @@
-//! Serial evaluation of conjunctive queries over a data graph.
+//! The reducer join kernel: compiled evaluation of conjunctive queries over
+//! an order-relabelled [`LocalGraph`].
 //!
 //! This is the computation each reducer performs in the paper's map-reduce
 //! algorithms (Section 4), and — run over the whole data graph — a serial
 //! reference algorithm. The edge relation `E(X, Y)` holds each undirected edge
-//! exactly once, oriented so that `X` precedes `Y` under the supplied
-//! [`NodeOrder`]; arithmetic comparisons refer to the same order.
+//! exactly once, oriented so that `X` precedes `Y` under the [`NodeOrder`] the
+//! local graph was built with; arithmetic comparisons refer to the same order.
 //!
-//! Evaluation is a backtracking join: variables are assigned one at a time,
-//! candidates are drawn from the adjacency lists of already-assigned
-//! neighbouring variables, and subgoal orientation plus arithmetic comparisons
-//! are checked as soon as both endpoints are bound. Assignments are required
-//! to be injective (an instance of the sample graph uses `p` distinct data
-//! nodes).
+//! A query is compiled once into a [`JoinPlan`]: an order in which to bind the
+//! variables and, per variable, the adjacency runs of already-bound variables
+//! to intersect (a subgoal `E(X, Y)` with `X` bound reads the successors of
+//! `X`'s node, with `Y` bound the predecessors of `Y`'s node), the bound
+//! variables whose node must precede or follow this one (the transitive
+//! closure of the subgoal orientations and the `<` comparisons), and the
+//! bound variables it must merely differ from. Local ids are ranks in the
+//! node order, so every one of those conditions is an integer compare, and an
+//! ordering condition cuts a sorted run with a binary search instead of
+//! testing its members one by one.
+//!
+//! [`JoinPlan::run`] is generic over two closures: `admit` is asked before a
+//! variable binds to a node (reducers push their bucket tests into the join
+//! this way), `found` receives each satisfying assignment. The inner loop
+//! performs no dynamic dispatch and no allocation. [`evaluate_cq`] and its
+//! siblings are thin collecting wrappers over the same kernel.
+//!
+//! Assignments are injective (an instance of the sample graph uses `p`
+//! distinct data nodes), and variables range over the nodes incident to at
+//! least one edge.
 
-use crate::query::{ConjunctiveQuery, CqGroup, Var};
+use crate::local::LocalGraph;
+use crate::query::{ConjunctiveQuery, Constraint, CqGroup, Var};
 use subgraph_graph::{DataGraph, NodeId, NodeOrder};
 use subgraph_pattern::Instance;
 
@@ -46,6 +62,11 @@ impl EvalOutcome {
     pub fn duplicates(&self) -> usize {
         self.assignments - self.distinct_instances()
     }
+
+    fn push(&mut self, instance: Instance) {
+        self.instances.push(instance);
+        self.assignments += 1;
+    }
 }
 
 /// Evaluates a single CQ over `graph` with the given node order.
@@ -54,7 +75,7 @@ pub fn evaluate_cq<O: NodeOrder>(
     graph: &DataGraph,
     order: &O,
 ) -> EvalOutcome {
-    evaluate_cq_filtered(cq, graph, order, &|_, _| true)
+    evaluate_cqs(std::slice::from_ref(cq), graph, order)
 }
 
 /// Evaluates a single CQ, additionally restricting the data nodes each
@@ -68,14 +89,15 @@ pub fn evaluate_cq_filtered<O: NodeOrder>(
     order: &O,
     candidate_filter: &dyn Fn(Var, NodeId) -> bool,
 ) -> EvalOutcome {
-    evaluate_internal_filtered(
-        cq.num_vars(),
-        cq.subgoals(),
-        graph,
-        order,
-        &|rank_of| cq.constraints_hold(rank_of),
-        candidate_filter,
-    )
+    let local = LocalGraph::build(graph.edges(), order);
+    let plan = JoinPlan::compile(cq);
+    let mut outcome = EvalOutcome::default();
+    plan.run(
+        &local,
+        |var, node, _| candidate_filter(var, local.global(node)),
+        |assignment| outcome.push(plan.instance(&local, assignment)),
+    );
+    outcome
 }
 
 /// Evaluates a merged orientation group (Section 3.3): the relational part is
@@ -86,13 +108,20 @@ pub fn evaluate_cq_group<O: NodeOrder>(
     graph: &DataGraph,
     order: &O,
 ) -> EvalOutcome {
-    evaluate_internal(
-        group.num_vars(),
-        &group.subgoals,
-        graph,
-        order,
-        &|rank_of| group.constraints_hold(rank_of),
-    )
+    let local = LocalGraph::build(graph.edges(), order);
+    let plan = JoinPlan::compile_parts(group.num_vars(), &group.subgoals, &[]);
+    let mut outcome = EvalOutcome::default();
+    plan.run(
+        &local,
+        |_, _, _| true,
+        |assignment| {
+            // Local ids are ranks in the order: exactly what the conditions compare.
+            if group.constraints_hold(&|v| u64::from(assignment[v as usize])) {
+                outcome.push(plan.instance(&local, assignment));
+            }
+        },
+    );
+    outcome
 }
 
 /// Evaluates a whole CQ collection and concatenates the results. For a correct
@@ -103,55 +132,184 @@ pub fn evaluate_cqs<O: NodeOrder>(
     graph: &DataGraph,
     order: &O,
 ) -> EvalOutcome {
+    let local = LocalGraph::build(graph.edges(), order);
     let mut outcome = EvalOutcome::default();
-    for cq in cqs {
-        outcome.absorb(evaluate_cq(cq, graph, order));
+    for plan in cqs.iter().map(JoinPlan::compile) {
+        plan.run(
+            &local,
+            |_, _, _| true,
+            |assignment| outcome.push(plan.instance(&local, assignment)),
+        );
     }
     outcome
 }
 
-/// Acceptance predicate over a rank lookup for a fully bound assignment.
-type AcceptFn<'a> = &'a dyn Fn(&dyn Fn(Var) -> u64) -> bool;
-
-/// Shared backtracking engine. `accept` receives a rank lookup for the fully
-/// bound assignment and decides whether the arithmetic conditions hold.
-fn evaluate_internal<O: NodeOrder>(
-    num_vars: usize,
-    subgoals: &[(Var, Var)],
-    graph: &DataGraph,
-    order: &O,
-    accept: AcceptFn<'_>,
-) -> EvalOutcome {
-    evaluate_internal_filtered(num_vars, subgoals, graph, order, accept, &|_, _| true)
+/// Which adjacency run of a bound variable's node holds the candidates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Run {
+    /// Subgoal `E(bound, this)`: candidates follow the bound node.
+    Successors,
+    /// Subgoal `E(this, bound)`: candidates precede the bound node.
+    Predecessors,
 }
 
-/// Backtracking engine with a per-variable candidate filter.
-fn evaluate_internal_filtered<O: NodeOrder>(
-    num_vars: usize,
-    subgoals: &[(Var, Var)],
-    graph: &DataGraph,
-    order: &O,
-    accept: AcceptFn<'_>,
-    candidate_filter: &dyn Fn(Var, NodeId) -> bool,
-) -> EvalOutcome {
-    if num_vars == 0 {
-        return EvalOutcome::default();
+/// How one variable is bound. Other variables are referred to by their
+/// *depth* (position in the binding order), which is how the search stores
+/// the partial assignment.
+#[derive(Clone, Debug)]
+struct Step {
+    var: Var,
+    /// Runs whose intersection holds the candidates; empty when no neighbour
+    /// of the variable is bound yet (then every node is a candidate).
+    anchors: Vec<(usize, Run)>,
+    /// Bound variables whose node must precede this one's, beyond what the
+    /// anchors already guarantee.
+    after: Vec<usize>,
+    /// Bound variables whose node must follow this one's.
+    before: Vec<usize>,
+    /// Bound variables no ordering condition relates to this one: the only
+    /// ones injectivity has to be checked against.
+    distinct_from: Vec<usize>,
+    /// Where this step's run cursors live in the search's cursor table.
+    cursors: usize,
+}
+
+/// A conjunctive query compiled for evaluation over a [`LocalGraph`]: see the
+/// module docs. Compile once per round, run once per reducer.
+#[derive(Clone, Debug)]
+pub struct JoinPlan {
+    /// The query's relational subgoals, i.e. the sample graph's edges.
+    subgoals: Vec<(Var, Var)>,
+    steps: Vec<Step>,
+    /// False when the ordering conditions contradict each other (`X < Y` and
+    /// `Y < X`): no assignment can satisfy the query.
+    satisfiable: bool,
+    num_cursors: usize,
+}
+
+impl JoinPlan {
+    /// Compiles `cq`: its subgoals and its `<` comparisons (`≠` comparisons
+    /// are implied by injectivity).
+    pub fn compile(cq: &ConjunctiveQuery) -> JoinPlan {
+        let lts: Vec<(Var, Var)> = cq
+            .constraints()
+            .iter()
+            .filter_map(|c| match *c {
+                Constraint::Lt(a, b) => Some((a, b)),
+                Constraint::Neq(..) => None,
+            })
+            .collect();
+        Self::compile_parts(cq.num_vars(), cq.subgoals(), &lts)
     }
-    let plan = plan_variable_order(num_vars, subgoals);
-    let mut assignment: Vec<Option<NodeId>> = vec![None; num_vars];
-    let mut outcome = EvalOutcome::default();
-    assign(
-        graph,
-        order,
-        subgoals,
-        &plan,
-        0,
-        &mut assignment,
-        accept,
-        candidate_filter,
-        &mut outcome,
-    );
-    outcome
+
+    fn compile_parts(num_vars: usize, subgoals: &[(Var, Var)], lts: &[(Var, Var)]) -> JoinPlan {
+        // precedes[a][b]: every satisfying assignment puts a's node before b's.
+        let mut precedes = vec![vec![false; num_vars]; num_vars];
+        for &(a, b) in subgoals.iter().chain(lts) {
+            precedes[a as usize][b as usize] = true;
+        }
+        for k in 0..num_vars {
+            for i in 0..num_vars {
+                for j in 0..num_vars {
+                    if precedes[i][k] && precedes[k][j] {
+                        precedes[i][j] = true;
+                    }
+                }
+            }
+        }
+        let satisfiable = (0..num_vars).all(|v| !precedes[v][v]);
+
+        let order = plan_variable_order(num_vars, subgoals);
+        let mut depth_of = vec![usize::MAX; num_vars];
+        let mut steps: Vec<Step> = Vec::with_capacity(num_vars);
+        let mut num_cursors = 0;
+        for (depth, &var) in order.iter().enumerate() {
+            let bound = |v: Var| depth_of[v as usize] != usize::MAX;
+            let mut anchors: Vec<(usize, Run)> = Vec::new();
+            for &(a, b) in subgoals {
+                let anchor = if b == var && bound(a) {
+                    (depth_of[a as usize], Run::Successors)
+                } else if a == var && bound(b) {
+                    (depth_of[b as usize], Run::Predecessors)
+                } else {
+                    continue;
+                };
+                if !anchors.contains(&anchor) {
+                    anchors.push(anchor);
+                }
+            }
+            let mut step = Step {
+                var,
+                anchors,
+                after: Vec::new(),
+                before: Vec::new(),
+                distinct_from: Vec::new(),
+                cursors: num_cursors,
+            };
+            for (earlier, &other) in order[..depth].iter().enumerate() {
+                let (other, this) = (other as usize, var as usize);
+                if precedes[other][this] {
+                    if !step.anchors.contains(&(earlier, Run::Successors)) {
+                        step.after.push(earlier);
+                    }
+                } else if precedes[this][other] {
+                    if !step.anchors.contains(&(earlier, Run::Predecessors)) {
+                        step.before.push(earlier);
+                    }
+                } else {
+                    step.distinct_from.push(earlier);
+                }
+            }
+            num_cursors += step.anchors.len();
+            depth_of[var as usize] = depth;
+            steps.push(step);
+        }
+        JoinPlan {
+            subgoals: subgoals.to_vec(),
+            steps,
+            satisfiable,
+            num_cursors,
+        }
+    }
+
+    /// The canonical instance behind a satisfying assignment of local ids
+    /// (what [`JoinPlan::run`] hands to `found`).
+    pub fn instance(&self, graph: &LocalGraph, assignment: &[u32]) -> Instance {
+        graph.instance(assignment, &self.subgoals)
+    }
+
+    /// Evaluates the query over `graph`.
+    ///
+    /// `admit(var, node, bound)` is asked before `var` binds to the local id
+    /// `node`; `bound` holds the local ids bound so far, in binding order. A
+    /// refusal prunes the whole subtree. `found(assignment)` receives every
+    /// satisfying assignment, `assignment[var]` being the local id bound to
+    /// `var`.
+    ///
+    /// Returns the number of candidate bindings the join tried — the
+    /// kernel's unit of work.
+    pub fn run<A, F>(&self, graph: &LocalGraph, admit: A, found: F) -> u64
+    where
+        A: FnMut(Var, u32, &[u32]) -> bool,
+        F: FnMut(&[u32]),
+    {
+        let p = self.steps.len();
+        if p == 0 || !self.satisfiable {
+            return 0;
+        }
+        let mut search = Search {
+            steps: &self.steps,
+            graph,
+            admit,
+            found,
+            bound: vec![0; p],
+            by_var: vec![0; p],
+            cursors: vec![&[][..]; self.num_cursors],
+            tried: 0,
+        };
+        search.extend(0);
+        search.tried
+    }
 }
 
 /// Chooses the order in which variables are bound: a connected expansion of
@@ -197,84 +355,118 @@ fn plan_variable_order(num_vars: usize, subgoals: &[(Var, Var)]) -> Vec<Var> {
     plan
 }
 
-#[allow(clippy::too_many_arguments)]
-fn assign<O: NodeOrder>(
-    graph: &DataGraph,
-    order: &O,
-    subgoals: &[(Var, Var)],
-    plan: &[Var],
-    depth: usize,
-    assignment: &mut Vec<Option<NodeId>>,
-    accept: AcceptFn<'_>,
-    candidate_filter: &dyn Fn(Var, NodeId) -> bool,
-    outcome: &mut EvalOutcome,
-) {
-    if depth == plan.len() {
-        let rank_of = |v: Var| -> u64 {
-            let node = assignment[v as usize].expect("all variables bound");
-            let (primary, secondary) = order.key(node);
-            // Combine into a single u64 rank preserving the lexicographic order;
-            // primary values are small (bucket ids / degrees) in practice.
-            primary
-                .saturating_mul(u32::MAX as u64 + 1)
-                .saturating_add(secondary as u64)
+/// The state of one [`JoinPlan::run`]: everything is allocated here, once.
+struct Search<'a, A, F> {
+    steps: &'a [Step],
+    graph: &'a LocalGraph,
+    admit: A,
+    found: F,
+    /// `bound[depth]`: the local id bound at that depth.
+    bound: Vec<u32>,
+    /// The full assignment indexed by variable, filled at the leaves.
+    by_var: Vec<u32>,
+    /// The unread tails of the non-base anchor runs, per step.
+    cursors: Vec<&'a [u32]>,
+    tried: u64,
+}
+
+impl<'a, A, F> Search<'a, A, F>
+where
+    A: FnMut(Var, u32, &[u32]) -> bool,
+    F: FnMut(&[u32]),
+{
+    fn extend(&mut self, depth: usize) {
+        let steps = self.steps;
+        let Some(step) = steps.get(depth) else {
+            for (step, &node) in steps.iter().zip(&self.bound) {
+                self.by_var[step.var as usize] = node;
+            }
+            (self.found)(&self.by_var);
+            return;
         };
-        if accept(&rank_of) {
-            let edges = subgoals.iter().map(|&(a, b)| {
-                (
-                    assignment[a as usize].unwrap(),
-                    assignment[b as usize].unwrap(),
-                )
-            });
-            outcome.instances.push(Instance::from_edge_set(edges));
-            outcome.assignments += 1;
+        // The ordering conditions confine the candidates to `low..high`.
+        let mut low = 0u32;
+        let mut high = self.graph.num_nodes() as u32;
+        for &earlier in &step.after {
+            low = low.max(self.bound[earlier] + 1);
         }
-        return;
-    }
-    let var = plan[depth];
-    // Candidate nodes: intersection of neighbourhoods of bound neighbours, or
-    // every node if no neighbour is bound yet.
-    let bound_neighbor = subgoals.iter().find_map(|&(a, b)| {
-        if a == var {
-            assignment[b as usize]
-        } else if b == var {
-            assignment[a as usize]
-        } else {
-            None
+        for &later in &step.before {
+            high = high.min(self.bound[later]);
         }
-    });
-    let candidates: Vec<NodeId> = match bound_neighbor {
-        Some(anchor) => graph.neighbors(anchor).to_vec(),
-        None => graph.nodes().collect(),
-    };
-    'candidates: for node in candidates {
-        // Per-variable admissibility (reducer bucket filters) and injectivity.
-        if !candidate_filter(var, node) || assignment.contains(&Some(node)) {
-            continue;
+        if low >= high {
+            return;
         }
-        // Check every subgoal whose endpoints are now both bound.
-        assignment[var as usize] = Some(node);
-        for &(a, b) in subgoals {
-            if let (Some(x), Some(y)) = (assignment[a as usize], assignment[b as usize]) {
-                if !(graph.has_edge(x, y) && order.precedes(x, y)) {
-                    assignment[var as usize] = None;
-                    continue 'candidates;
+        if step.anchors.is_empty() {
+            for node in low..high {
+                self.tried += 1;
+                if self.admits(depth, step, node) {
+                    self.bound[depth] = node;
+                    self.extend(depth + 1);
                 }
             }
+            return;
         }
-        assign(
-            graph,
-            order,
-            subgoals,
-            plan,
-            depth + 1,
-            assignment,
-            accept,
-            candidate_filter,
-            outcome,
-        );
-        assignment[var as usize] = None;
+        // Walk the shortest anchor run, cut to the range; the others follow
+        // it through cursors that only ever move forward.
+        let graph = self.graph;
+        let mut base = 0;
+        for (i, &(earlier, run)) in step.anchors.iter().enumerate() {
+            let run = match run {
+                Run::Successors => graph.successors(self.bound[earlier]),
+                Run::Predecessors => graph.predecessors(self.bound[earlier]),
+            };
+            self.cursors[step.cursors + i] = run;
+            if run.len() < self.cursors[step.cursors + base].len() {
+                base = i;
+            }
+        }
+        let run = self.cursors[step.cursors + base];
+        let run = &run[run.partition_point(|&x| x < low)..];
+        let run = &run[..run.partition_point(|&x| x < high)];
+        'candidates: for &node in run {
+            self.tried += 1;
+            if !self.admits(depth, step, node) {
+                continue;
+            }
+            for i in (0..step.anchors.len()).filter(|&i| i != base) {
+                let rest = skip_below(self.cursors[step.cursors + i], node);
+                self.cursors[step.cursors + i] = rest;
+                match rest.first() {
+                    // An exhausted run excludes every later candidate too.
+                    None => return,
+                    Some(&next) if next != node => continue 'candidates,
+                    Some(_) => {}
+                }
+            }
+            self.bound[depth] = node;
+            self.extend(depth + 1);
+        }
     }
+
+    /// Injectivity against the variables no ordering condition separates from
+    /// this one, then the caller's admissibility test.
+    #[inline]
+    fn admits(&mut self, depth: usize, step: &Step, node: u32) -> bool {
+        let bound = &self.bound[..depth];
+        step.distinct_from
+            .iter()
+            .all(|&earlier| bound[earlier] != node)
+            && (self.admit)(step.var, node, bound)
+    }
+}
+
+/// The suffix of the sorted `run` starting at its first element `>= target`:
+/// an exponential probe from the front, then a binary search, so advancing a
+/// cursor by a short distance is cheap however long the run is.
+#[inline]
+fn skip_below(run: &[u32], target: u32) -> &[u32] {
+    let mut reach = 1;
+    while reach < run.len() && run[reach] < target {
+        reach *= 2;
+    }
+    let from = reach / 2;
+    let window = &run[from..run.len().min(reach + 1)];
+    &run[from + window.partition_point(|&x| x < target)..]
 }
 
 #[cfg(test)]
@@ -396,5 +588,50 @@ mod tests {
         let outcome = evaluate_cqs(&cqs, &g, &IdOrder);
         assert_eq!(outcome.assignments, choose(7, 6) * 60);
         assert_eq!(outcome.duplicates(), 0);
+    }
+
+    #[test]
+    fn disconnected_patterns_bind_unanchored_variables_over_all_nodes() {
+        // Pairs of disjoint edges in K4: the three perfect matchings.
+        let pattern = subgraph_pattern::SampleGraph::from_edges(4, &[(0, 1), (2, 3)]);
+        let outcome = evaluate_cqs(
+            &cqs_for_sample(&pattern),
+            &generators::complete(4),
+            &IdOrder,
+        );
+        assert_eq!(outcome.assignments, 3);
+        assert_eq!(outcome.duplicates(), 0);
+    }
+
+    #[test]
+    fn contradictory_comparisons_match_nothing() {
+        use crate::query::Constraint;
+        let cq = ConjunctiveQuery::new(2, vec![(0, 1)], vec![Constraint::Lt(1, 0)]);
+        let outcome = evaluate_cq(&cq, &generators::complete(5), &IdOrder);
+        assert_eq!(outcome.assignments, 0);
+    }
+
+    #[test]
+    fn comparisons_between_non_adjacent_variables_prune_and_filter() {
+        use crate::query::Constraint;
+        // 2-paths X–W–Y whose ends no subgoal relates: the comparison X < Y
+        // cuts W's successor run, X ≠ Y is left to injectivity.
+        let paths = |constraints| ConjunctiveQuery::new(3, vec![(0, 1), (0, 2)], constraints);
+        let g = generators::complete(6);
+        let ordered = evaluate_cq(&paths(vec![Constraint::Lt(1, 2)]), &g, &IdOrder);
+        let distinct = evaluate_cq(&paths(vec![Constraint::Neq(1, 2)]), &g, &IdOrder);
+        // E(W, X) & E(W, Y) force W below both ends: node w has C(5 − w, 2) pairs.
+        assert_eq!(ordered.assignments, choose(6, 3));
+        assert_eq!(distinct.assignments, 2 * choose(6, 3));
+    }
+
+    #[test]
+    fn skip_below_lands_on_the_first_element_not_below_the_target() {
+        let run: Vec<u32> = (0..200).map(|x| 3 * x).collect();
+        for target in [0, 1, 3, 4, 299, 300, 301, 596, 597, 598, 10_000] {
+            let expected = run.partition_point(|&x| x < target);
+            assert_eq!(skip_below(&run, target), &run[expected..], "{target}");
+        }
+        assert!(skip_below(&[], 7).is_empty());
     }
 }

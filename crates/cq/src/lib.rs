@@ -16,19 +16,25 @@
 //! * [`cycles`] — Section 5: the smaller CQ families for cycles `C_p` obtained
 //!   from run sequences of up/down edges, including the palindrome/periodicity
 //!   corrections of Section 5.2 (Theorem 5.1).
-//! * [`eval`] — serial evaluation of CQs over a data graph (used standalone as
-//!   the paper's reducer-side algorithm and as a correctness oracle).
+//! * [`local`] — a reducer's input edges relabelled to dense ids in the
+//!   evaluation order ([`LocalGraph`]).
+//! * [`eval`] — the compiled join kernel ([`JoinPlan`]) the reducers run over
+//!   a local graph, and serial evaluation of CQs over a whole data graph.
 
 pub mod cycles;
 pub mod eval;
 pub mod generate;
+pub mod local;
 pub mod orientation;
 pub mod partial;
 pub mod query;
 
 pub use cycles::{cycle_cqs, CycleCq};
-pub use eval::{evaluate_cq, evaluate_cq_filtered, evaluate_cq_group, evaluate_cqs, EvalOutcome};
+pub use eval::{
+    evaluate_cq, evaluate_cq_filtered, evaluate_cq_group, evaluate_cqs, EvalOutcome, JoinPlan,
+};
 pub use generate::{cq_for_ordering, cqs_for_sample};
+pub use local::LocalGraph;
 pub use orientation::{merge_by_orientation, simplified_constraints};
 pub use partial::PartialCq;
 pub use query::{ConjunctiveQuery, Constraint, CqGroup, Var};

@@ -7,7 +7,7 @@
 //! keeps only the set of data-graph edges making up the copy of `S`. This is
 //! exactly the object the "discovered exactly once" invariant is about.
 
-use crate::sample::SampleGraph;
+use crate::sample::{PatternNode, SampleGraph};
 use subgraph_graph::NodeId;
 
 /// One instance of a sample graph in a data graph, in canonical form.
@@ -31,16 +31,22 @@ impl Instance {
             sample.num_nodes(),
             "assignment length must equal the pattern size"
         );
-        let mut nodes = assignment.to_vec();
-        nodes.sort_unstable();
-        for pair in nodes.windows(2) {
-            assert_ne!(
-                pair[0], pair[1],
-                "instances must map pattern nodes injectively"
-            );
-        }
-        let mut edges: Vec<(NodeId, NodeId)> = sample
-            .edges()
+        Self::from_bound_edges(assignment.to_vec(), sample.edges())
+    }
+
+    /// Builds the canonical instance from an owned assignment
+    /// (`assignment[pattern node] = data node`) and the pattern's edges as
+    /// pairs of pattern nodes, in either orientation — what a conjunctive
+    /// query's subgoals are. One sort of the `p` nodes and one of the edges;
+    /// the assignment's buffer becomes the node list.
+    ///
+    /// # Panics
+    /// Panics if the assignment maps two pattern nodes to the same data node.
+    pub fn from_bound_edges(
+        mut assignment: Vec<NodeId>,
+        pattern_edges: &[(PatternNode, PatternNode)],
+    ) -> Self {
+        let mut edges: Vec<(NodeId, NodeId)> = pattern_edges
             .iter()
             .map(|&(u, v)| {
                 let a = assignment[u as usize];
@@ -54,7 +60,15 @@ impl Instance {
             .collect();
         edges.sort_unstable();
         edges.dedup();
-        Instance { nodes, edges }
+        assignment.sort_unstable();
+        assert!(
+            assignment.windows(2).all(|w| w[0] < w[1]),
+            "instances must map pattern nodes injectively"
+        );
+        Instance {
+            nodes: assignment,
+            edges,
+        }
     }
 
     /// Builds an instance directly from an edge set (used by algorithms that
