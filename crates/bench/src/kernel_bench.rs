@@ -10,7 +10,8 @@
 //! `reproduce kernel-gate` is the CI form, and is *relative* — the compiled
 //! kernel must beat `enumerate_generic` on the square input by
 //! [`MIN_SPEEDUP_OVER_ORACLE`] with identical counts — so a busy runner
-//! slows both sides and cannot flake it.
+//! slows both sides and cannot flake it — and *exact*: no input's local graph
+//! may hold more heap bytes than the tracked `BENCH_kernel.json` records.
 
 use crate::report::Table;
 use std::time::Instant;
@@ -63,6 +64,11 @@ impl KernelTiming {
     pub fn speedup_over_oracle(&self) -> f64 {
         self.oracle_millis / (self.build_millis + self.full_join_millis)
     }
+
+    /// Build time per input edge, in nanoseconds.
+    pub fn build_nanos_per_edge(&self) -> f64 {
+        self.build_millis * 1e6 / self.edges.max(1) as f64
+    }
 }
 
 /// The sweep's results plus the host facts needed to read them.
@@ -71,6 +77,9 @@ pub struct KernelReport {
     /// `std::thread::available_parallelism` on the benchmarking host (the
     /// kernel itself is single-threaded; recorded like every tracked sweep).
     pub available_parallelism: usize,
+    /// `git rev-parse HEAD` of the measured checkout (`unknown` outside one;
+    /// uncommitted changes are not visible in it).
+    pub commit: String,
     /// One entry per input.
     pub inputs: Vec<KernelTiming>,
 }
@@ -157,8 +166,16 @@ fn measure(
 pub fn kernel_timing() -> KernelReport {
     let triangle_graph = generators::gnm(360_000, 1_200_000, 11);
     let square_graph = generators::gnm(22_000, 110_000, 11);
+    let commit = std::process::Command::new("git")
+        .args(["-C", env!("CARGO_MANIFEST_DIR"), "rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
     KernelReport {
         available_parallelism: std::thread::available_parallelism().map_or(1, usize::from),
+        commit,
         inputs: vec![
             measure(
                 "gnm 360k/1.2M, b=6, key {0,1,2}",
@@ -191,6 +208,7 @@ impl KernelReport {
                 "edges",
                 "local nodes",
                 "build ms",
+                "ns/edge",
                 "join ms",
                 "candidates",
                 "owned",
@@ -207,6 +225,7 @@ impl KernelReport {
                 t.edges.to_string(),
                 t.local_nodes.to_string(),
                 format!("{:.2}", t.build_millis),
+                format!("{:.0}", t.build_nanos_per_edge()),
                 format!("{:.2}", t.join_millis),
                 t.candidates.to_string(),
                 t.owned.to_string(),
@@ -236,14 +255,15 @@ impl KernelReport {
         out.push_str("{\n");
         out.push_str("  \"benchmark\": \"reduce_kernel\",\n");
         out.push_str(&format!(
-            "  \"host\": {{ \"available_parallelism\": {} }},\n",
-            self.available_parallelism
+            "  \"host\": {{ \"available_parallelism\": {}, \"commit\": \"{}\" }},\n",
+            self.available_parallelism, self.commit
         ));
         out.push_str("  \"results\": [\n");
         for (i, t) in self.inputs.iter().enumerate() {
             out.push_str(&format!(
                 "    {{ \"input\": \"{}\", \"pattern\": \"{}\", \"edges\": {}, \"local_nodes\": {}, \
-                 \"local_bytes\": {}, \"build_ms\": {:.3}, \"join_ms\": {:.3}, \"candidates\": {}, \
+                 \"local_bytes\": {}, \"build_ms\": {:.3}, \"build_ns_per_edge\": {:.1}, \
+                 \"join_ms\": {:.3}, \"candidates\": {}, \
                  \"owned\": {}, \"assignments\": {}, \"full_join_ms\": {:.3}, \"oracle_ms\": {:.3}, \
                  \"speedup_over_oracle\": {:.2} }}{}\n",
                 t.input,
@@ -252,6 +272,7 @@ impl KernelReport {
                 t.local_nodes,
                 t.local_bytes,
                 t.build_millis,
+                t.build_nanos_per_edge(),
                 t.join_millis,
                 t.candidates,
                 t.owned,
@@ -286,13 +307,31 @@ pub fn run_and_record() -> KernelReport {
     report
 }
 
+/// `local_bytes` of the input labelled `input` in a recorded report.
+fn recorded_local_bytes(json: &str, input: &str) -> Option<u64> {
+    let row = &json[json.find(&format!("\"input\": \"{input}\""))?..];
+    crate::sink_bench::extract_u64_field(row, "local_bytes")
+}
+
 /// The CI kernel gate: every input's assignment count must equal the
-/// oracle's, and on the square input the kernel must be at least
-/// [`MIN_SPEEDUP_OVER_ORACLE`] times faster than the oracle (release builds).
+/// oracle's, no input's local graph may be larger than the tracked
+/// `BENCH_kernel.json` says it was, and on the square input the kernel must
+/// be at least [`MIN_SPEEDUP_OVER_ORACLE`] times faster than the oracle
+/// (release builds).
 pub fn kernel_gate() -> Result<String, String> {
+    let tracked = std::fs::read_to_string(bench_json_path()).unwrap_or_default();
     let report = run_and_record();
     let mut out = report.table();
     for t in &report.inputs {
+        if let Some(before) = recorded_local_bytes(&tracked, t.input) {
+            if t.local_bytes as u64 > before {
+                return Err(format!(
+                    "{out}\nkernel gate FAILED: {} — the local graph grew from {before} to {} \
+                     heap bytes\n",
+                    t.input, t.local_bytes,
+                ));
+            }
+        }
         if t.oracle_count != t.assignments {
             return Err(format!(
                 "{out}\nkernel gate FAILED: {} — kernel found {} {}s, the oracle {}\n",
@@ -346,11 +385,16 @@ mod tests {
         assert_eq!(t.assignments, t.oracle_count);
         assert!(t.owned <= t.assignments);
         assert!(t.candidates > 0);
+        let bytes = t.local_bytes;
         let report = KernelReport {
             available_parallelism: 1,
+            commit: "unknown".to_string(),
             inputs: vec![t],
         };
-        crate::shuffle::validate_json(&report.to_json()).expect("valid JSON");
+        let json = report.to_json();
+        crate::shuffle::validate_json(&json).expect("valid JSON");
+        assert_eq!(recorded_local_bytes(&json, "small"), Some(bytes as u64));
+        assert_eq!(recorded_local_bytes(&json, "absent"), None);
         assert!(report.table().contains("vs oracle"));
     }
 }

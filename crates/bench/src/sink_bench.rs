@@ -618,7 +618,7 @@ fn spill_gate_verdict(
 /// Extracts the first `"key": <number>` field from JSON text. Returns `None`
 /// for a missing key or a non-numeric value (e.g. `null`) — callers decide
 /// whether that means "skip" or "fail".
-fn extract_u64_field(json: &str, key: &str) -> Option<u64> {
+pub(crate) fn extract_u64_field(json: &str, key: &str) -> Option<u64> {
     let needle = format!("\"{key}\":");
     let rest = &json[json.find(&needle)? + needle.len()..];
     let rest = rest.trim_start();

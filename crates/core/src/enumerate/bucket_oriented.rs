@@ -13,8 +13,7 @@
 //! stay a sub-multiset of the key, so partial matches another reducer owns
 //! are cut at the first node that gives them away.
 
-use super::key::{BucketKey, INLINE_COORDS};
-use super::nondecreasing_sequences;
+use super::KeySpace;
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
 use subgraph_cq::{cqs_for_sample, ConjunctiveQuery, JoinPlan, LocalGraph};
@@ -25,11 +24,26 @@ use subgraph_pattern::{Instance, SampleGraph};
 /// Bytes one shuffled record occupies for a `p`-variable bucket-multiset key
 /// plus an edge value — shared by the engine weigher and the planner's byte
 /// prediction, so predicted and measured `shuffle_bytes` agree exactly. The
-/// key is *priced* as `p` logical `u32` coordinates whatever its in-memory
-/// representation ([`BucketKey`] inlines `p ≤ 4` into a single word), so the
-/// planner's predicted byte costs are unchanged by the inline encoding.
+/// key is *priced* as its `p` logical `u32` coordinates, not as the reducer
+/// index the shuffle really carries ([`KeySpace`]), so the planner's predicted
+/// byte costs do not depend on the encoding.
 pub(crate) fn vec_key_record_bytes(p: usize) -> usize {
     p * std::mem::size_of::<u32>() + std::mem::size_of::<Edge>()
+}
+
+/// The mapper of the bucket-multiset rounds: `edge` goes to every reducer
+/// whose multiset holds the buckets of both endpoints.
+pub(crate) fn ship_by_endpoint_buckets(
+    space: &KeySpace,
+    order: &BucketThenIdOrder,
+    edge: &Edge,
+    ctx: &mut MapContext<u32, Edge>,
+) {
+    let bu = order.bucket(edge.lo()) as u32;
+    let bv = order.bucket(edge.hi()) as u32;
+    for &key in space.destinations(bu, bv) {
+        ctx.emit(key, *edge);
+    }
 }
 
 /// The ownership test of one bucket-oriented reducer, in the form the join
@@ -57,11 +71,16 @@ impl BucketQuota {
         for bucket in key {
             quota[bucket as usize] += 1;
         }
-        let bucket_of = local
-            .nodes()
-            .iter()
-            .map(|&v| order.bucket(v) as u32)
-            .collect();
+        // Local ids ascend in (bucket, id) order, so each bucket is one run of
+        // `nodes()`: hash the run's first node, find its end by bisection.
+        let nodes = local.nodes();
+        let mut bucket_of = Vec::with_capacity(nodes.len());
+        while bucket_of.len() < nodes.len() {
+            let rest = &nodes[bucket_of.len()..];
+            let bucket = order.bucket(rest[0]);
+            let run = rest.partition_point(|&v| order.bucket(v) == bucket);
+            bucket_of.resize(bucket_of.len() + run, bucket as u32);
+        }
         BucketQuota { bucket_of, quota }
     }
 
@@ -118,35 +137,18 @@ pub fn bucket_oriented_with_cqs_into(
     config: &EngineConfig,
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
-    assert!(b >= 1, "at least one bucket is required");
-    assert!(p >= 2, "patterns need at least one edge");
+    let space = KeySpace::multisets(b, p).unwrap_or_else(|e| panic!("bucket-oriented round: {e}"));
     let order = BucketThenIdOrder::new(b);
 
-    let mapper = move |edge: &Edge, ctx: &mut MapContext<BucketKey, Edge>| {
-        let bu = order.bucket(edge.lo()) as u32;
-        let bv = order.bucket(edge.hi()) as u32;
-        // Stack buffer for the common inline-width keys; heap for wide ones.
-        let mut small = [0u32; INLINE_COORDS];
-        let mut large = vec![0u32; if p > INLINE_COORDS { p } else { 0 }];
-        nondecreasing_sequences(b as u32, p - 2, &mut |extra| {
-            let coords: &mut [u32] = if p <= INLINE_COORDS {
-                &mut small[..p]
-            } else {
-                &mut large[..]
-            };
-            coords[0] = bu;
-            coords[1] = bv;
-            coords[2..].copy_from_slice(extra);
-            coords.sort_unstable();
-            ctx.emit(BucketKey::new(coords), *edge);
-        });
+    let mapper = |edge: &Edge, ctx: &mut MapContext<u32, Edge>| {
+        ship_by_endpoint_buckets(&space, &order, edge, ctx)
     };
 
     let plans: Vec<JoinPlan> = cqs.iter().map(JoinPlan::compile).collect();
-    let reducer = move |key: &BucketKey, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
+    let reducer = |key: &u32, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
         let local = LocalGraph::build(edges, &order);
         let mut work = edges.len() as u64;
-        let owned = BucketQuota::new(&local, &order, (0..key.len()).map(|i| key.coord(i)));
+        let owned = BucketQuota::new(&local, &order, space.coords(*key));
         for plan in &plans {
             work += plan.run(
                 &local,
@@ -157,17 +159,18 @@ pub fn bucket_oriented_with_cqs_into(
         ctx.add_work(work);
     };
 
+    let record_bytes = vec_key_record_bytes(p);
     let report = crate::stream::run_streamed_with_sink(
         Pipeline::new().round(
             Round::new("bucket-oriented", mapper, reducer)
-                .record_bytes(|key: &BucketKey, _edge: &Edge| vec_key_record_bytes(key.len()))
+                .record_bytes(move |_: &u32, _: &Edge| record_bytes)
                 .arena(),
         ),
         graph.edges(),
         config,
         sink,
     );
-    RunStats::from_pipeline(report)
+    RunStats::from_pipeline(report).with_key_space(&space)
 }
 
 #[cfg(test)]

@@ -5,15 +5,13 @@
 //! at once; it is provided as the baseline the benchmark harness compares
 //! variable-oriented processing against.
 
-use super::key::BucketKey;
-use super::{integer_shares, reduce_by_variable_buckets, variable_bucket};
-use crate::enumerate::bucket_oriented::vec_key_record_bytes;
+use super::{integer_shares, run_share_vector_round};
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
-use subgraph_cq::{cqs_for_sample, ConjunctiveQuery, JoinPlan, Var};
-use subgraph_graph::{DataGraph, Edge};
-use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
-use subgraph_pattern::{Instance, SampleGraph};
+use subgraph_cq::{cqs_for_sample, ConjunctiveQuery};
+use subgraph_graph::DataGraph;
+use subgraph_mapreduce::EngineConfig;
+use subgraph_pattern::SampleGraph;
 use subgraph_shares::dominance::single_cq_expression_with_dominance;
 use subgraph_shares::optimize_shares;
 
@@ -70,61 +68,14 @@ pub fn single_cq_job_into(
     let expr = single_cq_expression_with_dominance(cq);
     let solution = optimize_shares(&expr, k.max(1) as f64);
     let shares = integer_shares(&solution.shares);
-    let p = cq.num_vars();
-
-    let subgoals: Vec<(Var, Var)> = cq.subgoals().to_vec();
-    let shares_for_mapper = shares.clone();
-    let mapper = move |edge: &Edge, ctx: &mut MapContext<BucketKey, Edge>| {
-        let (u, v) = edge.endpoints();
-        for &(a, b) in &subgoals {
-            let mut key = vec![0u32; p];
-            key[a as usize] = variable_bucket(u, a, shares_for_mapper[a as usize]);
-            key[b as usize] = variable_bucket(v, b, shares_for_mapper[b as usize]);
-            emit_free(&mut key, &shares_for_mapper, a, b, 0, &mut |k| {
-                ctx.emit(BucketKey::new(k), *edge)
-            });
-        }
-    };
-
-    let plans = [JoinPlan::compile(cq)];
-    let reducer = move |key: &BucketKey, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        reduce_by_variable_buckets(&plans, &shares, key, edges, ctx)
-    };
-
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(
-            Round::new("cq-job", mapper, reducer)
-                .record_bytes(|key: &BucketKey, _edge: &Edge| vec_key_record_bytes(key.len()))
-                .arena(),
-        ),
-        graph.edges(),
+    run_share_vector_round(
+        "cq-job",
+        std::slice::from_ref(cq),
+        &shares,
+        graph,
         config,
         sink,
-    );
-    RunStats::from_pipeline(report)
-}
-
-fn emit_free(
-    key: &mut Vec<u32>,
-    shares: &[u32],
-    a: Var,
-    b: Var,
-    dimension: usize,
-    emit: &mut dyn FnMut(&[u32]),
-) {
-    if dimension == shares.len() {
-        emit(key);
-        return;
-    }
-    if dimension == a as usize || dimension == b as usize {
-        emit_free(key, shares, a, b, dimension + 1, emit);
-        return;
-    }
-    for bucket in 0..shares[dimension] {
-        key[dimension] = bucket;
-        emit_free(key, shares, a, b, dimension + 1, emit);
-    }
-    key[dimension] = 0;
+    )
 }
 
 #[cfg(test)]

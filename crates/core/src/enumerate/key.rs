@@ -1,271 +1,478 @@
-//! Fixed-width inline reducer keys for the bucket-multiset strategies.
+//! Reducer key spaces: a reducer's key is its index.
 //!
-//! The reducer keys of the three Section 4 strategies are short sequences of
-//! bucket numbers — `p` coordinates for a `p`-variable pattern, each smaller
-//! than the share/bucket count. Shipping them as `Vec<u32>` puts a heap
-//! allocation behind every shuffled record; [`BucketKey`] instead packs up to
-//! [`INLINE_COORDS`] coordinates of 16 bits each into a single `u64`, so the
-//! common patterns (triangle, square, lollipop, any `p ≤ 4` CQ) shuffle a
-//! plain 8-byte key: no allocation, one-word hashing and comparison.
+//! Every key of a Section 2.3 / Section 4 round is a short sequence of bucket
+//! numbers, and the set of keys a round can use is known before the first
+//! edge is mapped: the non-decreasing `p`-sequences over `b` buckets
+//! (bucket-oriented processing and the bucket-ordered triangle algorithm), or
+//! the share vectors `∏ [0, shares[i])` (variable- and CQ-oriented
+//! processing). A [`KeySpace`] enumerates that set once per round and ranks
+//! it, so the shuffle carries a `u32` reducer index — one multiply to hash,
+//! one or two varint bytes on the wire — and the mapper's whole job becomes
+//! "hash the two endpoints, emit the edge to a precomputed slice of indices".
 //!
-//! Longer or larger-valued keys fall back to the heap representation; the
-//! encoding is canonical (a coordinate sequence always maps to the same
-//! variant) and round-trips are debug-asserted at construction. The derived
-//! `Ord` matches the lexicographic order of the coordinate sequences within a
-//! variant — the inline packing is big-endian (first coordinate in the
-//! highest bits) with a length tiebreak — so the engine's deterministic
-//! sorted-key reduce order is well-defined.
+//! Ranks follow the **lexicographic order of the coordinate sequences**
+//! (multisets by the combinatorial number system, share vectors mixed-radix
+//! with the first coordinate most significant), so sorting reducers by index
+//! is sorting them by coordinates and the engine's deterministic reduce order
+//! is the one the sequence-valued keys had.
 //!
-//! The byte *pricing* of a shuffled record is unchanged by the encoding: the
+//! The byte *pricing* of a shuffled record does not follow the encoding: the
 //! rounds keep charging `4 · p + size_of::<Edge>()` per record (see
-//! `vec_key_record_bytes` in the bucket-oriented module), so the planner's
-//! predicted `shuffle_bytes` still match measurement exactly.
+//! `vec_key_record_bytes` in the bucket-oriented module), the logical cost of
+//! shipping the coordinates, so the planner's predicted `shuffle_bytes` still
+//! match measurement exactly. What the arena really carries is reported
+//! separately as `JobMetrics::wire_bytes`.
 
-/// Maximum number of coordinates the inline representation can hold.
-pub const INLINE_COORDS: usize = 4;
+use std::fmt;
 
-/// Largest coordinate value the inline representation can hold.
-const INLINE_MAX_COORD: u32 = u16::MAX as u32;
+/// Most entries the destination table of [`KeySpace::multisets`] may hold
+/// (1 GiB of indices). The table has about `p² / 2` entries per key, so the
+/// bound is far beyond any reducer budget the table is worth building for.
+const MAX_DESTINATIONS: usize = 1 << 28;
 
-/// A reducer key: a sequence of bucket coordinates, stored inline when small.
-///
-/// Construct with [`BucketKey::new`]; the constructor picks the
-/// representation canonically, so `Eq`/`Ord`/`Hash` (all derived) agree with
-/// coordinate-sequence equality and lexicographic order for any two keys
-/// built from sequences of the same length and coordinate range.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum BucketKey {
-    /// Up to [`INLINE_COORDS`] coordinates `≤ u16::MAX`, packed big-endian:
-    /// coordinate `i` occupies bits `[48 − 16i, 64 − 16i)`, unused low bits
-    /// are zero. Field order matters: comparing `packed` first and `len`
-    /// second is exactly the lexicographic order of the sequences (a proper
-    /// prefix packs to the same word and wins on the shorter length).
-    Inline {
-        /// The packed coordinates.
-        packed: u64,
-        /// How many coordinates are packed.
-        len: u8,
+/// Why a key space cannot be built.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KeySpaceError {
+    /// `b = 0`, or a share of 0: there is no bucket to hash a node into.
+    NoBuckets,
+    /// Keys need between 2 coordinates (a pattern has an edge) and 256
+    /// (conjunctive-query variables are `u8`).
+    Width(usize),
+    /// More than `u32::MAX` keys, or a destination table over
+    /// `MAX_DESTINATIONS` (2^28) entries.
+    TooLarge,
+}
+
+impl fmt::Display for KeySpaceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KeySpaceError::NoBuckets => write!(f, "a key space needs at least one bucket"),
+            KeySpaceError::Width(p) => {
+                write!(f, "a reducer key has 2 to 256 coordinates, not {p}")
+            }
+            KeySpaceError::TooLarge => write!(
+                f,
+                "the key space exceeds u32::MAX keys or {MAX_DESTINATIONS} table entries"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for KeySpaceError {}
+
+#[derive(Clone, Debug)]
+enum Shape {
+    /// Non-decreasing sequences over `buckets` values.
+    Multisets {
+        buckets: u32,
+        /// `sequences[l * (buckets + 1) + r]`: how many non-decreasing
+        /// sequences of length `l` exist over `r` values, `C(r + l − 1, l)`.
+        sequences: Vec<u32>,
+        /// Keys per unordered bucket pair, `C(b + p − 3, p − 2)`.
+        per_pair: usize,
+        /// Pair-major: the ascending indices of the keys containing the pair.
+        destinations: Vec<u32>,
     },
-    /// Fallback for keys with more than [`INLINE_COORDS`] coordinates or a
-    /// coordinate above `u16::MAX`.
-    Heap(Vec<u32>),
+    /// Share vectors; `strides[i]` is the index weight of coordinate `i`.
+    Grid { shares: Vec<u32>, strides: Vec<u32> },
 }
 
-impl BucketKey {
-    /// Encodes a coordinate sequence, inlining it when it fits.
-    #[inline]
-    pub fn new(coords: &[u32]) -> Self {
-        if coords.len() <= INLINE_COORDS && coords.iter().all(|&c| c <= INLINE_MAX_COORD) {
-            let mut packed = 0u64;
-            for (i, &coord) in coords.iter().enumerate() {
-                packed |= (coord as u64) << (48 - 16 * i);
-            }
-            let key = BucketKey::Inline {
-                packed,
-                len: coords.len() as u8,
-            };
-            debug_assert!(
-                key.matches(coords),
-                "inline encoding must round-trip: {coords:?} -> {key:?}"
-            );
-            key
-        } else {
-            BucketKey::Heap(coords.to_vec())
+/// The enumerated, ranked key set of one round (see the module docs).
+#[derive(Clone, Debug)]
+pub struct KeySpace {
+    width: usize,
+    len: u32,
+    shape: Shape,
+}
+
+/// Advances a non-decreasing sequence over `0..buckets` to its lexicographic
+/// successor; `false` (sequence unchanged) after the last one.
+fn next_multiset(coords: &mut [u32], buckets: u32) -> bool {
+    let Some(at) = coords.iter().rposition(|&c| c + 1 < buckets) else {
+        return false;
+    };
+    let value = coords[at] + 1;
+    coords[at..].fill(value);
+    true
+}
+
+fn check_width(p: usize) -> Result<(), KeySpaceError> {
+    if (2..=256).contains(&p) {
+        Ok(())
+    } else {
+        Err(KeySpaceError::Width(p))
+    }
+}
+
+impl KeySpace {
+    /// The `C(b + p − 1, p)` non-decreasing `p`-sequences over `b` buckets
+    /// (Theorem 4.2), with the destination table the mappers route by.
+    pub fn multisets(b: usize, p: usize) -> Result<Self, KeySpaceError> {
+        check_width(p)?;
+        if b == 0 {
+            return Err(KeySpaceError::NoBuckets);
         }
+        // Each of the b(b + 1)/2 bucket pairs owns a run of the table, so more
+        // buckets than this cannot fit; the bound also keeps `sequences` small.
+        let buckets = u32::try_from(b)
+            .ok()
+            .filter(|&b| b < (1 << 15))
+            .ok_or(KeySpaceError::TooLarge)?;
+        let columns = b + 1;
+        let mut sequences = vec![0u32; (p + 1) * columns];
+        sequences[..columns].fill(1);
+        for l in 1..=p {
+            for r in 1..columns {
+                let at = l * columns + r;
+                sequences[at] = sequences[at - 1]
+                    .checked_add(sequences[at - columns])
+                    .ok_or(KeySpaceError::TooLarge)?;
+            }
+        }
+        let len = sequences[p * columns + b];
+        let per_pair = sequences[(p - 2) * columns + b] as usize;
+        let pairs = b * (b + 1) / 2;
+        let table = pairs
+            .checked_mul(per_pair)
+            .filter(|&entries| entries <= MAX_DESTINATIONS)
+            .ok_or(KeySpaceError::TooLarge)?;
+
+        // One pass over the keys in index order: key `index` joins the run of
+        // every distinct bucket pair it contains, so each run ends up
+        // ascending and exactly `per_pair` long.
+        let mut destinations = vec![0u32; table];
+        let mut filled = vec![0usize; pairs];
+        let mut coords = vec![0u32; p];
+        for index in 0..len {
+            for i in 0..p {
+                if i > 0 && coords[i] == coords[i - 1] {
+                    continue;
+                }
+                for j in i + 1..p {
+                    if j > i + 1 && coords[j] == coords[j - 1] {
+                        continue;
+                    }
+                    let pair = pair_index(buckets, coords[i], coords[j]);
+                    destinations[pair * per_pair + filled[pair]] = index;
+                    filled[pair] += 1;
+                }
+            }
+            let more = next_multiset(&mut coords, buckets);
+            debug_assert_eq!(more, index + 1 < len);
+        }
+        debug_assert!(filled.iter().all(|&n| n == per_pair));
+        Ok(KeySpace {
+            width: p,
+            len,
+            shape: Shape::Multisets {
+                buckets,
+                sequences,
+                per_pair,
+                destinations,
+            },
+        })
     }
 
-    /// Number of coordinates in the key.
-    #[inline]
+    /// The share vectors `∏ [0, shares[i])` of Sections 4.1 / 4.3.
+    pub fn grid(shares: &[u32]) -> Result<Self, KeySpaceError> {
+        check_width(shares.len())?;
+        if shares.contains(&0) {
+            return Err(KeySpaceError::NoBuckets);
+        }
+        let mut strides = vec![1u32; shares.len()];
+        let mut len = 1u32;
+        for (stride, &share) in strides.iter_mut().zip(shares).rev() {
+            *stride = len;
+            len = len.checked_mul(share).ok_or(KeySpaceError::TooLarge)?;
+        }
+        Ok(KeySpace {
+            width: shares.len(),
+            len,
+            shape: Shape::Grid {
+                shares: shares.to_vec(),
+                strides,
+            },
+        })
+    }
+
+    /// Number of keys — the reducers the round could use.
     pub fn len(&self) -> usize {
-        match self {
-            BucketKey::Inline { len, .. } => *len as usize,
-            BucketKey::Heap(coords) => coords.len(),
-        }
+        self.len as usize
     }
 
-    /// True when the key holds no coordinates.
-    #[inline]
+    /// Never: a key space holds at least the all-zero key.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        false
     }
 
-    /// The coordinate at position `i` (panics when out of bounds).
+    /// The coordinate sequence of key `index`.
+    pub fn coords(&self, index: u32) -> Vec<u32> {
+        assert!(index < self.len, "key {index} of {}", self.len);
+        let mut rest = index;
+        match &self.shape {
+            Shape::Multisets {
+                buckets, sequences, ..
+            } => {
+                let columns = *buckets as usize + 1;
+                let mut value = 0u32;
+                (0..self.width)
+                    .map(|i| {
+                        // Keys whose coordinate `i` is `value` come in one
+                        // block, one per way to finish over `value..buckets`.
+                        let row = (self.width - 1 - i) * columns;
+                        loop {
+                            let block = sequences[row + (buckets - value) as usize];
+                            if rest < block {
+                                return value;
+                            }
+                            rest -= block;
+                            value += 1;
+                        }
+                    })
+                    .collect()
+            }
+            Shape::Grid { strides, .. } => strides
+                .iter()
+                .map(|&stride| {
+                    let coord = rest / stride;
+                    rest %= stride;
+                    coord
+                })
+                .collect(),
+        }
+    }
+
+    /// The index of a coordinate sequence — the inverse of [`KeySpace::coords`].
+    ///
+    /// # Panics
+    /// Panics if `coords` is not a key of this space.
+    pub fn rank(&self, coords: &[u32]) -> u32 {
+        assert_eq!(coords.len(), self.width, "key width");
+        match &self.shape {
+            Shape::Multisets {
+                buckets, sequences, ..
+            } => {
+                let columns = *buckets as usize + 1;
+                let mut previous = 0u32;
+                let mut index = 0u32;
+                for (i, &coord) in coords.iter().enumerate() {
+                    assert!(
+                        previous <= coord && coord < *buckets,
+                        "{coords:?} is not a non-decreasing sequence below {buckets}"
+                    );
+                    // Skip the blocks of the smaller values `previous..coord`:
+                    // by the hockey-stick identity they sum to a difference
+                    // of two entries one row up.
+                    let row = (self.width - i) * columns;
+                    index += sequences[row + (buckets - previous) as usize]
+                        - sequences[row + (buckets - coord) as usize];
+                    previous = coord;
+                }
+                index
+            }
+            Shape::Grid { shares, strides } => coords
+                .iter()
+                .zip(shares.iter().zip(strides))
+                .map(|(&coord, (&share, &stride))| {
+                    assert!(coord < share, "{coords:?} is outside the shares {shares:?}");
+                    coord * stride
+                })
+                .sum(),
+        }
+    }
+
+    /// The keys an edge with endpoint buckets `bu` and `bv` is shipped to:
+    /// every multiset containing both, ascending, `C(b + p − 3, p − 2)` of
+    /// them (Section 4.5).
+    ///
+    /// # Panics
+    /// Panics on a grid space or a bucket out of range.
     #[inline]
-    pub fn coord(&self, i: usize) -> u32 {
-        match self {
-            BucketKey::Inline { packed, len } => {
-                assert!(i < *len as usize, "coordinate {i} out of bounds");
-                ((packed >> (48 - 16 * i)) & 0xffff) as u32
-            }
-            BucketKey::Heap(coords) => coords[i],
+    pub fn destinations(&self, bu: u32, bv: u32) -> &[u32] {
+        let Shape::Multisets {
+            buckets,
+            per_pair,
+            destinations,
+            ..
+        } = &self.shape
+        else {
+            panic!("share vectors route by stride, not by destination table");
+        };
+        let (lo, hi) = if bu <= bv { (bu, bv) } else { (bv, bu) };
+        assert!(hi < *buckets, "bucket {hi} of {buckets}");
+        let start = pair_index(*buckets, lo, hi) * per_pair;
+        &destinations[start..start + per_pair]
+    }
+
+    /// The index weight of coordinate `var` of a share vector.
+    ///
+    /// # Panics
+    /// Panics on a multiset space.
+    pub fn stride(&self, var: usize) -> u32 {
+        match &self.shape {
+            Shape::Grid { strides, .. } => strides[var],
+            Shape::Multisets { .. } => panic!("multisets have no per-coordinate stride"),
         }
     }
 
-    /// Decodes the key back into its coordinate sequence.
-    pub fn to_vec(&self) -> Vec<u32> {
-        match self {
-            BucketKey::Inline { len, .. } => (0..*len as usize).map(|i| self.coord(i)).collect(),
-            BucketKey::Heap(coords) => coords.clone(),
-        }
-    }
-
-    /// True when the key encodes exactly `coords` — equality against a slice
-    /// without decoding or allocating.
-    pub fn matches(&self, coords: &[u32]) -> bool {
-        match self {
-            BucketKey::Inline { len, .. } => {
-                *len as usize == coords.len()
-                    && coords.iter().enumerate().all(|(i, &c)| self.coord(i) == c)
+    /// Index contributions of every combination of the coordinates other
+    /// than `a` and `b`, ascending: adding the contributions of `a` and `b`
+    /// to each gives the keys that agree with an edge on those two.
+    ///
+    /// # Panics
+    /// Panics on a multiset space.
+    pub fn free_offsets(&self, a: usize, b: usize) -> Vec<u32> {
+        let Shape::Grid { shares, strides } = &self.shape else {
+            panic!("multisets route by destination table, not by stride");
+        };
+        let mut offsets = vec![0u32];
+        for (d, (&share, &stride)) in shares.iter().zip(strides).enumerate() {
+            if d != a && d != b && share > 1 {
+                offsets = offsets
+                    .iter()
+                    .flat_map(|&base| (0..share).map(move |x| base + x * stride))
+                    .collect();
             }
-            BucketKey::Heap(stored) => stored == coords,
         }
+        offsets
     }
 }
 
-/// Arena-shuffle encoding: a variant tag, the length, then each coordinate
-/// as a varint (bucket numbers are small, so an inline triangle key costs
-/// ~5 bytes on the wire instead of the 8-byte packed word). The tag keeps
-/// the decoded variant identical to the encoded one, so `Eq`/`Ord`/`Hash`
-/// survive the round trip bit-for-bit.
-impl subgraph_codec::ArenaCodec for BucketKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            BucketKey::Inline { len, .. } => {
-                out.push(0);
-                out.push(*len);
-                for i in 0..*len as usize {
-                    subgraph_codec::write_varint(out, u64::from(self.coord(i)));
-                }
-            }
-            BucketKey::Heap(coords) => {
-                out.push(1);
-                coords.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &[u8], pos: &mut usize) -> Self {
-        let tag = u8::decode(buf, pos);
-        match tag {
-            0 => {
-                let len = u8::decode(buf, pos);
-                let mut packed = 0u64;
-                for i in 0..len as usize {
-                    let coord = subgraph_codec::read_varint(buf, pos);
-                    packed |= coord << (48 - 16 * i);
-                }
-                BucketKey::Inline { packed, len }
-            }
-            1 => BucketKey::Heap(Vec::<u32>::decode(buf, pos)),
-            other => panic!("corrupt BucketKey tag {other}"),
-        }
-    }
+/// Position of the unordered pair `lo ≤ hi` among the `b(b + 1)/2` pairs.
+#[inline]
+fn pair_index(buckets: u32, lo: u32, hi: u32) -> usize {
+    let (b, lo, hi) = (buckets as usize, lo as usize, hi as usize);
+    lo * (2 * b - lo + 1) / 2 + (hi - lo)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use subgraph_codec::ArenaCodec;
-    use subgraph_graph::rng::Rng;
+    use subgraph_shares::counting::{bucket_oriented_replication, useful_reducers};
 
-    fn random_coords(rng: &mut Rng, max_len: usize, max_coord: u32) -> Vec<u32> {
-        let len = rng.gen_index(max_len + 1);
-        (0..len)
-            .map(|_| rng.gen_index(max_coord as usize + 1) as u32)
-            .collect()
+    /// Every key of `space` in index order, checking `rank ∘ coords = id` and
+    /// that index order is lexicographic coordinate order.
+    fn keys_in_order(space: &KeySpace) -> Vec<Vec<u32>> {
+        let keys: Vec<Vec<u32>> = (0..space.len() as u32).map(|i| space.coords(i)).collect();
+        for (index, key) in keys.iter().enumerate() {
+            assert_eq!(space.rank(key) as usize, index, "{key:?}");
+        }
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "lexicographic order");
+        keys
     }
 
     #[test]
-    fn small_keys_inline_and_large_keys_spill() {
-        assert!(matches!(
-            BucketKey::new(&[1, 2, 3, 4]),
-            BucketKey::Inline { .. }
-        ));
-        assert!(matches!(BucketKey::new(&[]), BucketKey::Inline { .. }));
-        assert!(matches!(
-            BucketKey::new(&[1, 2, 3, 4, 5]),
-            BucketKey::Heap(_)
-        ));
-        assert!(matches!(BucketKey::new(&[0, 70_000]), BucketKey::Heap(_)));
-    }
-
-    /// Proptest: round-trip through the encoding for random sequences across
-    /// both representations (inline-range and spilled).
-    #[test]
-    fn encoding_round_trips_for_random_sequences() {
-        let mut rng = Rng::seed_from_u64(0x5eed_0001);
-        for _ in 0..2_000 {
-            let coords = random_coords(&mut rng, 8, 9);
-            let key = BucketKey::new(&coords);
-            assert_eq!(key.to_vec(), coords);
-            assert_eq!(key.len(), coords.len());
-            assert!(key.matches(&coords));
-            for (i, &c) in coords.iter().enumerate() {
-                assert_eq!(key.coord(i), c, "coords {coords:?} index {i}");
+    fn multiset_spaces_rank_lexicographically_and_route_by_containment() {
+        for b in 1..=8usize {
+            for p in 2..=6usize {
+                let space = KeySpace::multisets(b, p).unwrap();
+                assert_eq!(space.len() as u128, useful_reducers(b as u64, p as u64));
+                let keys = keys_in_order(&space);
+                assert!(keys.iter().all(|k| k.windows(2).all(|w| w[0] <= w[1])));
+                assert!(keys.iter().all(|k| k.iter().all(|&c| (c as usize) < b)));
+                let replication = bucket_oriented_replication(b as u64, p as u64) as usize;
+                for bu in 0..b as u32 {
+                    for bv in 0..b as u32 {
+                        // Brute force: the keys holding both buckets (twice
+                        // the same bucket when the endpoints share one).
+                        let expected: Vec<u32> = keys
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, key)| {
+                                let count = |x| key.iter().filter(|&&c| c == x).count();
+                                if bu == bv {
+                                    count(bu) >= 2
+                                } else {
+                                    count(bu) >= 1 && count(bv) >= 1
+                                }
+                            })
+                            .map(|(index, _)| index as u32)
+                            .collect();
+                        assert_eq!(space.destinations(bu, bv), expected, "b={b} p={p}");
+                        assert_eq!(expected.len(), replication);
+                    }
+                }
             }
         }
-        // Sweep the inline/heap coordinate-value boundary explicitly.
-        for coord in [0u32, 1, 255, 65_534, 65_535, 65_536, u32::MAX] {
-            let coords = vec![coord; 3];
-            assert_eq!(BucketKey::new(&coords).to_vec(), coords);
-        }
     }
 
-    /// Proptest: `Eq` and `Ord` on encoded keys agree with slice equality and
-    /// lexicographic order for same-regime sequences (fixed length, small
-    /// coordinates — the shape every strategy emits within one round).
     #[test]
-    fn ordering_matches_the_coordinate_sequences() {
-        let mut rng = Rng::seed_from_u64(0x5eed_0002);
-        for len in [0usize, 1, 2, 3, 4] {
-            for _ in 0..400 {
-                let a: Vec<u32> = (0..len).map(|_| rng.gen_index(10) as u32).collect();
-                let b: Vec<u32> = (0..len).map(|_| rng.gen_index(10) as u32).collect();
-                let (ka, kb) = (BucketKey::new(&a), BucketKey::new(&b));
-                assert_eq!(ka == kb, a == b, "{a:?} vs {b:?}");
-                assert_eq!(ka.cmp(&kb), a.cmp(&b), "{a:?} vs {b:?}");
+    fn grid_spaces_rank_mixed_radix_first_coordinate_most_significant() {
+        for shares in [
+            vec![1, 1],
+            vec![3, 1],
+            vec![1, 4, 1],
+            vec![2, 3, 4],
+            vec![1, 1, 1, 1],
+            vec![3, 1, 2, 1, 5],
+            vec![2, 2, 2, 2, 2, 2],
+        ] {
+            let space = KeySpace::grid(&shares).unwrap();
+            assert_eq!(space.len(), shares.iter().product::<u32>() as usize);
+            let keys = keys_in_order(&space);
+            assert!(keys
+                .iter()
+                .all(|k| k.iter().zip(&shares).all(|(c, s)| c < s)));
+            // Routing: base of the two fixed coordinates plus every free
+            // offset is exactly the set of keys agreeing on them.
+            let p = shares.len();
+            for a in 0..p {
+                for b in (0..p).filter(|&b| b != a) {
+                    let offsets = space.free_offsets(a, b);
+                    assert!(offsets.windows(2).all(|w| w[0] < w[1]));
+                    let (xa, xb) = (shares[a] - 1, shares[b] - 1);
+                    let base = xa * space.stride(a) + xb * space.stride(b);
+                    let routed: Vec<u32> = offsets.iter().map(|o| base + o).collect();
+                    let expected: Vec<u32> = (0..space.len() as u32)
+                        .filter(|&i| keys[i as usize][a] == xa && keys[i as usize][b] == xb)
+                        .collect();
+                    assert_eq!(routed, expected, "shares {shares:?} role ({a},{b})");
+                }
             }
         }
-        // Prefixes sort first, exactly like the Vec<u32> keys they replace.
-        assert!(BucketKey::new(&[1, 2]) < BucketKey::new(&[1, 2, 0]));
-        assert!(BucketKey::new(&[0, 5]) < BucketKey::new(&[1]));
     }
 
-    /// Proptest: the arena codec round-trips both representations exactly
-    /// (same variant, same coordinates, buffer fully consumed).
     #[test]
-    fn arena_codec_round_trips_both_variants() {
-        let mut rng = Rng::seed_from_u64(0x5eed_0003);
-        let mut keys = Vec::new();
-        for _ in 0..500 {
-            keys.push(BucketKey::new(&random_coords(&mut rng, 8, 9)));
-            keys.push(BucketKey::new(&random_coords(&mut rng, 6, 100_000)));
+    fn small_key_spaces_encode_in_at_most_two_bytes() {
+        for space in [
+            KeySpace::multisets(6, 3).unwrap(),
+            KeySpace::multisets(8, 6).unwrap(),
+            KeySpace::multisets(44, 3).unwrap(),
+            KeySpace::grid(&[25, 25, 26]).unwrap(),
+        ] {
+            assert!(space.len() < 16_384);
+            let mut buf = Vec::new();
+            (space.len() as u32 - 1).encode(&mut buf);
+            assert!(buf.len() <= 2);
         }
         let mut buf = Vec::new();
-        for key in &keys {
-            key.encode(&mut buf);
-        }
-        let mut pos = 0;
-        for key in &keys {
-            let decoded = BucketKey::decode(&buf, &mut pos);
-            assert_eq!(&decoded, key);
-            assert_eq!(
-                std::mem::discriminant(&decoded),
-                std::mem::discriminant(key),
-                "variant must survive the round trip: {key:?}"
-            );
-        }
-        assert_eq!(pos, buf.len());
+        (KeySpace::multisets(6, 3).unwrap().len() as u32 - 1).encode(&mut buf);
+        assert_eq!(buf.len(), 1, "the 56 triangle keys of b = 6 take one byte");
     }
 
     #[test]
-    fn matches_rejects_different_sequences() {
-        let key = BucketKey::new(&[3, 1, 4]);
-        assert!(key.matches(&[3, 1, 4]));
-        assert!(!key.matches(&[3, 1]));
-        assert!(!key.matches(&[3, 1, 5]));
-        assert!(!key.matches(&[3, 1, 4, 0]));
-        assert!(!BucketKey::new(&[]).matches(&[0]));
-        assert!(BucketKey::new(&[]).is_empty());
+    fn impossible_spaces_are_named_errors() {
+        use KeySpaceError::*;
+        assert_eq!(KeySpace::multisets(0, 3).unwrap_err(), NoBuckets);
+        assert_eq!(KeySpace::multisets(4, 1).unwrap_err(), Width(1));
+        assert_eq!(KeySpace::multisets(1, 257).unwrap_err(), Width(257));
+        assert_eq!(
+            KeySpace::multisets(1, usize::MAX).unwrap_err(),
+            Width(usize::MAX)
+        );
+        // C(3002, 3) keys overflow u32; C(902, 3) fit, their table does not.
+        assert_eq!(KeySpace::multisets(3000, 3).unwrap_err(), TooLarge);
+        assert_eq!(KeySpace::multisets(usize::MAX, 2).unwrap_err(), TooLarge);
+        assert_eq!(KeySpace::multisets(900, 3).unwrap_err(), TooLarge);
+        assert_eq!(KeySpace::multisets(1, 256).unwrap().len(), 1);
+        assert_eq!(KeySpace::grid(&[2, 0, 2]).unwrap_err(), NoBuckets);
+        assert_eq!(KeySpace::grid(&[7]).unwrap_err(), Width(1));
+        assert_eq!(KeySpace::grid(&[1 << 16, 1 << 16]).unwrap_err(), TooLarge);
+        assert_eq!(
+            KeySpace::grid(&[u32::MAX, 1]).unwrap().len(),
+            u32::MAX as usize
+        );
+        assert!(TooLarge.to_string().contains("u32::MAX"));
     }
 }

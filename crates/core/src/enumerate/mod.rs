@@ -17,7 +17,7 @@ pub mod cq_oriented;
 pub mod key;
 pub mod variable_oriented;
 
-pub use key::BucketKey;
+pub use key::{KeySpace, KeySpaceError};
 
 // The pre-planner free functions (`bucket_oriented_enumerate`,
 // `variable_oriented_enumerate`, `cq_oriented_enumerate`) are gone: build an
@@ -26,9 +26,13 @@ pub use key::BucketKey;
 // points (`bucket_oriented_with_cqs`, `single_cq_job`, `run_with_plan`) and
 // their `_into` streaming variants remain public.
 
-use subgraph_cq::{JoinPlan, LocalGraph};
-use subgraph_graph::{Edge, IdOrder, NodeId};
-use subgraph_mapreduce::ReduceContext;
+use crate::enumerate::bucket_oriented::vec_key_record_bytes;
+use crate::result::RunStats;
+use crate::sink::InstanceSink;
+use std::collections::BTreeSet;
+use subgraph_cq::{ConjunctiveQuery, JoinPlan, LocalGraph, Var};
+use subgraph_graph::{DataGraph, Edge, IdOrder, NodeId};
+use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
 use subgraph_pattern::Instance;
 
 /// Per-variable hash of a data node into one of `share` buckets. Each variable
@@ -47,61 +51,93 @@ pub(crate) fn variable_bucket(node: NodeId, variable: u8, share: u32) -> u32 {
     (x % share as u64) as u32
 }
 
-/// The reducer of variable- and CQ-oriented processing (Sections 4.1, 4.3):
-/// joins each compiled query over the reducer's edges under the identifier
-/// order, letting variable `X` bind only to nodes whose `X`-hash is the key's
-/// bucket for `X` — which is what makes exactly one reducer find each
-/// solution, and prunes the join at the first variable that hashes elsewhere.
-pub(crate) fn reduce_by_variable_buckets(
-    plans: &[JoinPlan],
+/// One role an edge is shipped in: the tuple `E(u, v)` serving the subgoal
+/// `E(a, b)` with `a → u`, `b → v`.
+struct Role {
+    a: Var,
+    b: Var,
+    /// Index contributions of the other variables' buckets, all combinations.
+    free: Vec<u32>,
+}
+
+/// The map-reduce job of variable- and CQ-oriented processing (Sections 4.1,
+/// 4.3): one reducer per vector of per-variable buckets. An edge goes, once
+/// per distinct subgoal orientation `E(a, b)` of the queries, to every
+/// reducer whose `a`- and `b`-buckets are those of its endpoints. A reducer
+/// joins each query over its edges under the identifier order, letting
+/// variable `X` bind only to nodes whose `X`-hash is the key's bucket for `X`
+/// — which is what makes exactly one reducer find each solution, and prunes
+/// the join at the first variable that hashes elsewhere.
+pub(crate) fn run_share_vector_round(
+    name: &str,
+    cqs: &[ConjunctiveQuery],
     shares: &[u32],
-    key: &BucketKey,
-    edges: &[Edge],
-    ctx: &mut ReduceContext<Instance>,
-) {
-    let local = LocalGraph::build(edges, &IdOrder);
-    let mut work = edges.len() as u64;
-    for plan in plans {
-        work += plan.run(
-            &local,
-            |var, node, _| {
-                let share = shares[var as usize];
-                variable_bucket(local.global(node), var, share) == key.coord(var as usize)
-            },
-            |assignment| ctx.emit(plan.instance(&local, assignment)),
-        );
-    }
-    ctx.add_work(work);
+    graph: &DataGraph,
+    config: &EngineConfig,
+    sink: &mut dyn InstanceSink,
+) -> RunStats {
+    let space = KeySpace::grid(shares).unwrap_or_else(|e| panic!("{name} round: {e}"));
+    let subgoals: BTreeSet<(Var, Var)> = cqs
+        .iter()
+        .flat_map(|q| q.subgoals().iter().copied())
+        .collect();
+    let roles: Vec<Role> = subgoals
+        .into_iter()
+        .map(|(a, b)| Role {
+            a,
+            b,
+            free: space.free_offsets(a as usize, b as usize),
+        })
+        .collect();
+
+    let mapper = |edge: &Edge, ctx: &mut MapContext<u32, Edge>| {
+        let (u, v) = edge.endpoints(); // u < v: the tuple E(u, v).
+        for role in &roles {
+            let (a, b) = (role.a as usize, role.b as usize);
+            let base = variable_bucket(u, role.a, shares[a]) * space.stride(a)
+                + variable_bucket(v, role.b, shares[b]) * space.stride(b);
+            for offset in &role.free {
+                ctx.emit(base + offset, *edge);
+            }
+        }
+    };
+
+    let plans: Vec<JoinPlan> = cqs.iter().map(JoinPlan::compile).collect();
+    let reducer = |key: &u32, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
+        let buckets = space.coords(*key);
+        let local = LocalGraph::build(edges, &IdOrder);
+        let mut work = edges.len() as u64;
+        for plan in &plans {
+            work += plan.run(
+                &local,
+                |var, node, _| {
+                    let share = shares[var as usize];
+                    variable_bucket(local.global(node), var, share) == buckets[var as usize]
+                },
+                |assignment| ctx.emit(plan.instance(&local, assignment)),
+            );
+        }
+        ctx.add_work(work);
+    };
+
+    let record_bytes = vec_key_record_bytes(shares.len());
+    let report = crate::stream::run_streamed_with_sink(
+        Pipeline::new().round(
+            Round::new(name, mapper, reducer)
+                .record_bytes(move |_: &u32, _: &Edge| record_bytes)
+                .arena(),
+        ),
+        graph.edges(),
+        config,
+        sink,
+    );
+    RunStats::from_pipeline(report).with_key_space(&space)
 }
 
 /// Rounds the real-valued optimal shares to integers (at least 1 each), the
 /// form the engine needs.
 pub(crate) fn integer_shares(shares: &[f64]) -> Vec<u32> {
     shares.iter().map(|&s| s.round().max(1.0) as u32).collect()
-}
-
-/// Enumerates every non-decreasing sequence of `len` bucket numbers in
-/// `0..buckets`, calling `visit` for each.
-pub(crate) fn nondecreasing_sequences(buckets: u32, len: usize, visit: &mut dyn FnMut(&[u32])) {
-    fn recurse(
-        buckets: u32,
-        len: usize,
-        start: u32,
-        prefix: &mut Vec<u32>,
-        visit: &mut dyn FnMut(&[u32]),
-    ) {
-        if prefix.len() == len {
-            visit(prefix);
-            return;
-        }
-        for next in start..buckets {
-            prefix.push(next);
-            recurse(buckets, len, next, prefix, visit);
-            prefix.pop();
-        }
-    }
-    let mut prefix = Vec::with_capacity(len);
-    recurse(buckets, len, 0, &mut prefix, visit);
 }
 
 #[cfg(test)]
@@ -126,17 +162,5 @@ mod tests {
     #[test]
     fn integer_share_rounding() {
         assert_eq!(integer_shares(&[0.4, 1.0, 2.5, 9.7]), vec![1, 1, 3, 10]);
-    }
-
-    #[test]
-    fn nondecreasing_sequence_counts_match_the_binomial() {
-        for (b, len, expected) in [(3u32, 2usize, 6usize), (5, 3, 35), (4, 0, 1), (10, 2, 55)] {
-            let mut count = 0usize;
-            nondecreasing_sequences(b, len, &mut |seq| {
-                assert!(seq.windows(2).all(|w| w[0] <= w[1]));
-                count += 1;
-            });
-            assert_eq!(count, expected, "b={b} len={len}");
-        }
     }
 }

@@ -2,16 +2,13 @@
 //! are evaluated by a single map-reduce job whose reducers are identified by
 //! one bucket number per variable.
 
-use super::key::BucketKey;
-use super::{integer_shares, reduce_by_variable_buckets, variable_bucket};
-use crate::enumerate::bucket_oriented::vec_key_record_bytes;
+use super::{integer_shares, run_share_vector_round};
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
-use std::collections::BTreeSet;
-use subgraph_cq::{cqs_for_sample, ConjunctiveQuery, JoinPlan, Var};
-use subgraph_graph::{DataGraph, Edge};
-use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
-use subgraph_pattern::{Instance, SampleGraph};
+use subgraph_cq::{cqs_for_sample, ConjunctiveQuery};
+use subgraph_graph::DataGraph;
+use subgraph_mapreduce::EngineConfig;
+use subgraph_pattern::SampleGraph;
 use subgraph_shares::{optimize_shares, CostExpression};
 
 /// Plan for a variable-oriented run: the CQ collection, the optimized shares
@@ -77,80 +74,22 @@ pub fn run_with_plan(
     stats.into_run(collected.into_items())
 }
 
-/// Streaming variant of [`run_with_plan`].
+/// Streaming variant of [`run_with_plan`]: the distinct subgoal orientations
+/// across the CQ collection are the roles each edge is shipped in.
 pub fn run_with_plan_into(
     graph: &DataGraph,
     plan: &VariableOrientedPlan,
     config: &EngineConfig,
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
-    let p = plan.shares.len();
-    let shares = plan.shares.clone();
-    // Distinct subgoal orientations across the CQ collection: these determine
-    // the roles in which each edge must be shipped.
-    let roles: BTreeSet<(Var, Var)> = plan
-        .cqs
-        .iter()
-        .flat_map(|q| q.subgoals().iter().copied())
-        .collect();
-    let roles: Vec<(Var, Var)> = roles.into_iter().collect();
-
-    let shares_for_mapper = shares.clone();
-    let roles_for_mapper = roles.clone();
-    let mapper = move |edge: &Edge, ctx: &mut MapContext<BucketKey, Edge>| {
-        let (u, v) = edge.endpoints(); // u < v: the tuple E(u, v).
-        for &(a, b) in &roles_for_mapper {
-            // The tuple E(u, v) serves subgoal E(a, b) with a → u, b → v.
-            let mut key = vec![0u32; p];
-            key[a as usize] = variable_bucket(u, a, shares_for_mapper[a as usize]);
-            key[b as usize] = variable_bucket(v, b, shares_for_mapper[b as usize]);
-            emit_over_free_dimensions(&mut key, &shares_for_mapper, a, b, 0, &mut |key| {
-                ctx.emit(BucketKey::new(key), *edge)
-            });
-        }
-    };
-
-    let plans: Vec<JoinPlan> = plan.cqs.iter().map(JoinPlan::compile).collect();
-    let reducer = move |key: &BucketKey, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        reduce_by_variable_buckets(&plans, &shares, key, edges, ctx)
-    };
-
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(
-            Round::new("variable-oriented", mapper, reducer)
-                .record_bytes(|key: &BucketKey, _edge: &Edge| vec_key_record_bytes(key.len()))
-                .arena(),
-        ),
-        graph.edges(),
+    run_share_vector_round(
+        "variable-oriented",
+        &plan.cqs,
+        &plan.shares,
+        graph,
         config,
         sink,
-    );
-    RunStats::from_pipeline(report)
-}
-
-/// Emits one key per combination of buckets for the variables other than `a`
-/// and `b` (whose buckets are already fixed in `key`).
-fn emit_over_free_dimensions(
-    key: &mut Vec<u32>,
-    shares: &[u32],
-    a: Var,
-    b: Var,
-    dimension: usize,
-    emit: &mut dyn FnMut(&[u32]),
-) {
-    if dimension == shares.len() {
-        emit(key);
-        return;
-    }
-    if dimension == a as usize || dimension == b as usize {
-        emit_over_free_dimensions(key, shares, a, b, dimension + 1, emit);
-        return;
-    }
-    for bucket in 0..shares[dimension] {
-        key[dimension] = bucket;
-        emit_over_free_dimensions(key, shares, a, b, dimension + 1, emit);
-    }
-    key[dimension] = 0;
+    )
 }
 
 #[cfg(test)]

@@ -47,6 +47,10 @@ pub struct RunReport {
     /// Measured metrics per round (per parallel job for CQ-oriented
     /// processing); empty for serial strategies.
     pub round_metrics: Vec<RoundMetrics>,
+    /// Per round of `round_metrics`, how many reducer keys the round could
+    /// have used; empty when the strategy does not enumerate its keys up
+    /// front (and for collect-mode wrappers of legacy runs).
+    pub possible_keys: Vec<usize>,
     /// Total computation cost in the algorithm's natural unit: the summed
     /// reducer work for map-reduce strategies, the serial `work` counter
     /// otherwise (the quantity the `O(n^α m^β)` bounds of Sections 6-7
@@ -67,6 +71,7 @@ impl RunReport {
             work: metrics.reducer_work,
             metrics: Some(metrics),
             round_metrics,
+            possible_keys: Vec::new(),
             output: ReportOutput::Collected {
                 instances: run.into_instances(),
                 distinct: OnceLock::new(),
@@ -86,6 +91,7 @@ impl RunReport {
             },
             metrics: None,
             round_metrics: Vec::new(),
+            possible_keys: Vec::new(),
             work,
         }
     }
@@ -102,6 +108,7 @@ impl RunReport {
             work: stats.metrics.reducer_work,
             metrics: Some(stats.metrics),
             round_metrics: stats.round_metrics,
+            possible_keys: stats.possible_keys,
         }
     }
 
@@ -115,6 +122,7 @@ impl RunReport {
             },
             metrics: None,
             round_metrics: Vec::new(),
+            possible_keys: Vec::new(),
             work: stats.work,
         }
     }
@@ -218,11 +226,13 @@ impl RunReport {
 
     /// A human-readable multi-line summary of the run — what the `subgraph`
     /// CLI prints (to stderr, under `--verbose`) after a `count`/`enumerate`.
-    /// Each map-reduce round lists its shipped pairs and the wall-clock of its
-    /// map, exchange and reduce phases (grouping and the reducers' join both
-    /// fall in `reduce`). Serial strategies render without the map-reduce
-    /// counters; streamed and collected runs both describe their output
-    /// honestly (via [`RunReport::describe_output`]).
+    /// Each map-reduce round lists its shipped pairs, the reducer keys it used
+    /// out of those its key space holds, the bytes per record the arena
+    /// really carried against the bytes the cost model prices, and the
+    /// wall-clock of its map, exchange and reduce phases (grouping and the
+    /// reducers' join both fall in `reduce`). Serial strategies render
+    /// without the map-reduce counters; streamed and collected runs both
+    /// describe their output honestly (via [`RunReport::describe_output`]).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -241,12 +251,24 @@ impl RunReport {
                 metrics.shuffle_records, metrics.key_value_pairs, metrics.shuffle_bytes,
             ));
             let millis = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-            for round in &self.round_metrics {
+            for (i, round) in self.round_metrics.iter().enumerate() {
                 let m = &round.metrics;
                 out.push_str(&format!(
                     "          round {}: {} pairs shipped, {} outputs\n",
                     round.name, m.shuffle_records, m.outputs,
                 ));
+                let possible = self.possible_keys.get(i);
+                let possible = possible.map(|n| format!("/{n}")).unwrap_or_default();
+                out.push_str(&format!("            keys {}{possible}", m.reducers_used));
+                if m.wire_bytes.0 > 0 {
+                    let per_record = |bytes: u64| bytes as f64 / m.shuffle_records.max(1) as f64;
+                    out.push_str(&format!(
+                        ", wire {:.1} B/rec vs priced {:.1} B/rec",
+                        per_record(m.wire_bytes.0),
+                        per_record(m.shuffle_bytes),
+                    ));
+                }
+                out.push('\n');
                 out.push_str(&format!(
                     "            map {:.1} ms, exchange {:.1} ms, reduce {:.1} ms\n",
                     millis(m.map_time),
@@ -281,6 +303,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subgraph_mapreduce::WireBytes;
 
     #[test]
     fn serial_and_map_reduce_reports_share_one_shape() {
@@ -378,26 +401,32 @@ mod tests {
         let streamed = RunReport::streamed_map_reduce(
             StrategyKind::BucketOriented,
             1,
-            RunStats::single_round(
-                "bucket-oriented",
-                JobMetrics {
-                    key_value_pairs: 45,
-                    shuffle_records: 42,
-                    shuffle_bytes: 840,
-                    reducer_work: 7,
-                    outputs: 3,
-                    map_time: std::time::Duration::from_micros(1_500),
-                    shuffle_time: std::time::Duration::from_micros(20),
-                    reduce_time: std::time::Duration::from_millis(12),
-                    ..JobMetrics::default()
-                },
-            ),
+            RunStats {
+                possible_keys: vec![56],
+                ..RunStats::single_round(
+                    "bucket-oriented",
+                    JobMetrics {
+                        key_value_pairs: 45,
+                        shuffle_records: 42,
+                        shuffle_bytes: 840,
+                        wire_bytes: WireBytes(315),
+                        reducers_used: 9,
+                        reducer_work: 7,
+                        outputs: 3,
+                        map_time: std::time::Duration::from_micros(1_500),
+                        shuffle_time: std::time::Duration::from_micros(20),
+                        reduce_time: std::time::Duration::from_millis(12),
+                        ..JobMetrics::default()
+                    },
+                )
+            },
         );
         let text = streamed.render();
         assert!(text.contains("strategy: bucket-oriented (1 round)"));
         assert!(text.contains("3 instances streamed"));
         assert!(text.contains("42 pairs shipped (45 emitted before combining, 840 bytes)"));
         assert!(text.contains("round bucket-oriented"));
+        assert!(text.contains("keys 9/56, wire 7.5 B/rec vs priced 20.0 B/rec"));
         assert!(text.contains("map 1.5 ms, exchange 0.0 ms, reduce 12.0 ms"));
         assert!(!text.contains("duplicate discoveries"));
     }

@@ -6,6 +6,7 @@
 //! output size. The `Vec`-carrying [`SerialRun`] / [`MapReduceRun`] remain as
 //! the collect-mode wrappers the oracle tests and legacy callers use.
 
+use crate::enumerate::KeySpace;
 use std::sync::OnceLock;
 use subgraph_mapreduce::{JobMetrics, PipelineReport, RoundMetrics};
 use subgraph_pattern::Instance;
@@ -96,6 +97,10 @@ pub struct RunStats {
     /// Per-round (or, for CQ-oriented processing, per-job) metrics in
     /// execution order. Never empty for a run that executed the engine.
     pub round_metrics: Vec<RoundMetrics>,
+    /// How many reducer keys each round of `round_metrics` could have used
+    /// (its [`KeySpace::len`]); empty for strategies whose keys are not
+    /// enumerated up front.
+    pub possible_keys: Vec<usize>,
 }
 
 impl RunStats {
@@ -106,7 +111,14 @@ impl RunStats {
             outputs: metrics.outputs,
             metrics,
             round_metrics: report.rounds,
+            possible_keys: Vec::new(),
         }
+    }
+
+    /// Records that every round of this run drew its keys from `space`.
+    pub(crate) fn with_key_space(mut self, space: &KeySpace) -> Self {
+        self.possible_keys = vec![space.len(); self.round_metrics.len()];
+        self
     }
 
     /// Stats for one named round (the per-round breakdown of single-round
@@ -119,6 +131,7 @@ impl RunStats {
                 metrics: metrics.clone(),
             }],
             metrics,
+            possible_keys: Vec::new(),
         }
     }
 
@@ -129,6 +142,7 @@ impl RunStats {
         self.metrics.absorb(&other.metrics);
         self.metrics.outputs = self.outputs;
         self.round_metrics.extend(other.round_metrics);
+        self.possible_keys.extend(other.possible_keys);
     }
 
     /// Upgrades the stats to a collect-mode [`MapReduceRun`] by attaching the

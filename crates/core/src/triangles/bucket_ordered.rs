@@ -10,6 +10,8 @@
 //! than the plain multiway join at equal reducer counts (Figure 1).
 
 use super::{local_triangles, TRIANGLE_EDGES};
+use crate::enumerate::bucket_oriented::ship_by_endpoint_buckets;
+use crate::enumerate::KeySpace;
 use crate::result::RunStats;
 use crate::sink::InstanceSink;
 use subgraph_cq::LocalGraph;
@@ -34,20 +36,17 @@ pub(crate) fn run_bucket_ordered_triangles_into(
     config: &EngineConfig,
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
-    assert!(b >= 1, "at least one bucket is required");
+    let space = KeySpace::multisets(b, 3).unwrap_or_else(|e| panic!("bucket-ordered round: {e}"));
     let order = BucketThenIdOrder::new(b);
 
-    let mapper = move |edge: &Edge, ctx: &mut MapContext<[u32; 3], Edge>| {
-        let bu = order.bucket(edge.lo()) as u32;
-        let bv = order.bucket(edge.hi()) as u32;
-        for extra in 0..b as u32 {
-            let mut key = [bu, bv, extra];
-            key.sort_unstable();
-            ctx.emit(key, *edge);
-        }
+    // The sorted triple of the endpoint buckets plus any third bucket: `b`
+    // keys per edge.
+    let mapper = |edge: &Edge, ctx: &mut MapContext<u32, Edge>| {
+        ship_by_endpoint_buckets(&space, &order, edge, ctx)
     };
 
-    let reducer = move |key: &[u32; 3], edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
+    let reducer = |key: &u32, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
+        let triple = space.coords(*key);
         let local = LocalGraph::build(edges, &order);
         let bucket_of = |v: u32| order.bucket(local.global(v)) as u32;
         // The local enumeration streams straight through to the round's
@@ -61,7 +60,7 @@ pub(crate) fn run_bucket_ordered_triangles_into(
             // whose nodes share a single bucket `a` every reducer [a, a, *]
             // holds the edges, and this check keeps the paper's "discovered
             // by only one reducer" guarantee.
-            if triangle.map(bucket_of) == *key {
+            if triangle.map(bucket_of)[..] == triple[..] {
                 ctx.emit(local.instance(&triangle, &TRIANGLE_EDGES));
             }
         });
@@ -69,12 +68,16 @@ pub(crate) fn run_bucket_ordered_triangles_into(
     };
 
     let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(Round::new("bucket-ordered", mapper, reducer).arena()),
+        Pipeline::new().round(
+            Round::new("bucket-ordered", mapper, reducer)
+                .record_bytes(|_: &u32, _: &Edge| triple_key_record_bytes())
+                .arena(),
+        ),
         graph.edges(),
         config,
         sink,
     );
-    RunStats::from_pipeline(report)
+    RunStats::from_pipeline(report).with_key_space(&space)
 }
 
 /// Collect-mode wrapper over [`run_bucket_ordered_triangles_into`] (tests and

@@ -15,9 +15,9 @@
 //!   bound reads `successors(X)`, with `Y` bound `predecessors(Y)`: a
 //!   candidate drawn from a run already has the right orientation.
 //!
-//! Size and build time are linear in the reducer's input (plus two sorts);
-//! nothing depends on the node count of the whole data graph, and global ids
-//! may be arbitrarily sparse.
+//! Size and build time are linear in the reducer's input; nothing depends on
+//! the node count of the whole data graph, and global ids may be arbitrarily
+//! sparse.
 
 use subgraph_graph::{Edge, NodeId, NodeOrder};
 use subgraph_pattern::{Instance, PatternNode};
@@ -43,6 +43,98 @@ impl Runs {
     fn heap_bytes(&self) -> usize {
         (self.offsets.capacity() + self.targets.capacity()) * std::mem::size_of::<u32>()
     }
+
+    /// Counting sort of the packed `(target, node)` pairs over `n` nodes: the
+    /// run of `node` receives its targets in slice order.
+    fn place(n: usize, pairs: &[u64]) -> Runs {
+        let mut offsets = vec![0u32; n + 1];
+        for &pair in pairs {
+            offsets[pair as u32 as usize] += 1;
+        }
+        starts_from_counts(&mut offsets);
+        let mut targets = vec![0; pairs.len()];
+        for &pair in pairs {
+            let (target, node) = unpack(pair);
+            push_to_run(&mut offsets, &mut targets, node, target);
+        }
+        starts_from_heads(&mut offsets);
+        Runs { offsets, targets }
+    }
+
+    /// The same adjacency read the other way: `v` is in the run of `w` here
+    /// iff `w` is in the run of `v` there. The scan is source-ascending, so
+    /// every run comes out sorted, repeats adjacent.
+    fn transposed(&self) -> Runs {
+        let mut offsets = vec![0u32; self.offsets.len()];
+        for &w in &self.targets {
+            offsets[w as usize] += 1;
+        }
+        starts_from_counts(&mut offsets);
+        let mut targets = vec![0; self.targets.len()];
+        for (v, run) in self.offsets.windows(2).enumerate() {
+            for &w in &self.targets[run[0] as usize..run[1] as usize] {
+                push_to_run(&mut offsets, &mut targets, w, v as LocalId);
+            }
+        }
+        starts_from_heads(&mut offsets);
+        Runs { offsets, targets }
+    }
+
+    /// Collapses repeated targets; every run must already be sorted.
+    fn dedup(&mut self) {
+        // A repeat is a pair of equal neighbours inside one run, that is, not
+        // across a run start. Usually there is none: a bucket-multiset
+        // reducer receives each edge once.
+        let repeated = |i: usize| {
+            self.targets[i] == self.targets[i - 1]
+                && self.offsets.binary_search(&(i as u32)).is_err()
+        };
+        if !(1..self.targets.len()).any(repeated) {
+            return;
+        }
+        let (mut start, mut write) = (0, 0);
+        for v in 0..self.offsets.len() - 1 {
+            let end = self.offsets[v + 1] as usize;
+            self.offsets[v] = write as u32;
+            for read in start..end {
+                if read == start || self.targets[read] != self.targets[write - 1] {
+                    self.targets[write] = self.targets[read];
+                    write += 1;
+                }
+            }
+            start = end;
+        }
+        if let Some(last) = self.offsets.last_mut() {
+            *last = write as u32;
+        }
+        self.targets.truncate(write);
+        self.targets.shrink_to_fit();
+    }
+}
+
+/// Turns per-node counts (`offsets[v]`, last slot zero) into run starts.
+fn starts_from_counts(offsets: &mut [u32]) {
+    let mut start = 0;
+    for offset in offsets {
+        start += std::mem::replace(offset, start);
+    }
+}
+
+/// Appends `target` to the run of `node`, whose start `offsets[node]` doubles
+/// as its write head while the runs fill.
+#[inline]
+fn push_to_run(offsets: &mut [u32], targets: &mut [LocalId], node: LocalId, target: LocalId) {
+    let head = &mut offsets[node as usize];
+    targets[*head as usize] = target;
+    *head += 1;
+}
+
+/// Once every run is full its head has advanced to the next run's start:
+/// shift them back into place.
+fn starts_from_heads(offsets: &mut [u32]) {
+    let n = offsets.len() - 1;
+    offsets.copy_within(..n, 1);
+    offsets[0] = 0;
 }
 
 /// A reducer's input edges as an order-relabelled graph (see the module
@@ -56,7 +148,12 @@ pub struct LocalGraph {
 }
 
 impl LocalGraph {
-    /// Builds the local graph of `edges` under `order`.
+    /// Builds the local graph of `edges` under `order`, without a comparison
+    /// sort over the input: nodes are ranked by a radix sort of their order
+    /// keys, edges are put in runs — and the runs in order — by counting
+    /// sorts. Each transient (interner, sort buffers, rank table, edge pairs,
+    /// the unsorted adjacency) is dropped before the next structure is
+    /// allocated.
     ///
     /// # Panics
     /// Panics if `edges` holds `2^31` edges or more (offsets are `u32`).
@@ -72,67 +169,25 @@ impl LocalGraph {
             .iter()
             .map(|e| pack(interner.intern(e.lo()), interner.intern(e.hi())))
             .collect();
-        let seen = interner.into_nodes();
+        let (nodes, rank) = rank_nodes(interner.into_nodes(), order);
+        let n = nodes.len();
 
-        // Rank the distinct nodes by the order's key: the rank is the local
-        // id. One sortable word per node — the key `(primary, id)` above the
-        // interned id the sort carries along.
-        let mut by_key: Vec<u128> = seen
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let (primary, id) = order.key(v);
-                (primary as u128) << 64 | (id as u128) << 32 | i as u128
-            })
-            .collect();
-        by_key.sort_unstable();
-        let mut rank = vec![0 as LocalId; seen.len()];
-        let mut nodes = Vec::with_capacity(seen.len());
-        for (r, &k) in by_key.iter().enumerate() {
-            rank[k as u32 as usize] = r as LocalId;
-            nodes.push((k >> 32) as NodeId);
-        }
-        drop(by_key);
-
-        // Orient every edge from its earlier to its later endpoint; sorting
-        // the packed pairs groups them by source with targets ascending, which
-        // is the successor CSR laid out flat.
+        // Orient every edge from its earlier to its later endpoint and place
+        // it in the run of the later one. Transposing that adjacency yields
+        // the successor runs already sorted, transposing those (repeats
+        // dropped) the predecessor runs.
         for pair in &mut pairs {
             let (a, b) = unpack(*pair);
             let (a, b) = (rank[a as usize], rank[b as usize]);
             *pair = if a < b { pack(a, b) } else { pack(b, a) };
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-
-        let n = nodes.len();
-        let mut successors = Runs {
-            offsets: vec![0; n + 1],
-            targets: Vec::with_capacity(pairs.len()),
-        };
-        let mut predecessors = Runs {
-            offsets: vec![0; n + 1],
-            targets: vec![0; pairs.len()],
-        };
-        for &pair in &pairs {
-            let (a, b) = unpack(pair);
-            successors.offsets[a as usize + 1] += 1;
-            predecessors.offsets[b as usize + 1] += 1;
-            successors.targets.push(b);
-        }
-        for v in 0..n {
-            successors.offsets[v + 1] += successors.offsets[v];
-            predecessors.offsets[v + 1] += predecessors.offsets[v];
-        }
-        // Counting sort by target. The scan is source-ascending, so every
-        // predecessor run comes out sorted; `cursor` is the write head of
-        // each run.
-        let mut cursor = predecessors.offsets.clone();
-        for &pair in &pairs {
-            let (a, b) = unpack(pair);
-            predecessors.targets[cursor[b as usize] as usize] = a;
-            cursor[b as usize] += 1;
-        }
+        drop(rank);
+        let unsorted = Runs::place(n, &pairs);
+        drop(pairs);
+        let mut successors = unsorted.transposed();
+        drop(unsorted);
+        successors.dedup();
+        let predecessors = successors.transposed();
         LocalGraph {
             nodes,
             successors,
@@ -205,20 +260,113 @@ fn unpack(pair: u64) -> (u32, u32) {
     ((pair >> 32) as u32, pair as u32)
 }
 
+/// Inputs below this many words are sorted by comparison: clearing and
+/// summing 256 counters per pass costs more than sorting so few.
+const RADIX_MIN: usize = 256;
+
+/// Ranks the distinct nodes `seen` (indexed by interned id) by the order's
+/// key: returns the nodes in rank order and the rank of each interned id.
+fn rank_nodes<O: NodeOrder>(seen: Vec<NodeId>, order: &O) -> (Vec<NodeId>, Vec<LocalId>) {
+    // One sortable word per node: the key `(primary, id)` above the interned
+    // id the sort carries along, each field as wide as its largest value. A
+    // bucket number or a degree over the ids of one graph leaves the word
+    // well inside 64 bits; an order whose primaries do not fit gets 128.
+    let bits = |max: u64| 64 - max.leading_zeros();
+    let index_bits = bits(seen.len() as u64);
+    let key_shift = index_bits + bits(seen.iter().copied().max().unwrap_or(0).into());
+    let mut fits = true;
+    let narrow: Vec<u64> = (seen.iter().zip(0u64..))
+        .map(|(&v, i)| {
+            let (primary, id) = order.key(v);
+            fits &= primary.leading_zeros() >= key_shift;
+            primary.wrapping_shl(key_shift) | u64::from(id) << index_bits | i
+        })
+        .collect();
+    if fits {
+        let sorted = sort_from_bit(narrow, index_bits, |w, shift| (w >> shift) as u8);
+        let index_mask = (1 << index_bits) - 1;
+        ranked(&seen, sorted.iter().map(|w| (w & index_mask) as usize))
+    } else {
+        drop(narrow);
+        let wide: Vec<u128> = (seen.iter().zip(0u128..))
+            .map(|(&v, i)| {
+                let (primary, id) = order.key(v);
+                u128::from(primary) << 64 | u128::from(id) << 32 | i
+            })
+            .collect();
+        let sorted = sort_from_bit(wide, 32, |w, shift| (w >> shift) as u8);
+        ranked(&seen, sorted.iter().map(|&w| w as u32 as usize))
+    }
+}
+
+/// The nodes in rank order and the rank of each interned id, from the
+/// interned ids in rank order.
+fn ranked(seen: &[NodeId], by_rank: impl Iterator<Item = usize>) -> (Vec<NodeId>, Vec<LocalId>) {
+    let mut rank = vec![0 as LocalId; seen.len()];
+    let mut nodes = Vec::with_capacity(seen.len());
+    for (r, i) in by_rank.enumerate() {
+        rank[i] = r as LocalId;
+        nodes.push(seen[i]);
+    }
+    (nodes, rank)
+}
+
+/// Sorts `words` by their bits from `from_bit` up (ties keep their order): a
+/// stable least-significant-digit radix sort over bytes, `byte(word, shift)`
+/// being bits `shift..shift + 8`. Bytes on which all words agree — with
+/// fields as narrow as their values all but three or four — cost no pass.
+fn sort_from_bit<W>(mut words: Vec<W>, from_bit: u32, byte: impl Fn(W, u32) -> u8) -> Vec<W>
+where
+    W: Copy + Default + Ord + std::ops::BitXor<Output = W> + std::ops::BitOr<Output = W>,
+{
+    if words.len() < RADIX_MIN {
+        // Whole-word order: the low bits are the words' original positions.
+        words.sort_unstable();
+        return words;
+    }
+    let varying = words
+        .iter()
+        .fold(W::default(), |acc, &w| acc | (w ^ words[0]));
+    let mut scratch = vec![W::default(); words.len()];
+    for shift in (from_bit..8 * std::mem::size_of::<W>() as u32).step_by(8) {
+        if byte(varying, shift) == 0 {
+            continue;
+        }
+        let mut heads = [0usize; 256];
+        for &w in &words {
+            heads[usize::from(byte(w, shift))] += 1;
+        }
+        let mut start = 0;
+        for head in &mut heads {
+            start += std::mem::replace(head, start);
+        }
+        for &w in &words {
+            let head = &mut heads[usize::from(byte(w, shift))];
+            scratch[*head] = w;
+            *head += 1;
+        }
+        std::mem::swap(&mut words, &mut scratch);
+    }
+    words
+}
+
 /// Open-addressing table assigning dense ids to global node ids in first-seen
-/// order. It starts sized for a sparse input (about one distinct node per
-/// edge) and doubles while more than half full, so its footprint stays linear
-/// in the reducer's input.
+/// order. It starts with a slot per edge and doubles when more than three
+/// quarters full — never, while the input has three edges per four distinct
+/// nodes, as all but the smallest reducers of a sparse graph do — so its
+/// footprint stays linear in the reducer's input.
 struct Interner {
-    /// `0` for an empty slot, otherwise `interned id + 1`.
-    slots: Vec<u32>,
+    /// `0` for an empty slot, otherwise the node in the high half and its
+    /// `interned id + 1` in the low half: a probe reads one word, not a slot
+    /// and then the node it points to.
+    slots: Vec<u64>,
     shift: u32,
     nodes: Vec<NodeId>,
 }
 
 impl Interner {
     fn for_edges(edges: usize) -> Self {
-        let capacity = (2 * edges).next_power_of_two().max(2);
+        let capacity = edges.next_power_of_two().max(2);
         Interner {
             slots: vec![0; capacity],
             shift: 64 - capacity.trailing_zeros(),
@@ -238,15 +386,18 @@ impl Interner {
         let mask = self.slots.len() - 1;
         let mut slot = self.home(v);
         loop {
-            match self.slots[slot] {
-                0 => break,
-                id if self.nodes[id as usize - 1] == v => return id - 1,
-                _ => slot = (slot + 1) & mask,
+            let (node, id) = unpack(self.slots[slot]);
+            if id == 0 {
+                break;
             }
+            if node == v {
+                return id - 1;
+            }
+            slot = (slot + 1) & mask;
         }
         self.nodes.push(v);
-        self.slots[slot] = self.nodes.len() as u32;
-        if 2 * self.nodes.len() > self.slots.len() {
+        self.slots[slot] = pack(v, self.nodes.len() as u32);
+        if 4 * self.nodes.len() > 3 * self.slots.len() {
             self.grow();
         }
         self.nodes.len() as u32 - 1
@@ -254,6 +405,8 @@ impl Interner {
 
     fn grow(&mut self) {
         let capacity = 2 * self.slots.len();
+        // The nodes refill the table, so the old one can go first.
+        self.slots = Vec::new();
         self.slots = vec![0; capacity];
         self.shift -= 1;
         for (i, &v) in self.nodes.iter().enumerate() {
@@ -261,7 +414,7 @@ impl Interner {
             while self.slots[slot] != 0 {
                 slot = (slot + 1) & (capacity - 1);
             }
-            self.slots[slot] = i as u32 + 1;
+            self.slots[slot] = pack(v, i as u32 + 1);
         }
     }
 
@@ -273,10 +426,165 @@ impl Interner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subgraph_graph::{generators, BucketThenIdOrder, DegreeOrder, IdOrder};
+    use std::collections::HashMap;
+    use subgraph_codec::ArenaCodec;
+    use subgraph_graph::{generators, BucketThenIdOrder, DataGraph, DegreeOrder, IdOrder};
 
     fn edges(pairs: &[(NodeId, NodeId)]) -> Vec<Edge> {
         pairs.iter().map(|&(u, v)| Edge::new(u, v)).collect()
+    }
+
+    /// The build as it first shipped — rank by one comparison sort of the
+    /// keyed nodes, successor CSR by one comparison sort of the packed pairs
+    /// — kept as the reference [`LocalGraph::build`] is tested against.
+    fn build_by_sorting<O: NodeOrder>(edges: &[Edge], order: &O) -> LocalGraph {
+        let mut ids: HashMap<NodeId, u32> = HashMap::new();
+        let mut seen: Vec<NodeId> = Vec::new();
+        let mut intern = |v: NodeId| {
+            *ids.entry(v).or_insert_with(|| {
+                seen.push(v);
+                seen.len() as u32 - 1
+            })
+        };
+        let mut pairs: Vec<u64> = edges
+            .iter()
+            .map(|e| pack(intern(e.lo()), intern(e.hi())))
+            .collect();
+
+        let mut by_key: Vec<u128> = seen
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let (primary, id) = order.key(v);
+                (primary as u128) << 64 | (id as u128) << 32 | i as u128
+            })
+            .collect();
+        by_key.sort_unstable();
+        let mut rank = vec![0 as LocalId; seen.len()];
+        let mut nodes = Vec::with_capacity(seen.len());
+        for (r, &k) in by_key.iter().enumerate() {
+            rank[k as u32 as usize] = r as LocalId;
+            nodes.push((k >> 32) as NodeId);
+        }
+
+        for pair in &mut pairs {
+            let (a, b) = unpack(*pair);
+            let (a, b) = (rank[a as usize], rank[b as usize]);
+            *pair = if a < b { pack(a, b) } else { pack(b, a) };
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+
+        let n = nodes.len();
+        let mut successors = Runs {
+            offsets: vec![0; n + 1],
+            targets: Vec::with_capacity(pairs.len()),
+        };
+        let mut predecessors = Runs {
+            offsets: vec![0; n + 1],
+            targets: vec![0; pairs.len()],
+        };
+        for &pair in &pairs {
+            let (a, b) = unpack(pair);
+            successors.offsets[a as usize + 1] += 1;
+            predecessors.offsets[b as usize + 1] += 1;
+            successors.targets.push(b);
+        }
+        for v in 0..n {
+            successors.offsets[v + 1] += successors.offsets[v];
+            predecessors.offsets[v + 1] += predecessors.offsets[v];
+        }
+        let mut cursor = predecessors.offsets.clone();
+        for &pair in &pairs {
+            let (a, b) = unpack(pair);
+            predecessors.targets[cursor[b as usize] as usize] = a;
+            cursor[b as usize] += 1;
+        }
+        LocalGraph {
+            nodes,
+            successors,
+            predecessors,
+        }
+    }
+
+    /// An order whose primaries use all eight key bytes.
+    struct Scrambled;
+
+    impl NodeOrder for Scrambled {
+        fn key(&self, v: NodeId) -> (u64, NodeId) {
+            (u64::from(v ^ 0x5bd1).wrapping_mul(0x9e37_79b9_7f4a_7c15), v)
+        }
+    }
+
+    fn assert_matches_reference<O: NodeOrder>(what: &str, edges: &[Edge], order: &O) {
+        let (built, reference) = (
+            LocalGraph::build(edges, order),
+            build_by_sorting(edges, order),
+        );
+        assert_eq!(built.nodes(), reference.nodes(), "{what}: nodes");
+        assert_eq!(built.num_edges(), reference.num_edges(), "{what}: edges");
+        for v in 0..reference.num_nodes() as LocalId {
+            assert_eq!(built.successors(v), reference.successors(v), "{what}: {v}");
+            assert_eq!(
+                built.predecessors(v),
+                reference.predecessors(v),
+                "{what}: {v}"
+            );
+        }
+        assert_eq!(built.heap_bytes(), reference.heap_bytes(), "{what}: bytes");
+    }
+
+    #[test]
+    fn the_build_matches_the_sort_based_reference() {
+        let from_graph = |g: &DataGraph| g.edges().to_vec();
+        let self_loop = |v: u8| Edge::decode(&[v, v], &mut 0);
+        let near_max = u32::MAX - 40;
+        let mut inputs: Vec<(String, Vec<Edge>)> = vec![
+            ("gnm".into(), from_graph(&generators::gnm(400, 1_500, 7))),
+            (
+                "power-law".into(),
+                from_graph(&generators::power_law(500, 1_600, 2.2, 8)),
+            ),
+            ("star".into(), from_graph(&generators::star(300))),
+            ("complete".into(), from_graph(&generators::complete(30))),
+            ("empty".into(), Vec::new()),
+            ("single edge".into(), edges(&[(9, 4)])),
+            ("all duplicates".into(), vec![Edge::new(3, 8); 700]),
+            (
+                "self loops".into(),
+                [edges(&[(5, 6), (6, 7), (5, 7)]), vec![self_loop(6); 2]].concat(),
+            ),
+            (
+                "ids near u32::MAX".into(),
+                (0..40)
+                    .map(|i| (i, (i * 7 + 1) % 41))
+                    .filter(|(i, j)| i != j)
+                    .map(|(i, j)| Edge::new(near_max + i, near_max + j))
+                    .collect(),
+            ),
+        ];
+        // Either side of the comparison-sort fallback: a path on k + 1 nodes,
+        // its ids scattered so the key bytes differ.
+        for k in [RADIX_MIN - 2, RADIX_MIN - 1, RADIX_MIN, RADIX_MIN + 1] {
+            let id = |i: usize| (i as u32).wrapping_mul(2_654_435_761) >> 3;
+            let path = (0..k).map(|i| Edge::new(id(i), id(i + 1))).collect();
+            inputs.push((format!("path with {k} edges"), path));
+        }
+        for (name, input) in &inputs {
+            assert_matches_reference(name, input, &IdOrder);
+            assert_matches_reference(name, input, &Scrambled);
+            for b in [1, 3, 7] {
+                assert_matches_reference(name, input, &BucketThenIdOrder::new(b));
+            }
+        }
+        for g in [
+            generators::gnm(400, 1_500, 9),
+            generators::power_law(500, 1_600, 2.2, 10),
+            generators::star(300),
+            generators::complete(30),
+        ] {
+            assert_matches_reference("degree order", g.edges(), &DegreeOrder::new(&g));
+        }
     }
 
     #[test]
@@ -331,8 +639,8 @@ mod tests {
 
     #[test]
     fn a_matching_outgrows_the_initial_table() {
-        // Two distinct nodes per edge: twice what the interner starts sized
-        // for, so it has to grow (twice) without losing an id.
+        // Two distinct nodes per edge: more than the interner starts sized
+        // for, so it has to grow without losing an id.
         let matching: Vec<Edge> = (0..3_000u32)
             .map(|i| Edge::new(i * 1_000_003 % 4_000_037, 4_000_037 + i))
             .collect();

@@ -398,6 +398,7 @@ fn arena_exchange_reduce<I, K, V, O>(
         (0..threads).map(|_| Vec::with_capacity(workers)).collect();
     for outcome in mapped {
         for (target, bucket) in outcome.buckets.into_iter().enumerate() {
+            metrics.wire_bytes.0 += bucket.chunks.iter().map(|c| c.len() as u64).sum::<u64>();
             inboxes[target].push(bucket);
         }
     }
@@ -535,6 +536,7 @@ fn arena_exchange_reduce<I, K, V, O>(
     }
     if let Some(spill) = spill {
         metrics.spilled_bytes = spill.spilled_bytes.load(Ordering::Relaxed);
+        metrics.wire_bytes.0 += metrics.spilled_bytes;
         metrics.spill_runs = spill.spill_runs.load(Ordering::Relaxed);
         // Last owner: dropping removes the spill directory.
         drop(spill);

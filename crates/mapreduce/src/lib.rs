@@ -58,7 +58,7 @@ pub mod task;
 
 pub use engine::{shard_for_hash, EngineConfig};
 pub use hash::{hash_of, FxBuildHasher, FxHasher};
-pub use metrics::JobMetrics;
+pub use metrics::{JobMetrics, WireBytes};
 pub use pipeline::{InputChunk, Pipeline, PipelineReport, Round, RoundMetrics};
 pub use pool::WorkerPool;
 pub use sink::{BufferShard, CollectSink, CountSink, FnSink, OutputSink, SampleSink, SinkShard};

@@ -2,6 +2,19 @@
 
 use std::time::Duration;
 
+/// An exact byte count that describes the executor's representation of the
+/// shuffle, not the job: it takes no part in comparisons, so two runs of one
+/// job still have equal [`JobMetrics`] counters whichever executor ran them.
+/// Compare the inner values to compare the counts.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WireBytes(pub u64);
+
+impl PartialEq for WireBytes {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// Everything the paper's cost model talks about, measured on an actual run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobMetrics {
@@ -25,6 +38,12 @@ pub struct JobMetrics {
     /// Total payload bytes of the shuffled records, as measured by the round's
     /// record weigher (per-record key + value bytes).
     pub shuffle_bytes: u64,
+    /// Encoded bytes the arena shuffle really carried through the exchange:
+    /// the summed lengths of every arena chunk, resident or spilled. Unlike
+    /// the logical [`JobMetrics::shuffle_bytes`] this follows the wire
+    /// encoding (varints, reducer-index keys). 0 on the classic `Vec<(K, V)>`
+    /// path, which serializes nothing.
+    pub wire_bytes: WireBytes,
     /// Number of distinct keys that received at least one value, i.e. the
     /// number of reducers actually executed. The paper calls this the "number
     /// of reducers"; with the hash-ordered scheme of Section 2.3 it is much
@@ -112,6 +131,7 @@ impl JobMetrics {
         self.combiner_output_records += other.combiner_output_records;
         self.shuffle_records += other.shuffle_records;
         self.shuffle_bytes += other.shuffle_bytes;
+        self.wire_bytes.0 += other.wire_bytes.0;
         self.reducers_used += other.reducers_used;
         self.max_reducer_input = self.max_reducer_input.max(other.max_reducer_input);
         self.reducer_work += other.reducer_work;

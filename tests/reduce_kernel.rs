@@ -2,6 +2,8 @@
 //! (`subgraph_cq::{LocalGraph, JoinPlan}` and the `evaluate_cq*` wrappers over
 //! it) against the independent backtracking oracle `enumerate_generic`.
 
+use subgraph_mr::core::enumerate::bucket_oriented::bucket_oriented_with_cqs;
+use subgraph_mr::core::enumerate::variable_oriented;
 use subgraph_mr::cq::{
     cqs_for_sample, cycle_cqs, evaluate_cq, evaluate_cq_filtered, evaluate_cq_group, evaluate_cqs,
     merge_by_orientation, ConjunctiveQuery, JoinPlan, LocalGraph,
@@ -218,4 +220,73 @@ fn a_local_graph_is_sized_by_its_input_not_by_the_id_range() {
             local.heap_bytes()
         );
     }
+}
+
+/// Five- and six-variable rounds through the whole engine — reducer-index
+/// keys routed by destination table (bucket multisets) and by stride (share
+/// vectors), shuffled through the arena, decoded, grouped and joined — find
+/// what the oracle finds. These are the key widths that no longer fit an
+/// inline word, so a key space wider than the common patterns' is exercised
+/// end to end.
+#[test]
+fn wide_key_rounds_match_the_oracle_through_the_engine() {
+    let graph = generators::gnm(16, 52, 46);
+    let config = EngineConfig::with_threads(3);
+    let pentagon: Vec<ConjunctiveQuery> = cycle_cqs(5).into_iter().map(|c| c.query).collect();
+    for (name, sample, cqs) in [
+        ("c5", catalog::cycle(5), pentagon),
+        ("c6", catalog::cycle(6), cqs_for_sample(&catalog::cycle(6))),
+    ] {
+        let p = sample.num_nodes();
+        let expected = oracle(&sample, &graph);
+        for b in [2, 3] {
+            let run = bucket_oriented_with_cqs(p, &cqs, &graph, b, &config);
+            let possible = subgraph_mr::shares::counting::useful_reducers(b as u64, p as u64);
+            assert!(
+                run.metrics.reducers_used as u128 <= possible,
+                "{name} b={b}"
+            );
+            assert_eq!(sorted(run.into_instances()), expected, "{name} b={b}");
+        }
+        let plan = variable_oriented::plan(&sample, 24);
+        let run = variable_oriented::run_with_plan(&graph, &plan, &config);
+        assert_eq!(
+            sorted(run.into_instances()),
+            expected,
+            "{name} by share vector"
+        );
+    }
+}
+
+/// What a record costs on the wire, as opposed to the 20 bytes the cost model
+/// prices it at: one byte of reducer index (56 keys) plus the varint edge.
+#[test]
+fn a_triangle_record_with_six_buckets_ships_in_at_most_eight_bytes() {
+    let graph = generators::gnm(3_000, 12_000, 47);
+    let run = bucket_oriented_with_cqs(
+        3,
+        &cqs_for_sample(&catalog::triangle()),
+        &graph,
+        6,
+        &EngineConfig::with_threads(2),
+    );
+    let m = &run.metrics;
+    assert_eq!(m.shuffle_records, 6 * graph.num_edges());
+    assert_eq!(m.shuffle_bytes, 20 * m.shuffle_records as u64);
+    assert!(m.wire_bytes.0 > 0);
+    assert!(
+        m.wire_bytes.0 <= 8 * m.shuffle_records as u64,
+        "{} wire bytes for {} records",
+        m.wire_bytes.0,
+        m.shuffle_records
+    );
+}
+
+/// A bucket count or key width no key space exists for is refused by name
+/// before anything is mapped.
+#[test]
+#[should_panic(expected = "at least one bucket")]
+fn zero_buckets_are_refused_by_name() {
+    let graph = generators::gnm(10, 20, 48);
+    bucket_oriented_with_cqs(3, &[], &graph, 0, &EngineConfig::serial());
 }

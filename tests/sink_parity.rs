@@ -264,8 +264,9 @@ fn a_forced_64k_budget_matches_the_unbudgeted_run_for_every_strategy() {
 fn a_64k_budget_really_spills_on_a_shuffle_heavy_run_and_stays_identical() {
     // A triangle workload whose arena bytes dwarf the budget: every CI run
     // exercises seal → spill → merge, and the merged answer is byte-identical
-    // to the in-memory one.
-    let graph = generators::gnm(240, 3_600, 9_300);
+    // to the in-memory one. (At ~4 wire bytes per record, 90 000 records fill
+    // more than one 4 KiB chunk per bucket even across 8 × 8 buckets.)
+    let graph = generators::gnm(240, 9_000, 9_300);
     for threads in [2usize, 8] {
         let context = format!("threads={threads} budget=64K");
         let run = |budget: usize| {
