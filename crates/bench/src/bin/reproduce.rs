@@ -103,9 +103,11 @@ fn print_usage() {
          all                   every table and figure\n  \
          planner               strategy chosen per pattern and reducer budget\n  \
          plan-times            plan-time sweep: branch-and-bound vs exhaustive order-class \
-         search per catalog pattern (writes BENCH_planner.json)\n  \
+         search per catalog pattern, star9/10, k8/9, c9, path8 and the hypercube4 refusal \
+         (writes BENCH_planner.json)\n  \
          plan-gate             the same sweep as a CI gate: hypercube3 must plan within \
-         50 ms (release) and both search modes must agree (exits 1 on regression)\n  \
+         50 ms, star10 faster than hypercube3, star9->star10 and k8->k9 at most 3x (release), \
+         and both search modes must agree (exits 1 on regression)\n  \
          kernel                reduce kernel: one reducer's local-graph build and compiled join vs \
          the generic oracle (writes BENCH_kernel.json)\n  \
          kernel-gate           the same as a CI gate: kernel >= 3x the generic oracle on the square \

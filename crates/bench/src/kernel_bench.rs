@@ -166,16 +166,9 @@ fn measure(
 pub fn kernel_timing() -> KernelReport {
     let triangle_graph = generators::gnm(360_000, 1_200_000, 11);
     let square_graph = generators::gnm(22_000, 110_000, 11);
-    let commit = std::process::Command::new("git")
-        .args(["-C", env!("CARGO_MANIFEST_DIR"), "rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
     KernelReport {
         available_parallelism: std::thread::available_parallelism().map_or(1, usize::from),
-        commit,
+        commit: crate::report::workspace_commit(),
         inputs: vec![
             measure(
                 "gnm 360k/1.2M, b=6, key {0,1,2}",

@@ -8,7 +8,7 @@ use crate::report::{fmt, Table};
 use std::time::Instant;
 use subgraph_core::plan::{search_order_classes, EnumerationRequest, SearchMode};
 use subgraph_graph::generators;
-use subgraph_pattern::catalog;
+use subgraph_pattern::{automorphism_group, catalog};
 
 /// One row per (pattern, budget): the chosen strategy, its predicted
 /// replication and reducer work, how long planning took (wall-clock) with
@@ -85,30 +85,48 @@ pub fn planner_choices() -> String {
     table.render()
 }
 
-/// Plan-time measurements for one catalog pattern, in both search modes.
+/// What the exhaustive oracle measured for one pattern.
+pub struct OracleRun {
+    /// Wall-clock of a full `plan()` under the exhaustive oracle (one run).
+    pub millis: f64,
+    /// Whether it chose the same strategy as branch-and-bound.
+    pub same_strategy: bool,
+    /// Whether the winning class and its cost bits are identical.
+    pub same_winner: bool,
+}
+
+/// Plan-time measurements for one pattern.
 pub struct PatternPlanTiming {
-    /// Catalog pattern name.
-    pub pattern: &'static str,
+    /// Pattern name as [`catalog::by_name`] resolves it.
+    pub pattern: String,
     /// `p!/|Aut(S)|` — the order classes both modes account for.
-    pub classes: usize,
+    pub classes: u128,
     /// Classes branch-and-bound established with a solver call.
     pub scored: usize,
     /// Classes its lower bound eliminated.
     pub pruned: usize,
-    /// Wall-clock of a full `plan()` under branch-and-bound (best of three).
+    /// Wall-clock of a full `plan()` under branch-and-bound (best of three);
+    /// for a refused pattern, the time to the refusal.
     pub plan_millis: f64,
-    /// Wall-clock of a full `plan()` under the exhaustive oracle (one run).
-    pub exhaustive_millis: f64,
-    /// The strategy each mode chose.
+    /// The chosen strategy, or `refused`.
     pub chosen: String,
-    /// Whether the exhaustive oracle chose the same strategy.
-    pub modes_agree: bool,
-    /// Winning-class cost bits from each mode (must be identical).
-    pub winner_bits_equal: bool,
+    /// The exhaustive oracle's run; `None` where it would solve more than
+    /// [`EXHAUSTIVE_CLASS_CAP`] classes, or the pattern is refused.
+    pub oracle: Option<OracleRun>,
+    /// The planner's named reason when it refuses the pattern.
+    pub refusal: Option<String>,
 }
 
-/// The full-catalog plan-time sweep: every pattern planned in both search
-/// modes against the same generated graph the CLI acceptance command uses.
+impl PatternPlanTiming {
+    /// `Some(true)` when the oracle ran and agreed on strategy, winning
+    /// class and cost bits.
+    fn modes_agree(&self) -> Option<bool> {
+        (self.oracle.as_ref()).map(|oracle| oracle.same_strategy && oracle.same_winner)
+    }
+}
+
+/// The plan-time sweep: every pattern planned against the same generated
+/// graph the CLI acceptance command uses.
 pub struct PlanTimingReport {
     /// Graph parameters (G(n, m) seed) the sweep planned against.
     pub n: usize,
@@ -118,64 +136,94 @@ pub struct PlanTimingReport {
     pub seed: u64,
     /// Reducer budget `k` for every plan.
     pub reducers: usize,
-    /// One entry per catalog pattern.
+    /// `std::thread::available_parallelism` on the benchmarking host.
+    pub available_parallelism: usize,
+    /// Git commit of the workspace the sweep was built from.
+    pub commit: String,
+    /// One entry per pattern.
     pub patterns: Vec<PatternPlanTiming>,
 }
 
-/// Runs the sweep: plans every catalog pattern in both modes, timing each.
+/// Beyond the catalog: the large family members the repo benchmark's
+/// `plan_sweep` plans, and `hypercube4`, which the planner refuses by name.
+const LARGE_PATTERNS: [&str; 7] = ["star9", "star10", "k8", "k9", "c9", "path8", "hypercube4"];
+
+/// The exhaustive oracle solves one share optimization per class; past this
+/// many classes (`c9`, `path8`: 20 160) only branch-and-bound is timed.
+pub const EXHAUSTIVE_CLASS_CAP: u128 = 1000;
+
+/// Runs the sweep: plans every pattern, in both modes where the oracle is
+/// affordable, timing each.
 pub fn plan_timing() -> PlanTimingReport {
     let (n, m, seed, reducers) = (1_000usize, 5_000usize, 7u64, 750usize);
     let graph = generators::gnm(n, m, seed);
+    let names = (catalog::entries().into_iter().map(|entry| entry.name)).chain(LARGE_PATTERNS);
     let mut patterns = Vec::new();
-    for entry in catalog::entries() {
+    for name in names {
+        let sample = catalog::by_name(name).expect("sweep patterns are catalog names");
         let plan_with = |mode: SearchMode| {
             let started = Instant::now();
-            let plan = EnumerationRequest::new(entry.sample.clone(), &graph)
+            let plan = EnumerationRequest::named(name, &graph)
+                .expect("sweep patterns are catalog names")
                 .reducers(reducers)
                 .search_mode(mode)
-                .plan()
-                .expect("catalog patterns plan");
+                .plan();
             (started.elapsed().as_secs_f64() * 1e3, plan)
         };
-        // Best of three for the fast path (the number CI gates on); the
-        // slow oracle runs once — it only exists for the parity check.
-        let mut plan_millis = f64::INFINITY;
-        let mut chosen = String::new();
-        let mut counters = (0usize, 0usize);
+        // Best of three for the fast path (the number CI gates on).
+        let mut timing = PatternPlanTiming {
+            pattern: name.to_string(),
+            classes: automorphism_group(&sample).order_classes(),
+            scored: 0,
+            pruned: 0,
+            plan_millis: f64::INFINITY,
+            chosen: String::new(),
+            oracle: None,
+            refusal: None,
+        };
         for _ in 0..3 {
             let (ms, plan) = plan_with(SearchMode::BranchAndBound);
-            plan_millis = plan_millis.min(ms);
-            chosen = plan.strategy().to_string();
-            counters = plan
-                .candidates()
-                .iter()
-                .map(|c| (c.classes_scored, c.classes_pruned))
-                .find(|&(s, p)| s + p > 0)
-                .unwrap_or((0, 0));
+            timing.plan_millis = timing.plan_millis.min(ms);
+            match plan {
+                Ok(plan) => {
+                    timing.chosen = plan.strategy().to_string();
+                    (timing.scored, timing.pruned) = plan
+                        .candidates()
+                        .iter()
+                        .map(|c| (c.classes_scored, c.classes_pruned))
+                        .find(|&(s, p)| s + p > 0)
+                        .unwrap_or((0, 0));
+                }
+                Err(reason) => {
+                    timing.chosen = "refused".to_string();
+                    timing.refusal = Some(reason.to_string());
+                }
+            }
         }
-        let (exhaustive_millis, oracle) = plan_with(SearchMode::Exhaustive);
-        // The winning-class cost itself, pinned bitwise between the modes.
-        let k = reducers as f64;
-        let bb = search_order_classes(&entry.sample, k, SearchMode::BranchAndBound);
-        let ex = search_order_classes(&entry.sample, k, SearchMode::Exhaustive);
-        patterns.push(PatternPlanTiming {
-            pattern: entry.name,
-            classes: entry.order_classes(),
-            scored: counters.0,
-            pruned: counters.1,
-            plan_millis,
-            exhaustive_millis,
-            modes_agree: chosen == oracle.strategy().to_string(),
-            chosen,
-            winner_bits_equal: bb.winner_cost.to_bits() == ex.winner_cost.to_bits()
-                && bb.winner == ex.winner,
-        });
+        // The slow oracle runs once — it only exists for the parity check.
+        if timing.refusal.is_none() && timing.classes <= EXHAUSTIVE_CLASS_CAP {
+            let (millis, oracle) = plan_with(SearchMode::Exhaustive);
+            let oracle = oracle.expect("the oracle plans whatever branch-and-bound plans");
+            // The winning-class cost itself, pinned bitwise between the modes.
+            let k = reducers as f64;
+            let bb = search_order_classes(&sample, k, SearchMode::BranchAndBound);
+            let ex = search_order_classes(&sample, k, SearchMode::Exhaustive);
+            timing.oracle = Some(OracleRun {
+                millis,
+                same_strategy: timing.chosen == oracle.strategy().to_string(),
+                same_winner: bb.winner_cost.to_bits() == ex.winner_cost.to_bits()
+                    && bb.winner == ex.winner,
+            });
+        }
+        patterns.push(timing);
     }
     PlanTimingReport {
         n,
         m,
         seed,
         reducers,
+        available_parallelism: std::thread::available_parallelism().map_or(1, usize::from),
+        commit: crate::report::workspace_commit(),
         patterns,
     }
 }
@@ -184,7 +232,7 @@ impl PlanTimingReport {
     /// Renders the sweep as a table.
     pub fn table(&self) -> String {
         let mut table = Table::new(
-            "Planner — plan time per catalog pattern (branch-and-bound vs exhaustive)",
+            "Planner — plan time per pattern (branch-and-bound vs exhaustive)",
             &[
                 "pattern",
                 "classes",
@@ -197,33 +245,41 @@ impl PlanTimingReport {
                 "modes agree",
             ],
         );
+        let or_dash = |cell: Option<String>| cell.unwrap_or_else(|| "-".to_string());
         for p in &self.patterns {
-            let speedup = if p.plan_millis > 0.0 {
-                p.exhaustive_millis / p.plan_millis
-            } else {
-                0.0
-            };
+            let oracle_millis = p.oracle.as_ref().map(|oracle| oracle.millis);
             table.row(&[
-                p.pattern.to_string(),
+                p.pattern.clone(),
                 p.classes.to_string(),
                 p.scored.to_string(),
                 p.pruned.to_string(),
                 format!("{:.2}", p.plan_millis),
-                format!("{:.2}", p.exhaustive_millis),
-                format!("{speedup:.1}x"),
+                or_dash(oracle_millis.map(|ms| format!("{ms:.2}"))),
+                or_dash(
+                    oracle_millis
+                        .filter(|_| p.plan_millis > 0.0)
+                        .map(|ms| format!("{:.1}x", ms / p.plan_millis)),
+                ),
                 p.chosen.clone(),
-                (p.modes_agree && p.winner_bits_equal).to_string(),
+                or_dash(p.modes_agree().map(|agree| agree.to_string())),
             ]);
         }
         table.note(&format!(
             "G(n = {}, m = {}) seed {}, reducer budget {}; plan ms is the best of three \
-             full plan() calls under branch-and-bound; written to BENCH_planner.json",
-            self.n, self.m, self.seed, self.reducers,
+             full plan() calls under branch-and-bound; host available_parallelism = {}; \
+             written to BENCH_planner.json",
+            self.n, self.m, self.seed, self.reducers, self.available_parallelism,
         ));
-        table.note(
+        table.note(&format!(
             "modes agree: same chosen strategy, same winning order class, bitwise-identical \
-             winning-class cost",
-        );
+             winning-class cost ('-': more than {EXHAUSTIVE_CLASS_CAP} classes, the exhaustive \
+             oracle is not run)",
+        ));
+        for p in &self.patterns {
+            if let Some(reason) = &p.refusal {
+                table.note(&format!("{} refused: {reason}", p.pattern));
+            }
+        }
         table.render()
     }
 
@@ -232,6 +288,10 @@ impl PlanTimingReport {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"benchmark\": \"planner_plan_time\",\n");
+        out.push_str(&format!(
+            "  \"host\": {{ \"available_parallelism\": {}, \"commit\": \"{}\" }},\n",
+            self.available_parallelism, self.commit
+        ));
         out.push_str("  \"workload\": {\n");
         out.push_str("    \"graph\": \"gnm\",\n");
         out.push_str(&format!("    \"n\": {},\n", self.n));
@@ -240,19 +300,25 @@ impl PlanTimingReport {
         out.push_str(&format!("    \"reducers\": {}\n", self.reducers));
         out.push_str("  },\n");
         out.push_str("  \"results\": [\n");
+        let or_null = |cell: Option<String>| cell.unwrap_or_else(|| "null".to_string());
         for (i, p) in self.patterns.iter().enumerate() {
             out.push_str(&format!(
                 "    {{ \"pattern\": \"{}\", \"classes\": {}, \"scored\": {}, \"pruned\": {}, \
-                 \"plan_ms\": {:.3}, \"exhaustive_ms\": {:.3}, \"chosen\": \"{}\", \
-                 \"modes_agree\": {} }}{}\n",
+                 \"plan_ms\": {:.3}, \"exhaustive_ms\": {}, \"chosen\": \"{}\", \
+                 \"modes_agree\": {}, \"refusal\": {} }}{}\n",
                 p.pattern,
                 p.classes,
                 p.scored,
                 p.pruned,
                 p.plan_millis,
-                p.exhaustive_millis,
+                or_null(
+                    p.oracle
+                        .as_ref()
+                        .map(|oracle| format!("{:.3}", oracle.millis))
+                ),
                 p.chosen,
-                p.modes_agree && p.winner_bits_equal,
+                or_null(p.modes_agree().map(|agree| agree.to_string())),
+                or_null(p.refusal.as_ref().map(|reason| format!("{reason:?}"))),
                 if i + 1 == self.patterns.len() {
                     ""
                 } else {
@@ -264,6 +330,43 @@ impl PlanTimingReport {
         out.push_str("}\n");
         out
     }
+
+    /// `plan_ms` of a sweep pattern.
+    fn plan_millis(&self, pattern: &str) -> f64 {
+        (self.patterns.iter())
+            .find(|p| p.pattern == pattern)
+            .unwrap_or_else(|| panic!("{pattern} is a sweep pattern"))
+            .plan_millis
+    }
+
+    /// The relative gates: ratios between rows of one sweep, so they hold on
+    /// any host. Each is `(what, measured ratio, bound)` and passes when the
+    /// ratio is at most the bound.
+    ///
+    /// * `star10` (10 classes) and the `hypercube4` refusal must each take
+    ///   less than `hypercube3` (840 classes): planning cost follows the
+    ///   class tree, not `p!` or `|Aut|`.
+    /// * `plan_ms` may grow at most 3x from `star9` to `star10` and from `k8`
+    ///   to `k9`. Enumerating `S_p` made those steps 15x and 5.6x; what is
+    ///   left is share solves (`k9` is two 36-term solves, which is why it is
+    ///   gated against `k8` and not against `hypercube3`'s 12-term ones).
+    pub fn relative_gates(&self) -> Vec<(String, f64, f64)> {
+        [
+            ("star10", "hypercube3", 1.0),
+            ("hypercube4", "hypercube3", 1.0),
+            ("star10", "star9", 3.0),
+            ("k9", "k8", 3.0),
+        ]
+        .into_iter()
+        .map(|(pattern, against, bound)| {
+            (
+                format!("{pattern} plan ms / {against} plan ms"),
+                self.plan_millis(pattern) / self.plan_millis(against),
+                bound,
+            )
+        })
+        .collect()
+    }
 }
 
 /// Path of the tracked benchmark file: `BENCH_planner.json` at the repo root.
@@ -274,10 +377,11 @@ pub fn bench_json_path() -> std::path::PathBuf {
 /// The plan-time budget the gate enforces on `hypercube3` (release builds).
 pub const HYPERCUBE3_BUDGET_MILLIS: f64 = 50.0;
 
-/// The CI plan gate: runs the full-catalog sweep, writes
-/// `BENCH_planner.json`, and fails if `hypercube3` planning exceeds
-/// [`HYPERCUBE3_BUDGET_MILLIS`] (release builds) or if any catalog pattern's
-/// chosen strategy or winning-class cost differs between the search modes.
+/// The CI plan gate: runs the sweep, writes `BENCH_planner.json`, and fails
+/// if `hypercube3` planning exceeds [`HYPERCUBE3_BUDGET_MILLIS`] or a
+/// [`PlanTimingReport::relative_gates`] ratio exceeds its bound (release
+/// builds), if any pattern's chosen strategy or winning-class cost differs
+/// between the search modes, or if `hypercube4` is not refused by name.
 pub fn plan_gate() -> Result<String, String> {
     let report = plan_timing();
     let mut out = report.table();
@@ -290,14 +394,15 @@ pub fn plan_gate() -> Result<String, String> {
         .unwrap_or_else(|e| panic!("{} is malformed JSON: {e}", path.display()));
 
     for p in &report.patterns {
-        if !p.modes_agree {
+        let Some(oracle) = &p.oracle else { continue };
+        if !oracle.same_strategy {
             return Err(format!(
                 "{out}\nplan gate FAILED: {} chose {:?} under branch-and-bound but the \
                  exhaustive oracle disagrees\n",
                 p.pattern, p.chosen,
             ));
         }
-        if !p.winner_bits_equal {
+        if !oracle.same_winner {
             return Err(format!(
                 "{out}\nplan gate FAILED: {} winning-class cost differs bitwise between \
                  search modes\n",
@@ -305,32 +410,48 @@ pub fn plan_gate() -> Result<String, String> {
             ));
         }
     }
-    let hypercube = report
+    let refused: Vec<&str> = (report.patterns.iter())
+        .filter(|p| p.refusal.is_some())
+        .map(|p| p.pattern.as_str())
+        .collect();
+    if refused != ["hypercube4"] {
+        return Err(format!(
+            "{out}\nplan gate FAILED: exactly hypercube4 is past the order-class limit, but \
+             the planner refused {refused:?}\n",
+        ));
+    }
+    let compared = report
         .patterns
         .iter()
-        .find(|p| p.pattern == "hypercube3")
-        .expect("hypercube3 is a catalog pattern");
+        .filter(|p| p.oracle.is_some())
+        .count();
+    let hypercube = report.plan_millis("hypercube3");
     if cfg!(debug_assertions) {
         out.push_str(&format!(
-            "\nplan gate: timing budget skipped in debug builds (hypercube3 planned in \
-             {:.2} ms); strategy/cost parity checked on all {} patterns\n",
-            hypercube.plan_millis,
-            report.patterns.len(),
+            "\nplan gate: timing gates skipped in debug builds (hypercube3 planned in \
+             {hypercube:.2} ms); strategy/cost parity checked on {compared} patterns\n",
         ));
         return Ok(out);
     }
-    if hypercube.plan_millis > HYPERCUBE3_BUDGET_MILLIS {
+    if hypercube > HYPERCUBE3_BUDGET_MILLIS {
         return Err(format!(
-            "{out}\nplan gate FAILED: hypercube3 planned in {:.2} ms > {HYPERCUBE3_BUDGET_MILLIS} ms \
-             budget (the branch-and-bound search regressed)\n",
-            hypercube.plan_millis,
+            "{out}\nplan gate FAILED: hypercube3 planned in {hypercube:.2} ms > \
+             {HYPERCUBE3_BUDGET_MILLIS} ms budget (the branch-and-bound search regressed)\n",
         ));
     }
+    for (what, ratio, bound) in report.relative_gates() {
+        if ratio > bound {
+            return Err(format!(
+                "{out}\nplan gate FAILED: {what} = {ratio:.2} > {bound} (planning cost is \
+                 following p! or |Aut| again, not the order-class tree)\n",
+            ));
+        }
+        out.push_str(&format!("\nplan gate: {what} = {ratio:.2} (bound {bound})"));
+    }
     out.push_str(&format!(
-        "\nplan gate passed: hypercube3 planned in {:.2} ms (budget {HYPERCUBE3_BUDGET_MILLIS} ms), \
-         both search modes agree on all {} patterns\n",
-        hypercube.plan_millis,
-        report.patterns.len(),
+        "\nplan gate passed: hypercube3 planned in {hypercube:.2} ms (budget \
+         {HYPERCUBE3_BUDGET_MILLIS} ms), both search modes agree on all {compared} patterns \
+         compared\n",
     ));
     Ok(out)
 }
@@ -368,11 +489,27 @@ mod tests {
             return;
         }
         let report = plan_timing();
-        assert_eq!(report.patterns.len(), catalog::entries().len());
+        assert_eq!(
+            report.patterns.len(),
+            catalog::entries().len() + LARGE_PATTERNS.len()
+        );
         for p in &report.patterns {
-            assert!(p.modes_agree, "{}", p.pattern);
-            assert!(p.winner_bits_equal, "{}", p.pattern);
-            assert_eq!(p.scored + p.pruned, p.classes, "{}", p.pattern);
+            assert_ne!(p.modes_agree(), Some(false), "{}", p.pattern);
+            // The oracle is skipped exactly where it would be unaffordable.
+            let affordable = p.refusal.is_none() && p.classes <= EXHAUSTIVE_CLASS_CAP;
+            assert_eq!(p.oracle.is_some(), affordable, "{}", p.pattern);
+            if p.refusal.is_none() {
+                assert_eq!((p.scored + p.pruned) as u128, p.classes, "{}", p.pattern);
+            }
+        }
+        let refused: Vec<_> = (report.patterns.iter())
+            .filter(|p| p.refusal.is_some())
+            .collect();
+        assert_eq!(refused.len(), 1);
+        assert_eq!(refused[0].pattern, "hypercube4");
+        assert_eq!(refused[0].classes, 54_486_432_000);
+        for (what, ratio, bound) in report.relative_gates() {
+            assert!(ratio <= bound, "{what} = {ratio} > {bound}");
         }
         crate::shuffle::validate_json(&report.to_json()).expect("valid JSON");
     }

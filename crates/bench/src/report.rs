@@ -80,6 +80,19 @@ pub fn fmt(value: f64) -> String {
     }
 }
 
+/// The git commit of the workspace a tracked `BENCH_*.json` was recorded
+/// from (`unknown` outside a git checkout; uncommitted changes are not
+/// visible in it).
+pub fn workspace_commit() -> String {
+    std::process::Command::new("git")
+        .args(["-C", env!("CARGO_MANIFEST_DIR"), "rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

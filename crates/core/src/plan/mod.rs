@@ -45,6 +45,6 @@ pub mod strategy;
 pub use cost::CostEstimate;
 pub use planner::{ExecutionPlan, Planner};
 pub use report::RunReport;
-pub use request::{EnumerationRequest, PlanError, DEFAULT_REDUCERS};
+pub use request::{EnumerationRequest, PlanError, DEFAULT_REDUCERS, MAX_ORDER_CLASSES};
 pub use search::{search_order_classes, ClassSearch, SearchMode};
 pub use strategy::{Strategy, StrategyKind};

@@ -77,6 +77,11 @@ impl Planner {
             .map(|s| (s.estimate(&request), Arc::clone(s)))
             .collect();
         if scored.is_empty() {
+            // Past the order-class limit every general map-reduce strategy
+            // refuses; name that rather than reporting a bare "no strategy".
+            if !want_serial {
+                request.check_order_classes()?;
+            }
             return Err(PlanError::NoApplicableStrategy);
         }
         // Stable sort: registration order breaks exact ties.
@@ -441,6 +446,66 @@ mod tests {
                 assert_eq!(strategy, StrategyKind::PartitionTriangles)
             }
             other => panic!("expected NotApplicable, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn patterns_past_the_order_class_limit_are_refused_by_name() {
+        use crate::plan::MAX_ORDER_CLASSES;
+        let g = generators::gnm(40, 50, 3);
+        // 16!/384 classes: known from the stabilizer chain before a single
+        // ordering is built, so the refusal is immediate.
+        let err = EnumerationRequest::named("hypercube4", &g)
+            .unwrap()
+            .plan()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::TooManyOrderClasses {
+                pattern: "hypercube4".to_string(),
+                nodes: 16,
+                automorphisms: 384,
+                classes: 54_486_432_000,
+            }
+        );
+        let text = err.to_string();
+        for fact in ["hypercube4", "p = 16", "|Aut| = 384", "54486432000"] {
+            assert!(text.contains(fact), "{text}");
+        }
+        // Forcing one of the three per-class strategies names the same
+        // reason; the serial family builds no CQ collection and still plans.
+        for kind in [
+            StrategyKind::BucketOriented,
+            StrategyKind::VariableOriented,
+            StrategyKind::CqOriented,
+        ] {
+            let request = EnumerationRequest::named("c16", &g).unwrap();
+            match request.strategy(kind).plan().unwrap_err() {
+                PlanError::NotApplicable { strategy, reason } => {
+                    assert_eq!(strategy, kind);
+                    assert!(reason.contains("653837184000"), "{reason}");
+                }
+                other => panic!("expected NotApplicable, got {other:?}"),
+            }
+        }
+        let serial = EnumerationRequest::named("hypercube4", &g)
+            .unwrap()
+            .reducers(1)
+            .plan()
+            .unwrap();
+        assert!(serial.strategy().is_serial());
+        // The limit is 10!: ten nodes always fit, symmetric patterns of any
+        // size do, and both plan without enumerating a permutation.
+        assert_eq!(MAX_ORDER_CLASSES, (1..=10).product::<u128>());
+        for (pattern, classes) in [("star12", 12), ("k12", 1)] {
+            let plan = EnumerationRequest::named(pattern, &g)
+                .unwrap()
+                .plan()
+                .unwrap();
+            let searched = (plan.candidates().iter())
+                .map(|c| c.classes_scored + c.classes_pruned)
+                .find(|&n| n > 0);
+            assert_eq!(searched, Some(classes), "{pattern}");
         }
     }
 

@@ -7,10 +7,20 @@ use crate::plan::strategy::StrategyKind;
 use std::fmt;
 use subgraph_graph::DataGraph;
 use subgraph_mapreduce::EngineConfig;
-use subgraph_pattern::{catalog, SampleGraph};
+use subgraph_pattern::{automorphism_group, catalog, SampleGraph};
 
 /// Default reducer budget when the caller does not specify one.
 pub const DEFAULT_REDUCERS: usize = 64;
+
+/// The most CQ order classes (`p!/|Aut(S)|`, Theorem 3.1) a strategy will
+/// materialise — bucket-, variable- and CQ-oriented processing each build one
+/// conjunctive query or one round cost per class. 10!: every pattern on at
+/// most ten nodes is under it whatever its symmetry, as are the symmetric
+/// larger ones (`star16`, `k16`: 16 and 1 classes), while `hypercube4` and
+/// `c16` (5·10¹⁰ and 7·10¹¹ classes, terabytes of CQs) are refused by name
+/// instead of exhausting memory. The class count comes from the automorphism
+/// group's stabilizer chain, so the refusal costs microseconds.
+pub const MAX_ORDER_CLASSES: u128 = 3_628_800;
 
 /// Everything the planner needs to choose and run a strategy: the sample
 /// graph, the data graph, the reducer budget, an optional strategy override
@@ -175,6 +185,23 @@ impl<'g> EnumerationRequest<'g> {
     pub fn config(&self) -> &EngineConfig {
         &self.config
     }
+
+    /// `Ok` when the pattern has at most [`MAX_ORDER_CLASSES`] order classes,
+    /// [`PlanError::TooManyOrderClasses`] otherwise — decided from `|Aut(S)|`
+    /// alone, before any class is enumerated.
+    pub(crate) fn check_order_classes(&self) -> Result<(), PlanError> {
+        let group = automorphism_group(&self.sample);
+        let classes = group.order_classes();
+        if classes <= MAX_ORDER_CLASSES {
+            return Ok(());
+        }
+        Err(PlanError::TooManyOrderClasses {
+            pattern: self.pattern_name().unwrap_or("<custom>").to_string(),
+            nodes: self.sample.num_nodes(),
+            automorphisms: group.order(),
+            classes,
+        })
+    }
 }
 
 /// Why a request could not be planned.
@@ -201,6 +228,18 @@ pub enum PlanError {
         /// Human-readable reason.
         reason: String,
     },
+    /// The pattern has more than [`MAX_ORDER_CLASSES`] CQ order classes, so
+    /// every strategy that builds one CQ or one cost per class refuses it.
+    TooManyOrderClasses {
+        /// The pattern as the caller named it.
+        pattern: String,
+        /// Its node count `p`.
+        nodes: usize,
+        /// `|Aut(S)|`.
+        automorphisms: u128,
+        /// `p!/|Aut(S)|`.
+        classes: u128,
+    },
     /// No registered strategy can run the request (only possible with a
     /// custom, restricted [`Planner`]).
     NoApplicableStrategy,
@@ -219,6 +258,17 @@ impl fmt::Display for PlanError {
             PlanError::NotApplicable { strategy, reason } => {
                 write!(f, "strategy {strategy} cannot run this request: {reason}")
             }
+            PlanError::TooManyOrderClasses {
+                pattern,
+                nodes,
+                automorphisms,
+                classes,
+            } => write!(
+                f,
+                "pattern {pattern:?} (p = {nodes}, |Aut| = {automorphisms}) has {classes} CQ \
+                 order classes (p!/|Aut|); one conjunctive query is built per class, and the \
+                 limit is {MAX_ORDER_CLASSES}"
+            ),
             PlanError::NoApplicableStrategy => {
                 write!(f, "no registered strategy can run this request")
             }

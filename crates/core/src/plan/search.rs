@@ -5,7 +5,8 @@
 //! An 8-node pattern like `hypercube3` has `8!/48 = 840` order classes, and
 //! scoring each one means a full share optimization — the reason `explain`
 //! on big patterns used to take seconds. The search here walks the canonical
-//! prefix tree instead ([`subgraph_pattern::automorphism::is_canonical_prefix`]):
+//! prefix tree instead
+//! ([`subgraph_pattern::automorphism::AutomorphismGroup::is_canonical_prefix`]):
 //! partial orderings grow one node at a time, each prefix is lower-bounded by
 //! the Section-5 Shares communication expression of its decided edges
 //! ([`subgraph_shares::partial_cost_expression`] — admissible and monotone,
@@ -26,7 +27,7 @@
 use std::collections::HashMap;
 use subgraph_cq::PartialCq;
 use subgraph_pattern::automorphism::{
-    automorphism_group, is_canonical_prefix, representatives_for_group, NodeOrdering, Permutation,
+    automorphism_group, representatives_for_group, AutomorphismGroup, NodeOrdering,
 };
 use subgraph_pattern::{PatternNode, SampleGraph};
 use subgraph_shares::dominance::single_cq_expression_with_dominance;
@@ -69,11 +70,6 @@ pub struct ClassSearch {
     pub total_classes: usize,
 }
 
-/// `p! / |Aut|` without overflow worries (patterns are at most a few nodes).
-fn quotient_size(p: usize, aut: usize) -> usize {
-    (1..=p).product::<usize>() / aut
-}
-
 /// Searches the order classes of `sample` for the cheapest CQ at reducer
 /// budget `k`, in the requested mode. Both modes visit class representatives
 /// in lexicographic order and resolve cost ties toward the earlier class, so
@@ -81,15 +77,21 @@ fn quotient_size(p: usize, aut: usize) -> usize {
 /// their costs bitwise.
 pub fn search_order_classes(sample: &SampleGraph, k: f64, mode: SearchMode) -> ClassSearch {
     let autos = automorphism_group(sample);
-    let total = quotient_size(sample.num_nodes(), autos.len());
+    let total =
+        usize::try_from(autos.order_classes()).expect("at most 16! order classes fit a usize");
     match mode {
         SearchMode::Exhaustive => exhaustive(sample, k, &autos, total),
         SearchMode::BranchAndBound => branch_and_bound(sample, k, &autos, total),
     }
 }
 
-fn exhaustive(sample: &SampleGraph, k: f64, autos: &[Permutation], total: usize) -> ClassSearch {
-    let reps = representatives_for_group(sample.num_nodes(), autos);
+fn exhaustive(
+    sample: &SampleGraph,
+    k: f64,
+    autos: &AutomorphismGroup<'_>,
+    total: usize,
+) -> ClassSearch {
+    let reps = representatives_for_group(autos);
     debug_assert_eq!(reps.len(), total);
     let mut per_class_costs = Vec::with_capacity(reps.len());
     let mut winner = 0usize;
@@ -119,7 +121,6 @@ fn exhaustive(sample: &SampleGraph, k: f64, autos: &[Permutation], total: usize)
 
 struct BoundedSearch<'s> {
     sample: &'s SampleGraph,
-    autos: &'s [Permutation],
     k: f64,
     /// Solver results keyed by expression signature — the per-orbit memo
     /// (symmetric prefixes share a signature, so each orbit's expression is
@@ -147,7 +148,8 @@ impl BoundedSearch<'_> {
         cost
     }
 
-    fn descend(&mut self, partial: &mut PartialCq<'_>) {
+    /// `stabilizer` is the pointwise stabilizer of the current prefix.
+    fn descend(&mut self, stabilizer: &AutomorphismGroup<'_>, partial: &mut PartialCq<'_>) {
         if partial.is_complete() {
             // The prefix bound at a leaf *is* the leaf's true optimized cost
             // (every edge decided), so no separate solve is needed.
@@ -163,24 +165,25 @@ impl BoundedSearch<'_> {
             return;
         }
         for v in 0..self.sample.num_nodes() as PatternNode {
-            if partial.prefix().contains(&v) {
+            // Only canonical prefixes can extend to class representatives
+            // (the orbit pruning): the prefix so far is canonical, so the
+            // child is iff `v` is the least of its orbit under the prefix's
+            // stabilizer.
+            if partial.prefix().contains(&v) || !stabilizer.is_orbit_minimum(v) {
                 continue;
             }
             partial.push(v);
-            // Only canonical prefixes can extend to class representatives
-            // (the orbit pruning); among those, prune any branch whose lower
-            // bound cannot strictly beat the incumbent — the `>=` mirrors the
-            // exhaustive loop's first-wins tie-break, so an equal-cost later
-            // class never displaces the winner there either.
-            if is_canonical_prefix(self.autos, partial.prefix()) {
-                let best = self.incumbent.as_ref().map(|(_, cost)| *cost);
-                let prune = match best {
-                    Some(best) => self.bound(partial) >= best,
-                    None => false,
-                };
-                if !prune {
-                    self.descend(partial);
-                }
+            // Prune any branch whose lower bound cannot strictly beat the
+            // incumbent — the `>=` mirrors the exhaustive loop's first-wins
+            // tie-break, so an equal-cost later class never displaces the
+            // winner there either.
+            let best = self.incumbent.as_ref().map(|(_, cost)| *cost);
+            let prune = match best {
+                Some(best) => self.bound(partial) >= best,
+                None => false,
+            };
+            if !prune {
+                self.descend(&stabilizer.stabilizer(v), partial);
             }
             partial.pop();
         }
@@ -190,19 +193,18 @@ impl BoundedSearch<'_> {
 fn branch_and_bound(
     sample: &SampleGraph,
     k: f64,
-    autos: &[Permutation],
+    autos: &AutomorphismGroup<'_>,
     total: usize,
 ) -> ClassSearch {
     let mut search = BoundedSearch {
         sample,
-        autos,
         k,
         memo: HashMap::new(),
         incumbent: None,
         classes_scored: 0,
     };
     let mut partial = PartialCq::new(sample);
-    search.descend(&mut partial);
+    search.descend(autos, &mut partial);
     let (winner, winner_cost) = search
         .incumbent
         .expect("the leftmost canonical branch always reaches a leaf before any pruning");
@@ -286,17 +288,15 @@ mod tests {
         // hypercube3: 840 classes, one expression orbit — the whole search
         // performs a single share optimization.
         let sample = catalog::by_name("hypercube3").unwrap();
-        let autos = automorphism_group(&sample);
         let mut search = BoundedSearch {
             sample: &sample,
-            autos: &autos,
             k: 750.0,
             memo: HashMap::new(),
             incumbent: None,
             classes_scored: 0,
         };
         let mut partial = PartialCq::new(&sample);
-        search.descend(&mut partial);
+        search.descend(&automorphism_group(&sample), &mut partial);
         assert_eq!(search.memo.len(), 1);
         assert_eq!(search.classes_scored, 1);
     }

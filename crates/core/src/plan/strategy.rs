@@ -186,6 +186,17 @@ fn is_triangle(sample: &SampleGraph) -> bool {
     sample.num_nodes() == 3 && sample.num_edges() == 3
 }
 
+/// Applicability of the strategies that evaluate the Theorem 3.1 CQ
+/// collection (bucket-, variable- and CQ-oriented processing): the pattern
+/// needs an edge, and few enough order classes to build one CQ — or one
+/// [`RoundCost`] — per class.
+fn one_cq_per_order_class(request: &EnumerationRequest<'_>) -> Result<(), String> {
+    if request.sample().num_edges() == 0 {
+        return Err("the sample graph has no edges".into());
+    }
+    request.check_order_classes().map_err(|e| e.to_string())
+}
+
 /// Largest `b >= 1` such that the hash-ordered scheme's useful-reducer count
 /// `C(b + p - 1, p)` (Theorem 4.2) stays within the budget `k`.
 pub(crate) fn buckets_for_budget(p: usize, k: usize) -> usize {
@@ -293,10 +304,7 @@ impl Strategy for BucketOriented {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if request.sample().num_edges() == 0 {
-            return Err("the sample graph has no edges".into());
-        }
-        Ok(())
+        one_cq_per_order_class(request)
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
@@ -345,10 +353,7 @@ impl Strategy for VariableOriented {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if request.sample().num_edges() == 0 {
-            return Err("the sample graph has no edges".into());
-        }
-        Ok(())
+        one_cq_per_order_class(request)
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
@@ -427,10 +432,7 @@ impl Strategy for CqOriented {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if request.sample().num_edges() == 0 {
-            return Err("the sample graph has no edges".into());
-        }
-        Ok(())
+        one_cq_per_order_class(request)
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {

@@ -8,9 +8,10 @@
 //! * [`catalog`] — the named sample graphs the paper uses: triangle, square
 //!   (Fig. 3), lollipop (Fig. 4), cycles `C_p` (Fig. 8), cliques, stars, paths
 //!   and hypercubes.
-//! * [`automorphism`] — the automorphism group `Aut(S)` computed by brute force
-//!   over the symmetric group `S_p`, plus the coset representatives of
-//!   `S_p / Aut(S)` that Theorem 3.1 turns into conjunctive queries.
+//! * [`automorphism`] — the automorphism group `Aut(S)` as a stabilizer chain
+//!   found by backtracking over the graph (its order and orbits, never its
+//!   elements), plus the coset representatives of `S_p / Aut(S)` that
+//!   Theorem 3.1 turns into conjunctive queries.
 //! * [`decompose`] — decompositions of `S` into node-disjoint pieces that are
 //!   single edges, odd-length Hamilton-cycle subgraphs, or isolated nodes, as
 //!   required by Theorem 7.2 for worst-case-optimal serial algorithms.
@@ -28,7 +29,7 @@ pub mod instance;
 pub mod sample;
 pub mod spec;
 
-pub use automorphism::{automorphism_group, order_representatives, Permutation};
+pub use automorphism::{automorphism_group, order_representatives, AutomorphismGroup, Permutation};
 pub use instance::Instance;
 pub use sample::{PatternNode, SampleGraph};
 pub use spec::{normalize_spec_text, parse_spec, SpecError};

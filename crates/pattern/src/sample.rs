@@ -8,11 +8,12 @@ pub type PatternNode = u8;
 
 /// Maximum number of nodes a sample graph may have.
 ///
-/// Every analysis in this workspace (automorphism groups, order
-/// representatives, cycle run-sequences) is exhaustive over permutations or
-/// subsets of the pattern nodes, which is exactly what the paper does: sample
-/// graphs are "typically very small" (Section 3, Remark). Sixteen keeps `p!`
-/// far from overflow while being well beyond any pattern in the paper.
+/// Adjacency rows are `u16` bitmasks, and several analyses in this workspace
+/// (isomorphism, cycle run-sequences, decompositions) are exhaustive over
+/// permutations or subsets of the pattern nodes, which is exactly what the
+/// paper does: sample graphs are "typically very small" (Section 3, Remark).
+/// Sixteen keeps `p!` far from overflow while being well beyond any pattern
+/// in the paper.
 pub const MAX_PATTERN_NODES: usize = 16;
 
 /// A simple undirected sample graph on `p ≤ MAX_PATTERN_NODES` nodes.
@@ -91,6 +92,11 @@ impl SampleGraph {
             && (u as usize) < self.num_nodes
             && (v as usize) < self.num_nodes
             && (self.adj[u as usize] >> v) & 1 == 1
+    }
+
+    /// Adjacency bitmask of node `v`: bit `u` is set iff `{u, v}` is an edge.
+    pub(crate) fn adjacency(&self, v: PatternNode) -> u16 {
+        self.adj[v as usize]
     }
 
     /// Degree of node `v`.

@@ -212,7 +212,7 @@ pub struct QueryOutcome {
     /// The strategy that ran.
     pub strategy: StrategyKind,
     /// Order of the pattern's automorphism group `|Aut(S)|`.
-    pub automorphisms: usize,
+    pub automorphisms: u128,
     /// Wall-clock execution time (excludes response serialization only in
     /// count mode, where there is nothing to serialize).
     pub elapsed: Duration,
@@ -324,7 +324,7 @@ impl QueryEngine {
             engine = engine.spill_dir(dir.clone());
         }
         request = request.engine(engine);
-        let automorphisms = automorphism_group(request.sample()).len();
+        let automorphisms = automorphism_group(request.sample()).order();
 
         // Plan-cache consultation: a hit resumes with zero re-estimation, a
         // miss pays for planning once and publishes the decision.

@@ -206,6 +206,40 @@ fn bad_requests_are_answered_400_in_band() {
 }
 
 #[test]
+fn twelve_node_patterns_answer_within_the_request_timeout() {
+    // The handler reads |Aut| before the plan-cache lookup on every request.
+    // As a list of elements that was 12! permutations for either pattern
+    // here; as a stabilizer chain it is microseconds, so both answer long
+    // before the client's read timeout — and a pattern past the order-class
+    // limit is a prompt 400 naming the reason, not a hung worker.
+    let engine = QueryEngine::new(GraphStore::from_graph(generators::gnm(40, 50, 3)), 8, 1);
+    let config = ServerConfig {
+        listen: Some("127.0.0.1:0".to_string()),
+        pool: 1,
+        ..ServerConfig::default()
+    };
+    let server = spawn(engine, &config).expect("server starts");
+    let addr = server.tcp_addr().unwrap();
+    let timeout = config.read_timeout.expect("the default config has one");
+    for (pattern, automorphisms) in [("star12", "39916800"), ("k12", "479001600")] {
+        let started = std::time::Instant::now();
+        let resp = client::get(&addr, &format!("/query?pattern={pattern}")).unwrap();
+        assert!(started.elapsed() < timeout, "{pattern}");
+        assert_eq!(resp.status, 200, "{pattern} => {}", resp.text());
+        let body = resp.text();
+        assert!(body.contains("\"count\":0"), "{body}");
+        let field = format!("\"automorphisms\":{automorphisms}");
+        assert!(body.contains(&field), "{body}");
+    }
+    for pattern in ["hypercube4", "c16"] {
+        let resp = client::get(&addr, &format!("/query?pattern={pattern}")).unwrap();
+        assert_eq!(resp.status, 400, "{pattern} => {}", resp.text());
+        assert!(resp.text().contains("order classes"), "{}", resp.text());
+    }
+    server.shutdown();
+}
+
+#[test]
 fn shutdown_frees_the_port() {
     let server = start(4, 1, 1);
     let addr: SocketAddr = server.tcp_addr().unwrap();
