@@ -26,46 +26,17 @@ fn main() {
                     .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
                 print!("{}", report.table());
             }
-            "plan-gate" => match planner_table::plan_gate() {
-                Ok(table) => print!("{table}"),
-                Err(report) => {
-                    eprint!("{report}");
-                    std::process::exit(1);
-                }
-            },
+            "plan-gate" => gate(planner_table::plan_gate()),
             "kernel" => print!("{}", subgraph_bench::kernel_bench::run_and_record().table()),
-            "kernel-gate" => match subgraph_bench::kernel_bench::kernel_gate() {
-                Ok(table) => print!("{table}"),
-                Err(report) => {
-                    eprint!("{report}");
-                    std::process::exit(1);
-                }
-            },
+            "kernel-gate" => gate(subgraph_bench::kernel_bench::kernel_gate()),
+            "sink-gate" => gate(subgraph_bench::sink_gate::sink_gate()),
             "shuffle" => print!("{}", subgraph_bench::shuffle::shuffle_throughput(false)),
             "shuffle-quick" => print!("{}", subgraph_bench::shuffle::shuffle_throughput(true)),
-            "shuffle-gate" => match subgraph_bench::shuffle::shuffle_gate() {
-                Ok(table) => print!("{table}"),
-                Err(report) => {
-                    eprint!("{report}");
-                    std::process::exit(1);
-                }
-            },
+            "shuffle-gate" => gate(subgraph_bench::shuffle::shuffle_gate()),
             "sink" => print!("{}", subgraph_bench::sink_bench::sink_throughput(false)),
             "sink-quick" => print!("{}", subgraph_bench::sink_bench::sink_throughput(true)),
-            "rss-gate" => match subgraph_bench::sink_bench::rss_gate() {
-                Ok(report) => print!("{report}"),
-                Err(report) => {
-                    eprint!("{report}");
-                    std::process::exit(1);
-                }
-            },
-            "spill-gate" => match subgraph_bench::sink_bench::spill_gate() {
-                Ok(report) => print!("{report}"),
-                Err(report) => {
-                    eprint!("{report}");
-                    std::process::exit(1);
-                }
-            },
+            "rss-gate" => gate(subgraph_bench::sink_bench::rss_gate()),
+            "spill-gate" => gate(subgraph_bench::sink_bench::spill_gate()),
             "serve" => print!("{}", subgraph_bench::serve_bench::serve_amortization(false)),
             "serve-quick" => print!("{}", subgraph_bench::serve_bench::serve_amortization(true)),
             "cli" => print!("{}", cli_table::cli_parity()),
@@ -96,6 +67,17 @@ fn main() {
     }
 }
 
+/// Prints a gate's table; on failure prints its report to stderr and exits 1.
+fn gate(outcome: Result<String, String>) {
+    match outcome {
+        Ok(table) => print!("{table}"),
+        Err(report) => {
+            eprint!("{report}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn print_usage() {
     eprintln!(
         "usage: reproduce <target> [<target> ...]\n\
@@ -112,6 +94,9 @@ fn print_usage() {
          the generic oracle (writes BENCH_kernel.json)\n  \
          kernel-gate           the same as a CI gate: kernel >= 3x the generic oracle on the square \
          input, identical counts (exits 1 on regression)\n  \
+         sink-gate             text-sink CI gate: the triangle plan enumerated to ndjson takes at \
+         most 2x the same plan counted (median of 5 alternating runs) and writes one line per \
+         oracle instance (exits 1 on regression)\n  \
          shuffle               engine shuffle throughput sweep (writes BENCH_shuffle.json)\n  \
          shuffle-quick         the same sweep in CI smoke mode\n  \
          shuffle-gate          quick sweep + multi-core scaling assertion (CI gate; \

@@ -31,6 +31,7 @@
 //! | streaming-sink sweep (count-only, ≥ 1M edges, peak RSS) | [`sink_bench::sink_throughput`] |
 //! | serve amortization (warm cached queries vs one-shot) | [`serve_bench::serve_amortization`] |
 //! | reduce kernel (local-graph build + compiled join vs the generic oracle) | [`kernel_bench::kernel_timing`] |
+//! | text-sink gate (ndjson enumerate vs count of one plan, a ratio) | [`sink_gate::sink_gate`] |
 //! | CLI parity (`enumerate \| wc -l` vs `count`) | [`cli_table::cli_parity`] |
 //!
 //! The measured columns drive every algorithm through the
@@ -50,6 +51,7 @@ pub mod serve_bench;
 pub mod share_tables;
 pub mod shuffle;
 pub mod sink_bench;
+pub mod sink_gate;
 
 /// Runs every reproduction and concatenates the reports (the `all` subcommand).
 pub fn run_all() -> String {

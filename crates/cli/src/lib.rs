@@ -10,7 +10,9 @@
 //!   [`EnumerationRequest`] for a catalog pattern, and stream every instance
 //!   through a serializing sink ([`NdjsonSink`], [`CsvSink`],
 //!   [`EdgeListSink`]) to a file or stdout. No `Vec<Instance>` is ever
-//!   materialized.
+//!   materialized: a serial plan writes record by record, and on a
+//!   map-reduce plan each reduce worker formats its instances into a byte
+//!   buffer that is written when the round ends (O(output bytes) held).
 //! * `count` — the same plan through the zero-allocation
 //!   [`subgraph_core::CountSink`] path: one number out, O(1) result memory.
 //! * `explain` — print the planner's cost table

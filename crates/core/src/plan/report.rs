@@ -229,10 +229,12 @@ impl RunReport {
     /// Each map-reduce round lists its shipped pairs, the reducer keys it used
     /// out of those its key space holds, the bytes per record the arena
     /// really carried against the bytes the cost model prices, and the
-    /// wall-clock of its map, exchange and reduce phases (grouping and the
-    /// reducers' join both fall in `reduce`). Serial strategies render
-    /// without the map-reduce counters; streamed and collected runs both
-    /// describe their output honestly (via [`RunReport::describe_output`]).
+    /// wall-clock of its map, exchange, reduce and sink-fold phases (grouping
+    /// and the reducers' join both fall in `reduce`; `sink fold` is the
+    /// coordinator handing the workers' output shards to the sink). Serial
+    /// strategies render without the map-reduce counters; streamed and
+    /// collected runs both describe their output honestly (via
+    /// [`RunReport::describe_output`]).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -270,10 +272,11 @@ impl RunReport {
                 }
                 out.push('\n');
                 out.push_str(&format!(
-                    "            map {:.1} ms, exchange {:.1} ms, reduce {:.1} ms\n",
+                    "            map {:.1} ms, exchange {:.1} ms, reduce {:.1} ms, sink fold {:.1} ms\n",
                     millis(m.map_time),
                     millis(m.shuffle_time),
                     millis(m.reduce_time),
+                    millis(m.sink_fold_time),
                 ));
             }
         }
@@ -416,6 +419,7 @@ mod tests {
                         map_time: std::time::Duration::from_micros(1_500),
                         shuffle_time: std::time::Duration::from_micros(20),
                         reduce_time: std::time::Duration::from_millis(12),
+                        sink_fold_time: std::time::Duration::from_micros(2_300),
                         ..JobMetrics::default()
                     },
                 )
@@ -427,7 +431,7 @@ mod tests {
         assert!(text.contains("42 pairs shipped (45 emitted before combining, 840 bytes)"));
         assert!(text.contains("round bucket-oriented"));
         assert!(text.contains("keys 9/56, wire 7.5 B/rec vs priced 20.0 B/rec"));
-        assert!(text.contains("map 1.5 ms, exchange 0.0 ms, reduce 12.0 ms"));
+        assert!(text.contains("map 1.5 ms, exchange 0.0 ms, reduce 12.0 ms, sink fold 2.3 ms"));
         assert!(!text.contains("duplicate discoveries"));
     }
 }

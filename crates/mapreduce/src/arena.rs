@@ -528,12 +528,14 @@ fn arena_exchange_reduce<I, K, V, O>(
         .max()
         .unwrap_or(Duration::ZERO);
 
+    let fold_start = Instant::now();
     for (outcome, bytes, _) in reduced {
         metrics.shuffle_bytes += bytes;
         metrics.reducer_work += outcome.work;
         metrics.outputs += outcome.emitted;
         sink.fold(outcome.shard);
     }
+    metrics.sink_fold_time = fold_start.elapsed();
     if let Some(spill) = spill {
         metrics.spilled_bytes = spill.spilled_bytes.load(Ordering::Relaxed);
         metrics.wire_bytes.0 += metrics.spilled_bytes;

@@ -74,6 +74,13 @@ pub struct JobMetrics {
     /// Wall-clock time of the reduce phase (per-worker grouping, key sorting
     /// and reducer invocations).
     pub reduce_time: Duration,
+    /// Wall-clock time the coordinator spent folding the finished worker
+    /// shards back into the output sink ([`crate::sink::OutputSink::fold`]),
+    /// after the reduce phase: for a sink whose shards did their work on the
+    /// reduce workers this is a hand-over, for a buffering shard it is the
+    /// whole serial replay. A phase of its own, outside
+    /// [`JobMetrics::reduce_time`].
+    pub sink_fold_time: Duration,
     /// Payload bytes of sealed arena chunks written to spill run files when a
     /// [`crate::EngineConfig::memory_budget`] is in force. Exactly 0 when no
     /// spill occurred (the unbudgeted in-memory path never touches disk).
@@ -140,9 +147,24 @@ impl JobMetrics {
         self.partition_time += other.partition_time;
         self.shuffle_time += other.shuffle_time;
         self.reduce_time += other.reduce_time;
+        self.sink_fold_time += other.sink_fold_time;
         self.spilled_bytes += other.spilled_bytes;
         self.spill_runs += other.spill_runs;
         self.spill_read_secs += other.spill_read_secs;
+    }
+
+    /// The counters alone: a copy with every wall-clock field zeroed, so two
+    /// runs of one job compare equal counter for counter.
+    pub fn without_timings(&self) -> JobMetrics {
+        JobMetrics {
+            map_time: Duration::ZERO,
+            partition_time: Duration::ZERO,
+            shuffle_time: Duration::ZERO,
+            reduce_time: Duration::ZERO,
+            sink_fold_time: Duration::ZERO,
+            spill_read_secs: Duration::ZERO,
+            ..self.clone()
+        }
     }
 
     /// Mean reducer input size.
@@ -167,7 +189,7 @@ impl JobMetrics {
 
     /// Total wall-clock time of the round.
     pub fn total_time(&self) -> Duration {
-        self.map_time + self.shuffle_time + self.reduce_time
+        self.map_time + self.shuffle_time + self.reduce_time + self.sink_fold_time
     }
 }
 

@@ -907,11 +907,13 @@ where
     // Fold the worker shards back into the sink, in worker order — for a
     // collecting sink this is the old reserve-and-append merge; for a
     // counting sink no record was ever buffered anywhere.
+    let fold_start = Instant::now();
     for outcome in reduced {
         metrics.reducer_work += outcome.work;
         metrics.outputs += outcome.emitted;
         sink.fold(outcome.shard);
     }
+    metrics.sink_fold_time = fold_start.elapsed();
     metrics
 }
 
@@ -1226,11 +1228,13 @@ where
         .max()
         .unwrap_or(0);
 
+    let fold_start = Instant::now();
     for outcome in reduced {
         metrics.reducer_work += outcome.work;
         metrics.outputs += outcome.emitted;
         sink.fold(outcome.shard);
     }
+    metrics.sink_fold_time = fold_start.elapsed();
     metrics
 }
 
@@ -1454,15 +1458,7 @@ mod tests {
         report
             .rounds
             .iter()
-            .map(|round| {
-                let mut metrics = round.metrics.clone();
-                metrics.map_time = Duration::ZERO;
-                metrics.partition_time = Duration::ZERO;
-                metrics.shuffle_time = Duration::ZERO;
-                metrics.reduce_time = Duration::ZERO;
-                metrics.spill_read_secs = Duration::ZERO;
-                (round.name.clone(), metrics)
-            })
+            .map(|round| (round.name.clone(), round.metrics.without_timings()))
             .collect()
     }
 

@@ -453,12 +453,8 @@ fn parallel_shuffle_repeats_exactly_and_counters_ignore_thread_count() {
 
 /// Zeroes the timing fields and the spill-only counters, leaving every count
 /// that the cross-budget parity contract pins.
-fn spill_invariant_counters(mut metrics: JobMetrics) -> JobMetrics {
-    metrics.map_time = std::time::Duration::ZERO;
-    metrics.partition_time = std::time::Duration::ZERO;
-    metrics.shuffle_time = std::time::Duration::ZERO;
-    metrics.reduce_time = std::time::Duration::ZERO;
-    metrics.spill_read_secs = std::time::Duration::ZERO;
+fn spill_invariant_counters(metrics: JobMetrics) -> JobMetrics {
+    let mut metrics = metrics.without_timings();
     metrics.spilled_bytes = 0;
     metrics.spill_runs = 0;
     metrics

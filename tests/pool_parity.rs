@@ -16,7 +16,6 @@
 //!    `EnumerationRequest` counts the same on both executors.
 
 use std::sync::Arc;
-use std::time::Duration;
 use subgraph_mr::mapreduce::{
     EngineConfig, JobMetrics, MapContext, Pipeline, PipelineReport, ReduceContext, Round,
     WorkerPool,
@@ -48,14 +47,7 @@ fn counters_of(report: &PipelineReport) -> Vec<(String, JobMetrics)> {
     report
         .rounds
         .iter()
-        .map(|round| {
-            let mut metrics = round.metrics.clone();
-            metrics.map_time = Duration::ZERO;
-            metrics.partition_time = Duration::ZERO;
-            metrics.shuffle_time = Duration::ZERO;
-            metrics.reduce_time = Duration::ZERO;
-            (round.name.clone(), metrics)
-        })
+        .map(|round| (round.name.clone(), round.metrics.without_timings()))
         .collect()
 }
 
@@ -158,7 +150,6 @@ fn counters_sans_spill(report: &PipelineReport) -> Vec<(String, JobMetrics)> {
         .map(|(name, mut metrics)| {
             metrics.spilled_bytes = 0;
             metrics.spill_runs = 0;
-            metrics.spill_read_secs = Duration::ZERO;
             (name, metrics)
         })
         .collect()

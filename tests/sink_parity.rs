@@ -13,6 +13,10 @@
 //! 3. **Callback order** — under a deterministic engine config, an `FnSink`
 //!    sees the exact instance order `execute()` returns.
 //!
+//! 4. **Text sinks** — ndjson, csv and edge-list written through their
+//!    per-worker byte shards are byte for byte what buffering the instances
+//!    and replaying them through `accept` writes.
+//!
 //! Plus the large-graph acceptance check: a count-only triangle run on a
 //! graph with ≥ 1M edges goes through an *instrumented* sink that proves the
 //! final round streamed through per-worker shards (no instance ever hit a
@@ -20,7 +24,7 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::time::Duration;
+use subgraph_mr::core::sink::{Csv, EdgeList, Ndjson, TextFormat, TextSink};
 use subgraph_mr::mapreduce::sink::SinkShard;
 use subgraph_mr::prelude::*;
 
@@ -73,21 +77,10 @@ fn plan_for<'g>(
         .unwrap_or_else(|e| panic!("{kind} should apply: {e}"))
 }
 
-/// `JobMetrics` with wall-clock timings zeroed so two runs compare counter
-/// for counter.
-fn counters(metrics: &JobMetrics) -> JobMetrics {
-    let mut flat = metrics.clone();
-    flat.map_time = Duration::ZERO;
-    flat.partition_time = Duration::ZERO;
-    flat.shuffle_time = Duration::ZERO;
-    flat.reduce_time = Duration::ZERO;
-    flat
-}
-
 fn assert_same_metrics(streamed: &RunReport, collected: &RunReport, context: &str) {
     assert_eq!(
-        streamed.metrics.as_ref().map(counters),
-        collected.metrics.as_ref().map(counters),
+        streamed.metrics.as_ref().map(JobMetrics::without_timings),
+        collected.metrics.as_ref().map(JobMetrics::without_timings),
         "{context}: combined metrics diverge between sink and collect paths"
     );
     assert_eq!(
@@ -98,8 +91,8 @@ fn assert_same_metrics(streamed: &RunReport, collected: &RunReport, context: &st
     for (s, c) in streamed.round_metrics.iter().zip(&collected.round_metrics) {
         assert_eq!(s.name, c.name, "{context}");
         assert_eq!(
-            counters(&s.metrics),
-            counters(&c.metrics),
+            s.metrics.without_timings(),
+            c.metrics.without_timings(),
             "{context}: round {}",
             s.name
         );
@@ -113,14 +106,13 @@ fn assert_same_metrics(streamed: &RunReport, collected: &RunReport, context: &st
     );
 }
 
-/// [`counters`] with the spill counters also flattened — for comparing a
+/// The counters with the spill counters also flattened — for comparing a
 /// budgeted run against an unbudgeted baseline, where the spill counters are
 /// the one permitted difference.
 fn counters_without_spill(metrics: &JobMetrics) -> JobMetrics {
-    let mut flat = counters(metrics);
+    let mut flat = metrics.without_timings();
     flat.spilled_bytes = 0;
     flat.spill_runs = 0;
-    flat.spill_read_secs = Duration::ZERO;
     flat
 }
 
@@ -183,6 +175,48 @@ fn fn_sink_sees_the_exact_deterministic_order() {
                 }
                 assert_eq!(seen, legacy, "{context}");
             }
+        }
+    }
+}
+
+/// The bytes `plan` writes into format `F` through the engine, and the bytes
+/// of the buffer-and-replay path the text sinks used to take: collect the
+/// same plan's instances, then `accept` them one by one.
+fn assert_shards_match_replay<F: TextFormat>(plan: &ExecutionPlan<'_>, context: &str) {
+    let mut streamed = Vec::new();
+    let mut sink = TextSink::<F, _>::new(&mut streamed);
+    let report = plan.run_with_sink(&mut sink);
+    assert_eq!(sink.finish().unwrap(), report.count(), "{context}");
+
+    let mut collected = CollectSink::new();
+    plan.run_with_sink(&mut collected);
+    let mut replayed = Vec::new();
+    let mut sink = TextSink::<F, _>::new(&mut replayed);
+    for instance in collected.into_items() {
+        sink.accept(instance);
+    }
+    assert_eq!(sink.finish().unwrap(), report.count(), "{context}");
+    assert!(
+        streamed == replayed,
+        "{context}: {} streamed bytes differ from {} replayed",
+        streamed.len(),
+        replayed.len()
+    );
+}
+
+#[test]
+fn text_sinks_write_the_bytes_of_buffer_and_replay() {
+    let graph = generators::power_law(150, 700, 2.2, 21_100);
+    for (name, sample) in patterns() {
+        for threads in [1, 2, 4] {
+            let plan = plan_for(&sample, &graph, StrategyKind::BucketOriented, 64, threads);
+            assert!(
+                plan.count().count() > 100,
+                "{name}: a result worth sharding"
+            );
+            assert_shards_match_replay::<Ndjson>(&plan, &format!("{name} ndjson x{threads}"));
+            assert_shards_match_replay::<Csv>(&plan, &format!("{name} csv x{threads}"));
+            assert_shards_match_replay::<EdgeList>(&plan, &format!("{name} edges x{threads}"));
         }
     }
 }
