@@ -90,10 +90,12 @@ fn print_usage() {
          plan-gate             the same sweep as a CI gate: hypercube3 must plan within \
          50 ms, star10 faster than hypercube3, star9->star10 and k8->k9 at most 3x (release), \
          and both search modes must agree (exits 1 on regression)\n  \
-         kernel                reduce kernel: one reducer's local-graph build and compiled join vs \
-         the generic oracle (writes BENCH_kernel.json)\n  \
-         kernel-gate           the same as a CI gate: kernel >= 3x the generic oracle on the square \
-         input, identical counts (exits 1 on regression)\n  \
+         kernel                reduce kernel: one reducer's local-graph build and its join, by the \
+         one symmetry-broken plan and by the per-CQ plans, vs the generic oracle (writes \
+         BENCH_kernel.json)\n  \
+         kernel-gate           the same as a CI gate: identical counts, one plan <= per-CQ plans in \
+         candidates and (release) time, kernel >= 3x the generic oracle on the square input \
+         (exits 1 on regression)\n  \
          sink-gate             text-sink CI gate: the triangle plan enumerated to ndjson takes at \
          most 2x the same plan counted (median of 5 alternating runs) and writes one line per \
          oracle instance (exits 1 on regression)\n  \

@@ -179,3 +179,53 @@ fn served_streams_match_the_one_shot_cli_byte_for_byte() {
     );
     server.shutdown();
 }
+
+/// Runs the `subgraph` binary itself: exit code and stderr.
+fn subgraph(args: &[&str]) -> (Option<i32>, String) {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_subgraph"))
+        .args(args)
+        .output()
+        .expect("the subgraph binary runs");
+    assert!(
+        output.stdout.is_empty(),
+        "a refusal prints nothing to stdout"
+    );
+    (
+        output.status.code(),
+        String::from_utf8(output.stderr).unwrap(),
+    )
+}
+
+/// A reducer budget no key space exists for is a named runtime failure
+/// (exit code 1) at planning time, not a panic inside the round.
+#[test]
+fn a_budget_past_the_key_space_is_refused_by_name() {
+    let too_large = "the key space exceeds u32::MAX keys or 268435456 table entries";
+    let run = |pattern: &str, forced: &[&str]| {
+        let mut args = vec!["count", "--generate", "gnm:100,200,1", "--pattern", pattern];
+        args.extend(["--reducers", "4000000000"]);
+        args.extend(forced);
+        subgraph(&args)
+    };
+    for strategy in ["bucket-oriented", "variable-oriented", "cq-oriented"] {
+        let pattern = if strategy == "bucket-oriented" {
+            "c5"
+        } else {
+            "hypercube3"
+        };
+        let (code, stderr) = run(pattern, &["--strategy", strategy]);
+        assert_eq!(code, Some(1), "{strategy}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: strategy {strategy} cannot run this request: {too_large}\n"),
+        );
+    }
+    // Unforced, the planner falls through the candidates; hypercube3 at this
+    // budget runs out of them.
+    let (code, stderr) = run("hypercube3", &[]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "error: no registered strategy can run this request\n"
+    );
+}

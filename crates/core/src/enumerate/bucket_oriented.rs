@@ -12,14 +12,23 @@
 //! join: a variable may bind to a node only while the buckets bound so far
 //! stay a sub-multiset of the key, so partial matches another reducer owns
 //! are cut at the first node that gives them away.
+//!
+//! "All CQs" is one join, not `p!/|Aut|`: a reducer holds every edge among
+//! its nodes in whatever orientation, so the union of the Theorem 3.1 order
+//! classes — every injective assignment, once per automorphism orbit — is one
+//! match over unoriented edges under the group's symmetry-breaking
+//! comparisons ([`sample_plan`]). Variable- and CQ-oriented reducers cannot
+//! do the same: their mappers ship an edge only in the orientations their
+//! queries use (Section 4.3), so another transversal of the orbits could
+//! need a record that was never sent.
 
 use super::KeySpace;
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
-use subgraph_cq::{cqs_for_sample, ConjunctiveQuery, JoinPlan, LocalGraph};
+use subgraph_cq::{ConjunctiveQuery, JoinPlan, LocalGraph};
 use subgraph_graph::{BucketThenIdOrder, DataGraph, Edge};
 use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
-use subgraph_pattern::{Instance, SampleGraph};
+use subgraph_pattern::{automorphism_group, Instance, PatternNode, SampleGraph};
 
 /// Bytes one shuffled record occupies for a `p`-variable bucket-multiset key
 /// plus an edge value — shared by the engine weigher and the planner's byte
@@ -96,6 +105,13 @@ impl BucketQuota {
     }
 }
 
+/// The one join a bucket-oriented reducer runs for `sample`: its edges,
+/// unoriented, under the symmetry-breaking comparisons of its group.
+pub fn sample_plan(sample: &SampleGraph) -> JoinPlan {
+    let lts = automorphism_group(sample).symmetry_breaking();
+    JoinPlan::compile_unoriented(sample.num_nodes(), sample.edges(), &lts)
+}
+
 /// Runs bucket-oriented enumeration of `sample` over `graph` with `b`
 /// buckets, streaming every instance into `sink`.
 ///
@@ -109,12 +125,47 @@ pub(crate) fn run_bucket_oriented(
     config: &EngineConfig,
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
-    let cqs = cqs_for_sample(sample);
-    bucket_oriented_with_cqs_into(sample.num_nodes(), &cqs, graph, b, config, sink)
+    let space = KeySpace::multisets(b, sample.num_nodes())
+        .expect("the planner offers bucket-oriented processing only where its key space exists");
+    // `sample_plan`, keeping what the run report says about it.
+    let group = automorphism_group(sample);
+    let lts = group.symmetry_breaking();
+    let plan = JoinPlan::compile_unoriented(sample.num_nodes(), sample.edges(), &lts);
+    let mut stats = run_plans(space, b, std::slice::from_ref(&plan), graph, config, sink);
+    stats.reducer_join = Some(describe_join(&plan, &lts, group.order_classes()));
+    stats
 }
 
-/// Same, with an explicit CQ collection (the cycle CQs of Section 5 plug in
-/// here directly), collecting the instances.
+/// `1 plan for 3 order classes, bind X0 X1 X3 X2, X0<X1 X0<X2 X0<X3 X1<X3`.
+fn describe_join(plan: &JoinPlan, lts: &[(PatternNode, PatternNode)], classes: u128) -> String {
+    let spaced = |words: Vec<String>| words.join(" ");
+    let mut line = format!(
+        "1 plan for {classes} order class{}, bind {}",
+        if classes == 1 { "" } else { "es" },
+        spaced(
+            plan.binding_order()
+                .iter()
+                .map(|v| format!("X{v}"))
+                .collect()
+        ),
+    );
+    if !lts.is_empty() {
+        line.push_str(", ");
+        line.push_str(&spaced(
+            lts.iter().map(|(a, b)| format!("X{a}<X{b}")).collect(),
+        ));
+    }
+    line
+}
+
+/// The same round with an explicit CQ collection, each query its own join
+/// (the cycle CQs of Section 5 plug in here directly; an empty collection is
+/// the shuffle and the local-graph builds with nothing joined), collecting
+/// the instances.
+///
+/// # Panics
+/// Panics with the [`super::KeySpaceError`] text when no key space exists for
+/// `b` buckets and `p` variables.
 pub fn bucket_oriented_with_cqs(
     p: usize,
     cqs: &[ConjunctiveQuery],
@@ -138,18 +189,32 @@ pub fn bucket_oriented_with_cqs_into(
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
     let space = KeySpace::multisets(b, p).unwrap_or_else(|e| panic!("bucket-oriented round: {e}"));
+    let plans: Vec<JoinPlan> = cqs.iter().map(JoinPlan::compile).collect();
+    run_plans(space, b, &plans, graph, config, sink)
+}
+
+/// The round itself: every reducer of `space`, the multisets over `b`
+/// buckets, builds its local graph and runs each of `plans` over it under its
+/// ownership test.
+fn run_plans(
+    space: KeySpace,
+    b: usize,
+    plans: &[JoinPlan],
+    graph: &DataGraph,
+    config: &EngineConfig,
+    sink: &mut dyn InstanceSink,
+) -> RunStats {
     let order = BucketThenIdOrder::new(b);
 
     let mapper = |edge: &Edge, ctx: &mut MapContext<u32, Edge>| {
         ship_by_endpoint_buckets(&space, &order, edge, ctx)
     };
 
-    let plans: Vec<JoinPlan> = cqs.iter().map(JoinPlan::compile).collect();
     let reducer = |key: &u32, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
         let local = LocalGraph::build(edges, &order);
         let mut work = edges.len() as u64;
         let owned = BucketQuota::new(&local, &order, space.coords(*key));
-        for plan in &plans {
+        for plan in plans {
             work += plan.run(
                 &local,
                 |_, node, bound| owned.admits(node, bound),
@@ -159,7 +224,7 @@ pub fn bucket_oriented_with_cqs_into(
         ctx.add_work(work);
     };
 
-    let record_bytes = vec_key_record_bytes(p);
+    let record_bytes = vec_key_record_bytes(space.width());
     let report = crate::stream::run_streamed_with_sink(
         Pipeline::new().round(
             Round::new("bucket-oriented", mapper, reducer)
@@ -177,7 +242,7 @@ pub fn bucket_oriented_with_cqs_into(
 mod tests {
     use super::*;
     use crate::serial::generic::enumerate_generic;
-    use subgraph_cq::cycle_cqs;
+    use subgraph_cq::{cqs_for_sample, cycle_cqs};
     use subgraph_graph::generators;
     use subgraph_pattern::catalog;
     use subgraph_shares::counting::{bucket_oriented_replication, useful_reducers};
@@ -244,6 +309,63 @@ mod tests {
         let oracle = enumerate_generic(&catalog::cycle(5), &g);
         assert_eq!(run.count(), oracle.count());
         assert_eq!(run.duplicates(), 0);
+    }
+
+    #[test]
+    fn one_plan_finds_what_the_per_cq_plans_find_and_tries_no_more() {
+        let g = generators::gnm(40, 220, 26);
+        for sample in [
+            catalog::triangle(),
+            catalog::square(),
+            catalog::lollipop(),
+            catalog::cycle(5),
+        ] {
+            let p = sample.num_nodes();
+            let one = collect_run(&sample, &g, 3);
+            let per_cq = bucket_oriented_with_cqs(p, &cqs_for_sample(&sample), &g, 3, &config());
+            // The map side is the same round; only the reducers' join differs.
+            let shipped = |m: &subgraph_mapreduce::JobMetrics| {
+                (m.key_value_pairs, m.shuffle_bytes, m.reducers_used)
+            };
+            assert_eq!(shipped(&one.metrics), shipped(&per_cq.metrics));
+            let (work, per_cq_work) = (one.metrics.reducer_work, per_cq.metrics.reducer_work);
+            assert!(work <= per_cq_work, "{sample:?}: {work} > {per_cq_work}");
+            if p == 3 {
+                assert_eq!(work, per_cq_work, "the triangle's plan is its single CQ");
+            }
+            let sorted = |run: MapReduceRun| {
+                let mut instances = run.into_instances();
+                instances.sort_unstable();
+                instances
+            };
+            assert_eq!(sorted(one), sorted(per_cq), "{sample:?}");
+        }
+    }
+
+    #[test]
+    fn the_run_says_what_its_reducers_joined() {
+        let g = generators::gnm(20, 60, 27);
+        let joined = |sample: &SampleGraph| {
+            let mut counted = crate::sink::CountSink::new();
+            run_bucket_oriented(sample, &g, 2, &config(), &mut counted).reducer_join
+        };
+        assert_eq!(
+            joined(&catalog::square()).as_deref(),
+            Some("1 plan for 3 order classes, bind X0 X1 X3 X2, X0<X1 X0<X2 X0<X3 X1<X3")
+        );
+        assert_eq!(
+            joined(&catalog::triangle()).as_deref(),
+            Some("1 plan for 1 order class, bind X2 X1 X0, X0<X1 X0<X2 X1<X2")
+        );
+        // No symmetry, no comparison.
+        let path_with_a_tail = SampleGraph::from_edges(4, &[(0, 1), (1, 2), (1, 3), (2, 3)]);
+        let asymmetric =
+            SampleGraph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]);
+        assert!(joined(&path_with_a_tail).unwrap().ends_with("X2<X3"));
+        assert!(joined(&asymmetric)
+            .unwrap()
+            .starts_with("1 plan for 5040 order classes, bind "));
+        assert!(!joined(&asymmetric).unwrap().contains('<'));
     }
 
     #[test]

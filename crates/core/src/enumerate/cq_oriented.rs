@@ -65,17 +65,20 @@ pub fn single_cq_job_into(
     config: &EngineConfig,
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
-    let expr = single_cq_expression_with_dominance(cq);
-    let solution = optimize_shares(&expr, k.max(1) as f64);
-    let shares = integer_shares(&solution.shares);
     run_share_vector_round(
         "cq-job",
         std::slice::from_ref(cq),
-        &shares,
+        &job_shares(cq, k),
         graph,
         config,
         sink,
     )
+}
+
+/// The integer shares the job of `cq` runs with at a budget of `k` reducers.
+pub(crate) fn job_shares(cq: &ConjunctiveQuery, k: usize) -> Vec<u32> {
+    let expr = single_cq_expression_with_dominance(cq);
+    integer_shares(&optimize_shares(&expr, k.max(1) as f64).shares)
 }
 
 #[cfg(test)]

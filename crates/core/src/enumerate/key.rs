@@ -25,10 +25,11 @@
 
 use std::fmt;
 
-/// Most entries the destination table of [`KeySpace::multisets`] may hold
-/// (1 GiB of indices). The table has about `p² / 2` entries per key, so the
-/// bound is far beyond any reducer budget the table is worth building for.
-const MAX_DESTINATIONS: usize = 1 << 28;
+/// Most entries the destination table of [`KeySpace::multisets`], or the
+/// offset tables of a [`KeySpace::grid`] together, may hold (1 GiB of
+/// indices). The table has about `p² / 2` entries per key, so the bound is
+/// far beyond any reducer budget the table is worth building for.
+pub(crate) const MAX_DESTINATIONS: usize = 1 << 28;
 
 /// Why a key space cannot be built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,8 +39,9 @@ pub enum KeySpaceError {
     /// Keys need between 2 coordinates (a pattern has an edge) and 256
     /// (conjunctive-query variables are `u8`).
     Width(usize),
-    /// More than `u32::MAX` keys, or a destination table over
-    /// `MAX_DESTINATIONS` (2^28) entries.
+    /// More than `u32::MAX` keys, or routing tables (the multisets'
+    /// destination table, the grid's offset tables) over `MAX_DESTINATIONS`
+    /// (2^28) entries.
     TooLarge,
 }
 
@@ -96,6 +98,41 @@ fn next_multiset(coords: &mut [u32], buckets: u32) -> bool {
     true
 }
 
+/// `C(values + length − 1, length)`, the non-decreasing sequences of `length`
+/// over `values ≥ 1` values, if a `u32` holds it.
+fn multiset_count(values: usize, length: usize) -> Option<u32> {
+    // The running value is the count for the lengths 0, 1, …: it only grows.
+    let mut count = 1u64;
+    for i in 0..length as u64 {
+        count = count * (values as u64 + i) / (i + 1);
+        if count > u64::from(u32::MAX) {
+            return None;
+        }
+    }
+    Some(count as u32)
+}
+
+/// Key count and keys per bucket pair of the multiset space over `b` buckets
+/// and `p` coordinates, or why it cannot be built.
+fn multiset_sizes(b: usize, p: usize) -> Result<(u32, usize), KeySpaceError> {
+    check_width(p)?;
+    if b == 0 {
+        return Err(KeySpaceError::NoBuckets);
+    }
+    // Each of the b(b + 1)/2 bucket pairs owns a run of the table, so more
+    // buckets than this cannot fit; the bound also keeps `sequences` small.
+    if b >= 1 << 15 {
+        return Err(KeySpaceError::TooLarge);
+    }
+    let len = multiset_count(b, p).ok_or(KeySpaceError::TooLarge)?;
+    let per_pair = multiset_count(b, p - 2).ok_or(KeySpaceError::TooLarge)? as usize;
+    (b * (b + 1) / 2)
+        .checked_mul(per_pair)
+        .filter(|&entries| entries <= MAX_DESTINATIONS)
+        .ok_or(KeySpaceError::TooLarge)?;
+    Ok((len, per_pair))
+}
+
 fn check_width(p: usize) -> Result<(), KeySpaceError> {
     if (2..=256).contains(&p) {
         Ok(())
@@ -105,42 +142,35 @@ fn check_width(p: usize) -> Result<(), KeySpaceError> {
 }
 
 impl KeySpace {
+    /// `Ok` exactly when [`KeySpace::multisets`] would build the space —
+    /// the same checked arithmetic, nothing allocated — so a planner can turn
+    /// a bucket count down before a round is asked to run with it.
+    pub fn check_multisets(b: usize, p: usize) -> Result<(), KeySpaceError> {
+        multiset_sizes(b, p).map(|_| ())
+    }
+
     /// The `C(b + p − 1, p)` non-decreasing `p`-sequences over `b` buckets
     /// (Theorem 4.2), with the destination table the mappers route by.
     pub fn multisets(b: usize, p: usize) -> Result<Self, KeySpaceError> {
-        check_width(p)?;
-        if b == 0 {
-            return Err(KeySpaceError::NoBuckets);
-        }
-        // Each of the b(b + 1)/2 bucket pairs owns a run of the table, so more
-        // buckets than this cannot fit; the bound also keeps `sequences` small.
-        let buckets = u32::try_from(b)
-            .ok()
-            .filter(|&b| b < (1 << 15))
-            .ok_or(KeySpaceError::TooLarge)?;
+        let (len, per_pair) = multiset_sizes(b, p)?;
+        let buckets = b as u32;
         let columns = b + 1;
+        // No entry exceeds the last one, `len`.
         let mut sequences = vec![0u32; (p + 1) * columns];
         sequences[..columns].fill(1);
         for l in 1..=p {
             for r in 1..columns {
                 let at = l * columns + r;
-                sequences[at] = sequences[at - 1]
-                    .checked_add(sequences[at - columns])
-                    .ok_or(KeySpaceError::TooLarge)?;
+                sequences[at] = sequences[at - 1] + sequences[at - columns];
             }
         }
-        let len = sequences[p * columns + b];
-        let per_pair = sequences[(p - 2) * columns + b] as usize;
+        debug_assert_eq!(sequences[p * columns + b], len);
         let pairs = b * (b + 1) / 2;
-        let table = pairs
-            .checked_mul(per_pair)
-            .filter(|&entries| entries <= MAX_DESTINATIONS)
-            .ok_or(KeySpaceError::TooLarge)?;
 
         // One pass over the keys in index order: key `index` joins the run of
         // every distinct bucket pair it contains, so each run ends up
         // ascending and exactly `per_pair` long.
-        let mut destinations = vec![0u32; table];
+        let mut destinations = vec![0u32; pairs * per_pair];
         let mut filled = vec![0usize; pairs];
         let mut coords = vec![0u32; p];
         for index in 0..len {
@@ -185,6 +215,17 @@ impl KeySpace {
             *stride = len;
             len = len.checked_mul(share).ok_or(KeySpaceError::TooLarge)?;
         }
+        // A round keeps one `free_offsets` table per role an edge is shipped
+        // in, and any ordered pair of coordinates can be a role: together
+        // they stay within the bound the multiset table has.
+        let table = |a: usize, b: usize| u64::from(len / shares[a] / shares[b]);
+        let tables: u64 = (0..shares.len())
+            .flat_map(|a| (0..a).map(move |b| (a, b)))
+            .map(|(a, b)| 2 * table(a, b))
+            .sum();
+        if tables > MAX_DESTINATIONS as u64 {
+            return Err(KeySpaceError::TooLarge);
+        }
         Ok(KeySpace {
             width: shares.len(),
             len,
@@ -193,6 +234,11 @@ impl KeySpace {
                 strides,
             },
         })
+    }
+
+    /// Coordinates per key: the pattern's node count.
+    pub fn width(&self) -> usize {
+        self.width
     }
 
     /// Number of keys — the reducers the round could use.

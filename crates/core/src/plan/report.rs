@@ -51,6 +51,9 @@ pub struct RunReport {
     /// have used; empty when the strategy does not enumerate its keys up
     /// front (and for collect-mode wrappers of legacy runs).
     pub possible_keys: Vec<usize>,
+    /// What each reducer joined, where the strategy can say it in a line:
+    /// bucket-oriented processing's single symmetry-broken plan.
+    pub reducer_join: Option<String>,
     /// Total computation cost in the algorithm's natural unit: the summed
     /// reducer work for map-reduce strategies, the serial `work` counter
     /// otherwise (the quantity the `O(n^α m^β)` bounds of Sections 6-7
@@ -72,6 +75,7 @@ impl RunReport {
             metrics: Some(metrics),
             round_metrics,
             possible_keys: Vec::new(),
+            reducer_join: None,
             output: ReportOutput::Collected {
                 instances: run.into_instances(),
                 distinct: OnceLock::new(),
@@ -92,6 +96,7 @@ impl RunReport {
             metrics: None,
             round_metrics: Vec::new(),
             possible_keys: Vec::new(),
+            reducer_join: None,
             work,
         }
     }
@@ -109,6 +114,7 @@ impl RunReport {
             metrics: Some(stats.metrics),
             round_metrics: stats.round_metrics,
             possible_keys: stats.possible_keys,
+            reducer_join: stats.reducer_join,
         }
     }
 
@@ -123,6 +129,7 @@ impl RunReport {
             metrics: None,
             round_metrics: Vec::new(),
             possible_keys: Vec::new(),
+            reducer_join: None,
             work: stats.work,
         }
     }
@@ -231,7 +238,8 @@ impl RunReport {
     /// really carried against the bytes the cost model prices, and the
     /// wall-clock of its map, exchange, reduce and sink-fold phases (grouping
     /// and the reducers' join both fall in `reduce`; `sink fold` is the
-    /// coordinator handing the workers' output shards to the sink). Serial
+    /// coordinator handing the workers' output shards to the sink); a
+    /// bucket-oriented run adds what its reducers joined. Serial
     /// strategies render without the map-reduce counters; streamed and
     /// collected runs both describe their output honestly (via
     /// [`RunReport::describe_output`]).
@@ -278,6 +286,9 @@ impl RunReport {
                     millis(m.reduce_time),
                     millis(m.sink_fold_time),
                 ));
+            }
+            if let Some(join) = &self.reducer_join {
+                out.push_str(&format!("          reducer join: {join}\n"));
             }
         }
         out.push_str(&format!("work:     {}\n", self.work));

@@ -8,8 +8,9 @@
 
 use crate::convertible::predicted_parallel_work;
 use crate::enumerate::bucket_oriented::{run_bucket_oriented, vec_key_record_bytes};
-use crate::enumerate::cq_oriented::run_cq_oriented;
-use crate::enumerate::variable_oriented;
+use crate::enumerate::cq_oriented::{job_shares, run_cq_oriented};
+use crate::enumerate::key::MAX_DESTINATIONS;
+use crate::enumerate::{variable_oriented, KeySpace};
 use crate::plan::cost::{CostEstimate, RoundCost};
 use crate::plan::report::RunReport;
 use crate::plan::request::EnumerationRequest;
@@ -26,7 +27,7 @@ use crate::triangles::cascade::{cascade_record_bytes, run_cascade_triangles_into
 use crate::triangles::multiway::{multiway_record_bytes, run_multiway_triangles_into};
 use crate::triangles::partition::run_partition_triangles_into;
 use std::fmt;
-use subgraph_cq::cqs_for_sample;
+use subgraph_cq::{cq_for_ordering, cqs_for_sample};
 use subgraph_pattern::decompose::decompose;
 use subgraph_pattern::SampleGraph;
 use subgraph_shares::counting::{
@@ -197,6 +198,35 @@ fn one_cq_per_order_class(request: &EnumerationRequest<'_>) -> Result<(), String
     request.check_order_classes().map_err(|e| e.to_string())
 }
 
+/// The bucket-multiset rounds run `p`-coordinate keys over
+/// [`buckets_for_budget`] buckets: a budget whose key space cannot be built
+/// is turned down here, in the key space's own words, not at execute time.
+fn multiset_key_space(p: usize, request: &EnumerationRequest<'_>) -> Result<(), String> {
+    let b = buckets_for_budget(p, request.reducer_budget());
+    KeySpace::check_multisets(b, p).map_err(|e| e.to_string())
+}
+
+/// The share-vector rounds index their reducers by a `u32` and route by one
+/// offset table per pair of variables, none larger than the key space.
+/// Rounding the optimal shares can carry their product past the budget — by
+/// less than 2 per share of at least 1 — so a budget from which that reach,
+/// times the `p²` tables, could pass the table bound is checked against the
+/// integer shares it solves to; `shares` is not asked below it, and ordinary
+/// budgets plan without an extra solve.
+fn share_grid_key_space(
+    request: &EnumerationRequest<'_>,
+    shares: impl FnOnce() -> Vec<u32>,
+) -> Result<(), String> {
+    let p = request.sample().num_nodes();
+    let reach = ((request.reducer_budget() as u128) << p) * (p * p) as u128;
+    if reach <= MAX_DESTINATIONS as u128 {
+        return Ok(());
+    }
+    KeySpace::grid(&shares())
+        .map(drop)
+        .map_err(|e| e.to_string())
+}
+
 /// Largest `b >= 1` such that the hash-ordered scheme's useful-reducer count
 /// `C(b + p - 1, p)` (Theorem 4.2) stays within the budget `k`.
 pub(crate) fn buckets_for_budget(p: usize, k: usize) -> usize {
@@ -304,7 +334,8 @@ impl Strategy for BucketOriented {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        one_cq_per_order_class(request)
+        one_cq_per_order_class(request)?;
+        multiset_key_space(request.sample().num_nodes(), request)
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
@@ -353,7 +384,10 @@ impl Strategy for VariableOriented {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        one_cq_per_order_class(request)
+        one_cq_per_order_class(request)?;
+        share_grid_key_space(request, || {
+            variable_oriented::plan(request.sample(), request.reducer_budget()).shares
+        })
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
@@ -432,7 +466,17 @@ impl Strategy for CqOriented {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        one_cq_per_order_class(request)
+        one_cq_per_order_class(request)?;
+        // A single query's cost expression does not depend on its order
+        // class, so every job runs with the shares of the first.
+        share_grid_key_space(request, || {
+            let sample = request.sample();
+            let identity: Vec<_> = sample.nodes().collect();
+            job_shares(
+                &cq_for_ordering(sample, &identity),
+                request.reducer_budget(),
+            )
+        })
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
@@ -510,11 +554,10 @@ impl Strategy for BucketOrderedTriangles {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if is_triangle(request.sample()) {
-            Ok(())
-        } else {
-            Err("specialized to the triangle sample graph".into())
+        if !is_triangle(request.sample()) {
+            return Err("specialized to the triangle sample graph".into());
         }
+        multiset_key_space(3, request)
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {

@@ -101,6 +101,9 @@ pub struct RunStats {
     /// (its [`KeySpace::len`]); empty for strategies whose keys are not
     /// enumerated up front.
     pub possible_keys: Vec<usize>,
+    /// What each reducer joined, for rounds that can say it in a line (the
+    /// bucket-oriented round's single plan).
+    pub reducer_join: Option<String>,
 }
 
 impl RunStats {
@@ -112,6 +115,7 @@ impl RunStats {
             metrics,
             round_metrics: report.rounds,
             possible_keys: Vec::new(),
+            reducer_join: None,
         }
     }
 
@@ -132,6 +136,7 @@ impl RunStats {
             }],
             metrics,
             possible_keys: Vec::new(),
+            reducer_join: None,
         }
     }
 

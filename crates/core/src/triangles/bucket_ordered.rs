@@ -36,7 +36,8 @@ pub(crate) fn run_bucket_ordered_triangles_into(
     config: &EngineConfig,
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
-    let space = KeySpace::multisets(b, 3).unwrap_or_else(|e| panic!("bucket-ordered round: {e}"));
+    let space = KeySpace::multisets(b, 3)
+        .expect("the planner offers the bucket-ordered round only where its key space exists");
     let order = BucketThenIdOrder::new(b);
 
     // The sorted triple of the endpoint buckets plus any third bucket: `b`

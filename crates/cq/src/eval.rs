@@ -18,6 +18,14 @@
 //! ordering condition cuts a sorted run with a binary search instead of
 //! testing its members one by one.
 //!
+//! [`JoinPlan::compile_unoriented`] compiles a whole sample graph instead of
+//! one of its Theorem 3.1 queries: the edges carry no orientation, the `<`
+//! comparisons are the group's symmetry-breaking set, and an edge reads the
+//! successors or predecessors of its bound end where the comparisons order
+//! its two variables and the bound end's whole neighbourhood where they do
+//! not. One such plan finds what the `p!/|Aut|` per-query plans find
+//! together, walking the local graph once.
+//!
 //! [`JoinPlan::run`] is generic over two closures: `admit` is asked before a
 //! variable binds to a node (reducers push their bucket tests into the join
 //! this way), `found` receives each satisfying assignment. The inner loop
@@ -109,7 +117,7 @@ pub fn evaluate_cq_group<O: NodeOrder>(
     order: &O,
 ) -> EvalOutcome {
     let local = LocalGraph::build(graph.edges(), order);
-    let plan = JoinPlan::compile_parts(group.num_vars(), &group.subgoals, &[]);
+    let plan = JoinPlan::compile_parts(group.num_vars(), &group.subgoals, &[], true);
     let mut outcome = EvalOutcome::default();
     plan.run(
         &local,
@@ -151,6 +159,8 @@ enum Run {
     Successors,
     /// Subgoal `E(this, bound)`: candidates precede the bound node.
     Predecessors,
+    /// An edge no condition orients: candidates are any neighbour.
+    Neighbors,
 }
 
 /// How one variable is bound. Other variables are referred to by their
@@ -199,13 +209,33 @@ impl JoinPlan {
                 Constraint::Neq(..) => None,
             })
             .collect();
-        Self::compile_parts(cq.num_vars(), cq.subgoals(), &lts)
+        Self::compile_parts(cq.num_vars(), cq.subgoals(), &lts, true)
     }
 
-    fn compile_parts(num_vars: usize, subgoals: &[(Var, Var)], lts: &[(Var, Var)]) -> JoinPlan {
+    /// Compiles the match of a whole sample graph: `edges` in either
+    /// orientation, and the comparisons `lts` (`(a, b)` reads `a < b`) that
+    /// keep one assignment per automorphism orbit — see
+    /// `AutomorphismGroup::symmetry_breaking` in `subgraph_pattern`. With no
+    /// comparisons the plan finds every injective assignment.
+    pub fn compile_unoriented(
+        num_vars: usize,
+        edges: &[(Var, Var)],
+        lts: &[(Var, Var)],
+    ) -> JoinPlan {
+        Self::compile_parts(num_vars, edges, lts, false)
+    }
+
+    /// `oriented`: a subgoal `(a, b)` also says that `a` precedes `b`.
+    fn compile_parts(
+        num_vars: usize,
+        subgoals: &[(Var, Var)],
+        lts: &[(Var, Var)],
+        oriented: bool,
+    ) -> JoinPlan {
         // precedes[a][b]: every satisfying assignment puts a's node before b's.
         let mut precedes = vec![vec![false; num_vars]; num_vars];
-        for &(a, b) in subgoals.iter().chain(lts) {
+        let orientations = if oriented { subgoals } else { &[] };
+        for &(a, b) in orientations.iter().chain(lts) {
             precedes[a as usize][b as usize] = true;
         }
         for k in 0..num_vars {
@@ -219,23 +249,39 @@ impl JoinPlan {
         }
         let satisfiable = (0..num_vars).all(|v| !precedes[v][v]);
 
-        let order = plan_variable_order(num_vars, subgoals);
+        let mut adjacency = vec![Vec::new(); num_vars];
+        for &(a, b) in subgoals {
+            adjacency[a as usize].push(b);
+            adjacency[b as usize].push(a);
+        }
+        // A query's plans keep the order they always had, so what the
+        // variable- and CQ-oriented reducers try does not move.
+        let order = if oriented {
+            plan_variable_order(&adjacency)
+        } else {
+            plan_constrained_order(&adjacency, &precedes)
+        };
         let mut depth_of = vec![usize::MAX; num_vars];
         let mut steps: Vec<Step> = Vec::with_capacity(num_vars);
         let mut num_cursors = 0;
         for (depth, &var) in order.iter().enumerate() {
-            let bound = |v: Var| depth_of[v as usize] != usize::MAX;
             let mut anchors: Vec<(usize, Run)> = Vec::new();
             for &(a, b) in subgoals {
-                let anchor = if b == var && bound(a) {
-                    (depth_of[a as usize], Run::Successors)
-                } else if a == var && bound(b) {
-                    (depth_of[b as usize], Run::Predecessors)
-                } else {
+                let other = if b == var { a } else { b };
+                let earlier = depth_of[other as usize];
+                if (a != var && b != var) || earlier == usize::MAX {
                     continue;
+                }
+                // The conditions orient the edge, or leave it open.
+                let run = if precedes[other as usize][var as usize] {
+                    Run::Successors
+                } else if precedes[var as usize][other as usize] {
+                    Run::Predecessors
+                } else {
+                    Run::Neighbors
                 };
-                if !anchors.contains(&anchor) {
-                    anchors.push(anchor);
+                if !anchors.contains(&(earlier, run)) {
+                    anchors.push((earlier, run));
                 }
             }
             let mut step = Step {
@@ -270,6 +316,11 @@ impl JoinPlan {
             satisfiable,
             num_cursors,
         }
+    }
+
+    /// The variables in the order the plan binds them.
+    pub fn binding_order(&self) -> Vec<Var> {
+        self.steps.iter().map(|step| step.var).collect()
     }
 
     /// The canonical instance behind a satisfying assignment of local ids
@@ -312,28 +363,65 @@ impl JoinPlan {
     }
 }
 
-/// Chooses the order in which variables are bound: a connected expansion of
-/// the subgoal graph so that each new variable (after the first) is adjacent
-/// to an already-bound one whenever possible.
-fn plan_variable_order(num_vars: usize, subgoals: &[(Var, Var)]) -> Vec<Var> {
-    let mut adjacency = vec![Vec::new(); num_vars];
-    for &(a, b) in subgoals {
-        adjacency[a as usize].push(b);
-        adjacency[b as usize].push(a);
-    }
+/// Chooses the order in which a query's variables are bound: a connected
+/// expansion of the subgoal graph from the highest-degree variable, so that
+/// each new variable (after the first) is adjacent to an already-bound one
+/// whenever possible, the one with the most bound neighbours first.
+fn plan_variable_order(adjacency: &[Vec<Var>]) -> Vec<Var> {
+    expand_by(adjacency, |v| adjacency[v].len(), |_, bound, _| bound)
+}
+
+/// The binding order of an unoriented plan, where only `precedes` orders
+/// variables: every comparison against a bound variable turns a both-ways
+/// run into a one-sided one or cuts it by bisection. So the expansion starts
+/// at the variable ordered against the most others (then the highest degree)
+/// and takes next the variable ordered against the most bound ones, then the
+/// one with the most bound neighbours, then the one with the fewest unbound
+/// variables ordered between it and a bound one.
+fn plan_constrained_order(adjacency: &[Vec<Var>], precedes: &[Vec<bool>]) -> Vec<Var> {
+    let vars = 0..adjacency.len();
+    let ordered = |a: usize, b: usize| precedes[a][b] || precedes[b][a];
+    let between = |v: usize, u: usize, w: usize| {
+        (precedes[v][u] && precedes[u][w]) || (precedes[w][u] && precedes[u][v])
+    };
+    expand_by(
+        adjacency,
+        |v| {
+            let against = vars.clone().filter(|&u| ordered(v, u)).count();
+            (against, adjacency[v].len())
+        },
+        |v, bound, placed| {
+            let against = vars.clone().filter(|&w| placed[w] && ordered(v, w)).count();
+            let skipped = vars
+                .clone()
+                .filter(|&u| u != v && !placed[u])
+                .filter(|&u| vars.clone().any(|w| placed[w] && between(v, u, w)))
+                .count();
+            (against, bound, std::cmp::Reverse(skipped))
+        },
+    )
+}
+
+/// A connected expansion of the variables' adjacency: each component starts
+/// at its variable with the largest `seed` key and grows by the variable
+/// adjacent to a placed one with the largest `next(variable, placed
+/// neighbours, placed)` key; ties go to the highest index.
+fn expand_by<S: Ord, N: Ord>(
+    adjacency: &[Vec<Var>],
+    seed: impl Fn(usize) -> S,
+    next: impl Fn(usize, usize, &[bool]) -> N,
+) -> Vec<Var> {
+    let num_vars = adjacency.len();
     let mut plan: Vec<Var> = Vec::with_capacity(num_vars);
     let mut placed = vec![false; num_vars];
     while plan.len() < num_vars {
-        // Seed with the highest-degree unplaced variable (most constrained first).
-        let seed = (0..num_vars)
+        let first = (0..num_vars)
             .filter(|&v| !placed[v])
-            .max_by_key(|&v| adjacency[v].len())
+            .max_by_key(|&v| seed(v))
             .expect("there is an unplaced variable");
-        placed[seed] = true;
-        plan.push(seed as Var);
+        placed[first] = true;
+        plan.push(first as Var);
         loop {
-            // Among unplaced variables adjacent to a placed one, pick the one
-            // with the most placed neighbours.
             let candidate = (0..num_vars)
                 .filter(|&v| !placed[v])
                 .map(|v| {
@@ -342,7 +430,7 @@ fn plan_variable_order(num_vars: usize, subgoals: &[(Var, Var)]) -> Vec<Var> {
                     (bound_neighbors, v)
                 })
                 .filter(|&(bound, _)| bound > 0)
-                .max();
+                .max_by_key(|&(bound, v)| (next(v, bound, &placed), v));
             match candidate {
                 Some((_, v)) => {
                     placed[v] = true;
@@ -414,6 +502,7 @@ where
             let run = match run {
                 Run::Successors => graph.successors(self.bound[earlier]),
                 Run::Predecessors => graph.predecessors(self.bound[earlier]),
+                Run::Neighbors => graph.neighbors(self.bound[earlier]),
             };
             self.cursors[step.cursors + i] = run;
             if run.len() < self.cursors[step.cursors + base].len() {
@@ -623,6 +712,70 @@ mod tests {
         // E(W, X) & E(W, Y) force W below both ends: node w has C(5 − w, 2) pairs.
         assert_eq!(ordered.assignments, choose(6, 3));
         assert_eq!(distinct.assignments, 2 * choose(6, 3));
+    }
+
+    fn unoriented_plan(sample: &subgraph_pattern::SampleGraph) -> JoinPlan {
+        let lts = subgraph_pattern::automorphism_group(sample).symmetry_breaking();
+        JoinPlan::compile_unoriented(sample.num_nodes(), sample.edges(), &lts)
+    }
+
+    #[test]
+    fn the_unoriented_triangle_is_the_triangle_query() {
+        // X0 < X1 < X2 orients every edge: the same steps, in the same
+        // order, over successors and predecessors only.
+        let triangle = catalog::triangle();
+        let cqs = cqs_for_sample(&triangle);
+        assert_eq!(cqs.len(), 1);
+        let (one, per_cq) = (unoriented_plan(&triangle), JoinPlan::compile(&cqs[0]));
+        assert_eq!(one.binding_order(), [2, 1, 0]);
+        assert_eq!(format!("{:?}", one.steps), format!("{:?}", per_cq.steps));
+    }
+
+    #[test]
+    fn comparisons_choose_the_binding_order_and_the_runs() {
+        // Square: X0 < X1, X0 < X2, X0 < X3, X1 < X3.
+        let square = unoriented_plan(&catalog::square());
+        assert_eq!(square.binding_order(), [0, 1, 3, 2]);
+        let runs = |plan: &JoinPlan, depth: usize| -> Vec<Run> {
+            plan.steps[depth].anchors.iter().map(|a| a.1).collect()
+        };
+        assert_eq!(runs(&square, 1), [Run::Successors]);
+        assert_eq!(runs(&square, 2), [Run::Successors]);
+        assert_eq!(square.steps[2].after, [1]);
+        // X2 is ordered against neither of its neighbours X1 and X3.
+        assert_eq!(runs(&square, 3), [Run::Neighbors, Run::Neighbors]);
+        assert_eq!(square.steps[3].after, [0]);
+        assert_eq!(square.steps[3].distinct_from, [1, 2]);
+        // No symmetry, no comparison: every edge is read both ways.
+        let path = JoinPlan::compile_unoriented(3, &[(0, 1), (1, 2)], &[]);
+        assert_eq!(runs(&path, 1), [Run::Neighbors]);
+        assert_eq!(runs(&path, 2), [Run::Neighbors]);
+    }
+
+    #[test]
+    fn one_unoriented_plan_finds_what_the_queries_find_together() {
+        let g = generators::gnm(30, 120, 3);
+        let local = LocalGraph::build(g.edges(), &IdOrder);
+        for sample in [
+            catalog::triangle(),
+            catalog::square(),
+            catalog::lollipop(),
+            catalog::cycle(5),
+            catalog::star(4),
+            subgraph_pattern::SampleGraph::from_edges(4, &[(0, 1), (2, 3)]),
+        ] {
+            let plan = unoriented_plan(&sample);
+            let mut found = Vec::new();
+            plan.run(
+                &local,
+                |_, _, _| true,
+                |assignment| found.push(plan.instance(&local, assignment)),
+            );
+            let mut expected = evaluate_cqs(&cqs_for_sample(&sample), &g, &IdOrder).instances;
+            found.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(found, expected, "{sample:?}");
+        }
     }
 
     #[test]

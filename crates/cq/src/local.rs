@@ -10,10 +10,14 @@
 //!   orientation of `E(X, Y)` and every arithmetic comparison `X < Y` is one
 //!   integer compare — the order's hash or degree table is consulted once per
 //!   node, at build time;
-//! * every node keeps two sorted runs, its **successors** (neighbours that
-//!   follow it) and its **predecessors**. The subgoal `E(X, Y)` with `X`
-//!   bound reads `successors(X)`, with `Y` bound `predecessors(Y)`: a
-//!   candidate drawn from a run already has the right orientation.
+//! * every node keeps one sorted run of neighbours, its **predecessors**
+//!   (neighbours that precede it) first and its **successors** after them —
+//!   ids are ranks, so the two halves are already in order. The subgoal
+//!   `E(X, Y)` with `X` bound reads `successors(X)`, with `Y` bound
+//!   `predecessors(Y)`: a candidate drawn from a half already has the right
+//!   orientation. An edge whose orientation the query leaves open reads the
+//!   whole run, `neighbors`, and no third copy of the adjacency exists for
+//!   it.
 //!
 //! Size and build time are linear in the reducer's input; nothing depends on
 //! the node count of the whole data graph, and global ids may be arbitrarily
@@ -25,116 +29,71 @@ use subgraph_pattern::{Instance, PatternNode};
 /// Local ids and edge offsets are `u32`, like the ids of the data graph.
 type LocalId = u32;
 
-/// One direction of the adjacency: the run of node `v` is
-/// `targets[offsets[v]..offsets[v + 1]]`, sorted ascending.
-#[derive(Clone, Debug, Default)]
-struct Runs {
-    offsets: Vec<u32>,
-    targets: Vec<LocalId>,
-}
-
-impl Runs {
-    #[inline]
-    fn of(&self, v: LocalId) -> &[LocalId] {
-        let v = v as usize;
-        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+/// The `offsets` and `targets` of a [`LocalGraph`] over `n` nodes from its
+/// edges, packed `(earlier, later)`. One counting sort puts every edge among
+/// the predecessors of its later endpoint. Then, node by node in ascending
+/// order, those are sorted where they lie — a run is a handful of ids, and a
+/// sequential pass costs less than one more scattered over an array this size
+/// — and the node is appended to the successors of each of them, which
+/// therefore come out sorted. Repeated edges collapse.
+fn adjacency(n: usize, pairs: &[u64]) -> (Vec<u32>, Vec<LocalId>) {
+    // Per node, first its degrees and then its write heads: small enough to
+    // stay cached under the scattered writes, which the interleaved offsets
+    // would not be.
+    let (mut before, mut after) = (vec![0u32; n], vec![0u32; n]);
+    for &pair in pairs {
+        let (a, b) = unpack(pair);
+        after[a as usize] += 1;
+        before[b as usize] += 1;
     }
-
-    fn heap_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.targets.capacity()) * std::mem::size_of::<u32>()
-    }
-
-    /// Counting sort of the packed `(target, node)` pairs over `n` nodes: the
-    /// run of `node` receives its targets in slice order.
-    fn place(n: usize, pairs: &[u64]) -> Runs {
-        let mut offsets = vec![0u32; n + 1];
-        for &pair in pairs {
-            offsets[pair as u32 as usize] += 1;
-        }
-        starts_from_counts(&mut offsets);
-        let mut targets = vec![0; pairs.len()];
-        for &pair in pairs {
-            let (target, node) = unpack(pair);
-            push_to_run(&mut offsets, &mut targets, node, target);
-        }
-        starts_from_heads(&mut offsets);
-        Runs { offsets, targets }
-    }
-
-    /// The same adjacency read the other way: `v` is in the run of `w` here
-    /// iff `w` is in the run of `v` there. The scan is source-ascending, so
-    /// every run comes out sorted, repeats adjacent.
-    fn transposed(&self) -> Runs {
-        let mut offsets = vec![0u32; self.offsets.len()];
-        for &w in &self.targets {
-            offsets[w as usize] += 1;
-        }
-        starts_from_counts(&mut offsets);
-        let mut targets = vec![0; self.targets.len()];
-        for (v, run) in self.offsets.windows(2).enumerate() {
-            for &w in &self.targets[run[0] as usize..run[1] as usize] {
-                push_to_run(&mut offsets, &mut targets, w, v as LocalId);
-            }
-        }
-        starts_from_heads(&mut offsets);
-        Runs { offsets, targets }
-    }
-
-    /// Collapses repeated targets; every run must already be sorted.
-    fn dedup(&mut self) {
-        // A repeat is a pair of equal neighbours inside one run, that is, not
-        // across a run start. Usually there is none: a bucket-multiset
-        // reducer receives each edge once.
-        let repeated = |i: usize| {
-            self.targets[i] == self.targets[i - 1]
-                && self.offsets.binary_search(&(i as u32)).is_err()
-        };
-        if !(1..self.targets.len()).any(repeated) {
-            return;
-        }
-        let (mut start, mut write) = (0, 0);
-        for v in 0..self.offsets.len() - 1 {
-            let end = self.offsets[v + 1] as usize;
-            self.offsets[v] = write as u32;
-            for read in start..end {
-                if read == start || self.targets[read] != self.targets[write - 1] {
-                    self.targets[write] = self.targets[read];
-                    write += 1;
-                }
-            }
-            start = end;
-        }
-        if let Some(last) = self.offsets.last_mut() {
-            *last = write as u32;
-        }
-        self.targets.truncate(write);
-        self.targets.shrink_to_fit();
-    }
-}
-
-/// Turns per-node counts (`offsets[v]`, last slot zero) into run starts.
-fn starts_from_counts(offsets: &mut [u32]) {
+    // Slot 2v holds the start of v's predecessors, slot 2v + 1 the start of
+    // its successors.
+    let mut offsets = vec![0u32; 2 * n + 1];
     let mut start = 0;
-    for offset in offsets {
-        start += std::mem::replace(offset, start);
+    for v in 0..n {
+        offsets[2 * v] = start;
+        start += std::mem::replace(&mut before[v], start);
+        offsets[2 * v + 1] = start;
+        start += std::mem::replace(&mut after[v], start);
     }
+    offsets[2 * n] = start;
+
+    let mut targets = vec![0; 2 * pairs.len()];
+    for &pair in pairs {
+        let (a, b) = unpack(pair);
+        push_to_run(&mut before, &mut targets, b, a);
+    }
+    let mut repeated = false;
+    for w in 0..n {
+        let run = offsets[2 * w] as usize..offsets[2 * w + 1] as usize;
+        let sorted = &mut targets[run.clone()];
+        sorted.sort_unstable();
+        repeated |= sorted.windows(2).any(|pair| pair[0] == pair[1]);
+        for at in run {
+            let v = targets[at];
+            push_to_run(&mut after, &mut targets, v, w as LocalId);
+        }
+    }
+    // Usually no edge is repeated — a bucket-multiset reducer receives each
+    // once; otherwise start over from the distinct edges.
+    if repeated {
+        let mut distinct: Vec<u64> = Vec::with_capacity(pairs.len());
+        for w in 0..n {
+            let run = &targets[offsets[2 * w] as usize..offsets[2 * w + 1] as usize];
+            distinct.extend(run.iter().map(|&v| pack(v, w as LocalId)));
+        }
+        distinct.dedup();
+        return adjacency(n, &distinct);
+    }
+    (offsets, targets)
 }
 
-/// Appends `target` to the run of `node`, whose start `offsets[node]` doubles
-/// as its write head while the runs fill.
+/// Appends `target` to the run of `node`, at its write head `heads[node]`.
 #[inline]
-fn push_to_run(offsets: &mut [u32], targets: &mut [LocalId], node: LocalId, target: LocalId) {
-    let head = &mut offsets[node as usize];
+fn push_to_run(heads: &mut [u32], targets: &mut [LocalId], node: LocalId, target: LocalId) {
+    let head = &mut heads[node as usize];
     targets[*head as usize] = target;
     *head += 1;
-}
-
-/// Once every run is full its head has advanced to the next run's start:
-/// shift them back into place.
-fn starts_from_heads(offsets: &mut [u32]) {
-    let n = offsets.len() - 1;
-    offsets.copy_within(..n, 1);
-    offsets[0] = 0;
 }
 
 /// A reducer's input edges as an order-relabelled graph (see the module
@@ -143,17 +102,20 @@ fn starts_from_heads(offsets: &mut [u32]) {
 pub struct LocalGraph {
     /// `nodes[local id]` is the data-graph node, ascending in the order.
     nodes: Vec<NodeId>,
-    successors: Runs,
-    predecessors: Runs,
+    /// Node `v`'s neighbours are `targets[offsets[2v]..offsets[2v + 2]]`,
+    /// ascending: its predecessors up to `offsets[2v + 1]`, its successors
+    /// from there on.
+    offsets: Vec<u32>,
+    targets: Vec<LocalId>,
 }
 
 impl LocalGraph {
     /// Builds the local graph of `edges` under `order`, without a comparison
     /// sort over the input: nodes are ranked by a radix sort of their order
-    /// keys, edges are put in runs — and the runs in order — by counting
-    /// sorts. Each transient (interner, sort buffers, rank table, edge pairs,
-    /// the unsorted adjacency) is dropped before the next structure is
-    /// allocated.
+    /// keys, edges are put in runs by counting sorts, and only a node's own
+    /// few predecessors are ever compared with each other. Each transient
+    /// (interner, sort buffers, rank table, edge pairs) is dropped before the
+    /// next structure is allocated.
     ///
     /// # Panics
     /// Panics if `edges` holds `2^31` edges or more (offsets are `u32`).
@@ -172,26 +134,18 @@ impl LocalGraph {
         let (nodes, rank) = rank_nodes(interner.into_nodes(), order);
         let n = nodes.len();
 
-        // Orient every edge from its earlier to its later endpoint and place
-        // it in the run of the later one. Transposing that adjacency yields
-        // the successor runs already sorted, transposing those (repeats
-        // dropped) the predecessor runs.
+        // Orient every edge from its earlier to its later endpoint.
         for pair in &mut pairs {
             let (a, b) = unpack(*pair);
             let (a, b) = (rank[a as usize], rank[b as usize]);
             *pair = if a < b { pack(a, b) } else { pack(b, a) };
         }
         drop(rank);
-        let unsorted = Runs::place(n, &pairs);
-        drop(pairs);
-        let mut successors = unsorted.transposed();
-        drop(unsorted);
-        successors.dedup();
-        let predecessors = successors.transposed();
+        let (offsets, targets) = adjacency(n, &pairs);
         LocalGraph {
             nodes,
-            successors,
-            predecessors,
+            offsets,
+            targets,
         }
     }
 
@@ -202,7 +156,7 @@ impl LocalGraph {
 
     /// Number of distinct input edges.
     pub fn num_edges(&self) -> usize {
-        self.successors.targets.len()
+        self.targets.len() / 2
     }
 
     /// The data-graph nodes by local id — ascending in the order the graph
@@ -229,24 +183,37 @@ impl LocalGraph {
         Instance::from_bound_edges(nodes, pattern_edges)
     }
 
-    /// Neighbours of `v` that follow it in the order, ascending.
+    /// `targets[offsets[2v + from]..offsets[2v + to]]`.
     #[inline]
-    pub fn successors(&self, v: LocalId) -> &[LocalId] {
-        self.successors.of(v)
+    fn run(&self, v: LocalId, from: usize, to: usize) -> &[LocalId] {
+        let at = 2 * v as usize;
+        &self.targets[self.offsets[at + from] as usize..self.offsets[at + to] as usize]
     }
 
     /// Neighbours of `v` that precede it in the order, ascending.
     #[inline]
     pub fn predecessors(&self, v: LocalId) -> &[LocalId] {
-        self.predecessors.of(v)
+        self.run(v, 0, 1)
+    }
+
+    /// Neighbours of `v` that follow it in the order, ascending.
+    #[inline]
+    pub fn successors(&self, v: LocalId) -> &[LocalId] {
+        self.run(v, 1, 2)
+    }
+
+    /// Every neighbour of `v`, ascending: its predecessors, then its
+    /// successors.
+    #[inline]
+    pub fn neighbors(&self, v: LocalId) -> &[LocalId] {
+        self.run(v, 0, 2)
     }
 
     /// Heap bytes the graph holds — proportional to the input edge count,
     /// whatever the range of the global ids.
     pub fn heap_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<NodeId>()
-            + self.successors.heap_bytes()
-            + self.predecessors.heap_bytes()
+            + (self.offsets.capacity() + self.targets.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -475,35 +442,30 @@ mod tests {
         pairs.sort_unstable();
         pairs.dedup();
 
-        let n = nodes.len();
-        let mut successors = Runs {
-            offsets: vec![0; n + 1],
-            targets: Vec::with_capacity(pairs.len()),
-        };
-        let mut predecessors = Runs {
-            offsets: vec![0; n + 1],
-            targets: vec![0; pairs.len()],
-        };
+        // Each edge once from either end, sorted: a node's neighbours in
+        // ascending order, those below it first.
+        let mut directed: Vec<u64> = pairs
+            .iter()
+            .flat_map(|&pair| {
+                let (a, b) = unpack(pair);
+                [pair, pack(b, a)]
+            })
+            .collect();
+        directed.sort_unstable();
+        let mut offsets = vec![0u32; 2 * nodes.len() + 1];
         for &pair in &pairs {
             let (a, b) = unpack(pair);
-            successors.offsets[a as usize + 1] += 1;
-            predecessors.offsets[b as usize + 1] += 1;
-            successors.targets.push(b);
+            offsets[2 * a as usize + 1] += 1;
+            offsets[2 * b as usize] += 1;
         }
-        for v in 0..n {
-            successors.offsets[v + 1] += successors.offsets[v];
-            predecessors.offsets[v + 1] += predecessors.offsets[v];
-        }
-        let mut cursor = predecessors.offsets.clone();
-        for &pair in &pairs {
-            let (a, b) = unpack(pair);
-            predecessors.targets[cursor[b as usize] as usize] = a;
-            cursor[b as usize] += 1;
+        let mut start = 0;
+        for offset in &mut offsets {
+            start += std::mem::replace(offset, start);
         }
         LocalGraph {
             nodes,
-            successors,
-            predecessors,
+            offsets,
+            targets: directed.iter().map(|&arc| arc as u32).collect(),
         }
     }
 
@@ -530,6 +492,7 @@ mod tests {
                 reference.predecessors(v),
                 "{what}: {v}"
             );
+            assert_eq!(built.neighbors(v), reference.neighbors(v), "{what}: {v}");
         }
         assert_eq!(built.heap_bytes(), reference.heap_bytes(), "{what}: bytes");
     }

@@ -81,6 +81,9 @@ pub struct AutomorphismGroup<'s> {
     generators: Vec<Permutation>,
     /// `orbit_min[v]` is the smallest node of `v`'s orbit.
     orbit_min: Vec<PatternNode>,
+    /// `base_orbits[b]`: bitmask of `b`'s orbit under level `b` of the chain,
+    /// the subgroup that also fixes every node below `b`.
+    base_orbits: Vec<u16>,
     order: u128,
 }
 
@@ -103,6 +106,7 @@ impl<'s> AutomorphismGroup<'s> {
             fixed,
             generators: Vec::new(),
             orbit_min: (0..p).collect(),
+            base_orbits: (0..p).map(|v| 1 << v).collect(),
             order: 1,
         };
         // Level `b` of the chain fixes every node below `b`. Every generator
@@ -127,7 +131,8 @@ impl<'s> AutomorphismGroup<'s> {
                     None => rejected |= group.orbit_mask(w),
                 }
             }
-            group.order *= u128::from(group.orbit_mask(b).count_ones());
+            group.base_orbits[b as usize] = group.orbit_mask(b);
+            group.order *= u128::from(group.base_orbits[b as usize].count_ones());
         }
         group
     }
@@ -222,6 +227,30 @@ impl<'s> AutomorphismGroup<'s> {
             return true;
         };
         self.is_orbit_minimum(first) && self.stabilizer(first).is_canonical_prefix(rest)
+    }
+
+    /// Fixed-base symmetry breaking (Grochow & Kellis): the pairs `(b, w)`,
+    /// read `X_b < X_w`, such that among the `order()` images of an injective
+    /// assignment of ordered values to the nodes exactly one satisfies every
+    /// pair. Base point `b` contributes one pair per other node `w` of its
+    /// orbit under level `b` of the chain.
+    ///
+    /// Why exactly one: some element moves the node holding the least value
+    /// of `0`'s orbit onto `0`, and the elements that keep it there are the
+    /// stabilizer of `0`; among those, some element moves the least of `1`'s
+    /// orbit onto `1`; and so on down the chain until the stabilizer is
+    /// trivial. The values are distinct, so each minimum — each coset — is
+    /// determined. The assignments that satisfy the pairs are therefore a
+    /// transversal of the `Aut`-orbits, as the lexicographically least
+    /// orderings of [`order_representatives`] are; the union of the Theorem
+    /// 3.1 conjunctive queries is this one set of comparisons over
+    /// *unoriented* edges.
+    pub fn symmetry_breaking(&self) -> Vec<(PatternNode, PatternNode)> {
+        let p = self.sample.num_nodes() as PatternNode;
+        (0..p)
+            .flat_map(|b| (b + 1..p).map(move |w| (b, w)))
+            .filter(|&(b, w)| self.base_orbits[b as usize] >> w & 1 == 1)
+            .collect()
     }
 
     /// Every element, in lexicographic order of the permutation vectors.
@@ -607,6 +636,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// How many of the `Aut`-images of the assignment `values` (node `v`
+    /// holds `values[v]`) satisfy every pair of `lts`.
+    fn satisfying_images(
+        autos: &[Permutation],
+        lts: &[(PatternNode, PatternNode)],
+        values: &[PatternNode],
+    ) -> usize {
+        let image_satisfies = |mu: &Permutation| {
+            let at = |v: PatternNode| values[mu[v as usize] as usize];
+            lts.iter().all(|&(b, w)| at(b) < at(w))
+        };
+        autos.iter().filter(|mu| image_satisfies(mu)).count()
+    }
+
+    #[test]
+    fn symmetry_breaking_keeps_exactly_one_assignment_per_orbit() {
+        let mut samples: Vec<(String, SampleGraph)> = catalog::entries()
+            .into_iter()
+            .map(|entry| (entry.name.to_string(), entry.sample))
+            .collect();
+        let connected = (0..400u64)
+            .map(|seed| (format!("random seed {seed}"), random_sample(seed)))
+            .filter(|(_, s)| s.is_connected() && s.num_nodes() <= 7)
+            .take(60);
+        samples.extend(connected);
+        assert!(samples.len() >= 60, "too few connected random samples");
+        for (name, sample) in samples {
+            let group = automorphism_group(&sample);
+            let lts = group.symmetry_breaking();
+            let autos: Vec<Permutation> = group.elements().collect();
+            let identity = std::slice::from_ref(&autos[0]);
+            let mut satisfying = 0u128;
+            for values in all_permutations(sample.num_nodes()) {
+                // Every orbit of assignments has exactly one member that
+                // passes, so the passing ones number p!/|Aut|.
+                assert_eq!(satisfying_images(&autos, &lts, &values), 1, "{name}");
+                satisfying += satisfying_images(identity, &lts, &values) as u128;
+            }
+            assert_eq!(satisfying, group.order_classes(), "{name}");
+        }
+    }
+
+    #[test]
+    fn symmetry_breaking_of_the_named_patterns() {
+        let lts = |sample: &SampleGraph| automorphism_group(sample).symmetry_breaking();
+        assert_eq!(lts(&catalog::triangle()), [(0, 1), (0, 2), (1, 2)]);
+        assert_eq!(lts(&catalog::square()), [(0, 1), (0, 2), (0, 3), (1, 3)]);
+        // The centre is alone in its orbit; the leaves come out as a chain.
+        assert_eq!(
+            lts(&catalog::star(5)),
+            [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        );
+        assert_eq!(lts(&catalog::lollipop()).len(), 1);
+        // The smallest asymmetric tree: arms of length 1, 2 and 3.
+        let asymmetric =
+            SampleGraph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]);
+        assert!(lts(&asymmetric).is_empty());
+        // A stabilizer breaks only the symmetry it has left.
+        let square = catalog::square();
+        assert_eq!(
+            automorphism_group(&square)
+                .stabilizer(0)
+                .symmetry_breaking(),
+            [(1, 3)]
+        );
+        // 16 nodes, 15! automorphisms: read off the chain, not the elements.
+        assert_eq!(lts(&catalog::star(16)).len(), 15 * 14 / 2);
     }
 
     #[test]

@@ -236,6 +236,12 @@ fn twelve_node_patterns_answer_within_the_request_timeout() {
         assert_eq!(resp.status, 400, "{pattern} => {}", resp.text());
         assert!(resp.text().contains("order classes"), "{}", resp.text());
     }
+    // A reducer budget every strategy's key space refuses: the planner's
+    // words, as the CLI prints them, not a panicked worker.
+    let resp = client::get(&addr, "/query?pattern=hypercube3&reducers=4000000000").unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let refusal = "no registered strategy can run this request";
+    assert!(resp.text().contains(refusal), "{}", resp.text());
     server.shutdown();
 }
 

@@ -2,7 +2,9 @@
 //! (`subgraph_cq::{LocalGraph, JoinPlan}` and the `evaluate_cq*` wrappers over
 //! it) against the independent backtracking oracle `enumerate_generic`.
 
-use subgraph_mr::core::enumerate::bucket_oriented::bucket_oriented_with_cqs;
+use subgraph_mr::core::enumerate::bucket_oriented::{
+    bucket_oriented_with_cqs, sample_plan, BucketQuota,
+};
 use subgraph_mr::core::enumerate::variable_oriented;
 use subgraph_mr::cq::{
     cqs_for_sample, cycle_cqs, evaluate_cq, evaluate_cq_filtered, evaluate_cq_group, evaluate_cqs,
@@ -50,8 +52,23 @@ fn oracle(sample: &SampleGraph, graph: &DataGraph) -> Vec<Instance> {
     sorted(enumerate_generic(sample, graph).into_instances())
 }
 
+/// Every instance `plan` finds over `local`, unrestricted.
+fn run_plan(plan: &JoinPlan, local: &LocalGraph) -> Vec<Instance> {
+    let mut found = Vec::new();
+    plan.run(
+        local,
+        |_, _, _| true,
+        |assignment| found.push(plan.instance(local, assignment)),
+    );
+    found
+}
+
+/// The query collection, plan by plan, and the bucket-oriented reducers'
+/// single symmetry-broken plan for the same sample each find exactly the
+/// oracle's instances — so the one plan equals the union of the per-CQ plans.
 fn check_against_oracle<O: NodeOrder>(
     what: &str,
+    sample: &SampleGraph,
     cqs: &[ConjunctiveQuery],
     graph: &DataGraph,
     order: &O,
@@ -61,6 +78,9 @@ fn check_against_oracle<O: NodeOrder>(
     assert_eq!(outcome.assignments, expected.len(), "{what}");
     assert_eq!(outcome.duplicates(), 0, "{what}");
     assert_eq!(sorted(outcome.instances), expected, "{what}");
+    let local = LocalGraph::build(graph.edges(), order);
+    let one_plan = run_plan(&sample_plan(sample), &local);
+    assert_eq!(sorted(one_plan), expected, "{what}: one plan");
 }
 
 #[test]
@@ -70,18 +90,50 @@ fn the_kernel_matches_the_generic_oracle_under_every_order() {
         for (name, sample, cqs) in query_sets() {
             let expected = oracle(&sample, &graph);
             let what = |order: &str| format!("{name} on {graph_name} under {order}");
-            check_against_oracle(&what("id"), &cqs, &graph, &IdOrder, &expected);
-            check_against_oracle(&what("degree"), &cqs, &graph, &by_degree, &expected);
+            check_against_oracle(&what("id"), &sample, &cqs, &graph, &IdOrder, &expected);
+            check_against_oracle(
+                &what("degree"),
+                &sample,
+                &cqs,
+                &graph,
+                &by_degree,
+                &expected,
+            );
             for b in [1, 3, 5] {
                 let order = BucketThenIdOrder::new(b);
                 check_against_oracle(
                     &what(&format!("bucket {b}")),
+                    &sample,
                     &cqs,
                     &graph,
                     &order,
                     &expected,
                 );
             }
+        }
+    }
+}
+
+/// A node's neighbours are one sorted run: its predecessors, then its
+/// successors.
+#[test]
+fn neighbors_are_the_predecessors_then_the_successors() {
+    for (name, graph) in graphs() {
+        let by_degree = DegreeOrder::new(&graph);
+        for local in [
+            LocalGraph::build(graph.edges(), &IdOrder),
+            LocalGraph::build(graph.edges(), &by_degree),
+            LocalGraph::build(graph.edges(), &BucketThenIdOrder::new(3)),
+        ] {
+            let mut arcs = 0;
+            for v in 0..local.num_nodes() as u32 {
+                let (before, after) = (local.predecessors(v), local.successors(v));
+                assert_eq!(local.neighbors(v), [before, after].concat(), "{name}");
+                assert!(local.neighbors(v).windows(2).all(|w| w[0] < w[1]), "{name}");
+                assert!(before.iter().all(|&w| w < v) && after.iter().all(|&w| w > v));
+                arcs += local.neighbors(v).len();
+            }
+            assert_eq!(arcs, 2 * graph.num_edges(), "{name}");
         }
     }
 }
@@ -116,17 +168,20 @@ fn for_each_key(limits: &[u32], nondecreasing: bool, visit: &mut dyn FnMut(&[u32
 /// bucket multiset, fed the edges whose endpoint buckets both occur in its
 /// key, admitting a node only while the bound buckets stay a sub-multiset of
 /// the key. Run over the whole key space, the reducers find every instance
-/// exactly once.
+/// exactly once — by the query collection's plans under that test spelled
+/// out here, and by the sample's single plan under the reducers' own
+/// `BucketQuota`.
 #[test]
 fn bucket_multiset_keys_partition_the_instances() {
     let graph = generators::gnm(18, 50, 43);
     for (name, sample, cqs) in query_sets() {
         let p = sample.num_nodes();
         let plans: Vec<JoinPlan> = cqs.iter().map(JoinPlan::compile).collect();
+        let one_plan = sample_plan(&sample);
         let expected = oracle(&sample, &graph);
         for b in [1usize, 3] {
             let order = BucketThenIdOrder::new(b);
-            let mut found = Vec::new();
+            let (mut found, mut found_by_one) = (Vec::new(), Vec::new());
             for_each_key(&vec![b as u32; p], true, &mut |key| {
                 let in_key = |v: NodeId| key.contains(&(order.bucket(v) as u32));
                 let edges: Vec<Edge> = graph
@@ -147,8 +202,19 @@ fn bucket_multiset_keys_partition_the_instances() {
                         |assignment| found.push(plan.instance(&local, assignment)),
                     );
                 }
+                let owned = BucketQuota::new(&local, &order, key.iter().copied());
+                one_plan.run(
+                    &local,
+                    |_, node, bound| owned.admits(node, bound),
+                    |assignment| found_by_one.push(one_plan.instance(&local, assignment)),
+                );
             });
             assert_eq!(sorted(found), expected, "{name} with {b} buckets");
+            assert_eq!(
+                sorted(found_by_one),
+                expected,
+                "{name}: one plan, {b} buckets"
+            );
         }
     }
 }

@@ -212,3 +212,45 @@ fn planner_choice_matches_the_oracle_on_both_graph_families() {
         }
     }
 }
+
+/// Forced bucket-oriented counts at 64 reducers — one symmetry-broken join
+/// per reducer — equal the serial planner's count (`reducers = 1`) for all
+/// ten catalog patterns on a G(n, m) graph, and for all but `hypercube3` on a
+/// power-law one. The serial oracle, not the round, bounds the sizes: a
+/// release build takes the larger pair.
+#[test]
+fn forced_bucket_oriented_counts_equal_the_serial_count_for_the_catalog() {
+    let (gnm, power_law) = if cfg!(debug_assertions) {
+        ("gnm:400,1600,3", "power-law:60,150,2.2,3")
+    } else {
+        ("gnm:3000,12000,3", "power-law:150,400,2.2,3")
+    };
+    for spec in [gnm, power_law] {
+        let graph = subgraph_mr::graph::GraphSource::parse_generator(spec)
+            .and_then(|source| source.load())
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        for entry in catalog::entries() {
+            if spec == power_law && entry.name == "hypercube3" {
+                continue;
+            }
+            let count = |request: EnumerationRequest<'_>| {
+                request
+                    .engine(EngineConfig::with_threads(2))
+                    .count()
+                    .unwrap_or_else(|e| panic!("{} on {spec}: {e}", entry.name))
+            };
+            let request = || EnumerationRequest::new(entry.sample.clone(), &graph);
+            let forced = count(
+                request()
+                    .reducers(64)
+                    .strategy(StrategyKind::BucketOriented),
+            );
+            assert_eq!(
+                forced,
+                count(request().reducers(1)),
+                "{} on {spec}",
+                entry.name
+            );
+        }
+    }
+}
