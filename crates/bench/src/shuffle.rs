@@ -34,10 +34,6 @@ pub struct ShuffleSample {
     pub mean_secs: f64,
     /// Fastest pooled run, in seconds.
     pub min_secs: f64,
-    /// Mean wall time per run on the legacy per-round `thread::scope`
-    /// executor — the baseline the pool replaced, kept as a comparison
-    /// column so spawn/join overhead stays visible PR over PR.
-    pub scoped_mean_secs: f64,
     /// True when this configuration asks for more threads than the host
     /// reports as available parallelism; its timing measures contention,
     /// not scaling, and the scaling gate ignores it.
@@ -93,7 +89,6 @@ impl ShuffleBenchReport {
                 "threads",
                 "pool mean (s)",
                 "min (s)",
-                "scoped mean (s)",
                 "records/s (mean)",
                 "speedup vs 1",
             ],
@@ -118,7 +113,6 @@ impl ShuffleBenchReport {
                 ),
                 format!("{:.4}", sample.mean_secs),
                 format!("{:.4}", sample.min_secs),
-                format!("{:.4}", sample.scoped_mean_secs),
                 fmt(records_per_sec),
                 format!("{speedup:.2}x"),
             ]);
@@ -181,12 +175,11 @@ impl ShuffleBenchReport {
             };
             out.push_str(&format!(
                 "    {{ \"threads\": {}, \"mean_secs\": {:.6}, \"min_secs\": {:.6}, \
-                 \"scoped_mean_secs\": {:.6}, \"oversubscribed\": {}, \
-                 \"shuffle_records\": {}, \"records_per_sec\": {:.1}, \"outputs\": {} }}{}\n",
+                 \"oversubscribed\": {}, \"shuffle_records\": {}, \"records_per_sec\": {:.1}, \
+                 \"outputs\": {} }}{}\n",
                 sample.threads,
                 sample.mean_secs,
                 sample.min_secs,
-                sample.scoped_mean_secs,
                 sample.oversubscribed,
                 sample.shuffle_records,
                 records_per_sec,
@@ -223,38 +216,31 @@ pub fn run_shuffle_bench(quick: bool) -> ShuffleBenchReport {
         .unwrap_or(1);
     let mut samples = Vec::with_capacity(THREAD_COUNTS.len());
     for threads in THREAD_COUNTS {
-        let run_with = |config: EngineConfig| {
+        let run = || {
             EnumerationRequest::new(catalog::triangle(), &graph)
                 .reducers(reducer_budget)
                 .strategy(StrategyKind::MultiwayTriangles)
-                .engine(config)
+                .engine(EngineConfig::with_threads(threads))
                 .plan()
                 .expect("multiway applies to the triangle pattern")
                 .execute()
         };
-        let time_sweep = |config: &dyn Fn() -> EngineConfig, expected: usize| {
-            let mut times = Vec::with_capacity(runs);
-            for _ in 0..runs {
-                let start = Instant::now();
-                let report = run_with(config());
-                times.push(start.elapsed().as_secs_f64());
-                assert_eq!(report.count(), expected, "thread-count invariance");
-            }
-            times
-        };
         // untimed warm-up: page in the graph and code paths
-        let warmup = run_with(EngineConfig::with_threads(threads));
-        let pooled = time_sweep(&|| EngineConfig::with_threads(threads), warmup.count());
-        let scoped = time_sweep(
-            &|| EngineConfig::with_threads(threads).scoped_threads(),
-            warmup.count(),
-        );
+        let warmup = run();
+        let pooled: Vec<f64> = (0..runs)
+            .map(|_| {
+                let start = Instant::now();
+                let report = run();
+                let secs = start.elapsed().as_secs_f64();
+                assert_eq!(report.count(), warmup.count(), "thread-count invariance");
+                secs
+            })
+            .collect();
         let metrics = warmup.metrics.as_ref().expect("map-reduce strategy");
         samples.push(ShuffleSample {
             threads,
             mean_secs: pooled.iter().sum::<f64>() / pooled.len() as f64,
             min_secs: pooled.iter().cloned().fold(f64::INFINITY, f64::min),
-            scoped_mean_secs: scoped.iter().sum::<f64>() / scoped.len() as f64,
             oversubscribed: threads > available_parallelism,
             shuffle_records: metrics.shuffle_records,
             outputs: warmup.count(),
@@ -530,7 +516,6 @@ mod tests {
                     threads,
                     mean_secs: 0.5 / threads as f64,
                     min_secs: 0.4 / threads as f64,
-                    scoped_mean_secs: 0.6 / threads as f64,
                     oversubscribed: threads > 1,
                     shuffle_records: 100,
                     outputs: 3,
@@ -545,11 +530,11 @@ mod tests {
         assert!((report.speedup_widest_over_single() - 8.0).abs() < 1e-9);
         let json = report.to_json();
         validate_json(&json).expect("generated JSON must validate");
-        assert!(json.contains("\"scoped_mean_secs\""));
+        assert!(json.contains("\"min_secs\""));
         assert!(json.contains("\"oversubscribed\": true"));
         let table = report.table();
         assert!(table.contains("threads"));
-        assert!(table.contains("scoped mean (s)"));
+        assert!(table.contains("pool mean (s)"));
         assert!(table.contains("8*"), "oversubscribed rows are starred");
     }
 

@@ -55,7 +55,7 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use subgraph_core::sink::SerializeSink;
+use subgraph_core::sink::{SerializeSink, TextFormat, TextSink};
 use subgraph_core::{
     CsvSink, EdgeListSink, EnumerationRequest, NdjsonSink, PlanError, RunReport, StrategyKind,
 };
@@ -789,23 +789,20 @@ fn stream_plan<W: Write + Send>(
     format: Format,
     writer: W,
 ) -> Result<StreamSummary, CliError> {
-    let (written, report) = match format {
-        Format::Ndjson => {
-            let mut sink = NdjsonSink::new(writer);
-            let report = plan.run_with_sink(&mut sink);
-            (sink.finish()?, report)
-        }
-        Format::Csv => {
-            let mut sink = CsvSink::new(writer);
-            let report = plan.run_with_sink(&mut sink);
-            (sink.finish()?, report)
-        }
-        Format::EdgeList => {
-            let mut sink = EdgeListSink::new(writer);
-            let report = plan.run_with_sink(&mut sink);
-            (sink.finish()?, report)
-        }
-    };
+    match format {
+        Format::Ndjson => stream_text(plan, NdjsonSink::new(writer)),
+        Format::Csv => stream_text(plan, CsvSink::new(writer)),
+        Format::EdgeList => stream_text(plan, EdgeListSink::new(writer)),
+    }
+}
+
+/// Runs `plan` into one text sink and finishes it.
+fn stream_text<F: TextFormat, W: Write + Send>(
+    plan: &subgraph_core::ExecutionPlan<'_>,
+    mut sink: TextSink<F, W>,
+) -> Result<StreamSummary, CliError> {
+    let report = plan.run_with_sink(&mut sink);
+    let written = sink.finish()?;
     debug_assert_eq!(written, report.count());
     Ok(StreamSummary {
         written,

@@ -221,11 +221,11 @@ fn a_budget_past_the_key_space_is_refused_by_name() {
         );
     }
     // Unforced, the planner falls through the candidates; hypercube3 at this
-    // budget runs out of them.
+    // budget runs out of them, and the first candidate's refusal is named.
     let (code, stderr) = run("hypercube3", &[]);
     assert_eq!(code, Some(1), "{stderr}");
     assert_eq!(
         stderr,
-        "error: no registered strategy can run this request\n"
+        format!("error: strategy bucket-oriented cannot run this request: {too_large}\n"),
     );
 }

@@ -225,16 +225,12 @@ fn run_plans(
     };
 
     let record_bytes = vec_key_record_bytes(space.width());
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(
+    let report = Pipeline::new()
+        .round(
             Round::new("bucket-oriented", mapper, reducer)
-                .record_bytes(move |_: &u32, _: &Edge| record_bytes)
-                .arena(),
-        ),
-        graph.edges(),
-        config,
-        sink,
-    );
+                .record_bytes(move |_: &u32, _: &Edge| record_bytes),
+        )
+        .run_with_sink(graph.edges(), config, sink);
     RunStats::from_pipeline(report).with_key_space(&space)
 }
 

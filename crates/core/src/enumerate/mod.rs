@@ -121,16 +121,11 @@ pub(crate) fn run_share_vector_round(
     };
 
     let record_bytes = vec_key_record_bytes(shares.len());
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(
-            Round::new(name, mapper, reducer)
-                .record_bytes(move |_: &u32, _: &Edge| record_bytes)
-                .arena(),
-        ),
-        graph.edges(),
-        config,
-        sink,
-    );
+    let report = Pipeline::new()
+        .round(
+            Round::new(name, mapper, reducer).record_bytes(move |_: &u32, _: &Edge| record_bytes),
+        )
+        .run_with_sink(graph.edges(), config, sink);
     RunStats::from_pipeline(report).with_key_space(&space)
 }
 

@@ -35,7 +35,6 @@ pub mod relation_join;
 pub mod result;
 pub mod serial;
 pub mod sink;
-mod stream;
 pub mod triangles;
 
 pub use convertible::{is_convertible, predicted_parallel_work, ConvertibilityReport};

@@ -69,20 +69,32 @@ impl Planner {
 
         // Budget <= 1 means "no cluster": plan among the serial algorithms.
         let want_serial = request.reducer_budget() <= 1;
-        let mut scored: Vec<(CostEstimate, Arc<dyn Strategy>)> = self
+        let mut scored: Vec<(CostEstimate, Arc<dyn Strategy>)> = Vec::new();
+        let mut first_refusal = None;
+        for s in self
             .strategies
             .iter()
             .filter(|s| s.kind().is_serial() == want_serial)
-            .filter(|s| s.applicability(&request).is_ok())
-            .map(|s| (s.estimate(&request), Arc::clone(s)))
-            .collect();
+        {
+            match s.applicability(&request) {
+                Ok(()) => scored.push((s.estimate(&request), Arc::clone(s))),
+                Err(reason) => {
+                    first_refusal.get_or_insert(PlanError::NotApplicable {
+                        strategy: s.kind(),
+                        reason,
+                    });
+                }
+            }
+        }
         if scored.is_empty() {
             // Past the order-class limit every general map-reduce strategy
-            // refuses; name that rather than reporting a bare "no strategy".
+            // refuses; name that first. Otherwise name the first candidate's
+            // refusal, and report a bare "no strategy" only when there was no
+            // candidate at all.
             if !want_serial {
                 request.check_order_classes()?;
             }
-            return Err(PlanError::NoApplicableStrategy);
+            return Err(first_refusal.unwrap_or(PlanError::NoApplicableStrategy));
         }
         // Stable sort: registration order breaks exact ties.
         scored.sort_by(|a, b| {
@@ -601,12 +613,27 @@ mod tests {
     #[test]
     fn restricted_planner_reports_no_applicable_strategy() {
         let g = generators::complete(5);
+        // No candidate at all: nothing to name.
+        let err = Planner::with_strategies(Vec::new())
+            .plan(EnumerationRequest::new(catalog::square(), &g))
+            .unwrap_err();
+        assert_eq!(err, PlanError::NoApplicableStrategy);
+        // A candidate that refuses: its refusal is the answer.
         let planner = Planner::with_strategies(vec![std::sync::Arc::new(
             crate::plan::strategy::PartitionTriangles,
         )]);
         let err = planner
             .plan(EnumerationRequest::new(catalog::square(), &g))
             .unwrap_err();
-        assert_eq!(err, PlanError::NoApplicableStrategy);
+        assert!(
+            matches!(
+                err,
+                PlanError::NotApplicable {
+                    strategy: StrategyKind::PartitionTriangles,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 }

@@ -270,11 +270,11 @@ impl RunReport {
                 let possible = self.possible_keys.get(i);
                 let possible = possible.map(|n| format!("/{n}")).unwrap_or_default();
                 out.push_str(&format!("            keys {}{possible}", m.reducers_used));
-                if m.wire_bytes.0 > 0 {
+                if m.wire_bytes > 0 {
                     let per_record = |bytes: u64| bytes as f64 / m.shuffle_records.max(1) as f64;
                     out.push_str(&format!(
                         ", wire {:.1} B/rec vs priced {:.1} B/rec",
-                        per_record(m.wire_bytes.0),
+                        per_record(m.wire_bytes),
                         per_record(m.shuffle_bytes),
                     ));
                 }
@@ -317,7 +317,6 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subgraph_mapreduce::WireBytes;
 
     #[test]
     fn serial_and_map_reduce_reports_share_one_shape() {
@@ -423,7 +422,7 @@ mod tests {
                         key_value_pairs: 45,
                         shuffle_records: 42,
                         shuffle_bytes: 840,
-                        wire_bytes: WireBytes(315),
+                        wire_bytes: 315,
                         reducers_used: 9,
                         reducer_work: 7,
                         outputs: 3,

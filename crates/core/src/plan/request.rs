@@ -220,10 +220,11 @@ pub enum PlanError {
     },
     /// The sample graph has no edges, so no edge-relation CQ can produce it.
     EmptyPattern,
-    /// A strategy override cannot run this request (wrong pattern shape,
-    /// disconnected pattern, ...).
+    /// A strategy cannot run this request (wrong pattern shape, disconnected
+    /// pattern, a budget past its key space, ...): the forced strategy, or
+    /// the first candidate of an unforced plan that every candidate refused.
     NotApplicable {
-        /// The strategy that was forced.
+        /// The strategy that refused.
         strategy: StrategyKind,
         /// Human-readable reason.
         reason: String,
@@ -240,8 +241,10 @@ pub enum PlanError {
         /// `p!/|Aut(S)|`.
         classes: u128,
     },
-    /// No registered strategy can run the request (only possible with a
-    /// custom, restricted [`Planner`]).
+    /// The planner has no candidate strategy for the request at all (only
+    /// possible with a custom, restricted [`Planner`]). When candidates exist
+    /// and all refuse, planning answers the first one's
+    /// [`PlanError::NotApplicable`] instead.
     NoApplicableStrategy,
 }
 

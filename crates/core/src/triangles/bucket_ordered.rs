@@ -68,16 +68,12 @@ pub(crate) fn run_bucket_ordered_triangles_into(
         ctx.add_work(work);
     };
 
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(
+    let report = Pipeline::new()
+        .round(
             Round::new("bucket-ordered", mapper, reducer)
-                .record_bytes(|_: &u32, _: &Edge| triple_key_record_bytes())
-                .arena(),
-        ),
-        graph.edges(),
-        config,
-        sink,
-    );
+                .record_bytes(|_: &u32, _: &Edge| triple_key_record_bytes()),
+        )
+        .run_with_sink(graph.edges(), config, sink);
     RunStats::from_pipeline(report).with_key_space(&space)
 }
 

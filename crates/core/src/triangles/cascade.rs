@@ -144,7 +144,7 @@ fn wedge_round_spec() -> Round<'static, Edge, NodeId, Side, Wedge> {
             }
         }
     };
-    Round::new("wedge", mapper, reducer).arena()
+    Round::new("wedge", mapper, reducer)
 }
 
 /// The closing round as a declarative [`Round`]: wedges and edges are keyed by
@@ -170,7 +170,7 @@ fn closing_round_spec() -> Round<'static, Round2Input, (NodeId, NodeId), Round2V
                 }
             }
         };
-    Round::new("closing", mapper, reducer).arena()
+    Round::new("closing", mapper, reducer)
 }
 
 /// Runs the two-round cascade pipeline, streaming the triangles of the
@@ -183,23 +183,19 @@ pub(crate) fn run_cascade_triangles_into(
     config: &EngineConfig,
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new()
-            .round(wedge_round_spec())
-            .prepare(|wedges: Vec<Wedge>| {
-                // The second round joins the wedge stream with the edge
-                // relation: feed it both, tagged by origin.
-                wedges
-                    .into_iter()
-                    .map(Round2Input::Wedge)
-                    .chain(graph.edges().iter().copied().map(Round2Input::Edge))
-                    .collect()
-            })
-            .round(closing_round_spec()),
-        graph.edges(),
-        config,
-        sink,
-    );
+    let report = Pipeline::new()
+        .round(wedge_round_spec())
+        .prepare(|wedges: Vec<Wedge>| {
+            // The second round joins the wedge stream with the edge
+            // relation: feed it both, tagged by origin.
+            wedges
+                .into_iter()
+                .map(Round2Input::Wedge)
+                .chain(graph.edges().iter().copied().map(Round2Input::Edge))
+                .collect()
+        })
+        .round(closing_round_spec())
+        .run_with_sink(graph.edges(), config, sink);
     RunStats::from_pipeline(report)
 }
 

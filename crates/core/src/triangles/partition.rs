@@ -60,12 +60,9 @@ pub(crate) fn run_partition_triangles_into(
         ctx.add_work(work);
     };
 
-    let report = crate::stream::run_streamed_with_sink(
-        Pipeline::new().round(Round::new("partition", mapper, reducer).arena()),
-        graph.edges(),
-        config,
-        sink,
-    );
+    let report = Pipeline::new()
+        .round(Round::new("partition", mapper, reducer))
+        .run_with_sink(graph.edges(), config, sink);
     RunStats::from_pipeline(report)
 }
 

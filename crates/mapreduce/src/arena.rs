@@ -1,55 +1,54 @@
-//! The arena shuffle: flat byte buffers instead of `Vec<(K, V)>` records.
+//! The round executor: map into per-reduce-shard byte arenas, exchange arena
+//! ownership, decode while grouping, reduce.
 //!
-//! The classic shuffle representation costs ~32 bytes per record for the
-//! paper's triangle workloads (`(u64 hash, [u32; 3], Edge)` with padding)
-//! *twice* — once in the map context's pair vector, once in the partitioned
-//! buckets. The arena shuffle removes both: map workers serialize every
-//! emission straight into one **byte arena per reduce shard** using the
-//! [`ArenaCodec`] varint encoding (~10 bytes per triangle record), the
-//! exchange transposes arena ownership without touching a record, and reduce
-//! workers decode each arena chunk once while grouping — returning consumed
-//! chunks to the [`BufferPool`] as they go, so resident memory *falls*
-//! through the reduce phase instead of peaking.
+//! Every [`Round`] runs here. A `Vec<(K, V)>` shuffle costs ~32 bytes per
+//! record for the paper's triangle workloads (`(u64 hash, [u32; 3], Edge)`
+//! with padding), held twice — once in a pair vector, once in the
+//! partitioned buckets. The arena holds each record once, serialized with
+//! the [`ArenaCodec`] varint encoding (~10 bytes per triangle record):
+//!
+//! 1. **Map.** One pool task per logical map shard (`len.div_ceil(threads)`
+//!    records). Each emission is hashed, routed with [`shard_for_hash`] and
+//!    encoded straight into that reduce shard's arena. A round whose combiner
+//!    is active first maps the shard into a plain pair buffer, groups it by
+//!    key in a `PrehashedMap`, combines each group and emits the kept values
+//!    with the hash computed while grouping — so the combiner's scope is the
+//!    map shard and `shuffle_records` counts what survives it.
+//! 2. **Exchange.** The coordinator transposes arena ownership (map-shard
+//!    major to reduce-shard major) without touching a record.
+//! 3. **Reduce.** One pool task per reduce shard decodes each arena chunk
+//!    once while grouping into a `PrehashedMap`, returning consumed chunks to
+//!    the [`BufferPool`] as it goes, so resident memory *falls* through the
+//!    reduce phase instead of peaking. Keys are sorted when
+//!    [`EngineConfig::deterministic`] is set, and the reducer streams into a
+//!    private shard of the output sink, folded back in shard order.
 //!
 //! Under an [`EngineConfig::memory_budget`] the arena additionally spills:
-//! when the round's resident chunk bytes cross the budget, the map worker
-//! that crossed it seals its full chunks into run files (see [`crate::spill`])
-//! and recycles the buffers, and the reduce phase streams each bucket's runs
+//! when the round's resident chunk bytes cross the budget, the map task that
+//! crossed it seals its full chunks into run files (see [`crate::spill`]) and
+//! recycles the buffers, and the reduce phase streams each bucket's runs
 //! back *before* its resident tail — run records are strictly older than
 //! resident ones, so the merged order is exactly the in-memory order and the
-//! merge is concatenation, not sort.
+//! merge is concatenation, not sort. Outputs and every non-spill
+//! [`JobMetrics`] counter are the same at every budget.
 //!
-//! Parity contract (pinned by `tests/pool_parity.rs` / `tests/sink_parity.rs`
-//! and the acceptance sweep): outputs and every [`JobMetrics`] counter are
-//! byte-identical to the classic executors — and, spill counters aside, the
-//! same at every budget. The ingredients:
-//!
-//! * **Routing** uses the same emit-time FxHash + [`shard_for_hash`], so
-//!   records land in the same reduce shard.
-//! * **Grouping** uses the same `PrehashedMap` with the same capacity
-//!   heuristic and the same insertion order (map-shard order, emission order
-//!   within a shard — spilled runs then the resident tail preserve exactly
-//!   that order), so even non-deterministic iteration order matches.
-//! * **`shuffle_bytes`** is priced by the round's record weigher exactly once
-//!   per record — on the reduce side, where each record is decoded —
-//!   summing to the same total the classic map-side pricing produces.
-//! * **Hash accounting** differs by design: the arena path hashes each key
-//!   once at emit (routing) and once at decode (grouping) instead of carrying
-//!   8 hash bytes per record through the exchange. The debug hash counters
-//!   assert exactly that shape here.
-//!
-//! `partition_time` reports zero on this path: partitioning happens inside
-//! the emit call, so its cost is already part of `map_time`. `spill_read_secs`
-//! is likewise a slice of `reduce_time` (the critical-path run-file reads).
+//! Per-key value order is (map shard, emission order within the shard), so
+//! a deterministic run is a pure function of the input, the thread count and
+//! the combiner toggle. `shuffle_bytes` is priced by the round's record
+//! weigher once per record at decode; `wire_bytes` is the encoded length of
+//! the same records. Each key is hashed once on the map side (routing, or
+//! grouping when combining) and once at decode (grouping); the debug hash
+//! counters assert exactly that shape. `spill_read_secs` is a slice of
+//! `reduce_time` (the critical-path run-file reads).
 
 use crate::engine::{shard_for_hash, EngineConfig};
 use crate::hash::{hash_for_shuffle, prehashed_map_with_capacity, Prehashed, PrehashedMap};
 use crate::metrics::JobMetrics;
-use crate::pipeline::{InputChunk, ReduceOutcome, Round, Slot};
-use crate::pool::{BufferPool, WorkerPool};
+use crate::pipeline::Round;
+use crate::pool::BufferPool;
 use crate::sink::{OutputSink, SinkShard};
 use crate::spill::{RunReader, SpillRound};
-use crate::task::{MapContext, ReduceContext};
+use crate::task::{Combiner, MapContext, ReduceContext};
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -67,7 +66,7 @@ use subgraph_codec::ArenaCodec;
 /// before a small budget is exhausted.
 pub(crate) const ARENA_CHUNK: usize = 1 << 20;
 
-/// One reduce shard's byte arena on one map worker: sealed chunks of
+/// One reduce shard's byte arena on one map task: sealed chunks of
 /// back-to-back encoded `(key, value)` records, plus the run files earlier
 /// sealed chunks were spilled into. A record never spans chunks.
 pub(crate) struct ArenaBucket {
@@ -108,7 +107,7 @@ impl ArenaBucket {
         let mut reserved = 0;
         if !fits {
             let want = chunk_target.max(record.len());
-            let mut chunk: Vec<u8> = buffers.take();
+            let mut chunk = buffers.take();
             if chunk.capacity() < want {
                 chunk.reserve_exact(want);
             } else if bounded && chunk.capacity() > want.saturating_mul(2) {
@@ -126,11 +125,10 @@ impl ArenaBucket {
         reserved
     }
 
-    /// Number of records in the bucket — the reduce side's capacity heuristic
-    /// input, mirroring the classic path's `key_entries`. Spilling never
-    /// decrements it: spilled records still arrive at the reducer, so the
-    /// heuristic (and with it the grouping map's growth pattern) is identical
-    /// at every budget.
+    /// Number of records in the bucket — the reduce side's grouping-map
+    /// capacity heuristic. Spilling never decrements it: spilled records
+    /// still arrive at the reducer, so the heuristic (and with it the
+    /// grouping map's growth pattern) is identical at every budget.
     pub(crate) fn records(&self) -> usize {
         self.records
     }
@@ -155,9 +153,9 @@ pub(crate) struct ArenaState<K, V> {
     buffers: Arc<BufferPool>,
     /// The round's shared spill state; `None` runs the pure in-memory path.
     spill: Option<Arc<SpillRound>>,
-    /// This worker's logical map-shard index — names its run files.
+    /// This task's logical map-shard index — names its run files.
     map_shard: usize,
-    /// This worker's next spill epoch (bumped once per spill pass).
+    /// This task's next spill epoch (bumped once per spill pass).
     epoch: usize,
     /// Chunk capacity to reserve: [`ARENA_CHUNK`], or the budget-scaled
     /// [`SpillRound::chunk_target`].
@@ -192,7 +190,7 @@ where
     }
 
     /// Attaches the round's spill state (no-op when `spill` is `None`) and
-    /// records which map shard this worker is, for run-file naming.
+    /// records which map shard this task is, for run-file naming.
     pub(crate) fn with_spill(mut self, spill: Option<Arc<SpillRound>>, map_shard: usize) -> Self {
         self.chunk_target = spill
             .as_ref()
@@ -205,12 +203,17 @@ where
 
 impl<K, V> ArenaState<K, V> {
     /// Routes and serializes one emission: hash the key (the counted,
-    /// emit-side hash), pick the reduce shard, encode into that shard's
-    /// arena. Under a budget, opening a chunk that pushes the round's
-    /// resident bytes past the budget triggers a spill of this worker's
-    /// sealed chunks.
+    /// emit-side hash), then [`ArenaState::emit_hashed`].
     pub(crate) fn emit(&mut self, key: &K, value: &V) {
         let hash = (self.hash)(key);
+        self.emit_hashed(hash, key, value);
+    }
+
+    /// Routes and serializes one emission whose key hash is already known:
+    /// pick the reduce shard, encode into that shard's arena. Under a budget,
+    /// opening a chunk that pushes the round's resident bytes past the budget
+    /// triggers a spill of this task's sealed chunks.
+    fn emit_hashed(&mut self, hash: u64, key: &K, value: &V) {
         let shard = shard_for_hash(hash, self.buckets.len());
         self.scratch.clear();
         (self.encode)(key, value, &mut self.scratch);
@@ -281,63 +284,102 @@ impl<K, V> ArenaState<K, V> {
     }
 }
 
-/// What one arena map worker hands to the exchange.
-struct ArenaMapOutcome {
-    /// One arena per reduce shard, indexed by [`shard_for_hash`].
-    buckets: Vec<ArenaBucket>,
-    /// Records emitted by the worker's mapper calls.
-    emitted: usize,
-}
+/// A one-shot result slot a pool task fills for the coordinator.
+type Slot<T> = Mutex<Option<T>>;
 
-/// Maps a batch of logical shards on the pool, one task per shard, returning
-/// the outcomes in shard order. `base_shard` offsets the global map-shard
-/// index (and thus spill run-file names) so the chunked executor can feed
-/// waves of shards through the same code path.
-fn arena_map_shards<I, K, V, O>(
-    shards: &[&[I]],
-    base_shard: usize,
-    reduce_shards: usize,
-    round: &Round<'_, I, K, V, O>,
-    buffers: &Arc<BufferPool>,
-    spill: &Option<Arc<SpillRound>>,
-    pool: &WorkerPool,
-) -> Vec<ArenaMapOutcome>
-where
-    I: Sync,
-    K: Hash + ArenaCodec,
-    V: ArenaCodec,
-{
-    let mapper = &*round.mapper;
-    let outcome_slots: Vec<Slot<ArenaMapOutcome>> =
-        (0..shards.len()).map(|_| Mutex::new(None)).collect();
-    pool.run_indexed(shards.len(), |shard| {
-        #[cfg(debug_assertions)]
-        let _ = crate::hash::debug_hash_count::take();
-        let state = ArenaState::new(reduce_shards, Arc::clone(buffers))
-            .with_spill(spill.clone(), base_shard + shard);
-        let mut ctx = MapContext::with_arena(state);
-        for record in shards[shard] {
-            mapper.map(record, &mut ctx);
-        }
-        let (buckets, emitted) = ctx.into_arena();
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            crate::hash::debug_hash_count::take() as usize,
-            emitted,
-            "arena map side hashes each emitted key exactly once (routing)"
-        );
-        *outcome_slots[shard]
-            .lock()
-            .expect("arena map slot poisoned") = Some(ArenaMapOutcome { buckets, emitted });
-    });
-    outcome_slots
+/// Empties the slots a `run_indexed` batch filled, in index order.
+fn take_slots<T>(slots: Vec<Slot<T>>) -> Vec<T> {
+    slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .expect("arena map slot poisoned")
-                .expect("every map shard completed")
+                .expect("task slot poisoned")
+                .expect("every task filled its slot")
         })
         .collect()
+}
+
+/// What one map task hands to the exchange.
+struct MappedShard {
+    /// One arena per reduce shard, indexed by [`shard_for_hash`].
+    buckets: Vec<ArenaBucket>,
+    /// Pairs the mapper emitted.
+    emitted: usize,
+    /// Records written to the arenas: the combiner's output when one ran,
+    /// `emitted` otherwise.
+    shipped: usize,
+}
+
+/// Maps one logical shard into fresh arenas (see the module docs for the
+/// combining variant).
+fn map_shard<I, K, V, O>(
+    records: &[I],
+    round: &Round<'_, I, K, V, O>,
+    combiner: Option<&dyn Combiner<K, V>>,
+    mut state: ArenaState<K, V>,
+) -> MappedShard
+where
+    K: Hash + Eq,
+{
+    #[cfg(debug_assertions)]
+    let _ = crate::hash::debug_hash_count::take();
+    let mapper = &*round.mapper;
+    let (buckets, emitted, shipped) = match combiner {
+        None => {
+            let mut ctx = MapContext::with_arena(state);
+            for record in records {
+                mapper.map(record, &mut ctx);
+            }
+            let (buckets, emitted) = ctx.into_arena();
+            (buckets, emitted, emitted)
+        }
+        Some(combiner) => {
+            let mut ctx = MapContext::new();
+            for record in records {
+                mapper.map(record, &mut ctx);
+            }
+            let pairs = ctx.into_pairs();
+            let emitted = pairs.len();
+            // Grouping-map iteration order is a function of hasher, capacity
+            // and insertion order, so the combined records reach the arenas
+            // in a deterministic order.
+            let mut groups: PrehashedMap<K, Vec<V>> = prehashed_map_with_capacity(emitted);
+            for (key, value) in pairs {
+                groups.entry(Prehashed::new(key)).or_default().push(value);
+            }
+            for (key, values) in groups {
+                for value in combiner.combine(key.key(), values) {
+                    state.emit_hashed(key.hash(), key.key(), &value);
+                }
+            }
+            let (buckets, shipped) = state.into_parts();
+            (buckets, emitted, shipped)
+        }
+    };
+    #[cfg(debug_assertions)]
+    debug_assert_eq!(
+        crate::hash::debug_hash_count::take() as usize,
+        emitted,
+        "the map side hashes each emitted key exactly once"
+    );
+    MappedShard {
+        buckets,
+        emitted,
+        shipped,
+    }
+}
+
+/// What one reduce task hands back: its filled sink shard plus counters.
+struct ReduceOutcome<O> {
+    shard: Box<dyn SinkShard<O>>,
+    emitted: usize,
+    work: u64,
+    groups: usize,
+    max_input: usize,
+    /// Weigher-priced bytes of the decoded records.
+    bytes: u64,
+    /// Time spent reading spilled runs back.
+    read_secs: Duration,
 }
 
 /// Decodes one chunk's records into the grouping map — shared by the
@@ -368,180 +410,89 @@ fn drain_chunk<K, V, W>(
     }
 }
 
-/// The exchange + reduce back half shared by both arena executors: transpose
-/// bucket ownership, then decode-while-grouping on the reduce workers —
-/// spilled runs first (streamed back one frame at a time through a recycled
-/// buffer), resident chunks after. Fills every reduce-side metric, including
-/// the spill counters, and drops the spill round (removing its directory).
-fn arena_exchange_reduce<I, K, V, O>(
-    mapped: Vec<ArenaMapOutcome>,
+/// Groups and reduces one reduce shard's inbox: spilled runs first (streamed
+/// back one frame at a time through a recycled buffer), resident chunks
+/// after, then the reducer over the (optionally sorted) groups.
+fn reduce_shard<I, K, V, O>(
+    inbox: Vec<ArenaBucket>,
+    sink_shard: Box<dyn SinkShard<O>>,
     round: &Round<'_, I, K, V, O>,
-    config: &EngineConfig,
-    sink: &mut dyn OutputSink<O>,
-    pool: &WorkerPool,
-    spill: Option<Arc<SpillRound>>,
-    metrics: &mut JobMetrics,
-) where
-    K: Hash + Eq + Ord + Send + ArenaCodec,
-    V: Send + ArenaCodec,
-    O: Send + 'static,
+    deterministic: bool,
+    buffers: &BufferPool,
+    spill: Option<&SpillRound>,
+) -> ReduceOutcome<O>
+where
+    K: Hash + Eq + Ord + ArenaCodec,
+    V: ArenaCodec,
 {
-    let threads = config.num_threads.max(1);
-    let buffers = pool.buffers();
-
-    // ---- Exchange phase ---------------------------------------------------
-    // The same transpose as the classic executors, except each moved value is
-    // a byte arena (plus its run-file paths) rather than a record vector.
-    let shuffle_start = Instant::now();
-    let workers = mapped.len();
-    let mut inboxes: Vec<Vec<ArenaBucket>> =
-        (0..threads).map(|_| Vec::with_capacity(workers)).collect();
-    for outcome in mapped {
-        for (target, bucket) in outcome.buckets.into_iter().enumerate() {
-            metrics.wire_bytes.0 += bucket.chunks.iter().map(|c| c.len() as u64).sum::<u64>();
-            inboxes[target].push(bucket);
-        }
-    }
-    metrics.shuffle_time = shuffle_start.elapsed();
-
-    // ---- Reduce phase -----------------------------------------------------
-    // Decode-while-grouping: each record is decoded exactly once, priced by
-    // the round's weigher (same total as map-side pricing), hashed once for
-    // the grouping lookup, and its chunk returned to the buffer pool the
-    // moment it is drained. Spilled runs stream back through one recycled
-    // frame buffer per worker, so re-reading a run keeps a single chunk
-    // resident at a time.
-    let deterministic = config.deterministic;
-    let reducer = &*round.reducer;
+    #[cfg(debug_assertions)]
+    let _ = crate::hash::debug_hash_count::take();
+    // Capacity heuristic: records in the largest inbound bucket, capped so a
+    // low-cardinality shard never pre-allocates a table sized to its record
+    // count; past the cap the map doubles a handful of times, which is cheap.
+    let capacity = inbox
+        .iter()
+        .map(ArenaBucket::records)
+        .max()
+        .unwrap_or(0)
+        .min(1 << 16);
     let weigher = &*round.record_bytes;
-    let reduce_start = Instant::now();
-    let reduce_slots: Vec<Slot<(ReduceOutcome<O>, u64, Duration)>> =
-        (0..inboxes.len()).map(|_| Mutex::new(None)).collect();
-    type ArenaReduceWork<O> = (Vec<ArenaBucket>, Box<dyn SinkShard<O>>);
-    let reduce_inputs: Vec<Slot<ArenaReduceWork<O>>> = inboxes
-        .into_iter()
-        .map(|inbox| Mutex::new(Some((inbox, sink.new_shard()))))
-        .collect();
-    let spill_ref = &spill;
-    pool.run_indexed(reduce_inputs.len(), |shard| {
-        #[cfg(debug_assertions)]
-        let _ = crate::hash::debug_hash_count::take();
-        let (inbox, sink_shard) = reduce_inputs[shard]
-            .lock()
-            .expect("arena reduce input poisoned")
-            .take()
-            .expect("each reduce shard is claimed once");
-        // Same capacity heuristic as the classic executors: records in the
-        // largest inbound bucket, capped. With capacity, hasher and insertion
-        // order all equal, the grouping map iterates in the classic order.
-        let capacity = inbox
-            .iter()
-            .map(ArenaBucket::records)
-            .max()
-            .unwrap_or(0)
-            .min(1 << 16);
-        let mut grouped: PrehashedMap<K, Vec<V>> = prehashed_map_with_capacity(capacity);
-        let mut bytes = 0u64;
-        let mut decoded = 0usize;
-        let mut read_secs = Duration::ZERO;
-        for bucket in inbox {
-            let (runs, chunks) = bucket.into_parts();
-            if !runs.is_empty() {
-                let spill = spill_ref
-                    .as_ref()
-                    .expect("run files only exist under a budget");
-                let mut frame: Vec<u8> = buffers.take();
-                for path in runs {
-                    let mut reader = RunReader::open(path, spill.dir());
-                    loop {
-                        let read_start = Instant::now();
-                        let more = reader.next_frame(&mut frame);
-                        read_secs += read_start.elapsed();
-                        if !more {
-                            break;
-                        }
-                        drain_chunk(&frame, weigher, &mut grouped, &mut bytes, &mut decoded);
+    let mut grouped: PrehashedMap<K, Vec<V>> = prehashed_map_with_capacity(capacity);
+    let mut bytes = 0u64;
+    let mut decoded = 0usize;
+    let mut read_secs = Duration::ZERO;
+    for bucket in inbox {
+        let (runs, chunks) = bucket.into_parts();
+        if !runs.is_empty() {
+            let spill = spill.expect("run files only exist under a budget");
+            let mut frame = buffers.take();
+            for path in runs {
+                let mut reader = RunReader::open(path, spill.dir());
+                loop {
+                    let read_start = Instant::now();
+                    let more = reader.next_frame(&mut frame);
+                    read_secs += read_start.elapsed();
+                    if !more {
+                        break;
                     }
+                    drain_chunk(&frame, weigher, &mut grouped, &mut bytes, &mut decoded);
                 }
-                buffers.give(frame);
             }
-            for chunk in chunks {
-                drain_chunk(&chunk, weigher, &mut grouped, &mut bytes, &mut decoded);
-                buffers.give(chunk);
-            }
+            buffers.give(frame);
         }
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            crate::hash::debug_hash_count::take() as usize,
-            decoded,
-            "arena reduce side hashes each decoded key exactly once (grouping)"
-        );
-        let mut groups: Vec<(K, Vec<V>)> = grouped
-            .into_iter()
-            .map(|(key, values)| (key.into_key(), values))
-            .collect();
-        if deterministic {
-            groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for chunk in chunks {
+            drain_chunk(&chunk, weigher, &mut grouped, &mut bytes, &mut decoded);
+            buffers.give(chunk);
         }
-        let group_count = groups.len();
-        let max_input = groups.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
-        let mut ctx = ReduceContext::with_shard(sink_shard);
-        for (key, values) in &groups {
-            reducer.reduce(key, values, &mut ctx);
-        }
-        let (shard_out, work, emitted) = ctx.into_parts();
-        *reduce_slots[shard]
-            .lock()
-            .expect("arena reduce outcome poisoned") = Some((
-            ReduceOutcome {
-                shard: shard_out,
-                emitted,
-                work,
-                groups: group_count,
-                max_input,
-            },
-            bytes,
-            read_secs,
-        ));
-    });
-    let reduced: Vec<(ReduceOutcome<O>, u64, Duration)> = reduce_slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("arena reduce outcome poisoned")
-                .expect("every reduce shard completed")
-        })
-        .collect();
-    metrics.reduce_time = reduce_start.elapsed();
-    metrics.reducers_used = reduced.iter().map(|(outcome, _, _)| outcome.groups).sum();
-    metrics.max_reducer_input = reduced
-        .iter()
-        .map(|(outcome, _, _)| outcome.max_input)
-        .max()
-        .unwrap_or(0);
-    // Critical-path read time, like partition_time: the longest any single
-    // reduce worker stalled on run files (a slice of reduce_time, not a new
-    // phase).
-    metrics.spill_read_secs = reduced
-        .iter()
-        .map(|(_, _, read_secs)| *read_secs)
-        .max()
-        .unwrap_or(Duration::ZERO);
-
-    let fold_start = Instant::now();
-    for (outcome, bytes, _) in reduced {
-        metrics.shuffle_bytes += bytes;
-        metrics.reducer_work += outcome.work;
-        metrics.outputs += outcome.emitted;
-        sink.fold(outcome.shard);
     }
-    metrics.sink_fold_time = fold_start.elapsed();
-    if let Some(spill) = spill {
-        metrics.spilled_bytes = spill.spilled_bytes.load(Ordering::Relaxed);
-        metrics.wire_bytes.0 += metrics.spilled_bytes;
-        metrics.spill_runs = spill.spill_runs.load(Ordering::Relaxed);
-        // Last owner: dropping removes the spill directory.
-        drop(spill);
+    #[cfg(debug_assertions)]
+    debug_assert_eq!(
+        crate::hash::debug_hash_count::take() as usize,
+        decoded,
+        "the reduce side hashes each decoded key exactly once (grouping)"
+    );
+    let mut groups: Vec<(K, Vec<V>)> = grouped
+        .into_iter()
+        .map(|(key, values)| (key.into_key(), values))
+        .collect();
+    if deterministic {
+        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    }
+    let max_input = groups.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
+    let reducer = &*round.reducer;
+    let mut ctx = ReduceContext::with_shard(sink_shard);
+    for (key, values) in &groups {
+        reducer.reduce(key, values, &mut ctx);
+    }
+    let (shard, work, emitted) = ctx.into_parts();
+    ReduceOutcome {
+        shard,
+        emitted,
+        work,
+        groups: groups.len(),
+        max_input,
+        bytes,
+        read_secs,
     }
 }
 
@@ -557,18 +508,15 @@ fn spill_round_for(config: &EngineConfig, threads: usize) -> Option<Arc<SpillRou
     })
 }
 
-/// The arena executor: same two-phase exchange as the classic executors
-/// (see [`crate::pipeline`]), with serialized buckets. Selected per round via
-/// [`Round::arena`] when the round has codec-capable key/value types, runs on
-/// the worker pool, and is skipped when a combiner is active (combined rounds
-/// keep the classic representation; their buckets hold `Vec<V>` groups the
-/// arena format does not model).
-pub(crate) fn execute_round_arena<I, K, V, O>(
+/// Executes one round over `inputs` on the configured worker pool, streaming
+/// the reducer outputs into `sink`, and returns the measured [`JobMetrics`].
+/// `num_threads` names the number of map and reduce shards; the pool decides
+/// how many OS threads serve them.
+pub(crate) fn execute_round<I, K, V, O>(
     inputs: &[I],
     round: &Round<'_, I, K, V, O>,
     config: &EngineConfig,
     sink: &mut dyn OutputSink<O>,
-    pool: &WorkerPool,
 ) -> JobMetrics
 where
     I: Sync,
@@ -576,83 +524,112 @@ where
     V: Send + ArenaCodec,
     O: Send + 'static,
 {
-    let threads = config.num_threads.max(1);
+    let pool = config.pool();
     let buffers = pool.buffers();
+    let threads = config.num_threads.max(1);
     let spill = spill_round_for(config, threads);
+    let combiner = if config.use_combiners {
+        round.combiner.as_deref()
+    } else {
+        None
+    };
     let mut metrics = JobMetrics {
         input_records: inputs.len(),
         ..JobMetrics::default()
     };
 
     // ---- Map phase --------------------------------------------------------
-    // One task per logical shard, like the scoped executor: emissions are
-    // routed and serialized as they happen, so there is no separate partition
-    // stage (and no pair vector to accumulate into).
     let map_start = Instant::now();
     let chunk_size = inputs.len().div_ceil(threads).max(1);
     let shards: Vec<&[I]> = inputs.chunks(chunk_size).collect();
-    let mapped = arena_map_shards(&shards, 0, threads, round, buffers, &spill, pool);
+    let map_slots: Vec<Slot<MappedShard>> = (0..shards.len()).map(|_| Mutex::new(None)).collect();
+    pool.run_indexed(shards.len(), |shard| {
+        let state = ArenaState::new(threads, Arc::clone(buffers)).with_spill(spill.clone(), shard);
+        let mapped = map_shard(shards[shard], round, combiner, state);
+        *map_slots[shard].lock().expect("map slot poisoned") = Some(mapped);
+    });
+    let mapped = take_slots(map_slots);
     metrics.map_time = map_start.elapsed();
-    metrics.key_value_pairs = mapped.iter().map(|outcome| outcome.emitted).sum();
-    metrics.shuffle_records = metrics.key_value_pairs;
-
-    arena_exchange_reduce(mapped, round, config, sink, pool, spill, &mut metrics);
-    metrics
-}
-
-/// The streaming arena executor: consumes an [`InputChunk`] iterator in waves
-/// of `threads` chunks, so owned batches (e.g. text-source reads) are dropped
-/// as soon as their wave is mapped and no stage ever holds the full input
-/// resident. Each yielded chunk is one logical map shard; feeding the same
-/// shard boundaries as the slice path (`len.div_ceil(threads)`) yields
-/// byte-identical outputs and counters.
-pub(crate) fn execute_round_arena_chunked<'s, I, K, V, O>(
-    chunks: &mut dyn Iterator<Item = InputChunk<'s, I>>,
-    round: &Round<'_, I, K, V, O>,
-    config: &EngineConfig,
-    sink: &mut dyn OutputSink<O>,
-    pool: &WorkerPool,
-) -> JobMetrics
-// No explicit `'s` bounds: the lifetime must stay late-bound so this fn item
-// coerces to the `for<'s>` ArenaChunkExec pointer Round::arena captures.
-where
-    I: Sync,
-    K: Hash + Eq + Ord + Send + ArenaCodec,
-    V: Send + ArenaCodec,
-    O: Send + 'static,
-{
-    let threads = config.num_threads.max(1);
-    let buffers = pool.buffers();
-    let spill = spill_round_for(config, threads);
-    let mut metrics = JobMetrics::default();
-
-    // ---- Map phase (wave loop) -------------------------------------------
-    let map_start = Instant::now();
-    let mut mapped: Vec<ArenaMapOutcome> = Vec::new();
-    loop {
-        let mut wave: Vec<InputChunk<'s, I>> = Vec::with_capacity(threads);
-        while wave.len() < threads {
-            match chunks.next() {
-                Some(chunk) => wave.push(chunk),
-                None => break,
-            }
-        }
-        if wave.is_empty() {
-            break;
-        }
-        let slices: Vec<&[I]> = wave.iter().map(InputChunk::as_slice).collect();
-        metrics.input_records += slices.iter().map(|slice| slice.len()).sum::<usize>();
-        let outcomes =
-            arena_map_shards(&slices, mapped.len(), threads, round, buffers, &spill, pool);
-        mapped.extend(outcomes);
-        // `wave` drops here: owned batches are freed before the next wave
-        // streams in.
+    metrics.key_value_pairs = mapped.iter().map(|shard| shard.emitted).sum();
+    metrics.shuffle_records = mapped.iter().map(|shard| shard.shipped).sum();
+    if combiner.is_some() {
+        metrics.combiner_input_records = metrics.key_value_pairs;
+        metrics.combiner_output_records = metrics.shuffle_records;
     }
-    metrics.map_time = map_start.elapsed();
-    metrics.key_value_pairs = mapped.iter().map(|outcome| outcome.emitted).sum();
-    metrics.shuffle_records = metrics.key_value_pairs;
 
-    arena_exchange_reduce(mapped, round, config, sink, pool, spill, &mut metrics);
+    // ---- Exchange phase ---------------------------------------------------
+    // Pure ownership moves: the coordinator handles `shards x threads`
+    // arenas, never a record.
+    let shuffle_start = Instant::now();
+    let mut inboxes: Vec<Vec<ArenaBucket>> = (0..threads)
+        .map(|_| Vec::with_capacity(mapped.len()))
+        .collect();
+    for shard in mapped {
+        for (target, bucket) in shard.buckets.into_iter().enumerate() {
+            metrics.wire_bytes += bucket.chunks.iter().map(|c| c.len() as u64).sum::<u64>();
+            inboxes[target].push(bucket);
+        }
+    }
+    metrics.shuffle_time = shuffle_start.elapsed();
+
+    // ---- Reduce phase -----------------------------------------------------
+    // Sink shards are created in shard order and folded back in shard order,
+    // which is what preserves deterministic output order.
+    let reduce_start = Instant::now();
+    type ReduceWork<O> = (Vec<ArenaBucket>, Box<dyn SinkShard<O>>);
+    let reduce_inputs: Vec<Slot<ReduceWork<O>>> = inboxes
+        .into_iter()
+        .map(|inbox| Mutex::new(Some((inbox, sink.new_shard()))))
+        .collect();
+    let reduce_slots: Vec<Slot<ReduceOutcome<O>>> =
+        (0..reduce_inputs.len()).map(|_| Mutex::new(None)).collect();
+    pool.run_indexed(reduce_inputs.len(), |shard| {
+        let (inbox, sink_shard) = reduce_inputs[shard]
+            .lock()
+            .expect("reduce input poisoned")
+            .take()
+            .expect("each reduce shard is claimed once");
+        let outcome = reduce_shard(
+            inbox,
+            sink_shard,
+            round,
+            config.deterministic,
+            buffers,
+            spill.as_deref(),
+        );
+        *reduce_slots[shard].lock().expect("reduce slot poisoned") = Some(outcome);
+    });
+    let reduced = take_slots(reduce_slots);
+    metrics.reduce_time = reduce_start.elapsed();
+    metrics.reducers_used = reduced.iter().map(|outcome| outcome.groups).sum();
+    metrics.max_reducer_input = reduced
+        .iter()
+        .map(|outcome| outcome.max_input)
+        .max()
+        .unwrap_or(0);
+    // Critical-path read time: the longest any single reduce task stalled on
+    // run files (a slice of reduce_time, not a new phase).
+    metrics.spill_read_secs = reduced
+        .iter()
+        .map(|outcome| outcome.read_secs)
+        .max()
+        .unwrap_or(Duration::ZERO);
+
+    let fold_start = Instant::now();
+    for outcome in reduced {
+        metrics.shuffle_bytes += outcome.bytes;
+        metrics.reducer_work += outcome.work;
+        metrics.outputs += outcome.emitted;
+        sink.fold(outcome.shard);
+    }
+    metrics.sink_fold_time = fold_start.elapsed();
+    if let Some(spill) = spill {
+        metrics.spilled_bytes = spill.spilled_bytes.load(Ordering::Relaxed);
+        metrics.wire_bytes += metrics.spilled_bytes;
+        metrics.spill_runs = spill.spill_runs.load(Ordering::Relaxed);
+        // Last owner: dropping removes the spill directory.
+        drop(spill);
+    }
     metrics
 }
 

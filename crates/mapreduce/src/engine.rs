@@ -9,21 +9,6 @@ use crate::pool::WorkerPool;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Which execution substrate runs a round's map and reduce tasks.
-#[derive(Clone, Debug, Default)]
-pub(crate) enum Executor {
-    /// A persistent worker pool: `None` means the lazily-created
-    /// process-global [`WorkerPool::global`], `Some` is an explicitly shared
-    /// pool (e.g. the one `subgraph serve` hands every query).
-    #[default]
-    GlobalPool,
-    /// An explicitly shared pool.
-    Pool(Arc<WorkerPool>),
-    /// Legacy per-round `std::thread::scope` spawns. Kept as the parity and
-    /// bench baseline; produces byte-identical outputs and counters.
-    Scoped,
-}
-
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -47,23 +32,14 @@ pub struct EngineConfig {
     /// the reducer outputs are identical either way (that is the combiner
     /// contract, and the property tests pin it).
     pub use_combiners: bool,
-    /// If true (the default), rounds that opted into the arena shuffle
-    /// ([`crate::Round::arena`]) serialize their map emissions into compact
-    /// per-shard byte arenas when running on a worker pool. Disable with
-    /// [`EngineConfig::arena_shuffle`] to force the classic `Vec<(K, V)>`
-    /// representation — outputs and all [`crate::JobMetrics`] counters are
-    /// byte-identical either way (the parity suites pin it); only resident
-    /// memory differs.
-    pub use_arena: bool,
     /// Resident-memory budget in bytes for a round's in-flight arena records
     /// (0, the default, means unbounded — never touch disk). When the sealed
     /// arena chunks of a round cross this budget, map workers spill them to
     /// run files under [`EngineConfig::spill_dir`] and the reduce phase
     /// streams them back, so peak RSS tracks the budget instead of the
-    /// workload. Only rounds on the arena path spill (worker pool,
-    /// [`EngineConfig::use_arena`], no active combiner); classic rounds
-    /// ignore the budget. Outputs and all non-spill [`crate::JobMetrics`]
-    /// counters are byte-identical at any budget (the parity suites pin it).
+    /// workload. Combining rounds spill their combined records the same way.
+    /// Outputs and all non-spill [`crate::JobMetrics`] counters are
+    /// byte-identical at any budget (the parity suites pin it).
     pub memory_budget: usize,
     /// Base directory for spill run files (`None`, the default, uses the OS
     /// temp dir). Each round creates — and removes on completion *and* on
@@ -72,10 +48,10 @@ pub struct EngineConfig {
     /// front with [`EngineConfig::validate_spill_dir`]; a mid-round I/O
     /// failure panics with the offending run file and spill dir named.
     pub spill_dir: Option<PathBuf>,
-    /// The execution substrate: the persistent worker pool (default) or the
-    /// legacy scoped-thread path. Private — set through
-    /// [`EngineConfig::with_pool`] / [`EngineConfig::scoped_threads`].
-    pub(crate) executor: Executor,
+    /// The worker pool rounds run on: `None` (the default) is the
+    /// lazily-created process-global [`WorkerPool::global`]. Private — set
+    /// through [`EngineConfig::with_pool`].
+    pub(crate) pool: Option<Arc<WorkerPool>>,
 }
 
 impl Default for EngineConfig {
@@ -86,10 +62,9 @@ impl Default for EngineConfig {
                 .unwrap_or(1),
             deterministic: true,
             use_combiners: true,
-            use_arena: true,
             memory_budget: 0,
             spill_dir: None,
-            executor: Executor::default(),
+            pool: None,
         }
     }
 }
@@ -114,13 +89,6 @@ impl EngineConfig {
     /// Enables or disables map-side combiners (enabled by default).
     pub fn combiners(mut self, enabled: bool) -> Self {
         self.use_combiners = enabled;
-        self
-    }
-
-    /// Enables or disables the arena shuffle for opted-in rounds (enabled by
-    /// default; see [`EngineConfig::use_arena`]).
-    pub fn arena_shuffle(mut self, enabled: bool) -> Self {
-        self.use_arena = enabled;
         self
     }
 
@@ -157,32 +125,13 @@ impl EngineConfig {
     /// it to every query so concurrent requests share a fixed set of worker
     /// threads (and the pool's recycled shuffle buffers).
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.executor = Executor::Pool(pool);
+        self.pool = Some(pool);
         self
     }
 
-    /// Reverts to the pre-pool executor: fresh `std::thread::scope` spawns
-    /// per round. The outputs and every [`crate::JobMetrics`] counter are
-    /// byte-identical to the pooled path (the parity suites pin this); only
-    /// the thread lifecycle differs. Used by the parity tests and the
-    /// `reproduce shuffle` pool-vs-scoped comparison.
-    pub fn scoped_threads(mut self) -> Self {
-        self.executor = Executor::Scoped;
-        self
-    }
-
-    /// True when rounds run on a persistent pool (the default).
-    pub fn uses_pool(&self) -> bool {
-        !matches!(self.executor, Executor::Scoped)
-    }
-
-    /// The pool rounds should run on, or `None` for the scoped-thread path.
-    pub(crate) fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        match &self.executor {
-            Executor::GlobalPool => Some(WorkerPool::global()),
-            Executor::Pool(pool) => Some(pool),
-            Executor::Scoped => None,
-        }
+    /// The pool rounds run on.
+    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
+        self.pool.as_ref().unwrap_or_else(|| WorkerPool::global())
     }
 }
 
@@ -202,6 +151,7 @@ mod tests {
     use crate::metrics::JobMetrics;
     use crate::pipeline::{Pipeline, Round};
     use crate::task::{MapContext, Mapper, ReduceContext, Reducer};
+    use crate::ArenaCodec;
     use std::hash::Hash;
 
     /// One-round pipeline helper with the shape of the old `run_job` entry
@@ -214,8 +164,8 @@ mod tests {
     ) -> (Vec<O>, JobMetrics)
     where
         I: Sync + Send + Clone + 'static,
-        K: Hash + Eq + Ord + Send,
-        V: Send,
+        K: Hash + Eq + Ord + Send + ArenaCodec,
+        V: Send + ArenaCodec,
         O: Send + Clone + 'static,
     {
         let (outputs, report) = Pipeline::new()

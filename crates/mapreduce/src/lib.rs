@@ -24,21 +24,19 @@
 //! (`key_value_pairs`) from what was actually *shipped* (`shuffle_records`,
 //! `shuffle_bytes`).
 //!
-//! The engine runs mappers and reducers on a persistent [`WorkerPool`]
-//! (work-stealing indexed tasks on long-lived threads; a per-round
-//! `std::thread::scope` fallback remains behind
-//! [`EngineConfig::scoped_threads`] as the parity baseline). The simulated
-//! shuffle is a two-phase
-//! parallel exchange: map workers partition their own emissions into one
-//! bucket per reduce worker (hashing each key exactly once with the in-repo
-//! [`hash_of`] FxHash and reusing that hash for routing and grouping), the
-//! coordinator only moves bucket ownership, and reduce workers group and sort
-//! their shard in parallel. The engine intentionally does not model network
-//! transfer or fault tolerance — neither affects the two cost measures above.
-//! It does, however, bound its own memory: past an
-//! [`EngineConfig::memory_budget`] the arena shuffle spills sealed chunk runs
-//! to disk and streams them back during the reduce, so peak RSS tracks the
-//! budget rather than the workload while outputs stay byte-identical.
+//! Every round runs on one executor, a persistent [`WorkerPool`]
+//! (work-stealing indexed tasks on long-lived threads), as a two-phase
+//! parallel exchange: map tasks serialize their emissions into one byte arena
+//! per reduce shard (routing each key with the in-repo [`hash_of`] FxHash and
+//! encoding each record with its [`ArenaCodec`]), the coordinator only moves
+//! arena ownership, and reduce tasks decode, group and sort their shard in
+//! parallel. A round with a combiner groups and combines each map shard's
+//! pairs before they enter the arena. The engine intentionally does not model
+//! network transfer or fault tolerance — neither affects the two cost
+//! measures above. It does, however, bound its own memory: past an
+//! [`EngineConfig::memory_budget`] the arenas spill sealed chunk runs to disk
+//! and stream them back during the reduce, so peak RSS tracks the budget
+//! rather than the workload while outputs stay byte-identical.
 //!
 //! Results leave the engine through streaming [`OutputSink`]s
 //! ([`Pipeline::run_with_sink`]): the final round's reduce workers feed one
@@ -58,11 +56,14 @@ pub mod task;
 
 pub use engine::{shard_for_hash, EngineConfig};
 pub use hash::{hash_of, FxBuildHasher, FxHasher};
-pub use metrics::{JobMetrics, WireBytes};
-pub use pipeline::{InputChunk, Pipeline, PipelineReport, Round, RoundMetrics};
+pub use metrics::JobMetrics;
+pub use pipeline::{Pipeline, PipelineReport, Round, RoundMetrics};
 pub use pool::WorkerPool;
 pub use sink::{BufferShard, CollectSink, CountSink, FnSink, OutputSink, SampleSink, SinkShard};
+pub use subgraph_codec::ArenaCodec;
 pub use task::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;

@@ -2,19 +2,6 @@
 
 use std::time::Duration;
 
-/// An exact byte count that describes the executor's representation of the
-/// shuffle, not the job: it takes no part in comparisons, so two runs of one
-/// job still have equal [`JobMetrics`] counters whichever executor ran them.
-/// Compare the inner values to compare the counts.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WireBytes(pub u64);
-
-impl PartialEq for WireBytes {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
 /// Everything the paper's cost model talks about, measured on an actual run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobMetrics {
@@ -38,12 +25,11 @@ pub struct JobMetrics {
     /// Total payload bytes of the shuffled records, as measured by the round's
     /// record weigher (per-record key + value bytes).
     pub shuffle_bytes: u64,
-    /// Encoded bytes the arena shuffle really carried through the exchange:
-    /// the summed lengths of every arena chunk, resident or spilled. Unlike
-    /// the logical [`JobMetrics::shuffle_bytes`] this follows the wire
-    /// encoding (varints, reducer-index keys). 0 on the classic `Vec<(K, V)>`
-    /// path, which serializes nothing.
-    pub wire_bytes: WireBytes,
+    /// Encoded bytes the shuffle really carried through the exchange: the
+    /// summed [`subgraph_codec::ArenaCodec`] lengths of every shipped record,
+    /// resident or spilled. Unlike the logical [`JobMetrics::shuffle_bytes`]
+    /// this follows the wire encoding (varints, reducer-index keys).
+    pub wire_bytes: u64,
     /// Number of distinct keys that received at least one value, i.e. the
     /// number of reducers actually executed. The paper calls this the "number
     /// of reducers"; with the hash-ordered scheme of Section 2.3 it is much
@@ -57,15 +43,9 @@ pub struct JobMetrics {
     pub reducer_work: u64,
     /// Total number of output records emitted by the reducers.
     pub outputs: usize,
-    /// Wall-clock time of the map phase (mapping, combining and partitioning
-    /// on the map workers).
+    /// Wall-clock time of the map phase (mapping, combining, and encoding
+    /// each record into its reduce shard's arena).
     pub map_time: Duration,
-    /// Critical-path wall time of the map-side partitioning subphase: the
-    /// longest time any single map worker spent combining its emissions and
-    /// splitting them into per-reduce-worker buckets. Partitioning runs
-    /// *inside* the map workers, so this is a slice of [`JobMetrics::map_time`],
-    /// not an additional phase — [`JobMetrics::total_time`] does not add it.
-    pub partition_time: Duration,
     /// Wall-clock time of the exchange: the coordinator handing each map
     /// worker's buckets to their reduce workers (pure ownership moves —
     /// grouping happens on the reduce workers and is part of
@@ -89,10 +69,10 @@ pub struct JobMetrics {
     /// spill epoch that had sealed chunks). Exactly 0 when no spill occurred.
     pub spill_runs: usize,
     /// Critical-path wall time any single reduce worker spent reading spilled
-    /// runs back from disk. Like [`JobMetrics::partition_time`] this is a
-    /// slice of an existing phase ([`JobMetrics::reduce_time`]), not an
-    /// additional one — [`JobMetrics::total_time`] does not add it. Exactly
-    /// zero when no spill occurred.
+    /// runs back from disk. This is a slice of an existing phase
+    /// ([`JobMetrics::reduce_time`]), not an additional one —
+    /// [`JobMetrics::total_time`] does not add it. Exactly zero when no spill
+    /// occurred.
     pub spill_read_secs: Duration,
 }
 
@@ -138,13 +118,12 @@ impl JobMetrics {
         self.combiner_output_records += other.combiner_output_records;
         self.shuffle_records += other.shuffle_records;
         self.shuffle_bytes += other.shuffle_bytes;
-        self.wire_bytes.0 += other.wire_bytes.0;
+        self.wire_bytes += other.wire_bytes;
         self.reducers_used += other.reducers_used;
         self.max_reducer_input = self.max_reducer_input.max(other.max_reducer_input);
         self.reducer_work += other.reducer_work;
         self.outputs += other.outputs;
         self.map_time += other.map_time;
-        self.partition_time += other.partition_time;
         self.shuffle_time += other.shuffle_time;
         self.reduce_time += other.reduce_time;
         self.sink_fold_time += other.sink_fold_time;
@@ -158,7 +137,6 @@ impl JobMetrics {
     pub fn without_timings(&self) -> JobMetrics {
         JobMetrics {
             map_time: Duration::ZERO,
-            partition_time: Duration::ZERO,
             shuffle_time: Duration::ZERO,
             reduce_time: Duration::ZERO,
             sink_fold_time: Duration::ZERO,

@@ -21,21 +21,17 @@
 //!   and the caller re-raises it after the job completes — same observable
 //!   behaviour as a scoped spawn whose join propagates the panic.
 //!
-//! The pool also owns a `BufferPool`: a type-erased free list of `Vec`
-//! allocations keyed by element layout, letting the shuffle recycle its
-//! per-reduce-worker bucket vectors across rounds instead of reallocating
-//! them every round (see `docs/ENGINE.md`, "Persistent worker pool").
+//! The pool also owns a `BufferPool`: a free list of byte buffers, letting
+//! the shuffle recycle its arena chunks and spill frames across rounds
+//! instead of reallocating them every round (see `docs/ENGINE.md`, "The round
+//! executor").
 //!
-//! Engine integration: [`crate::EngineConfig`] carries an executor choice —
-//! the process-global pool ([`WorkerPool::global`], the default), an explicit
-//! shared pool ([`crate::EngineConfig::with_pool`], what `subgraph serve`
-//! uses so concurrent queries share one set of workers), or the legacy
-//! scoped-thread path ([`crate::EngineConfig::scoped_threads`], kept as the
-//! parity baseline).
+//! Engine integration: [`crate::EngineConfig`] runs rounds on the
+//! process-global pool ([`WorkerPool::global`], the default) or on an
+//! explicit shared pool ([`crate::EngineConfig::with_pool`], what `subgraph
+//! serve` uses so concurrent queries share one set of workers).
 
-use std::alloc::{dealloc, Layout};
 use std::any::Any;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -301,97 +297,40 @@ fn worker_loop(shared: &PoolShared) {
 /// Buffers larger than this are dropped on [`BufferPool::give`] instead of
 /// retained — one pathological round must not pin memory forever.
 const MAX_RECYCLED_BYTES: usize = 4 << 20;
-/// At most this many buffers are retained per element-layout class.
-const MAX_PER_CLASS: usize = 64;
+/// At most this many buffers are retained.
+const MAX_BUFFERS: usize = 64;
 
-/// One recycled `Vec` allocation: the pointer, its byte size, and alignment.
-struct RawAlloc {
-    ptr: *mut u8,
-    bytes: usize,
-    align: usize,
-}
-
-// SAFETY: a RawAlloc is an owned, unaliased heap allocation; moving it
-// between threads is moving ownership of plain memory.
-unsafe impl Send for RawAlloc {}
-
-/// A type-erased free list of `Vec` allocations, keyed by element layout
-/// `(size, align)`. [`BufferPool::give`] banks an emptied vector's
-/// allocation; [`BufferPool::take`] revives one as an empty `Vec<T>` of any
-/// type with the same element layout. This is what lets the shuffle reuse
-/// its bucket vectors across rounds even though every round's key/value
-/// types are round-specific generics.
+/// A free list of byte buffers: arena chunks and spill frames.
+/// [`BufferPool::give`] banks an emptied buffer's allocation;
+/// [`BufferPool::take`] hands one back out (or a fresh empty `Vec`).
 pub(crate) struct BufferPool {
-    classes: Mutex<HashMap<(usize, usize), Vec<RawAlloc>>>,
+    free: Mutex<Vec<Vec<u8>>>,
 }
 
 impl BufferPool {
     fn new() -> Self {
         BufferPool {
-            classes: Mutex::new(HashMap::new()),
+            free: Mutex::new(Vec::new()),
         }
     }
 
-    /// Banks `v`'s allocation for reuse (the contents are cleared first —
-    /// the vector should already be drained; clearing is the safety net that
-    /// keeps `Drop` types from leaking into the raw store).
-    pub(crate) fn give<T>(&self, mut v: Vec<T>) {
-        v.clear();
-        let size = mem::size_of::<T>();
-        let capacity = v.capacity();
-        let bytes = capacity * size;
-        if size == 0 || capacity == 0 || bytes > MAX_RECYCLED_BYTES {
-            return; // nothing worth banking (or too big to pin)
+    /// Banks `buffer`'s allocation for reuse, cleared. Empty and oversized
+    /// buffers, and any past the retention cap, are dropped.
+    pub(crate) fn give(&self, mut buffer: Vec<u8>) {
+        if buffer.capacity() == 0 || buffer.capacity() > MAX_RECYCLED_BYTES {
+            return;
         }
-        let align = mem::align_of::<T>();
-        let mut classes = self.classes.lock().expect("buffer pool poisoned");
-        let class = classes.entry((size, align)).or_default();
-        if class.len() >= MAX_PER_CLASS {
-            return; // drop `v` normally
-        }
-        let ptr = v.as_mut_ptr() as *mut u8;
-        mem::forget(v);
-        class.push(RawAlloc { ptr, bytes, align });
-    }
-
-    /// An empty `Vec<T>` — recycled when a banked allocation with `T`'s
-    /// element layout exists, freshly empty otherwise.
-    pub(crate) fn take<T>(&self) -> Vec<T> {
-        let size = mem::size_of::<T>();
-        if size == 0 {
-            return Vec::new();
-        }
-        let align = mem::align_of::<T>();
-        let recycled = {
-            let mut classes = self.classes.lock().expect("buffer pool poisoned");
-            classes.get_mut(&(size, align)).and_then(Vec::pop)
-        };
-        match recycled {
-            // SAFETY: the allocation was produced by a `Vec<U>` with
-            // `size_of::<U>() == size` and `align_of::<U>() == align`, so its
-            // layout is `Layout::array::<T>(bytes / size)` exactly — the
-            // layout `Vec<T>` will free it with. Length 0 means no element
-            // of the old type is ever reinterpreted.
-            Some(raw) => unsafe { Vec::from_raw_parts(raw.ptr as *mut T, 0, raw.bytes / size) },
-            None => Vec::new(),
+        buffer.clear();
+        let mut free = self.free.lock().expect("buffer pool poisoned");
+        if free.len() < MAX_BUFFERS {
+            free.push(buffer);
         }
     }
-}
 
-impl Drop for BufferPool {
-    fn drop(&mut self) {
-        let classes = self.classes.get_mut().expect("buffer pool poisoned");
-        for ((_, _), allocs) in classes.drain() {
-            for raw in allocs {
-                // SAFETY: each RawAlloc owns one live global-allocator block
-                // of exactly (bytes, align); nothing else frees it.
-                unsafe {
-                    let layout = Layout::from_size_align(raw.bytes, raw.align)
-                        .expect("banked allocation layout is valid");
-                    dealloc(raw.ptr, layout);
-                }
-            }
-        }
+    /// An empty buffer — recycled when one is banked, fresh otherwise.
+    pub(crate) fn take(&self) -> Vec<u8> {
+        let recycled = self.free.lock().expect("buffer pool poisoned").pop();
+        recycled.unwrap_or_default()
     }
 }
 
@@ -494,39 +433,45 @@ mod tests {
     #[test]
     fn buffer_pool_recycles_same_layout_allocations() {
         let pool = BufferPool::new();
-        let mut v: Vec<u64> = Vec::with_capacity(100);
-        v.push(7);
-        let ptr = v.as_ptr();
-        pool.give(v);
-        // Same element layout (u64 and i64 share size and alignment).
-        let recycled: Vec<i64> = pool.take();
+        let mut buffer: Vec<u8> = Vec::with_capacity(100);
+        buffer.push(7);
+        let ptr = buffer.as_ptr();
+        pool.give(buffer);
+        let recycled = pool.take();
         assert_eq!(recycled.capacity(), 100);
         assert!(recycled.is_empty());
-        assert_eq!(recycled.as_ptr() as *const u64, ptr);
-        // A different layout misses the class and gets a fresh Vec.
-        let fresh: Vec<u8> = pool.take();
-        assert_eq!(fresh.capacity(), 0);
-        pool.give(recycled);
+        assert_eq!(recycled.as_ptr(), ptr);
+        // The pool is empty again: the next take is a fresh buffer.
+        assert_eq!(pool.take().capacity(), 0);
     }
 
     #[test]
     fn buffer_pool_ignores_unhelpful_buffers() {
         let pool = BufferPool::new();
-        pool.give(Vec::<u64>::new()); // zero capacity
-        pool.give(vec![(); 1000]); // zero-sized elements
-        assert_eq!(pool.take::<u64>().capacity(), 0);
-        assert_eq!(pool.take::<()>().capacity(), usize::MAX); // ZST Vec semantics
+        pool.give(Vec::new()); // zero capacity
+        pool.give(Vec::with_capacity(MAX_RECYCLED_BYTES + 1)); // too big to pin
+        assert_eq!(pool.take().capacity(), 0);
     }
 
     #[test]
     fn buffer_pool_clears_contents_before_banking() {
-        // Drop types must be dropped at give time, not leaked into the store.
         let pool = BufferPool::new();
-        let marker = Arc::new(());
-        pool.give(vec![Arc::clone(&marker); 10]);
-        assert_eq!(Arc::strong_count(&marker), 1, "contents dropped on give");
-        let recycled: Vec<Arc<()>> = pool.take();
+        pool.give(vec![0xab; 10]);
+        let recycled = pool.take();
         assert!(recycled.is_empty());
         assert!(recycled.capacity() >= 10);
+    }
+
+    #[test]
+    fn buffer_pool_retains_at_most_64_buffers() {
+        let pool = BufferPool::new();
+        for _ in 0..MAX_BUFFERS + 10 {
+            pool.give(Vec::with_capacity(16));
+        }
+        let banked = (0..MAX_BUFFERS + 10)
+            .map(|_| pool.take())
+            .filter(|buffer| buffer.capacity() > 0)
+            .count();
+        assert_eq!(banked, MAX_BUFFERS);
     }
 }

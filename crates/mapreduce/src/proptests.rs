@@ -5,7 +5,9 @@
 use crate::engine::EngineConfig;
 use crate::metrics::JobMetrics;
 use crate::pipeline::{Pipeline, Round};
+use crate::reference::{CombineFn, Job};
 use crate::task::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
+use crate::ArenaCodec;
 use std::collections::HashMap;
 
 /// SplitMix64 — enough randomness for input generation.
@@ -34,8 +36,8 @@ fn run_single_round<K, V, O>(
     config: &EngineConfig,
 ) -> (Vec<O>, JobMetrics)
 where
-    K: std::hash::Hash + Eq + Ord + Send + 'static,
-    V: Send + 'static,
+    K: std::hash::Hash + Eq + Ord + Send + ArenaCodec + 'static,
+    V: Send + ArenaCodec + 'static,
     O: Send + Clone + 'static,
 {
     let (outputs, report) = Pipeline::new()
@@ -280,110 +282,43 @@ fn identity_combiner_changes_nothing() {
     }
 }
 
-/// What the pre-parallel-shuffle engine measured for one round: the serial
-/// reference the parallel two-phase exchange is pinned against. Chunking
-/// mirrors the engine (`len.div_ceil(threads)`) so the per-map-shard combiner
-/// counters agree exactly; grouping is one big `HashMap` on a single thread,
-/// exactly the old coordinator loop.
-struct SerialShuffleReference {
-    key_value_pairs: usize,
-    combiner_output_records: usize,
-    shuffle_records: usize,
-    shuffle_bytes: u64,
-    reducers_used: usize,
-    max_reducer_input: usize,
-    /// Reducer outputs, sorted (the serial grouping fixes no inter-shard
-    /// order, so parity is multiset equality).
-    sorted_outputs: Vec<(u64, u64, usize)>,
+fn two_keys_per_record(x: &u64) -> Vec<(u64, u64)> {
+    vec![(x % 29, x * 3), (x % 13, x + 7)]
 }
 
-fn serial_shuffle_reference(
-    inputs: &[u64],
-    threads: usize,
-    combine: bool,
-) -> SerialShuffleReference {
-    let mapper = |x: &u64| vec![(x % 29, x * 3), (x % 13, x + 7)];
-    let weigher = |_k: &u64, v: &u64| 8 + (v % 5) as usize; // value-dependent bytes
-    let chunk_size = inputs.len().div_ceil(threads).max(1);
-    let mut key_value_pairs = 0usize;
-    let mut combiner_output_records = 0usize;
-    let mut shuffle_bytes = 0u64;
-    let mut grouped: HashMap<u64, Vec<u64>> = HashMap::new();
-    for chunk in inputs.chunks(chunk_size) {
-        let pairs: Vec<(u64, u64)> = chunk.iter().flat_map(mapper).collect();
-        key_value_pairs += pairs.len();
-        if combine {
-            // Per-map-shard grouping + the summing combiner, as the old
-            // engine ran it on the coordinator's behalf.
-            let mut shard_groups: HashMap<u64, Vec<u64>> = HashMap::new();
-            for (key, value) in pairs {
-                shard_groups.entry(key).or_default().push(value);
-            }
-            for (key, values) in shard_groups {
-                let combined: u64 = values.iter().sum();
-                combiner_output_records += 1;
-                shuffle_bytes += weigher(&key, &combined) as u64;
-                grouped.entry(key).or_default().push(combined);
-            }
-        } else {
-            for (key, value) in pairs {
-                shuffle_bytes += weigher(&key, &value) as u64;
-                grouped.entry(key).or_default().push(value);
-            }
-        }
-    }
-    let shuffle_records = if combine {
-        combiner_output_records
-    } else {
-        key_value_pairs
-    };
-    let reducers_used = grouped.len();
-    let max_reducer_input = grouped.values().map(|v| v.len()).max().unwrap_or(0);
-    let mut sorted_outputs: Vec<(u64, u64, usize)> = grouped
-        .into_iter()
-        .map(|(k, vs)| (k, vs.iter().sum(), vs.len()))
-        .collect();
-    sorted_outputs.sort_unstable();
-    SerialShuffleReference {
-        key_value_pairs,
-        combiner_output_records,
-        shuffle_records,
-        shuffle_bytes,
-        reducers_used,
-        max_reducer_input,
-        sorted_outputs,
+fn sum_values(_key: &u64, values: Vec<u64>) -> Vec<u64> {
+    vec![values.iter().sum()]
+}
+
+fn sum_and_count(key: &u64, values: &[u64]) -> Vec<(u64, u64, usize)> {
+    vec![(*key, values.iter().sum(), values.len())]
+}
+
+/// Two emissions per record under a value-dependent weigher, optionally
+/// with a summing combiner.
+fn parity_job(combine: bool) -> Job<u64, u64, u64, (u64, u64, usize)> {
+    Job {
+        map: two_keys_per_record,
+        combine: combine.then_some(sum_values as CombineFn<u64, u64>),
+        reduce: sum_and_count,
+        weigh: |_, v| 8 + (v % 5) as usize,
     }
 }
 
-/// Runs the same job on the real (parallel-shuffle) engine.
+/// Runs the parity job on the real (parallel-shuffle) engine.
 fn parallel_shuffle_run(
     inputs: &[u64],
     threads: usize,
     combine: bool,
 ) -> (Vec<(u64, u64, usize)>, JobMetrics) {
-    let mapper = |x: &u64, ctx: &mut MapContext<u64, u64>| {
-        ctx.emit(x % 29, x * 3);
-        ctx.emit(x % 13, x + 7);
-    };
-    let reducer = |k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64, usize)>| {
-        ctx.emit((*k, vs.iter().sum(), vs.len()));
-    };
-    let round = Round::new("parity", mapper, reducer)
-        .record_bytes(|_k: &u64, v: &u64| 8 + (v % 5) as usize);
-    let round = if combine {
-        round.combiner(|_k: &u64, vs: Vec<u64>| vec![vs.iter().sum()])
-    } else {
-        round
-    };
     let (outputs, report) = Pipeline::new()
-        .round(round)
+        .round(parity_job(combine).round("parity"))
         .run(inputs, &EngineConfig::with_threads(threads));
     (outputs, report.rounds.into_iter().next().unwrap().metrics)
 }
 
-/// Parity of the parallel two-phase shuffle against the old serial grouping:
-/// exact `shuffle_records` / `shuffle_bytes` / `reducers_used` /
-/// `max_reducer_input` counters and multiset-equal outputs, for threads
+/// Parity of the parallel two-phase shuffle against the single-threaded
+/// reference executor: the exact output order and every counter, for threads
 /// {1, 2, 8}, with and without a combiner.
 #[test]
 fn parallel_shuffle_matches_the_serial_grouping_reference() {
@@ -391,29 +326,12 @@ fn parallel_shuffle_matches_the_serial_grouping_reference() {
         let inputs = random_inputs(seed, 500, 400);
         for threads in [1usize, 2, 8] {
             for combine in [false, true] {
-                let reference = serial_shuffle_reference(&inputs, threads, combine);
-                let (mut outputs, metrics) = parallel_shuffle_run(&inputs, threads, combine);
-                outputs.sort_unstable();
+                let (expected, expected_metrics) =
+                    parity_job(combine).reference(&inputs, threads, true);
+                let (outputs, metrics) = parallel_shuffle_run(&inputs, threads, combine);
                 let label = format!("seed {seed} threads {threads} combine {combine}");
-                assert_eq!(outputs, reference.sorted_outputs, "{label}");
-                assert_eq!(
-                    metrics.key_value_pairs, reference.key_value_pairs,
-                    "{label}"
-                );
-                assert_eq!(
-                    metrics.combiner_output_records, reference.combiner_output_records,
-                    "{label}"
-                );
-                assert_eq!(
-                    metrics.shuffle_records, reference.shuffle_records,
-                    "{label}"
-                );
-                assert_eq!(metrics.shuffle_bytes, reference.shuffle_bytes, "{label}");
-                assert_eq!(metrics.reducers_used, reference.reducers_used, "{label}");
-                assert_eq!(
-                    metrics.max_reducer_input, reference.max_reducer_input,
-                    "{label}"
-                );
+                assert_eq!(outputs, expected, "{label}");
+                assert_eq!(metrics.without_timings(), expected_metrics, "{label}");
             }
         }
     }
@@ -483,7 +401,7 @@ fn outputs_and_counters_are_invariant_across_memory_budgets() {
         let run = |budget: usize| {
             let config = EngineConfig::with_threads(threads).memory_budget(budget);
             let (outputs, report) = Pipeline::new()
-                .round(Round::new("budget-sweep", mapper, reducer).arena())
+                .round(Round::new("budget-sweep", mapper, reducer))
                 .run(&inputs, &config);
             let metrics = report.rounds.into_iter().next().unwrap().metrics;
             (outputs, metrics)

@@ -3,10 +3,9 @@
 use crate::arena::ArenaState;
 use crate::sink::SinkShard;
 
-/// How a [`MapContext`] stores its emissions: as plain pairs (the classic
-/// executors partition them afterwards), or routed and serialized on the fly
-/// into per-reduce-shard byte arenas (the arena executor — see
-/// [`crate::arena`]).
+/// How a [`MapContext`] stores its emissions: routed and serialized on the
+/// fly into per-reduce-shard byte arenas (see `crate::arena`), or as plain
+/// pairs that a combining round groups and combines per map shard first.
 enum Emissions<K, V> {
     Pairs(Vec<(K, V)>),
     Arena(ArenaState<K, V>),
@@ -16,7 +15,7 @@ enum Emissions<K, V> {
 /// unit of communication cost). The engine reuses one context for all of a
 /// map worker's records, so emissions accumulate instead of paying one
 /// allocation per record. Whether emissions accumulate as pairs or as
-/// serialized arena records is the executor's choice; mappers never see the
+/// serialized arena records is the engine's choice; mappers never see the
 /// difference.
 pub struct MapContext<K, V> {
     emitted: Emissions<K, V>,
@@ -26,15 +25,6 @@ impl<K, V> MapContext<K, V> {
     pub(crate) fn new() -> Self {
         MapContext {
             emitted: Emissions::Pairs(Vec::new()),
-        }
-    }
-
-    /// A context emitting into a recycled (empty) buffer — the pooled
-    /// executor's way of reusing pair-vector allocations across rounds.
-    pub(crate) fn with_buffer(emitted: Vec<(K, V)>) -> Self {
-        debug_assert!(emitted.is_empty());
-        MapContext {
-            emitted: Emissions::Pairs(emitted),
         }
     }
 
@@ -61,18 +51,18 @@ impl<K, V> MapContext<K, V> {
         }
     }
 
-    /// The emitted pairs (classic executors only).
+    /// The emitted pairs (pair contexts only).
     pub(crate) fn into_pairs(self) -> Vec<(K, V)> {
         match self.emitted {
             Emissions::Pairs(pairs) => pairs,
-            Emissions::Arena(_) => unreachable!("classic executors use pair contexts"),
+            Emissions::Arena(_) => unreachable!("into_pairs on an arena context"),
         }
     }
 
-    /// The filled arenas and emission count (arena executor only).
+    /// The filled arenas and emission count (arena contexts only).
     pub(crate) fn into_arena(self) -> (Vec<crate::arena::ArenaBucket>, usize) {
         match self.emitted {
-            Emissions::Pairs(_) => unreachable!("the arena executor uses arena contexts"),
+            Emissions::Pairs(_) => unreachable!("into_arena on a pair context"),
             Emissions::Arena(state) => state.into_parts(),
         }
     }
@@ -81,7 +71,7 @@ impl<K, V> MapContext<K, V> {
 /// Streams reducer output into a [`SinkShard`] and tracks the reducer's
 /// self-reported computation cost. The engine gives each reduce worker one
 /// context for all the keys it owns; every [`ReduceContext::emit`] goes
-/// straight to the worker's sink shard — a buffering shard on the legacy
+/// straight to the worker's sink shard — a buffering shard on the
 /// `Vec`-collecting path, a constant-memory shard for counting sinks — so
 /// the engine itself never materializes a `Vec` of final outputs.
 pub struct ReduceContext<O> {

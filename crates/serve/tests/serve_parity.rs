@@ -240,8 +240,9 @@ fn twelve_node_patterns_answer_within_the_request_timeout() {
     // words, as the CLI prints them, not a panicked worker.
     let resp = client::get(&addr, "/query?pattern=hypercube3&reducers=4000000000").unwrap();
     assert_eq!(resp.status, 400, "{}", resp.text());
-    let refusal = "no registered strategy can run this request";
-    assert!(resp.text().contains(refusal), "{}", resp.text());
+    let refusal = "strategy bucket-oriented cannot run this request: \
+                   the key space exceeds u32::MAX keys or 268435456 table entries";
+    assert_eq!(resp.text(), refusal);
     server.shutdown();
 }
 

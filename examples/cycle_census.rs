@@ -1,7 +1,7 @@
 //! Cycle census — counts cycles C3..C7 of a random graph, comparing the
 //! general CQ method (Theorem 3.1), the run-sequence CQs of Section 5, the
 //! OddCycle algorithm (Algorithm 1) for the odd lengths, and the strategy the
-//! planner picks for a one-round map-reduce run.
+//! planner picks for a one-round map-reduce run on 64 reducers.
 //!
 //! ```text
 //! cargo run --release --example cycle_census
@@ -44,16 +44,9 @@ fn main() {
         } else {
             "-".to_string()
         };
-        // Through the planner: one round of map-reduce for the smaller
-        // cycles. For C7 the Theorem 3.1 family already holds 7!/14 = 360
-        // conjunctive queries, so every reducer of a one-round job would
-        // re-evaluate that whole family on most of the graph — there the
-        // request asks for no cluster (budget 1) and the planner picks a
-        // serial Section 6-7 algorithm instead (the decomposition route,
-        // whose single piece for C7 is exactly the OddCycle algorithm).
-        let budget = if p >= 7 { 1 } else { 64 };
+        // Through the planner: one round of map-reduce on 64 reducers.
         let planned = EnumerationRequest::new(pattern.clone(), &graph)
-            .reducers(budget)
+            .reducers(64)
             .plan()
             .unwrap();
         let planned_run = planned.execute();

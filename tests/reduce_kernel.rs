@@ -339,11 +339,11 @@ fn a_triangle_record_with_six_buckets_ships_in_at_most_eight_bytes() {
     let m = &run.metrics;
     assert_eq!(m.shuffle_records, 6 * graph.num_edges());
     assert_eq!(m.shuffle_bytes, 20 * m.shuffle_records as u64);
-    assert!(m.wire_bytes.0 > 0);
+    assert!(m.wire_bytes > 0);
     assert!(
-        m.wire_bytes.0 <= 8 * m.shuffle_records as u64,
+        m.wire_bytes <= 8 * m.shuffle_records as u64,
         "{} wire bytes for {} records",
-        m.wire_bytes.0,
+        m.wire_bytes,
         m.shuffle_records
     );
 }

@@ -222,39 +222,6 @@ fn text_sinks_write_the_bytes_of_buffer_and_replay() {
 }
 
 #[test]
-fn arena_shuffle_matches_the_classic_shuffle_for_every_strategy() {
-    // Every planner-selectable strategy, arena shuffle on vs off: identical
-    // instance order and byte-identical counters at each thread count. This
-    // pins that the serialized per-shard arenas change *how* records cross
-    // the shuffle, never what arrives or what is measured.
-    for (name, sample) in patterns() {
-        let graph = generators::gnp(46, 0.10, 9_100);
-        for (kind, k) in strategies(&sample) {
-            for threads in THREAD_COUNTS {
-                let context = format!("{name} {kind} threads={threads}");
-                let arena = EnumerationRequest::new(sample.clone(), &graph)
-                    .reducers(k)
-                    .strategy(kind)
-                    .engine(EngineConfig::with_threads(threads))
-                    .plan()
-                    .unwrap_or_else(|e| panic!("{kind} should apply: {e}"))
-                    .execute();
-                let classic = EnumerationRequest::new(sample.clone(), &graph)
-                    .reducers(k)
-                    .strategy(kind)
-                    .engine(EngineConfig::with_threads(threads).arena_shuffle(false))
-                    .plan()
-                    .unwrap_or_else(|e| panic!("{kind} should apply: {e}"))
-                    .execute();
-                assert_eq!(arena.count(), classic.count(), "{context}");
-                assert_eq!(arena.instances(), classic.instances(), "{context}");
-                assert_same_metrics(&arena, &classic, &context);
-            }
-        }
-    }
-}
-
-#[test]
 fn a_forced_64k_budget_matches_the_unbudgeted_run_for_every_strategy() {
     // Every planner-selectable strategy under a 64 KiB shuffle memory budget:
     // identical instances, identical order, and every non-spill counter
@@ -296,41 +263,49 @@ fn a_forced_64k_budget_matches_the_unbudgeted_run_for_every_strategy() {
 
 #[test]
 fn a_64k_budget_really_spills_on_a_shuffle_heavy_run_and_stays_identical() {
-    // A triangle workload whose arena bytes dwarf the budget: every CI run
+    // Triangle workloads whose arena bytes dwarf the budget: every CI run
     // exercises seal → spill → merge, and the merged answer is byte-identical
     // to the in-memory one. (At ~4 wire bytes per record, 90 000 records fill
-    // more than one 4 KiB chunk per bucket even across 8 × 8 buckets.)
+    // more than one 4 KiB chunk per bucket even across 8 × 8 buckets.) The
+    // multiway round ships 16 combined records per edge (3b − 2 at b = 6):
+    // combining rounds spill too.
     let graph = generators::gnm(240, 9_000, 9_300);
-    for threads in [2usize, 8] {
-        let context = format!("threads={threads} budget=64K");
-        let run = |budget: usize| {
-            EnumerationRequest::named("triangle", &graph)
-                .unwrap()
-                .reducers(220)
-                .strategy(StrategyKind::BucketOrderedTriangles)
-                .engine(EngineConfig::with_threads(threads).memory_budget(budget))
-                .plan()
-                .unwrap()
-                .execute()
-        };
-        let base = run(0);
-        let budgeted = run(64 << 10);
-        assert_eq!(budgeted.count(), base.count(), "{context}");
-        assert_eq!(budgeted.instances(), base.instances(), "{context}");
-        assert_eq!(
-            budgeted.metrics.as_ref().map(counters_without_spill),
-            base.metrics.as_ref().map(counters_without_spill),
-            "{context}"
-        );
-        let spill = budgeted.metrics.as_ref().unwrap();
-        assert!(
-            spill.spilled_bytes > 0 && spill.spill_runs > 0,
-            "{context}: a 64 KiB budget must spill this workload \
-             (spilled_bytes={}, spill_runs={})",
-            spill.spilled_bytes,
-            spill.spill_runs
-        );
-        assert_eq!(base.metrics.as_ref().unwrap().spilled_bytes, 0, "{context}");
+    for (kind, k, shipped) in [
+        (StrategyKind::BucketOrderedTriangles, 220, 90_000),
+        (StrategyKind::MultiwayTriangles, 216, 144_000),
+    ] {
+        for threads in [2usize, 8] {
+            let context = format!("{kind} threads={threads} budget=64K");
+            let run = |budget: usize| {
+                EnumerationRequest::named("triangle", &graph)
+                    .unwrap()
+                    .reducers(k)
+                    .strategy(kind)
+                    .engine(EngineConfig::with_threads(threads).memory_budget(budget))
+                    .plan()
+                    .unwrap()
+                    .execute()
+            };
+            let base = run(0);
+            assert_eq!(base.communication(), shipped, "{context}");
+            let budgeted = run(64 << 10);
+            assert_eq!(budgeted.count(), base.count(), "{context}");
+            assert_eq!(budgeted.instances(), base.instances(), "{context}");
+            assert_eq!(
+                budgeted.metrics.as_ref().map(counters_without_spill),
+                base.metrics.as_ref().map(counters_without_spill),
+                "{context}"
+            );
+            let spill = budgeted.metrics.as_ref().unwrap();
+            assert!(
+                spill.spilled_bytes > 0 && spill.spill_runs > 0,
+                "{context}: a 64 KiB budget must spill this workload \
+                 (spilled_bytes={}, spill_runs={})",
+                spill.spilled_bytes,
+                spill.spill_runs
+            );
+            assert_eq!(base.metrics.as_ref().unwrap().spilled_bytes, 0, "{context}");
+        }
     }
 }
 
