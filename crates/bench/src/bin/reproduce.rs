@@ -88,7 +88,7 @@ fn print_usage() {
          search per catalog pattern, star9/10, k8/9, c9, path8 and the hypercube4 refusal \
          (writes BENCH_planner.json)\n  \
          plan-gate             the same sweep as a CI gate: hypercube3 must plan within \
-         50 ms, star10 faster than hypercube3, star9->star10 and k8->k9 at most 3x (release), \
+         50 ms, star10 and k9 faster than hypercube3, star9->star10 and k8->k9 at most 3x (release), \
          and both search modes must agree (exits 1 on regression)\n  \
          kernel                reduce kernel: one reducer's local-graph build and its join, by the \
          one symmetry-broken plan and by the per-CQ plans, vs the generic oracle (writes \

@@ -67,11 +67,12 @@ impl Table {
     }
 }
 
-/// Formats a float with a sensible number of digits for table cells.
+/// Formats a float with a sensible number of digits for table cells. A value
+/// within `1e-8` of an integer prints as that integer, from either side.
 pub fn fmt(value: f64) -> String {
     if value == 0.0 {
         "0".to_string()
-    } else if value.fract().abs() < 1e-9 && value.abs() < 1e15 {
+    } else if (value - value.round()).abs() < 1e-8 && value.abs() < 1e15 {
         format!("{}", value.round() as i64)
     } else if value.abs() >= 1000.0 || value.abs() < 0.01 {
         format!("{value:.3e}")
@@ -122,6 +123,12 @@ mod tests {
         assert_eq!(fmt(3.0), "3");
         assert_eq!(fmt(13.75), "13.750");
         assert_eq!(fmt(60000.0), "60000");
+        assert_eq!(fmt(4.9999999999), "5");
+        assert_eq!(fmt(5.0000000001), "5");
+        assert_eq!(fmt(59_999.999999999), "60000");
+        assert_eq!(fmt(-3.0000000001), "-3");
+        assert_eq!(fmt(4.999), "4.999");
+        assert_eq!(fmt(16_646_673.999_2), "1.665e7");
         assert_eq!(
             fmt(5e13),
             "5e13".to_string().replace("e13", "0000000000000")

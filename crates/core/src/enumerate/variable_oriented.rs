@@ -5,7 +5,7 @@
 use super::{integer_shares, run_share_vector_round};
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
-use subgraph_cq::{cqs_for_sample, ConjunctiveQuery};
+use subgraph_cq::{cqs_for_sample, representative_subgoals, ConjunctiveQuery};
 use subgraph_graph::DataGraph;
 use subgraph_mapreduce::EngineConfig;
 use subgraph_pattern::SampleGraph;
@@ -27,23 +27,40 @@ pub struct VariableOrientedPlan {
     pub predicted_replication: f64,
 }
 
-/// Builds the plan: generate the CQs, build the combined cost expression with
-/// the dominance rule applied (dominated variables keep share 1, which also
-/// keeps the optimum finite for patterns like the lollipop whose pendant
-/// variable appears in a single term), optimize the shares for `k` reducers,
-/// round them.
-pub fn plan(sample: &SampleGraph, k: usize) -> VariableOrientedPlan {
-    let cqs = cqs_for_sample(sample);
-    let mut expr = CostExpression::from_cq_collection(&cqs);
+/// The combined cost expression of the CQ collection with the dominance rule
+/// applied (dominated variables keep share 1, which also keeps the optimum
+/// finite for patterns like the lollipop whose pendant variable appears in a
+/// single term). It is built from the collection's distinct subgoals
+/// ([`representative_subgoals`]), so no CQ is materialised, and it is term
+/// for term the expression `CostExpression::from_cq_collection` builds from
+/// [`cqs_for_sample`].
+pub(crate) fn cost_expression(sample: &SampleGraph) -> CostExpression {
+    let subgoals = representative_subgoals(sample);
+    let mut expr = CostExpression::from_subgoal_collections(sample.num_nodes(), &[subgoals]);
     expr.fix_dominated_to_one();
+    expr
+}
+
+/// Optimizes [`cost_expression`] for `k` reducers and rounds the shares:
+/// `(optimal shares, integer shares, predicted replication per edge)`.
+pub(crate) fn optimize(sample: &SampleGraph, k: usize) -> (Vec<f64>, Vec<u32>, f64) {
+    let expr = cost_expression(sample);
     let solution = optimize_shares(&expr, (k.max(1)) as f64);
     let shares = integer_shares(&solution.shares);
     let predicted = expr.evaluate(&shares.iter().map(|&s| s as f64).collect::<Vec<_>>());
+    (solution.shares, shares, predicted)
+}
+
+/// Builds the plan: optimizes the shares for `k` reducers over the combined
+/// cost expression (which estimating needs alone) and generates the CQs the
+/// reducers evaluate.
+pub fn plan(sample: &SampleGraph, k: usize) -> VariableOrientedPlan {
+    let (optimal_shares, shares, predicted_replication) = optimize(sample, k);
     VariableOrientedPlan {
-        cqs,
-        optimal_shares: solution.shares,
+        cqs: cqs_for_sample(sample),
+        optimal_shares,
         shares,
-        predicted_replication: predicted,
+        predicted_replication,
     }
 }
 
@@ -158,6 +175,19 @@ mod tests {
             (measured - predicted_total).abs() / predicted_total < 1e-9,
             "measured {measured} vs predicted {predicted_total}"
         );
+    }
+
+    #[test]
+    fn the_cost_expression_is_the_collections_without_building_it() {
+        let mut samples: Vec<SampleGraph> = (catalog::entries().into_iter())
+            .map(|entry| entry.sample)
+            .collect();
+        samples.extend(["c7", "path7", "star8", "k7"].map(|n| catalog::by_name(n).unwrap()));
+        for sample in &samples {
+            let mut collection = CostExpression::from_cq_collection(&cqs_for_sample(sample));
+            collection.fix_dominated_to_one();
+            assert_eq!(cost_expression(sample), collection, "{sample:?}");
+        }
     }
 
     #[test]

@@ -5,11 +5,15 @@ use crate::plan::strategy::StrategyKind;
 
 /// The planner's per-round communication prediction: what the mappers emit,
 /// what actually crosses the shuffle after map-side combining, and the
-/// shuffled payload in bytes.
+/// shuffled payload in bytes — per job, for `jobs` identical jobs.
 #[derive(Clone, Debug)]
 pub struct RoundCost {
     /// Round (or, for CQ-oriented processing, parallel job) name.
     pub name: String,
+    /// How many identical jobs the numbers below describe each of: 1 for an
+    /// ordinary round, `p!/|Aut|` for CQ-oriented processing's one job per
+    /// order class (every class has the same single-CQ cost).
+    pub jobs: usize,
     /// Predicted key-value pairs emitted by the round's mappers.
     pub emitted: f64,
     /// Predicted key-value pairs shipped through the shuffle — equals
@@ -31,6 +35,7 @@ impl RoundCost {
     ) -> Self {
         RoundCost {
             name: name.into(),
+            jobs: 1,
             emitted: records,
             shuffled: records,
             shuffle_bytes: records * bytes_per_record as f64,
@@ -46,6 +51,7 @@ impl RoundCost {
     ) -> Self {
         RoundCost {
             name: name.into(),
+            jobs: 1,
             emitted,
             shuffled,
             shuffle_bytes: shuffled * bytes_per_record as f64,
@@ -101,12 +107,16 @@ impl CostEstimate {
     /// Predicted key-value pairs emitted by the mappers across all rounds
     /// (before combiner discounts).
     pub fn emitted_communication(&self) -> f64 {
-        self.round_costs.iter().map(|r| r.emitted).sum()
+        (self.round_costs.iter())
+            .map(|r| r.jobs as f64 * r.emitted)
+            .sum()
     }
 
     /// Predicted shuffled payload bytes across all rounds.
     pub fn predicted_shuffle_bytes(&self) -> f64 {
-        self.round_costs.iter().map(|r| r.shuffle_bytes).sum()
+        (self.round_costs.iter())
+            .map(|r| r.jobs as f64 * r.shuffle_bytes)
+            .sum()
     }
 
     /// True when a map-side combiner is predicted to remove pairs before the
@@ -143,13 +153,14 @@ impl CostEstimate {
     }
 }
 
-/// Compact numeric rendering for explain tables.
+/// Compact numeric rendering for explain tables. A value within `1e-8` of an
+/// integer prints as that integer, from either side.
 pub(crate) fn format_value(v: f64) -> String {
     if v == 0.0 {
         "0".into()
     } else if v.abs() >= 1e7 {
         format!("{v:.2e}")
-    } else if v.fract().abs() < 1e-9 {
+    } else if (v - v.round()).abs() < 1e-8 {
         format!("{}", v.round() as i64)
     } else {
         format!("{v:.2}")
@@ -205,6 +216,14 @@ mod tests {
         let plain = RoundCost::without_combiner("r", 10.0, 8);
         assert_eq!(plain.emitted, plain.shuffled);
         assert_eq!(plain.shuffle_bytes, 80.0);
+        // One entry for twelve identical jobs counts twelve times.
+        let jobs = CostEstimate {
+            round_costs: vec![RoundCost { jobs: 12, ..plain }],
+            ..estimate
+        };
+        assert_eq!(jobs.emitted_communication(), 120.0);
+        assert_eq!(jobs.predicted_shuffle_bytes(), 960.0);
+        assert!(!jobs.has_combiner_discount());
     }
 
     #[test]
@@ -213,5 +232,10 @@ mod tests {
         assert_eq!(format_value(55.0), "55");
         assert_eq!(format_value(13.75), "13.75");
         assert_eq!(format_value(3.2e9), "3.20e9");
+        assert_eq!(format_value(4.9999999999), "5");
+        assert_eq!(format_value(5.0000000001), "5");
+        assert_eq!(format_value(59_999.999999999), "60000");
+        assert_eq!(format_value(-3.0000000001), "-3");
+        assert_eq!(format_value(4.99), "4.99");
     }
 }

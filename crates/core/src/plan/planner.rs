@@ -286,13 +286,22 @@ impl<'g> ExecutionPlan<'g> {
             }
         }
         // The per-round breakdown earns its lines when there is something a
-        // single total cannot show: several rounds, or a combiner discount.
-        if self.chosen.round_costs.len() > 1 || self.chosen.has_combiner_discount() {
+        // single total cannot show: several rounds or jobs, or a combiner
+        // discount.
+        let costs = &self.chosen.round_costs;
+        if costs.len() > 1
+            || costs.iter().any(|r| r.jobs > 1)
+            || self.chosen.has_combiner_discount()
+        {
             out.push_str("  per-round communication:\n");
-            for round in &self.chosen.round_costs {
+            for round in costs {
+                let jobs = match round.jobs {
+                    1 => String::new(),
+                    n => format!("{n} jobs × "),
+                };
                 if round.shuffled < round.emitted {
                     out.push_str(&format!(
-                        "    {}: {} pairs emitted, {} shipped after map-side combining ({} bytes)\n",
+                        "    {}: {jobs}{} pairs emitted, {} shipped after map-side combining ({} bytes)\n",
                         round.name,
                         format_value(round.emitted),
                         format_value(round.shuffled),
@@ -300,7 +309,7 @@ impl<'g> ExecutionPlan<'g> {
                     ));
                 } else {
                     out.push_str(&format!(
-                        "    {}: {} pairs shipped ({} bytes)\n",
+                        "    {}: {jobs}{} pairs shipped ({} bytes)\n",
                         round.name,
                         format_value(round.shuffled),
                         format_value(round.shuffle_bytes),

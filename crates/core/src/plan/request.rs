@@ -13,8 +13,9 @@ use subgraph_pattern::{automorphism_group, catalog, SampleGraph};
 pub const DEFAULT_REDUCERS: usize = 64;
 
 /// The most CQ order classes (`p!/|Aut(S)|`, Theorem 3.1) a strategy will
-/// materialise — bucket-, variable- and CQ-oriented processing each build one
-/// conjunctive query or one round cost per class. 10!: every pattern on at
+/// take on — variable- and CQ-oriented processing each execute one
+/// conjunctive query or one job per class (bucket-oriented processing, which
+/// builds none, is held to the same limit for now). 10!: every pattern on at
 /// most ten nodes is under it whatever its symmetry, as are the symmetric
 /// larger ones (`star16`, `k16`: 16 and 1 classes), while `hypercube4` and
 /// `c16` (5·10¹⁰ and 7·10¹¹ classes, terabytes of CQs) are refused by name
@@ -230,7 +231,7 @@ pub enum PlanError {
         reason: String,
     },
     /// The pattern has more than [`MAX_ORDER_CLASSES`] CQ order classes, so
-    /// every strategy that builds one CQ or one cost per class refuses it.
+    /// every strategy that runs one CQ or one job per class refuses it.
     TooManyOrderClasses {
         /// The pattern as the caller named it.
         pattern: String,

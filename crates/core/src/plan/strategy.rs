@@ -9,7 +9,6 @@
 use crate::convertible::predicted_parallel_work;
 use crate::enumerate::bucket_oriented::{run_bucket_oriented, vec_key_record_bytes};
 use crate::enumerate::cq_oriented::{job_shares, run_cq_oriented};
-use crate::enumerate::key::MAX_DESTINATIONS;
 use crate::enumerate::{variable_oriented, KeySpace};
 use crate::plan::cost::{CostEstimate, RoundCost};
 use crate::plan::report::RunReport;
@@ -189,8 +188,8 @@ fn is_triangle(sample: &SampleGraph) -> bool {
 
 /// Applicability of the strategies that evaluate the Theorem 3.1 CQ
 /// collection (bucket-, variable- and CQ-oriented processing): the pattern
-/// needs an edge, and few enough order classes to build one CQ — or one
-/// [`RoundCost`] — per class.
+/// needs an edge, and few enough order classes for executing to build one CQ
+/// — or run one job — per class.
 fn one_cq_per_order_class(request: &EnumerationRequest<'_>) -> Result<(), String> {
     if request.sample().num_edges() == 0 {
         return Err("the sample graph has no edges".into());
@@ -207,24 +206,13 @@ fn multiset_key_space(p: usize, request: &EnumerationRequest<'_>) -> Result<(), 
 }
 
 /// The share-vector rounds index their reducers by a `u32` and route by one
-/// offset table per pair of variables, none larger than the key space.
-/// Rounding the optimal shares can carry their product past the budget — by
-/// less than 2 per share of at least 1 — so a budget from which that reach,
-/// times the `p²` tables, could pass the table bound is checked against the
-/// integer shares it solves to; `shares` is not asked below it, and ordinary
-/// budgets plan without an extra solve.
-fn share_grid_key_space(
-    request: &EnumerationRequest<'_>,
-    shares: impl FnOnce() -> Vec<u32>,
-) -> Result<(), String> {
-    let p = request.sample().num_nodes();
-    let reach = ((request.reducer_budget() as u128) << p) * (p * p) as u128;
-    if reach <= MAX_DESTINATIONS as u128 {
-        return Ok(());
-    }
-    KeySpace::grid(&shares())
-        .map(drop)
-        .map_err(|e| e.to_string())
+/// offset table per pair of variables, none larger than the key space: integer
+/// shares that cannot build that key space are turned down here, in the key
+/// space's own words, not at execute time. No budget bounds them — a share
+/// rounds up to at least 1, so where a cost expression's optimum is not
+/// attained (shares running off towards 0 and ∞) their product has no limit.
+fn share_grid_key_space(shares: &[u32]) -> Result<(), String> {
+    KeySpace::grid(shares).map(drop).map_err(|e| e.to_string())
 }
 
 /// Largest `b >= 1` such that the hash-ordered scheme's useful-reducer count
@@ -302,7 +290,9 @@ fn mr_estimate(
     reducer_work: f64,
     m: usize,
 ) -> CostEstimate {
-    let communication: f64 = round_costs.iter().map(|r| r.shuffled).sum();
+    let communication: f64 = (round_costs.iter())
+        .map(|r| r.jobs as f64 * r.shuffled)
+        .sum();
     CostEstimate {
         strategy: kind,
         paper_section,
@@ -385,26 +375,29 @@ impl Strategy for VariableOriented {
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
         one_cq_per_order_class(request)?;
-        share_grid_key_space(request, || {
-            variable_oriented::plan(request.sample(), request.reducer_budget()).shares
-        })
+        share_grid_key_space(
+            &variable_oriented::optimize(request.sample(), request.reducer_budget()).1,
+        )
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
-        let plan = variable_oriented::plan(request.sample(), request.reducer_budget());
+        // Estimating needs the collection's cost expression, not its CQs:
+        // executing builds those.
+        let (_, shares, replication) =
+            variable_oriented::optimize(request.sample(), request.reducer_budget());
         let p = request.sample().num_nodes();
         let m = request.graph().num_edges();
-        let reducers: f64 = plan.shares.iter().map(|&s| s as f64).product();
+        let reducers: f64 = shares.iter().map(|&s| s as f64).product();
         let effective_share = reducers.powf(1.0 / p as f64);
         mr_estimate(
             self.kind(),
             "§4.3",
             1,
-            plan.shares.iter().map(|&s| s as f64).collect(),
+            shares.iter().map(|&s| s as f64).collect(),
             None,
             vec![RoundCost::without_combiner(
                 "variable-oriented",
-                plan.predicted_replication * m as f64,
+                replication * m as f64,
                 vec_key_record_bytes(p),
             )],
             reducers,
@@ -469,38 +462,32 @@ impl Strategy for CqOriented {
         one_cq_per_order_class(request)?;
         // A single query's cost expression does not depend on its order
         // class, so every job runs with the shares of the first.
-        share_grid_key_space(request, || {
-            let sample = request.sample();
-            let identity: Vec<_> = sample.nodes().collect();
-            job_shares(
-                &cq_for_ordering(sample, &identity),
-                request.reducer_budget(),
-            )
-        })
+        let sample = request.sample();
+        let identity: Vec<_> = sample.nodes().collect();
+        share_grid_key_space(&job_shares(
+            &cq_for_ordering(sample, &identity),
+            request.reducer_budget(),
+        ))
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
         let k = request.reducer_budget().max(1) as f64;
         let p = request.sample().num_nodes();
         let m = request.graph().num_edges();
-        // One RoundCost per parallel job: each CQ optimizes its own shares.
-        // The search (branch-and-bound by default, exhaustive as the oracle)
-        // establishes each class's cost without necessarily solving each one:
-        // single-CQ expressions are orientation-independent, so pruned
-        // classes inherit the winner's cost bitwise.
+        // One job per order class, each optimizing its own shares. The
+        // search (branch-and-bound by default, exhaustive as the oracle)
+        // establishes the classes' cost without solving each one: single-CQ
+        // expressions are orientation-independent, so every class costs the
+        // winner's, and one RoundCost describes all the jobs.
         let search = search_order_classes(request.sample(), k, request.order_class_search());
-        let round_costs: Vec<RoundCost> = search
-            .per_class_costs
-            .iter()
-            .enumerate()
-            .map(|(job, &cost_per_edge)| {
-                RoundCost::without_combiner(
-                    format!("cq-job-{job}"),
-                    cost_per_edge * m as f64,
-                    vec_key_record_bytes(p),
-                )
-            })
-            .collect();
+        let round_cost = RoundCost {
+            jobs: search.total_classes,
+            ..RoundCost::without_combiner(
+                "cq-job",
+                search.max_class_cost * m as f64,
+                vec_key_record_bytes(p),
+            )
+        };
         let jobs = search.total_classes as f64;
         let per_job_share = k.powf(1.0 / p as f64);
         let mut estimate = mr_estimate(
@@ -511,7 +498,7 @@ impl Strategy for CqOriented {
             // describes the strategy; explain() renders this as "-".
             Vec::new(),
             None,
-            round_costs,
+            vec![round_cost],
             jobs * k,
             jobs * decomposition_work(
                 request.sample(),
@@ -1029,6 +1016,33 @@ mod tests {
                 < 1e-9
         );
         assert!(cascade.predicted_shuffle_bytes() > 0.0);
+    }
+
+    #[test]
+    fn share_grids_without_an_attained_optimum_are_refused_by_name() {
+        // Nodes 3 and 4 share their two neighbours 0 and 2, and neither is
+        // dominated: along a ray where s0 = s2 grows and s3 = s4 shrinks every
+        // term falls or stays, so the rounded shares overflow any key space.
+        let twins = SampleGraph::from_edges(
+            6,
+            &[
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (0, 4),
+                (1, 2),
+                (1, 5),
+                (2, 3),
+                (2, 4),
+            ],
+        );
+        let g = generators::gnm(40, 120, 3);
+        let request = EnumerationRequest::new(twins, &g).reducers(750);
+        for strategy in [&VariableOriented as &dyn Strategy, &CqOriented] {
+            let reason = strategy.applicability(&request).unwrap_err();
+            assert!(reason.contains("key space exceeds"), "{reason}");
+        }
+        assert!(BucketOriented.applicability(&request).is_ok());
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use cycles::{cycle_cqs, CycleCq};
 pub use eval::{
     evaluate_cq, evaluate_cq_filtered, evaluate_cq_group, evaluate_cqs, EvalOutcome, JoinPlan,
 };
-pub use generate::{cq_for_ordering, cqs_for_sample};
+pub use generate::{cq_for_ordering, cqs_for_sample, representative_subgoals};
 pub use local::LocalGraph;
 pub use orientation::{merge_by_orientation, simplified_constraints};
 pub use partial::PartialCq;

@@ -67,12 +67,16 @@ impl Decomposition {
 pub fn decompose(sample: &SampleGraph) -> Decomposition {
     let p = sample.num_nodes();
     let all: Vec<PatternNode> = sample.nodes().collect();
+    let adjacency: Vec<u32> = (all.iter())
+        .map(|&v| (sample.neighbors(v).iter()).fold(0, |mask, &u| mask | 1 << u))
+        .collect();
     let mut best: Option<Vec<Piece>> = None;
     let mut best_isolated = usize::MAX;
     let mut pieces: Vec<Piece> = Vec::new();
     search(
         sample,
         &all,
+        &adjacency,
         0u32,
         &mut pieces,
         0,
@@ -91,10 +95,13 @@ pub fn decompose(sample: &SampleGraph) -> Decomposition {
     }
 }
 
-/// Recursive exact search: `used` is a bitmask of already-covered nodes.
+/// Recursive exact search: `used` is a bitmask of already-covered nodes, and
+/// `adjacency[v]` the bitmask of `v`'s neighbours.
+#[allow(clippy::too_many_arguments)]
 fn search(
     sample: &SampleGraph,
     all: &[PatternNode],
+    adjacency: &[u32],
     used: u32,
     pieces: &mut Vec<Piece>,
     isolated_so_far: usize,
@@ -119,23 +126,41 @@ fn search(
     };
 
     // Option 1: cover v by an odd-cycle piece. Enumerate odd-size subsets
-    // containing v whose induced subgraph has a Hamilton cycle.
+    // containing v whose induced subgraph has a Hamilton cycle. Such a cycle
+    // gives each of its nodes two neighbours among the uncovered nodes, so
+    // only those nodes are candidates (dropping the rest keeps the order in
+    // which the surviving subsets are tried).
     let remaining: Vec<PatternNode> = all
         .iter()
         .copied()
         .filter(|&u| used & (1 << u) == 0 && u != v)
         .collect();
-    let r = remaining.len();
+    let uncovered = remaining.iter().fold(1u32 << v, |bits, &u| bits | 1 << u);
+    let cyclable = |u: PatternNode| (adjacency[u as usize] & uncovered).count_ones() >= 2;
+    let candidates: Vec<PatternNode> = if cyclable(v) {
+        remaining.iter().copied().filter(|&u| cyclable(u)).collect()
+    } else {
+        Vec::new()
+    };
+    let r = candidates.len();
     for mask in 0u32..(1 << r) {
         let subset_size = mask.count_ones() as usize + 1;
         if subset_size < 3 || subset_size.is_multiple_of(2) {
             continue;
         }
+        if isolated_so_far >= *best_isolated {
+            return; // a deeper call found a decomposition this one cannot beat
+        }
         let mut subset = vec![v];
-        for (i, &u) in remaining.iter().enumerate() {
+        for (i, &u) in candidates.iter().enumerate() {
             if mask & (1 << i) != 0 {
                 subset.push(u);
             }
+        }
+        // And two neighbours inside the subset itself.
+        let bits = subset.iter().fold(0u32, |bits, &u| bits | 1 << u);
+        if (subset.iter()).any(|&u| (adjacency[u as usize] & bits).count_ones() < 2) {
+            continue;
         }
         let (induced, map) = sample.induced_subgraph(&subset);
         if let Some(cycle) = induced.find_hamilton_cycle() {
@@ -148,6 +173,7 @@ fn search(
             search(
                 sample,
                 all,
+                adjacency,
                 new_used,
                 pieces,
                 isolated_so_far,
@@ -165,6 +191,7 @@ fn search(
             search(
                 sample,
                 all,
+                adjacency,
                 used | (1 << v) | (1 << u),
                 pieces,
                 isolated_so_far,
@@ -180,6 +207,7 @@ fn search(
     search(
         sample,
         all,
+        adjacency,
         used | (1 << v),
         pieces,
         isolated_so_far + 1,

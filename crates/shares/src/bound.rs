@@ -83,11 +83,12 @@ pub fn partial_cost_expression(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dominance::single_cq_expression_with_dominance;
+    use crate::dominance::{dominated_variables, single_cq_expression_with_dominance};
+    use crate::proptests::{lcg, random_connected_sample};
     use crate::solver::optimize_shares;
-    use subgraph_cq::{cq_for_ordering, PartialCq};
-    use subgraph_pattern::automorphism::order_representatives;
-    use subgraph_pattern::catalog;
+    use subgraph_cq::{cq_for_ordering, ConjunctiveQuery, PartialCq};
+    use subgraph_pattern::automorphism::{automorphism_group, order_representatives};
+    use subgraph_pattern::{catalog, SampleGraph};
 
     #[test]
     fn empty_prefix_bound_equals_every_completion_expression() {
@@ -110,23 +111,78 @@ mod tests {
         }
     }
 
+    /// The Afrati–Ullman rule as first written, by subgoal index: `x` is
+    /// dominated when some other variable occurs in every subgoal `x` occurs
+    /// in (mutually dominating pairs keep the smaller index free; a variable in
+    /// no subgoal is pinned too).
+    fn dominated_by_subgoal_index(cq: &ConjunctiveQuery) -> Vec<Var> {
+        let occurrence: Vec<Vec<usize>> = (0..cq.num_vars() as Var)
+            .map(|v| {
+                (cq.subgoals().iter().enumerate())
+                    .filter(|(_, &(a, b))| a == v || b == v)
+                    .map(|(i, _)| i)
+                    .collect()
+            })
+            .collect();
+        let within = |x: usize, y: usize| occurrence[x].iter().all(|i| occurrence[y].contains(i));
+        (0..cq.num_vars())
+            .filter(|&x| {
+                occurrence[x].is_empty()
+                    || (0..cq.num_vars())
+                        .any(|y| y != x && within(x, y) && (!within(y, x) || y < x))
+            })
+            .map(|x| x as Var)
+            .collect()
+    }
+
     #[test]
     fn expression_dominance_agrees_with_cq_dominance() {
-        // The expression-level rule (term-edge incidence) and the CQ-level
-        // rule (subgoal occurrence sets) must pin the same variables, or the
-        // leaf bound would differ from the estimator's per-CQ expression.
-        for entry in catalog::entries() {
-            for ordering in order_representatives(&entry.sample) {
-                let cq = cq_for_ordering(&entry.sample, &ordering);
-                let via_cq = single_cq_expression_with_dominance(&cq);
-                let mut via_expr = CostExpression::from_single_cq(&cq);
-                via_expr.fix_dominated_to_one();
+        // The expression-level rule (term-edge incidence) that the estimator,
+        // the prefix bound and `dominated_variables` all use must pin the same
+        // variables as the CQ-level rule (subgoal occurrence sets), on the
+        // catalog (every class), the star/cycle/path families and seeded
+        // random samples.
+        let mut samples: Vec<(String, SampleGraph)> = (catalog::entries().into_iter())
+            .map(|entry| (entry.name.to_string(), entry.sample))
+            .collect();
+        for (family, sizes) in [("star", 3..=9), ("c", 3..=9), ("path", 2..=8)] {
+            for p in sizes {
+                let name = format!("{family}{p}");
+                samples.push((name.clone(), catalog::by_name(&name).unwrap()));
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        for trial in 0..200 {
+            let p = 4 + lcg(&mut state, 5);
+            let sample = random_connected_sample(&mut state, p);
+            samples.push((format!("random-{trial}"), sample));
+        }
+        for (name, sample) in &samples {
+            let identity: Vec<_> = sample.nodes().collect();
+            let reversed: Vec<_> = identity.iter().rev().copied().collect();
+            let mut orderings = vec![identity, reversed];
+            if automorphism_group(sample).order_classes() <= 840 {
+                orderings.extend(order_representatives(sample));
+            }
+            for ordering in orderings {
+                let cq = cq_for_ordering(sample, &ordering);
+                let via_expr = single_cq_expression_with_dominance(&cq);
+                let pinned: Vec<Var> = via_expr.fixed_to_one().iter().copied().collect();
                 assert_eq!(
-                    via_cq.fixed_to_one(),
-                    via_expr.fixed_to_one(),
-                    "{} ordering {ordering:?}",
-                    entry.name
+                    pinned,
+                    dominated_by_subgoal_index(&cq),
+                    "{name} ordering {ordering:?}"
                 );
+                assert_eq!(dominated_variables(&cq), pinned, "{name}");
+                // At a leaf the prefix bound is that same expression.
+                let mut partial = PartialCq::new(sample);
+                ordering.iter().for_each(|&v| partial.push(v));
+                let leaf = partial_cost_expression(
+                    sample.num_nodes(),
+                    sample.edges(),
+                    partial.oriented_edges(),
+                );
+                assert_eq!(leaf, via_expr, "{name}");
             }
         }
     }

@@ -11,53 +11,25 @@ use subgraph_cq::{ConjunctiveQuery, Var};
 /// Returns the set of variables that can be fixed to share 1 because they are
 /// dominated by some other variable of the query.
 ///
-/// When two variables dominate each other (they appear in exactly the same
+/// A single CQ has one subgoal per sample edge, so "every subgoal containing
+/// `X` also contains `Y`" is [`CostExpression::fix_dominated_to_one`]'s rule
+/// on the query's term edges; this reads the pinned set off that rule. When
+/// two variables dominate each other (they appear in exactly the same
 /// subgoals), only one of them — the one with the larger index — is reported
 /// as dominated, so at least one of the pair keeps a free share.
 pub fn dominated_variables(cq: &ConjunctiveQuery) -> Vec<Var> {
-    let p = cq.num_vars();
-    let occurs = |v: Var| -> Vec<usize> {
-        cq.subgoals()
-            .iter()
-            .enumerate()
-            .filter(|(_, &(a, b))| a == v || b == v)
-            .map(|(i, _)| i)
-            .collect()
-    };
-    let occurrence: Vec<Vec<usize>> = (0..p as Var).map(occurs).collect();
-    let mut dominated = Vec::new();
-    for x in 0..p {
-        if occurrence[x].is_empty() {
-            // A variable in no subgoal contributes nothing to the cost; give it share 1.
-            dominated.push(x as Var);
-            continue;
-        }
-        let is_dominated = (0..p).any(|y| {
-            if x == y {
-                return false;
-            }
-            let x_in_y = occurrence[x].iter().all(|i| occurrence[y].contains(i));
-            if !x_in_y {
-                return false;
-            }
-            let mutually = occurrence[y].iter().all(|i| occurrence[x].contains(i));
-            // Strictly dominated, or mutually dominated with the smaller index kept free.
-            !mutually || y < x
-        });
-        if is_dominated {
-            dominated.push(x as Var);
-        }
-    }
-    dominated
+    (single_cq_expression_with_dominance(cq)
+        .fixed_to_one()
+        .iter())
+    .copied()
+    .collect()
 }
 
 /// Builds the cost expression for a single CQ with every dominated variable's
 /// share pinned to 1 (the standard preprocessing before solving).
 pub fn single_cq_expression_with_dominance(cq: &ConjunctiveQuery) -> CostExpression {
     let mut expr = CostExpression::from_single_cq(cq);
-    for v in dominated_variables(cq) {
-        expr.fix_to_one(v);
-    }
+    expr.fix_dominated_to_one();
     expr
 }
 

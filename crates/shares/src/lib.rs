@@ -18,9 +18,8 @@
 //!   (the pruning rule of the planner's branch-and-bound search) and the
 //!   expression signatures its orbit memoization keys on.
 //! * [`solver`] — numeric minimization of the expression subject to a fixed
-//!   number of reducers (product of shares), via projected gradient descent in
-//!   log space; the optimality conditions are the paper's equal-sums
-//!   Lagrangian conditions.
+//!   number of reducers (product of shares), via damped Newton in log space
+//!   on the paper's equal-sums Lagrangian conditions.
 //! * [`regular`] — closed forms for regular sample graphs (Theorems 4.1, 4.3).
 //! * [`counting`] — reducer-count combinatorics for hash-ordered processing
 //!   (Theorem 4.2 and the Section 4.5 comparison with generalized Partition).

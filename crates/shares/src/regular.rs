@@ -53,9 +53,10 @@ pub fn regular_cost_per_edge(p: usize, degree: usize, k: f64) -> f64 {
     (p as f64 * degree as f64 / 2.0) * k.powf((p as f64 - 2.0) / p as f64)
 }
 
-/// Checks how far a share vector is from satisfying the Lagrangian optimality
-/// conditions of `expr` (0 = optimal). Convenience for validating closed forms
-/// against the numeric solver.
+/// How far a share vector is from satisfying the Lagrangian optimality
+/// conditions of `expr`: the relative spread `(max − min) / max` of the free
+/// variables' term sums (0 = optimal). It is the solver's stopping rule and
+/// the gap its solution reports, and validates closed forms against it.
 pub fn optimality_gap(expr: &CostExpression, shares: &[f64]) -> f64 {
     let sums: Vec<f64> = expr
         .per_variable_sums(shares)
@@ -106,6 +107,24 @@ mod tests {
                 optimality_gap(&expr, &shares) < 1e-9,
                 "equal shares not optimal for {sample:?}"
             );
+        }
+    }
+
+    #[test]
+    fn theorem_4_1_closed_form_equals_the_solver() {
+        for name in ["triangle", "square", "c5", "k4", "hypercube3", "k8"] {
+            let sample = catalog::by_name(name).unwrap();
+            let cq = &cqs_for_sample(&sample)[0];
+            let expr = CostExpression::from_single_cq(cq);
+            for k in [64.0, 750.0, 100_000.0] {
+                let closed = regular_equal_shares(&sample, k).unwrap();
+                let solved = crate::solver::optimize_shares(&expr, k);
+                for (a, b) in solved.shares.iter().zip(&closed) {
+                    assert!((a - b).abs() <= 1e-9 * b, "{name} k={k}: {a} vs {b}");
+                }
+                let cost = expr.evaluate(&closed);
+                assert!((solved.cost_per_edge - cost).abs() <= 1e-9 * cost, "{name}");
+            }
         }
     }
 
