@@ -2,27 +2,36 @@
 //! build and the compiled join timed separately, against the generic
 //! backtracking oracle on the same edges.
 //!
-//! The first two inputs are what the heaviest reducers of the repo
-//! benchmark's bucket-oriented rounds receive: a triangle reducer with three
-//! distinct buckets out of six (a quarter of a 1.2M-edge graph) and a square
-//! reducer with four distinct buckets out of four (the whole 110k-edge
-//! graph); a pentagon and a cube reducer (12 and 840 order classes) follow.
-//! Every input is joined twice: by the reducer's single symmetry-broken plan
-//! and by the `p!/|Aut|` per-CQ plans it replaced, kept as the oracle.
+//! Each input is exactly what one reducer of a bucket-oriented round
+//! receives: the edges the mapper ships to its key (an edge whose endpoints
+//! share a bucket only reaches keys holding that bucket twice). The first two
+//! are the heaviest reducers of the repo benchmark's rounds: a triangle
+//! reducer with three distinct buckets out of six (the sixth of a 1.2M-edge
+//! graph whose endpoints hash to two of them) and a square reducer with four
+//! distinct buckets out of four (the three quarters of a 110k-edge graph
+//! whose endpoints hash apart); a pentagon and a cube reducer (12 and 840
+//! order classes) follow. The local graph is built as the reducer builds it,
+//! without the edges of nodes below the pattern's minimum degree, and once
+//! more with every id multiplied by a stride that puts the range past the
+//! ranking bitmap's bound, which forces the hash-interning path. Every input
+//! is joined twice: by the reducer's single symmetry-broken plan and by the
+//! `p!/|Aut|` per-CQ plans it replaced, kept as the oracle.
 //! `reproduce kernel` prints the table and writes `BENCH_kernel.json`;
 //! `reproduce kernel-gate` is the CI form, and is *relative* — the compiled
 //! kernel must beat `enumerate_generic` on the square input by
-//! [`MIN_SPEEDUP_OVER_ORACLE`], and the one plan must not take longer than
-//! the per-CQ plans on any input, so a busy runner slows both sides and
-//! cannot flake it — and *exact*: both joins find the same owned and total
-//! counts as the oracle, the one plan tries no more candidates than the
-//! per-CQ plans (the same number on the triangle, whose single CQ it is), and
-//! no input's local graph may hold more heap bytes than the tracked
-//! `BENCH_kernel.json` records.
+//! [`MIN_SPEEDUP_OVER_ORACLE`], the one plan must not take longer than the
+//! per-CQ plans on any input, and the triangle input's bitmap-ranked build
+//! must not take longer than its interned one, so a busy runner slows both
+//! sides and cannot flake it — and *exact*: both joins find the same owned
+//! and total counts as the oracle over the unfiltered edges, the one plan
+//! tries no more candidates than the per-CQ plans (the same number on the
+//! triangle, whose single CQ it is), and no input's local graph may hold
+//! more heap bytes than the tracked `BENCH_kernel.json` records.
 
 use crate::report::Table;
 use std::time::Instant;
 use subgraph_core::enumerate::bucket_oriented::{sample_plan, BucketQuota};
+use subgraph_core::enumerate::KeySpace;
 use subgraph_core::serial::generic::enumerate_generic_into;
 use subgraph_core::sink::CountSink;
 use subgraph_cq::{cqs_for_sample, JoinPlan, LocalGraph};
@@ -42,12 +51,19 @@ pub struct KernelTiming {
     pub pattern: &'static str,
     /// Edges the reducer received.
     pub edges: usize,
-    /// Distinct nodes among them (the local graph's size).
+    /// The pattern's minimum degree, below which the build drops a node.
+    pub min_degree: usize,
+    /// Distinct nodes among the edges.
+    pub unfiltered_nodes: usize,
+    /// Nodes the built local graph keeps.
     pub local_nodes: usize,
     /// Heap bytes of the built local graph.
     pub local_bytes: usize,
     /// `LocalGraph::build`, best of three.
     pub build_millis: f64,
+    /// The same build over the ids times a stride that forces the interning
+    /// path, best of three.
+    pub interned_build_millis: f64,
     /// The reducer's one plan, ownership test pushed in.
     pub one_plan: Join,
     /// How many per-CQ plans the pattern has (`p!/|Aut|`).
@@ -115,8 +131,31 @@ fn best_of_three<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     (best, last.expect("three runs happened"))
 }
 
-/// Measures one reducer: the edges of `graph` whose endpoint buckets both
-/// occur in `key`, joined for `sample` under `BucketThenIdOrder::new(b)`.
+/// `edges` with every id multiplied by the least power-of-two stride that
+/// makes [`LocalGraph::build`] intern them instead of ranking by bitmap.
+///
+/// # Panics
+/// Panics if no stride keeps the ids within `u32`.
+fn strided_past_bitmap(edges: &[Edge]) -> Vec<Edge> {
+    let mut stride = 2u32;
+    loop {
+        let strided: Vec<Edge> = edges
+            .iter()
+            .map(|e| {
+                let spread = |v: u32| v.checked_mul(stride).expect("strided ids fit a u32");
+                Edge::new(spread(e.lo()), spread(e.hi()))
+            })
+            .collect();
+        if !LocalGraph::ranks_by_bitmap(&strided) {
+            return strided;
+        }
+        stride *= 2;
+    }
+}
+
+/// Measures one reducer of the bucket-oriented round for `sample` over
+/// `graph` with `b` buckets: the one whose key holds the buckets `key`
+/// (non-decreasing), fed the edges the mapper ships to it.
 fn measure(
     input: &'static str,
     pattern: &'static str,
@@ -126,20 +165,26 @@ fn measure(
     key: &[u32],
 ) -> KernelTiming {
     let order = BucketThenIdOrder::new(b);
-    let in_key = |v| key.contains(&(order.bucket(v) as u32));
-    let edges: Vec<Edge> = graph
-        .edges()
-        .iter()
-        .copied()
-        .filter(|e| in_key(e.lo()) && in_key(e.hi()))
-        .collect();
+    let space = KeySpace::multisets(b, key.len()).expect("a measured key space exists");
+    let rank = space.rank(key);
+    let ships_here = |e: &Edge| {
+        let bucket = |v| order.bucket(v) as u32;
+        (space.destinations(bucket(e.lo()), bucket(e.hi())))
+            .binary_search(&rank)
+            .is_ok()
+    };
+    let edges: Vec<Edge> = graph.edges().iter().copied().filter(ships_here).collect();
     let one_plan = [sample_plan(sample)];
     let per_cq: Vec<JoinPlan> = cqs_for_sample(sample)
         .iter()
         .map(JoinPlan::compile)
         .collect();
+    let min_degree = one_plan[0].min_degree();
 
-    let (build_millis, local) = best_of_three(|| LocalGraph::build(&edges, &order));
+    let (build_millis, local) = best_of_three(|| LocalGraph::build(&edges, &order, min_degree));
+    let strided = strided_past_bitmap(&edges);
+    let (interned_build_millis, _) =
+        best_of_three(|| LocalGraph::build(&strided, &order, min_degree));
     let quota = BucketQuota::new(&local, &order, key.iter().copied());
     let owned_join = |plans: &[JoinPlan]| {
         let (millis, (candidates, owned)) = best_of_three(|| {
@@ -177,9 +222,12 @@ fn measure(
         input,
         pattern,
         edges: edges.len(),
+        min_degree,
+        unfiltered_nodes: LocalGraph::build(&edges, &order, 0).num_nodes(),
         local_nodes: local.num_nodes(),
         local_bytes: local.heap_bytes(),
         build_millis,
+        interned_build_millis,
         one_plan: owned_join(&one_plan),
         per_cq_plans: per_cq.len(),
         per_cq: owned_join(&per_cq),
@@ -247,9 +295,12 @@ impl KernelReport {
                 "input",
                 "pattern",
                 "edges",
-                "local nodes",
+                "nodes",
+                "min deg",
+                "kept",
                 "build ms",
                 "ns/edge",
+                "interned ms",
                 "join ms",
                 "candidates",
                 "CQs",
@@ -267,9 +318,12 @@ impl KernelReport {
                 t.input.to_string(),
                 t.pattern.to_string(),
                 t.edges.to_string(),
+                t.unfiltered_nodes.to_string(),
+                t.min_degree.to_string(),
                 t.local_nodes.to_string(),
                 format!("{:.2}", t.build_millis),
                 format!("{:.0}", t.build_nanos_per_edge()),
+                format!("{:.2}", t.interned_build_millis),
                 format!("{:.2}", t.one_plan.millis),
                 t.one_plan.candidates.to_string(),
                 t.per_cq_plans.to_string(),
@@ -282,6 +336,12 @@ impl KernelReport {
                 format!("{:.1}x", t.speedup_over_oracle()),
             ]);
         }
+        table.note(
+            "edges: what the mapper ships to the key; kept: the nodes left after dropping every \
+             edge with an endpoint of degree below the pattern's minimum (the build the reducer \
+             runs, bitmap-ranked); interned ms: the same build over ids times a stride past the \
+             bitmap's bound, which interns them",
+        );
         table.note(
             "join: the pattern's one symmetry-broken plan with the bucket-multiset ownership \
              test pushed into it (what the bucket-oriented reducer runs); per-CQ: the p!/|Aut| \
@@ -310,8 +370,9 @@ impl KernelReport {
         out.push_str("  \"results\": [\n");
         for (i, t) in self.inputs.iter().enumerate() {
             out.push_str(&format!(
-                "    {{ \"input\": \"{}\", \"pattern\": \"{}\", \"edges\": {}, \"local_nodes\": {}, \
-                 \"local_bytes\": {}, \"build_ms\": {:.3}, \"build_ns_per_edge\": {:.1}, \
+                "    {{ \"input\": \"{}\", \"pattern\": \"{}\", \"edges\": {}, \"min_degree\": {}, \
+                 \"unfiltered_nodes\": {}, \"local_nodes\": {}, \"local_bytes\": {}, \
+                 \"build_ms\": {:.3}, \"build_ns_per_edge\": {:.1}, \"interned_build_ms\": {:.3}, \
                  \"join_ms\": {:.3}, \"candidates\": {}, \"per_cq_plans\": {}, \
                  \"per_cq_join_ms\": {:.3}, \"per_cq_candidates\": {}, \
                  \"owned\": {}, \"assignments\": {}, \"full_join_ms\": {:.3}, \"oracle_ms\": {:.3}, \
@@ -319,10 +380,13 @@ impl KernelReport {
                 t.input,
                 t.pattern,
                 t.edges,
+                t.min_degree,
+                t.unfiltered_nodes,
                 t.local_nodes,
                 t.local_bytes,
                 t.build_millis,
                 t.build_nanos_per_edge(),
+                t.interned_build_millis,
                 t.one_plan.millis,
                 t.one_plan.candidates,
                 t.per_cq_plans,
@@ -396,8 +460,9 @@ fn count_failure(t: &KernelTiming) -> Option<String> {
 /// The CI kernel gate. Exact: the counts of [`count_failure`], and no input's
 /// local graph larger than the tracked `BENCH_kernel.json` says it was.
 /// Relative (release builds): the one plan no slower than the per-CQ plans on
-/// any input, and on the square input the kernel at least
-/// [`MIN_SPEEDUP_OVER_ORACLE`] times faster than the oracle.
+/// any input, on the square input the kernel at least
+/// [`MIN_SPEEDUP_OVER_ORACLE`] times faster than the oracle, and the triangle
+/// input's bitmap-ranked build no slower than its interned one.
 pub fn kernel_gate() -> Result<String, String> {
     let tracked = std::fs::read_to_string(bench_json_path()).unwrap_or_default();
     let report = run_and_record();
@@ -435,10 +500,17 @@ pub fn kernel_gate() -> Result<String, String> {
         .find(|t| t.pattern == "square")
         .expect("the sweep has a square input");
     let speedup = square.speedup_over_oracle();
+    let triangle = report
+        .inputs
+        .iter()
+        .find(|t| t.pattern == "triangle")
+        .expect("the sweep has a triangle input");
+    let (bitmap, interned) = (triangle.build_millis, triangle.interned_build_millis);
     if cfg!(debug_assertions) {
         out.push_str(&format!(
             "\nkernel gate: time bounds skipped in debug builds ({speedup:.1}x the oracle; per-CQ \
-             over one plan: {ratios}); counts and candidates checked on all {} inputs\n",
+             over one plan: {ratios}; triangle build {bitmap:.2} ms bitmap-ranked, {interned:.2} ms \
+             interned); counts and candidates checked on all {} inputs\n",
             report.inputs.len(),
         ));
         return Ok(out);
@@ -449,10 +521,17 @@ pub fn kernel_gate() -> Result<String, String> {
              on the square input, below the {MIN_SPEEDUP_OVER_ORACLE}x bound\n",
         ));
     }
+    if bitmap > interned {
+        return Err(format!(
+            "{out}\nkernel gate FAILED: the triangle input's bitmap-ranked build took {bitmap:.2} \
+             ms, the same edges interned {interned:.2} ms\n",
+        ));
+    }
     out.push_str(&format!(
         "\nkernel gate passed: {speedup:.1}x the generic oracle on the square input (bound \
-         {MIN_SPEEDUP_OVER_ORACLE}x); per-CQ plans over the one plan: {ratios}; counts identical \
-         on all {} inputs\n",
+         {MIN_SPEEDUP_OVER_ORACLE}x); per-CQ plans over the one plan: {ratios}; triangle build \
+         {:.2}x the interned one; counts identical on all {} inputs\n",
+        bitmap / interned,
         report.inputs.len(),
     ));
     Ok(out)
@@ -475,6 +554,8 @@ mod tests {
         );
         assert_eq!(count_failure(&t), None);
         assert_eq!(t.per_cq_plans, 3);
+        assert_eq!(t.min_degree, 2);
+        assert!(t.local_nodes <= t.unfiltered_nodes);
         assert!(t.one_plan.owned <= t.assignments);
         assert!(t.one_plan.candidates > 0);
         let disagreeing = KernelTiming {
@@ -493,5 +574,41 @@ mod tests {
         assert_eq!(recorded_local_bytes(&json, "small"), Some(bytes as u64));
         assert_eq!(recorded_local_bytes(&json, "absent"), None);
         assert!(report.table().contains("vs oracle"));
+    }
+
+    #[test]
+    fn a_reducer_gets_what_the_mapper_ships_it() {
+        // Key {0, 1, 2} holds each bucket once: the mapper ships it no edge
+        // whose endpoints share a bucket, though both buckets are in the key.
+        let graph = generators::gnm(300, 1_500, 6);
+        let order = BucketThenIdOrder::new(3);
+        let t = measure(
+            "small",
+            "triangle",
+            &catalog::triangle(),
+            &graph,
+            3,
+            &[0, 1, 2],
+        );
+        let apart = (graph.edges().iter())
+            .filter(|e| order.bucket(e.lo()) != order.bucket(e.hi()))
+            .count();
+        assert_eq!(t.edges, apart);
+        assert_eq!(count_failure(&t), None);
+    }
+
+    #[test]
+    fn a_stride_forces_the_interning_path() {
+        let edges = generators::gnm(300, 1_500, 7).edges().to_vec();
+        assert!(LocalGraph::ranks_by_bitmap(&edges));
+        let strided = strided_past_bitmap(&edges);
+        assert!(!LocalGraph::ranks_by_bitmap(&strided));
+        let order = BucketThenIdOrder::new(4);
+        let (local, spread) = (
+            LocalGraph::build(&edges, &order, 2),
+            LocalGraph::build(&strided, &order, 2),
+        );
+        assert_eq!(local.num_nodes(), spread.num_nodes());
+        assert_eq!(local.num_edges(), spread.num_edges());
     }
 }

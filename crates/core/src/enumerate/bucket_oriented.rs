@@ -22,7 +22,7 @@
 //! queries use (Section 4.3), so another transversal of the orbits could
 //! need a record that was never sent.
 
-use super::KeySpace;
+use super::{least_min_degree, KeySpace};
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
 use subgraph_cq::{ConjunctiveQuery, JoinPlan, LocalGraph};
@@ -194,8 +194,9 @@ pub fn bucket_oriented_with_cqs_into(
 }
 
 /// The round itself: every reducer of `space`, the multisets over `b`
-/// buckets, builds its local graph and runs each of `plans` over it under its
-/// ownership test.
+/// buckets, builds its local graph — without the edges of nodes too sparse
+/// for any of `plans` — and runs each of `plans` over it under its ownership
+/// test.
 fn run_plans(
     space: KeySpace,
     b: usize,
@@ -205,13 +206,14 @@ fn run_plans(
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
     let order = BucketThenIdOrder::new(b);
+    let min_degree = least_min_degree(plans);
 
     let mapper = |edge: &Edge, ctx: &mut MapContext<u32, Edge>| {
         ship_by_endpoint_buckets(&space, &order, edge, ctx)
     };
 
     let reducer = |key: &u32, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        let local = LocalGraph::build(edges, &order);
+        let local = LocalGraph::build(edges, &order, min_degree);
         let mut work = edges.len() as u64;
         let owned = BucketQuota::new(&local, &order, space.coords(*key));
         for plan in plans {

@@ -103,9 +103,10 @@ pub(crate) fn run_share_vector_round(
     };
 
     let plans: Vec<JoinPlan> = cqs.iter().map(JoinPlan::compile).collect();
+    let min_degree = least_min_degree(&plans);
     let reducer = |key: &u32, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
         let buckets = space.coords(*key);
-        let local = LocalGraph::build(edges, &IdOrder);
+        let local = LocalGraph::build(edges, &IdOrder, min_degree);
         let mut work = edges.len() as u64;
         for plan in &plans {
             work += plan.run(
@@ -127,6 +128,13 @@ pub(crate) fn run_share_vector_round(
         )
         .run_with_sink(graph.edges(), config, sink);
     RunStats::from_pipeline(report).with_key_space(&space)
+}
+
+/// The degree below which a reducer's node can be in no match of any of
+/// `plans` — the least of their [`JoinPlan::min_degree`]s, 0 for no plan —
+/// so its local graph is built without the edges of such nodes.
+pub(crate) fn least_min_degree(plans: &[JoinPlan]) -> usize {
+    plans.iter().map(JoinPlan::min_degree).min().unwrap_or(0)
 }
 
 /// Rounds the real-valued optimal shares to integers (at least 1 each), the

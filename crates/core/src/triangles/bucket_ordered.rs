@@ -48,7 +48,9 @@ pub(crate) fn run_bucket_ordered_triangles_into(
 
     let reducer = |key: &u32, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
         let triple = space.coords(*key);
-        let local = LocalGraph::build(edges, &order);
+        // No degree filter: the work counted is the Section 2 algorithm's
+        // over the reducer's whole input.
+        let local = LocalGraph::build(edges, &order, 0);
         let bucket_of = |v: u32| order.bucket(local.global(v)) as u32;
         // The local enumeration streams straight through to the round's
         // output: no per-reducer triangle buffer exists.

@@ -46,7 +46,9 @@ pub(crate) fn run_partition_triangles_into(
     };
 
     let reducer = move |key: &[u32; 3], edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        let local = LocalGraph::build(edges, &IdOrder);
+        // No degree filter: the work counted is the Section 2 algorithm's
+        // over the reducer's whole input.
+        let local = LocalGraph::build(edges, &IdOrder, 0);
         // The local enumeration streams straight through to the round's
         // output: no per-reducer triangle buffer exists.
         let work = local_triangles(&local, |triangle| {

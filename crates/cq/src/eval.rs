@@ -97,7 +97,7 @@ pub fn evaluate_cq_filtered<O: NodeOrder>(
     order: &O,
     candidate_filter: &dyn Fn(Var, NodeId) -> bool,
 ) -> EvalOutcome {
-    let local = LocalGraph::build(graph.edges(), order);
+    let local = LocalGraph::build(graph.edges(), order, 0);
     let plan = JoinPlan::compile(cq);
     let mut outcome = EvalOutcome::default();
     plan.run(
@@ -116,7 +116,7 @@ pub fn evaluate_cq_group<O: NodeOrder>(
     graph: &DataGraph,
     order: &O,
 ) -> EvalOutcome {
-    let local = LocalGraph::build(graph.edges(), order);
+    let local = LocalGraph::build(graph.edges(), order, 0);
     let plan = JoinPlan::compile_parts(group.num_vars(), &group.subgoals, &[], true);
     let mut outcome = EvalOutcome::default();
     plan.run(
@@ -140,7 +140,7 @@ pub fn evaluate_cqs<O: NodeOrder>(
     graph: &DataGraph,
     order: &O,
 ) -> EvalOutcome {
-    let local = LocalGraph::build(graph.edges(), order);
+    let local = LocalGraph::build(graph.edges(), order, 0);
     let mut outcome = EvalOutcome::default();
     for plan in cqs.iter().map(JoinPlan::compile) {
         plan.run(
@@ -316,6 +316,30 @@ impl JoinPlan {
             satisfiable,
             num_cursors,
         }
+    }
+
+    /// The least number of distinct variables one variable shares a subgoal
+    /// with — 0 when a variable has none. Every node of a satisfying
+    /// assignment touches at least this many distinct edges of the graph
+    /// joined, so a [`LocalGraph::build`] under this `min_degree` drops no
+    /// match.
+    pub fn min_degree(&self) -> usize {
+        self.steps
+            .iter()
+            .map(|step| {
+                let mut others: Vec<Var> = (self.subgoals.iter())
+                    .filter_map(|&(a, b)| match (a == step.var, b == step.var) {
+                        (true, false) => Some(b),
+                        (false, true) => Some(a),
+                        _ => None,
+                    })
+                    .collect();
+                others.sort_unstable();
+                others.dedup();
+                others.len()
+            })
+            .min()
+            .unwrap_or(0)
     }
 
     /// The variables in the order the plan binds them.
@@ -755,7 +779,7 @@ mod tests {
     #[test]
     fn one_unoriented_plan_finds_what_the_queries_find_together() {
         let g = generators::gnm(30, 120, 3);
-        let local = LocalGraph::build(g.edges(), &IdOrder);
+        let local = LocalGraph::build(g.edges(), &IdOrder, 0);
         for sample in [
             catalog::triangle(),
             catalog::square(),

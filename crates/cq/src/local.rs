@@ -19,9 +19,17 @@
 //!   whole run, `neighbors`, and no third copy of the adjacency exists for
 //!   it.
 //!
-//! Size and build time are linear in the reducer's input; nothing depends on
-//! the node count of the whole data graph, and global ids may be arbitrarily
-//! sparse.
+//! The build keeps only what a match can use: given the least degree a
+//! query's variable has, it drops every input edge with an endpoint of lower
+//! degree before ranking anything, so such nodes are neither ranked nor laid
+//! out nor scanned by the join. The survivors keep their relative ranks.
+//!
+//! Size and build time are linear in the reducer's input, and global ids may
+//! be arbitrarily sparse. Nodes are ranked through a bitmap over the input's
+//! id range (from its least id to its greatest) when that range spans at
+//! most two 64-bit words per input edge plus 64, so the build never costs
+//! more than a constant per edge for it; a wider range is interned by hash
+//! instead, and then nothing depends on the range at all.
 
 use subgraph_graph::{Edge, NodeId, NodeOrder};
 use subgraph_pattern::{Instance, PatternNode};
@@ -110,28 +118,38 @@ pub struct LocalGraph {
 }
 
 impl LocalGraph {
-    /// Builds the local graph of `edges` under `order`, without a comparison
-    /// sort over the input: nodes are ranked by a radix sort of their order
+    /// Builds the local graph of `edges` under `order`, keeping only the
+    /// edges whose two endpoints each touch at least `min_degree` input edges
+    /// (counted once, before anything is dropped, repeats included) — the
+    /// least degree of a variable in the queries joined over it, so no
+    /// instance loses a node. `min_degree ≤ 1` keeps every edge. Surviving
+    /// nodes rank as they would in the unfiltered graph, so a join finds the
+    /// same assignments in the same order over either.
+    ///
+    /// No comparison sort runs over the input: every endpoint gets a dense
+    /// index — its position in a bitmap over the id range when that range
+    /// spans at most two 64-bit words per edge plus 64, its first-seen index
+    /// in a hash interner otherwise — nodes are ranked by a radix sort of their order
     /// keys, edges are put in runs by counting sorts, and only a node's own
     /// few predecessors are ever compared with each other. Each transient
-    /// (interner, sort buffers, rank table, edge pairs) is dropped before the
-    /// next structure is allocated.
+    /// (bitmap or interner, degrees, sort buffers, rank table, edge pairs) is
+    /// dropped before the next structure is allocated.
     ///
     /// # Panics
     /// Panics if `edges` holds `2^31` edges or more (offsets are `u32`).
-    pub fn build<O: NodeOrder>(edges: &[Edge], order: &O) -> Self {
+    pub fn build<O: NodeOrder>(edges: &[Edge], order: &O, min_degree: usize) -> Self {
         assert!(
             edges.len() < (1 << 31),
             "a local graph holds fewer than 2^31 edges"
         );
-        // Intern the endpoints in first-seen order; each edge becomes a pair
-        // of interned ids packed into one word.
-        let mut interner = Interner::for_edges(edges.len());
-        let mut pairs: Vec<u64> = edges
-            .iter()
-            .map(|e| pack(interner.intern(e.lo()), interner.intern(e.hi())))
-            .collect();
-        let (nodes, rank) = rank_nodes(interner.into_nodes(), order);
+        let Dense {
+            nodes: seen,
+            mut pairs,
+            by_id,
+        } = Dense::index(edges);
+        let kept = drop_low_degree(&mut pairs, seen.len(), min_degree);
+        let (nodes, rank) = rank_nodes(&seen, &kept, by_id, order);
+        drop((seen, kept));
         let n = nodes.len();
 
         // Orient every edge from its earlier to its later endpoint.
@@ -147,6 +165,13 @@ impl LocalGraph {
             offsets,
             targets,
         }
+    }
+
+    /// Whether [`LocalGraph::build`] ranks the endpoints of `edges` by a
+    /// bitmap over their id range — it does when the range spans at most
+    /// two 64-bit words per edge plus 64 — rather than by interning them.
+    pub fn ranks_by_bitmap(edges: &[Edge]) -> bool {
+        Dense::span(edges).is_some()
     }
 
     /// Number of distinct nodes among the input edges.
@@ -231,47 +256,212 @@ fn unpack(pair: u64) -> (u32, u32) {
 /// summing 256 counters per pass costs more than sorting so few.
 const RADIX_MIN: usize = 256;
 
-/// Ranks the distinct nodes `seen` (indexed by interned id) by the order's
-/// key: returns the nodes in rank order and the rank of each interned id.
-fn rank_nodes<O: NodeOrder>(seen: Vec<NodeId>, order: &O) -> (Vec<NodeId>, Vec<LocalId>) {
-    // One sortable word per node: the key `(primary, id)` above the interned
-    // id the sort carries along, each field as wide as its largest value. A
+/// A ranking bitmap may span this many words per input edge, plus
+/// [`BITMAP_SLACK_WORDS`]: at most 16 bytes of bitmap per edge, about what
+/// the interner's table costs, and the bitmap needs no probing.
+const BITMAP_WORDS_PER_EDGE: usize = 2;
+
+/// Words a ranking bitmap may span whatever the edge count, so that a small
+/// input over a narrow range still takes it.
+const BITMAP_SLACK_WORDS: usize = 64;
+
+/// Most 64-bit words a bitmap over the endpoint ids of `edges` input edges
+/// may span; a wider id range is interned instead.
+fn bitmap_words(edges: usize) -> usize {
+    BITMAP_WORDS_PER_EDGE * edges + BITMAP_SLACK_WORDS
+}
+
+/// Every distinct endpoint of a reducer's input under a dense index, and the
+/// input edges as packed pairs of those indices.
+struct Dense {
+    /// The node behind each dense index.
+    nodes: Vec<NodeId>,
+    /// One `(index of lo, index of hi)` per input edge.
+    pairs: Vec<u64>,
+    /// The dense indices ascend with the node ids (the bitmap path), so an
+    /// order's ties need no id to break them.
+    by_id: bool,
+}
+
+impl Dense {
+    /// Indexes by bitmap when the id range is dense enough, by hash interner
+    /// otherwise.
+    fn index(edges: &[Edge]) -> Self {
+        match Self::span(edges) {
+            Some((low, words)) => Self::by_bitmap(edges, low, words),
+            None => Self::by_interner(edges),
+        }
+    }
+
+    /// The least endpoint id of `edges` and the words a bitmap from it to
+    /// the greatest spans, if it may (see [`bitmap_words`]).
+    fn span(edges: &[Edge]) -> Option<(NodeId, usize)> {
+        // Both endpoints each way: a decoded edge need not be canonical.
+        let (low, high) = edges.iter().fold((NodeId::MAX, 0), |(low, high), e| {
+            let (u, v) = e.endpoints();
+            (low.min(u.min(v)), high.max(u.max(v)))
+        });
+        let words = ((high.checked_sub(low)? >> 6) as usize) + 1;
+        (words <= bitmap_words(edges.len())).then_some((low, words))
+    }
+
+    /// One bit per id from `low` on, set for every endpoint; a node's index
+    /// is the number of set bits below its own, so indices ascend with ids.
+    fn by_bitmap(edges: &[Edge], low: NodeId, words: usize) -> Self {
+        let mut bits = vec![0u64; words];
+        for e in edges {
+            for v in [e.lo(), e.hi()] {
+                let at = v - low;
+                bits[(at >> 6) as usize] |= 1 << (at & 63);
+            }
+        }
+        // Set bits in the words before each word.
+        let mut before = Vec::with_capacity(words);
+        let mut count = 0u32;
+        for &word in &bits {
+            before.push(count);
+            count += word.count_ones();
+        }
+        let mut nodes = Vec::with_capacity(count as usize);
+        for (i, &word) in bits.iter().enumerate() {
+            let base = low + 64 * i as u32;
+            let mut rest = word;
+            while rest != 0 {
+                nodes.push(base + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+        let index = |v: NodeId| {
+            let at = v - low;
+            let word = (at >> 6) as usize;
+            before[word] + (bits[word] & ((1 << (at & 63)) - 1)).count_ones()
+        };
+        let pairs = edges
+            .iter()
+            .map(|e| pack(index(e.lo()), index(e.hi())))
+            .collect();
+        Dense {
+            nodes,
+            pairs,
+            by_id: true,
+        }
+    }
+
+    /// Interned ids in first-seen order: sized by the input, not the range.
+    fn by_interner(edges: &[Edge]) -> Self {
+        let mut interner = Interner::for_edges(edges.len());
+        let pairs = edges
+            .iter()
+            .map(|e| pack(interner.intern(e.lo()), interner.intern(e.hi())))
+            .collect();
+        Dense {
+            nodes: interner.into_nodes(),
+            pairs,
+            by_id: false,
+        }
+    }
+}
+
+/// Drops every pair of dense indices with an endpoint of degree below
+/// `min_degree`, degrees counted once over all `pairs` (one pass, not a
+/// peel to the full core: a node may lose the edges that made its degree).
+/// Returns the indices, out of `0..n`, still an endpoint, ascending.
+fn drop_low_degree(pairs: &mut Vec<u64>, n: usize, min_degree: usize) -> Vec<u32> {
+    let all = 0..n as u32;
+    if min_degree <= 1 {
+        return all.collect();
+    }
+    let mut degree = vec![0u32; n];
+    for &pair in pairs.iter() {
+        let (a, b) = unpack(pair);
+        degree[a as usize] += 1;
+        degree[b as usize] += 1;
+    }
+    let short = |v: u32| (degree[v as usize] as usize) < min_degree;
+    pairs.retain(|&pair| {
+        let (a, b) = unpack(pair);
+        !short(a) && !short(b)
+    });
+    drop(degree);
+    let mut kept = vec![false; n];
+    for &pair in pairs.iter() {
+        let (a, b) = unpack(pair);
+        kept[a as usize] = true;
+        kept[b as usize] = true;
+    }
+    all.filter(|&i| kept[i as usize]).collect()
+}
+
+/// Ranks the nodes behind the dense `indices` (ascending) by the order's
+/// key, `seen` being the node behind each dense index: returns those nodes
+/// in rank order and the rank of each dense index (unspecified for one not
+/// in `indices`). `by_id`: the dense indices ascend with the ids, so a
+/// stable sort by the primary alone ranks by `(primary, id)`.
+fn rank_nodes<O: NodeOrder>(
+    seen: &[NodeId],
+    indices: &[u32],
+    by_id: bool,
+    order: &O,
+) -> (Vec<NodeId>, Vec<LocalId>) {
+    // One sortable word per node: the key `(primary, id)` above the position
+    // in `indices` the sort carries along, each field as wide as its largest
+    // value — the id field empty when positions already ascend with ids. A
     // bucket number or a degree over the ids of one graph leaves the word
     // well inside 64 bits; an order whose primaries do not fit gets 128.
     let bits = |max: u64| 64 - max.leading_zeros();
-    let index_bits = bits(seen.len() as u64);
-    let key_shift = index_bits + bits(seen.iter().copied().max().unwrap_or(0).into());
+    let index_bits = bits(indices.len() as u64);
+    let id_bits = if by_id {
+        0
+    } else {
+        bits(seen.iter().copied().max().unwrap_or(0).into())
+    };
+    let key_shift = index_bits + id_bits;
+    let key = |i: u32| {
+        let v = seen[i as usize];
+        let (primary, id) = order.key(v);
+        debug_assert_eq!(id, v, "NodeOrder::key must break ties by the node itself");
+        (primary, if by_id { 0 } else { u64::from(id) })
+    };
     let mut fits = true;
-    let narrow: Vec<u64> = (seen.iter().zip(0u64..))
-        .map(|(&v, i)| {
-            let (primary, id) = order.key(v);
+    let narrow: Vec<u64> = (indices.iter().zip(0u64..))
+        .map(|(&i, at)| {
+            let (primary, id) = key(i);
             fits &= primary.leading_zeros() >= key_shift;
-            primary.wrapping_shl(key_shift) | u64::from(id) << index_bits | i
+            primary.wrapping_shl(key_shift) | id << index_bits | at
         })
         .collect();
     if fits {
         let sorted = sort_from_bit(narrow, index_bits, |w, shift| (w >> shift) as u8);
         let index_mask = (1 << index_bits) - 1;
-        ranked(&seen, sorted.iter().map(|w| (w & index_mask) as usize))
+        ranked(
+            seen,
+            indices,
+            sorted.iter().map(|w| (w & index_mask) as usize),
+        )
     } else {
         drop(narrow);
-        let wide: Vec<u128> = (seen.iter().zip(0u128..))
-            .map(|(&v, i)| {
-                let (primary, id) = order.key(v);
-                u128::from(primary) << 64 | u128::from(id) << 32 | i
+        let wide: Vec<u128> = (indices.iter().zip(0u128..))
+            .map(|(&i, at)| {
+                let (primary, id) = key(i);
+                u128::from(primary) << 64 | u128::from(id) << 32 | at
             })
             .collect();
         let sorted = sort_from_bit(wide, 32, |w, shift| (w >> shift) as u8);
-        ranked(&seen, sorted.iter().map(|&w| w as u32 as usize))
+        ranked(seen, indices, sorted.iter().map(|&w| w as u32 as usize))
     }
 }
 
-/// The nodes in rank order and the rank of each interned id, from the
-/// interned ids in rank order.
-fn ranked(seen: &[NodeId], by_rank: impl Iterator<Item = usize>) -> (Vec<NodeId>, Vec<LocalId>) {
+/// The kept nodes in rank order and the rank of each dense index, from the
+/// positions in `indices` in rank order.
+fn ranked(
+    seen: &[NodeId],
+    indices: &[u32],
+    by_rank: impl Iterator<Item = usize>,
+) -> (Vec<NodeId>, Vec<LocalId>) {
     let mut rank = vec![0 as LocalId; seen.len()];
-    let mut nodes = Vec::with_capacity(seen.len());
-    for (r, i) in by_rank.enumerate() {
+    let mut nodes = Vec::with_capacity(indices.len());
+    for (r, at) in by_rank.enumerate() {
+        let i = indices[at] as usize;
         rank[i] = r as LocalId;
         nodes.push(seen[i]);
     }
@@ -318,10 +508,11 @@ where
 }
 
 /// Open-addressing table assigning dense ids to global node ids in first-seen
-/// order. It starts with a slot per edge and doubles when more than three
-/// quarters full — never, while the input has three edges per four distinct
-/// nodes, as all but the smallest reducers of a sparse graph do — so its
-/// footprint stays linear in the reducer's input.
+/// order, for inputs whose id range is too wide for a bitmap. It starts with
+/// a slot per edge, rounded up to a power of two, and doubles when more than
+/// three quarters full — a sparse graph's triangle reducers hold about 0.87
+/// distinct nodes per edge, so it may well grow once — which keeps its
+/// footprint linear in the reducer's input.
 struct Interner {
     /// `0` for an empty slot, otherwise the node in the high half and its
     /// `interned id + 1` in the low half: a probe reads one word, not a slot
@@ -403,8 +594,19 @@ mod tests {
 
     /// The build as it first shipped — rank by one comparison sort of the
     /// keyed nodes, successor CSR by one comparison sort of the packed pairs
-    /// — kept as the reference [`LocalGraph::build`] is tested against.
-    fn build_by_sorting<O: NodeOrder>(edges: &[Edge], order: &O) -> LocalGraph {
+    /// — kept as the reference [`LocalGraph::build`] is tested against, after
+    /// the same one-pass degree rule drops edges from its input.
+    fn build_by_sorting<O: NodeOrder>(edges: &[Edge], order: &O, min_degree: usize) -> LocalGraph {
+        let mut degree: HashMap<NodeId, usize> = HashMap::new();
+        for e in edges {
+            *degree.entry(e.lo()).or_default() += 1;
+            *degree.entry(e.hi()).or_default() += 1;
+        }
+        let edges: Vec<Edge> = edges
+            .iter()
+            .copied()
+            .filter(|e| degree[&e.lo()] >= min_degree && degree[&e.hi()] >= min_degree)
+            .collect();
         let mut ids: HashMap<NodeId, u32> = HashMap::new();
         let mut seen: Vec<NodeId> = Vec::new();
         let mut intern = |v: NodeId| {
@@ -478,10 +680,16 @@ mod tests {
         }
     }
 
-    fn assert_matches_reference<O: NodeOrder>(what: &str, edges: &[Edge], order: &O) {
+    fn assert_matches_reference<O: NodeOrder>(
+        what: &str,
+        edges: &[Edge],
+        order: &O,
+        min_degree: usize,
+    ) {
+        let what = format!("{what}, min degree {min_degree}");
         let (built, reference) = (
-            LocalGraph::build(edges, order),
-            build_by_sorting(edges, order),
+            LocalGraph::build(edges, order, min_degree),
+            build_by_sorting(edges, order, min_degree),
         );
         assert_eq!(built.nodes(), reference.nodes(), "{what}: nodes");
         assert_eq!(built.num_edges(), reference.num_edges(), "{what}: edges");
@@ -533,21 +741,78 @@ mod tests {
             let path = (0..k).map(|i| Edge::new(id(i), id(i + 1))).collect();
             inputs.push((format!("path with {k} edges"), path));
         }
-        for (name, input) in &inputs {
-            assert_matches_reference(name, input, &IdOrder);
-            assert_matches_reference(name, input, &Scrambled);
-            for b in [1, 3, 7] {
-                assert_matches_reference(name, input, &BucketThenIdOrder::new(b));
+        // Either side of the bitmap bound: a gnm graph's ids spread
+        // monotonically so that they span exactly the most words the bitmap
+        // may, or one more, ending at `u32::MAX`.
+        let g = generators::gnm(200, 600, 11);
+        let words = bitmap_words(g.num_edges()) as u64;
+        for (span, bitmap) in [(64 * words - 1, true), (64 * words, false)] {
+            let low = u32::MAX - span as u32;
+            let id = |v: NodeId| low + (u64::from(v) * span / 199) as u32;
+            let spread: Vec<Edge> = g
+                .edges()
+                .iter()
+                .map(|e| Edge::new(id(e.lo()), id(e.hi())))
+                .collect();
+            assert_eq!(
+                LocalGraph::ranks_by_bitmap(&spread),
+                bitmap,
+                "{span} ids over {words} words"
+            );
+            inputs.push((format!("gnm over {span} ids"), spread));
+        }
+        for min_degree in 0..=3 {
+            for (name, input) in &inputs {
+                assert_matches_reference(name, input, &IdOrder, min_degree);
+                assert_matches_reference(name, input, &Scrambled, min_degree);
+                for b in [1, 3, 7] {
+                    assert_matches_reference(name, input, &BucketThenIdOrder::new(b), min_degree);
+                }
+            }
+            for g in [
+                generators::gnm(400, 1_500, 9),
+                generators::power_law(500, 1_600, 2.2, 10),
+                generators::star(300),
+                generators::complete(30),
+            ] {
+                let order = DegreeOrder::new(&g);
+                assert_matches_reference("degree order", g.edges(), &order, min_degree);
             }
         }
-        for g in [
-            generators::gnm(400, 1_500, 9),
-            generators::power_law(500, 1_600, 2.2, 10),
-            generators::star(300),
-            generators::complete(30),
-        ] {
-            assert_matches_reference("degree order", g.edges(), &DegreeOrder::new(&g));
+    }
+
+    #[test]
+    fn the_degree_filter_keeps_exactly_the_edges_between_qualifying_nodes() {
+        // A triangle 1-2-3 with a pendant 3-4 and a path 5-6-7: at degree 2
+        // only the triangle survives, and node 6 (degree 2) goes with its
+        // edges, since both its neighbours have degree 1. One pass: 3 keeps
+        // its degree of 3 although its pendant edge is dropped.
+        let input = edges(&[(1, 2), (2, 3), (1, 3), (3, 4), (5, 6), (6, 7)]);
+        let local = LocalGraph::build(&input, &IdOrder, 2);
+        assert_eq!(local.nodes(), &[1, 2, 3]);
+        assert_eq!(local.num_edges(), 3);
+        assert_eq!(LocalGraph::build(&input, &IdOrder, 3).num_nodes(), 0);
+        let unfiltered = LocalGraph::build(&input, &IdOrder, 0);
+        assert_eq!(
+            unfiltered.nodes(),
+            LocalGraph::build(&input, &IdOrder, 1).nodes()
+        );
+        assert_eq!(unfiltered.num_nodes(), 7);
+    }
+
+    /// An order that breaks ties by anything but the node itself would be
+    /// ranked wrongly on the bitmap path; debug builds refuse it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "break ties by the node itself")]
+    fn an_order_breaking_ties_otherwise_is_refused() {
+        struct Reversed;
+        impl NodeOrder for Reversed {
+            fn key(&self, v: NodeId) -> (u64, NodeId) {
+                (0, NodeId::MAX - v)
+            }
         }
+        LocalGraph::build(&edges(&[(1, 2), (2, 3)]), &Reversed, 0);
     }
 
     #[test]
@@ -574,18 +839,18 @@ mod tests {
         };
         let by_bucket = BucketThenIdOrder::new(4);
         let by_degree = DegreeOrder::new(&g);
-        check(&LocalGraph::build(g.edges(), &IdOrder), &|u, v| u < v);
-        check(&LocalGraph::build(g.edges(), &by_bucket), &|u, v| {
+        check(&LocalGraph::build(g.edges(), &IdOrder, 0), &|u, v| u < v);
+        check(&LocalGraph::build(g.edges(), &by_bucket, 0), &|u, v| {
             by_bucket.precedes(u, v)
         });
-        check(&LocalGraph::build(g.edges(), &by_degree), &|u, v| {
+        check(&LocalGraph::build(g.edges(), &by_degree, 0), &|u, v| {
             by_degree.precedes(u, v)
         });
     }
 
     #[test]
     fn duplicate_edges_collapse_and_isolated_nodes_do_not_exist() {
-        let local = LocalGraph::build(&edges(&[(7, 3), (3, 7), (3, 9), (7, 3)]), &IdOrder);
+        let local = LocalGraph::build(&edges(&[(7, 3), (3, 7), (3, 9), (7, 3)]), &IdOrder, 0);
         assert_eq!(local.nodes(), &[3, 7, 9]);
         assert_eq!(local.num_edges(), 2);
         assert_eq!(local.successors(0), &[1, 2]);
@@ -595,7 +860,7 @@ mod tests {
 
     #[test]
     fn empty_input_builds_an_empty_graph() {
-        let local = LocalGraph::build(&[], &IdOrder);
+        let local = LocalGraph::build(&[], &IdOrder, 0);
         assert_eq!(local.num_nodes(), 0);
         assert_eq!(local.num_edges(), 0);
     }
@@ -607,7 +872,7 @@ mod tests {
         let matching: Vec<Edge> = (0..3_000u32)
             .map(|i| Edge::new(i * 1_000_003 % 4_000_037, 4_000_037 + i))
             .collect();
-        let local = LocalGraph::build(&matching, &BucketThenIdOrder::new(7));
+        let local = LocalGraph::build(&matching, &BucketThenIdOrder::new(7), 0);
         assert_eq!(local.num_nodes(), 6_000);
         assert_eq!(local.num_edges(), 3_000);
         for e in &matching {

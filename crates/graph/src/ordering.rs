@@ -20,6 +20,12 @@ use crate::graph::{DataGraph, NodeId};
 /// A total order on the nodes of a specific data graph.
 pub trait NodeOrder {
     /// A sort key such that `key(u) < key(v)` iff `u` precedes `v`.
+    ///
+    /// The second component must be `v` itself: an order is a primary key
+    /// with ties broken by identifier. Consumers rely on it — ranking nodes
+    /// whose ids already ascend, `LocalGraph::build` in `subgraph-cq` sorts
+    /// by the primary alone — and an order that breaks ties otherwise would
+    /// be ranked wrongly without notice (debug builds assert it).
     fn key(&self, v: NodeId) -> (u64, NodeId);
 
     /// True iff `u` strictly precedes `v` in this order.

@@ -5,7 +5,8 @@
 //! record for the paper's triangle workloads (`(u64 hash, [u32; 3], Edge)`
 //! with padding), held twice — once in a pair vector, once in the
 //! partitioned buckets. The arena holds each record once, serialized with
-//! the [`ArenaCodec`] varint encoding (~10 bytes per triangle record):
+//! the [`ArenaCodec`] varint encoding (~7 bytes per triangle record: a
+//! one-byte reducer index and the varint edge):
 //!
 //! 1. **Map.** One pool task per logical map shard (`len.div_ceil(threads)`
 //!    records). Each emission is hashed, routed with [`shard_for_hash`] and

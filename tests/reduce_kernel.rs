@@ -78,7 +78,7 @@ fn check_against_oracle<O: NodeOrder>(
     assert_eq!(outcome.assignments, expected.len(), "{what}");
     assert_eq!(outcome.duplicates(), 0, "{what}");
     assert_eq!(sorted(outcome.instances), expected, "{what}");
-    let local = LocalGraph::build(graph.edges(), order);
+    let local = LocalGraph::build(graph.edges(), order, 0);
     let one_plan = run_plan(&sample_plan(sample), &local);
     assert_eq!(sorted(one_plan), expected, "{what}: one plan");
 }
@@ -114,6 +114,85 @@ fn the_kernel_matches_the_generic_oracle_under_every_order() {
     }
 }
 
+/// The instances `plan` finds over `local`, in the order it finds them, and
+/// the candidates it tries.
+fn run_in_order(plan: &JoinPlan, local: &LocalGraph) -> (Vec<Instance>, u64) {
+    let mut found = Vec::new();
+    let tried = plan.run(
+        local,
+        |_, _, _| true,
+        |assignment| found.push(plan.instance(local, assignment)),
+    );
+    (found, tried)
+}
+
+/// Every node of a match touches at least `plan.min_degree()` edges, and the
+/// nodes that survive the degree filter keep their relative ranks: over the
+/// filtered graph every plan — each per-CQ plan and the sample's one plan —
+/// finds the same instances in the same order, trying no more candidates.
+/// Where the pattern has a node of degree 1 (stars, the lollipop) the
+/// filter builds exactly the unfiltered graph.
+#[test]
+fn the_degree_filter_finds_the_same_sequence_for_no_more_work() {
+    fn check<O: NodeOrder>(what: &str, plans: &[JoinPlan], graph: &DataGraph, order: &O) {
+        let whole = LocalGraph::build(graph.edges(), order, 0);
+        for (i, plan) in plans.iter().enumerate() {
+            let filtered = LocalGraph::build(graph.edges(), order, plan.min_degree());
+            let (expected, unfiltered_work) = run_in_order(plan, &whole);
+            let (found, work) = run_in_order(plan, &filtered);
+            assert_eq!(found, expected, "{what}, plan {i}");
+            assert!(
+                work <= unfiltered_work,
+                "{what}, plan {i}: {work} > {unfiltered_work}"
+            );
+            if plan.min_degree() <= 1 {
+                assert_eq!(filtered.nodes(), whole.nodes(), "{what}, plan {i}");
+                assert_eq!(
+                    filtered.heap_bytes(),
+                    whole.heap_bytes(),
+                    "{what}, plan {i}"
+                );
+                for v in 0..whole.num_nodes() as u32 {
+                    assert_eq!(
+                        filtered.neighbors(v),
+                        whole.neighbors(v),
+                        "{what}, plan {i}"
+                    );
+                    assert_eq!(filtered.successors(v), whole.successors(v), "{what}");
+                }
+            }
+        }
+    }
+    let mut filtered_some = false;
+    for (graph_name, graph) in graphs() {
+        let by_degree = DegreeOrder::new(&graph);
+        for (name, sample, cqs) in query_sets() {
+            let mut plans: Vec<JoinPlan> = cqs.iter().map(JoinPlan::compile).collect();
+            plans.push(sample_plan(&sample));
+            let least = plans.iter().map(JoinPlan::min_degree).min();
+            let sample_least = (0..sample.num_nodes())
+                .map(|v| sample.degree(v as u8))
+                .min();
+            assert_eq!(least, sample_least, "{name}");
+            filtered_some |= least > Some(1);
+            let what = |order: &str| format!("{name} on {graph_name} under {order}");
+            check(&what("id"), &plans, &graph, &IdOrder);
+            check(&what("degree"), &plans, &graph, &by_degree);
+            for b in [1, 3, 5] {
+                let order = BucketThenIdOrder::new(b);
+                check(&what(&format!("bucket {b}")), &plans, &graph, &order);
+            }
+        }
+    }
+    assert!(filtered_some);
+    for (name, sample) in [
+        ("star", catalog::star(4)),
+        ("lollipop", catalog::lollipop()),
+    ] {
+        assert_eq!(sample_plan(&sample).min_degree(), 1, "{name}");
+    }
+}
+
 /// A node's neighbours are one sorted run: its predecessors, then its
 /// successors.
 #[test]
@@ -121,9 +200,9 @@ fn neighbors_are_the_predecessors_then_the_successors() {
     for (name, graph) in graphs() {
         let by_degree = DegreeOrder::new(&graph);
         for local in [
-            LocalGraph::build(graph.edges(), &IdOrder),
-            LocalGraph::build(graph.edges(), &by_degree),
-            LocalGraph::build(graph.edges(), &BucketThenIdOrder::new(3)),
+            LocalGraph::build(graph.edges(), &IdOrder, 0),
+            LocalGraph::build(graph.edges(), &by_degree, 0),
+            LocalGraph::build(graph.edges(), &BucketThenIdOrder::new(3), 0),
         ] {
             let mut arcs = 0;
             for v in 0..local.num_nodes() as u32 {
@@ -190,7 +269,7 @@ fn bucket_multiset_keys_partition_the_instances() {
                     .copied()
                     .filter(|e| in_key(e.lo()) && in_key(e.hi()))
                     .collect();
-                let local = LocalGraph::build(&edges, &order);
+                let local = LocalGraph::build(&edges, &order, 0);
                 let bucket = |v: u32| order.bucket(local.global(v)) as u32;
                 for plan in &plans {
                     plan.run(
@@ -274,8 +353,8 @@ fn a_local_graph_is_sized_by_its_input_not_by_the_id_range() {
         .map(|i| Edge::new(i * 4_000_000, (i + 1) * 4_000_000))
         .collect();
     for local in [
-        LocalGraph::build(&edges, &IdOrder),
-        LocalGraph::build(&edges, &BucketThenIdOrder::new(5)),
+        LocalGraph::build(&edges, &IdOrder, 0),
+        LocalGraph::build(&edges, &BucketThenIdOrder::new(5), 0),
     ] {
         assert_eq!(local.num_nodes(), k as usize + 1);
         assert_eq!(local.num_edges(), k as usize);
