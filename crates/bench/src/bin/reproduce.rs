@@ -91,11 +91,12 @@ fn print_usage() {
          50 ms, star10 and k9 faster than hypercube3, star9->star10 and k8->k9 at most 3x (release), \
          and both search modes must agree (exits 1 on regression)\n  \
          kernel                reduce kernel: one reducer's local-graph build and its join, by the \
-         one symmetry-broken plan and by the per-CQ plans, vs the generic oracle (writes \
-         BENCH_kernel.json)\n  \
+         one symmetry-broken plan and by the per-CQ plans, with and without windows, vs the \
+         generic oracle (writes BENCH_kernel.json)\n  \
          kernel-gate           the same as a CI gate: identical counts, one plan <= per-CQ plans in \
-         candidates and (release) time, kernel >= 3x the generic oracle on the square input, \
-         bitmap-ranked triangle build <= the interned one (exits 1 on regression)\n  \
+         candidates and (release) time, windowed candidates <= unwindowed, kernel >= 3x the \
+         generic oracle on the square input, bitmap-ranked triangle build <= the interned one \
+         (exits 1 on regression)\n  \
          sink-gate             text-sink CI gate: the triangle plan enumerated to ndjson takes at \
          most 2x the same plan counted (median of 5 alternating runs) and writes one line per \
          oracle instance (exits 1 on regression)\n  \

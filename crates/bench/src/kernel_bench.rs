@@ -14,29 +14,35 @@
 //! without the edges of nodes below the pattern's minimum degree, and once
 //! more with every id multiplied by a stride that puts the range past the
 //! ranking bitmap's bound, which forces the hash-interning path. Every input
-//! is joined twice: by the reducer's single symmetry-broken plan and by the
-//! `p!/|Aut|` per-CQ plans it replaced, kept as the oracle.
+//! is joined by the reducer's single symmetry-broken plan and by the
+//! `p!/|Aut|` per-CQ plans it replaced, kept as the oracle — each under the
+//! ownership test alone, and each again with every variable inside its
+//! window of local ids ([`BucketQuota::windows`]): the windowed one plan is
+//! what the reducer runs, the windowed per-CQ plans are information.
 //! `reproduce kernel` prints the table and writes `BENCH_kernel.json`;
 //! `reproduce kernel-gate` is the CI form, and is *relative* — the compiled
 //! kernel must beat `enumerate_generic` on the square input by
 //! [`MIN_SPEEDUP_OVER_ORACLE`], the one plan must not take longer than the
-//! per-CQ plans on any input, and the triangle input's bitmap-ranked build
-//! must not take longer than its interned one, so a busy runner slows both
-//! sides and cannot flake it — and *exact*: both joins find the same owned
-//! and total counts as the oracle over the unfiltered edges, the one plan
-//! tries no more candidates than the per-CQ plans (the same number on the
-//! triangle, whose single CQ it is), and no input's local graph may hold
+//! per-CQ plans on any input (both under the ownership test alone), and the
+//! triangle input's bitmap-ranked build must not take longer than its
+//! interned one, so a busy runner slows both sides and cannot flake it — and
+//! *exact*: both joins find the same owned and total counts as the oracle
+//! over the unfiltered edges, the one plan tries no more candidates than the
+//! per-CQ plans under the ownership test alone (the same number on the
+//! triangle, whose single CQ it is), each windowed join owns exactly the
+//! oracle's instances with this key's bucket multiset and tries no more
+//! candidates than its unwindowed twin, and no input's local graph may hold
 //! more heap bytes than the tracked `BENCH_kernel.json` records.
 
 use crate::report::Table;
 use std::time::Instant;
 use subgraph_core::enumerate::bucket_oriented::{sample_plan, BucketQuota};
 use subgraph_core::enumerate::KeySpace;
-use subgraph_core::serial::generic::enumerate_generic_into;
+use subgraph_core::serial::generic::{enumerate_generic, enumerate_generic_into};
 use subgraph_core::sink::CountSink;
 use subgraph_cq::{cqs_for_sample, JoinPlan, LocalGraph};
 use subgraph_graph::{generators, BucketThenIdOrder, DataGraph, Edge};
-use subgraph_pattern::{catalog, SampleGraph};
+use subgraph_pattern::{catalog, Instance, SampleGraph};
 
 /// How much faster than the generic oracle the kernel (build + join) must be
 /// on the square input.
@@ -66,10 +72,17 @@ pub struct KernelTiming {
     pub interned_build_millis: f64,
     /// The reducer's one plan, ownership test pushed in.
     pub one_plan: Join,
+    /// The same, every variable inside its window: what the reducer runs.
+    pub one_plan_windowed: Join,
     /// How many per-CQ plans the pattern has (`p!/|Aut|`).
     pub per_cq_plans: usize,
     /// Those plans one after the other, the same test pushed in.
     pub per_cq: Join,
+    /// The per-CQ plans inside their windows.
+    pub per_cq_windowed: Join,
+    /// Instances of the oracle whose bucket multiset is the key: what the
+    /// reducer must own.
+    pub owned_oracle: usize,
     /// Assignments of the unrestricted one-plan join — every instance in the
     /// input.
     pub assignments: usize,
@@ -186,15 +199,16 @@ fn measure(
     let (interned_build_millis, _) =
         best_of_three(|| LocalGraph::build(&strided, &order, min_degree));
     let quota = BucketQuota::new(&local, &order, key.iter().copied());
-    let owned_join = |plans: &[JoinPlan]| {
+    let owned_join = |plans: &[JoinPlan], windowed: bool| {
         let (millis, (candidates, owned)) = best_of_three(|| {
             let (mut candidates, mut owned) = (0u64, 0usize);
             for plan in plans {
-                candidates += plan.run(
-                    &local,
-                    |_, node, bound| quota.admits(node, bound),
-                    |_| owned += 1,
-                );
+                let admit = |_, node, bound: &[u32]| quota.admits(node, bound);
+                candidates += if windowed {
+                    plan.run_within(&local, &quota.windows(plan), admit, |_| owned += 1)
+                } else {
+                    plan.run(&local, admit, |_| owned += 1)
+                };
             }
             (candidates, owned)
         });
@@ -218,6 +232,17 @@ fn measure(
     let oracle_count =
         enumerate_generic_into(sample, &reducer_graph, &mut CountSink::new()).outputs;
     let oracle_millis = started.elapsed().as_secs_f64() * 1e3;
+    let key_multiset = |instance: &Instance| {
+        let mut buckets: Vec<u32> = (instance.nodes().iter())
+            .map(|&v| order.bucket(v) as u32)
+            .collect();
+        buckets.sort_unstable();
+        buckets == key
+    };
+    let owned_oracle = (enumerate_generic(sample, &reducer_graph).into_instances())
+        .iter()
+        .filter(|instance| key_multiset(instance))
+        .count();
     KernelTiming {
         input,
         pattern,
@@ -228,9 +253,12 @@ fn measure(
         local_bytes: local.heap_bytes(),
         build_millis,
         interned_build_millis,
-        one_plan: owned_join(&one_plan),
+        one_plan: owned_join(&one_plan, false),
+        one_plan_windowed: owned_join(&one_plan, true),
         per_cq_plans: per_cq.len(),
-        per_cq: owned_join(&per_cq),
+        per_cq: owned_join(&per_cq, false),
+        per_cq_windowed: owned_join(&per_cq, true),
+        owned_oracle,
         assignments,
         full_join_millis,
         per_cq_assignments: full_join(&per_cq),
@@ -303,9 +331,13 @@ impl KernelReport {
                 "interned ms",
                 "join ms",
                 "candidates",
+                "win. ms",
+                "win. cand.",
                 "CQs",
                 "per-CQ ms",
                 "per-CQ cand.",
+                "per-CQ win. ms",
+                "per-CQ win. cand.",
                 "owned",
                 "all",
                 "full join ms",
@@ -326,9 +358,13 @@ impl KernelReport {
                 format!("{:.2}", t.interned_build_millis),
                 format!("{:.2}", t.one_plan.millis),
                 t.one_plan.candidates.to_string(),
+                format!("{:.2}", t.one_plan_windowed.millis),
+                t.one_plan_windowed.candidates.to_string(),
                 t.per_cq_plans.to_string(),
                 format!("{:.2}", t.per_cq.millis),
                 t.per_cq.candidates.to_string(),
+                format!("{:.2}", t.per_cq_windowed.millis),
+                t.per_cq_windowed.candidates.to_string(),
                 t.one_plan.owned.to_string(),
                 t.assignments.to_string(),
                 format!("{:.2}", t.full_join_millis),
@@ -344,10 +380,11 @@ impl KernelReport {
         );
         table.note(
             "join: the pattern's one symmetry-broken plan with the bucket-multiset ownership \
-             test pushed into it (what the bucket-oriented reducer runs); per-CQ: the p!/|Aut| \
-             plans of Theorem 3.1 under the same test, which find the same instances; owned = \
-             instances this reducer emits; full join: the one plan unrestricted, all = its \
-             assignments",
+             test pushed into it; per-CQ: the p!/|Aut| plans of Theorem 3.1 under the same \
+             test, which find the same instances; win.: the same joins with each variable bound \
+             only inside the local ids its key allows (the windowed one plan is what the \
+             bucket-oriented reducer runs); owned = instances this reducer emits; full join: \
+             the one plan unrestricted, all = its assignments",
         );
         table.note(&format!(
             "oracle: serial::generic::enumerate_generic over the same edges; vs oracle = oracle / \
@@ -373,10 +410,12 @@ impl KernelReport {
                 "    {{ \"input\": \"{}\", \"pattern\": \"{}\", \"edges\": {}, \"min_degree\": {}, \
                  \"unfiltered_nodes\": {}, \"local_nodes\": {}, \"local_bytes\": {}, \
                  \"build_ms\": {:.3}, \"build_ns_per_edge\": {:.1}, \"interned_build_ms\": {:.3}, \
-                 \"join_ms\": {:.3}, \"candidates\": {}, \"per_cq_plans\": {}, \
+                 \"join_ms\": {:.3}, \"candidates\": {}, \"windowed_join_ms\": {:.3}, \
+                 \"windowed_candidates\": {}, \"per_cq_plans\": {}, \
                  \"per_cq_join_ms\": {:.3}, \"per_cq_candidates\": {}, \
-                 \"owned\": {}, \"assignments\": {}, \"full_join_ms\": {:.3}, \"oracle_ms\": {:.3}, \
-                 \"speedup_over_oracle\": {:.2} }}{}\n",
+                 \"per_cq_windowed_join_ms\": {:.3}, \"per_cq_windowed_candidates\": {}, \
+                 \"owned\": {}, \"owned_oracle\": {}, \"assignments\": {}, \"full_join_ms\": {:.3}, \
+                 \"oracle_ms\": {:.3}, \"speedup_over_oracle\": {:.2} }}{}\n",
                 t.input,
                 t.pattern,
                 t.edges,
@@ -389,10 +428,15 @@ impl KernelReport {
                 t.interned_build_millis,
                 t.one_plan.millis,
                 t.one_plan.candidates,
+                t.one_plan_windowed.millis,
+                t.one_plan_windowed.candidates,
                 t.per_cq_plans,
                 t.per_cq.millis,
                 t.per_cq.candidates,
+                t.per_cq_windowed.millis,
+                t.per_cq_windowed.candidates,
                 t.one_plan.owned,
+                t.owned_oracle,
                 t.assignments,
                 t.full_join_millis,
                 t.oracle_millis,
@@ -433,7 +477,8 @@ fn recorded_local_bytes(json: &str, input: &str) -> Option<u64> {
 /// Why `t` fails the exact half of the gate, if it does: the one plan, the
 /// per-CQ plans and the oracle must agree on every count, and the one plan
 /// may try no more candidates than the per-CQ plans — as many on the
-/// triangle, whose single CQ it compiles to.
+/// triangle, whose single CQ it compiles to — with the ownership test alone;
+/// then [`window_failure`].
 fn count_failure(t: &KernelTiming) -> Option<String> {
     if (t.assignments, t.per_cq_assignments) != (t.oracle_count, t.oracle_count) {
         return Some(format!(
@@ -453,6 +498,32 @@ fn count_failure(t: &KernelTiming) -> Option<String> {
             "the one plan tried {one} candidates, the {} per-CQ plans {per_cq}",
             t.per_cq_plans,
         ));
+    }
+    window_failure(t)
+}
+
+/// Why the windowed joins of `t` fail the exact half of the gate, if they
+/// do: each must own exactly what the ownership test alone owns — the
+/// oracle's instances with the key's bucket multiset — and try no more
+/// candidates than without its windows.
+fn window_failure(t: &KernelTiming) -> Option<String> {
+    for (what, windowed, alone) in [
+        ("the one plan", t.one_plan_windowed, t.one_plan),
+        ("the per-CQ plans", t.per_cq_windowed, t.per_cq),
+    ] {
+        if (windowed.owned, alone.owned) != (t.owned_oracle, t.owned_oracle) {
+            return Some(format!(
+                "{what} own {} instances windowed, {} without windows; the oracle has {} with \
+                 the key's buckets",
+                windowed.owned, alone.owned, t.owned_oracle,
+            ));
+        }
+        if windowed.candidates > alone.candidates {
+            return Some(format!(
+                "{what} tried {} candidates windowed, {} without windows",
+                windowed.candidates, alone.candidates,
+            ));
+        }
     }
     None
 }
@@ -494,6 +565,16 @@ pub fn kernel_gate() -> Result<String, String> {
         .map(|t| format!("{} {:.1}x", t.pattern, t.per_cq.millis / t.one_plan.millis))
         .collect();
     let ratios = ratios.join(", ");
+    let cuts: Vec<String> = report
+        .inputs
+        .iter()
+        .map(|t| {
+            let cut =
+                1.0 - t.one_plan_windowed.candidates as f64 / t.one_plan.candidates.max(1) as f64;
+            format!("{} {:.0}%", t.pattern, 100.0 * cut)
+        })
+        .collect();
+    let cuts = cuts.join(", ");
     let square = report
         .inputs
         .iter()
@@ -510,7 +591,8 @@ pub fn kernel_gate() -> Result<String, String> {
         out.push_str(&format!(
             "\nkernel gate: time bounds skipped in debug builds ({speedup:.1}x the oracle; per-CQ \
              over one plan: {ratios}; triangle build {bitmap:.2} ms bitmap-ranked, {interned:.2} ms \
-             interned); counts and candidates checked on all {} inputs\n",
+             interned; windows cut the one plan's candidates by {cuts}); counts and candidates \
+             checked on all {} inputs\n",
             report.inputs.len(),
         ));
         return Ok(out);
@@ -530,7 +612,8 @@ pub fn kernel_gate() -> Result<String, String> {
     out.push_str(&format!(
         "\nkernel gate passed: {speedup:.1}x the generic oracle on the square input (bound \
          {MIN_SPEEDUP_OVER_ORACLE}x); per-CQ plans over the one plan: {ratios}; triangle build \
-         {:.2}x the interned one; counts identical on all {} inputs\n",
+         {:.2}x the interned one; windows cut the one plan's candidates by {cuts}; counts \
+         identical on all {} inputs\n",
         bitmap / interned,
         report.inputs.len(),
     ));
@@ -558,11 +641,19 @@ mod tests {
         assert!(t.local_nodes <= t.unfiltered_nodes);
         assert!(t.one_plan.owned <= t.assignments);
         assert!(t.one_plan.candidates > 0);
+        assert_eq!(t.owned_oracle, t.one_plan.owned);
+        assert!(t.one_plan_windowed.candidates <= t.one_plan.candidates);
         let disagreeing = KernelTiming {
             per_cq_assignments: t.assignments + 1,
             ..t.clone()
         };
         assert!(count_failure(&disagreeing).is_some());
+        let mut lost_one = t.clone();
+        lost_one.per_cq_windowed.owned -= 1;
+        assert!(count_failure(&lost_one).is_some());
+        let mut tried_more = t.clone();
+        tried_more.one_plan_windowed.candidates = t.one_plan.candidates + 1;
+        assert!(count_failure(&tried_more).is_some());
         let bytes = t.local_bytes;
         let report = KernelReport {
             available_parallelism: 1,

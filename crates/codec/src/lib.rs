@@ -95,10 +95,29 @@ pub fn read_varint_from(read: &mut impl std::io::Read) -> std::io::Result<Option
     }
 }
 
+/// Most bytes [`write_varint`] appends for a value of `bits` significant
+/// bits: 7 bits per byte.
+pub const fn max_varint_len(bits: u32) -> usize {
+    bits.div_ceil(7) as usize
+}
+
+/// The sum of two [`ArenaCodec::MAX_ENCODED_LEN`]s: unbounded if either is.
+pub const fn add_bounds(a: Option<usize>, b: Option<usize>) -> Option<usize> {
+    match (a, b) {
+        (Some(a), Some(b)) => a.checked_add(b),
+        _ => None,
+    }
+}
+
 /// A value that can serialize itself into (and back out of) an arena byte
 /// buffer. See the [crate docs](self) for the contract: `decode` must return
-/// an equal value and consume exactly the bytes `encode` appended.
+/// an equal value and consume exactly the bytes `encode` appended, and
+/// `encode` appends at most [`ArenaCodec::MAX_ENCODED_LEN`] bytes.
 pub trait ArenaCodec: Sized {
+    /// The most bytes `encode` appends for any value of the type, or `None`
+    /// when the encoding has no bound (a `Vec`). The arena encodes a bounded
+    /// record straight into its open chunk when that much room is left.
+    const MAX_ENCODED_LEN: Option<usize>;
     /// Appends this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
     /// Decodes one value from `buf` starting at `*pos`, advancing `*pos`
@@ -107,6 +126,8 @@ pub trait ArenaCodec: Sized {
 }
 
 impl ArenaCodec for u8 {
+    const MAX_ENCODED_LEN: Option<usize> = Some(1);
+
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(*self);
@@ -120,6 +141,8 @@ impl ArenaCodec for u8 {
 }
 
 impl ArenaCodec for u16 {
+    const MAX_ENCODED_LEN: Option<usize> = Some(max_varint_len(u16::BITS));
+
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(out, u64::from(*self));
@@ -131,6 +154,8 @@ impl ArenaCodec for u16 {
 }
 
 impl ArenaCodec for u32 {
+    const MAX_ENCODED_LEN: Option<usize> = Some(max_varint_len(u32::BITS));
+
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(out, u64::from(*self));
@@ -142,6 +167,8 @@ impl ArenaCodec for u32 {
 }
 
 impl ArenaCodec for u64 {
+    const MAX_ENCODED_LEN: Option<usize> = Some(max_varint_len(u64::BITS));
+
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(out, *self);
@@ -153,6 +180,8 @@ impl ArenaCodec for u64 {
 }
 
 impl ArenaCodec for usize {
+    const MAX_ENCODED_LEN: Option<usize> = Some(max_varint_len(u64::BITS));
+
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(out, *self as u64);
@@ -164,6 +193,8 @@ impl ArenaCodec for usize {
 }
 
 impl ArenaCodec for bool {
+    const MAX_ENCODED_LEN: Option<usize> = Some(1);
+
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
@@ -175,6 +206,11 @@ impl ArenaCodec for bool {
 }
 
 impl<T: ArenaCodec, const N: usize> ArenaCodec for [T; N] {
+    const MAX_ENCODED_LEN: Option<usize> = match T::MAX_ENCODED_LEN {
+        Some(item) => item.checked_mul(N),
+        None => None,
+    };
+
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         for item in self {
@@ -188,6 +224,8 @@ impl<T: ArenaCodec, const N: usize> ArenaCodec for [T; N] {
 }
 
 impl<A: ArenaCodec, B: ArenaCodec> ArenaCodec for (A, B) {
+    const MAX_ENCODED_LEN: Option<usize> = add_bounds(A::MAX_ENCODED_LEN, B::MAX_ENCODED_LEN);
+
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -202,6 +240,11 @@ impl<A: ArenaCodec, B: ArenaCodec> ArenaCodec for (A, B) {
 }
 
 impl<A: ArenaCodec, B: ArenaCodec, C: ArenaCodec> ArenaCodec for (A, B, C) {
+    const MAX_ENCODED_LEN: Option<usize> = add_bounds(
+        add_bounds(A::MAX_ENCODED_LEN, B::MAX_ENCODED_LEN),
+        C::MAX_ENCODED_LEN,
+    );
+
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -218,6 +261,8 @@ impl<A: ArenaCodec, B: ArenaCodec, C: ArenaCodec> ArenaCodec for (A, B, C) {
 }
 
 impl<T: ArenaCodec> ArenaCodec for Vec<T> {
+    const MAX_ENCODED_LEN: Option<usize> = None;
+
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(out, self.len() as u64);
         for item in self {
@@ -297,6 +342,57 @@ mod tests {
         round_trip(vec![5u32, 0, 1_000_000]);
         round_trip(Vec::<u32>::new());
         round_trip(([0u32, 5, 5], (17u32, 99u32)));
+    }
+
+    /// Encodes `value`, checks the length against the type's bound, and
+    /// returns it.
+    fn bounded_len<T: ArenaCodec>(value: &T) -> usize {
+        let mut buf = Vec::new();
+        value.encode(&mut buf);
+        let bound = T::MAX_ENCODED_LEN.expect("the type is bounded");
+        assert!(
+            buf.len() <= bound,
+            "{} bytes over a bound of {bound}",
+            buf.len()
+        );
+        buf.len()
+    }
+
+    #[test]
+    fn encodings_stay_within_their_bounds_and_reach_them_at_the_extremes() {
+        // Every varint length boundary: 2^(7k) − 1 and 2^(7k).
+        let boundaries = (0..64).flat_map(|bits| [(1u64 << bits) - 1, 1u64 << bits]);
+        for value in boundaries.chain([u64::MAX]) {
+            bounded_len(&value);
+            bounded_len(&(value as usize));
+            bounded_len(&(value as u32));
+            bounded_len(&(value as u16));
+            bounded_len(&(value as u8));
+        }
+        assert_eq!(bounded_len(&u8::MAX), 1);
+        assert_eq!(bounded_len(&true), 1);
+        assert_eq!(bounded_len(&u16::MAX), 3);
+        assert_eq!(bounded_len(&u32::MAX), 5);
+        assert_eq!(bounded_len(&u64::MAX), 10);
+        assert_eq!(bounded_len(&usize::MAX), 10);
+        // Composites are the sum of their parts; the multiway round's record
+        // (a bucket triple and a role-tagged pair of ids) at its largest.
+        assert_eq!(bounded_len(&[u32::MAX; 3]), 15);
+        assert_eq!(bounded_len(&(u32::MAX, u64::MAX)), 15);
+        let multiway = ([u32::MAX; 3], (u8::MAX, u32::MAX, u32::MAX));
+        assert_eq!(bounded_len(&multiway), 26);
+        assert_eq!(bounded_len(&([0u32; 3], (0u8, 0u32, 0u32))), 6);
+        assert_eq!(<[u32; 0]>::MAX_ENCODED_LEN, Some(0));
+    }
+
+    #[test]
+    fn a_vec_anywhere_leaves_the_record_unbounded() {
+        assert_eq!(<Vec<u8>>::MAX_ENCODED_LEN, None);
+        assert_eq!(<(u32, Vec<u32>)>::MAX_ENCODED_LEN, None);
+        assert_eq!(<(Vec<u32>, u8, bool)>::MAX_ENCODED_LEN, None);
+        assert_eq!(<[Vec<u32>; 2]>::MAX_ENCODED_LEN, None);
+        assert_eq!(<[Vec<u32>; 0]>::MAX_ENCODED_LEN, None);
+        assert_eq!(add_bounds(Some(usize::MAX), Some(1)), None);
     }
 
     #[test]

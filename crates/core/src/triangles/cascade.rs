@@ -73,6 +73,8 @@ enum Side {
 /// Arena-shuffle encodings for the cascade's value types: a one-byte side /
 /// role tag plus a varint node id where the variant carries one.
 impl subgraph_codec::ArenaCodec for Side {
+    const MAX_ENCODED_LEN: Option<usize> = Some(1 + subgraph_codec::max_varint_len(NodeId::BITS));
+
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Side::Lower(v) => {
@@ -98,6 +100,8 @@ impl subgraph_codec::ArenaCodec for Side {
 }
 
 impl subgraph_codec::ArenaCodec for Round2Value {
+    const MAX_ENCODED_LEN: Option<usize> = Some(1 + subgraph_codec::max_varint_len(NodeId::BITS));
+
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Round2Value::MiddleNode(y) => {
@@ -230,6 +234,29 @@ mod tests {
 
     fn config() -> EngineConfig {
         EngineConfig::with_threads(4)
+    }
+
+    #[test]
+    fn cascade_records_stay_within_their_bounds() {
+        use subgraph_codec::ArenaCodec;
+        fn len<T: ArenaCodec>(value: T) -> usize {
+            let mut buf = Vec::new();
+            value.encode(&mut buf);
+            assert!(buf.len() <= T::MAX_ENCODED_LEN.expect("bounded"));
+            buf.len()
+        }
+        for v in [0, 127, 128, u32::MAX] {
+            len((v, Side::Lower(v)));
+            len((v, Side::Upper(v)));
+            len(((v, v), Round2Value::MiddleNode(v)));
+            len(((v, v), Round2Value::ClosingEdge));
+        }
+        assert_eq!(len((u32::MAX, Side::Upper(u32::MAX))), 11);
+        assert_eq!(
+            len(((u32::MAX, u32::MAX), Round2Value::MiddleNode(u32::MAX))),
+            16
+        );
+        assert_eq!(len(((0u32, 0u32), Round2Value::ClosingEdge)), 3);
     }
 
     #[test]

@@ -32,12 +32,21 @@
 //! performs no dynamic dispatch and no allocation. [`evaluate_cq`] and its
 //! siblings are thin collecting wrappers over the same kernel.
 //!
+//! [`JoinPlan::run_within`] is the same search with a window of local ids per
+//! variable: a variable binds only inside its window, which cuts every run it
+//! reads by the same bisection the ordering conditions use. A caller that
+//! knows where each variable's node can lie (a bucket-oriented reducer, from
+//! its key and [`JoinPlan::positions`]) skips the candidates outside without
+//! trying them; [`JoinPlan::run`] is the case where every window is the whole
+//! graph.
+//!
 //! Assignments are injective (an instance of the sample graph uses `p`
 //! distinct data nodes), and variables range over the nodes incident to at
 //! least one edge.
 
 use crate::local::LocalGraph;
 use crate::query::{ConjunctiveQuery, Constraint, CqGroup, Var};
+use std::ops::Range;
 use subgraph_graph::{DataGraph, NodeId, NodeOrder};
 use subgraph_pattern::Instance;
 
@@ -195,6 +204,8 @@ pub struct JoinPlan {
     /// `Y < X`): no assignment can satisfy the query.
     satisfiable: bool,
     num_cursors: usize,
+    /// Per variable: see [`JoinPlan::positions`].
+    positions: Vec<(usize, usize)>,
 }
 
 impl JoinPlan {
@@ -248,6 +259,13 @@ impl JoinPlan {
             }
         }
         let satisfiable = (0..num_vars).all(|v| !precedes[v][v]);
+        let positions = (0..num_vars)
+            .map(|v| {
+                let before = (0..num_vars).filter(|&u| u != v && precedes[u][v]).count();
+                let after = (0..num_vars).filter(|&w| w != v && precedes[v][w]).count();
+                (before, num_vars - 1 - after)
+            })
+            .collect();
 
         let mut adjacency = vec![Vec::new(); num_vars];
         for &(a, b) in subgoals {
@@ -315,7 +333,17 @@ impl JoinPlan {
             steps,
             satisfiable,
             num_cursors,
+            positions,
         }
+    }
+
+    /// Per variable, the least and the greatest position its node can take
+    /// among a satisfying assignment's `p` nodes listed in the node order:
+    /// `(a, p − 1 − d)` when the ordering conditions (the `<` comparisons and,
+    /// for a query, the subgoal orientations, closed transitively) put `a`
+    /// variables before it and `d` after it.
+    pub fn positions(&self) -> &[(usize, usize)] {
+        &self.positions
     }
 
     /// The least number of distinct variables one variable shares a subgoal
@@ -368,6 +396,28 @@ impl JoinPlan {
         A: FnMut(Var, u32, &[u32]) -> bool,
         F: FnMut(&[u32]),
     {
+        let everywhere = vec![0..graph.num_nodes() as u32; self.steps.len()];
+        self.run_within(graph, &everywhere, admit, found)
+    }
+
+    /// [`JoinPlan::run`] with variable `var` binding only to local ids in
+    /// `windows[var]`: the candidates outside are never tried, so a window
+    /// that holds every node of every assignment the caller keeps finds
+    /// those assignments in the same order for no more work.
+    ///
+    /// # Panics
+    /// Panics if `windows` has fewer entries than the plan has variables.
+    pub fn run_within<A, F>(
+        &self,
+        graph: &LocalGraph,
+        windows: &[Range<u32>],
+        admit: A,
+        found: F,
+    ) -> u64
+    where
+        A: FnMut(Var, u32, &[u32]) -> bool,
+        F: FnMut(&[u32]),
+    {
         let p = self.steps.len();
         if p == 0 || !self.satisfiable {
             return 0;
@@ -375,6 +425,12 @@ impl JoinPlan {
         let mut search = Search {
             steps: &self.steps,
             graph,
+            windows: (self.steps.iter())
+                .map(|step| {
+                    let window = &windows[step.var as usize];
+                    window.start..window.end.min(graph.num_nodes() as u32)
+                })
+                .collect(),
             admit,
             found,
             bound: vec![0; p],
@@ -471,6 +527,9 @@ fn expand_by<S: Ord, N: Ord>(
 struct Search<'a, A, F> {
     steps: &'a [Step],
     graph: &'a LocalGraph,
+    /// `windows[depth]`: the local ids the variable bound at that depth may
+    /// take.
+    windows: Vec<Range<u32>>,
     admit: A,
     found: F,
     /// `bound[depth]`: the local id bound at that depth.
@@ -496,9 +555,9 @@ where
             (self.found)(&self.by_var);
             return;
         };
-        // The ordering conditions confine the candidates to `low..high`.
-        let mut low = 0u32;
-        let mut high = self.graph.num_nodes() as u32;
+        // The window and the ordering conditions confine the candidates to
+        // `low..high`.
+        let (mut low, mut high) = (self.windows[depth].start, self.windows[depth].end);
         for &earlier in &step.after {
             low = low.max(self.bound[earlier] + 1);
         }
@@ -774,6 +833,54 @@ mod tests {
         let path = JoinPlan::compile_unoriented(3, &[(0, 1), (1, 2)], &[]);
         assert_eq!(runs(&path, 1), [Run::Neighbors]);
         assert_eq!(runs(&path, 2), [Run::Neighbors]);
+    }
+
+    #[test]
+    fn positions_count_the_variables_ordered_before_and_after() {
+        // X0 < X1 < X2: one place each.
+        let triangle = unoriented_plan(&catalog::triangle());
+        assert_eq!(triangle.positions(), [(0, 0), (1, 1), (2, 2)]);
+        // X0 first; X1 after X0 and before X3; X2 after X0 only.
+        let square = unoriented_plan(&catalog::square());
+        assert_eq!(square.positions(), [(0, 0), (1, 2), (1, 3), (2, 3)]);
+        // A query's subgoal orientations order its variables too.
+        let oriented = JoinPlan::compile(&ConjunctiveQuery::new(3, vec![(0, 1), (1, 2)], vec![]));
+        assert_eq!(oriented.positions(), [(0, 0), (1, 1), (2, 2)]);
+        let unordered = JoinPlan::compile_unoriented(3, &[(0, 1), (1, 2)], &[]);
+        assert_eq!(unordered.positions(), [(0, 2); 3]);
+    }
+
+    #[test]
+    fn a_window_keeps_the_assignments_inside_it_in_order() {
+        let g = generators::gnm(30, 120, 4);
+        let local = LocalGraph::build(g.edges(), &IdOrder, 0);
+        let plan = unoriented_plan(&catalog::square());
+        let n = local.num_nodes() as u32;
+        let collect = |windows: &[Range<u32>]| {
+            let mut found: Vec<Vec<u32>> = Vec::new();
+            let tried =
+                plan.run_within(&local, windows, |_, _, _| true, |a| found.push(a.to_vec()));
+            (found, tried)
+        };
+        let (all, all_tried) = collect(&[0..n, 0..n, 0..n, 0..n]);
+        assert_eq!(all_tried, plan.run(&local, |_, _, _| true, |_| {}));
+        // Windows past the graph's end are cut to it.
+        assert_eq!(
+            collect(&[0..n + 9, 0..u32::MAX, 0..n, 0..n]),
+            (all.clone(), all_tried)
+        );
+        let inside = |a: &Vec<u32>| a[0] < 10 && (5..20).contains(&a[2]);
+        let (kept, tried) = collect(&[0..10, 0..n, 5..20, 0..n]);
+        assert_eq!(
+            kept,
+            all.iter()
+                .filter(|a| inside(a))
+                .cloned()
+                .collect::<Vec<_>>()
+        );
+        assert!(!kept.is_empty() && kept.len() < all.len());
+        assert!(tried < all_tried);
+        assert_eq!(collect(&[3..3, 0..n, 0..n, 0..n]), (Vec::new(), 0));
     }
 
     #[test]

@@ -79,6 +79,9 @@ impl fmt::Debug for Edge {
 /// The edge list varint-encodes as `(lo, hi)`, which the arena shuffle uses
 /// to ship edges in a handful of bytes instead of a fixed 8.
 impl subgraph_codec::ArenaCodec for Edge {
+    /// Two `u32` varints.
+    const MAX_ENCODED_LEN: Option<usize> = Some(2 * subgraph_codec::max_varint_len(u32::BITS));
+
     fn encode(&self, out: &mut Vec<u8>) {
         subgraph_codec::write_varint(out, u64::from(self.u));
         subgraph_codec::write_varint(out, u64::from(self.v));
@@ -413,6 +416,28 @@ mod tests {
             assert_eq!(Edge::decode(&buf, &mut pos), *e);
         }
         assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn an_edge_record_stays_within_its_bound() {
+        let len = |record: &dyn Fn(&mut Vec<u8>)| {
+            let mut buf = Vec::new();
+            record(&mut buf);
+            buf.len()
+        };
+        let widest = Edge::new(u32::MAX - 1, u32::MAX);
+        assert_eq!(Edge::MAX_ENCODED_LEN, Some(10));
+        assert_eq!(len(&|buf| widest.encode(buf)), 10);
+        for bits in 0..32 {
+            let (lo, hi) = ((1u32 << bits) - 1, 1u32 << bits);
+            assert!(len(&|buf| Edge::new(lo, hi).encode(buf)) <= 10);
+        }
+        // The records the Section 4 rounds (a reducer index) and the
+        // partition round (a bucket triple) ship.
+        assert_eq!(<(u32, Edge)>::MAX_ENCODED_LEN, Some(15));
+        assert_eq!(len(&|buf| (u32::MAX, widest).encode(buf)), 15);
+        assert_eq!(<([u32; 3], Edge)>::MAX_ENCODED_LEN, Some(25));
+        assert_eq!(len(&|buf| ([u32::MAX; 3], widest).encode(buf)), 25);
     }
 
     #[test]

@@ -10,11 +10,16 @@
 //!
 //! 1. **Map.** One pool task per logical map shard (`len.div_ceil(threads)`
 //!    records). Each emission is hashed, routed with [`shard_for_hash`] and
-//!    encoded straight into that reduce shard's arena. A round whose combiner
-//!    is active first maps the shard into a plain pair buffer, groups it by
-//!    key in a `PrehashedMap`, combines each group and emits the kept values
-//!    with the hash computed while grouping — so the combiner's scope is the
-//!    map shard and `shuffle_records` counts what survives it.
+//!    encoded straight into that reduce shard's open arena chunk when the
+//!    chunk has room for the record types' [`ArenaCodec::MAX_ENCODED_LEN`];
+//!    a record with no bound, or one that may not fit, is encoded into a
+//!    scratch buffer first and copied, which is what decides whether it
+//!    opens a new chunk. Both ways leave the same bytes in the same chunks.
+//!    A round whose combiner is active first maps the shard into a plain
+//!    pair buffer, groups it by key in a `PrehashedMap`, combines each group
+//!    and emits the kept values with the hash computed while grouping — so
+//!    the combiner's scope is the map shard and `shuffle_records` counts
+//!    what survives it.
 //! 2. **Exchange.** The coordinator transposes arena ownership (map-shard
 //!    major to reduce-shard major) without touching a record.
 //! 3. **Reduce.** One pool task per reduce shard decodes each arena chunk
@@ -126,6 +131,34 @@ impl ArenaBucket {
         reserved
     }
 
+    /// Encodes one record straight into the open chunk when that chunk has
+    /// room for `bound` more bytes without growing or passing
+    /// `chunk_target` — exactly where [`ArenaBucket::push`] would put any
+    /// record of at most `bound` bytes — so the chunks come out byte for
+    /// byte as pushing would leave them. Returns false, writing nothing,
+    /// when there is no such room.
+    fn push_in_place(
+        &mut self,
+        bound: usize,
+        chunk_target: usize,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> bool {
+        let Some(chunk) = self.chunks.last_mut() else {
+            return false;
+        };
+        if chunk.capacity() - chunk.len() < bound || chunk.len() + bound > chunk_target {
+            return false;
+        }
+        let before = chunk.len();
+        encode(chunk);
+        debug_assert!(
+            chunk.len() - before <= bound,
+            "a record outgrew its type's MAX_ENCODED_LEN"
+        );
+        self.records += 1;
+        true
+    }
+
     /// Number of records in the bucket — the reduce side's grouping-map
     /// capacity heuristic. Spilling never decrements it: spilled records
     /// still arrive at the reducer, so the heuristic (and with it the
@@ -163,6 +196,8 @@ pub(crate) struct ArenaState<K, V> {
     chunk_target: usize,
     hash: fn(&K) -> u64,
     encode: fn(&K, &V, &mut Vec<u8>),
+    /// The most bytes one encoded record takes, when its types bound it.
+    record_bound: Option<usize>,
 }
 
 fn encode_record<K: ArenaCodec, V: ArenaCodec>(key: &K, value: &V, out: &mut Vec<u8>) {
@@ -187,6 +222,7 @@ where
             chunk_target: ARENA_CHUNK,
             hash: hash_for_shuffle::<K>,
             encode: encode_record::<K, V>,
+            record_bound: <(K, V)>::MAX_ENCODED_LEN,
         }
     }
 
@@ -211,19 +247,30 @@ impl<K, V> ArenaState<K, V> {
     }
 
     /// Routes and serializes one emission whose key hash is already known:
-    /// pick the reduce shard, encode into that shard's arena. Under a budget,
-    /// opening a chunk that pushes the round's resident bytes past the budget
-    /// triggers a spill of this task's sealed chunks.
+    /// pick the reduce shard, encode into that shard's arena — in place when
+    /// the open chunk has room for the record's bound, through `scratch`
+    /// otherwise. Under a budget, opening a chunk that pushes the round's
+    /// resident bytes past the budget triggers a spill of this task's sealed
+    /// chunks.
     fn emit_hashed(&mut self, hash: u64, key: &K, value: &V) {
         let shard = shard_for_hash(hash, self.buckets.len());
-        self.scratch.clear();
-        (self.encode)(key, value, &mut self.scratch);
-        let reserved = self.buckets[shard].push(
-            &self.scratch,
-            &self.buffers,
-            self.chunk_target,
-            self.spill.is_some(),
-        );
+        let encode = self.encode;
+        let in_place = self.record_bound.is_some_and(|bound| {
+            self.buckets[shard]
+                .push_in_place(bound, self.chunk_target, |chunk| encode(key, value, chunk))
+        });
+        let reserved = if in_place {
+            0
+        } else {
+            self.scratch.clear();
+            encode(key, value, &mut self.scratch);
+            self.buckets[shard].push(
+                &self.scratch,
+                &self.buffers,
+                self.chunk_target,
+                self.spill.is_some(),
+            )
+        };
         self.emitted += 1;
         if reserved > 0 {
             // Budget check only on chunk open: the common emit path (record
@@ -678,6 +725,101 @@ mod tests {
         let mut bucket = ArenaBucket::new();
         assert!(bucket.push(&[1u8; 16], buffers, 4096, true) > 0);
         assert_eq!(bucket.push(&[2u8; 16], buffers, 4096, true), 0);
+    }
+
+    #[test]
+    fn in_place_pushes_need_room_for_the_bound_below_the_target() {
+        let pool = WorkerPool::new(0);
+        let buffers = pool.buffers();
+        let mut bucket = ArenaBucket::new();
+        let write = |chunk: &mut Vec<u8>| chunk.push(7);
+        assert!(!bucket.push_in_place(4, 64, write), "no open chunk yet");
+        bucket.push(&[1u8; 56], buffers, 64, false);
+        assert!(
+            bucket.push_in_place(8, 64, write),
+            "56 + 8 reaches the target"
+        );
+        assert!(!bucket.push_in_place(8, 64, write), "57 + 8 passes it");
+        assert!(bucket.push_in_place(7, 64, write));
+        assert_eq!(bucket.records(), 3);
+        let (_, chunks) = bucket.into_parts();
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].len(), 58);
+    }
+
+    /// The chunks `records` leave in each of `shards` buckets when emitted
+    /// through an [`ArenaState`] with `chunk_target`-byte chunks.
+    fn emitted_chunks<K, V>(
+        records: &[(K, V)],
+        shards: usize,
+        chunk_target: usize,
+    ) -> Vec<Vec<Vec<u8>>>
+    where
+        K: Hash + ArenaCodec,
+        V: ArenaCodec,
+    {
+        let pool = WorkerPool::new(0);
+        let mut state: ArenaState<K, V> = ArenaState::new(shards, Arc::clone(pool.buffers()));
+        state.chunk_target = chunk_target;
+        for (key, value) in records {
+            state.emit(key, value);
+        }
+        let (buckets, _) = state.into_parts();
+        buckets.into_iter().map(|b| b.into_parts().1).collect()
+    }
+
+    /// The same chunks built the scratch way: every record encoded on its
+    /// own, then pushed.
+    fn pushed_chunks<K, V>(
+        records: &[(K, V)],
+        shards: usize,
+        chunk_target: usize,
+    ) -> Vec<Vec<Vec<u8>>>
+    where
+        K: Hash + ArenaCodec,
+        V: ArenaCodec,
+    {
+        let pool = WorkerPool::new(0);
+        let mut buckets: Vec<ArenaBucket> = (0..shards).map(|_| ArenaBucket::new()).collect();
+        let mut record = Vec::new();
+        for (key, value) in records {
+            record.clear();
+            encode_record(key, value, &mut record);
+            let shard = shard_for_hash(hash_for_shuffle(key), shards);
+            buckets[shard].push(&record, pool.buffers(), chunk_target, false);
+        }
+        buckets.into_iter().map(|b| b.into_parts().1).collect()
+    }
+
+    #[test]
+    fn in_place_and_scratch_emission_leave_the_same_chunks() {
+        // Records of 2 to 15 bytes into 64-byte chunks: the open chunk is
+        // often short of the 15-byte bound while it still has room for the
+        // record, which then goes the scratch way into the same chunk.
+        let bounded: Vec<(u32, (u32, u32))> = (0..3_000u32)
+            .map(|i| match i % 4 {
+                0 => (i, (i, i * 7)),
+                1 => (u32::MAX - i, (u32::MAX, 0)),
+                2 => (i % 5, (1 << 14, u32::MAX - i)),
+                _ => (i * 65_537, (i % 128, 1 << 21)),
+            })
+            .collect();
+        assert_eq!(<(u32, (u32, u32))>::MAX_ENCODED_LEN, Some(15));
+        // No bound: every record goes the scratch way.
+        let unbounded: Vec<(u32, Vec<u32>)> = (0..500u32)
+            .map(|i| (i % 17, (0..i % 9).map(|j| j * i * 977).collect()))
+            .collect();
+        for target in [64, 4096, ARENA_CHUNK] {
+            let emitted = emitted_chunks(&bounded, 3, target);
+            assert_eq!(emitted, pushed_chunks(&bounded, 3, target), "{target}");
+            if target == 64 {
+                assert!(emitted.iter().all(|chunks| chunks.len() > 1));
+            }
+            let emitted = emitted_chunks(&unbounded, 3, target);
+            assert_eq!(emitted, pushed_chunks(&unbounded, 3, target), "{target}");
+        }
+        #[cfg(debug_assertions)]
+        let _ = crate::hash::debug_hash_count::take();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use subgraph_mr::core::enumerate::bucket_oriented::{
     bucket_oriented_with_cqs, sample_plan, BucketQuota,
 };
-use subgraph_mr::core::enumerate::variable_oriented;
+use subgraph_mr::core::enumerate::{variable_oriented, KeySpace};
 use subgraph_mr::cq::{
     cqs_for_sample, cycle_cqs, evaluate_cq, evaluate_cq_filtered, evaluate_cq_group, evaluate_cqs,
     merge_by_orientation, ConjunctiveQuery, JoinPlan, LocalGraph,
@@ -243,13 +243,40 @@ fn for_each_key(limits: &[u32], nondecreasing: bool, visit: &mut dyn FnMut(&[u32
     recurse(limits, nondecreasing, &mut Vec::new(), visit);
 }
 
+/// The edges whose endpoint buckets both occur in `key`, under `order`.
+fn edges_in_key(graph: &DataGraph, order: &BucketThenIdOrder, key: &[u32]) -> Vec<Edge> {
+    let in_key = |v: NodeId| key.contains(&(order.bucket(v) as u32));
+    graph
+        .edges()
+        .iter()
+        .copied()
+        .filter(|e| in_key(e.lo()) && in_key(e.hi()))
+        .collect()
+}
+
+/// Every instance `plans` find over `local` under the reducer's ownership
+/// test, each variable inside its window.
+fn run_windowed(plans: &[JoinPlan], local: &LocalGraph, owned: &BucketQuota) -> Vec<Instance> {
+    let mut found = Vec::new();
+    for plan in plans {
+        plan.run_within(
+            local,
+            &owned.windows(plan),
+            |_, node, bound| owned.admits(node, bound),
+            |assignment| found.push(plan.instance(local, assignment)),
+        );
+    }
+    found
+}
+
 /// Bucket-oriented reducers (Section 4.5): one reducer per non-decreasing
 /// bucket multiset, fed the edges whose endpoint buckets both occur in its
 /// key, admitting a node only while the bound buckets stay a sub-multiset of
 /// the key. Run over the whole key space, the reducers find every instance
 /// exactly once — by the query collection's plans under that test spelled
-/// out here, and by the sample's single plan under the reducers' own
-/// `BucketQuota`.
+/// out here, by the sample's single plan under the reducers' own
+/// `BucketQuota`, and by both again with each variable inside its window, as
+/// the reducers run them.
 #[test]
 fn bucket_multiset_keys_partition_the_instances() {
     let graph = generators::gnm(18, 50, 43);
@@ -261,15 +288,9 @@ fn bucket_multiset_keys_partition_the_instances() {
         for b in [1usize, 3] {
             let order = BucketThenIdOrder::new(b);
             let (mut found, mut found_by_one) = (Vec::new(), Vec::new());
+            let (mut windowed, mut windowed_by_one) = (Vec::new(), Vec::new());
             for_each_key(&vec![b as u32; p], true, &mut |key| {
-                let in_key = |v: NodeId| key.contains(&(order.bucket(v) as u32));
-                let edges: Vec<Edge> = graph
-                    .edges()
-                    .iter()
-                    .copied()
-                    .filter(|e| in_key(e.lo()) && in_key(e.hi()))
-                    .collect();
-                let local = LocalGraph::build(&edges, &order, 0);
+                let local = LocalGraph::build(&edges_in_key(&graph, &order, key), &order, 0);
                 let bucket = |v: u32| order.bucket(local.global(v)) as u32;
                 for plan in &plans {
                     plan.run(
@@ -287,6 +308,12 @@ fn bucket_multiset_keys_partition_the_instances() {
                     |_, node, bound| owned.admits(node, bound),
                     |assignment| found_by_one.push(one_plan.instance(&local, assignment)),
                 );
+                windowed.extend(run_windowed(&plans, &local, &owned));
+                windowed_by_one.extend(run_windowed(
+                    std::slice::from_ref(&one_plan),
+                    &local,
+                    &owned,
+                ));
             });
             assert_eq!(sorted(found), expected, "{name} with {b} buckets");
             assert_eq!(
@@ -294,7 +321,130 @@ fn bucket_multiset_keys_partition_the_instances() {
                 expected,
                 "{name}: one plan, {b} buckets"
             );
+            assert_eq!(sorted(windowed), expected, "{name}: windowed, {b} buckets");
+            assert_eq!(
+                sorted(windowed_by_one),
+                expected,
+                "{name}: one plan windowed, {b} buckets"
+            );
         }
+    }
+}
+
+/// The assignments `plan` finds over `local` in the order it finds them, as
+/// local ids by variable, and the candidates it tries.
+fn assignments_in_order(
+    plan: &JoinPlan,
+    local: &LocalGraph,
+    owned: &BucketQuota,
+    windows: Option<&[std::ops::Range<u32>]>,
+) -> (Vec<Vec<u32>>, u64) {
+    let mut found = Vec::new();
+    let admit = |_, node, bound: &[u32]| owned.admits(node, bound);
+    let keep = |assignment: &[u32]| found.push(assignment.to_vec());
+    let tried = match windows {
+        Some(windows) => plan.run_within(local, windows, admit, keep),
+        None => plan.run(local, admit, keep),
+    };
+    (found, tried)
+}
+
+/// A window holds every node an owned assignment can put its variable on,
+/// for the sample's one plan and for every per-CQ plan (the Section 5 cycle
+/// queries included): each reducer of the key space finds the very
+/// assignment sequence the quota-only join finds, trying no more
+/// candidates — and on some key strictly fewer.
+#[test]
+fn windows_find_the_same_assignments_in_the_same_order_for_no_more_work() {
+    let mut saved = 0u64;
+    for (graph_name, graph) in graphs() {
+        for (name, sample, cqs) in query_sets() {
+            let p = sample.num_nodes();
+            let mut plans: Vec<JoinPlan> = cqs.iter().map(JoinPlan::compile).collect();
+            plans.push(sample_plan(&sample));
+            let min_degree = plans.iter().map(JoinPlan::min_degree).min().unwrap_or(0);
+            for b in [1usize, 3, 5] {
+                let order = BucketThenIdOrder::new(b);
+                for_each_key(&vec![b as u32; p], true, &mut |key| {
+                    let edges = edges_in_key(&graph, &order, key);
+                    let local = LocalGraph::build(&edges, &order, min_degree);
+                    let owned = BucketQuota::new(&local, &order, key.iter().copied());
+                    for (i, plan) in plans.iter().enumerate() {
+                        let what = format!("{name} on {graph_name}, key {key:?}, plan {i}");
+                        let (expected, quota_only) =
+                            assignments_in_order(plan, &local, &owned, None);
+                        let windows = owned.windows(plan);
+                        let (found, tried) =
+                            assignments_in_order(plan, &local, &owned, Some(&windows));
+                        assert_eq!(found, expected, "{what}");
+                        assert!(tried <= quota_only, "{what}: {tried} > {quota_only}");
+                        saved += quota_only - tried;
+                    }
+                });
+            }
+        }
+    }
+    assert!(saved > 0, "the windows cut no candidate anywhere");
+}
+
+/// One reducer per key of the `b`-bucket multiset space, each fed exactly
+/// the edges the bucket-oriented mapper ships it.
+fn shipped_edges(graph: &DataGraph, order: &BucketThenIdOrder, space: &KeySpace) -> Vec<Vec<Edge>> {
+    let mut inputs = vec![Vec::new(); space.len()];
+    for &edge in graph.edges() {
+        let bucket = |v: NodeId| order.bucket(v) as u32;
+        for &key in space.destinations(bucket(edge.lo()), bucket(edge.hi())) {
+            inputs[key as usize].push(edge);
+        }
+    }
+    inputs
+}
+
+/// Every bucket-oriented reducer's join without windows, the ownership test
+/// alone pushed in: the sample's one symmetry-broken plan finds what its
+/// `p!/|Aut|` per-CQ plans find together and tries no more candidates than
+/// they do — as many on the triangle, whose single CQ it is. (With windows
+/// this no longer holds: a Theorem 3.1 query orders all its variables, so
+/// its windows pin each to one bucket, while the one plan's partial order
+/// leaves them wider.)
+#[test]
+fn under_the_quota_alone_the_one_plan_tries_no_more_than_the_per_cq_plans() {
+    let graph = generators::gnm(40, 220, 26);
+    let b = 3;
+    let order = BucketThenIdOrder::new(b);
+    for sample in [
+        catalog::triangle(),
+        catalog::square(),
+        catalog::lollipop(),
+        catalog::cycle(5),
+    ] {
+        let p = sample.num_nodes();
+        let space = KeySpace::multisets(b, p).expect("the key space exists");
+        let one_plan = [sample_plan(&sample)];
+        let per_cq: Vec<JoinPlan> = cqs_for_sample(&sample)
+            .iter()
+            .map(JoinPlan::compile)
+            .collect();
+        let (mut one, mut many) = ((Vec::new(), 0u64), (Vec::new(), 0u64));
+        for (key, edges) in shipped_edges(&graph, &order, &space).iter().enumerate() {
+            let local = LocalGraph::build(edges, &order, one_plan[0].min_degree());
+            let owned = BucketQuota::new(&local, &order, space.coords(key as u32));
+            for (plans, (found, tried)) in [(&one_plan[..], &mut one), (&per_cq[..], &mut many)] {
+                for plan in plans {
+                    *tried += plan.run(
+                        &local,
+                        |_, node, bound| owned.admits(node, bound),
+                        |assignment| found.push(plan.instance(&local, assignment)),
+                    );
+                }
+            }
+        }
+        let (work, per_cq_work) = (one.1, many.1);
+        assert!(work <= per_cq_work, "{sample:?}: {work} > {per_cq_work}");
+        if p == 3 {
+            assert_eq!(work, per_cq_work, "the triangle's plan is its single CQ");
+        }
+        assert_eq!(sorted(one.0), sorted(many.0), "{sample:?}");
     }
 }
 
