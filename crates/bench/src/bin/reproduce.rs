@@ -21,24 +21,17 @@ fn main() {
             "planner" => print!("{}", planner_table::planner_choices()),
             "plan-times" => {
                 let report = planner_table::plan_timing();
-                let path = planner_table::bench_json_path();
-                std::fs::write(&path, report.to_json())
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+                subgraph_bench::report::write_tracked_json(
+                    &planner_table::bench_json_path(),
+                    &report.to_json(),
+                );
                 print!("{}", report.table());
             }
             "plan-gate" => gate(planner_table::plan_gate()),
             "kernel" => print!("{}", subgraph_bench::kernel_bench::run_and_record().table()),
             "kernel-gate" => gate(subgraph_bench::kernel_bench::kernel_gate()),
             "sink-gate" => gate(subgraph_bench::sink_gate::sink_gate()),
-            "shuffle" => print!("{}", subgraph_bench::shuffle::shuffle_throughput(false)),
-            "shuffle-quick" => print!("{}", subgraph_bench::shuffle::shuffle_throughput(true)),
-            "shuffle-gate" => gate(subgraph_bench::shuffle::shuffle_gate()),
-            "sink" => print!("{}", subgraph_bench::sink_bench::sink_throughput(false)),
-            "sink-quick" => print!("{}", subgraph_bench::sink_bench::sink_throughput(true)),
-            "rss-gate" => gate(subgraph_bench::sink_bench::rss_gate()),
-            "spill-gate" => gate(subgraph_bench::sink_bench::spill_gate()),
-            "serve" => print!("{}", subgraph_bench::serve_bench::serve_amortization(false)),
-            "serve-quick" => print!("{}", subgraph_bench::serve_bench::serve_amortization(true)),
+            "memory-gate" => gate(subgraph_bench::memory_gate::memory_gate()),
             "cli" => print!("{}", cli_table::cli_parity()),
             "fig1" => print!("{}", figures::figure1()),
             "fig2" => print!("{}", figures::figure2()),
@@ -100,19 +93,10 @@ fn print_usage() {
          sink-gate             text-sink CI gate: the triangle plan enumerated to ndjson takes at \
          most 2x the same plan counted (median of 5 alternating runs) and writes one line per \
          oracle instance (exits 1 on regression)\n  \
-         shuffle               engine shuffle throughput sweep (writes BENCH_shuffle.json)\n  \
-         shuffle-quick         the same sweep in CI smoke mode\n  \
-         shuffle-gate          quick sweep + multi-core scaling assertion (CI gate; \
-         exits 1 on regression)\n  \
-         sink                  streaming-sink sweep: count-only >=1M-edge graph (writes BENCH_sink.json)\n  \
-         sink-quick            the same sweep in CI smoke mode\n  \
-         rss-gate              bytes-per-edge budget on the sink-quick peak RSS (CI gate; \
-         exits 1 on regression)\n  \
-         spill-gate            out-of-core shuffle gate: budgeted count within budget + graph + \
-         slack, identical answer (CI gate; exits 1 on regression)\n  \
-         serve                 serve amortization: warm cached queries vs one-shot (writes BENCH_serve.json)\n  \
-         serve-quick           the same comparison in CI smoke mode\n  \
-         cli                   CLI parity: enumerate line count vs count per catalog pattern\n  \
+         memory-gate           peak RSS per edge of a >=1M-edge count at threads 1-8, and a \
+         32 MiB-budget count that must spill, match and stay within budget + graph + slack \
+         (exits 1 on regression)\n  \
+         cli                  CLI parity: enumerate line count vs count per catalog pattern\n  \
          fig1                  Figure 1  (asymptotic triangle comparison)\n  \
          fig2                  Figure 2  (specific reducer counts)\n  \
          cascade               Section 2 motivation (1-round vs 2-round cascade)\n  \

@@ -458,20 +458,31 @@ pub fn bench_json_path() -> std::path::PathBuf {
 /// Runs the sweep and writes `BENCH_kernel.json` (validated after writing).
 pub fn run_and_record() -> KernelReport {
     let report = kernel_timing();
-    let path = bench_json_path();
-    std::fs::write(&path, report.to_json())
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    let written = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot re-read {}: {e}", path.display()));
-    crate::shuffle::validate_json(&written)
-        .unwrap_or_else(|e| panic!("{} is malformed JSON: {e}", path.display()));
+    crate::report::write_tracked_json(&bench_json_path(), &report.to_json());
     report
 }
 
 /// `local_bytes` of the input labelled `input` in a recorded report.
 fn recorded_local_bytes(json: &str, input: &str) -> Option<u64> {
     let row = &json[json.find(&format!("\"input\": \"{input}\""))?..];
-    crate::sink_bench::extract_u64_field(row, "local_bytes")
+    crate::report::extract_u64_field(row, "local_bytes")
+}
+
+/// The tracked-size half of the gate for one input: `Err` when its local
+/// graph holds more heap bytes than the recorded report `tracked` says it
+/// did, a skip line when `tracked` has no row for it, nothing when it fits.
+fn local_bytes_check(tracked: &str, t: &KernelTiming) -> Result<Option<String>, String> {
+    match recorded_local_bytes(tracked, t.input) {
+        None => Ok(Some(format!(
+            "local_bytes check skipped for {}: no recorded row\n",
+            t.input
+        ))),
+        Some(before) if t.local_bytes as u64 > before => Err(format!(
+            "the local graph grew from {before} to {} heap bytes",
+            t.local_bytes
+        )),
+        Some(_) => Ok(None),
+    }
 }
 
 /// Why `t` fails the exact half of the gate, if it does: the one plan, the
@@ -528,25 +539,32 @@ fn window_failure(t: &KernelTiming) -> Option<String> {
     None
 }
 
-/// The CI kernel gate. Exact: the counts of [`count_failure`], and no input's
-/// local graph larger than the tracked `BENCH_kernel.json` says it was.
+/// The CI kernel gate. Exact: the counts of `count_failure`, and no input's
+/// local graph larger than the tracked `BENCH_kernel.json` says it was
+/// (`local_bytes_check`; a missing or unreadable file fails the gate).
 /// Relative (release builds): the one plan no slower than the per-CQ plans on
 /// any input, on the square input the kernel at least
 /// [`MIN_SPEEDUP_OVER_ORACLE`] times faster than the oracle, and the triangle
 /// input's bitmap-ranked build no slower than its interned one.
 pub fn kernel_gate() -> Result<String, String> {
-    let tracked = std::fs::read_to_string(bench_json_path()).unwrap_or_default();
+    let path = bench_json_path();
+    let tracked = std::fs::read_to_string(&path).map_err(|e| {
+        format!(
+            "kernel gate FAILED: cannot read the tracked {} ({e}); its local_bytes are what \
+             the gate compares against\n",
+            path.display()
+        )
+    })?;
     let report = run_and_record();
     let mut out = report.table();
     for t in &report.inputs {
-        let grew = recorded_local_bytes(&tracked, t.input)
-            .filter(|&before| t.local_bytes as u64 > before)
-            .map(|before| {
-                format!(
-                    "the local graph grew from {before} to {} heap bytes",
-                    t.local_bytes
-                )
-            });
+        let grew = match local_bytes_check(&tracked, t) {
+            Ok(skipped) => {
+                out.push_str(skipped.as_deref().unwrap_or(""));
+                None
+            }
+            Err(why) => Some(why),
+        };
         // A single CQ's plan is the one plan: nothing to compare but noise.
         let compared = !cfg!(debug_assertions) && t.per_cq_plans > 1;
         let slower = (compared && t.one_plan.millis > t.per_cq.millis).then(|| {
@@ -661,9 +679,30 @@ mod tests {
             inputs: vec![t],
         };
         let json = report.to_json();
-        crate::shuffle::validate_json(&json).expect("valid JSON");
+        crate::report::validate_json(&json).expect("valid JSON");
         assert_eq!(recorded_local_bytes(&json, "small"), Some(bytes as u64));
         assert_eq!(recorded_local_bytes(&json, "absent"), None);
+        let t = &report.inputs[0];
+        assert_eq!(local_bytes_check(&json, t), Ok(None));
+        let grown = KernelTiming {
+            local_bytes: bytes + 1,
+            ..t.clone()
+        };
+        let err = local_bytes_check(&json, &grown).unwrap_err();
+        assert!(
+            err.contains(&format!("grew from {bytes} to {}", bytes + 1)),
+            "{err}"
+        );
+        let elsewhere = KernelTiming {
+            input: "absent",
+            ..t.clone()
+        };
+        assert_eq!(
+            local_bytes_check(&json, &elsewhere),
+            Ok(Some(
+                "local_bytes check skipped for absent: no recorded row\n".to_string()
+            ))
+        );
         assert!(report.table().contains("vs oracle"));
     }
 

@@ -1,7 +1,8 @@
-//! Benchmark harness: regenerates every table and figure of the paper.
+//! Regenerates every table and figure of the paper, and runs CI's planner,
+//! kernel, sink and memory gates.
 //!
 //! Each module returns plain-text tables (and the underlying numbers) so that
-//! the `reproduce` binary can print them and `EXPERIMENTS.md` can quote them.
+//! the `reproduce` binary can print them.
 //! Analytic columns come from the formulas implemented in `subgraph-shares`
 //! and `subgraph-cq`; measured columns come from actually running the
 //! algorithms of `subgraph-core` on the instrumented map-reduce engine over
@@ -27,30 +28,27 @@
 //! | Theorem 7.3 (bounded degree) | [`computation::bounded_degree_table`] |
 //! | Section 7.4 (relation sizes) | [`computation::relation_size_table`] |
 //! | strategy choice (Sections 2, 4, 6-7) | [`planner_table::planner_choices`] |
-//! | shuffle throughput sweep (engine perf trajectory) | [`shuffle::shuffle_throughput`] |
-//! | streaming-sink sweep (count-only, ≥ 1M edges, peak RSS) | [`sink_bench::sink_throughput`] |
-//! | serve amortization (warm cached queries vs one-shot) | [`serve_bench::serve_amortization`] |
 //! | reduce kernel (local-graph build + compiled join vs the generic oracle) | [`kernel_bench::kernel_timing`] |
 //! | text-sink gate (ndjson enumerate vs count of one plan, a ratio) | [`sink_gate::sink_gate`] |
+//! | peak RSS per edge and under a spilling memory budget (≥ 1M edges) | [`memory_gate::memory_gate`] |
 //! | CLI parity (`enumerate \| wc -l` vs `count`) | [`cli_table::cli_parity`] |
 //!
 //! The measured columns drive every algorithm through the
-//! `EnumerationRequest`/`Planner` API of `subgraph-core`; [`harness`] is the
-//! dependency-free criterion-compatible micro-bench harness the `benches/`
-//! targets run on.
+//! `EnumerationRequest`/`Planner` API of `subgraph-core`. [`run_all`] is a
+//! function of its inputs alone: its output is committed as
+//! `docs/REPRODUCTION.txt`, and CI diffs the two. Engine throughput, serve
+//! latency and load times are measured by the repository's `benchmark/`
+//! package, not here.
 
 pub mod cli_table;
 pub mod computation;
 pub mod cq_tables;
 pub mod figures;
-pub mod harness;
 pub mod kernel_bench;
+pub mod memory_gate;
 pub mod planner_table;
 pub mod report;
-pub mod serve_bench;
 pub mod share_tables;
-pub mod shuffle;
-pub mod sink_bench;
 pub mod sink_gate;
 
 /// Runs every reproduction and concatenates the reports (the `all` subcommand).

@@ -11,9 +11,10 @@ use subgraph_graph::generators;
 use subgraph_pattern::{automorphism_group, catalog};
 
 /// One row per (pattern, budget): the chosen strategy, its predicted
-/// replication and reducer work, how long planning took (wall-clock) with
-/// the order-class search counters, and the measured communication after
-/// executing the plan.
+/// replication and reducer work, the order-class search counters, and the
+/// measured communication after executing the plan. Every cell is a
+/// function of the inputs alone, so the table is part of the golden
+/// `docs/REPRODUCTION.txt`; plan time is measured by [`plan_timing`].
 pub fn planner_choices() -> String {
     let graph = generators::gnm(250, 1_800, 20_130_417);
     let mut table = Table::new(
@@ -24,7 +25,6 @@ pub fn planner_choices() -> String {
             "chosen strategy",
             "pred repl/edge",
             "pred work",
-            "plan ms",
             "classes s/p",
             "measured kv pairs",
             "instances",
@@ -32,13 +32,11 @@ pub fn planner_choices() -> String {
     );
     for pattern in ["triangle", "square", "lollipop", "c5"] {
         for k in [1usize, 64, 750] {
-            let started = Instant::now();
             let plan = EnumerationRequest::named(pattern, &graph)
                 .unwrap()
                 .reducers(k)
                 .plan()
                 .expect("catalog patterns plan");
-            let plan_ms = started.elapsed().as_secs_f64() * 1e3;
             // The search counters live on whichever candidate searched order
             // classes (cq-oriented); serial-only plans never search.
             let classes = plan
@@ -62,7 +60,6 @@ pub fn planner_choices() -> String {
                 plan.strategy().to_string(),
                 fmt(plan.predicted_replication()),
                 fmt(plan.predicted_reducer_work()),
-                format!("{plan_ms:.2}"),
                 match classes {
                     Some((scored, pruned)) => format!("{scored}/{pruned}"),
                     None => "-".to_string(),
@@ -399,13 +396,7 @@ pub const HYPERCUBE3_BUDGET_MILLIS: f64 = 50.0;
 pub fn plan_gate() -> Result<String, String> {
     let report = plan_timing();
     let mut out = report.table();
-    let path = bench_json_path();
-    std::fs::write(&path, report.to_json())
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    let written = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot re-read {}: {e}", path.display()));
-    crate::shuffle::validate_json(&written)
-        .unwrap_or_else(|e| panic!("{} is malformed JSON: {e}", path.display()));
+    crate::report::write_tracked_json(&bench_json_path(), &report.to_json());
 
     for p in &report.patterns {
         let Some(oracle) = &p.oracle else { continue };
@@ -479,7 +470,6 @@ mod tests {
         let text = planner_choices();
         assert!(text.contains("serial-"));
         assert!(text.contains("bucket-oriented"));
-        assert!(text.contains("plan ms"));
         assert!(text.contains("classes s/p"));
         // Theorem 4.4: cq-oriented never wins a row (the trailing notes
         // mention it by name, so only inspect the data rows).
@@ -525,6 +515,6 @@ mod tests {
         for (what, ratio, bound) in report.relative_gates() {
             assert!(ratio <= bound, "{what} = {ratio} > {bound}");
         }
-        crate::shuffle::validate_json(&report.to_json()).expect("valid JSON");
+        crate::report::validate_json(&report.to_json()).expect("valid JSON");
     }
 }

@@ -20,7 +20,10 @@
 //! Two more workspace crates sit outside the facade: `subgraph-cli` builds
 //! the `subgraph` binary (`enumerate`/`count`/`explain`/`catalog`/`generate`
 //! over edge-list files and generator specs — see `docs/CLI.md`), and
-//! `subgraph-bench` regenerates the paper's tables and figures.
+//! `subgraph-bench` regenerates the paper's tables and figures (pinned by
+//! `docs/REPRODUCTION.txt`) and runs CI's planner, kernel, sink and memory
+//! gates. End-to-end performance is measured by the separate `benchmark/`
+//! package.
 //!
 //! ## Quick start
 //!
