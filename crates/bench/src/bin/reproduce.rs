@@ -77,12 +77,13 @@ fn print_usage() {
          targets:\n  \
          all                   every table and figure\n  \
          planner               strategy chosen per pattern and reducer budget\n  \
-         plan-times            plan-time sweep: branch-and-bound vs exhaustive order-class \
-         search per catalog pattern, star9/10, k8/9, c9, path8 and the hypercube4 refusal \
+         plan-times            plan-time sweep: one plan() per catalog pattern, star9/10, \
+         k8/9, c9, path8, k12, path10 and the hypercube4 refusal, median of 5 samples of >= 10 ms \
          (writes BENCH_planner.json)\n  \
-         plan-gate             the same sweep as a CI gate: hypercube3 must plan within \
-         50 ms, star10 and k9 faster than hypercube3, star9->star10 and k8->k9 at most 3x (release), \
-         and both search modes must agree (exits 1 on regression)\n  \
+         plan-gate             the same sweep as a CI gate: hypercube4 refused by name; \
+         (release) hypercube3 within 50 ms, hypercube3/k8 and c9/k9 at most 3x, the hypercube4 \
+         refusal faster than hypercube3, star9->star10 and k8->k9 at most 3x (exits 1 on \
+         regression)\n  \
          kernel                reduce kernel: one reducer's local-graph build and its join, by the \
          one symmetry-broken plan and by the per-CQ plans, with and without windows, vs the \
          generic oracle (writes BENCH_kernel.json)\n  \

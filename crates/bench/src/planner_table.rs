@@ -1,20 +1,19 @@
 //! The planner's strategy choices across catalog patterns and reducer
 //! budgets — the cost-based comparison the paper performs by hand in
-//! Sections 2 and 4, automated — plus the plan-time sweep and CI gate for
-//! the branch-and-bound order-class search
-//! ([`subgraph_core::plan::search`]).
+//! Sections 2 and 4, automated — plus the plan-time sweep and its CI gate.
 
 use crate::report::{fmt, Table};
 use std::time::Instant;
-use subgraph_core::plan::{search_order_classes, EnumerationRequest, SearchMode};
+use subgraph_core::plan::{EnumerationRequest, StrategyKind};
 use subgraph_graph::generators;
 use subgraph_pattern::{automorphism_group, catalog};
 
 /// One row per (pattern, budget): the chosen strategy, its predicted
-/// replication and reducer work, the order-class search counters, and the
-/// measured communication after executing the plan. Every cell is a
-/// function of the inputs alone, so the table is part of the golden
-/// `docs/REPRODUCTION.txt`; plan time is measured by [`plan_timing`].
+/// replication and reducer work, the order classes cq-oriented processing
+/// runs one job each for, and the measured communication after executing
+/// the plan. Every cell is a function of the inputs alone, so the table is
+/// part of the golden `docs/REPRODUCTION.txt`; plan time is measured by
+/// [`plan_timing`].
 pub fn planner_choices() -> String {
     let graph = generators::gnm(250, 1_800, 20_130_417);
     let mut table = Table::new(
@@ -25,7 +24,7 @@ pub fn planner_choices() -> String {
             "chosen strategy",
             "pred repl/edge",
             "pred work",
-            "classes s/p",
+            "order classes",
             "measured kv pairs",
             "instances",
         ],
@@ -37,13 +36,10 @@ pub fn planner_choices() -> String {
                 .reducers(k)
                 .plan()
                 .expect("catalog patterns plan");
-            // The search counters live on whichever candidate searched order
-            // classes (cq-oriented); serial-only plans never search.
-            let classes = plan
-                .candidates()
-                .iter()
-                .map(|c| (c.classes_scored, c.classes_pruned))
-                .find(|&(s, p)| s + p > 0);
+            // Serial-only plans have no cq-oriented candidate.
+            let classes = (plan.candidates().iter())
+                .find(|c| c.strategy == StrategyKind::CqOriented)
+                .map(|c| c.round_costs[0].jobs);
             // The measured columns come from a count-only (streamed) run —
             // RunReport::count() stays accurate with a CountSink, so the
             // instances column never lies for runs that retained nothing.
@@ -60,10 +56,7 @@ pub fn planner_choices() -> String {
                 plan.strategy().to_string(),
                 fmt(plan.predicted_replication()),
                 fmt(plan.predicted_reducer_work()),
-                match classes {
-                    Some((scored, pruned)) => format!("{scored}/{pruned}"),
-                    None => "-".to_string(),
-                },
+                classes.map_or_else(|| "-".to_string(), |jobs| jobs.to_string()),
                 run.communication().to_string(),
                 run.count().to_string(),
             ]);
@@ -72,8 +65,8 @@ pub fn planner_choices() -> String {
     table.note("budget 1 means no cluster: the planner picks a serial Section 6-7 algorithm");
     table.note("Theorem 4.4 in action: cq-oriented is never chosen over the combined schemes");
     table.note(
-        "classes s/p: CQ order classes scored / pruned by the branch-and-bound Shares lower \
-         bound while estimating cq-oriented processing ('-': no search ran)",
+        "order classes: p!/|Aut|, the jobs cq-oriented processing runs, one CQ each and all \
+         priced by one share solve ('-': cq-oriented is not a candidate)",
     );
     table.note(
         "measured columns come from count-only runs (instances streamed through a CountSink, \
@@ -82,44 +75,19 @@ pub fn planner_choices() -> String {
     table.render()
 }
 
-/// What the exhaustive oracle measured for one pattern.
-pub struct OracleRun {
-    /// Wall-clock of a full `plan()` under the exhaustive oracle (one run).
-    pub millis: f64,
-    /// Whether it chose the same strategy as branch-and-bound.
-    pub same_strategy: bool,
-    /// Whether the winning class and its cost bits are identical.
-    pub same_winner: bool,
-}
-
 /// Plan-time measurements for one pattern.
 pub struct PatternPlanTiming {
     /// Pattern name as [`catalog::by_name`] resolves it.
     pub pattern: String,
-    /// `p!/|Aut(S)|` — the order classes both modes account for.
+    /// `p!/|Aut(S)|`, the pattern's CQ order classes.
     pub classes: u128,
-    /// Classes branch-and-bound established with a solver call.
-    pub scored: usize,
-    /// Classes its lower bound eliminated.
-    pub pruned: usize,
-    /// Wall-clock of a full `plan()` under branch-and-bound (best of three);
+    /// Wall-clock of one full `plan()` (the median of 5 samples of ≥ 10 ms);
     /// for a refused pattern, the time to the refusal.
     pub plan_millis: f64,
     /// The chosen strategy, or `refused`.
     pub chosen: String,
-    /// The exhaustive oracle's run; `None` where it would solve more than
-    /// [`EXHAUSTIVE_CLASS_CAP`] classes, or the pattern is refused.
-    pub oracle: Option<OracleRun>,
     /// The planner's named reason when it refuses the pattern.
     pub refusal: Option<String>,
-}
-
-impl PatternPlanTiming {
-    /// `Some(true)` when the oracle ran and agreed on strategy, winning
-    /// class and cost bits.
-    fn modes_agree(&self) -> Option<bool> {
-        (self.oracle.as_ref()).map(|oracle| oracle.same_strategy && oracle.same_winner)
-    }
 }
 
 /// The plan-time sweep: every pattern planned against the same generated
@@ -157,75 +125,65 @@ const LARGE_PATTERNS: [&str; 9] = [
     "hypercube4",
 ];
 
-/// The exhaustive oracle solves one share optimization per class; past this
-/// many classes (`c9`, `path8`: 20 160) only branch-and-bound is timed.
-pub const EXHAUSTIVE_CLASS_CAP: u128 = 1000;
+/// Samples per pattern; the sweep reports their median.
+const PLAN_SAMPLES: usize = 5;
 
-/// Runs the sweep: plans every pattern, in both modes where the oracle is
-/// affordable, timing each.
+/// Each sample repeats `plan()` until it has taken at least this long, so a
+/// sub-millisecond plan is not timed off one clock reading.
+const SAMPLE_MILLIS: f64 = 10.0;
+
+/// One sample: the mean wall-clock, in milliseconds, of as many back-to-back
+/// `plan()` calls of `request` as take [`SAMPLE_MILLIS`].
+fn sample_plan_millis(request: &EnumerationRequest<'_>) -> f64 {
+    let started = Instant::now();
+    let mut calls = 0u32;
+    loop {
+        let _ = std::hint::black_box(request.clone().plan());
+        calls += 1;
+        let millis = started.elapsed().as_secs_f64() * 1e3;
+        if millis >= SAMPLE_MILLIS {
+            return millis / f64::from(calls);
+        }
+    }
+}
+
+/// Runs the sweep: takes 5 rounds of one sample per pattern — interleaved,
+/// so a burst of host noise lands on one sample of several patterns rather
+/// than on every sample of one — keeps each pattern's median, and plans each
+/// pattern once more for its outcome.
 pub fn plan_timing() -> PlanTimingReport {
     let (n, m, seed, reducers) = (1_000usize, 5_000usize, 7u64, 750usize);
     let graph = generators::gnm(n, m, seed);
     let names = (catalog::entries().into_iter().map(|entry| entry.name)).chain(LARGE_PATTERNS);
-    let mut patterns = Vec::new();
-    for name in names {
-        let sample = catalog::by_name(name).expect("sweep patterns are catalog names");
-        let plan_with = |mode: SearchMode| {
-            let started = Instant::now();
-            let plan = EnumerationRequest::named(name, &graph)
+    let requests: Vec<_> = names
+        .map(|name| {
+            (EnumerationRequest::named(name, &graph))
                 .expect("sweep patterns are catalog names")
                 .reducers(reducers)
-                .search_mode(mode)
-                .plan();
-            (started.elapsed().as_secs_f64() * 1e3, plan)
-        };
-        // Best of three for the fast path (the number CI gates on).
-        let mut timing = PatternPlanTiming {
-            pattern: name.to_string(),
-            classes: automorphism_group(&sample).order_classes(),
-            scored: 0,
-            pruned: 0,
-            plan_millis: f64::INFINITY,
-            chosen: String::new(),
-            oracle: None,
-            refusal: None,
-        };
-        for _ in 0..3 {
-            let (ms, plan) = plan_with(SearchMode::BranchAndBound);
-            timing.plan_millis = timing.plan_millis.min(ms);
-            match plan {
-                Ok(plan) => {
-                    timing.chosen = plan.strategy().to_string();
-                    (timing.scored, timing.pruned) = plan
-                        .candidates()
-                        .iter()
-                        .map(|c| (c.classes_scored, c.classes_pruned))
-                        .find(|&(s, p)| s + p > 0)
-                        .unwrap_or((0, 0));
-                }
-                Err(reason) => {
-                    timing.chosen = "refused".to_string();
-                    timing.refusal = Some(reason.to_string());
-                }
-            }
+        })
+        .collect();
+    let mut samples = vec![Vec::with_capacity(PLAN_SAMPLES); requests.len()];
+    for _ in 0..PLAN_SAMPLES {
+        for (request, samples) in requests.iter().zip(&mut samples) {
+            samples.push(sample_plan_millis(request));
         }
-        // The slow oracle runs once — it only exists for the parity check.
-        if timing.refusal.is_none() && timing.classes <= EXHAUSTIVE_CLASS_CAP {
-            let (millis, oracle) = plan_with(SearchMode::Exhaustive);
-            let oracle = oracle.expect("the oracle plans whatever branch-and-bound plans");
-            // The winning-class cost itself, pinned bitwise between the modes.
-            let k = reducers as f64;
-            let bb = search_order_classes(&sample, k, SearchMode::BranchAndBound);
-            let ex = search_order_classes(&sample, k, SearchMode::Exhaustive);
-            timing.oracle = Some(OracleRun {
-                millis,
-                same_strategy: timing.chosen == oracle.strategy().to_string(),
-                same_winner: bb.winner_cost.to_bits() == ex.winner_cost.to_bits()
-                    && bb.winner == ex.winner,
-            });
-        }
-        patterns.push(timing);
     }
+    let patterns = (requests.iter().zip(samples))
+        .map(|(request, mut samples)| {
+            samples.sort_by(f64::total_cmp);
+            let (chosen, refusal) = match request.clone().plan() {
+                Ok(plan) => (plan.strategy().to_string(), None),
+                Err(reason) => ("refused".to_string(), Some(reason.to_string())),
+            };
+            PatternPlanTiming {
+                pattern: request.pattern_name().unwrap_or_default().to_string(),
+                classes: automorphism_group(request.sample()).order_classes(),
+                plan_millis: samples[PLAN_SAMPLES / 2],
+                chosen,
+                refusal,
+            }
+        })
+        .collect();
     PlanTimingReport {
         n,
         m,
@@ -241,48 +199,22 @@ impl PlanTimingReport {
     /// Renders the sweep as a table.
     pub fn table(&self) -> String {
         let mut table = Table::new(
-            "Planner — plan time per pattern (branch-and-bound vs exhaustive)",
-            &[
-                "pattern",
-                "classes",
-                "scored",
-                "pruned",
-                "plan ms",
-                "exhaustive ms",
-                "speedup",
-                "chosen strategy",
-                "modes agree",
-            ],
+            "Planner — plan time per pattern",
+            &["pattern", "classes", "plan ms", "chosen strategy"],
         );
-        let or_dash = |cell: Option<String>| cell.unwrap_or_else(|| "-".to_string());
         for p in &self.patterns {
-            let oracle_millis = p.oracle.as_ref().map(|oracle| oracle.millis);
             table.row(&[
                 p.pattern.clone(),
                 p.classes.to_string(),
-                p.scored.to_string(),
-                p.pruned.to_string(),
-                format!("{:.2}", p.plan_millis),
-                or_dash(oracle_millis.map(|ms| format!("{ms:.2}"))),
-                or_dash(
-                    oracle_millis
-                        .filter(|_| p.plan_millis > 0.0)
-                        .map(|ms| format!("{:.1}x", ms / p.plan_millis)),
-                ),
+                format!("{:.3}", p.plan_millis),
                 p.chosen.clone(),
-                or_dash(p.modes_agree().map(|agree| agree.to_string())),
             ]);
         }
         table.note(&format!(
-            "G(n = {}, m = {}) seed {}, reducer budget {}; plan ms is the best of three \
-             full plan() calls under branch-and-bound; host available_parallelism = {}; \
-             written to BENCH_planner.json",
+            "G(n = {}, m = {}) seed {}, reducer budget {}; plan ms is one full plan() call, the \
+             median of {PLAN_SAMPLES} samples of >= {SAMPLE_MILLIS} ms each; host \
+             available_parallelism = {}; written to BENCH_planner.json",
             self.n, self.m, self.seed, self.reducers, self.available_parallelism,
-        ));
-        table.note(&format!(
-            "modes agree: same chosen strategy, same winning order class, bitwise-identical \
-             winning-class cost ('-': more than {EXHAUSTIVE_CLASS_CAP} classes, the exhaustive \
-             oracle is not run)",
         ));
         for p in &self.patterns {
             if let Some(reason) = &p.refusal {
@@ -312,21 +244,12 @@ impl PlanTimingReport {
         let or_null = |cell: Option<String>| cell.unwrap_or_else(|| "null".to_string());
         for (i, p) in self.patterns.iter().enumerate() {
             out.push_str(&format!(
-                "    {{ \"pattern\": \"{}\", \"classes\": {}, \"scored\": {}, \"pruned\": {}, \
-                 \"plan_ms\": {:.3}, \"exhaustive_ms\": {}, \"chosen\": \"{}\", \
-                 \"modes_agree\": {}, \"refusal\": {} }}{}\n",
+                "    {{ \"pattern\": \"{}\", \"classes\": {}, \"plan_ms\": {:.3}, \
+                 \"chosen\": \"{}\", \"refusal\": {} }}{}\n",
                 p.pattern,
                 p.classes,
-                p.scored,
-                p.pruned,
                 p.plan_millis,
-                or_null(
-                    p.oracle
-                        .as_ref()
-                        .map(|oracle| format!("{:.3}", oracle.millis))
-                ),
                 p.chosen,
-                or_null(p.modes_agree().map(|agree| agree.to_string())),
                 or_null(p.refusal.as_ref().map(|reason| format!("{reason:?}"))),
                 if i + 1 == self.patterns.len() {
                     ""
@@ -352,18 +275,19 @@ impl PlanTimingReport {
     /// any host. Each is `(what, measured ratio, bound)` and passes when the
     /// ratio is at most the bound.
     ///
-    /// * `star10` (10 classes), `k9` (1 class) and the `hypercube4` refusal
-    ///   must each take less than `hypercube3` (840 classes): planning cost
-    ///   follows the class tree, not `p!`, `|Aut|` or the size of a share
-    ///   solve. `k9`'s two 36-term solves used to cost more than the whole
-    ///   `hypercube3` search, when the share solver ran thousands of fixed
-    ///   gradient steps; Newton takes a handful.
+    /// * At equal `p`, many order classes may cost at most 3x one class:
+    ///   `hypercube3` (840) against `k8` (1), `c9` (20 160) against `k9` (1).
+    ///   One share solve prices every class, so planning does not follow
+    ///   `p!/|Aut|`; solving each class (as the exhaustive search once did)
+    ///   made `hypercube3` ~24x.
+    /// * The `hypercube4` refusal must take less than planning `hypercube3`:
+    ///   refusing costs a stabilizer chain, not a class.
     /// * `plan_ms` may grow at most 3x from `star9` to `star10` and from `k8`
     ///   to `k9`. Enumerating `S_p` made those steps 15x and 5.6x.
     pub fn relative_gates(&self) -> Vec<(String, f64, f64)> {
         [
-            ("star10", "hypercube3", 1.0),
-            ("k9", "hypercube3", 1.0),
+            ("hypercube3", "k8", 3.0),
+            ("c9", "k9", 3.0),
             ("hypercube4", "hypercube3", 1.0),
             ("star10", "star9", 3.0),
             ("k9", "k8", 3.0),
@@ -389,32 +313,14 @@ pub fn bench_json_path() -> std::path::PathBuf {
 pub const HYPERCUBE3_BUDGET_MILLIS: f64 = 50.0;
 
 /// The CI plan gate: runs the sweep, writes `BENCH_planner.json`, and fails
-/// if `hypercube3` planning exceeds [`HYPERCUBE3_BUDGET_MILLIS`] or a
-/// [`PlanTimingReport::relative_gates`] ratio exceeds its bound (release
-/// builds), if any pattern's chosen strategy or winning-class cost differs
-/// between the search modes, or if `hypercube4` is not refused by name.
+/// if `hypercube4` is not refused by name, or (release builds) if
+/// `hypercube3` planning exceeds [`HYPERCUBE3_BUDGET_MILLIS`] or a
+/// [`PlanTimingReport::relative_gates`] ratio exceeds its bound.
 pub fn plan_gate() -> Result<String, String> {
     let report = plan_timing();
     let mut out = report.table();
     crate::report::write_tracked_json(&bench_json_path(), &report.to_json());
 
-    for p in &report.patterns {
-        let Some(oracle) = &p.oracle else { continue };
-        if !oracle.same_strategy {
-            return Err(format!(
-                "{out}\nplan gate FAILED: {} chose {:?} under branch-and-bound but the \
-                 exhaustive oracle disagrees\n",
-                p.pattern, p.chosen,
-            ));
-        }
-        if !oracle.same_winner {
-            return Err(format!(
-                "{out}\nplan gate FAILED: {} winning-class cost differs bitwise between \
-                 search modes\n",
-                p.pattern,
-            ));
-        }
-    }
     let refused: Vec<&str> = (report.patterns.iter())
         .filter(|p| p.refusal.is_some())
         .map(|p| p.pattern.as_str())
@@ -425,38 +331,32 @@ pub fn plan_gate() -> Result<String, String> {
              the planner refused {refused:?}\n",
         ));
     }
-    let compared = report
-        .patterns
-        .iter()
-        .filter(|p| p.oracle.is_some())
-        .count();
     let hypercube = report.plan_millis("hypercube3");
     if cfg!(debug_assertions) {
         out.push_str(&format!(
             "\nplan gate: timing gates skipped in debug builds (hypercube3 planned in \
-             {hypercube:.2} ms); strategy/cost parity checked on {compared} patterns\n",
+             {hypercube:.2} ms)\n",
         ));
         return Ok(out);
     }
     if hypercube > HYPERCUBE3_BUDGET_MILLIS {
         return Err(format!(
             "{out}\nplan gate FAILED: hypercube3 planned in {hypercube:.2} ms > \
-             {HYPERCUBE3_BUDGET_MILLIS} ms budget (the branch-and-bound search regressed)\n",
+             {HYPERCUBE3_BUDGET_MILLIS} ms budget\n",
         ));
     }
     for (what, ratio, bound) in report.relative_gates() {
         if ratio > bound {
             return Err(format!(
                 "{out}\nplan gate FAILED: {what} = {ratio:.2} > {bound} (planning cost is \
-                 following p! or |Aut| again, not the order-class tree)\n",
+                 following p!, p!/|Aut| or |Aut| again)\n",
             ));
         }
         out.push_str(&format!("\nplan gate: {what} = {ratio:.2} (bound {bound})"));
     }
     out.push_str(&format!(
         "\nplan gate passed: hypercube3 planned in {hypercube:.2} ms (budget \
-         {HYPERCUBE3_BUDGET_MILLIS} ms), both search modes agree on all {compared} patterns \
-         compared\n",
+         {HYPERCUBE3_BUDGET_MILLIS} ms)\n",
     ));
     Ok(out)
 }
@@ -470,7 +370,7 @@ mod tests {
         let text = planner_choices();
         assert!(text.contains("serial-"));
         assert!(text.contains("bucket-oriented"));
-        assert!(text.contains("classes s/p"));
+        assert!(text.contains("order classes"));
         // Theorem 4.4: cq-oriented never wins a row (the trailing notes
         // mention it by name, so only inspect the data rows).
         for row in text
@@ -486,34 +386,24 @@ mod tests {
 
     #[test]
     fn plan_timing_report_is_well_formed() {
-        // The full sweep solves every order class under the exhaustive
-        // oracle, which the debug solver makes too slow for unit tests; the
-        // release CI gate runs it for real.
-        if cfg!(debug_assertions) {
-            return;
-        }
         let report = plan_timing();
         assert_eq!(
             report.patterns.len(),
             catalog::entries().len() + LARGE_PATTERNS.len()
         );
-        for p in &report.patterns {
-            assert_ne!(p.modes_agree(), Some(false), "{}", p.pattern);
-            // The oracle is skipped exactly where it would be unaffordable.
-            let affordable = p.refusal.is_none() && p.classes <= EXHAUSTIVE_CLASS_CAP;
-            assert_eq!(p.oracle.is_some(), affordable, "{}", p.pattern);
-            if p.refusal.is_none() {
-                assert_eq!((p.scored + p.pruned) as u128, p.classes, "{}", p.pattern);
-            }
-        }
         let refused: Vec<_> = (report.patterns.iter())
             .filter(|p| p.refusal.is_some())
             .collect();
         assert_eq!(refused.len(), 1);
         assert_eq!(refused[0].pattern, "hypercube4");
         assert_eq!(refused[0].classes, 54_486_432_000);
+        // Timing bounds hold for release builds (the CI gate); debug builds
+        // check the report's shape only.
         for (what, ratio, bound) in report.relative_gates() {
-            assert!(ratio <= bound, "{what} = {ratio} > {bound}");
+            assert!(
+                cfg!(debug_assertions) || ratio <= bound,
+                "{what} = {ratio} > {bound}"
+            );
         }
         crate::report::validate_json(&report.to_json()).expect("valid JSON");
     }

@@ -8,12 +8,12 @@
 use super::{integer_shares, run_share_vector_round};
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
-use subgraph_cq::{cqs_for_sample, ConjunctiveQuery};
+use subgraph_cq::{cq_for_ordering, cqs_for_sample, ConjunctiveQuery};
 use subgraph_graph::DataGraph;
 use subgraph_mapreduce::EngineConfig;
 use subgraph_pattern::SampleGraph;
 use subgraph_shares::dominance::single_cq_expression_with_dominance;
-use subgraph_shares::optimize_shares;
+use subgraph_shares::{optimize_shares, SharesSolution};
 
 /// Runs one map-reduce job per CQ, each with a budget of `k_per_query`
 /// reducers, and combines the results. The returned metrics are the sums over
@@ -68,17 +68,28 @@ pub fn single_cq_job_into(
     run_share_vector_round(
         "cq-job",
         std::slice::from_ref(cq),
-        &job_shares(cq, k),
+        &integer_shares(&job_solution(cq, k).shares),
         graph,
         config,
         sink,
     )
 }
 
-/// The integer shares the job of `cq` runs with at a budget of `k` reducers.
-pub(crate) fn job_shares(cq: &ConjunctiveQuery, k: usize) -> Vec<u32> {
-    let expr = single_cq_expression_with_dominance(cq);
-    integer_shares(&optimize_shares(&expr, k.max(1) as f64).shares)
+/// The optimized shares of the job of `cq` at a budget of `k` reducers.
+fn job_solution(cq: &ConjunctiveQuery, k: usize) -> SharesSolution {
+    optimize_shares(&single_cq_expression_with_dominance(cq), k.max(1) as f64)
+}
+
+/// The optimized shares of *every* job of CQ-oriented processing on `sample`
+/// at a budget of `k` reducers, from one solve.
+///
+/// A single CQ's Shares expression has exactly one coefficient-1 term per
+/// undirected sample edge, and the dominance rule never looks at orientation,
+/// so every order class's query has the same expression, hence bitwise the
+/// same solution. The identity ordering's query stands for all `p!/|Aut|`.
+pub(crate) fn class_job_solution(sample: &SampleGraph, k: usize) -> SharesSolution {
+    let identity: Vec<_> = sample.nodes().collect();
+    job_solution(&cq_for_ordering(sample, &identity), k)
 }
 
 #[cfg(test)]

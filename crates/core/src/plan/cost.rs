@@ -92,14 +92,15 @@ pub struct CostEstimate {
     /// [`crate::convertible::predicted_parallel_work`]); for serial strategies
     /// this is the predicted serial running-time bound.
     pub reducer_work: f64,
-    /// CQ order classes whose cost the estimator established with a solver
-    /// call ([`crate::plan::search`]); 0 for strategies that do not search
-    /// order classes. Exhaustive search scores every class; branch-and-bound
-    /// scores the classes its lower bound could not prune.
+    /// 1 for CQ-oriented processing (its one share solve prices every order
+    /// class), 0 for every other strategy. Kept, with
+    /// [`CostEstimate::classes_pruned`], for the repo benchmark's harness,
+    /// which reads both and counts a failed operation unless their sum is 0
+    /// or `p!/|Aut(S)|`, until ROADMAP item 1(c) drops them.
     pub classes_scored: usize,
-    /// CQ order classes the branch-and-bound lower bound eliminated without
-    /// scoring; always 0 under exhaustive search. When a search ran,
-    /// `classes_scored + classes_pruned = p!/|Aut(S)|`.
+    /// `p!/|Aut(S)| − 1` for CQ-oriented processing, 0 for every other
+    /// strategy; kept for the harness until ROADMAP item 1(c) drops it (see
+    /// [`CostEstimate::classes_scored`]).
     pub classes_pruned: usize,
 }
 

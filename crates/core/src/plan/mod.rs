@@ -39,12 +39,10 @@ pub mod cost;
 pub mod planner;
 pub mod report;
 pub mod request;
-pub mod search;
 pub mod strategy;
 
 pub use cost::CostEstimate;
 pub use planner::{ExecutionPlan, Planner};
 pub use report::RunReport;
 pub use request::{EnumerationRequest, PlanError, DEFAULT_REDUCERS, MAX_ORDER_CLASSES};
-pub use search::{search_order_classes, ClassSearch, SearchMode};
 pub use strategy::{Strategy, StrategyKind};

@@ -272,16 +272,15 @@ impl<'g> ExecutionPlan<'g> {
             "  predicted reducer work: {}\n",
             format_value(self.chosen.reducer_work)
         ));
-        // Order-class search counters (only strategies that search CQ order
-        // classes set them — cq-oriented processing): how much of `p!/|Aut|`
-        // the branch-and-bound lower bound pruned away. Reported even when
-        // another strategy wins, because the search ran while estimating.
+        // CQ-oriented processing runs one job per order class (`p!/|Aut|`),
+        // all priced by one share solve. Reported even when another strategy
+        // wins.
         for candidate in &self.candidates {
             let classes = candidate.classes_scored + candidate.classes_pruned;
             if classes > 0 {
                 out.push_str(&format!(
-                    "  order classes ({}): {classes} ({} scored, {} pruned by the Shares lower bound)\n",
-                    candidate.strategy, candidate.classes_scored, candidate.classes_pruned,
+                    "  order classes ({}): {classes} (one CQ each, equal cost)\n",
+                    candidate.strategy,
                 ));
             }
         }
@@ -523,10 +522,11 @@ mod tests {
                 .unwrap()
                 .plan()
                 .unwrap();
-            let searched = (plan.candidates().iter())
+            // The harness's contract: scored + pruned is 0 or p!/|Aut|.
+            let counted = (plan.candidates().iter())
                 .map(|c| c.classes_scored + c.classes_pruned)
                 .find(|&n| n > 0);
-            assert_eq!(searched, Some(classes), "{pattern}");
+            assert_eq!(counted, Some(classes), "{pattern}");
         }
     }
 

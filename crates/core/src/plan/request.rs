@@ -2,7 +2,6 @@
 //! through.
 
 use crate::plan::planner::{ExecutionPlan, Planner};
-use crate::plan::search::SearchMode;
 use crate::plan::strategy::StrategyKind;
 use std::fmt;
 use subgraph_graph::DataGraph;
@@ -41,7 +40,6 @@ pub struct EnumerationRequest<'g> {
     graph: &'g DataGraph,
     reducers: usize,
     strategy_override: Option<StrategyKind>,
-    search: SearchMode,
     config: EngineConfig,
 }
 
@@ -54,7 +52,6 @@ impl<'g> EnumerationRequest<'g> {
             graph,
             reducers: DEFAULT_REDUCERS,
             strategy_override: None,
-            search: SearchMode::default(),
             config: EngineConfig::default(),
         }
     }
@@ -114,16 +111,6 @@ impl<'g> EnumerationRequest<'g> {
         self
     }
 
-    /// Selects how the estimator explores CQ order classes: branch-and-bound
-    /// (the default) or the exhaustive score-everything loop kept as the
-    /// test oracle. Both modes choose the same plan with the same cost
-    /// numbers — the differential suite pins them bitwise — so this never
-    /// changes a planning decision, only how much work planning does.
-    pub fn search_mode(mut self, mode: SearchMode) -> Self {
-        self.search = mode;
-        self
-    }
-
     /// Sets the engine configuration (thread count, determinism).
     pub fn engine(mut self, config: EngineConfig) -> Self {
         self.config = config;
@@ -175,11 +162,6 @@ impl<'g> EnumerationRequest<'g> {
     /// The forced strategy, if any.
     pub fn strategy_override(&self) -> Option<StrategyKind> {
         self.strategy_override
-    }
-
-    /// How the estimator explores CQ order classes.
-    pub fn order_class_search(&self) -> SearchMode {
-        self.search
     }
 
     /// The engine configuration.

@@ -1,16 +1,14 @@
 //! Incremental CQ construction for a *partial* node ordering.
 //!
-//! The planner's branch-and-bound search (crates/core `plan::search`) grows a
-//! node ordering one node at a time and needs, at every depth, the part of
-//! the eventual CQ that the prefix already determines: a sample edge's
-//! subgoal orientation is fixed as soon as **both** endpoints are ranked, and
-//! stays unknown until then. [`PartialCq`] maintains exactly that state under
-//! `push`/`pop`, and [`PartialCq::complete`] on a full ordering produces the
-//! same query as [`crate::generate::cq_for_ordering`] — the invariant the
-//! proptests in this crate pin.
+//! [`crate::generate::representative_subgoals`] grows a node ordering one
+//! node at a time and needs, at every depth, the part of the eventual CQ that
+//! the prefix already determines: a sample edge's subgoal orientation is
+//! fixed as soon as **both** endpoints are ranked, and stays unknown until
+//! then. [`PartialCq`] maintains exactly that state under `push`/`pop`; on a
+//! full ordering its subgoals are those of [`crate::generate::cq_for_ordering`]
+//! — the invariant the proptests in this crate pin.
 
-use crate::generate::cq_for_ordering;
-use crate::query::{ConjunctiveQuery, Constraint, Var};
+use crate::query::Var;
 use subgraph_pattern::automorphism::NodeOrdering;
 use subgraph_pattern::{PatternNode, SampleGraph};
 
@@ -20,8 +18,8 @@ const UNRANKED: usize = usize::MAX;
 /// the subgoal orientations that prefix already decides.
 ///
 /// Edges are tracked in the sample graph's edge order — the same order
-/// [`cq_for_ordering`] emits subgoals in — so a completed ordering yields a
-/// byte-identical query, not merely an equivalent one.
+/// [`crate::generate::cq_for_ordering`] emits subgoals in — so a full
+/// ordering decides that query's subgoals exactly, in the same order.
 #[derive(Clone, Debug)]
 pub struct PartialCq<'a> {
     sample: &'a SampleGraph,
@@ -113,8 +111,7 @@ impl<'a> PartialCq<'a> {
 
     /// Per sample edge (in `sample.edges()` order): `Some((a, b))` once the
     /// prefix orients the edge as the subgoal `E(a, b)`, `None` while either
-    /// endpoint is still unplaced. This is the view the Shares lower bound
-    /// consumes.
+    /// endpoint is still unplaced.
     pub fn oriented_edges(&self) -> &[Option<(Var, Var)>] {
         &self.oriented
     }
@@ -124,20 +121,17 @@ impl<'a> PartialCq<'a> {
         self.decided
     }
 
-    /// True once every node is placed (and hence every edge decided).
-    pub fn is_complete(&self) -> bool {
-        self.prefix.len() == self.sample.num_nodes()
-    }
-
     /// The finished query. Subgoals come out in sample edge order and the
     /// comparison chain follows the ordering, so the result equals
-    /// [`cq_for_ordering`] on the same ordering exactly.
+    /// [`crate::generate::cq_for_ordering`] on the same ordering exactly.
     ///
     /// # Panics
     /// Panics unless the ordering is complete.
-    pub fn complete(&self) -> ConjunctiveQuery {
+    #[cfg(test)]
+    pub(crate) fn complete(&self) -> crate::query::ConjunctiveQuery {
+        use crate::query::{ConjunctiveQuery, Constraint};
         assert!(
-            self.is_complete(),
+            self.prefix.len() == self.sample.num_nodes(),
             "complete() on a prefix of depth {} (pattern has {} nodes)",
             self.prefix.len(),
             self.sample.num_nodes()
@@ -156,20 +150,21 @@ impl<'a> PartialCq<'a> {
     }
 }
 
-/// Convenience check used by tests: building a [`PartialCq`] by pushing the
-/// whole ordering agrees with [`cq_for_ordering`].
-pub fn partial_agrees_with_direct(sample: &SampleGraph, ordering: &NodeOrdering) -> bool {
-    let mut partial = PartialCq::new(sample);
-    for &v in ordering {
-        partial.push(v);
-    }
-    partial.complete() == cq_for_ordering(sample, ordering)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::cq_for_ordering;
     use subgraph_pattern::catalog;
+
+    /// Building a [`PartialCq`] by pushing the whole ordering agrees with
+    /// [`cq_for_ordering`].
+    fn partial_agrees_with_direct(sample: &SampleGraph, ordering: &NodeOrdering) -> bool {
+        let mut partial = PartialCq::new(sample);
+        for &v in ordering {
+            partial.push(v);
+        }
+        partial.complete() == cq_for_ordering(sample, ordering)
+    }
 
     #[test]
     fn empty_prefix_decides_nothing() {
@@ -178,7 +173,6 @@ mod tests {
         assert_eq!(partial.depth(), 0);
         assert_eq!(partial.decided_edges(), 0);
         assert!(partial.oriented_edges().iter().all(Option::is_none));
-        assert!(!partial.is_complete());
     }
 
     #[test]
@@ -198,7 +192,7 @@ mod tests {
         assert_eq!(partial.decided_edges(), 2);
         assert_eq!(partial.oriented_edges()[0], Some((1, 0)));
         partial.push(3);
-        assert!(partial.is_complete());
+        assert_eq!(partial.depth(), 4);
         assert_eq!(partial.decided_edges(), 4);
     }
 

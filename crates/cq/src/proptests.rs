@@ -90,8 +90,9 @@ fn cycle_method_agrees_with_general_method() {
 
 /// Incremental partial-CQ construction agrees with [`cq_for_ordering`] on
 /// every full ordering of every small pattern, even when the prefix is built
-/// through an arbitrary interleaving of pushes and pops — the invariant the
-/// planner's branch-and-bound search leans on while walking the prefix tree.
+/// through an arbitrary interleaving of pushes and pops — the invariant
+/// [`crate::generate::representative_subgoals`] leans on while walking the
+/// prefix tree.
 #[test]
 fn partial_cq_completion_matches_direct_construction() {
     let mut state: u64 = 0x9e37_79b9_7f4a_7c15;

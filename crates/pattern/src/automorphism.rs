@@ -20,8 +20,8 @@
 //!
 //! [`AutomorphismGroup::stabilizer`] runs the same search with one more node
 //! pinned. That is how the canonical-prefix tree of [`order_representatives`]
-//! (and the planner's branch-and-bound over the same tree) follows a chain
-//! whose base is the prefix being grown: a prefix `p₁…p_d` is the least of its
+//! (and of `subgraph_cq::representative_subgoals`) follows a chain whose base
+//! is the prefix being grown: a prefix `p₁…p_d` is the least of its
 //! orbit iff each `p_i` is the minimum of its orbit under the pointwise
 //! stabilizer of `p₁…p_{i−1}`, so a tree node consults one orbit partition,
 //! and nothing at all once the stabilizer is trivial. `star16`
@@ -40,9 +40,8 @@ pub type NodeOrdering = Vec<PatternNode>;
 
 /// Generates every permutation of `0..p` in lexicographic order.
 ///
-/// `p!` vectors: for [`isomorphism`], the orientation tables of
-/// `subgraph_cq` and the test oracles only — nothing on a planning path
-/// calls this.
+/// `p!` vectors: for the orientation tables of `subgraph_cq` and the test
+/// oracles only — nothing on a planning path calls this.
 pub fn all_permutations(p: usize) -> Vec<Permutation> {
     let mut result = Vec::new();
     let mut current: Permutation = (0..p as PatternNode).collect();
@@ -217,8 +216,7 @@ impl<'s> AutomorphismGroup<'s> {
     /// pointwise stabilizer of the positions before it.
     ///
     /// The key structural fact behind the prefix tree of
-    /// [`order_representatives`] (and the planner's branch-and-bound search
-    /// over the same tree): every prefix of a canonical full ordering is
+    /// [`order_representatives`]: every prefix of a canonical full ordering is
     /// itself canonical — if `mu(prefix) < prefix` then `mu(ordering) <
     /// ordering`. Pruning non-canonical prefixes therefore loses no class
     /// representative.
@@ -404,15 +402,9 @@ pub fn apply_to_ordering(mu: &Permutation, order: &NodeOrdering) -> NodeOrdering
 /// costs one orbit lookup per child — the prefix tree touches only
 /// `O(Σ_d classes(d))` nodes and no group element.
 pub fn order_representatives(sample: &SampleGraph) -> Vec<NodeOrdering> {
-    representatives_for_group(&automorphism_group(sample))
-}
-
-/// [`order_representatives`] for a precomputed group (the planner reuses the
-/// group it already needs for the class count).
-pub fn representatives_for_group(group: &AutomorphismGroup<'_>) -> Vec<NodeOrdering> {
-    let p = group.sample.num_nodes();
     let mut reps = Vec::new();
-    descend(group, &mut Vec::with_capacity(p), &mut reps);
+    let mut prefix = Vec::with_capacity(sample.num_nodes());
+    descend(&automorphism_group(sample), &mut prefix, &mut reps);
     reps
 }
 
@@ -435,20 +427,6 @@ fn descend(
         descend(&stabilizer.stabilizer(v), prefix, reps);
         prefix.pop();
     }
-}
-
-/// Checks whether two sample graphs are isomorphic (brute force; both must be
-/// small). Returns a witness mapping `perm[node of a] = node of b` if so.
-pub fn isomorphism(a: &SampleGraph, b: &SampleGraph) -> Option<Permutation> {
-    if a.num_nodes() != b.num_nodes() || a.num_edges() != b.num_edges() {
-        return None;
-    }
-    all_permutations(a.num_nodes()).into_iter().find(|perm| {
-        a.edges()
-            .iter()
-            .all(|&(u, v)| b.has_edge(perm[u as usize], perm[v as usize]))
-            && b.num_edges() == a.num_edges()
-    })
 }
 
 #[cfg(test)]
@@ -899,15 +877,6 @@ mod tests {
         let fixing_w = group.stabilizer(0);
         assert_eq!(fixing_w.order(), 2);
         assert!(fixing_w.is_orbit_minimum(1) && !fixing_w.is_orbit_minimum(3));
-    }
-
-    #[test]
-    fn isomorphism_detects_relabelled_patterns() {
-        let a = catalog::square();
-        let b = crate::sample::SampleGraph::from_edges(4, &[(0, 2), (2, 1), (1, 3), (0, 3)]);
-        assert!(isomorphism(&a, &b).is_some());
-        let c = catalog::lollipop();
-        assert!(isomorphism(&a, &c).is_none());
     }
 
     #[test]

@@ -36,8 +36,10 @@ pub fn single_cq_expression_with_dominance(cq: &ConjunctiveQuery) -> CostExpress
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subgraph_cq::cqs_for_sample;
-    use subgraph_pattern::catalog;
+    use crate::proptests::{lcg, random_connected_sample};
+    use subgraph_cq::{cq_for_ordering, cqs_for_sample};
+    use subgraph_pattern::automorphism::{automorphism_group, order_representatives};
+    use subgraph_pattern::{catalog, SampleGraph};
 
     fn lollipop_identity_cq() -> ConjunctiveQuery {
         cqs_for_sample(&catalog::lollipop())
@@ -92,5 +94,78 @@ mod tests {
         let cq = lollipop_identity_cq();
         let expr = single_cq_expression_with_dominance(&cq);
         assert_eq!(expr.free_vars(), vec![1, 2, 3]);
+    }
+
+    /// The Afrati–Ullman rule as first written, by subgoal index: `x` is
+    /// dominated when some other variable occurs in every subgoal `x` occurs
+    /// in (mutually dominating pairs keep the smaller index free; a variable in
+    /// no subgoal is pinned too).
+    fn dominated_by_subgoal_index(cq: &ConjunctiveQuery) -> Vec<Var> {
+        let occurrence: Vec<Vec<usize>> = (0..cq.num_vars() as Var)
+            .map(|v| {
+                (cq.subgoals().iter().enumerate())
+                    .filter(|(_, &(a, b))| a == v || b == v)
+                    .map(|(i, _)| i)
+                    .collect()
+            })
+            .collect();
+        let within = |x: usize, y: usize| occurrence[x].iter().all(|i| occurrence[y].contains(i));
+        (0..cq.num_vars())
+            .filter(|&x| {
+                occurrence[x].is_empty()
+                    || (0..cq.num_vars())
+                        .any(|y| y != x && within(x, y) && (!within(y, x) || y < x))
+            })
+            .map(|x| x as Var)
+            .collect()
+    }
+
+    #[test]
+    fn expression_dominance_agrees_with_cq_dominance() {
+        // The expression-level rule (term-edge incidence) that the estimator
+        // and `dominated_variables` use must pin the same variables as the
+        // CQ-level rule (subgoal occurrence sets), on the catalog (every
+        // class), the star/cycle/path families and seeded random samples.
+        // And every ordering's expression is the identity ordering's: one term
+        // per undirected sample edge, coefficient 1, and a pinned set that
+        // never looks at orientation — why one solve prices every order class
+        // of CQ-oriented processing.
+        let mut samples: Vec<(String, SampleGraph)> = (catalog::entries().into_iter())
+            .map(|entry| (entry.name.to_string(), entry.sample))
+            .collect();
+        for (family, sizes) in [("star", 3..=9), ("c", 3..=9), ("path", 2..=8)] {
+            for p in sizes {
+                let name = format!("{family}{p}");
+                samples.push((name.clone(), catalog::by_name(&name).unwrap()));
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        for trial in 0..200 {
+            let p = 4 + lcg(&mut state, 5);
+            let sample = random_connected_sample(&mut state, p);
+            samples.push((format!("random-{trial}"), sample));
+        }
+        for (name, sample) in &samples {
+            let identity: Vec<_> = sample.nodes().collect();
+            let identity_expr =
+                single_cq_expression_with_dominance(&cq_for_ordering(sample, &identity));
+            let reversed: Vec<_> = identity.iter().rev().copied().collect();
+            let mut orderings = vec![identity, reversed];
+            if automorphism_group(sample).order_classes() <= 840 {
+                orderings.extend(order_representatives(sample));
+            }
+            for ordering in orderings {
+                let cq = cq_for_ordering(sample, &ordering);
+                let via_expr = single_cq_expression_with_dominance(&cq);
+                let pinned: Vec<Var> = via_expr.fixed_to_one().iter().copied().collect();
+                assert_eq!(
+                    pinned,
+                    dominated_by_subgoal_index(&cq),
+                    "{name} ordering {ordering:?}"
+                );
+                assert_eq!(dominated_variables(&cq), pinned, "{name}");
+                assert_eq!(via_expr, identity_expr, "{name} ordering {ordering:?}");
+            }
+        }
     }
 }

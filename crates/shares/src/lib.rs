@@ -14,9 +14,6 @@
 //!   unidirectional/bidirectional edges in variable-oriented processing).
 //! * [`dominance`] — the dominated-variable rule (a dominated variable's share
 //!   may be fixed to 1).
-//! * [`bound`] — admissible Shares lower bounds for partial node orderings
-//!   (the pruning rule of the planner's branch-and-bound search) and the
-//!   expression signatures its orbit memoization keys on.
 //! * [`solver`] — numeric minimization of the expression subject to a fixed
 //!   number of reducers (product of shares), via damped Newton in log space
 //!   on the paper's equal-sums Lagrangian conditions.
@@ -24,14 +21,12 @@
 //! * [`counting`] — reducer-count combinatorics for hash-ordered processing
 //!   (Theorem 4.2 and the Section 4.5 comparison with generalized Partition).
 
-pub mod bound;
 pub mod counting;
 pub mod dominance;
 pub mod expr;
 pub mod regular;
 pub mod solver;
 
-pub use bound::{expression_signature, partial_cost_expression, ExpressionSignature};
 pub use dominance::dominated_variables;
 pub use expr::{CostExpression, Term};
 pub use regular::{regular_equal_shares, two_level_shares};

@@ -1,14 +1,13 @@
 //! Property-style tests for the share optimizer, exercised over deterministic
 //! sweeps of catalog patterns, seeded random samples and reducer budgets.
 
-use crate::bound::partial_cost_expression;
 use crate::counting::{
     bucket_oriented_replication, generalized_partition_replication, useful_reducers,
 };
 use crate::dominance::single_cq_expression_with_dominance;
 use crate::expr::CostExpression;
 use crate::solver::{optimize_shares, solve, MAX_ITERATIONS};
-use subgraph_cq::{cq_for_ordering, cqs_for_sample, PartialCq};
+use subgraph_cq::{cq_for_ordering, cqs_for_sample};
 use subgraph_pattern::catalog;
 use subgraph_pattern::{PatternNode, SampleGraph};
 
@@ -230,89 +229,6 @@ fn combined_evaluation_at_most_twice_single_query_cost() {
                 "{sample:?} k={k}: combined {combined_cost} vs single {single_cost}"
             );
         }
-    }
-}
-
-/// Admissibility of the branch-and-bound pruning rule: for any partial
-/// ordering prefix, the Shares lower bound never exceeds the true optimized
-/// cost of any completion. An inadmissible bound is the one bug that silently
-/// changes plans — the search would prune the true winner and nothing else
-/// would notice — so this pins it over random prefixes and random sampled
-/// completions of every small pattern at several reducer budgets.
-#[test]
-fn prefix_lower_bound_is_admissible() {
-    let mut state: u64 = 0x517c_c1b7_2722_0a95;
-    let mut next = move |bound: usize| -> usize {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as usize) % bound.max(1)
-    };
-    for sample in patterns() {
-        let p = sample.num_nodes();
-        for k_exp in [3i32, 9] {
-            let k = 2f64.powi(k_exp);
-            for _trial in 0..12 {
-                // Random prefix of random depth, then a random completion.
-                let mut nodes: Vec<PatternNode> = (0..p as PatternNode).collect();
-                for i in (1..nodes.len()).rev() {
-                    nodes.swap(i, next(i + 1));
-                }
-                let depth = next(p + 1);
-                let mut partial = PartialCq::new(&sample);
-                for &v in &nodes[..depth] {
-                    partial.push(v);
-                }
-                let bound_expr =
-                    partial_cost_expression(p, sample.edges(), partial.oriented_edges());
-                let bound_cost = optimize_shares(&bound_expr, k).cost_per_edge;
-                for &v in &nodes[depth..] {
-                    partial.push(v);
-                }
-                let completion: Vec<PatternNode> = partial.prefix().to_vec();
-                let true_expr = single_cq_expression_with_dominance(&partial.complete());
-                let true_cost = optimize_shares(&true_expr, k).cost_per_edge;
-                assert!(
-                    bound_cost <= true_cost * (1.0 + 1e-12),
-                    "{sample:?} k={k} prefix {:?} completion {completion:?}: \
-                     bound {bound_cost} exceeds true cost {true_cost}",
-                    &completion[..depth]
-                );
-                // For single-CQ costs the bound is tight — in fact the very
-                // same expression, hence the very same bits. This is what
-                // lets branch-and-bound reproduce the exhaustive numbers.
-                assert_eq!(bound_cost.to_bits(), true_cost.to_bits());
-            }
-        }
-    }
-}
-
-/// The bound is monotone along a prefix chain: extending the prefix never
-/// decreases it (for single-CQ expressions it stays constant). Monotonicity
-/// is what makes pruning at an interior node safe for the whole subtree.
-#[test]
-fn prefix_lower_bound_is_monotone_in_depth() {
-    for sample in patterns() {
-        let p = sample.num_nodes();
-        let k = 256.0;
-        let mut partial = PartialCq::new(&sample);
-        let mut last = f64::NEG_INFINITY;
-        for v in 0..p as PatternNode {
-            partial.push(v);
-            let expr = partial_cost_expression(p, sample.edges(), partial.oriented_edges());
-            let cost = optimize_shares(&expr, k).cost_per_edge;
-            assert!(
-                cost >= last,
-                "{sample:?}: bound dropped from {last} to {cost} at depth {}",
-                partial.depth()
-            );
-            last = cost;
-        }
-        // At full depth the bound equals the estimator's per-CQ cost.
-        let ordering: Vec<PatternNode> = (0..p as PatternNode).collect();
-        let full = single_cq_expression_with_dominance(&cq_for_ordering(&sample, &ordering));
-        let full_cost = optimize_shares(&full, k).cost_per_edge;
-        assert_eq!(last.to_bits(), full_cost.to_bits(), "{sample:?}");
     }
 }
 

@@ -125,8 +125,8 @@ pub use subgraph_shares as shares;
 pub mod prelude {
     /// The planner API — the primary entry point.
     pub use subgraph_core::plan::{
-        CostEstimate, EnumerationRequest, ExecutionPlan, PlanError, Planner, RunReport, SearchMode,
-        Strategy, StrategyKind,
+        CostEstimate, EnumerationRequest, ExecutionPlan, PlanError, Planner, RunReport, Strategy,
+        StrategyKind,
     };
     pub use subgraph_core::serial::{
         enumerate_bounded_degree, enumerate_bounded_degree_into, enumerate_by_decomposition,
