@@ -8,29 +8,40 @@
 //! thread count of [`THREAD_COUNTS`]. The budgeted run must spill, count what
 //! every unbudgeted run counts, and peak within the post-generation baseline
 //! plus budget plus [`SPILL_GATE_SLACK_BYTES`]; the process's final peak per
-//! edge must stay within [`RSS_BYTES_PER_EDGE_BUDGET`]. Hosts that do not
-//! expose `VmHWM` (non-Linux) still check spilling and counts; the two RSS
-//! checks degrade to informational passes.
+//! edge must stay within [`RSS_BYTES_PER_EDGE_BUDGET`]. Every run executes on
+//! a private pool of [`POOL_WORKERS`] workers plus the calling thread, so the
+//! number of partitions reduced at once — and with it the memory the budget
+//! does not meter — is the same on any runner, whatever its core count.
+//! Hosts that do not expose `VmHWM` (non-Linux) still check spilling and
+//! counts; the two RSS checks degrade to informational passes.
 //!
 //! Entry point: `cargo run --release -p subgraph-bench --bin reproduce --
 //! memory-gate`.
 
+use std::sync::Arc;
 use subgraph_core::plan::{EnumerationRequest, StrategyKind};
 use subgraph_graph::generators;
-use subgraph_mapreduce::EngineConfig;
+use subgraph_mapreduce::{EngineConfig, WorkerPool};
 
 /// Thread counts the unbudgeted counts run at. All four run: each leaves its
 /// own allocator high-water, and a single run understates the peak the gate
 /// bounds.
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// Dedicated workers of the gate's pool: with the calling thread, two OS
+/// threads — what the global pool has on the 2-core host the bounds below
+/// were measured on.
+pub const POOL_WORKERS: usize = 1;
+
 /// Peak RSS per edge the whole gate process may reach. The arena shuffle
 /// prices a shuffled triangle record at ~13 bytes and the graph itself at 28
 /// bytes/edge (CSR + edge list on a sparse G(n, p) with n ≈ 1.4 m); with
-/// generator scratch, grouping tables and every thread count's allocator
-/// retention the process reads 160–180 bytes/edge, so 256 is a regression
-/// tripwire (the pre-arena shuffle measured ~450), not a tight fit.
-pub const RSS_BYTES_PER_EDGE_BUDGET: f64 = 256.0;
+/// generator scratch, one partition's grouping tables per worker and every
+/// thread count's allocator retention the process reads 124–131
+/// bytes/edge on a 2-core Linux host. An engine that decodes a worker's
+/// whole input before it reduces reads 167–174 there and fails (the
+/// pre-arena shuffle measured ~450).
+pub const RSS_BYTES_PER_EDGE_BUDGET: f64 = 152.0;
 
 /// Shuffle memory budget of the budgeted run: small enough that the workload
 /// spills most of its arena bytes, large enough that chunk targets stay
@@ -38,13 +49,14 @@ pub const RSS_BYTES_PER_EDGE_BUDGET: f64 = 256.0;
 pub const SPILL_GATE_BUDGET_BYTES: usize = 32 << 20;
 
 /// Fixed allowance on top of `budget + graph` for everything the budget does
-/// not meter: the reduce-side grouping tables (the decoded values of one
-/// round, ~8 bytes per shuffled record on this workload), buffer-pool banks,
-/// allocator retention and code/stack. Sized so the workload's unbudgeted
-/// arena (~80 MiB of resident chunks) does NOT fit — if spilling stops
-/// relieving the map side, the gate trips. (Measured: the budgeted run peaks
-/// ~112 MiB against a ~126 MiB allowance.)
-pub const SPILL_GATE_SLACK_BYTES: u64 = 64 << 20;
+/// not meter: per reduce worker, one partition's decoded groups and the
+/// `LocalGraph` the reducer is joining, buffer-pool banks, allocator
+/// retention and code/stack. An engine that decodes and groups a worker's
+/// whole input before it reduces (~8 bytes per shuffled record on this
+/// workload, ~50 MiB) does NOT fit. (Measured on a 2-core Linux host: the
+/// budgeted run peaks at 86–92 MiB against a ~105.6 MiB allowance; the
+/// whole-input engine peaks at 111–114 MiB.)
+pub const SPILL_GATE_SLACK_BYTES: u64 = 43 << 20;
 
 /// The process's peak resident set size in bytes (Linux `VmHWM`), or `None`
 /// when the platform does not expose it *or* the `/proc/self/status` line is
@@ -73,12 +85,16 @@ pub fn memory_gate() -> Result<String, String> {
     let edges = graph.num_edges();
     // Graph plus generator scratch, before any shuffle allocation.
     let baseline = peak_rss_bytes();
+    let pool = Arc::new(WorkerPool::new(POOL_WORKERS));
     let count_with = |threads: usize, budget: usize| {
+        let config = EngineConfig::with_threads(threads)
+            .memory_budget(budget)
+            .with_pool(Arc::clone(&pool));
         EnumerationRequest::named("triangle", &graph)
             .expect("triangle is a catalog pattern")
             .reducers(64)
             .strategy(StrategyKind::BucketOrderedTriangles)
-            .engine(EngineConfig::with_threads(threads).memory_budget(budget))
+            .engine(config)
             .plan()
             .expect("bucket-ordered applies to the triangle pattern")
             .count()

@@ -316,9 +316,12 @@ request options:
                         <= 1 plans a serial algorithm)
   --threads <t>         engine worker threads (default: all cores;
                         for serve: per-query budget, default 1)
-  --memory-budget <b>   resident-memory budget for the shuffle; past it the
-                        engine spills to disk (suffixes K/M/G, e.g. 512M, 2G;
-                        default 0 = unbounded, never touch disk)
+  --memory-budget <b>   budget for the shuffle's arena chunk bytes; past it
+                        the engine spills them to disk (suffixes K/M/G, e.g.
+                        512M, 2G; default 0 = unbounded, never touch disk).
+                        Unmetered: per worker, one partition's decoded groups
+                        and the local graph being joined; one key's group is
+                        never split
   --spill-dir <dir>     where spill run files go (default: the OS temp dir;
                         always cleaned up, even on panic)
   --strategy <name>     force a strategy (e.g. bucket-oriented, cq-oriented)

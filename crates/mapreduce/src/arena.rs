@@ -1,5 +1,5 @@
-//! The round executor: map into per-reduce-shard byte arenas, exchange arena
-//! ownership, decode while grouping, reduce.
+//! The round executor: map into per-partition byte arenas, exchange arena
+//! ownership, then decode, group and reduce one partition at a time.
 //!
 //! Every [`Round`] runs here. A `Vec<(K, V)>` shuffle costs ~32 bytes per
 //! record for the paper's triangle workloads (`(u64 hash, [u32; 3], Edge)`
@@ -9,77 +9,91 @@
 //! one-byte reducer index and the varint edge):
 //!
 //! 1. **Map.** One pool task per logical map shard (`len.div_ceil(threads)`
-//!    records). Each emission is hashed, routed with [`shard_for_hash`] and
-//!    encoded straight into that reduce shard's open arena chunk when the
-//!    chunk has room for the record types' [`ArenaCodec::MAX_ENCODED_LEN`];
-//!    a record with no bound, or one that may not fit, is encoded into a
-//!    scratch buffer first and copied, which is what decides whether it
-//!    opens a new chunk. Both ways leave the same bytes in the same chunks.
-//!    A round whose combiner is active first maps the shard into a plain
-//!    pair buffer, groups it by key in a `PrehashedMap`, combines each group
-//!    and emits the kept values with the hash computed while grouping — so
-//!    the combiner's scope is the map shard and `shuffle_records` counts
-//!    what survives it.
+//!    records). Each emission is hashed, routed with [`shard_for_hash`] to
+//!    one of the round's `threads × passes` reduce buckets
+//!    ([`EngineConfig::reduce_passes`]: 16 without a budget) and encoded
+//!    straight into that bucket's open arena chunk when the chunk has room
+//!    for the record types' [`ArenaCodec::MAX_ENCODED_LEN`]; a record with
+//!    no bound, or one that may not fit, is encoded into a scratch buffer
+//!    first and copied, which is what decides whether it opens a new chunk.
+//!    Both ways leave the same bytes in the same chunks. A round whose
+//!    combiner is active first maps the shard into a plain pair buffer,
+//!    groups it by key in a `PrehashedMap`, combines each group and emits
+//!    the kept values with the hash computed while grouping — so the
+//!    combiner's scope is the map shard and `shuffle_records` counts what
+//!    survives it.
 //! 2. **Exchange.** The coordinator transposes arena ownership (map-shard
-//!    major to reduce-shard major) without touching a record.
-//! 3. **Reduce.** One pool task per reduce shard decodes each arena chunk
-//!    once while grouping into a `PrehashedMap`, returning consumed chunks to
-//!    the [`BufferPool`] as it goes, so resident memory *falls* through the
-//!    reduce phase instead of peaking. Keys are sorted when
-//!    [`EngineConfig::deterministic`] is set, and the reducer streams into a
-//!    private shard of the output sink, folded back in shard order.
+//!    major to bucket major) without touching a record, and hands reduce
+//!    worker `w` the `passes` consecutive buckets `[w·passes, (w+1)·passes)`.
+//!    Since `shard_for_hash(hash, threads · passes) / passes ==
+//!    shard_for_hash(hash, threads)`, every key reaches the worker it would
+//!    reach with one bucket per worker.
+//! 3. **Reduce.** One pool task per worker makes one pass per bucket: it
+//!    decodes the bucket's chunks once while grouping into one
+//!    `PrehashedMap` per partition (below), returns the consumed chunks to
+//!    the [`BufferPool`], reduces each partition's groups — keys sorted when
+//!    [`EngineConfig::deterministic`] is set — into the worker's private
+//!    shard of the output sink, and recycles their value vectors before it
+//!    reads the next bucket. So at most one bucket's decoded groups are
+//!    resident per worker, and the arena *falls* through the reduce phase
+//!    instead of peaking. Sink shards are folded back in worker order.
 //!
 //! Under an [`EngineConfig::memory_budget`] the arena additionally spills:
 //! when the round's resident chunk bytes cross the budget, the map task that
-//! crossed it seals its full chunks into run files (see [`crate::spill`]) and
-//! recycles the buffers, and the reduce phase streams each bucket's runs
-//! back *before* its resident tail — run records are strictly older than
-//! resident ones, so the merged order is exactly the in-memory order and the
-//! merge is concatenation, not sort. Outputs and every non-spill
-//! [`JobMetrics`] counter are the same at every budget.
+//! crossed it seals its full chunks into one run file (see [`crate::spill`])
+//! and recycles the buffers, and the reduce phase streams each bucket's
+//! slices of the runs back *before* its resident tail — run records are
+//! strictly older than resident ones, so the merged order is exactly the
+//! in-memory order and the merge is concatenation, not sort. Outputs and
+//! every non-spill [`JobMetrics`] counter are the same at every budget.
 //!
-//! Per-key value order is (map shard, emission order within the shard), so
-//! a deterministic run is a pure function of the input, the thread count and
-//! the combiner toggle. `shuffle_bytes` is priced by the round's record
-//! weigher once per record at decode; `wire_bytes` is the encoded length of
-//! the same records. Each key is hashed once on the map side (routing, or
-//! grouping when combining) and once at decode (grouping); the debug hash
-//! counters assert exactly that shape. `spill_read_secs` is a slice of
-//! `reduce_time` (the critical-path run-file reads).
+//! Per-key value order is (map shard, emission order within the shard), and
+//! a deterministic run reduces each worker's keys in (partition, key) order,
+//! where a key's partition is `shard_for_hash(hash,`
+//! [`EngineConfig::reduce_partitions`]`)` — a refinement of every bucket
+//! layout, because the number of passes divides 16. So a deterministic run
+//! is a pure function of the input, the thread count and the combiner
+//! toggle, at every budget. `shuffle_bytes` is priced by the round's
+//! record weigher once per record at decode; `wire_bytes` is the encoded
+//! length of the same records. Each key is hashed once on the map side
+//! (routing, or grouping when combining) and once at decode (grouping); the
+//! debug hash counters assert exactly that shape. `spill_read_secs` is a
+//! slice of `reduce_time` (the critical-path run-file reads).
 
-use crate::engine::{shard_for_hash, EngineConfig};
+use crate::engine::{shard_for_hash, EngineConfig, PARTITIONS_PER_WORKER};
 use crate::hash::{hash_for_shuffle, prehashed_map_with_capacity, Prehashed, PrehashedMap};
 use crate::metrics::JobMetrics;
 use crate::pipeline::Round;
 use crate::pool::BufferPool;
 use crate::sink::{OutputSink, SinkShard};
-use crate::spill::{RunReader, SpillRound};
+use crate::spill::{RunReader, RunSlice, SpillRound};
 use crate::task::{Combiner, MapContext, ReduceContext};
 use std::hash::Hash;
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use subgraph_codec::ArenaCodec;
 
-/// Target byte size of one arena chunk on the unbudgeted path. Large enough
-/// that glibc serves it with `mmap` (so freed chunks return to the OS
-/// immediately) and that the per-chunk bookkeeping vanishes against ~100k
-/// records per chunk; small enough that the reduce phase's progressive frees
-/// are fine-grained and the [`BufferPool`] (4 MiB recycling cap) can bank
-/// every chunk. Budgeted rounds scale this down
+/// Target byte size of one arena chunk on the unbudgeted path: glibc's
+/// default `mmap` threshold, so a fresh chunk costs only the pages written
+/// into it — which matters because every map task keeps one open tail per
+/// reduce bucket (`threads × 16` of them) — while the per-chunk bookkeeping
+/// still vanishes against ~18k records per chunk, the reduce phase's
+/// progressive frees stay fine-grained and a recycled, fully written buffer
+/// serving as an open tail wastes little. Budgeted rounds scale this down
 /// ([`SpillRound::chunk_target`]) so chunks seal — and can spill — well
 /// before a small budget is exhausted.
-pub(crate) const ARENA_CHUNK: usize = 1 << 20;
+pub(crate) const ARENA_CHUNK: usize = 128 << 10;
 
-/// One reduce shard's byte arena on one map task: sealed chunks of
-/// back-to-back encoded `(key, value)` records, plus the run files earlier
-/// sealed chunks were spilled into. A record never spans chunks.
+/// One reduce bucket's byte arena on one map task: sealed chunks of
+/// back-to-back encoded `(key, value)` records, plus the slices of the run
+/// files earlier sealed chunks were spilled into. A record never spans
+/// chunks.
 pub(crate) struct ArenaBucket {
     chunks: Vec<Vec<u8>>,
-    /// Spill run files holding this bucket's oldest chunks, in epoch (write)
-    /// order. Empty on the unbudgeted path.
-    runs: Vec<PathBuf>,
+    /// This bucket's slices of the spill runs holding its oldest chunks, in
+    /// epoch (write) order. Empty on the unbudgeted path.
+    runs: Vec<RunSlice>,
     records: usize,
 }
 
@@ -167,10 +181,10 @@ impl ArenaBucket {
         self.records
     }
 
-    /// The spilled runs (epoch order) and resident chunks (write order).
-    /// Decoding the runs first then the chunks replays the exact emission
-    /// order.
-    fn into_parts(self) -> (Vec<PathBuf>, Vec<Vec<u8>>) {
+    /// The spilled run slices (epoch order) and resident chunks (write
+    /// order). Decoding the runs first then the chunks replays the exact
+    /// emission order.
+    fn into_parts(self) -> (Vec<RunSlice>, Vec<Vec<u8>>) {
         (self.runs, self.chunks)
     }
 }
@@ -247,7 +261,7 @@ impl<K, V> ArenaState<K, V> {
     }
 
     /// Routes and serializes one emission whose key hash is already known:
-    /// pick the reduce shard, encode into that shard's arena — in place when
+    /// pick the reduce bucket, encode into that bucket's arena — in place when
     /// the open chunk has room for the record's bound, through `scratch`
     /// otherwise. Under a budget, opening a chunk that pushes the round's
     /// resident bytes past the budget triggers a spill of this task's sealed
@@ -287,40 +301,44 @@ impl<K, V> ArenaState<K, V> {
         }
     }
 
-    /// Spills every *sealed* chunk (all but the open tail of each bucket) to
-    /// one run file per non-trivial bucket, recycles the buffers, and credits
-    /// the freed capacity back to the round's resident counter. Partial tails
-    /// stay resident — spilling them would produce pathological one-record
-    /// runs and would not change the decode order anyway.
+    /// Spills every *sealed* chunk (all but the open tail of each bucket)
+    /// into one run file, each bucket's chunks back to back, recycles the
+    /// buffers, and credits the freed capacity back to the round's resident
+    /// counter. Partial tails stay resident — spilling them would produce
+    /// pathological one-record slices and would not change the decode order
+    /// anyway.
     fn spill_sealed(&mut self) {
         let spill = Arc::clone(
             self.spill
                 .as_ref()
                 .expect("spill_sealed only runs under a budget"),
         );
-        let mut freed = 0usize;
-        let mut wrote = false;
-        for (shard, bucket) in self.buckets.iter_mut().enumerate() {
+        let mut sealed: Vec<(usize, Vec<Vec<u8>>)> = Vec::new();
+        for (index, bucket) in self.buckets.iter_mut().enumerate() {
             if bucket.chunks.len() < 2 {
                 continue;
             }
             let tail = bucket.chunks.pop().expect("bucket has at least two chunks");
-            let sealed = std::mem::take(&mut bucket.chunks);
-            bucket.chunks.push(tail);
-            let path = spill.write_run(self.map_shard, shard, self.epoch, &sealed);
-            bucket.runs.push(path);
-            for chunk in sealed {
+            sealed.push((index, std::mem::replace(&mut bucket.chunks, vec![tail])));
+        }
+        if sealed.is_empty() {
+            return;
+        }
+        let slices = spill.write_run(
+            self.map_shard,
+            self.epoch,
+            sealed.iter().map(|(_, chunks)| chunks.as_slice()),
+        );
+        self.epoch += 1;
+        let mut freed = 0usize;
+        for ((index, chunks), slice) in sealed.into_iter().zip(slices) {
+            self.buckets[index].runs.push(slice);
+            for chunk in chunks {
                 freed += chunk.capacity();
                 self.buffers.give(chunk);
             }
-            wrote = true;
         }
-        if wrote {
-            self.epoch += 1;
-        }
-        if freed > 0 {
-            spill.resident.fetch_sub(freed, Ordering::Relaxed);
-        }
+        spill.resident.fetch_sub(freed, Ordering::Relaxed);
     }
 
     pub(crate) fn emitted(&self) -> usize {
@@ -349,7 +367,7 @@ fn take_slots<T>(slots: Vec<Slot<T>>) -> Vec<T> {
 
 /// What one map task hands to the exchange.
 struct MappedShard {
-    /// One arena per reduce shard, indexed by [`shard_for_hash`].
+    /// One arena per reduce bucket, indexed by [`shard_for_hash`].
     buckets: Vec<ArenaBucket>,
     /// Pairs the mapper emitted.
     emitted: usize,
@@ -430,39 +448,95 @@ struct ReduceOutcome<O> {
     read_secs: Duration,
 }
 
-/// Decodes one chunk's records into the grouping map — shared by the
-/// resident-chunk and spilled-run decode loops so both price, hash and group
-/// identically.
-fn drain_chunk<K, V, W>(
-    chunk: &[u8],
-    weigher: &W,
-    grouped: &mut PrehashedMap<K, Vec<V>>,
-    bytes: &mut u64,
-    decoded: &mut usize,
-) where
-    K: Hash + Eq + ArenaCodec,
-    V: ArenaCodec,
-    W: Fn(&K, &V) -> usize + ?Sized,
-{
-    let mut pos = 0;
-    while pos < chunk.len() {
-        let key = K::decode(chunk, &mut pos);
-        let value = V::decode(chunk, &mut pos);
-        *bytes += weigher(&key, &value) as u64;
-        let hash = hash_for_shuffle(&key);
-        *decoded += 1;
-        grouped
-            .entry(Prehashed::from_parts(hash, key))
-            .or_default()
-            .push(value);
+/// One reduce worker's grouping state: a map per partition of the current
+/// pass, the value vectors the last partition's groups left behind, and the
+/// decode counters.
+struct PassGroups<K, V> {
+    /// The pass's maps, in partition order. A pass's partitions are an
+    /// aligned run of `maps.len()` (a power of two), so a key's map is its
+    /// partition's low bits.
+    maps: Vec<PrehashedMap<K, Vec<V>>>,
+    /// [`EngineConfig::reduce_partitions`] of the round.
+    partitions: usize,
+    /// The capacity every map starts a partition with.
+    capacity: usize,
+    /// What `capacity()` reads on a map created with `capacity`; a map that
+    /// reads more grew, and is replaced.
+    fresh_capacity: usize,
+    /// Cleared value vectors of reduced groups. A new group takes one, so a
+    /// worker grows its value vectors once, not once per partition.
+    spare: Vec<Vec<V>>,
+    /// Weigher-priced bytes of the decoded records.
+    bytes: u64,
+    decoded: usize,
+}
+
+impl<K: Hash + Eq + Ord + ArenaCodec, V: ArenaCodec> PassGroups<K, V> {
+    fn new(per_pass: usize, partitions: usize, capacity: usize) -> Self {
+        debug_assert!(per_pass.is_power_of_two());
+        let maps: Vec<PrehashedMap<K, Vec<V>>> = (0..per_pass)
+            .map(|_| prehashed_map_with_capacity(capacity))
+            .collect();
+        PassGroups {
+            fresh_capacity: maps[0].capacity(),
+            maps,
+            partitions,
+            capacity,
+            spare: Vec::new(),
+            bytes: 0,
+            decoded: 0,
+        }
+    }
+
+    /// Decodes one chunk's records into the maps — shared by the
+    /// resident-chunk and spilled-run decode loops so both price, hash and
+    /// group identically.
+    fn decode<W: Fn(&K, &V) -> usize + ?Sized>(&mut self, chunk: &[u8], weigher: &W) {
+        let mask = self.maps.len() - 1;
+        let mut pos = 0;
+        while pos < chunk.len() {
+            let key = K::decode(chunk, &mut pos);
+            let value = V::decode(chunk, &mut pos);
+            self.bytes += weigher(&key, &value) as u64;
+            let hash = hash_for_shuffle(&key);
+            self.decoded += 1;
+            self.maps[shard_for_hash(hash, self.partitions) & mask]
+                .entry(Prehashed::from_parts(hash, key))
+                .or_insert_with(|| self.spare.pop().unwrap_or_default())
+                .push(value);
+        }
+    }
+
+    /// Moves the pass's `index`-th partition's groups into `groups` (sorted
+    /// by key when `deterministic`) and leaves its map as a fresh one would
+    /// be: a map that grew is replaced, so every partition starts from the
+    /// same capacity.
+    fn take_partition(&mut self, index: usize, deterministic: bool, groups: &mut Vec<(K, Vec<V>)>) {
+        let map = &mut self.maps[index];
+        groups.extend(map.drain().map(|(key, values)| (key.into_key(), values)));
+        if map.capacity() > self.fresh_capacity {
+            *map = prehashed_map_with_capacity(self.capacity);
+        }
+        if deterministic {
+            groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        }
     }
 }
 
-/// Groups and reduces one reduce shard's inbox: spilled runs first (streamed
-/// back one frame at a time through a recycled buffer), resident chunks
-/// after, then the reducer over the (optionally sorted) groups.
+/// Groups and reduces one worker's buckets, one pass per bucket. A pass
+/// decodes the bucket's arenas (one per map shard, in map-shard order) —
+/// spilled runs first, streamed back one frame at a time through a recycled
+/// buffer, resident chunks after — into one grouping map per partition, then
+/// reduces the partitions in order, each over its (optionally sorted)
+/// groups, and clears their values before the next pass reads anything.
+///
+/// Delivery order is a function of the partitions alone, never of how many
+/// share a pass: a partition's map sees the same inserts in the same order
+/// at every budget, and it starts from the same capacity — computed from
+/// per-worker totals, and restored whenever a partition grew the map.
 fn reduce_shard<I, K, V, O>(
-    inbox: Vec<ArenaBucket>,
+    passes: Vec<Vec<ArenaBucket>>,
+    partitions: usize,
     sink_shard: Box<dyn SinkShard<O>>,
     round: &Round<'_, I, K, V, O>,
     deterministic: bool,
@@ -475,82 +549,96 @@ where
 {
     #[cfg(debug_assertions)]
     let _ = crate::hash::debug_hash_count::take();
-    // Capacity heuristic: records in the largest inbound bucket, capped so a
-    // low-cardinality shard never pre-allocates a table sized to its record
-    // count; past the cap the map doubles a handful of times, which is cheap.
-    let capacity = inbox
-        .iter()
-        .map(ArenaBucket::records)
+    let per_pass = PARTITIONS_PER_WORKER / passes.len();
+    // Capacity heuristic: the most records one map shard sent this worker,
+    // spread over its partitions, capped so a low-cardinality partition
+    // never pre-allocates a table sized to its record count; past the cap
+    // the map doubles a handful of times, which is cheap.
+    let map_shards = passes.first().map_or(0, Vec::len);
+    let capacity = ((0..map_shards)
+        .map(|shard| {
+            passes
+                .iter()
+                .map(|arenas| arenas[shard].records())
+                .sum::<usize>()
+        })
         .max()
         .unwrap_or(0)
+        / PARTITIONS_PER_WORKER)
         .min(1 << 16);
     let weigher = &*round.record_bytes;
-    let mut grouped: PrehashedMap<K, Vec<V>> = prehashed_map_with_capacity(capacity);
-    let mut bytes = 0u64;
-    let mut decoded = 0usize;
+    let reducer = &*round.reducer;
+    let mut grouped = PassGroups::new(per_pass, partitions, capacity);
+    let mut groups: Vec<(K, Vec<V>)> = Vec::new();
+    let mut ctx = ReduceContext::with_shard(sink_shard);
     let mut read_secs = Duration::ZERO;
-    for bucket in inbox {
-        let (runs, chunks) = bucket.into_parts();
-        if !runs.is_empty() {
-            let spill = spill.expect("run files only exist under a budget");
-            let mut frame = buffers.take();
-            for path in runs {
-                let mut reader = RunReader::open(path, spill.dir());
-                loop {
-                    let read_start = Instant::now();
-                    let more = reader.next_frame(&mut frame);
-                    read_secs += read_start.elapsed();
-                    if !more {
-                        break;
+    let (mut group_count, mut max_input) = (0usize, 0usize);
+    for arenas in passes {
+        for bucket in arenas {
+            let (runs, chunks) = bucket.into_parts();
+            if !runs.is_empty() {
+                let spill = spill.expect("run files only exist under a budget");
+                let mut frame = buffers.take();
+                for slice in &runs {
+                    let mut reader = RunReader::open(slice, spill.dir());
+                    loop {
+                        let read_start = Instant::now();
+                        let more = reader.next_frame(&mut frame);
+                        read_secs += read_start.elapsed();
+                        if !more {
+                            break;
+                        }
+                        grouped.decode(&frame, weigher);
                     }
-                    drain_chunk(&frame, weigher, &mut grouped, &mut bytes, &mut decoded);
                 }
+                buffers.give(frame);
             }
-            buffers.give(frame);
+            for chunk in chunks {
+                grouped.decode(&chunk, weigher);
+                buffers.give(chunk);
+            }
         }
-        for chunk in chunks {
-            drain_chunk(&chunk, weigher, &mut grouped, &mut bytes, &mut decoded);
-            buffers.give(chunk);
+        for index in 0..per_pass {
+            grouped.take_partition(index, deterministic, &mut groups);
+            group_count += groups.len();
+            for (key, mut values) in groups.drain(..) {
+                max_input = max_input.max(values.len());
+                reducer.reduce(&key, &values, &mut ctx);
+                values.clear();
+                grouped.spare.push(values);
+            }
         }
     }
     #[cfg(debug_assertions)]
     debug_assert_eq!(
         crate::hash::debug_hash_count::take() as usize,
-        decoded,
+        grouped.decoded,
         "the reduce side hashes each decoded key exactly once (grouping)"
     );
-    let mut groups: Vec<(K, Vec<V>)> = grouped
-        .into_iter()
-        .map(|(key, values)| (key.into_key(), values))
-        .collect();
-    if deterministic {
-        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    }
-    let max_input = groups.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
-    let reducer = &*round.reducer;
-    let mut ctx = ReduceContext::with_shard(sink_shard);
-    for (key, values) in &groups {
-        reducer.reduce(key, values, &mut ctx);
-    }
     let (shard, work, emitted) = ctx.into_parts();
     ReduceOutcome {
         shard,
         emitted,
         work,
-        groups: groups.len(),
+        groups: group_count,
         max_input,
-        bytes,
+        bytes: grouped.bytes,
         read_secs,
     }
 }
 
 /// Creates the round's spill state when a budget is configured. `None` keeps
 /// the pure in-memory path (and guarantees every spill counter stays zero).
-fn spill_round_for(config: &EngineConfig, threads: usize) -> Option<Arc<SpillRound>> {
+fn spill_round_for(
+    config: &EngineConfig,
+    threads: usize,
+    buckets: usize,
+) -> Option<Arc<SpillRound>> {
     (config.memory_budget > 0).then(|| {
         Arc::new(SpillRound::create(
             config.memory_budget,
             threads,
+            buckets,
             config.spill_dir.as_deref(),
         ))
     })
@@ -558,8 +646,8 @@ fn spill_round_for(config: &EngineConfig, threads: usize) -> Option<Arc<SpillRou
 
 /// Executes one round over `inputs` on the configured worker pool, streaming
 /// the reducer outputs into `sink`, and returns the measured [`JobMetrics`].
-/// `num_threads` names the number of map and reduce shards; the pool decides
-/// how many OS threads serve them.
+/// `num_threads` names the number of map shards and reduce workers; the
+/// pool decides how many OS threads serve them.
 pub(crate) fn execute_round<I, K, V, O>(
     inputs: &[I],
     round: &Round<'_, I, K, V, O>,
@@ -575,7 +663,10 @@ where
     let pool = config.pool();
     let buffers = pool.buffers();
     let threads = config.num_threads.max(1);
-    let spill = spill_round_for(config, threads);
+    let partitions = config.reduce_partitions();
+    let passes = config.reduce_passes();
+    let buckets = threads * passes;
+    let spill = spill_round_for(config, threads, buckets);
     let combiner = if config.use_combiners {
         round.combiner.as_deref()
     } else {
@@ -592,7 +683,7 @@ where
     let shards: Vec<&[I]> = inputs.chunks(chunk_size).collect();
     let map_slots: Vec<Slot<MappedShard>> = (0..shards.len()).map(|_| Mutex::new(None)).collect();
     pool.run_indexed(shards.len(), |shard| {
-        let state = ArenaState::new(threads, Arc::clone(buffers)).with_spill(spill.clone(), shard);
+        let state = ArenaState::new(buckets, Arc::clone(buffers)).with_spill(spill.clone(), shard);
         let mapped = map_shard(shards[shard], round, combiner, state);
         *map_slots[shard].lock().expect("map slot poisoned") = Some(mapped);
     });
@@ -606,25 +697,29 @@ where
     }
 
     // ---- Exchange phase ---------------------------------------------------
-    // Pure ownership moves: the coordinator handles `shards x threads`
+    // Pure ownership moves: the coordinator handles `shards x buckets`
     // arenas, never a record.
     let shuffle_start = Instant::now();
-    let mut inboxes: Vec<Vec<ArenaBucket>> = (0..threads)
+    let mut by_bucket: Vec<Vec<ArenaBucket>> = (0..buckets)
         .map(|_| Vec::with_capacity(mapped.len()))
         .collect();
     for shard in mapped {
-        for (target, bucket) in shard.buckets.into_iter().enumerate() {
-            metrics.wire_bytes += bucket.chunks.iter().map(|c| c.len() as u64).sum::<u64>();
-            inboxes[target].push(bucket);
+        for (bucket, arena) in shard.buckets.into_iter().enumerate() {
+            metrics.wire_bytes += arena.chunks.iter().map(|c| c.len() as u64).sum::<u64>();
+            by_bucket[bucket].push(arena);
         }
     }
+    let mut by_bucket = by_bucket.into_iter();
+    let inboxes: Vec<Vec<Vec<ArenaBucket>>> = (0..threads)
+        .map(|_| by_bucket.by_ref().take(passes).collect())
+        .collect();
     metrics.shuffle_time = shuffle_start.elapsed();
 
     // ---- Reduce phase -----------------------------------------------------
-    // Sink shards are created in shard order and folded back in shard order,
-    // which is what preserves deterministic output order.
+    // Sink shards are created in worker order and folded back in worker
+    // order, which is what preserves deterministic output order.
     let reduce_start = Instant::now();
-    type ReduceWork<O> = (Vec<ArenaBucket>, Box<dyn SinkShard<O>>);
+    type ReduceWork<O> = (Vec<Vec<ArenaBucket>>, Box<dyn SinkShard<O>>);
     let reduce_inputs: Vec<Slot<ReduceWork<O>>> = inboxes
         .into_iter()
         .map(|inbox| Mutex::new(Some((inbox, sink.new_shard()))))
@@ -636,9 +731,10 @@ where
             .lock()
             .expect("reduce input poisoned")
             .take()
-            .expect("each reduce shard is claimed once");
+            .expect("each reduce worker's input is claimed once");
         let outcome = reduce_shard(
             inbox,
+            partitions,
             sink_shard,
             round,
             config.deterministic,
@@ -691,7 +787,7 @@ mod tests {
         let pool = WorkerPool::new(0);
         let buffers = pool.buffers();
         let mut bucket = ArenaBucket::new();
-        let record = vec![0xabu8; 600 * 1024]; // two won't share a 1 MiB chunk
+        let record = vec![0xabu8; ARENA_CHUNK / 2 + 1]; // two won't share a chunk
         assert!(bucket.push(&record, buffers, ARENA_CHUNK, false) > 0);
         assert!(bucket.push(&record, buffers, ARENA_CHUNK, false) > 0);
         assert_eq!(bucket.records(), 2);
@@ -859,7 +955,7 @@ mod tests {
         let shards = 2;
         // A budget a few 4 KiB chunks wide forces several spill epochs over
         // ~64 KiB of emissions.
-        let spill = Arc::new(SpillRound::create(16 << 10, 1, None));
+        let spill = Arc::new(SpillRound::create(16 << 10, 1, shards, None));
         let dir = spill.dir().to_path_buf();
         let mut state: ArenaState<u32, u32> = ArenaState::new(shards, Arc::clone(pool.buffers()))
             .with_spill(Some(Arc::clone(&spill)), 3);
@@ -895,8 +991,8 @@ mod tests {
                     keys.push(key);
                 }
             };
-            for path in runs {
-                let mut reader = RunReader::open(path, &dir);
+            for slice in &runs {
+                let mut reader = RunReader::open(slice, &dir);
                 while reader.next_frame(&mut frame) {
                     decode_all(&frame, &mut keys);
                 }

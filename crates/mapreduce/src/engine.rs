@@ -36,10 +36,14 @@ pub struct EngineConfig {
     /// (0, the default, means unbounded — never touch disk). When the sealed
     /// arena chunks of a round cross this budget, map workers spill them to
     /// run files under [`EngineConfig::spill_dir`] and the reduce phase
-    /// streams them back, so peak RSS tracks the budget instead of the
-    /// workload. Combining rounds spill their combined records the same way.
-    /// Outputs and all non-spill [`crate::JobMetrics`] counters are
-    /// byte-identical at any budget (the parity suites pin it).
+    /// streams them back, so the arena's share of peak RSS tracks the budget
+    /// instead of the workload. The budget meters arena chunk bytes only:
+    /// per reduce worker, one bucket's decoded groups (see
+    /// [`EngineConfig::reduce_partitions`]) and the reducer's own working
+    /// memory sit outside it, and one key's group is never split.
+    /// Combining rounds spill their combined records the same way. Outputs
+    /// and all non-spill [`crate::JobMetrics`] counters are byte-identical
+    /// at any budget (the parity suites pin it).
     pub memory_budget: usize,
     /// Base directory for spill run files (`None`, the default, uses the OS
     /// temp dir). Each round creates — and removes on completion *and* on
@@ -133,7 +137,45 @@ impl EngineConfig {
     pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
         self.pool.as_ref().unwrap_or_else(|| WorkerPool::global())
     }
+
+    /// The number of reduce partitions a deterministic run delivers keys
+    /// by, `threads × 16`: reduce worker `w` reduces its keys in
+    /// (partition, key) order, where a key's partition is
+    /// `shard_for_hash(hash, reduce_partitions())` and worker `w` owns
+    /// partitions `[16·w, 16·(w+1))`. Because `shard_for_hash` is a
+    /// multiply-shift, `partition / 16` is `shard_for_hash(hash, threads)`,
+    /// so every key stays on one worker. The count depends on the thread
+    /// count alone, so output order is the same at every memory budget;
+    /// there is nothing to set.
+    pub fn reduce_partitions(&self) -> usize {
+        self.num_threads.max(1) * PARTITIONS_PER_WORKER
+    }
+
+    /// How many passes a reduce worker splits its partitions into: each
+    /// pass decodes, groups, reduces and frees `16 / passes` consecutive
+    /// partitions before the next is read, and the map side routes records
+    /// into `threads × passes` buckets. 16 (one partition per pass) without
+    /// a budget; under one, the largest power of two at most
+    /// `budget / (threads² · 16 KiB)`, clamped to [1, 16], so every map
+    /// task's open chunk tails still fit the budget. A power of two divides
+    /// 16, so a pass is a whole run of partitions and the delivery order is
+    /// the same at every budget.
+    pub(crate) fn reduce_passes(&self) -> usize {
+        let threads = self.num_threads.max(1);
+        match self.memory_budget {
+            0 => PARTITIONS_PER_WORKER,
+            budget => {
+                let fit =
+                    (budget / (threads * threads * (16 << 10))).clamp(1, PARTITIONS_PER_WORKER);
+                1 << fit.ilog2()
+            }
+        }
+    }
 }
+
+/// Reduce partitions per worker, and so the most passes a worker makes over
+/// them (see [`EngineConfig::reduce_passes`]).
+pub(crate) const PARTITIONS_PER_WORKER: usize = 16;
 
 /// Maps a 64-bit key hash onto `[0, shards)` with the multiply-shift
 /// ("fastrange") reduction `(hash * shards) >> 64`. Unlike `hash % shards`,
@@ -287,6 +329,54 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "unreached shards: {seen:?}");
         assert_eq!(shard_for_hash(u64::MAX, shards), shards - 1);
         assert_eq!(shard_for_hash(0, shards), 0);
+    }
+
+    #[test]
+    fn partition_routing_refines_worker_routing() {
+        // A key's partition, divided by the partitions per worker, is the
+        // worker `shard_for_hash(hash, threads)` names: reducing partition
+        // by partition keeps every key on its worker.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut hashes = vec![0, u64::MAX];
+        hashes.extend((0..200).map(|_| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        }));
+        for &hash in &hashes {
+            for threads in 1..=16usize {
+                let worker = shard_for_hash(hash, threads);
+                for per_worker in 1..=64usize {
+                    assert_eq!(
+                        shard_for_hash(hash, threads * per_worker) / per_worker,
+                        worker,
+                        "hash {hash:#x} threads {threads} per worker {per_worker}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_passes_follow_the_budget() {
+        let passes = |threads: usize, budget: usize| {
+            EngineConfig::with_threads(threads)
+                .memory_budget(budget)
+                .reduce_passes()
+        };
+        assert_eq!(passes(1, 0), 16);
+        assert_eq!(passes(8, 0), 16);
+        // 64 KiB: one pass per worker from two threads up, the layout of an
+        // engine that reduces a worker's keys all at once.
+        assert_eq!(passes(1, 64 << 10), 4);
+        assert_eq!(passes(2, 64 << 10), 1);
+        assert_eq!(passes(8, 64 << 10), 1);
+        // 12 fit, rounded down to a power of two.
+        assert_eq!(passes(1, 12 * (16 << 10)), 8);
+        assert_eq!(passes(2, 16 << 20), 16);
+        assert_eq!(passes(4, 32 << 20), 16);
+        assert_eq!(EngineConfig::with_threads(3).reduce_partitions(), 48);
     }
 
     #[test]

@@ -27,16 +27,17 @@
 //! Every round runs on one executor, a persistent [`WorkerPool`]
 //! (work-stealing indexed tasks on long-lived threads), as a two-phase
 //! parallel exchange: map tasks serialize their emissions into one byte arena
-//! per reduce shard (routing each key with the in-repo [`hash_of`] FxHash and
+//! per reduce bucket (routing each key with the in-repo [`hash_of`] FxHash and
 //! encoding each record with its [`ArenaCodec`]), the coordinator only moves
-//! arena ownership, and reduce tasks decode, group and sort their shard in
-//! parallel. A round with a combiner groups and combines each map shard's
+//! arena ownership, and reduce tasks decode, group, sort and reduce their
+//! buckets one at a time, in parallel. A round with a combiner groups and combines each map shard's
 //! pairs before they enter the arena. The engine intentionally does not model
 //! network transfer or fault tolerance — neither affects the two cost
 //! measures above. It does, however, bound its own memory: past an
 //! [`EngineConfig::memory_budget`] the arenas spill sealed chunk runs to disk
-//! and stream them back during the reduce, so peak RSS tracks the budget
-//! rather than the workload while outputs stay byte-identical.
+//! and stream them back during the reduce, so the arena's share of peak RSS
+//! tracks the budget rather than the workload while outputs stay
+//! byte-identical.
 //!
 //! Results leave the engine through streaming [`OutputSink`]s
 //! ([`Pipeline::run_with_sink`]): the final round's reduce workers feed one

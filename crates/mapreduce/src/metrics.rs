@@ -44,7 +44,7 @@ pub struct JobMetrics {
     /// Total number of output records emitted by the reducers.
     pub outputs: usize,
     /// Wall-clock time of the map phase (mapping, combining, and encoding
-    /// each record into its reduce shard's arena).
+    /// each record into its reduce bucket's arena).
     pub map_time: Duration,
     /// Wall-clock time of the exchange: the coordinator handing each map
     /// worker's buckets to their reduce workers (pure ownership moves —
@@ -65,8 +65,9 @@ pub struct JobMetrics {
     /// [`crate::EngineConfig::memory_budget`] is in force. Exactly 0 when no
     /// spill occurred (the unbudgeted in-memory path never touches disk).
     pub spilled_bytes: u64,
-    /// Number of spill run files written (one per map shard × reduce shard ×
-    /// spill epoch that had sealed chunks). Exactly 0 when no spill occurred.
+    /// Number of spill run files written (one per map shard × spill epoch,
+    /// holding every bucket that had sealed chunks). Exactly 0 when no spill
+    /// occurred.
     pub spill_runs: usize,
     /// Critical-path wall time any single reduce worker spent reading spilled
     /// runs back from disk. This is a slice of an existing phase

@@ -17,8 +17,8 @@
 //!
 //! Every round runs on one executor (see `docs/ENGINE.md`, "The round
 //! executor"): map tasks serialize their emissions into one byte arena per
-//! reduce shard, the coordinator only moves arena ownership, and reduce tasks
-//! decode and group their shard in parallel. Keys and values therefore carry
+//! reduce bucket, the coordinator only moves arena ownership, and reduce
+//! tasks decode, group and reduce their buckets one at a time, in parallel. Keys and values therefore carry
 //! the [`ArenaCodec`] encoding, which [`Round::new`] requires.
 //!
 //! ```
@@ -725,7 +725,9 @@ mod tests {
         for threads in [1usize, 2, 8] {
             for combine in [true, false] {
                 let job = sum_job(combine);
-                let (expected, expected_metrics) = job.reference(&inputs, threads, true);
+                let partitions = EngineConfig::with_threads(threads).reduce_partitions();
+                let (expected, expected_metrics) =
+                    job.reference(&inputs, threads, partitions, true);
                 let mut sorted_expected = expected.clone();
                 sorted_expected.sort_unstable();
                 for deterministic in [true, false] {
@@ -770,8 +772,9 @@ mod tests {
             ..sum_job(true)
         };
         for threads in [2usize, 4] {
-            let (expected, expected_metrics) = job.reference(&inputs, threads, true);
             let config = EngineConfig::with_threads(threads).memory_budget(64 << 10);
+            let (expected, expected_metrics) =
+                job.reference(&inputs, threads, config.reduce_partitions(), true);
             let (outputs, report) = Pipeline::new()
                 .round(job.round("sum"))
                 .run(&inputs, &config);

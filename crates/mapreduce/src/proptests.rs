@@ -326,8 +326,9 @@ fn parallel_shuffle_matches_the_serial_grouping_reference() {
         let inputs = random_inputs(seed, 500, 400);
         for threads in [1usize, 2, 8] {
             for combine in [false, true] {
+                let partitions = EngineConfig::with_threads(threads).reduce_partitions();
                 let (expected, expected_metrics) =
-                    parity_job(combine).reference(&inputs, threads, true);
+                    parity_job(combine).reference(&inputs, threads, partitions, true);
                 let (outputs, metrics) = parallel_shuffle_run(&inputs, threads, combine);
                 let label = format!("seed {seed} threads {threads} combine {combine}");
                 assert_eq!(outputs, expected, "{label}");

@@ -7,8 +7,11 @@
 //! meets the engine's contract: map each logical shard
 //! (`len.div_ceil(threads)` records), combine per shard and key, group
 //! everything in one `BTreeMap`, and reduce the keys in the order a
-//! deterministic engine run delivers them — by reduce shard
-//! ([`shard_for_hash`]), then by key.
+//! deterministic engine run delivers them — by reduce partition
+//! ([`shard_for_hash`] over the engine's
+//! [`EngineConfig::reduce_partitions`](crate::EngineConfig::reduce_partitions)),
+//! then by key. Each worker owns a run of consecutive partitions and the
+//! sink folds the workers in order, so partition order is also worker order.
 
 use crate::{hash_of, shard_for_hash, ArenaCodec, JobMetrics, MapContext, ReduceContext, Round};
 use std::collections::BTreeMap;
@@ -57,13 +60,15 @@ where
         }
     }
 
-    /// Runs the job as the engine would at `threads` shards: the outputs in
-    /// a deterministic run's order, and the counters the engine must report
-    /// (timings and spill counters zero).
+    /// Runs the job as the engine would at `threads` map shards and
+    /// `partitions` reduce partitions: the outputs in a deterministic run's
+    /// order, and the counters the engine must report (timings and spill
+    /// counters zero).
     pub fn reference(
         &self,
         inputs: &[I],
         threads: usize,
+        partitions: usize,
         use_combiners: bool,
     ) -> (Vec<O>, JobMetrics) {
         let combine = self.combine.filter(|_| use_combiners);
@@ -106,10 +111,10 @@ where
             metrics.combiner_input_records = metrics.key_value_pairs;
             metrics.combiner_output_records = metrics.shuffle_records;
         }
-        // The map iterates keys in order; a stable sort by reduce shard
-        // yields (shard, key) order.
+        // The map iterates keys in order; a stable sort by partition yields
+        // (partition, key) order.
         let mut groups: Vec<(K, Vec<V>)> = grouped.into_iter().collect();
-        groups.sort_by_key(|(key, _)| shard_for_hash(hash_of(key), threads.max(1)));
+        groups.sort_by_key(|(key, _)| shard_for_hash(hash_of(key), partitions));
         let mut outputs = Vec::new();
         for (key, values) in &groups {
             metrics.reducers_used += 1;

@@ -4,7 +4,7 @@ use crate::arena::ArenaState;
 use crate::sink::SinkShard;
 
 /// How a [`MapContext`] stores its emissions: routed and serialized on the
-/// fly into per-reduce-shard byte arenas (see `crate::arena`), or as plain
+/// fly into per-reduce-bucket byte arenas (see `crate::arena`), or as plain
 /// pairs that a combining round groups and combines per map shard first.
 enum Emissions<K, V> {
     Pairs(Vec<(K, V)>),

@@ -78,8 +78,12 @@ where
     O: Clone + Send + PartialEq + std::fmt::Debug + 'static,
 {
     let (outputs, report) = Pipeline::new().round(job.round("job")).run(inputs, config);
-    let (expected, expected_metrics) =
-        job.reference(inputs, config.num_threads, config.use_combiners);
+    let (expected, expected_metrics) = job.reference(
+        inputs,
+        config.num_threads,
+        config.reduce_partitions(),
+        config.use_combiners,
+    );
     // Exact order, not just the same multiset: deterministic configs promise
     // reproducible output order.
     assert_eq!(outputs, expected, "{context}");

@@ -309,6 +309,47 @@ fn a_64k_budget_really_spills_on_a_shuffle_heavy_run_and_stays_identical() {
     }
 }
 
+#[test]
+fn a_hot_group_larger_than_the_budget_is_reduced_whole() {
+    // A hub joined to every node of a 12 000-cycle: 12 000 triangles. At 4
+    // reducers (b = 2) each of the 4 bucket keys gets ~12 000 edges, so the
+    // hottest group alone decodes to more than the 64 KiB budget. The budget
+    // meters arena chunks, not decoded groups, and a group is never split:
+    // the run spills its arena and still reduces every group whole.
+    let cycle = 12_000u32;
+    let mut builder = GraphBuilder::new(cycle as usize + 1);
+    for v in 1..=cycle {
+        builder.add_edge(0, v).add_edge(v, v % cycle + 1);
+    }
+    let graph = builder.build();
+    let request = |kind: StrategyKind, reducers: usize, config: EngineConfig| {
+        EnumerationRequest::named("triangle", &graph)
+            .unwrap()
+            .reducers(reducers)
+            .strategy(kind)
+            .engine(config)
+            .plan()
+            .unwrap()
+            .count()
+    };
+    let serial = request(StrategyKind::SerialTriangles, 1, EngineConfig::serial()).count();
+    assert_eq!(serial, cycle as usize);
+    for threads in [1usize, 2, 8] {
+        let context = format!("threads={threads}");
+        let run = |budget: usize| {
+            let config = EngineConfig::with_threads(threads).memory_budget(budget);
+            request(StrategyKind::BucketOrderedTriangles, 4, config)
+        };
+        let (base, budgeted) = (run(0), run(64 << 10));
+        let metrics = budgeted.metrics.as_ref().unwrap();
+        assert!(metrics.spilled_bytes > 0, "{context}: the arena must spill");
+        let hottest = metrics.max_reducer_input * std::mem::size_of::<subgraph_mr::graph::Edge>();
+        assert!(hottest > 64 << 10, "{context}: hottest group {hottest} B");
+        assert_eq!(budgeted.count(), base.count(), "{context}");
+        assert_eq!(budgeted.count(), serial, "{context}");
+    }
+}
+
 // ---- the large-graph acceptance check --------------------------------------
 
 /// A counting sink that records how its records arrived: per-worker shards
