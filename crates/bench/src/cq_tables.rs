@@ -77,7 +77,7 @@ pub fn cycle_cq_table() -> String {
         (3usize, "1"),
         (4, "3"),
         (5, "3"),
-        (6, "7 (see EXPERIMENTS.md)"),
+        (6, "7 (8 needed, see note)"),
         (7, "9"),
         (8, "-"),
     ];

@@ -117,7 +117,7 @@ pub fn hexagon_shares() -> String {
     ]);
     table.note(
         "paper reports total communication 5·10^13 for m = 10^9 (5·10^4 per edge); evaluating \
-         its own optimum gives 6·10^4 per edge — see EXPERIMENTS.md",
+         its own optimum gives 6·10^4 per edge — the gap is unexplained",
     );
     table.note("for m = 10^9 edges the measured-per-edge cost scales to cost/edge × 10^9 total");
     table.render()

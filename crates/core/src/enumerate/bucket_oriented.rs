@@ -22,10 +22,9 @@
 //! its nodes in whatever orientation, so the union of the Theorem 3.1 order
 //! classes — every injective assignment, once per automorphism orbit — is one
 //! match over unoriented edges under the group's symmetry-breaking
-//! comparisons ([`sample_plan`]). Variable- and CQ-oriented reducers cannot
-//! do the same: their mappers ship an edge only in the orientations their
-//! queries use (Section 4.3), so another transversal of the orbits could
-//! need a record that was never sent.
+//! comparisons ([`sample_plan`]). Variable-oriented reducers run the same
+//! plan; their mappers ship each edge in the orientations it can read it in
+//! ([`JoinPlan::roles`]), so the plan finds every edge it needs there too.
 
 use super::{least_min_degree, KeySpace};
 use crate::result::{MapReduceRun, RunStats};

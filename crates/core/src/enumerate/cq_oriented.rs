@@ -8,7 +8,7 @@
 use super::{integer_shares, run_share_vector_round};
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::{CollectSink, InstanceSink};
-use subgraph_cq::{cq_for_ordering, cqs_for_sample, ConjunctiveQuery};
+use subgraph_cq::{cq_for_ordering, cqs_for_sample, ConjunctiveQuery, JoinPlan};
 use subgraph_graph::DataGraph;
 use subgraph_mapreduce::EngineConfig;
 use subgraph_pattern::SampleGraph;
@@ -67,7 +67,7 @@ pub fn single_cq_job_into(
 ) -> RunStats {
     run_share_vector_round(
         "cq-job",
-        std::slice::from_ref(cq),
+        &[JoinPlan::compile(cq)],
         &integer_shares(&job_solution(cq, k).shares),
         graph,
         config,
@@ -95,7 +95,7 @@ pub(crate) fn class_job_solution(sample: &SampleGraph, k: usize) -> SharesSoluti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::variable_oriented::run_variable_oriented;
+    use crate::enumerate::variable_oriented;
     use crate::serial::generic::enumerate_generic;
     use subgraph_graph::generators;
     use subgraph_pattern::catalog;
@@ -151,11 +151,8 @@ mod tests {
         // Theorem 4.4 at equal total reducer budget.
         let g = generators::gnm(60, 320, 11);
         let sample = catalog::square();
-        let combined = {
-            let mut collected = CollectSink::new();
-            let stats = run_variable_oriented(&sample, &g, 128, &config(), &mut collected);
-            stats.into_run(collected.into_items())
-        };
+        let combined =
+            variable_oriented::run_with_plan(&g, &variable_oriented::plan(&sample, 128), &config());
         let separate = collect_run(&sample, &g, 128);
         assert!(
             separate.metrics.key_value_pairs >= combined.metrics.key_value_pairs,

@@ -5,9 +5,10 @@
 //! * [`cq_oriented`] — one map-reduce job per conjunctive query, each with its
 //!   own optimized shares (Section 4.1). Never better than the other two
 //!   (Theorem 4.4) but the natural baseline.
-//! * [`variable_oriented`] — all CQs evaluated in a single job; one share per
-//!   variable, optimized over the combined cost expression where edges used in
-//!   both orientations count twice (Section 4.3).
+//! * [`variable_oriented`] — all CQs evaluated in a single job, by one join
+//!   per reducer; one share per variable, optimized over the combined cost
+//!   expression where edges used in both orientations count twice
+//!   (Section 4.3).
 //! * [`bucket_oriented`] — one hash function, nodes ordered by bucket, one
 //!   reducer per non-decreasing bucket multiset (Section 4.5, generalizing the
 //!   Section 2.3 triangle algorithm).
@@ -30,7 +31,7 @@ use crate::enumerate::bucket_oriented::vec_key_record_bytes;
 use crate::result::RunStats;
 use crate::sink::InstanceSink;
 use std::collections::BTreeSet;
-use subgraph_cq::{ConjunctiveQuery, JoinPlan, LocalGraph, Var};
+use subgraph_cq::{JoinPlan, LocalGraph, Var};
 use subgraph_graph::{DataGraph, Edge, IdOrder, NodeId};
 use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
 use subgraph_pattern::Instance;
@@ -62,26 +63,25 @@ struct Role {
 
 /// The map-reduce job of variable- and CQ-oriented processing (Sections 4.1,
 /// 4.3): one reducer per vector of per-variable buckets. An edge goes, once
-/// per distinct subgoal orientation `E(a, b)` of the queries, to every
+/// per distinct role `E(a, b)` of the plans ([`JoinPlan::roles`]), to every
 /// reducer whose `a`- and `b`-buckets are those of its endpoints. A reducer
-/// joins each query over its edges under the identifier order, letting
+/// runs each plan over its edges under the identifier order, letting
 /// variable `X` bind only to nodes whose `X`-hash is the key's bucket for `X`
 /// — which is what makes exactly one reducer find each solution, and prunes
 /// the join at the first variable that hashes elsewhere.
 pub(crate) fn run_share_vector_round(
     name: &str,
-    cqs: &[ConjunctiveQuery],
+    plans: &[JoinPlan],
     shares: &[u32],
     graph: &DataGraph,
     config: &EngineConfig,
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
     let space = KeySpace::grid(shares).unwrap_or_else(|e| panic!("{name} round: {e}"));
-    let subgoals: BTreeSet<(Var, Var)> = cqs
-        .iter()
-        .flat_map(|q| q.subgoals().iter().copied())
+    let distinct: BTreeSet<(Var, Var)> = (plans.iter())
+        .flat_map(|plan| plan.roles().iter().copied())
         .collect();
-    let roles: Vec<Role> = subgoals
+    let roles: Vec<Role> = distinct
         .into_iter()
         .map(|(a, b)| Role {
             a,
@@ -102,13 +102,12 @@ pub(crate) fn run_share_vector_round(
         }
     };
 
-    let plans: Vec<JoinPlan> = cqs.iter().map(JoinPlan::compile).collect();
-    let min_degree = least_min_degree(&plans);
+    let min_degree = least_min_degree(plans);
     let reducer = |key: &u32, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
         let buckets = space.coords(*key);
         let local = LocalGraph::build(edges, &IdOrder, min_degree);
         let mut work = edges.len() as u64;
-        for plan in &plans {
+        for plan in plans {
             work += plan.run(
                 &local,
                 |var, node, _| {

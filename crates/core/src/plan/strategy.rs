@@ -7,7 +7,7 @@
 //! runs.
 
 use crate::convertible::predicted_parallel_work;
-use crate::enumerate::bucket_oriented::{run_bucket_oriented, vec_key_record_bytes};
+use crate::enumerate::bucket_oriented::{run_bucket_oriented, sample_plan, vec_key_record_bytes};
 use crate::enumerate::cq_oriented::{class_job_solution, run_cq_oriented};
 use crate::enumerate::{integer_shares, variable_oriented, KeySpace};
 use crate::plan::cost::{CostEstimate, RoundCost};
@@ -25,7 +25,6 @@ use crate::triangles::cascade::{cascade_record_bytes, run_cascade_triangles_into
 use crate::triangles::multiway::{multiway_record_bytes, run_multiway_triangles_into};
 use crate::triangles::partition::run_partition_triangles_into;
 use std::fmt;
-use subgraph_cq::cqs_for_sample;
 use subgraph_pattern::decompose::decompose;
 use subgraph_pattern::{automorphism_group, SampleGraph};
 use subgraph_shares::counting::{
@@ -374,16 +373,13 @@ impl Strategy for VariableOriented {
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
         one_cq_per_order_class(request)?;
-        share_grid_key_space(
-            &variable_oriented::optimize(request.sample(), request.reducer_budget()).1,
-        )
+        let join = sample_plan(request.sample());
+        share_grid_key_space(&variable_oriented::optimize(&join, request.reducer_budget()).0)
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
-        // Estimating needs the collection's cost expression, not its CQs:
-        // executing builds those.
-        let (_, shares, replication) =
-            variable_oriented::optimize(request.sample(), request.reducer_budget());
+        let join = sample_plan(request.sample());
+        let (shares, replication) = variable_oriented::optimize(&join, request.reducer_budget());
         let p = request.sample().num_nodes();
         let m = request.graph().num_edges();
         let reducers: f64 = shares.iter().map(|&s| s as f64).product();
@@ -416,29 +412,14 @@ impl Strategy for VariableOriented {
         chosen: &CostEstimate,
         sink: &mut dyn InstanceSink,
     ) -> RunReport {
-        // The estimate already paid for the share optimization; rebuild the
-        // job plan from its integer shares instead of solving again.
-        let stats = if chosen.shares.len() == request.sample().num_nodes() {
-            let plan = variable_oriented::VariableOrientedPlan {
-                cqs: cqs_for_sample(request.sample()),
-                optimal_shares: chosen.shares.clone(),
-                shares: chosen
-                    .shares
-                    .iter()
-                    .map(|&s| s.round().max(1.0) as u32)
-                    .collect(),
-                predicted_replication: chosen.replication_per_edge,
-            };
-            variable_oriented::run_with_plan_into(request.graph(), &plan, request.config(), sink)
-        } else {
-            variable_oriented::run_variable_oriented(
-                request.sample(),
-                request.graph(),
-                request.reducer_budget(),
-                request.config(),
-                sink,
-            )
+        // The estimate already paid for the share optimization: its shares
+        // are the integer ones.
+        let plan = variable_oriented::VariableOrientedPlan {
+            join: sample_plan(request.sample()),
+            shares: chosen.shares.iter().map(|&s| s as u32).collect(),
         };
+        let stats =
+            variable_oriented::run_with_plan_into(request.graph(), &plan, request.config(), sink);
         RunReport::streamed_map_reduce(self.kind(), 1, stats)
     }
 }

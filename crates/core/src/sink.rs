@@ -47,15 +47,14 @@
 //! ```
 //!
 //! Parallel delivery happens through per-reduce-worker shards folded back in
-//! worker order, which preserves the deterministic output order of
-//! [`subgraph_mapreduce::EngineConfig::deterministic`] runs — see the engine's
+//! worker order, which keeps the output order a pure function of the input
+//! and the thread count — see the engine's
 //! [`subgraph_mapreduce::sink`] module for the shard protocol. A serializing
 //! sink's shard is a byte buffer: the reduce worker formats each instance
 //! into it and drops the instance at once, so serialization runs in parallel
 //! with the reducers and a run retains O(output bytes), never a
-//! `Vec<Instance>`; the fold is one `write_all` per shard. Under a
-//! deterministic engine config the file content is a pure function of the
-//! input and the thread count.
+//! `Vec<Instance>`; the fold is one `write_all` per shard. The file content
+//! is a pure function of the input and the thread count.
 
 use std::any::Any;
 use std::io::{self, Write};

@@ -206,6 +206,8 @@ pub struct JoinPlan {
     num_cursors: usize,
     /// Per variable: see [`JoinPlan::positions`].
     positions: Vec<(usize, usize)>,
+    /// See [`JoinPlan::roles`].
+    roles: Vec<(Var, Var)>,
 }
 
 impl JoinPlan {
@@ -266,6 +268,17 @@ impl JoinPlan {
                 (before, num_vars - 1 - after)
             })
             .collect();
+        let mut roles = Vec::with_capacity(2 * subgoals.len());
+        for &(a, b) in subgoals {
+            if !precedes[b as usize][a as usize] {
+                roles.push((a, b));
+            }
+            if !precedes[a as usize][b as usize] {
+                roles.push((b, a));
+            }
+        }
+        roles.sort_unstable();
+        roles.dedup();
 
         let mut adjacency = vec![Vec::new(); num_vars];
         for &(a, b) in subgoals {
@@ -334,7 +347,19 @@ impl JoinPlan {
             satisfiable,
             num_cursors,
             positions,
+            roles,
         }
+    }
+
+    /// The orientations `E(a, b)` — `a`'s node before `b`'s — in which the
+    /// plan's matches can use the graph's edges, ascending: `(a, b)` for an
+    /// edge the ordering conditions put `a` first on, `(b, a)` for one they
+    /// put `b` first on, and both for an edge they leave open. For a
+    /// [`JoinPlan::compile`] plan of a satisfiable query these are the
+    /// query's subgoals. A mapper that ships each edge in every role of a
+    /// plan ships every edge of every match the plan can find.
+    pub fn roles(&self) -> &[(Var, Var)] {
+        &self.roles
     }
 
     /// Per variable, the least and the greatest position its node can take
@@ -833,6 +858,14 @@ mod tests {
         let path = JoinPlan::compile_unoriented(3, &[(0, 1), (1, 2)], &[]);
         assert_eq!(runs(&path, 1), [Run::Neighbors]);
         assert_eq!(runs(&path, 2), [Run::Neighbors]);
+        // The edges are shipped the ways they are read: X1–X2 and X2–X3 open.
+        assert_eq!(
+            square.roles(),
+            [(0, 1), (0, 3), (1, 2), (2, 1), (2, 3), (3, 2)]
+        );
+        assert_eq!(path.roles(), [(0, 1), (1, 0), (1, 2), (2, 1)]);
+        let query = ConjunctiveQuery::new(3, vec![(1, 0), (1, 2)], vec![]);
+        assert_eq!(JoinPlan::compile(&query).roles(), [(1, 0), (1, 2)]);
     }
 
     #[test]

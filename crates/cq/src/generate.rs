@@ -1,11 +1,7 @@
 //! Generating CQs from node orderings (Sections 3.1 and 3.2, Theorem 3.1).
 
-use crate::partial::PartialCq;
 use crate::query::{ConjunctiveQuery, Constraint, Var};
-use std::collections::BTreeSet;
-use subgraph_pattern::automorphism::{
-    automorphism_group, order_representatives, AutomorphismGroup, NodeOrdering,
-};
+use subgraph_pattern::automorphism::{order_representatives, NodeOrdering};
 use subgraph_pattern::SampleGraph;
 
 /// Builds the CQ for one total order of the sample-graph nodes (Section 3.1).
@@ -51,62 +47,6 @@ pub fn cqs_for_sample(sample: &SampleGraph) -> Vec<ConjunctiveQuery> {
         .iter()
         .map(|ordering| cq_for_ordering(sample, ordering))
         .collect()
-}
-
-/// The distinct subgoals `E(a, b)` among the CQs [`cqs_for_sample`] builds —
-/// at most two per sample edge, ascending — without building a CQ.
-///
-/// One walk of the canonical prefix tree (the lex-least orderings
-/// [`order_representatives`] lists, grown a node at a time) records each
-/// orientation as soon as a prefix decides it: every canonical prefix extends
-/// to a representative. It skips every subtree whose undecided edges can only
-/// add orientations already seen — an edge with one end placed can only point
-/// away from it, one with neither end placed either way — so it ends once
-/// every edge has been seen both ways, and on a cycle, whose least node
-/// leads every representative, after a few branches rather than `p!/|Aut|`
-/// leaves.
-pub fn representative_subgoals(sample: &SampleGraph) -> Vec<(Var, Var)> {
-    let mut seen = BTreeSet::new();
-    let mut partial = PartialCq::new(sample);
-    if record(sample, &partial, &mut seen) {
-        walk(sample, &automorphism_group(sample), &mut partial, &mut seen);
-    }
-    seen.into_iter().collect()
-}
-
-/// Adds the orientations `partial` decides to `seen`; true while some
-/// completion of `partial` could still add one.
-fn record(sample: &SampleGraph, partial: &PartialCq<'_>, seen: &mut BTreeSet<(Var, Var)>) -> bool {
-    seen.extend(partial.oriented_edges().iter().flatten());
-    let placed = |v: Var| partial.prefix().contains(&v);
-    let unseen = |edge: &(Var, Var)| !seen.contains(edge);
-    (sample.edges().iter().zip(partial.oriented_edges()))
-        .filter(|(_, decided)| decided.is_none())
-        .any(|(&(a, b), _)| match (placed(a), placed(b)) {
-            (true, _) => unseen(&(a, b)),
-            (_, true) => unseen(&(b, a)),
-            _ => unseen(&(a, b)) || unseen(&(b, a)),
-        })
-}
-
-/// `stabilizer` is the pointwise stabilizer of `partial`'s prefix; a child's
-/// stabilizer is only computed when its subtree can add an orientation.
-fn walk(
-    sample: &SampleGraph,
-    stabilizer: &AutomorphismGroup<'_>,
-    partial: &mut PartialCq<'_>,
-    seen: &mut BTreeSet<(Var, Var)>,
-) {
-    for v in sample.nodes() {
-        if partial.prefix().contains(&v) || !stabilizer.is_orbit_minimum(v) {
-            continue;
-        }
-        partial.push(v);
-        if record(sample, partial, seen) {
-            walk(sample, &stabilizer.stabilizer(v), partial, seen);
-        }
-        partial.pop();
-    }
 }
 
 #[cfg(test)]
@@ -190,42 +130,60 @@ mod tests {
 
     #[test]
     fn representative_subgoals_are_the_collections_distinct_subgoals() {
-        let mut samples: Vec<SampleGraph> = (catalog::entries().into_iter())
-            .map(|entry| entry.sample)
+        use crate::eval::JoinPlan;
+        use std::collections::BTreeSet;
+        use subgraph_pattern::automorphism::automorphism_group;
+
+        // The subgoals one unoriented plan of the whole sample graph ships,
+        // without building a CQ.
+        let roles = |sample: &SampleGraph| -> BTreeSet<(Var, Var)> {
+            let lts = automorphism_group(sample).symmetry_breaking();
+            let plan = JoinPlan::compile_unoriented(sample.num_nodes(), sample.edges(), &lts);
+            plan.roles().iter().copied().collect()
+        };
+        let distinct = |sample: &SampleGraph| -> BTreeSet<(Var, Var)> {
+            (cqs_for_sample(sample).iter())
+                .flat_map(|q| q.subgoals().iter().copied())
+                .collect()
+        };
+        let named = "c6 c7 c8 c9 path5 path6 path7 path8 star6 star7 star9 k5 k6 k8 hypercube3";
+        let samples: Vec<(String, SampleGraph)> = (catalog::entries().into_iter())
+            .map(|entry| (entry.name.to_string(), entry.sample))
+            .chain((named.split(' ')).map(|n| (n.to_string(), catalog::by_name(n).unwrap())))
             .collect();
-        for name in ["star7", "c7", "c8", "path7", "k6", "hypercube3"] {
-            samples.push(catalog::by_name(name).unwrap());
+        // The pentagon with a chord is the one sample graph whose orbit
+        // transversal ships an edge in fewer orientations than the lex-least
+        // one of Theorem 3.1: 11 roles against 12.
+        for (name, sample) in &samples {
+            let (walked, collection) = (roles(sample), distinct(sample));
+            assert!(walked.is_subset(&collection), "{name}");
+            if name == "pentagon-with-chord" {
+                assert_eq!((walked.len(), collection.len()), (11, 12));
+            } else {
+                assert_eq!(walked, collection, "{name}");
+            }
         }
-        // Seeded random samples on 4–7 nodes, isolated nodes allowed.
+        // Seeded random connected samples on 4–7 nodes.
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut below = |bound: u64| {
             state = (state.wrapping_mul(6364136223846793005)).wrapping_add(1442695040888963407);
             ((state >> 33) % bound) as u8
         };
-        for _ in 0..60 {
+        let mut checked = 0;
+        while checked < 200 {
             let p = 4 + below(4);
             let mut edges: Vec<(u8, u8)> = (0..p)
                 .flat_map(|a| (a + 1..p).map(move |b| (a, b)))
                 .collect();
-            edges.retain(|_| below(3) == 0);
-            if !edges.is_empty() {
-                samples.push(SampleGraph::from_edges(p as usize, &edges));
+            edges.retain(|_| below(2) == 0);
+            let sample = SampleGraph::from_edges(p as usize, &edges);
+            if sample.is_connected() {
+                assert!(distinct(&sample).is_superset(&roles(&sample)), "{sample:?}");
+                checked += 1;
             }
         }
-        // Both hexagon edges at X1 stay one-way (Example 4.3); the lollipop's
-        // E(Y,Z) too (Figure 5).
-        for sample in &samples {
-            let distinct: BTreeSet<(Var, Var)> = (cqs_for_sample(sample).iter())
-                .flat_map(|q| q.subgoals().iter().copied())
-                .collect();
-            let walked = representative_subgoals(sample);
-            assert_eq!(
-                walked,
-                distinct.into_iter().collect::<Vec<_>>(),
-                "{sample:?}"
-            );
-        }
-        let hexagon = representative_subgoals(&catalog::cycle(6));
+        // Both hexagon edges at X1 stay one-way (Example 4.3).
+        let hexagon = roles(&catalog::cycle(6));
         assert!(!hexagon.contains(&(1, 0)) && !hexagon.contains(&(5, 0)));
         assert_eq!(hexagon.len(), 10);
     }

@@ -26,17 +26,15 @@ pub mod eval;
 pub mod generate;
 pub mod local;
 pub mod orientation;
-pub mod partial;
 pub mod query;
 
 pub use cycles::{cycle_cqs, CycleCq};
 pub use eval::{
     evaluate_cq, evaluate_cq_filtered, evaluate_cq_group, evaluate_cqs, EvalOutcome, JoinPlan,
 };
-pub use generate::{cq_for_ordering, cqs_for_sample, representative_subgoals};
+pub use generate::{cq_for_ordering, cqs_for_sample};
 pub use local::LocalGraph;
 pub use orientation::{merge_by_orientation, simplified_constraints};
-pub use partial::PartialCq;
 pub use query::{ConjunctiveQuery, Constraint, CqGroup, Var};
 
 #[cfg(test)]

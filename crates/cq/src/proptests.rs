@@ -3,9 +3,8 @@
 
 use crate::cycles::{cycle_cqs, orientation_representatives, valid_orientations};
 use crate::eval::{evaluate_cq_group, evaluate_cqs, EvalOutcome};
-use crate::generate::{cq_for_ordering, cqs_for_sample};
+use crate::generate::cqs_for_sample;
 use crate::orientation::merge_by_orientation;
-use crate::partial::PartialCq;
 use subgraph_graph::{generators, BucketThenIdOrder, IdOrder};
 use subgraph_pattern::catalog;
 use subgraph_pattern::SampleGraph;
@@ -83,55 +82,6 @@ fn cycle_method_agrees_with_general_method() {
             assert_eq!(
                 runs_outcome.assignments, general_outcome.assignments,
                 "p={p} round={round}"
-            );
-        }
-    }
-}
-
-/// Incremental partial-CQ construction agrees with [`cq_for_ordering`] on
-/// every full ordering of every small pattern, even when the prefix is built
-/// through an arbitrary interleaving of pushes and pops — the invariant
-/// [`crate::generate::representative_subgoals`] leans on while walking the
-/// prefix tree.
-#[test]
-fn partial_cq_completion_matches_direct_construction() {
-    let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut next = move |bound: usize| -> usize {
-        // Plain LCG (Numerical Recipes constants); deterministic, no deps.
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as usize) % bound.max(1)
-    };
-    for sample in small_patterns() {
-        let p = sample.num_nodes();
-        let mut partial = PartialCq::new(&sample);
-        for _trial in 0..40 {
-            // Back off to a random shallower depth, then rebuild to a full
-            // random ordering from whatever prefix is left.
-            while partial.depth() > next(p + 1) {
-                partial.pop();
-            }
-            let mut remaining: Vec<_> = (0..p as subgraph_pattern::PatternNode)
-                .filter(|&v| !partial.prefix().contains(&v))
-                .collect();
-            while !remaining.is_empty() {
-                let v = remaining.swap_remove(next(remaining.len()));
-                partial.push(v);
-                assert_eq!(
-                    partial.decided_edges(),
-                    partial
-                        .oriented_edges()
-                        .iter()
-                        .filter(|s| s.is_some())
-                        .count()
-                );
-            }
-            let ordering: Vec<_> = partial.prefix().to_vec();
-            assert_eq!(
-                partial.complete(),
-                cq_for_ordering(&sample, &ordering),
-                "ordering {ordering:?}"
             );
         }
     }

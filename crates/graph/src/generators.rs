@@ -4,7 +4,7 @@
 //! social-network-like skew (Section 1.1), degree caps of `√m` (Section 7.3),
 //! and specific worst-case families such as Δ-regular trees (end of Section
 //! 7.3). These generators produce all of them deterministically from a seed so
-//! every experiment in `EXPERIMENTS.md` is reproducible.
+//! every table `reproduce` prints (`docs/REPRODUCTION.txt`) is reproducible.
 
 use crate::builder::GraphBuilder;
 use crate::graph::{DataGraph, NodeId};

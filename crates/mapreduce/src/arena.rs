@@ -31,9 +31,8 @@
 //! 3. **Reduce.** One pool task per worker makes one pass per bucket: it
 //!    decodes the bucket's chunks once while grouping into one
 //!    `PrehashedMap` per partition (below), returns the consumed chunks to
-//!    the [`BufferPool`], reduces each partition's groups — keys sorted when
-//!    [`EngineConfig::deterministic`] is set — into the worker's private
-//!    shard of the output sink, and recycles their value vectors before it
+//!    the [`BufferPool`], reduces each partition's groups in key order into
+//!    the worker's private shard of the output sink, and recycles their value vectors before it
 //!    reads the next bucket. So at most one bucket's decoded groups are
 //!    resident per worker, and the arena *falls* through the reduce phase
 //!    instead of peaking. Sink shards are folded back in worker order.
@@ -48,10 +47,10 @@
 //! every non-spill [`JobMetrics`] counter are the same at every budget.
 //!
 //! Per-key value order is (map shard, emission order within the shard), and
-//! a deterministic run reduces each worker's keys in (partition, key) order,
+//! a run reduces each worker's keys in (partition, key) order,
 //! where a key's partition is `shard_for_hash(hash,`
 //! [`EngineConfig::reduce_partitions`]`)` — a refinement of every bucket
-//! layout, because the number of passes divides 16. So a deterministic run
+//! layout, because the number of passes divides 16. So a run's output
 //! is a pure function of the input, the thread count and the combiner
 //! toggle, at every budget. `shuffle_bytes` is priced by the round's
 //! record weigher once per record at decode; `wire_bytes` is the encoded
@@ -507,19 +506,17 @@ impl<K: Hash + Eq + Ord + ArenaCodec, V: ArenaCodec> PassGroups<K, V> {
         }
     }
 
-    /// Moves the pass's `index`-th partition's groups into `groups` (sorted
-    /// by key when `deterministic`) and leaves its map as a fresh one would
-    /// be: a map that grew is replaced, so every partition starts from the
-    /// same capacity.
-    fn take_partition(&mut self, index: usize, deterministic: bool, groups: &mut Vec<(K, Vec<V>)>) {
+    /// Moves the pass's `index`-th partition's groups into `groups`, sorted
+    /// by key, and leaves its map as a fresh one would be: a map that grew
+    /// is replaced, so one hot partition's table is not carried into every
+    /// later pass.
+    fn take_partition(&mut self, index: usize, groups: &mut Vec<(K, Vec<V>)>) {
         let map = &mut self.maps[index];
         groups.extend(map.drain().map(|(key, values)| (key.into_key(), values)));
         if map.capacity() > self.fresh_capacity {
             *map = prehashed_map_with_capacity(self.capacity);
         }
-        if deterministic {
-            groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        }
+        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     }
 }
 
@@ -527,19 +524,14 @@ impl<K: Hash + Eq + Ord + ArenaCodec, V: ArenaCodec> PassGroups<K, V> {
 /// decodes the bucket's arenas (one per map shard, in map-shard order) —
 /// spilled runs first, streamed back one frame at a time through a recycled
 /// buffer, resident chunks after — into one grouping map per partition, then
-/// reduces the partitions in order, each over its (optionally sorted)
-/// groups, and clears their values before the next pass reads anything.
-///
-/// Delivery order is a function of the partitions alone, never of how many
-/// share a pass: a partition's map sees the same inserts in the same order
-/// at every budget, and it starts from the same capacity — computed from
-/// per-worker totals, and restored whenever a partition grew the map.
+/// reduces the partitions in order, each over its groups sorted by key, and
+/// clears their values before the next pass reads anything. Delivery order
+/// is a function of the partitions alone, never of how many share a pass.
 fn reduce_shard<I, K, V, O>(
     passes: Vec<Vec<ArenaBucket>>,
     partitions: usize,
     sink_shard: Box<dyn SinkShard<O>>,
     round: &Round<'_, I, K, V, O>,
-    deterministic: bool,
     buffers: &BufferPool,
     spill: Option<&SpillRound>,
 ) -> ReduceOutcome<O>
@@ -599,7 +591,7 @@ where
             }
         }
         for index in 0..per_pass {
-            grouped.take_partition(index, deterministic, &mut groups);
+            grouped.take_partition(index, &mut groups);
             group_count += groups.len();
             for (key, mut values) in groups.drain(..) {
                 max_input = max_input.max(values.len());
@@ -717,7 +709,7 @@ where
 
     // ---- Reduce phase -----------------------------------------------------
     // Sink shards are created in worker order and folded back in worker
-    // order, which is what preserves deterministic output order.
+    // order, which is what makes the output order repeat.
     let reduce_start = Instant::now();
     type ReduceWork<O> = (Vec<Vec<ArenaBucket>>, Box<dyn SinkShard<O>>);
     let reduce_inputs: Vec<Slot<ReduceWork<O>>> = inboxes
@@ -737,7 +729,6 @@ where
             partitions,
             sink_shard,
             round,
-            config.deterministic,
             buffers,
             spill.as_deref(),
         );

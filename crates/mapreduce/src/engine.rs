@@ -15,17 +15,6 @@ pub struct EngineConfig {
     /// Number of worker threads for both the map and the reduce phase.
     /// Defaults to the number of available CPUs (at least 1).
     pub num_threads: usize,
-    /// If true (the default), every reduce worker sorts its keys before
-    /// invoking the reducer, so reducer invocation order — and therefore the
-    /// concatenated output order — is a pure function of the input and the
-    /// thread count. If false, each shard's keys are visited in hash-map
-    /// iteration order: the *set* of outputs and all [`crate::JobMetrics`] counters
-    /// are unchanged, but the output order is arbitrary (it follows the
-    /// engine's FxHash grouping tables, so no ordering is guaranteed across
-    /// runs or releases), so only opt out when the consumer sorts or
-    /// aggregates the output anyway and wants to skip the `O(r log r)`
-    /// per-shard sort.
-    pub deterministic: bool,
     /// If true (the default), rounds with an attached
     /// [`crate::Combiner`] pre-aggregate their map output per shard before the
     /// shuffle. Disable to measure the raw communication cost of a pipeline;
@@ -64,7 +53,6 @@ impl Default for EngineConfig {
             num_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            deterministic: true,
             use_combiners: true,
             memory_budget: 0,
             spill_dir: None,
@@ -138,8 +126,7 @@ impl EngineConfig {
         self.pool.as_ref().unwrap_or_else(|| WorkerPool::global())
     }
 
-    /// The number of reduce partitions a deterministic run delivers keys
-    /// by, `threads × 16`: reduce worker `w` reduces its keys in
+    /// The number of reduce partitions a run delivers keys by, `threads × 16`: reduce worker `w` reduces its keys in
     /// (partition, key) order, where a key's partition is
     /// `shard_for_hash(hash, reduce_partitions())` and worker `w` owns
     /// partitions `[16·w, 16·(w+1))`. Because `shard_for_hash` is a
@@ -377,36 +364,6 @@ mod tests {
         assert_eq!(passes(2, 16 << 20), 16);
         assert_eq!(passes(4, 32 << 20), 16);
         assert_eq!(EngineConfig::with_threads(3).reduce_partitions(), 48);
-    }
-
-    #[test]
-    fn deterministic_flag_controls_output_order_not_content() {
-        let inputs: Vec<u64> = (0..300).map(|i| i * 13 % 97).collect();
-        let run = |deterministic: bool| {
-            let mapper = |x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(x % 16, *x);
-            let reducer = |k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, usize)>| {
-                ctx.emit((*k, vs.len()));
-            };
-            let config = EngineConfig {
-                num_threads: 3,
-                deterministic,
-                ..EngineConfig::default()
-            };
-            run_round(&inputs, mapper, reducer, &config)
-        };
-        // Deterministic runs repeat exactly, in order.
-        let (first, metrics_a) = run(true);
-        let (second, metrics_b) = run(true);
-        assert_eq!(first, second);
-        // A non-deterministic run produces the same output *set* and metrics.
-        let (mut relaxed, metrics_c) = run(false);
-        let mut sorted_first = first.clone();
-        sorted_first.sort_unstable();
-        relaxed.sort_unstable();
-        assert_eq!(sorted_first, relaxed);
-        assert_eq!(metrics_a.key_value_pairs, metrics_c.key_value_pairs);
-        assert_eq!(metrics_a.reducers_used, metrics_c.reducers_used);
-        assert_eq!(metrics_b.outputs, metrics_c.outputs);
     }
 
     #[test]

@@ -324,9 +324,8 @@ impl<'a, I: Send + 'static, T: Send + 'static> Pipeline<'a, I, T> {
     /// Executes every round in order, streaming the *final* round's reducer
     /// outputs into `sink` instead of merging them into a `Vec`: each reduce
     /// worker fills a private [`crate::SinkShard`] as its reducers emit, and
-    /// the coordinator folds the shards back in worker order — so
-    /// deterministic configs deliver the exact order [`Pipeline::run`] would
-    /// have returned, and constant-memory sinks (e.g. [`crate::CountSink`])
+    /// the coordinator folds the shards back in worker order — so the sink
+    /// receives the exact order [`Pipeline::run`] would have returned, and constant-memory sinks (e.g. [`crate::CountSink`])
     /// make the output path O(1) in the result size.
     ///
     /// Intermediate rounds still materialize their outputs (they are the next
@@ -719,39 +718,24 @@ mod tests {
 
     #[test]
     fn executor_matches_the_reference_outputs_and_counters() {
-        // Outputs in the reference's order and every non-timing counter, in
-        // deterministic mode; the same multiset in relaxed mode.
+        // Outputs in the reference's order and every non-timing counter.
         let inputs: Vec<u64> = (0..3000).map(|i| i * 29 % 613).collect();
         for threads in [1usize, 2, 8] {
             for combine in [true, false] {
                 let job = sum_job(combine);
-                let partitions = EngineConfig::with_threads(threads).reduce_partitions();
+                let config = EngineConfig::with_threads(threads);
                 let (expected, expected_metrics) =
-                    job.reference(&inputs, threads, partitions, true);
-                let mut sorted_expected = expected.clone();
-                sorted_expected.sort_unstable();
-                for deterministic in [true, false] {
-                    let config = EngineConfig {
-                        num_threads: threads,
-                        deterministic,
-                        ..EngineConfig::default()
-                    };
-                    let (mut outputs, report) = Pipeline::new()
-                        .round(job.round("sum"))
-                        .run(&inputs, &config);
-                    let context = format!("threads={threads} combine={combine}");
-                    assert_eq!(
-                        report.rounds[0].metrics.without_timings(),
-                        expected_metrics,
-                        "{context}"
-                    );
-                    if deterministic {
-                        assert_eq!(outputs, expected, "{context}");
-                    } else {
-                        outputs.sort_unstable();
-                        assert_eq!(outputs, sorted_expected, "{context} relaxed");
-                    }
-                }
+                    job.reference(&inputs, threads, config.reduce_partitions(), true);
+                let (outputs, report) = Pipeline::new()
+                    .round(job.round("sum"))
+                    .run(&inputs, &config);
+                let context = format!("threads={threads} combine={combine}");
+                assert_eq!(
+                    report.rounds[0].metrics.without_timings(),
+                    expected_metrics,
+                    "{context}"
+                );
+                assert_eq!(outputs, expected, "{context}");
             }
         }
     }
@@ -820,41 +804,32 @@ mod tests {
         // ~100k records (~half a MiB of arena bytes) dwarf the forced 64 KiB
         // budget, so the smallest budget spills several epochs; the contract
         // is byte-identical outputs and counters (spill counters aside) at
-        // every budget, in deterministic and relaxed mode.
+        // every budget.
         let inputs: Vec<u64> = (0..100_000).map(|i| i * 37 % 7919).collect();
         for threads in [2usize, 4] {
-            for deterministic in [true, false] {
-                let unbounded = EngineConfig {
-                    num_threads: threads,
-                    deterministic,
-                    ..EngineConfig::default()
-                };
-                let (base_out, base_report) = Pipeline::new()
+            let unbounded = EngineConfig::with_threads(threads);
+            let (base_out, base_report) = Pipeline::new()
+                .round(sum_job(false).round("sum"))
+                .run(&inputs, &unbounded);
+            assert_eq!(base_report.rounds[0].metrics.spilled_bytes, 0);
+            for budget in [64 << 10, 1 << 20] {
+                let config = unbounded.clone().memory_budget(budget);
+                let (outputs, report) = Pipeline::new()
                     .round(sum_job(false).round("sum"))
-                    .run(&inputs, &unbounded);
-                assert_eq!(base_report.rounds[0].metrics.spilled_bytes, 0);
-                for budget in [64 << 10, 1 << 20] {
-                    let config = unbounded.clone().memory_budget(budget);
-                    let (outputs, report) = Pipeline::new()
-                        .round(sum_job(false).round("sum"))
-                        .run(&inputs, &config);
-                    assert_eq!(
-                        outputs, base_out,
-                        "threads={threads} deterministic={deterministic} budget={budget}"
+                    .run(&inputs, &config);
+                assert_eq!(outputs, base_out, "threads={threads} budget={budget}");
+                assert_eq!(
+                    without_spill_counters(counters_of(&report)),
+                    without_spill_counters(counters_of(&base_report)),
+                    "threads={threads} budget={budget}"
+                );
+                if budget == 64 << 10 {
+                    let metrics = &report.rounds[0].metrics;
+                    assert!(
+                        metrics.spilled_bytes > 0,
+                        "a 64 KiB budget under ~500 KiB of records must spill"
                     );
-                    assert_eq!(
-                        without_spill_counters(counters_of(&report)),
-                        without_spill_counters(counters_of(&base_report)),
-                        "threads={threads} deterministic={deterministic} budget={budget}"
-                    );
-                    if budget == 64 << 10 {
-                        let metrics = &report.rounds[0].metrics;
-                        assert!(
-                            metrics.spilled_bytes > 0,
-                            "a 64 KiB budget under ~500 KiB of records must spill"
-                        );
-                        assert!(metrics.spill_runs > 0);
-                    }
+                    assert!(metrics.spill_runs > 0);
                 }
             }
         }

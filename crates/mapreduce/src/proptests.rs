@@ -180,8 +180,7 @@ fn aggregation_job(
 }
 
 /// Combiner-on and combiner-off runs produce identical reducer outputs —
-/// including identical order in deterministic mode — for any seed and thread
-/// count.
+/// including identical order — for any seed and thread count.
 #[test]
 fn combiner_on_and_off_produce_identical_reducer_outputs() {
     for seed in 64..88 {

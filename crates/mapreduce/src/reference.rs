@@ -6,8 +6,8 @@
 //! engine [`Round`]; [`Job::reference`] runs the job the simplest way that
 //! meets the engine's contract: map each logical shard
 //! (`len.div_ceil(threads)` records), combine per shard and key, group
-//! everything in one `BTreeMap`, and reduce the keys in the order a
-//! deterministic engine run delivers them — by reduce partition
+//! everything in one `BTreeMap`, and reduce the keys in the order an
+//! engine run delivers them — by reduce partition
 //! ([`shard_for_hash`] over the engine's
 //! [`EngineConfig::reduce_partitions`](crate::EngineConfig::reduce_partitions)),
 //! then by key. Each worker owns a run of consecutive partitions and the
@@ -61,8 +61,7 @@ where
     }
 
     /// Runs the job as the engine would at `threads` map shards and
-    /// `partitions` reduce partitions: the outputs in a deterministic run's
-    /// order, and the counters the engine must report (timings and spill
+    /// `partitions` reduce partitions: the outputs in an engine run's order, and the counters the engine must report (timings and spill
     /// counters zero).
     pub fn reference(
         &self,

@@ -21,9 +21,8 @@
 //! for a private [`SinkShard`] ([`OutputSink::new_shard`]), streams its
 //! outputs into that shard as its reducers emit them, and the coordinator
 //! folds the finished shards back into the sink **in worker order**
-//! ([`OutputSink::fold`]) — which is what preserves the deterministic output
-//! order of [`crate::EngineConfig::deterministic`] runs without a global
-//! lock.
+//! ([`OutputSink::fold`]) — which is what keeps the output order a pure
+//! function of the input and the thread count without a global lock.
 //!
 //! The default shard is a [`BufferShard`] (a plain `Vec` replayed through
 //! [`OutputSink::accept`] at fold time): correct for every sink, and exactly
@@ -285,8 +284,7 @@ impl<T: Ord + Send + 'static> OutputSink<T> for SampleSink<T> {
 // ---- callbacks -------------------------------------------------------------
 
 /// Invokes a callback per record. Worker shards buffer and the coordinator
-/// replays them in worker order, so under a deterministic engine config the
-/// callback sees the exact order the legacy `Vec` path would have returned.
+/// replays them in worker order, so the callback sees the exact order the legacy `Vec` path would have returned.
 pub struct FnSink<T, F: FnMut(T) + Send> {
     callback: F,
     count: usize,

@@ -20,8 +20,7 @@
 //!
 //! [`AutomorphismGroup::stabilizer`] runs the same search with one more node
 //! pinned. That is how the canonical-prefix tree of [`order_representatives`]
-//! (and of `subgraph_cq::representative_subgoals`) follows a chain whose base
-//! is the prefix being grown: a prefix `p₁…p_d` is the least of its
+//! follows a chain whose base is the prefix being grown: a prefix `p₁…p_d` is the least of its
 //! orbit iff each `p_i` is the minimum of its orbit under the pointwise
 //! stabilizer of `p₁…p_{i−1}`, so a tree node consults one orbit partition,
 //! and nothing at all once the stabilizer is trivial. `star16`

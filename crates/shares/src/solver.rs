@@ -373,7 +373,7 @@ mod tests {
         // With k = 500 000: X1 = 5, the rest 10; cost per edge = 6·10⁴
         // (the paper's Example 4.3 reports 5·10⁴·e total, i.e. 5·10¹³ for
         // m = 10⁹; evaluating its own optimum shares gives 6·10⁴ per edge —
-        // see EXPERIMENTS.md).
+        // the gap is unexplained).
         let cqs = cqs_for_sample(&catalog::cycle(6));
         let expr = CostExpression::from_cq_collection(&cqs);
         // Exactly the four non-X1 edges must be bidirectional.

@@ -50,11 +50,29 @@ fn reducer_budget_for_buckets(p: usize, b: usize) -> usize {
 
 #[test]
 fn variable_oriented_map_reduce_is_exactly_once() {
-    for (case, (name, sample)) in patterns().into_iter().enumerate() {
-        let n = 12 + 2 * case;
-        let m = (n * (n - 1) / 2) / 2;
-        let graph = generators::gnm(n, m, 140 + case as u64);
+    let mut cases: Vec<(&str, SampleGraph, DataGraph)> = (patterns().into_iter().enumerate())
+        .map(|(case, (name, sample))| {
+            let n = 12 + 2 * case;
+            let m = (n * (n - 1) / 2) / 2;
+            (name, sample, generators::gnm(n, m, 140 + case as u64))
+        })
+        .collect();
+    // The pentagon with a chord ships one role fewer than its CQ collection
+    // uses; the hypercube has 840 order classes and one plan.
+    cases.push((
+        "pentagon-with-chord",
+        catalog::pentagon_with_chord(),
+        generators::gnm(18, 70, 150),
+    ));
+    cases.push((
+        "hypercube3",
+        catalog::hypercube(3),
+        generators::gnm(14, 40, 151),
+    ));
+    for (name, sample, graph) in cases {
         let oracle = enumerate_generic(&sample, &graph);
+        let mut expected = oracle.instances().to_vec();
+        expected.sort_unstable();
         for k in [1usize, 9, 64] {
             let run = EnumerationRequest::new(sample.clone(), &graph)
                 .strategy(StrategyKind::VariableOriented)
@@ -65,6 +83,9 @@ fn variable_oriented_map_reduce_is_exactly_once() {
                 .execute();
             assert_eq!(run.count(), oracle.count(), "{name} k={k}");
             assert_eq!(run.duplicates(), 0, "{name} k={k}");
+            let mut found = run.instances().to_vec();
+            found.sort_unstable();
+            assert_eq!(found, expected, "{name} k={k}");
         }
     }
 }

@@ -180,9 +180,23 @@ fn multiway_emission_and_shipment_bracket_the_paper_formulas() {
 #[test]
 fn variable_oriented_prediction_is_exact() {
     // Section 4.3: the engine counts exactly what the cost expression models
-    // (at the integer shares), so prediction and measurement agree exactly.
-    for (name, sample) in catalog_patterns() {
-        let graph = generators::gnm(60, 360, 12_000);
+    // (at the integer shares), so prediction and measurement agree exactly —
+    // also where the plan's roles are fewer than the CQ collection's
+    // subgoals (the pentagon with a chord).
+    let mut cases: Vec<(&str, SampleGraph, DataGraph)> = (catalog_patterns().into_iter())
+        .map(|(name, sample)| (name, sample, generators::gnm(60, 360, 12_000)))
+        .collect();
+    cases.push((
+        "pentagon-with-chord",
+        catalog::pentagon_with_chord(),
+        generators::gnm(60, 360, 12_000),
+    ));
+    cases.push((
+        "hypercube3",
+        catalog::hypercube(3),
+        generators::gnm(24, 80, 12_001),
+    ));
+    for (name, sample, graph) in cases {
         let plan = EnumerationRequest::new(sample, &graph)
             .reducers(128)
             .engine(EngineConfig::serial())

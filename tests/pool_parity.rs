@@ -84,7 +84,7 @@ where
         config.reduce_partitions(),
         config.use_combiners,
     );
-    // Exact order, not just the same multiset: deterministic configs promise
+    // Exact order, not just the same multiset: the engine promises
     // reproducible output order.
     assert_eq!(outputs, expected, "{context}");
     assert_eq!(counters(&report, true), expected_metrics, "{context}");

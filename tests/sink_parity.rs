@@ -10,8 +10,7 @@
 //!    change what the engine measures.
 //! 2. **CollectSink** — streaming into a collector yields the same instance
 //!    multiset as `execute()`.
-//! 3. **Callback order** — under a deterministic engine config, an `FnSink`
-//!    sees the exact instance order `execute()` returns.
+//! 3. **Callback order** — an `FnSink` sees the exact instance order `execute()` returns.
 //!
 //! 4. **Text sinks** — ndjson, csv and edge-list written through their
 //!    per-worker byte shards are byte for byte what buffering the instances
@@ -159,8 +158,7 @@ fn collect_sink_matches_the_collect_path_multiset() {
 
 #[test]
 fn fn_sink_sees_the_exact_deterministic_order() {
-    // EngineConfig::with_threads defaults to deterministic = true: the
-    // callback stream must equal the collect path's order, not just its set.
+    // The callback stream must equal the collect path's order, not just its set.
     for (name, sample) in patterns() {
         let graph = generators::gnp(44, 0.11, 7_100);
         for (kind, k) in strategies(&sample) {

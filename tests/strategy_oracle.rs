@@ -6,7 +6,7 @@
 //!
 //! 1. **Multiset equality** — the sorted instance list of every strategy
 //!    equals the oracle's, for every `num_threads ∈ {1, 2, 8}`.
-//! 2. **Determinism** — with `deterministic = true`, two runs of the same
+//! 2. **Determinism** — two runs of the same
 //!    strategy at the same thread count return byte-identical instance
 //!    streams (same order, not just the same set).
 //! 3. **Combiner transparency** — the only strategy with a map-side combiner
@@ -134,8 +134,7 @@ fn deterministic_mode_repeats_the_exact_instance_order() {
             for threads in [2usize, 8] {
                 let first = run(&sample, &graph, kind, k, threads);
                 let second = run(&sample, &graph, kind, k, threads);
-                // EngineConfig::with_threads defaults to deterministic = true:
-                // the streams must agree in order, not merely as multisets.
+                // The streams must agree in order, not merely as multisets.
                 assert_eq!(
                     first.instances(),
                     second.instances(),
