@@ -1,13 +1,16 @@
 //! What serializing costs a run: the bucket-oriented triangle plan enumerated
 //! to ndjson against the same plan counted.
 //!
-//! The text sinks format on the reduce workers, so an enumerate run should
-//! cost a count run plus its share of parallel formatting and one write per
-//! worker — not a serial replay of every instance after the reduce phase.
-//! `reproduce sink-gate` is *relative*: both sides run the same map, shuffle
-//! and join on the same host, alternating, so a busy runner slows both
-//! alike. It is also *exact*: the bytes written must hold one line per
-//! instance the serial oracle finds.
+//! The text sinks format on the reduce workers, and each reduce bucket's
+//! bytes are written once every bucket before it is, while later buckets
+//! still reduce — so an enumerate run should cost a count run plus its share
+//! of parallel formatting and one write per bucket, not a serial replay of
+//! every instance after the reduce phase. `reproduce sink-gate` is
+//! *relative*: both sides run the same map, shuffle and join on the same
+//! host, alternating, so a busy runner slows both alike. It is also *exact*:
+//! the bytes written must hold one line per instance the serial oracle
+//! finds, and at 2 threads they must not change under a memory budget small
+//! enough to spill (the buckets change, their fold order must not).
 
 use crate::report::Table;
 use std::io::{self, Write};
@@ -15,6 +18,7 @@ use std::time::Instant;
 use subgraph_core::plan::{EnumerationRequest, ExecutionPlan, StrategyKind};
 use subgraph_core::sink::{NdjsonSink, SerializeSink};
 use subgraph_graph::generators;
+use subgraph_mapreduce::EngineConfig;
 use subgraph_pattern::catalog;
 
 /// How many times a count run the ndjson run of the same plan may take.
@@ -22,6 +26,9 @@ pub const MAX_ENUMERATE_OVER_COUNT: f64 = 2.0;
 
 /// Alternating count / enumerate pairs; the gate compares the medians.
 const PAIRS: usize = 5;
+
+/// The budget of the spilling side of the fold-order check.
+const SPILL_BUDGET: usize = 64 << 10;
 
 /// Discards what it is given, keeping the byte and line totals.
 #[derive(Default)]
@@ -58,13 +65,49 @@ fn enumerate_ndjson(plan: &ExecutionPlan<'_>) -> (f64, CountingWriter) {
     (start.elapsed().as_secs_f64(), out)
 }
 
+/// The ndjson bytes of `request` run at 2 threads under `budget` (0: none),
+/// and the bytes its rounds spilled.
+fn ndjson_at_two_threads(request: &EnumerationRequest<'_>, budget: usize) -> (Vec<u8>, u64) {
+    let mut out = Vec::new();
+    let mut sink = NdjsonSink::new(&mut out);
+    let report = request
+        .clone()
+        .engine(EngineConfig::with_threads(2).memory_budget(budget))
+        .plan()
+        .expect("bucket-oriented applies to triangles")
+        .run_with_sink(&mut sink);
+    sink.finish().expect("a Vec cannot fail");
+    (
+        out,
+        report.metrics.map_or(0, |metrics| metrics.spilled_bytes),
+    )
+}
+
 /// The CI sink gate: on a fixed-seed power-law graph the ndjson run must
-/// write exactly as many lines as the serial oracle counts instances, and
-/// its median time must be within [`MAX_ENUMERATE_OVER_COUNT`] of the count
+/// write exactly as many lines as the serial oracle counts instances, the
+/// same bytes at 2 threads with and without a spilling budget, and its
+/// median time must be within [`MAX_ENUMERATE_OVER_COUNT`] of the count
 /// run's (release builds, hosts with more than one core).
 pub fn sink_gate() -> Result<String, String> {
     let graph = generators::power_law(32_000, 160_000, 2.2, 5);
     let request = EnumerationRequest::new(catalog::triangle(), &graph);
+    let bucketed = request
+        .clone()
+        .reducers(64)
+        .strategy(StrategyKind::BucketOriented);
+    let (unbudgeted, _) = ndjson_at_two_threads(&bucketed, 0);
+    let (budgeted, spilled) = ndjson_at_two_threads(&bucketed, SPILL_BUDGET);
+    if spilled == 0 || budgeted != unbudgeted {
+        return Err(format!(
+            "sink gate FAILED: at 2 threads the ndjson output is {} bytes without a budget \
+             and {} bytes under a {} KiB one that spilled {spilled} bytes; the two must be \
+             identical, and the budget must spill\n",
+            unbudgeted.len(),
+            budgeted.len(),
+            SPILL_BUDGET >> 10,
+        ));
+    }
+    drop((unbudgeted, budgeted));
     let oracle = request
         .clone()
         .reducers(1)
@@ -72,9 +115,7 @@ pub fn sink_gate() -> Result<String, String> {
         .expect("a serial triangle plan")
         .count()
         .count();
-    let plan = request
-        .reducers(64)
-        .strategy(StrategyKind::BucketOriented)
+    let plan = bucketed
         .plan()
         .expect("bucket-oriented applies to triangles");
 
@@ -141,7 +182,9 @@ pub fn sink_gate() -> Result<String, String> {
     }
     out.push_str(&format!(
         "\nsink gate passed: ndjson {ratio:.2}x the count run (bound \
-         {MAX_ENUMERATE_OVER_COUNT}x), {oracle} lines as the oracle counts\n",
+         {MAX_ENUMERATE_OVER_COUNT}x), {oracle} lines as the oracle counts, the same \
+         bytes at 2 threads with and without a spilling {} KiB budget\n",
+        SPILL_BUDGET >> 10,
     ));
     Ok(out)
 }

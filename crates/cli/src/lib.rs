@@ -319,9 +319,10 @@ request options:
   --memory-budget <b>   budget for the shuffle's arena chunk bytes; past it
                         the engine spills them to disk (suffixes K/M/G, e.g.
                         512M, 2G; default 0 = unbounded, never touch disk).
-                        Unmetered: per worker, one partition's decoded groups
-                        and the local graph being joined; one key's group is
-                        never split
+                        Unmetered: per reduce thread, one bucket's decoded
+                        groups and the local graph being joined; enumerate's
+                        output of the buckets finished ahead of the oldest
+                        unfinished one; one key's group is never split
   --spill-dir <dir>     where spill run files go (default: the OS temp dir;
                         always cleaned up, even on panic)
   --strategy <name>     force a strategy (e.g. bucket-oriented, cq-oriented)

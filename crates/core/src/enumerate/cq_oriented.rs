@@ -68,7 +68,7 @@ pub fn single_cq_job_into(
     run_share_vector_round(
         "cq-job",
         &[JoinPlan::compile(cq)],
-        &integer_shares(&job_solution(cq, k).shares),
+        &integer_shares(&job_solution(cq, k).shares, k),
         graph,
         config,
         sink,

@@ -136,10 +136,58 @@ pub(crate) fn least_min_degree(plans: &[JoinPlan]) -> usize {
     plans.iter().map(JoinPlan::min_degree).min().unwrap_or(0)
 }
 
-/// Rounds the real-valued optimal shares to integers (at least 1 each), the
-/// form the engine needs.
-pub(crate) fn integer_shares(shares: &[f64]) -> Vec<u32> {
-    shares.iter().map(|&s| s.round().max(1.0) as u32).collect()
+/// Rounds the real-valued optimal shares for `k` reducers to integers, the
+/// form the engine needs: every share at least 1 and their product, the
+/// reducers the grid uses, at most `max(k, 1)`. Each share starts at its
+/// floor (at least 1); while that grid is over budget — shares below 1 were
+/// raised — the largest share (the first of equals) drops by one; then, in
+/// order of falling remainder, each share whose raise still fits the budget
+/// goes up by one.
+pub(crate) fn integer_shares(shares: &[f64], k: usize) -> Vec<u32> {
+    let budget = k.max(1) as u128;
+    let mut ints: Vec<u128> = shares.iter().map(|&s| s.floor().max(1.0) as u128).collect();
+    let capped =
+        |ints: &[u128], cap: u128| (ints.iter()).fold(1u128, |p, &s| p.saturating_mul(s.min(cap)));
+    let top = ints.iter().copied().max().unwrap_or(1);
+    if capped(&ints, top) > budget {
+        // Dropping the largest share by one at a time first brings every
+        // share down to `hi`, the least cap still over budget, then drops
+        // the shares at `hi` to `hi - 1` in order until the grid fits.
+        let (mut lo, mut hi) = (1, top);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if capped(&ints, mid) <= budget {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        ints.iter_mut().for_each(|s| *s = (*s).min(hi));
+        for i in 0..ints.len() {
+            if capped(&ints, hi) <= budget {
+                break;
+            }
+            if ints[i] == hi {
+                ints[i] = lo;
+            }
+        }
+    }
+    let others = |ints: &[u128], skip: usize| {
+        (ints.iter().enumerate())
+            .filter(|&(j, _)| j != skip)
+            .fold(1u128, |p, (_, &s)| p.saturating_mul(s))
+    };
+    let remainder = |ints: &[u128], i: usize| shares[i] - ints[i] as f64;
+    let mut order: Vec<usize> = (0..ints.len()).collect();
+    order.sort_by(|&a, &b| remainder(&ints, b).total_cmp(&remainder(&ints, a)));
+    for i in order {
+        if remainder(&ints, i) > 0.0 && others(&ints, i).saturating_mul(ints[i] + 1) <= budget {
+            ints[i] += 1;
+        }
+    }
+    ints.into_iter()
+        .map(|s| s.min(u32::MAX.into()) as u32)
+        .collect()
 }
 
 #[cfg(test)]
@@ -163,6 +211,36 @@ mod tests {
 
     #[test]
     fn integer_share_rounding() {
-        assert_eq!(integer_shares(&[0.4, 1.0, 2.5, 9.7]), vec![1, 1, 3, 10]);
+        // Floors [1, 1, 2, 9] fit 30: raise by remainder, 9.7 then 2.5.
+        assert_eq!(integer_shares(&[0.4, 1.0, 2.5, 9.7], 30), vec![1, 1, 3, 10]);
+        // ... but not 10 (0.4 was raised): 9 drops to the 5 that fits, and
+        // no raise fits after it.
+        assert_eq!(integer_shares(&[0.4, 1.0, 2.5, 9.7], 10), vec![1, 1, 2, 5]);
+        // Equal shares drop in turn, the first of equals first.
+        assert_eq!(integer_shares(&[0.5, 4.0, 4.0], 9), vec![1, 3, 3]);
+        assert_eq!(integer_shares(&[0.5, 4.0, 4.0], 12), vec![1, 3, 4]);
+        assert_eq!(integer_shares(&[0.5, 2.0], 0), vec![1, 1]);
+        assert_eq!(integer_shares(&[5e9], 7), vec![7]);
+        // Huge equal shares level down in a few steps, not one per unit.
+        assert_eq!(integer_shares(&[0.5, 1e15, 1e15], 64), vec![1, 8, 8]);
+        assert_eq!(integer_shares(&[0.5, 1e15, 1e15], 63), vec![1, 7, 9]);
+    }
+
+    #[test]
+    fn integer_shares_stay_within_the_reducer_budget() {
+        use subgraph_pattern::catalog;
+        let mut samples: Vec<_> = catalog::entries().into_iter().map(|e| e.sample).collect();
+        samples.extend([catalog::cycle(6), catalog::star(6), catalog::path(6)]);
+        for k in [1, 64, 750, 4096] {
+            for sample in &samples {
+                let (vo, _) = variable_oriented::optimize(&bucket_oriented::sample_plan(sample), k);
+                let cq = cq_oriented::class_job_solution(sample, k);
+                for shares in [vo, integer_shares(&cq.shares, k)] {
+                    assert!(shares.iter().all(|&s| s >= 1), "{shares:?}");
+                    let grid: usize = shares.iter().map(|&s| s as usize).product();
+                    assert!(grid <= k, "k {k}: {shares:?} uses {grid} reducers");
+                }
+            }
+        }
     }
 }

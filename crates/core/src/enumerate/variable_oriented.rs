@@ -47,7 +47,7 @@ pub(crate) fn cost_expression(join: &JoinPlan) -> CostExpression {
 /// `(integer shares, predicted replication per edge)`.
 pub(crate) fn optimize(join: &JoinPlan, k: usize) -> (Vec<u32>, f64) {
     let expr = cost_expression(join);
-    let shares = integer_shares(&optimize_shares(&expr, (k.max(1)) as f64).shares);
+    let shares = integer_shares(&optimize_shares(&expr, k.max(1) as f64).shares, k);
     let predicted = expr.evaluate(&shares.iter().map(|&s| s as f64).collect::<Vec<_>>());
     (shares, predicted)
 }

@@ -206,9 +206,8 @@ fn multiset_key_space(p: usize, request: &EnumerationRequest<'_>) -> Result<(), 
 /// The share-vector rounds index their reducers by a `u32` and route by one
 /// offset table per pair of variables, none larger than the key space: integer
 /// shares that cannot build that key space are turned down here, in the key
-/// space's own words, not at execute time. No budget bounds them — a share
-/// rounds up to at least 1, so where a cost expression's optimum is not
-/// attained (shares running off towards 0 and ∞) their product has no limit.
+/// space's own words, not at execute time. Their product is at most the
+/// reducer budget, but a budget in the billions still builds no key space.
 fn share_grid_key_space(shares: &[u32]) -> Result<(), String> {
     KeySpace::grid(shares).map(drop).map_err(|e| e.to_string())
 }
@@ -441,7 +440,7 @@ impl Strategy for CqOriented {
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
         one_cq_per_order_class(request)?;
         let solution = class_job_solution(request.sample(), request.reducer_budget());
-        share_grid_key_space(&integer_shares(&solution.shares))
+        share_grid_key_space(&integer_shares(&solution.shares, request.reducer_budget()))
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
@@ -994,10 +993,11 @@ mod tests {
     }
 
     #[test]
-    fn share_grids_without_an_attained_optimum_are_refused_by_name() {
+    fn share_grids_without_an_attained_optimum_stay_within_the_budget() {
         // Nodes 3 and 4 share their two neighbours 0 and 2, and neither is
         // dominated: along a ray where s0 = s2 grows and s3 = s4 shrinks every
-        // term falls or stays, so the rounded shares overflow any key space.
+        // term falls or stays. Rounding each share on its own overflowed any
+        // key space; rounding within the budget gives a grid of at most k.
         let twins = SampleGraph::from_edges(
             6,
             &[
@@ -1012,12 +1012,17 @@ mod tests {
             ],
         );
         let g = generators::gnm(40, 120, 3);
-        let request = EnumerationRequest::new(twins, &g).reducers(750);
-        for strategy in [&VariableOriented as &dyn Strategy, &CqOriented] {
-            let reason = strategy.applicability(&request).unwrap_err();
-            assert!(reason.contains("key space exceeds"), "{reason}");
+        let request = EnumerationRequest::new(twins.clone(), &g).reducers(750);
+        for strategy in [
+            &VariableOriented as &dyn Strategy,
+            &CqOriented,
+            &BucketOriented,
+        ] {
+            assert_eq!(strategy.applicability(&request), Ok(()));
         }
-        assert!(BucketOriented.applicability(&request).is_ok());
+        let (shares, _) = variable_oriented::optimize(&sample_plan(&twins), 750);
+        let grid: u32 = shares.iter().product();
+        assert!(grid <= 750 && shares.iter().all(|&s| s >= 1), "{shares:?}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | [`CollectSink`]`<Instance>` | every instance (legacy `Vec` path) | O(output) |
 //! | [`SampleSink`]`<Instance>` | the `k` smallest instances (order-independent) | O(k) |
 //! | [`FnSink`] | nothing — invokes a callback per instance | O(1) + callback |
-//! | [`NdjsonSink`] | one JSON object per line, as bytes | serial `accept`: one record + writer; map-reduce runs: each worker's output *bytes* until fold |
+//! | [`NdjsonSink`] | one JSON object per line, as bytes | serial `accept`: one record + writer; map-reduce runs: the output *bytes* of the buckets finished ahead of the oldest unfinished one |
 //! | [`CsvSink`] | one CSV row per instance, as bytes | as [`NdjsonSink`] |
 //! | [`EdgeListSink`] | each instance's edges as `u v` lines, as bytes | as [`NdjsonSink`], plus one offset per record |
 //!
@@ -46,15 +46,17 @@
 //! );
 //! ```
 //!
-//! Parallel delivery happens through per-reduce-worker shards folded back in
-//! worker order, which keeps the output order a pure function of the input
-//! and the thread count — see the engine's
-//! [`subgraph_mapreduce::sink`] module for the shard protocol. A serializing
-//! sink's shard is a byte buffer: the reduce worker formats each instance
-//! into it and drops the instance at once, so serialization runs in parallel
-//! with the reducers and a run retains O(output bytes), never a
-//! `Vec<Instance>`; the fold is one `write_all` per shard. The file content
-//! is a pure function of the input and the thread count.
+//! Parallel delivery happens through per-reduce-bucket shards folded back in
+//! bucket order, each as soon as the buckets ahead of it are, which keeps
+//! the output order a pure function of the input and the thread count — see
+//! the engine's [`subgraph_mapreduce::sink`] module for the shard protocol.
+//! A serializing sink's shard is a byte buffer: the reduce worker formats
+//! each instance into it and drops the instance at once, so serialization
+//! runs in parallel with the reducers and a run retains the bytes of the
+//! buckets finished ahead of the oldest unfinished one, never a
+//! `Vec<Instance>`; the fold is one `write_all` per shard and runs while
+//! later buckets are still being reduced. The file content is a pure
+//! function of the input and the thread count.
 
 use std::any::Any;
 use std::io::{self, Write};
@@ -88,7 +90,7 @@ pub trait SerializeSink {
 
     /// Instances whose `write_all` succeeded so far. A record delivered
     /// through [`OutputSink::accept`] counts once its own write returned; the
-    /// records of a worker shard count together, and only once the whole
+    /// records of a bucket shard count together, and only once the whole
     /// shard was written — a shard whose write failed part-way adds nothing,
     /// whatever prefix of it reached the writer.
     fn written(&self) -> usize;
@@ -247,7 +249,7 @@ pub type CsvSink<W> = TextSink<Csv, W>;
 /// `# instance <k>: nodes …` comment followed by one canonical `u v` line per
 /// edge, so any tool (including this repo's own reader) that skips `#`
 /// comments can re-read the union of the instances as a graph. `k` counts
-/// the records before it in the output, which only the fold knows: worker
+/// the records before it in the output, which only the fold knows: bucket
 /// shards keep it out of their bytes and the fold splices it in.
 pub type EdgeListSink<W> = TextSink<EdgeList, W>;
 
@@ -299,7 +301,7 @@ impl<F: TextFormat, W: Write + Send> SerializeSink for TextSink<F, W> {
     }
 }
 
-/// One reduce worker's share of a [`TextSink`]'s output, already text.
+/// One reduce bucket's share of a [`TextSink`]'s output, already text.
 struct TextShard<F> {
     bytes: Vec<u8>,
     records: usize,
@@ -555,7 +557,7 @@ mod tests {
 
     #[test]
     fn serializing_sinks_preserve_worker_fold_order() {
-        // Drive the shard protocol the way the engine coordinator does.
+        // Drive the shard protocol the way the engine does.
         let mut out = Vec::new();
         {
             let mut sink = NdjsonSink::new(&mut out);
@@ -569,7 +571,7 @@ mod tests {
         }
         let text = String::from_utf8(out).unwrap();
         let first = text.lines().next().unwrap();
-        assert!(first.contains("[0,1,2]"), "worker order preserved: {first}");
+        assert!(first.contains("[0,1,2]"), "fold order preserved: {first}");
     }
 
     /// A seeded run of triangles, squares and 8-node cubes over ids that

@@ -105,9 +105,49 @@ pub fn gnp_sparse(n: usize, p: f64, seed: u64) -> DataGraph {
 /// Chung–Lu power-law graph: node `v` has expected degree proportional to
 /// `(v + 1)^{-1/(gamma - 1)}` scaled so the expected edge count is about `m`.
 /// This is the stand-in for the skewed social networks motivating Section 1.1.
+///
+/// Pair `(u, v)`, `u < v`, is an edge with probability
+/// `p = min(w_u·w_v / s, 1)`, decided by one uniform draw when `0 < p < 1`
+/// and by none otherwise. Float products and quotients round monotonically,
+/// so the largest and smallest `p` of row `u` are those of the largest and
+/// smallest weight past `u`. When they lie inside `(0, 1)`, every pair of the
+/// row takes one draw, and the exact `p` is computed only for a draw below
+/// the row's largest `p` — no other draw can be below its own `p`.
 pub fn power_law(n: usize, m: usize, gamma: f64, seed: u64) -> DataGraph {
-    assert!(gamma > 1.0, "power-law exponent must exceed 1");
+    let (w, s) = chung_lu_weights(n, m, gamma);
+    // past_max[u] / past_min[u]: the extreme weights of nodes u.., with the
+    // identities of max and min past the last node.
+    let (mut past_max, mut past_min) = (vec![0.0; n + 1], vec![f64::INFINITY; n + 1]);
+    for v in (0..n).rev() {
+        past_max[v] = w[v].max(past_max[v + 1]);
+        past_min[v] = w[v].min(past_min[v + 1]);
+    }
     let mut rng = Rng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new(n);
+    for u in 0..n {
+        let bound = w[u] * past_max[u + 1] / s;
+        if bound < 1.0 && w[u] * past_min[u + 1] / s > 0.0 {
+            for v in (u + 1)..n {
+                let r = rng.gen_f64();
+                if r < bound && r < w[u] * w[v] / s {
+                    b.add_edge(u as NodeId, v as NodeId);
+                }
+            }
+        } else {
+            for v in (u + 1)..n {
+                let p = (w[u] * w[v] / s).min(1.0);
+                if p > 0.0 && rng.gen_bool(p) {
+                    b.add_edge(u as NodeId, v as NodeId);
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+/// The Chung–Lu weights of [`power_law`] and their sum `s`.
+fn chung_lu_weights(n: usize, m: usize, gamma: f64) -> (Vec<f64>, f64) {
+    assert!(gamma > 1.0, "power-law exponent must exceed 1");
     let exponent = -1.0 / (gamma - 1.0);
     let weights: Vec<f64> = (0..n).map(|v| ((v + 1) as f64).powf(exponent)).collect();
     let total: f64 = weights.iter().sum();
@@ -115,17 +155,8 @@ pub fn power_law(n: usize, m: usize, gamma: f64, seed: u64) -> DataGraph {
     // count is (Σw)/2, so rescale the weights to make Σw = 2m.
     let scale = 2.0 * m as f64 / total;
     let w: Vec<f64> = weights.iter().map(|x| x * scale).collect();
-    let s: f64 = w.iter().sum();
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let p = (w[u] * w[v] / s).min(1.0);
-            if p > 0.0 && rng.gen_bool(p) {
-                b.add_edge(u as NodeId, v as NodeId);
-            }
-        }
-    }
-    b.build()
+    let s = w.iter().sum();
+    (w, s)
 }
 
 /// The cycle `C_n` over nodes `0..n` (`n >= 3`).
@@ -326,6 +357,59 @@ mod tests {
     fn bounded_degree_respects_cap() {
         let g = bounded_degree(200, 500, 6, 11);
         assert!(g.max_degree() <= 6);
+    }
+
+    /// [`power_law`] as one Bernoulli trial per pair, with no row bound.
+    fn power_law_reference(n: usize, m: usize, gamma: f64, seed: u64) -> DataGraph {
+        let (w, s) = chung_lu_weights(n, m, gamma);
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                let p = (w[u] * w[v] / s).min(1.0);
+                if p > 0.0 && rng.gen_bool(p) {
+                    b.add_edge(u as NodeId, v as NodeId);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn power_law_draws_the_edges_of_one_trial_per_pair() {
+        let (mut rows_at_one, mut rows_at_zero) = (0, 0);
+        for (i, &(n, m, gamma)) in [
+            (1, 0, 2.5),
+            (2, 1, 2.5),
+            (40, 100, 1.01),
+            (1_500, 3_000, 1.01),
+            (200, 600, 1.05),
+            (300, 2_000, 1.2),
+            (500, 1_500, 1.5),
+            (800, 3_000, 2.2),
+            (1_000, 3_000, 2.5),
+            (600, 5_000, 3.0),
+            (2_000, 6_000, 2.2),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let (w, s) = chung_lu_weights(n, m, gamma);
+            rows_at_one += (0..n.saturating_sub(1))
+                .filter(|&u| w[u] * w[u + 1] / s >= 1.0)
+                .count();
+            rows_at_zero += (0..n.saturating_sub(1))
+                .filter(|&u| w[u] * w[n - 1] / s == 0.0)
+                .count();
+            for seed in [i as u64, 1_000 + i as u64] {
+                let fast = power_law(n, m, gamma, seed);
+                let reference = power_law_reference(n, m, gamma, seed);
+                assert_eq!(fast.num_nodes(), reference.num_nodes());
+                assert_eq!(fast.edges(), reference.edges(), "n {n} m {m} gamma {gamma}");
+            }
+        }
+        assert!(rows_at_one > 0, "the sweep reaches hub rows with p >= 1");
+        assert!(rows_at_zero > 0, "the sweep reaches rows with p == 0");
     }
 
     #[test]

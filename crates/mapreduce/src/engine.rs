@@ -126,28 +126,27 @@ impl EngineConfig {
         self.pool.as_ref().unwrap_or_else(|| WorkerPool::global())
     }
 
-    /// The number of reduce partitions a run delivers keys by, `threads × 16`: reduce worker `w` reduces its keys in
-    /// (partition, key) order, where a key's partition is
-    /// `shard_for_hash(hash, reduce_partitions())` and worker `w` owns
-    /// partitions `[16·w, 16·(w+1))`. Because `shard_for_hash` is a
-    /// multiply-shift, `partition / 16` is `shard_for_hash(hash, threads)`,
-    /// so every key stays on one worker. The count depends on the thread
-    /// count alone, so output order is the same at every memory budget;
-    /// there is nothing to set.
+    /// The number of reduce partitions a run delivers keys by, `threads ×
+    /// 16`: the sink receives a round's outputs in (partition, key) order of
+    /// their keys, where a key's partition is
+    /// `shard_for_hash(hash, reduce_partitions())`. The count depends on the
+    /// thread count alone, so output order is the same at every memory
+    /// budget; there is nothing to set.
     pub fn reduce_partitions(&self) -> usize {
         self.num_threads.max(1) * PARTITIONS_PER_WORKER
     }
 
-    /// How many passes a reduce worker splits its partitions into: each
-    /// pass decodes, groups, reduces and frees `16 / passes` consecutive
-    /// partitions before the next is read, and the map side routes records
-    /// into `threads × passes` buckets. 16 (one partition per pass) without
-    /// a budget; under one, the largest power of two at most
+    /// How many reduce buckets each thread's 16 partitions are grouped into:
+    /// the map side routes records into `threads × passes` buckets of
+    /// `16 / passes` consecutive partitions each, a reduce task decodes,
+    /// groups, reduces and frees one bucket before it claims the next, and
+    /// the sink receives one shard per bucket. 16 (one partition per bucket)
+    /// without a budget; under one, the largest power of two at most
     /// `budget / (threads² · 16 KiB)`, clamped to [1, 16], so every map
     /// task's open chunk tails still fit the budget. A power of two divides
-    /// 16, so a pass is a whole run of partitions and the delivery order is
-    /// the same at every budget.
-    pub(crate) fn reduce_passes(&self) -> usize {
+    /// 16, so a bucket is a whole run of partitions and the delivery order
+    /// is the same at every budget.
+    pub fn reduce_passes(&self) -> usize {
         let threads = self.num_threads.max(1);
         match self.memory_budget {
             0 => PARTITIONS_PER_WORKER,
@@ -160,8 +159,8 @@ impl EngineConfig {
     }
 }
 
-/// Reduce partitions per worker, and so the most passes a worker makes over
-/// them (see [`EngineConfig::reduce_passes`]).
+/// Reduce partitions per thread, and so the most buckets they are grouped
+/// into (see [`EngineConfig::reduce_passes`]).
 pub(crate) const PARTITIONS_PER_WORKER: usize = 16;
 
 /// Maps a 64-bit key hash onto `[0, shards)` with the multiply-shift
@@ -179,9 +178,13 @@ mod tests {
     use crate::hash::hash_of;
     use crate::metrics::JobMetrics;
     use crate::pipeline::{Pipeline, Round};
+    use crate::sink::{BufferShard, OutputSink, SinkShard};
     use crate::task::{MapContext, Mapper, ReduceContext, Reducer};
     use crate::ArenaCodec;
     use std::hash::Hash;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::time::{Duration, Instant};
 
     /// One-round pipeline helper with the shape of the old `run_job` entry
     /// point, so these engine-level tests stay focused on the dataflow.
@@ -381,5 +384,86 @@ mod tests {
         assert_eq!(metrics.reducers_used, 15);
         assert_eq!(outputs.len(), 15);
         assert!(outputs.iter().all(|(_, c)| *c == 10));
+    }
+
+    /// Records, per fold, how many reducer calls had run and the keys the
+    /// shard held.
+    struct FoldRecorder {
+        calls: Arc<AtomicUsize>,
+        /// Folds so far, signalled to reducers waiting for the first.
+        folded: Arc<(Mutex<usize>, Condvar)>,
+        folds: Vec<(usize, Vec<u64>)>,
+    }
+
+    impl OutputSink<u64> for FoldRecorder {
+        fn accept(&mut self, _key: u64) {
+            panic!("the engine delivers through shards");
+        }
+
+        fn fold(&mut self, shard: Box<dyn SinkShard<u64>>) {
+            let keys = shard
+                .into_any()
+                .downcast::<BufferShard<u64>>()
+                .expect("the default shard");
+            self.folds.push((self.calls.load(Ordering::SeqCst), keys.0));
+            let (count, signal) = &*self.folded;
+            *count.lock().expect("fold count poisoned") += 1;
+            signal.notify_all();
+        }
+    }
+
+    #[test]
+    fn buckets_fold_in_order_while_later_buckets_still_reduce() {
+        let inputs: Vec<u64> = (0..2_000).collect();
+        for (threads, budget) in [(1, 0), (2, 0), (2, 64 << 10)] {
+            let config = EngineConfig::with_threads(threads).memory_budget(budget);
+            let partitions = config.reduce_partitions();
+            let per_bucket = PARTITIONS_PER_WORKER / config.reduce_passes();
+            let calls = Arc::new(AtomicUsize::new(0));
+            let folded = Arc::new((Mutex::new(0), Condvar::new()));
+            let (reduced, seen) = (Arc::clone(&calls), Arc::clone(&folded));
+            // Keys of the last partition wait, until this deadline at most,
+            // for the first fold, so the check below does not hang on
+            // scheduling: a fold must be able to come first.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let reducer = move |key: &u64, _values: &[u64], ctx: &mut ReduceContext<u64>| {
+                if shard_for_hash(hash_of(key), partitions) == partitions - 1 {
+                    let (count, signal) = &*seen;
+                    let wait = deadline.saturating_duration_since(Instant::now());
+                    let count = count.lock().expect("fold count poisoned");
+                    drop(signal.wait_timeout_while(count, wait, |folds| *folds == 0));
+                }
+                reduced.fetch_add(1, Ordering::SeqCst);
+                ctx.emit(*key);
+            };
+            let mapper = |x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x, *x);
+            let mut sink = FoldRecorder {
+                calls: Arc::clone(&calls),
+                folded,
+                folds: Vec::new(),
+            };
+            Pipeline::new()
+                .round(Round::new("folds", mapper, reducer))
+                .run_with_sink(&inputs, &config, &mut sink);
+            let label = format!("threads {threads}, budget {budget}");
+            assert_eq!(calls.load(Ordering::SeqCst), inputs.len(), "{label}");
+            assert_eq!(
+                sink.folds.len(),
+                threads * config.reduce_passes(),
+                "one fold per bucket: {label}"
+            );
+            assert!(
+                sink.folds[0].0 < inputs.len(),
+                "the first bucket folds before the last key is reduced: {label}"
+            );
+            for (bucket, (_, keys)) in sink.folds.iter().enumerate() {
+                for key in keys {
+                    let partition = shard_for_hash(hash_of(key), partitions);
+                    assert_eq!(partition / per_bucket, bucket, "bucket order: {label}");
+                }
+            }
+            let delivered: usize = sink.folds.iter().map(|(_, keys)| keys.len()).sum();
+            assert_eq!(delivered, inputs.len(), "{label}");
+        }
     }
 }

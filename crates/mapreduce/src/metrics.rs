@@ -46,19 +46,21 @@ pub struct JobMetrics {
     /// Wall-clock time of the map phase (mapping, combining, and encoding
     /// each record into its reduce bucket's arena).
     pub map_time: Duration,
-    /// Wall-clock time of the exchange: the coordinator handing each map
-    /// worker's buckets to their reduce workers (pure ownership moves —
-    /// grouping happens on the reduce workers and is part of
+    /// Wall-clock time of the exchange: the coordinator regrouping the map
+    /// tasks' arenas by reduce bucket (pure ownership moves — grouping
+    /// happens on the reduce workers and is part of
     /// [`JobMetrics::reduce_time`]).
     pub shuffle_time: Duration,
-    /// Wall-clock time of the reduce phase (per-worker grouping, key sorting
-    /// and reducer invocations).
+    /// Wall-clock time of the reduce phase, up to the moment the last bucket
+    /// finished reducing: grouping, key sorting, reducer invocations, and
+    /// the folds of finished shards that ran while buckets were still being
+    /// reduced.
     pub reduce_time: Duration,
-    /// Wall-clock time the coordinator spent folding the finished worker
-    /// shards back into the output sink ([`crate::sink::OutputSink::fold`]),
-    /// after the reduce phase: for a sink whose shards did their work on the
-    /// reduce workers this is a hand-over, for a buffering shard it is the
-    /// whole serial replay. A phase of its own, outside
+    /// Wall-clock time of the fold tail: folding the shards still parked
+    /// when the last bucket finished back into the output sink
+    /// ([`crate::sink::OutputSink::fold`]). For a sink whose shards did
+    /// their work on the reduce workers this is a hand-over, for a buffering
+    /// shard it is a serial replay. A phase of its own, outside
     /// [`JobMetrics::reduce_time`].
     pub sink_fold_time: Duration,
     /// Payload bytes of sealed arena chunks written to spill run files when a

@@ -199,7 +199,7 @@ impl<I: Clone> StageInput<'_, I> {
 
 /// Where a pipeline's final outputs go: back to the caller as a `Vec`
 /// (legacy), or streamed into an [`OutputSink`] as the final round's reduce
-/// workers produce them.
+/// buckets finish.
 enum Destination<'d, T: Send + 'static> {
     /// Materialize the outputs (they feed a later stage or the caller).
     Materialize,
@@ -271,7 +271,7 @@ impl<'a, I: Send + 'static, T: Send + 'static> Pipeline<'a, I, T> {
                         Some(StageInput::Owned(collected.into_items()))
                     }
                     Destination::Stream(sink) => {
-                        // The final round: reduce workers feed the sink's
+                        // The final round: reduce tasks feed the sink's
                         // shards directly; nothing is materialized here.
                         let metrics = execute_round(inputs, &round, config, sink);
                         report.rounds.push(RoundMetrics { name, metrics });
@@ -323,10 +323,11 @@ impl<'a, I: Send + 'static, T: Send + 'static> Pipeline<'a, I, T> {
 
     /// Executes every round in order, streaming the *final* round's reducer
     /// outputs into `sink` instead of merging them into a `Vec`: each reduce
-    /// worker fills a private [`crate::SinkShard`] as its reducers emit, and
-    /// the coordinator folds the shards back in worker order — so the sink
-    /// receives the exact order [`Pipeline::run`] would have returned, and constant-memory sinks (e.g. [`crate::CountSink`])
-    /// make the output path O(1) in the result size.
+    /// bucket fills a private [`crate::SinkShard`] as its reducers emit, and
+    /// the shards are folded back in bucket order as soon as the buckets
+    /// ahead of them are — so the sink receives the exact order
+    /// [`Pipeline::run`] would have returned, and constant-memory sinks (e.g.
+    /// [`crate::CountSink`]) make the output path O(1) in the result size.
     ///
     /// Intermediate rounds still materialize their outputs (they are the next
     /// round's mapper inputs); only the final round streams. Pipelines whose

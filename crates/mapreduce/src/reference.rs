@@ -10,8 +10,9 @@
 //! engine run delivers them — by reduce partition
 //! ([`shard_for_hash`] over the engine's
 //! [`EngineConfig::reduce_partitions`](crate::EngineConfig::reduce_partitions)),
-//! then by key. Each worker owns a run of consecutive partitions and the
-//! sink folds the workers in order, so partition order is also worker order.
+//! then by key. Each reduce bucket is a run of consecutive partitions and
+//! the sink folds the buckets in order, so partition order is also fold
+//! order.
 
 use crate::{hash_of, shard_for_hash, ArenaCodec, JobMetrics, MapContext, ReduceContext, Round};
 use std::collections::BTreeMap;

@@ -17,12 +17,16 @@
 //! ## Parallel delivery: shards
 //!
 //! The engine's reduce phase is parallel, so a sink cannot be handed records
-//! from several workers at once. Instead every reduce worker asks the sink
-//! for a private [`SinkShard`] ([`OutputSink::new_shard`]), streams its
-//! outputs into that shard as its reducers emit them, and the coordinator
-//! folds the finished shards back into the sink **in worker order**
-//! ([`OutputSink::fold`]) — which is what keeps the output order a pure
-//! function of the input and the thread count without a global lock.
+//! from several workers at once. Instead a round's keys are split into
+//! reduce buckets (see [`crate::EngineConfig::reduce_passes`]), and every
+//! bucket gets a private [`SinkShard`] ([`OutputSink::new_shard`]) that the
+//! reduce task working on it streams its outputs into. Finished shards are
+//! folded back into the sink **in bucket order** ([`OutputSink::fold`]),
+//! each as soon as every bucket before it is folded too — which keeps the
+//! output order a pure function of the input and the thread count, and
+//! bounds what the shards hold to the buckets finished ahead of the oldest
+//! unfinished one. Shards are created and folded under one lock around the
+//! sink, on the reduce workers' threads.
 //!
 //! The default shard is a [`BufferShard`] (a plain `Vec` replayed through
 //! [`OutputSink::accept`] at fold time): correct for every sink, and exactly
@@ -33,11 +37,11 @@
 
 use std::any::Any;
 
-/// One reduce worker's private slice of an [`OutputSink`]: created by
-/// [`OutputSink::new_shard`], filled on the worker thread, handed back to the
-/// owning sink via [`OutputSink::fold`].
+/// One reduce bucket's private slice of an [`OutputSink`]: created by
+/// [`OutputSink::new_shard`], filled on a reduce worker's thread, handed back
+/// to the owning sink via [`OutputSink::fold`].
 pub trait SinkShard<T>: Send {
-    /// Receives one output record, in the worker's emission order.
+    /// Receives one output record, in the bucket's emission order.
     fn accept(&mut self, value: T);
 
     /// Type-erasure escape hatch for [`OutputSink::fold`]: a sink that
@@ -72,15 +76,17 @@ pub trait OutputSink<T: Send + 'static>: Send {
     /// Receives one output record.
     fn accept(&mut self, value: T);
 
-    /// Creates an empty per-worker shard. The default buffers; override
-    /// together with [`OutputSink::fold`] for constant-memory delivery.
+    /// Creates an empty shard for one reduce bucket. The default buffers;
+    /// override together with [`OutputSink::fold`] for constant-memory
+    /// delivery.
     fn new_shard(&self) -> Box<dyn SinkShard<T>> {
         Box::new(BufferShard(Vec::new()))
     }
 
-    /// Folds one finished worker shard back into the sink. Called by the
-    /// engine coordinator once per reduce worker, in worker order. The
-    /// default replays a [`BufferShard`] through [`OutputSink::accept`];
+    /// Folds one finished bucket shard back into the sink. Called once per
+    /// reduce bucket, in bucket order — possibly on a reduce worker's
+    /// thread while later buckets are still being reduced. The default
+    /// replays a [`BufferShard`] through [`OutputSink::accept`];
     /// sinks overriding [`OutputSink::new_shard`] must override this to
     /// downcast their own shard type.
     fn fold(&mut self, shard: Box<dyn SinkShard<T>>) {
@@ -283,8 +289,9 @@ impl<T: Ord + Send + 'static> OutputSink<T> for SampleSink<T> {
 
 // ---- callbacks -------------------------------------------------------------
 
-/// Invokes a callback per record. Worker shards buffer and the coordinator
-/// replays them in worker order, so the callback sees the exact order the legacy `Vec` path would have returned.
+/// Invokes a callback per record. Bucket shards buffer and are replayed in
+/// bucket order, so the callback sees the exact order the legacy `Vec` path
+/// would have returned.
 pub struct FnSink<T, F: FnMut(T) + Send> {
     callback: F,
     count: usize,
@@ -318,14 +325,14 @@ impl<T: Send + 'static, F: FnMut(T) + Send> OutputSink<T> for FnSink<T, F> {
 mod tests {
     use super::*;
 
-    /// Drives a sink the way the engine's coordinator does: three workers,
-    /// each with its own shard, folded in worker order.
-    fn deliver_sharded(sink: &mut dyn OutputSink<u64>, per_worker: &[&[u64]]) {
-        let shards: Vec<Box<dyn SinkShard<u64>>> = per_worker
+    /// Drives a sink the way the engine does: three buckets, each with its
+    /// own shard, folded in bucket order.
+    fn deliver_sharded(sink: &mut dyn OutputSink<u64>, per_bucket: &[&[u64]]) {
+        let shards: Vec<Box<dyn SinkShard<u64>>> = per_bucket
             .iter()
-            .map(|worker| {
+            .map(|bucket| {
                 let mut shard = sink.new_shard();
-                for &value in *worker {
+                for &value in *bucket {
                     shard.accept(value);
                 }
                 shard

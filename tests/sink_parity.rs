@@ -13,12 +13,12 @@
 //! 3. **Callback order** — an `FnSink` sees the exact instance order `execute()` returns.
 //!
 //! 4. **Text sinks** — ndjson, csv and edge-list written through their
-//!    per-worker byte shards are byte for byte what buffering the instances
+//!    per-bucket byte shards are byte for byte what buffering the instances
 //!    and replaying them through `accept` writes.
 //!
 //! Plus the large-graph acceptance check: a count-only triangle run on a
 //! graph with ≥ 1M edges goes through an *instrumented* sink that proves the
-//! final round streamed through per-worker shards (no instance ever hit a
+//! final round streamed through per-bucket shards (no instance ever hit a
 //! buffering `Vec` path) while matching the collect path's metrics.
 
 use std::any::Any;
@@ -350,7 +350,7 @@ fn a_hot_group_larger_than_the_budget_is_reduced_whole() {
 
 // ---- the large-graph acceptance check --------------------------------------
 
-/// A counting sink that records how its records arrived: per-worker shards
+/// A counting sink that records how its records arrived: per-bucket shards
 /// (`shards_created` / `folds`) versus direct `accept` calls (which would
 /// mean something buffered and replayed — the default `BufferShard` path).
 #[derive(Default)]
@@ -393,7 +393,7 @@ impl OutputSink<Instance> for InstrumentedCountSink {
 
 /// The ISSUE's acceptance criterion: a count-only triangle run on a graph
 /// with ≥ 1M edges performs zero `Vec<Instance>` materialization on the
-/// final round — every instance reaches the sink through a per-worker
+/// final round — every instance reaches the sink through a per-bucket
 /// constant-memory shard, never through a buffering `accept` replay — while
 /// every `JobMetrics` counter and byte total is identical to the collect
 /// path.
@@ -413,10 +413,15 @@ fn count_mode_streams_a_million_edge_graph_without_materializing() {
     let streamed = plan.run_with_sink(&mut sink);
     assert!(streamed.is_streamed());
     assert_eq!(streamed.count(), sink.count);
-    // Every instance arrived through a worker shard; nothing was buffered
+    // Every instance arrived through a bucket shard; nothing was buffered
     // and replayed through accept().
     assert_eq!(sink.direct_accepts, 0, "an instance took a buffering path");
-    assert_eq!(sink.shards_created.get(), threads);
+    let config = EngineConfig::with_threads(threads);
+    assert_eq!(
+        sink.shards_created.get(),
+        threads * config.reduce_passes(),
+        "one shard per reduce bucket of the final round"
+    );
     assert_eq!(sink.folds, sink.shards_created.get());
 
     // The collect path agrees on the count and on every measured counter.
