@@ -86,11 +86,13 @@ fn print_usage() {
          regression)\n  \
          kernel                reduce kernel: one reducer's local-graph build and its join, by the \
          one symmetry-broken plan and by the per-CQ plans, with and without windows, vs the \
-         generic oracle (writes BENCH_kernel.json)\n  \
+         generic oracle; and k = 1 over whole graphs: the planner's pick, the one plan in id and \
+         degree order, Theorem 7.3's algorithm (writes BENCH_kernel.json)\n  \
          kernel-gate           the same as a CI gate: identical counts, one plan <= per-CQ plans in \
          candidates and (release) time, windowed candidates <= unwindowed, kernel >= 3x the \
-         generic oracle on the square input, bitmap-ranked triangle build <= the interned one \
-         (exits 1 on regression)\n  \
+         generic oracle on the square input, bitmap-ranked triangle build <= the interned one; \
+         k = 1 picks serial-triangles for the triangle and serial-join otherwise, and the square \
+         pick >= 3x Theorem 7.3 (exits 1 on regression)\n  \
          sink-gate             text-sink CI gate: the triangle plan enumerated to ndjson takes at \
          most 2x the same plan counted (median of 5 alternating runs) and writes one line per \
          oracle instance (exits 1 on regression)\n  \

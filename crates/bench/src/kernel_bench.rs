@@ -33,20 +33,54 @@
 //! oracle's instances with this key's bucket multiset and tries no more
 //! candidates than its unwindowed twin, and no input's local graph may hold
 //! more heap bytes than the tracked `BENCH_kernel.json` records.
+//!
+//! The serial rows are the same join at b = 1: a k = 1 query over a whole
+//! graph, planned and counted, next to the one plan over a local graph of
+//! every edge in id order and in Lemma 7.1's degree order, and next to
+//! Theorem 7.3's algorithm (the k = 1 pick before `serial-join`), on queries
+//! where that algorithm takes under 15 s. The gate holds the triangle on `serial-triangles` and
+//! every other row on `serial-join`, every count of a row equal, and (release)
+//! the square pick on [`SERIAL_GATE_GRAPH`] at least [`MIN_SERIAL_SPEEDUP`]
+//! times faster than Theorem 7.3's algorithm.
 
 use crate::report::Table;
 use std::time::Instant;
 use subgraph_core::enumerate::bucket_oriented::{sample_plan, BucketQuota};
 use subgraph_core::enumerate::KeySpace;
+use subgraph_core::plan::{EnumerationRequest, StrategyKind};
+use subgraph_core::serial::enumerate_bounded_degree_into;
 use subgraph_core::serial::generic::{enumerate_generic, enumerate_generic_into};
 use subgraph_core::sink::CountSink;
 use subgraph_cq::{cqs_for_sample, JoinPlan, LocalGraph};
-use subgraph_graph::{generators, BucketThenIdOrder, DataGraph, Edge};
+use subgraph_graph::{
+    generators, BucketThenIdOrder, DataGraph, DegreeOrder, Edge, GraphSource, IdOrder, NodeOrder,
+};
+use subgraph_mapreduce::EngineConfig;
 use subgraph_pattern::{catalog, Instance, SampleGraph};
 
 /// How much faster than the generic oracle the kernel (build + join) must be
 /// on the square input.
 pub const MIN_SPEEDUP_OVER_ORACLE: f64 = 3.0;
+
+/// How much faster than Theorem 7.3's algorithm the planner's k = 1 pick must
+/// count the squares of [`SERIAL_GATE_GRAPH`].
+pub const MIN_SERIAL_SPEEDUP: f64 = 3.0;
+
+/// The graph of the serial gate's square row (the repo benchmark's
+/// `square_gnm_kernel` graph at seed 5).
+pub const SERIAL_GATE_GRAPH: &str = "gnm:22000,110000,5";
+
+/// The k = 1 queries of the serial rows, graph and pattern: the rows where
+/// Theorem 7.3's algorithm takes under 15 s on a 2-core host (`c5` comes
+/// closest, at ~14 s).
+const SERIAL_ROWS: [(&str, &str); 6] = [
+    (SERIAL_GATE_GRAPH, "square"),
+    (SERIAL_GATE_GRAPH, "lollipop"),
+    ("gnm:40000,200000,7", "c5"),
+    ("gnm:40000,200000,7", "pentagon-with-chord"),
+    ("gnm:40000,200000,7", "triangle"),
+    ("power-law:32000,160000,2.2,5", "triangle"),
+];
 
 /// One reducer input, measured.
 #[derive(Clone, Debug)]
@@ -65,10 +99,10 @@ pub struct KernelTiming {
     pub local_nodes: usize,
     /// Heap bytes of the built local graph.
     pub local_bytes: usize,
-    /// `LocalGraph::build`, best of three.
+    /// `LocalGraph::build`, best of up to three (see `best_time`).
     pub build_millis: f64,
     /// The same build over the ids times a stride that forces the interning
-    /// path, best of three.
+    /// path, timed alike.
     pub interned_build_millis: f64,
     /// The reducer's one plan, ownership test pushed in.
     pub one_plan: Join,
@@ -86,7 +120,7 @@ pub struct KernelTiming {
     /// Assignments of the unrestricted one-plan join — every instance in the
     /// input.
     pub assignments: usize,
-    /// The unrestricted one-plan join, best of three.
+    /// The unrestricted one-plan join, timed alike.
     pub full_join_millis: f64,
     /// Assignments of the unrestricted per-CQ joins.
     pub per_cq_assignments: usize,
@@ -99,7 +133,7 @@ pub struct KernelTiming {
 /// One way of joining a reducer's local graph under its ownership test.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Join {
-    /// Best of three.
+    /// Best of up to three runs (see `best_time`).
     pub millis: f64,
     /// Candidate bindings tried (the kernel's share of `reducer_work`).
     pub candidates: u64,
@@ -119,6 +153,38 @@ impl KernelTiming {
     }
 }
 
+/// One count, timed.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Counted {
+    /// Best of up to three runs (a run over a second is not repeated).
+    pub millis: f64,
+    /// Instances found.
+    pub count: usize,
+    /// The algorithm's own work counter: candidates tried.
+    pub work: u64,
+}
+
+/// One k = 1 query over a whole graph: the planner's pick against the one
+/// symmetry-broken join over a local graph of every edge under each node
+/// order, and against Theorem 7.3's algorithm.
+#[derive(Clone, Debug)]
+pub struct SerialTiming {
+    /// Generator spec of the graph.
+    pub graph: &'static str,
+    /// Catalog pattern.
+    pub pattern: &'static str,
+    /// What the planner picks at k = 1.
+    pub pick: StrategyKind,
+    /// The pick, counting (planning not timed).
+    pub pick_run: Counted,
+    /// `sample_plan` over the whole graph, nodes in id order (build + join).
+    pub id_order: Counted,
+    /// The same, nodes in the degree order of Lemma 7.1 (its table included).
+    pub degree_order: Counted,
+    /// `enumerate_bounded_degree`, the k = 1 pick before `serial-join`.
+    pub bounded_degree: Counted,
+}
+
 /// The sweep's results plus the host facts needed to read them.
 #[derive(Clone, Debug)]
 pub struct KernelReport {
@@ -130,18 +196,81 @@ pub struct KernelReport {
     pub commit: String,
     /// One entry per input.
     pub inputs: Vec<KernelTiming>,
+    /// One entry per k = 1 query.
+    pub serial: Vec<SerialTiming>,
 }
 
-fn best_of_three<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+/// Runs `f` up to three times, stopping after a run over one second, and
+/// keeps the best time in milliseconds.
+fn best_time<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut last = None;
     for _ in 0..3 {
         let started = Instant::now();
-        let out = f();
-        best = best.min(started.elapsed().as_secs_f64() * 1e3);
-        last = Some(out);
+        last = Some(f());
+        let millis = started.elapsed().as_secs_f64() * 1e3;
+        best = best.min(millis);
+        if millis > 1e3 {
+            break;
+        }
     }
-    (best, last.expect("three runs happened"))
+    (best, last.expect("one run happened"))
+}
+
+/// [`best_time`] of a count that returns its instances and its work.
+fn counted(count: impl FnMut() -> (usize, u64)) -> Counted {
+    let (millis, (count, work)) = best_time(count);
+    Counted {
+        millis,
+        count,
+        work,
+    }
+}
+
+/// The one plan of `sample` over a local graph of every edge of `graph`
+/// under `order`: instances and candidates tried.
+fn whole_graph_join<O: NodeOrder>(
+    sample: &SampleGraph,
+    graph: &DataGraph,
+    order: &O,
+) -> (usize, u64) {
+    let plan = sample_plan(sample);
+    let local = LocalGraph::build(graph.edges(), order, plan.min_degree());
+    let mut count = 0;
+    let work = plan.run(&local, |_, _, _| true, |_| count += 1);
+    (count, work)
+}
+
+/// Measures the k = 1 query of `pattern` over the graph `spec` describes.
+///
+/// # Panics
+/// Panics if the spec or the pattern does not resolve, or the planner
+/// refuses the query.
+fn measure_serial(spec: &'static str, pattern: &'static str) -> SerialTiming {
+    let graph = GraphSource::parse_generator(spec)
+        .and_then(|source| source.load())
+        .unwrap_or_else(|e| panic!("{spec}: {e}"));
+    let sample = catalog::by_name(pattern).unwrap_or_else(|| panic!("{pattern} is in the catalog"));
+    let plan = EnumerationRequest::new(sample.clone(), &graph)
+        .reducers(1)
+        .engine(EngineConfig::serial())
+        .plan()
+        .unwrap_or_else(|e| panic!("{pattern} on {spec}: {e}"));
+    SerialTiming {
+        graph: spec,
+        pattern,
+        pick: plan.strategy(),
+        pick_run: counted(|| {
+            let report = plan.count();
+            (report.count(), report.work)
+        }),
+        id_order: counted(|| whole_graph_join(&sample, &graph, &IdOrder)),
+        degree_order: counted(|| whole_graph_join(&sample, &graph, &DegreeOrder::new(&graph))),
+        bounded_degree: counted(|| {
+            let stats = enumerate_bounded_degree_into(&sample, &graph, &mut CountSink::new());
+            (stats.outputs, stats.work)
+        }),
+    }
 }
 
 /// `edges` with every id multiplied by the least power-of-two stride that
@@ -194,13 +323,12 @@ fn measure(
         .collect();
     let min_degree = one_plan[0].min_degree();
 
-    let (build_millis, local) = best_of_three(|| LocalGraph::build(&edges, &order, min_degree));
+    let (build_millis, local) = best_time(|| LocalGraph::build(&edges, &order, min_degree));
     let strided = strided_past_bitmap(&edges);
-    let (interned_build_millis, _) =
-        best_of_three(|| LocalGraph::build(&strided, &order, min_degree));
+    let (interned_build_millis, _) = best_time(|| LocalGraph::build(&strided, &order, min_degree));
     let quota = BucketQuota::new(&local, &order, key.iter().copied());
     let owned_join = |plans: &[JoinPlan], windowed: bool| {
-        let (millis, (candidates, owned)) = best_of_three(|| {
+        let (millis, (candidates, owned)) = best_time(|| {
             let (mut candidates, mut owned) = (0u64, 0usize);
             for plan in plans {
                 let admit = |_, node, bound: &[u32]| quota.admits(node, bound);
@@ -225,7 +353,7 @@ fn measure(
         }
         assignments
     };
-    let (full_join_millis, assignments) = best_of_three(|| full_join(&one_plan));
+    let (full_join_millis, assignments) = best_time(|| full_join(&one_plan));
     let reducer_graph =
         DataGraph::from_edges(graph.num_nodes(), edges.iter().map(|e| e.endpoints()));
     let started = Instant::now();
@@ -311,6 +439,9 @@ pub fn kernel_timing() -> KernelReport {
                 &[0, 0, 0, 0, 1, 1, 1, 1],
             ),
         ],
+        serial: (SERIAL_ROWS.iter())
+            .map(|&(spec, pattern)| measure_serial(spec, pattern))
+            .collect(),
     }
 }
 
@@ -388,10 +519,58 @@ impl KernelReport {
         );
         table.note(&format!(
             "oracle: serial::generic::enumerate_generic over the same edges; vs oracle = oracle / \
-             (build + full join); single-threaded, best of three, host available_parallelism = \
+             (build + full join); single-threaded, best of three (a run over 1 s not repeated), host available_parallelism = \
              {}; written to BENCH_kernel.json",
             self.available_parallelism,
         ));
+        let mut out = table.render();
+        out.push('\n');
+        out.push_str(&self.serial_table());
+        out
+    }
+
+    /// Renders the k = 1 rows as a table.
+    fn serial_table(&self) -> String {
+        let mut table = Table::new(
+            "Serial kernel — k = 1: the planner's pick, the one plan over the whole graph, \
+             Theorem 7.3",
+            &[
+                "graph",
+                "pattern",
+                "k = 1 pick",
+                "pick ms",
+                "id-order ms",
+                "id-order cand.",
+                "degree-order ms",
+                "degree-order cand.",
+                "Thm 7.3 ms",
+                "Thm 7.3 work",
+                "instances",
+            ],
+        );
+        for s in &self.serial {
+            table.row(&[
+                s.graph.to_string(),
+                s.pattern.to_string(),
+                s.pick.to_string(),
+                format!("{:.1}", s.pick_run.millis),
+                format!("{:.1}", s.id_order.millis),
+                s.id_order.work.to_string(),
+                format!("{:.1}", s.degree_order.millis),
+                s.degree_order.work.to_string(),
+                format!("{:.1}", s.bounded_degree.millis),
+                s.bounded_degree.work.to_string(),
+                s.pick_run.count.to_string(),
+            ]);
+        }
+        table.note(
+            "pick: the planned k = 1 query counting (planning not timed); id-order / \
+             degree-order: the pattern's one symmetry-broken plan over a local graph of every \
+             edge, nodes ranked by id or by Lemma 7.1's degree order (build + join; cand. = \
+             candidates tried); Thm 7.3: serial::enumerate_bounded_degree, the k = 1 pick \
+             before serial-join; one thread, best of three, a run over 1 s not repeated; every \
+             count must agree (the b = 1 data point of the convertibility argument)",
+        );
         table.render()
     }
 
@@ -442,6 +621,27 @@ impl KernelReport {
                 t.oracle_millis,
                 t.speedup_over_oracle(),
                 if i + 1 == self.inputs.len() { "" } else { "," },
+            ));
+        }
+        out.push_str("  ],\n");
+        out.push_str("  \"serial\": [\n");
+        let counted = |name: &str, c: Counted| {
+            format!(
+                "\"{name}_ms\": {:.3}, \"{name}_count\": {}, \"{name}_work\": {}",
+                c.millis, c.count, c.work
+            )
+        };
+        for (i, t) in self.serial.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{ \"graph\": \"{}\", \"pattern\": \"{}\", \"pick\": \"{}\", {}, {}, {}, {} }}{}\n",
+                t.graph,
+                t.pattern,
+                t.pick,
+                counted("pick", t.pick_run),
+                counted("id_order", t.id_order),
+                counted("degree_order", t.degree_order),
+                counted("bounded_degree", t.bounded_degree),
+                if i + 1 == self.serial.len() { "" } else { "," },
             ));
         }
         out.push_str("  ]\n");
@@ -539,13 +739,46 @@ fn window_failure(t: &KernelTiming) -> Option<String> {
     None
 }
 
+/// Why a k = 1 row fails the exact half of the gate, if it does: the
+/// triangle must still pick `serial-triangles`, every other pattern
+/// `serial-join`, and every count of the row must agree.
+fn serial_failure(s: &SerialTiming) -> Option<String> {
+    let expected = match s.pattern {
+        "triangle" => StrategyKind::SerialTriangles,
+        _ => StrategyKind::SerialJoin,
+    };
+    if s.pick != expected {
+        return Some(format!("the k = 1 pick is {}, not {expected}", s.pick));
+    }
+    let counts = [s.id_order, s.degree_order, s.bounded_degree];
+    if counts.iter().any(|c| c.count != s.pick_run.count) {
+        return Some(format!(
+            "the pick counted {}, the one plan {} by id and {} by degree, Theorem 7.3 {}",
+            s.pick_run.count, s.id_order.count, s.degree_order.count, s.bounded_degree.count,
+        ));
+    }
+    None
+}
+
+/// The serial gate's square row and its pick's speedup over Theorem 7.3's
+/// algorithm.
+fn serial_speedup(report: &KernelReport) -> Result<f64, String> {
+    let square = (report.serial.iter())
+        .find(|s| (s.graph, s.pattern) == (SERIAL_GATE_GRAPH, "square"))
+        .ok_or("the sweep has no square row on the serial gate's graph")?;
+    Ok(square.bounded_degree.millis / square.pick_run.millis)
+}
+
 /// The CI kernel gate. Exact: the counts of `count_failure`, and no input's
 /// local graph larger than the tracked `BENCH_kernel.json` says it was
 /// (`local_bytes_check`; a missing or unreadable file fails the gate).
+/// Exact on the k = 1 rows: the picks and counts of `serial_failure`.
 /// Relative (release builds): the one plan no slower than the per-CQ plans on
 /// any input, on the square input the kernel at least
-/// [`MIN_SPEEDUP_OVER_ORACLE`] times faster than the oracle, and the triangle
-/// input's bitmap-ranked build no slower than its interned one.
+/// [`MIN_SPEEDUP_OVER_ORACLE`] times faster than the oracle, the triangle
+/// input's bitmap-ranked build no slower than its interned one, and the k = 1
+/// pick at least [`MIN_SERIAL_SPEEDUP`] times faster than Theorem 7.3's
+/// algorithm on the squares of [`SERIAL_GATE_GRAPH`].
 pub fn kernel_gate() -> Result<String, String> {
     let path = bench_json_path();
     let tracked = std::fs::read_to_string(&path).map_err(|e| {
@@ -577,6 +810,16 @@ pub fn kernel_gate() -> Result<String, String> {
             return Err(format!("{out}\nkernel gate FAILED: {} — {why}\n", t.input));
         }
     }
+    for s in &report.serial {
+        if let Some(why) = serial_failure(s) {
+            return Err(format!(
+                "{out}\nkernel gate FAILED: {} on {} at k = 1 — {why}\n",
+                s.pattern, s.graph
+            ));
+        }
+    }
+    let serial_speedup =
+        serial_speedup(&report).map_err(|why| format!("{out}\nkernel gate FAILED: {why}\n"))?;
     let ratios: Vec<String> = report
         .inputs
         .iter()
@@ -609,9 +852,11 @@ pub fn kernel_gate() -> Result<String, String> {
         out.push_str(&format!(
             "\nkernel gate: time bounds skipped in debug builds ({speedup:.1}x the oracle; per-CQ \
              over one plan: {ratios}; triangle build {bitmap:.2} ms bitmap-ranked, {interned:.2} ms \
-             interned; windows cut the one plan's candidates by {cuts}); counts and candidates \
-             checked on all {} inputs\n",
+             interned; windows cut the one plan's candidates by {cuts}; the k = 1 square pick \
+             {serial_speedup:.1}x Theorem 7.3); counts and candidates checked on all {} inputs \
+             and {} k = 1 rows\n",
             report.inputs.len(),
+            report.serial.len(),
         ));
         return Ok(out);
     }
@@ -627,13 +872,22 @@ pub fn kernel_gate() -> Result<String, String> {
              ms, the same edges interned {interned:.2} ms\n",
         ));
     }
+    if serial_speedup < MIN_SERIAL_SPEEDUP {
+        return Err(format!(
+            "{out}\nkernel gate FAILED: the k = 1 pick counts the squares of {SERIAL_GATE_GRAPH} \
+             {serial_speedup:.2}x faster than Theorem 7.3's algorithm, below the \
+             {MIN_SERIAL_SPEEDUP}x bound\n",
+        ));
+    }
     out.push_str(&format!(
         "\nkernel gate passed: {speedup:.1}x the generic oracle on the square input (bound \
          {MIN_SPEEDUP_OVER_ORACLE}x); per-CQ plans over the one plan: {ratios}; triangle build \
-         {:.2}x the interned one; windows cut the one plan's candidates by {cuts}; counts \
-         identical on all {} inputs\n",
+         {:.2}x the interned one; windows cut the one plan's candidates by {cuts}; the k = 1 \
+         square pick {serial_speedup:.1}x Theorem 7.3 (bound {MIN_SERIAL_SPEEDUP}x); counts \
+         identical on all {} inputs and {} k = 1 rows, the triangle still serial-triangles\n",
         bitmap / interned,
         report.inputs.len(),
+        report.serial.len(),
     ));
     Ok(out)
 }
@@ -677,6 +931,7 @@ mod tests {
             available_parallelism: 1,
             commit: "unknown".to_string(),
             inputs: vec![t],
+            serial: Vec::new(),
         };
         let json = report.to_json();
         crate::report::validate_json(&json).expect("valid JSON");
@@ -704,6 +959,40 @@ mod tests {
             ))
         );
         assert!(report.table().contains("vs oracle"));
+    }
+
+    #[test]
+    fn a_small_serial_row_agrees_with_theorem_7_3() {
+        let square = measure_serial("gnm:300,1500,5", "square");
+        assert_eq!(square.pick, StrategyKind::SerialJoin);
+        assert!(square.pick_run.count > 0);
+        assert_eq!(serial_failure(&square), None);
+        let miscounted = SerialTiming {
+            bounded_degree: Counted {
+                count: square.bounded_degree.count + 1,
+                ..square.bounded_degree
+            },
+            ..square.clone()
+        };
+        assert!(serial_failure(&miscounted).is_some());
+        let triangle = measure_serial("gnm:300,1500,5", "triangle");
+        assert_eq!(triangle.pick, StrategyKind::SerialTriangles);
+        assert_eq!(serial_failure(&triangle), None);
+        let demoted = SerialTiming {
+            pick: StrategyKind::SerialJoin,
+            ..triangle.clone()
+        };
+        assert!(serial_failure(&demoted).is_some());
+        let report = KernelReport {
+            available_parallelism: 1,
+            commit: "unknown".to_string(),
+            inputs: Vec::new(),
+            serial: vec![square, triangle],
+        };
+        crate::report::validate_json(&report.to_json()).expect("valid JSON");
+        assert!(report.table().contains("serial-triangles"));
+        // The gate's square row is on another graph.
+        assert!(serial_speedup(&report).is_err());
     }
 
     #[test]

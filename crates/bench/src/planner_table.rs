@@ -62,7 +62,11 @@ pub fn planner_choices() -> String {
             ]);
         }
     }
-    table.note("budget 1 means no cluster: the planner picks a serial Section 6-7 algorithm");
+    table.note(
+        "budget 1 means no cluster: the planner runs the reducers' one symmetry-broken join over \
+         the whole graph (serial-join, priced at the smaller Theorem 7.2 / 7.3 bound), or \
+         Schank's algorithm for the triangle",
+    );
     table.note("Theorem 4.4 in action: cq-oriented is never chosen over the combined schemes");
     table.note(
         "order classes: p!/|Aut|, the jobs cq-oriented processing runs, one CQ each and all \

@@ -325,7 +325,10 @@ request options:
                         unfinished one; one key's group is never split
   --spill-dir <dir>     where spill run files go (default: the OS temp dir;
                         always cleaned up, even on panic)
-  --strategy <name>     force a strategy (e.g. bucket-oriented, cq-oriented)
+  --strategy <name>     force a strategy: bucket-oriented, variable-oriented,
+                        cq-oriented, bucket-ordered-triangles,
+                        partition-triangles, multiway-triangles,
+                        cascade-triangles, serial-triangles, serial-join
 
 output options:
   --format <fmt>        enumerate serialization: ndjson (default) | csv | edges
@@ -345,7 +348,7 @@ examples:
   subgraph generate gnp:10000,0.002,7 --output graph.txt
   subgraph count --input graph.txt --pattern triangle
   subgraph enumerate --input graph.txt --pattern a-b,b-c,c-a --format ndjson
-  subgraph explain --generate power-law:100000,500000,2.5 --pattern lollipop --reducers 750
+  subgraph explain --generate power-law:20000,100000,2.5 --pattern lollipop --reducers 750
   subgraph convert --input graph.txt --output graph.sgr
   subgraph serve --graph graph.sgr --listen 127.0.0.1:7878 --plan-cache 128
 ";

@@ -132,19 +132,25 @@ impl CostEstimate {
         (self.communication, self.reducer_work)
     }
 
-    /// One aligned row for [`crate::plan::ExecutionPlan::explain`].
-    pub(crate) fn explain_row(&self, marker: char) -> String {
+    /// `strategy (paper section)`: the first column of an explain row.
+    pub(crate) fn label(&self) -> String {
+        format!("{} ({})", self.strategy, self.paper_section)
+    }
+
+    /// One aligned row for [`crate::plan::ExecutionPlan::explain`], its label
+    /// padded to `width` characters.
+    pub(crate) fn explain_row(&self, marker: char, width: usize) -> String {
         let shares = if self.shares.is_empty() {
             "-".to_string()
         } else if let Some(b) = self.buckets {
             format!("b={b}")
         } else {
-            let rendered: Vec<String> = self.shares.iter().map(|s| format!("{s:.1}")).collect();
+            let rendered: Vec<String> = self.shares.iter().map(|&s| format_value(s)).collect();
             format!("[{}]", rendered.join(", "))
         };
         format!(
-            "{marker} {:<28} {:<10} {:>12} {:>14} {:>10} {:>14}",
-            format!("{} ({})", self.strategy, self.paper_section),
+            "{marker} {:<width$} {:<10} {:>12} {:>14} {:>10} {:>14}",
+            self.label(),
             shares,
             format_value(self.replication_per_edge),
             format_value(self.communication),

@@ -245,15 +245,15 @@ impl<'g> ExecutionPlan<'g> {
             "chosen strategy: {} ({})\n",
             self.chosen.strategy, self.chosen.paper_section
         ));
-        let shares: Vec<String> = self
-            .chosen
-            .shares
-            .iter()
-            .map(|s| format_value(*s))
-            .collect();
+        let shares = match self.chosen.shares.as_slice() {
+            [] => "-".to_string(),
+            shares => {
+                let shares: Vec<String> = shares.iter().map(|&s| format_value(s)).collect();
+                format!("[{}]", shares.join(", "))
+            }
+        };
         out.push_str(&format!(
-            "  shares: [{}]{}\n",
-            shares.join(", "),
+            "  shares: {shares}{}\n",
             match self.chosen.buckets {
                 Some(b) => format!(" (uniform b = {b})"),
                 None => String::new(),
@@ -317,9 +317,15 @@ impl<'g> ExecutionPlan<'g> {
             }
         }
         out.push_str("candidates (cheapest first):\n");
+        // The strategy column fits its longest label, and never narrows
+        // below 28 characters.
+        let width = (self.candidates.iter())
+            .map(|c| c.label().chars().count())
+            .fold(28, usize::max);
         out.push_str(&format!(
-            "  {:<30} {:<10} {:>12} {:>14} {:>10} {:>14}\n",
-            "strategy", "shares", "repl/edge", "communication", "reducers", "work"
+            "  {:<label$} shares        repl/edge  communication   reducers           work\n",
+            "strategy",
+            label = width + 2,
         ));
         for candidate in &self.candidates {
             let marker = if candidate.strategy == self.chosen.strategy {
@@ -328,7 +334,7 @@ impl<'g> ExecutionPlan<'g> {
                 ' '
             };
             out.push_str("  ");
-            out.push_str(&candidate.explain_row(marker));
+            out.push_str(&candidate.explain_row(marker, width));
             out.push('\n');
         }
         out
@@ -417,24 +423,75 @@ mod tests {
         assert!(text.contains("predicted replication: 55 per edge"));
         assert!(text.contains("predicted reducer work:"));
         assert!(text.contains("cq-oriented"));
-        assert!(text.contains("variable-oriented"));
+        let variable = (text.lines())
+            .find(|l| l.contains("variable-oriented (§4.3)"))
+            .expect("variable-oriented is a candidate");
+        assert!(
+            variable.contains('[') && !variable.contains(".0"),
+            "{variable}"
+        );
+        // One column start for every row, however long a label.
+        let text = EnumerationRequest::named("triangle", &g)
+            .unwrap()
+            .reducers(2)
+            .plan()
+            .unwrap()
+            .explain();
+        let mut rows = text.lines().skip_while(|l| !l.starts_with("candidates"));
+        let header = rows.nth(1).expect("a header row");
+        let column = header.find("shares").expect("a shares column");
+        for row in rows {
+            let cells: Vec<char> = row.chars().skip(column - 1).take(2).collect();
+            assert!(cells[0] == ' ' && cells[1] != ' ', "{row}");
+        }
     }
 
     #[test]
     fn budget_of_one_plans_a_serial_strategy() {
+        // Schank's algorithm examines at most m·Δ/2 and fewer than m^1.5/√2
+        // 2-paths, under both bounds the join is priced at; every other
+        // pattern runs the join.
+        for g in [
+            generators::gnm(400, 2_000, 11),
+            generators::power_law(400, 2_000, 2.2, 11),
+        ] {
+            for entry in subgraph_pattern::catalog::entries() {
+                let request = EnumerationRequest::new(entry.sample, &g).reducers(1);
+                let expected = match entry.name {
+                    "triangle" => StrategyKind::SerialTriangles,
+                    _ => StrategyKind::SerialJoin,
+                };
+                assert_eq!(
+                    request.plan().unwrap().strategy(),
+                    expected,
+                    "{}",
+                    entry.name
+                );
+            }
+        }
+        // The same instances as the oracle, with no Theorem 7.3 bound for two
+        // disjoint edges.
         let g = generators::gnm(30, 120, 3);
-        let plan = EnumerationRequest::new(catalog::square(), &g)
-            .reducers(1)
-            .plan()
-            .unwrap();
-        assert!(plan.strategy().is_serial());
-        assert_eq!(plan.predicted_communication(), 0.0);
-        let report = plan.execute();
-        assert_eq!(report.rounds, 0);
-        assert_eq!(
-            report.count(),
-            enumerate_generic(&catalog::square(), &g).count()
-        );
+        for sample in [
+            catalog::square(),
+            SampleGraph::from_edges(4, &[(0, 1), (2, 3)]),
+        ] {
+            let plan = EnumerationRequest::new(sample.clone(), &g)
+                .reducers(1)
+                .plan()
+                .unwrap();
+            assert_eq!(plan.strategy(), StrategyKind::SerialJoin);
+            assert_eq!(plan.predicted_communication(), 0.0);
+            assert!(plan.explain().contains("  shares: -\n"));
+            let report = plan.execute();
+            assert_eq!(report.rounds, 0);
+            let mut found = report.into_instances();
+            let mut oracle = enumerate_generic(&sample, &g).into_instances();
+            found.sort_unstable();
+            oracle.sort_unstable();
+            assert!(!oracle.is_empty());
+            assert_eq!(found, oracle);
+        }
     }
 
     #[test]
@@ -513,7 +570,7 @@ mod tests {
             .reducers(1)
             .plan()
             .unwrap();
-        assert!(serial.strategy().is_serial());
+        assert_eq!(serial.strategy(), StrategyKind::SerialJoin);
         // The limit is 10!: ten nodes always fit, symmetric patterns of any
         // size do, and both plan without enumerating a permutation.
         assert_eq!(MAX_ORDER_CLASSES, (1..=10).product::<u128>());

@@ -1,7 +1,7 @@
 //! [`RunReport`]: the unified result type every strategy returns.
 
 use crate::plan::strategy::StrategyKind;
-use crate::result::{count_distinct, MapReduceRun, RunStats, SerialRun, SerialStats};
+use crate::result::{count_distinct, RunStats, SerialStats};
 use std::sync::OnceLock;
 use subgraph_mapreduce::{JobMetrics, RoundMetrics};
 use subgraph_pattern::Instance;
@@ -21,7 +21,7 @@ enum ReportOutput {
 }
 
 /// Output of executing an [`crate::plan::ExecutionPlan`], subsuming the older
-/// [`MapReduceRun`] / [`SerialRun`] split: serial strategies simply have no
+/// [`crate::result::MapReduceRun`] / [`crate::result::SerialRun`] split: serial strategies simply have no
 /// job metrics and zero rounds.
 ///
 /// A report is either *collected* ([`crate::plan::ExecutionPlan::execute`] —
@@ -62,45 +62,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Wraps a collect-mode map-reduce result. `rounds` is the strategy's
-    /// logical round count (CQ-oriented passes 1 even with several parallel
-    /// jobs).
-    pub fn from_map_reduce(strategy: StrategyKind, rounds: usize, run: MapReduceRun) -> Self {
-        let metrics = run.metrics.clone();
-        let round_metrics = run.round_metrics.clone();
-        RunReport {
-            strategy,
-            rounds,
-            work: metrics.reducer_work,
-            metrics: Some(metrics),
-            round_metrics,
-            possible_keys: Vec::new(),
-            reducer_join: None,
-            output: ReportOutput::Collected {
-                instances: run.into_instances(),
-                distinct: OnceLock::new(),
-            },
-        }
-    }
-
-    /// Wraps a collect-mode serial result.
-    pub fn from_serial(strategy: StrategyKind, run: SerialRun) -> Self {
-        let work = run.work;
-        RunReport {
-            strategy,
-            rounds: 0,
-            output: ReportOutput::Collected {
-                instances: run.into_instances(),
-                distinct: OnceLock::new(),
-            },
-            metrics: None,
-            round_metrics: Vec::new(),
-            possible_keys: Vec::new(),
-            reducer_join: None,
-            work,
-        }
-    }
-
     /// Wraps a sink-mode map-reduce result: the instances went to the
     /// caller's sink, the report carries only their count and the metrics.
     pub fn streamed_map_reduce(strategy: StrategyKind, rounds: usize, stats: RunStats) -> Self {
@@ -321,10 +282,14 @@ mod tests {
     #[test]
     fn serial_and_map_reduce_reports_share_one_shape() {
         let a = Instance::from_edge_set([(0, 1), (1, 2), (0, 2)]);
-        let serial = RunReport::from_serial(
-            StrategyKind::SerialGeneric,
-            SerialRun::new(vec![a.clone(), a.clone()], 9),
-        );
+        let serial = RunReport::streamed_serial(
+            StrategyKind::SerialJoin,
+            SerialStats {
+                outputs: 2,
+                work: 9,
+            },
+        )
+        .with_collected(vec![a.clone(), a.clone()]);
         assert_eq!(serial.count(), 2);
         assert_eq!(serial.distinct(), 1);
         assert_eq!(serial.duplicates(), 1);
@@ -336,11 +301,10 @@ mod tests {
         assert!(serial.metrics.is_none());
         assert!(serial.round_metrics.is_empty());
 
-        let mr = RunReport::from_map_reduce(
+        let mr = RunReport::streamed_map_reduce(
             StrategyKind::BucketOriented,
             1,
-            MapReduceRun::single_round(
-                vec![a],
+            RunStats::single_round(
                 "bucket-oriented",
                 JobMetrics {
                     key_value_pairs: 45,
@@ -353,7 +317,8 @@ mod tests {
                     ..JobMetrics::default()
                 },
             ),
-        );
+        )
+        .with_collected(vec![a]);
         assert_eq!(mr.count(), 1);
         assert_eq!(mr.instances().len(), 1);
         assert_eq!(mr.communication(), 42);
@@ -388,7 +353,7 @@ mod tests {
         assert_eq!(report.into_instances(), Vec::<Instance>::new());
 
         let serial = RunReport::streamed_serial(
-            StrategyKind::SerialGeneric,
+            StrategyKind::SerialJoin,
             SerialStats {
                 outputs: 5,
                 work: 50,
@@ -402,10 +367,16 @@ mod tests {
     #[test]
     fn render_summarizes_both_serial_and_map_reduce_runs() {
         let a = Instance::from_edge_set([(0, 1), (1, 2), (0, 2)]);
-        let serial =
-            RunReport::from_serial(StrategyKind::SerialGeneric, SerialRun::new(vec![a], 9));
+        let serial = RunReport::streamed_serial(
+            StrategyKind::SerialJoin,
+            SerialStats {
+                outputs: 1,
+                work: 9,
+            },
+        )
+        .with_collected(vec![a]);
         let text = serial.render();
-        assert!(text.contains("strategy: serial-generic (0 rounds)"));
+        assert!(text.contains("strategy: serial-join (0 rounds)"));
         assert!(text.contains("1 instances collected"));
         assert!(text.contains("0 duplicate discoveries"));
         assert!(text.contains("work:     9"));

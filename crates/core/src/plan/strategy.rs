@@ -13,10 +13,8 @@ use crate::enumerate::{integer_shares, variable_oriented, KeySpace};
 use crate::plan::cost::{CostEstimate, RoundCost};
 use crate::plan::report::RunReport;
 use crate::plan::request::EnumerationRequest;
-use crate::serial::{
-    enumerate_bounded_degree_into, enumerate_by_decomposition_into, enumerate_generic_into,
-    enumerate_triangles_into,
-};
+use crate::result::SerialStats;
+use crate::serial::{enumerate_by_decomposition_into, enumerate_triangles_into};
 use crate::sink::{CollectSink, InstanceSink};
 use crate::triangles::bucket_ordered::{
     run_bucket_ordered_triangles_into, triple_key_record_bytes,
@@ -25,6 +23,8 @@ use crate::triangles::cascade::{cascade_record_bytes, run_cascade_triangles_into
 use crate::triangles::multiway::{multiway_record_bytes, run_multiway_triangles_into};
 use crate::triangles::partition::run_partition_triangles_into;
 use std::fmt;
+use subgraph_cq::LocalGraph;
+use subgraph_graph::DegreeOrder;
 use subgraph_pattern::decompose::decompose;
 use subgraph_pattern::{automorphism_group, SampleGraph};
 use subgraph_shares::counting::{
@@ -56,17 +56,14 @@ pub enum StrategyKind {
     CascadeTriangles,
     /// Section 2 baseline: Schank's degree-ordered serial triangle enumeration.
     SerialTriangles,
-    /// Theorem 7.2: the serial decomposition join.
-    SerialDecomposition,
-    /// Theorem 7.3: the serial bounded-degree algorithm.
-    SerialBoundedDegree,
-    /// The serial backtracking matcher (correctness oracle, no cost bound).
-    SerialGeneric,
+    /// Sections 6–7: the reducers' one symmetry-broken join, run once over
+    /// the whole graph.
+    SerialJoin,
 }
 
 impl StrategyKind {
     /// All strategy kinds in tie-breaking order.
-    pub fn all() -> [StrategyKind; 11] {
+    pub fn all() -> [StrategyKind; 9] {
         [
             StrategyKind::BucketOriented,
             StrategyKind::VariableOriented,
@@ -76,9 +73,7 @@ impl StrategyKind {
             StrategyKind::MultiwayTriangles,
             StrategyKind::CascadeTriangles,
             StrategyKind::SerialTriangles,
-            StrategyKind::SerialDecomposition,
-            StrategyKind::SerialBoundedDegree,
-            StrategyKind::SerialGeneric,
+            StrategyKind::SerialJoin,
         ]
     }
 
@@ -87,10 +82,7 @@ impl StrategyKind {
     pub fn is_serial(self) -> bool {
         matches!(
             self,
-            StrategyKind::SerialTriangles
-                | StrategyKind::SerialDecomposition
-                | StrategyKind::SerialBoundedDegree
-                | StrategyKind::SerialGeneric
+            StrategyKind::SerialTriangles | StrategyKind::SerialJoin
         )
     }
 }
@@ -106,9 +98,7 @@ impl fmt::Display for StrategyKind {
             StrategyKind::MultiwayTriangles => "multiway-triangles",
             StrategyKind::CascadeTriangles => "cascade-triangles",
             StrategyKind::SerialTriangles => "serial-triangles",
-            StrategyKind::SerialDecomposition => "serial-decomposition",
-            StrategyKind::SerialBoundedDegree => "serial-bounded-degree",
-            StrategyKind::SerialGeneric => "serial-generic",
+            StrategyKind::SerialJoin => "serial-join",
         };
         f.write_str(name)
     }
@@ -170,9 +160,7 @@ pub(crate) fn builtin_strategies() -> Vec<std::sync::Arc<dyn Strategy>> {
         std::sync::Arc::new(MultiwayTriangles),
         std::sync::Arc::new(CascadeTriangles),
         std::sync::Arc::new(SerialTriangles),
-        std::sync::Arc::new(SerialDecomposition),
-        std::sync::Arc::new(SerialBoundedDegree),
-        std::sync::Arc::new(SerialGeneric),
+        std::sync::Arc::new(SerialJoin),
     ]
 }
 
@@ -785,84 +773,15 @@ impl Strategy for SerialTriangles {
     }
 }
 
-/// Theorem 7.2 decomposition join.
-pub struct SerialDecomposition;
+/// The one symmetry-broken join of the sample graph (`sample_plan`) — the
+/// algorithm every bucket- and variable-oriented reducer runs — run once over
+/// a local graph of every edge: the serial algorithm one round of reducers
+/// converts (Sections 6–7), with no map, no shuffle and no bucket test.
+pub struct SerialJoin;
 
-impl Strategy for SerialDecomposition {
+impl Strategy for SerialJoin {
     fn kind(&self) -> StrategyKind {
-        StrategyKind::SerialDecomposition
-    }
-
-    fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if request.sample().num_nodes() == 0 {
-            return Err("the sample graph is empty".into());
-        }
-        Ok(())
-    }
-
-    fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
-        let d = decompose(request.sample());
-        let (n, m) = (request.graph().num_nodes(), request.graph().num_edges());
-        serial_estimate(
-            self.kind(),
-            "Thm 7.2",
-            (n as f64).powf(d.alpha as f64) * (m as f64).powf(d.beta()),
-        )
-    }
-
-    fn execute_into(
-        &self,
-        request: &EnumerationRequest<'_>,
-        _chosen: &CostEstimate,
-        sink: &mut dyn InstanceSink,
-    ) -> RunReport {
-        let stats = enumerate_by_decomposition_into(request.sample(), request.graph(), sink);
-        RunReport::streamed_serial(self.kind(), stats)
-    }
-}
-
-/// Theorem 7.3 bounded-degree algorithm.
-pub struct SerialBoundedDegree;
-
-impl Strategy for SerialBoundedDegree {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::SerialBoundedDegree
-    }
-
-    fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if request.sample().num_nodes() < 2 {
-            return Err("Theorem 7.3 needs at least two pattern nodes".into());
-        }
-        if !request.sample().is_connected() {
-            return Err("Theorem 7.3 needs a connected pattern".into());
-        }
-        Ok(())
-    }
-
-    fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
-        let p = request.sample().num_nodes();
-        let m = request.graph().num_edges() as f64;
-        let delta = request.graph().max_degree().max(1) as f64;
-        serial_estimate(self.kind(), "Thm 7.3", m * delta.powf(p as f64 - 2.0))
-    }
-
-    fn execute_into(
-        &self,
-        request: &EnumerationRequest<'_>,
-        _chosen: &CostEstimate,
-        sink: &mut dyn InstanceSink,
-    ) -> RunReport {
-        let stats = enumerate_bounded_degree_into(request.sample(), request.graph(), sink);
-        RunReport::streamed_serial(self.kind(), stats)
-    }
-}
-
-/// The generic backtracking matcher (fallback / oracle; no worst-case bound).
-pub struct SerialGeneric;
-
-impl Strategy for SerialGeneric {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::SerialGeneric
+        StrategyKind::SerialJoin
     }
 
     fn applicability(&self, _request: &EnumerationRequest<'_>) -> Result<(), String> {
@@ -870,13 +789,18 @@ impl Strategy for SerialGeneric {
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
-        // Same anchored-candidate structure as Theorem 7.3 but without the
-        // guarantee; the planner therefore prefers the strategies with bounds
-        // on ties (they register earlier).
-        let p = request.sample().num_nodes().max(2);
-        let m = request.graph().num_edges() as f64;
-        let delta = request.graph().max_degree().max(1) as f64;
-        serial_estimate(self.kind(), "§6 oracle", m * delta.powf(p as f64 - 2.0))
+        // Builds nothing: the smaller of the two serial bounds the join meets
+        // — Theorem 7.2's `n^α · m^β` and, for a connected sample, Theorem
+        // 7.3's `m · Δ^{p−2}`.
+        let sample = request.sample();
+        let d = decompose(sample);
+        let (n, m) = (request.graph().num_nodes(), request.graph().num_edges());
+        let mut work = (n as f64).powf(d.alpha as f64) * (m as f64).powf(d.beta());
+        if sample.is_connected() {
+            let delta = request.graph().max_degree().max(1) as f64;
+            work = work.min(m as f64 * delta.powf(sample.num_nodes() as f64 - 2.0));
+        }
+        serial_estimate(self.kind(), "§6–7 one plan", work)
     }
 
     fn execute_into(
@@ -885,8 +809,30 @@ impl Strategy for SerialGeneric {
         _chosen: &CostEstimate,
         sink: &mut dyn InstanceSink,
     ) -> RunReport {
-        let stats = enumerate_generic_into(request.sample(), request.graph(), sink);
-        RunReport::streamed_serial(self.kind(), stats)
+        // A pattern node without an edge binds to any data node, and a local
+        // graph holds only the endpoints of edges: Theorem 7.2's join places
+        // such nodes itself.
+        let sample = request.sample();
+        if sample.nodes().any(|v| sample.degree(v) == 0) {
+            let stats = enumerate_by_decomposition_into(sample, request.graph(), sink);
+            return RunReport::streamed_serial(self.kind(), stats);
+        }
+        // Nodes ranked by Lemma 7.1's degree order: over `reproduce kernel`'s
+        // k = 1 rows the join tries fewer candidates than in id order, and
+        // takes less time in total.
+        let plan = sample_plan(sample);
+        let order = DegreeOrder::new(request.graph());
+        let graph = LocalGraph::build(request.graph().edges(), &order, plan.min_degree());
+        let mut outputs = 0;
+        let work = plan.run(
+            &graph,
+            |_, _, _| true,
+            |assignment| {
+                outputs += 1;
+                sink.accept(plan.instance(&graph, assignment));
+            },
+        );
+        RunReport::streamed_serial(self.kind(), SerialStats { outputs, work })
     }
 }
 
@@ -894,7 +840,7 @@ impl Strategy for SerialGeneric {
 mod tests {
     use super::*;
     use crate::serial::enumerate_generic;
-    use subgraph_graph::generators;
+    use subgraph_graph::{generators, DataGraph};
     use subgraph_pattern::catalog;
 
     #[test]
@@ -931,12 +877,24 @@ mod tests {
 
     #[test]
     fn bounded_degree_needs_connected_patterns() {
-        let g = generators::complete(5);
+        // Theorem 7.3's `m · Δ^{p−2}` bounds connected patterns only: the
+        // join prices two disjoint edges at Theorem 7.2's `m^2` even where
+        // `m · Δ^2` is smaller, and the square at the smaller of the two.
+        let g = generators::gnm(100, 300, 4);
+        let (m, delta) = (300.0, g.max_degree() as f64);
+        assert!(m * delta * delta < m * m);
         let disconnected = SampleGraph::from_edges(4, &[(0, 1), (2, 3)]);
         let request = EnumerationRequest::new(disconnected, &g);
-        assert!(SerialBoundedDegree.applicability(&request).is_err());
-        assert!(SerialDecomposition.applicability(&request).is_ok());
-        assert!(SerialGeneric.applicability(&request).is_ok());
+        assert_eq!(SerialJoin.applicability(&request), Ok(()));
+        assert_eq!(SerialJoin.estimate(&request).reducer_work, m * m);
+        let square = EnumerationRequest::new(catalog::square(), &g);
+        assert_eq!(SerialJoin.estimate(&square).reducer_work, m * delta * delta);
+        // A node without an edge binds to isolated data nodes too.
+        let lonely = SampleGraph::from_edges(3, &[(0, 1)]);
+        let g = DataGraph::from_edges(8, [(0, 1), (1, 2), (2, 0), (3, 4)]);
+        let request = EnumerationRequest::new(lonely.clone(), &g);
+        let report = SerialJoin.execute(&request, &SerialJoin.estimate(&request));
+        assert_eq!(report.count(), enumerate_generic(&lonely, &g).count());
     }
 
     #[test]

@@ -112,12 +112,6 @@ where
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// True when a combiner is attached (it still only runs if
-    /// [`EngineConfig::use_combiners`] is set).
-    pub fn has_combiner(&self) -> bool {
-        self.combiner.is_some()
-    }
 }
 
 /// Measured metrics of one executed pipeline round.
@@ -160,11 +154,6 @@ impl PipelineReport {
     /// Total key-value pairs shipped through all shuffles (post-combiner).
     pub fn total_shuffle_records(&self) -> usize {
         self.rounds.iter().map(|r| r.metrics.shuffle_records).sum()
-    }
-
-    /// Total shuffled payload bytes across all rounds.
-    pub fn total_shuffle_bytes(&self) -> u64 {
-        self.rounds.iter().map(|r| r.metrics.shuffle_bytes).sum()
     }
 }
 

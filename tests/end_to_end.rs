@@ -31,13 +31,18 @@ fn all_strategies_agree_on_the_square() {
         StrategyKind::VariableOriented,
         StrategyKind::CqOriented,
         StrategyKind::BucketOriented,
-        StrategyKind::SerialDecomposition,
-        StrategyKind::SerialBoundedDegree,
+        StrategyKind::SerialJoin,
     ] {
         let report = run_forced(&sample, &graph, kind, 64);
         assert_eq!(report.count(), expected, "{kind}");
         assert_eq!(report.duplicates(), 0, "{kind}");
     }
+    // The serial algorithms of Theorems 7.2 and 7.3, outside the planner.
+    assert_eq!(
+        enumerate_by_decomposition(&sample, &graph).count(),
+        expected
+    );
+    assert_eq!(enumerate_bounded_degree(&sample, &graph).count(), expected);
 }
 
 #[test]
@@ -49,13 +54,17 @@ fn all_strategies_agree_on_the_lollipop() {
     for (kind, k) in [
         (StrategyKind::VariableOriented, 100),
         (StrategyKind::BucketOriented, 15),
-        (StrategyKind::SerialDecomposition, 1),
-        (StrategyKind::SerialBoundedDegree, 1),
+        (StrategyKind::SerialJoin, 1),
     ] {
         let report = run_forced(&sample, &graph, kind, k);
         assert_eq!(report.count(), expected, "{kind}");
         assert_eq!(report.duplicates(), 0, "{kind}");
     }
+    assert_eq!(
+        enumerate_by_decomposition(&sample, &graph).count(),
+        expected
+    );
+    assert_eq!(enumerate_bounded_degree(&sample, &graph).count(), expected);
 }
 
 #[test]

@@ -36,14 +36,11 @@ fn strategies(sample: &SampleGraph) -> Vec<(StrategyKind, usize)> {
         (StrategyKind::BucketOriented, 64),
         (StrategyKind::VariableOriented, 64),
         (StrategyKind::CqOriented, 32),
-        (StrategyKind::SerialDecomposition, 1),
-        (StrategyKind::SerialGeneric, 1),
+        (StrategyKind::SerialJoin, 1),
     ];
-    if sample.is_connected() && sample.num_nodes() >= 2 {
-        kinds.push((StrategyKind::SerialBoundedDegree, 1));
-    }
     if sample.num_nodes() == 3 && sample.num_edges() == 3 {
         kinds.extend([
+            (StrategyKind::SerialTriangles, 1),
             (StrategyKind::BucketOrderedTriangles, 220),
             (StrategyKind::PartitionTriangles, 220),
             (StrategyKind::MultiwayTriangles, 216),
