@@ -348,7 +348,7 @@ examples:
   subgraph generate gnp:10000,0.002,7 --output graph.txt
   subgraph count --input graph.txt --pattern triangle
   subgraph enumerate --input graph.txt --pattern a-b,b-c,c-a --format ndjson
-  subgraph explain --generate power-law:20000,100000,2.5 --pattern lollipop --reducers 750
+  subgraph explain --generate power-law:100000,500000,2.5 --pattern lollipop --reducers 750
   subgraph convert --input graph.txt --output graph.sgr
   subgraph serve --graph graph.sgr --listen 127.0.0.1:7878 --plan-cache 128
 ";

@@ -173,12 +173,19 @@ fn is_triangle(sample: &SampleGraph) -> bool {
 }
 
 /// Applicability of the strategies that evaluate the Theorem 3.1 CQ
-/// collection (bucket-, variable- and CQ-oriented processing): the pattern
-/// needs an edge, and few enough order classes for executing to build one CQ
-/// — or run one job — per class.
+/// collection (bucket-, variable- and CQ-oriented processing): every pattern
+/// node needs an edge, since a CQ over the edge relation binds only the nodes
+/// of its subgoals, and the pattern needs few enough order classes for
+/// executing to build one CQ — or run one job — per class.
 fn one_cq_per_order_class(request: &EnumerationRequest<'_>) -> Result<(), String> {
-    if request.sample().num_edges() == 0 {
+    let sample = request.sample();
+    if sample.num_edges() == 0 {
         return Err("the sample graph has no edges".into());
+    }
+    if let Some(v) = sample.nodes().find(|&v| sample.degree(v) == 0) {
+        return Err(format!(
+            "sample node {v} has no edge, and the edge-relation CQs cannot bind it"
+        ));
     }
     request.check_order_classes().map_err(|e| e.to_string())
 }
@@ -611,10 +618,13 @@ impl Strategy for MultiwayTriangles {
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
         let b = cube_root_budget(request.reducer_budget());
-        let m = request.graph().num_edges();
-        // The reducer-side join examines |XY| x |XZ| candidate pairs per
-        // reducer: about (m/b^2)^2 over b^3 reducers, i.e. m^2 / b.
-        let join_work = (m as f64).powi(2) / b as f64;
+        let (n, m) = (request.graph().num_nodes(), request.graph().num_edges());
+        // The reducers merge-join XY and XZ on X: node x pairs its d⁺(x)
+        // neighbours above it with each other once over its b² reducers,
+        // whatever b is. Σ_x d⁺(x)² <= m · max d⁺ is m · min(m, n − 1) on a
+        // star, the worst case — as the other estimates' Theorem 6.1 bounds
+        // are worst cases.
+        let join_work = m as f64 * m.min(n.saturating_sub(1)) as f64;
         // Mappers emit all 3b copies per edge (footnote 1); the map-side
         // combiner merges an edge's coinciding role emissions, shipping the
         // paper's 3b − 2 — unless combiners are disabled in the engine config.
@@ -873,6 +883,39 @@ mod tests {
         assert!(BucketOrderedTriangles
             .applicability(&triangle_request)
             .is_ok());
+    }
+
+    #[test]
+    fn the_cq_strategies_refuse_a_sample_node_without_edges() {
+        // Node 2 of the sample has no edge: the serial oracle counts 24 (each
+        // of the 6 edges in both directions, times the 4 nodes left), which
+        // no edge-relation CQ can reach.
+        let sample = SampleGraph::from_edges(3, &[(0, 1)]);
+        let g = DataGraph::from_edges(8, [(0, 1), (1, 2), (2, 0), (3, 4)]);
+        assert_eq!(enumerate_generic(&sample, &g).count(), 24);
+        let request = EnumerationRequest::new(sample.clone(), &g).reducers(64);
+        for strategy in [
+            Box::new(BucketOriented) as Box<dyn Strategy>,
+            Box::new(VariableOriented),
+            Box::new(CqOriented),
+        ] {
+            let refusal = strategy.applicability(&request).unwrap_err();
+            assert!(refusal.contains("sample node 2 has no edge"), "{refusal}");
+        }
+        let Err(err) = EnumerationRequest::new(sample.clone(), &g)
+            .reducers(64)
+            .plan()
+        else {
+            panic!("no map-reduce strategy applies");
+        };
+        let err = err.to_string();
+        assert!(err.contains("sample node 2 has no edge"), "{err}");
+        // The serial fallback at k <= 1 is unchanged.
+        let serial = EnumerationRequest::new(sample, &g)
+            .reducers(1)
+            .plan()
+            .unwrap();
+        assert_eq!(serial.strategy(), StrategyKind::SerialJoin);
     }
 
     #[test]

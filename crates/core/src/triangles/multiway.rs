@@ -105,17 +105,12 @@ pub(crate) fn run_multiway_triangles_into(
             xy.sort_unstable();
             xz.sort_unstable();
             // Join on X between the XY and XZ tuples, then probe YZ.
-            for &(x1, y) in &xy {
-                for &(x2, z) in &xz {
-                    if x1 != x2 {
-                        continue;
-                    }
-                    ctx.add_work(1);
-                    if y < z && yz.contains(&(y, z)) {
-                        ctx.emit(Instance::from_edge_set([(x1, y), (y, z), (x1, z)]));
-                    }
+            join_on_x(&xy, &xz, |x, y, z| {
+                ctx.add_work(1);
+                if y < z && yz.contains(&(y, z)) {
+                    ctx.emit(Instance::from_edge_set([(x, y), (y, z), (x, z)]));
                 }
-            }
+            });
         };
 
     let report = Pipeline::new()
@@ -135,6 +130,28 @@ pub(crate) fn run_multiway_triangles(
     let mut collected = crate::sink::CollectSink::new();
     let stats = run_multiway_triangles_into(graph, b, config, &mut collected);
     stats.into_run(collected.into_items())
+}
+
+/// Merge join of two `(X, _)` tuple lists sorted by `X`: calls `matched(x, y,
+/// z)` for every `(x, y)` of `xy` and `(x, z)` of `xz`, ordered by the `xy`
+/// tuple and then the `xz` tuple — the pairs a nested loop over both lists
+/// keeps, in the same order, without visiting the pairs whose `X` differ.
+fn join_on_x(
+    xy: &[(NodeId, NodeId)],
+    xz: &[(NodeId, NodeId)],
+    mut matched: impl FnMut(NodeId, NodeId, NodeId),
+) {
+    let mut rest = xz;
+    for run in xy.chunk_by(|a, b| a.0 == b.0) {
+        let x = run[0].0;
+        rest = &rest[rest.partition_point(|&(x2, _)| x2 < x)..];
+        let same_x = &rest[..rest.partition_point(|&(x2, _)| x2 == x)];
+        for &(_, y) in run {
+            for &(_, z) in same_x {
+                matched(x, y, z);
+            }
+        }
+    }
 }
 
 fn bucket_hash(v: NodeId, b: usize) -> u32 {
@@ -217,6 +234,46 @@ mod tests {
         assert_eq!(run.count(), enumerate_triangles_serial(&g).count());
         // 3b − 2 = 1 at b = 1: the combiner collapses all three role copies.
         assert_eq!(run.metrics.shuffle_records, g.num_edges());
+    }
+
+    #[test]
+    fn the_join_visits_exactly_the_pairs_with_equal_x_in_nested_loop_order() {
+        let mut xy: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 2), (2, 3), (5, 6), (5, 7), (9, 9)];
+        let mut xz: Vec<(NodeId, NodeId)> = vec![(0, 4), (1, 2), (2, 5), (2, 8), (5, 1), (7, 3)];
+        for _ in 0..2 {
+            let mut nested = Vec::new();
+            for &(x1, y) in &xy {
+                for &(x2, z) in &xz {
+                    if x1 == x2 {
+                        nested.push((x1, y, z));
+                    }
+                }
+            }
+            let mut merged = Vec::new();
+            join_on_x(&xy, &xz, |x, y, z| merged.push((x, y, z)));
+            assert_eq!(merged, nested);
+            // Every pair visited is a matched pair: 2·1 at X = 0, 1·2 at
+            // X = 2, 2·1 at X = 5.
+            assert_eq!(merged.len(), 6);
+            std::mem::swap(&mut xy, &mut xz);
+        }
+        join_on_x(&[], &xz, |_, _, _| panic!("nothing to match"));
+    }
+
+    #[test]
+    fn one_reducer_works_once_per_matched_pair() {
+        // At b = 1 both role lists hold every edge (lo, hi), so the matched
+        // pairs are Σ_x d⁺(x)², d⁺(x) being x's neighbours above it.
+        let g = generators::gnm(200, 1_500, 4);
+        let mut above = vec![0u64; g.num_nodes()];
+        for e in g.edges() {
+            above[e.endpoints().0 as usize] += 1;
+        }
+        let run = run_multiway_triangles(&g, 1, &config());
+        assert_eq!(
+            run.metrics.reducer_work,
+            above.iter().map(|d| d * d).sum::<u64>()
+        );
     }
 
     #[test]

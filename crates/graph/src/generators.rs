@@ -9,6 +9,8 @@
 use crate::builder::GraphBuilder;
 use crate::graph::{DataGraph, NodeId};
 use crate::rng::Rng;
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Uniformly random graph with exactly `m` distinct edges over `n` nodes
 /// (the Erdős–Rényi `G(n, m)` model).
@@ -22,19 +24,46 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> DataGraph {
         "requested {m} edges but only {max_edges} pairs exist"
     );
     let mut rng = Rng::seed_from_u64(seed);
-    let mut chosen = std::collections::HashSet::with_capacity(m);
+    // Which pairs are chosen depends only on the RNG stream and the builder
+    // sorts them, so the set's hash function does not move the graph.
+    let mut chosen =
+        HashSet::with_capacity_and_hasher(m, BuildHasherDefault::<PairHasher>::default());
     while chosen.len() < m {
         let u = rng.gen_range(0..n) as NodeId;
         let v = rng.gen_range(0..n) as NodeId;
         if u == v {
             continue;
         }
-        let key = if u < v { (u, v) } else { (v, u) };
-        chosen.insert(key);
+        chosen.insert(u64::from(u.min(v)) << 32 | u64::from(u.max(v)));
     }
     let mut b = GraphBuilder::new(n);
-    b.add_edges(chosen);
+    b.add_edges(
+        chosen
+            .into_iter()
+            .map(|key| ((key >> 32) as NodeId, key as NodeId)),
+    );
     b.build()
+}
+
+/// A multiplicative hash of one `u64` node pair for [`gnm`]'s dedup set:
+/// the product's high half is folded into the low half, which the table
+/// indexes by.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PairHasher hashes u64 keys only")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Random graph where each of the `n(n-1)/2` edges is present independently
@@ -106,40 +135,48 @@ pub fn gnp_sparse(n: usize, p: f64, seed: u64) -> DataGraph {
 /// `(v + 1)^{-1/(gamma - 1)}` scaled so the expected edge count is about `m`.
 /// This is the stand-in for the skewed social networks motivating Section 1.1.
 ///
-/// Pair `(u, v)`, `u < v`, is an edge with probability
-/// `p = min(w_u·w_v / s, 1)`, decided by one uniform draw when `0 < p < 1`
-/// and by none otherwise. Float products and quotients round monotonically,
-/// so the largest and smallest `p` of row `u` are those of the largest and
-/// smallest weight past `u`. When they lie inside `(0, 1)`, every pair of the
-/// row takes one draw, and the exact `p` is computed only for a draw below
-/// the row's largest `p` — no other draw can be below its own `p`.
+/// Every pair `(u, v)`, `u < v`, is an edge independently with probability
+/// `q(u, v) = min(w_u·w_v / s, 1)`. The weights fall with the node id, so
+/// `q` falls along row `u`, and the row is sampled by the skipping of Miller
+/// and Hagberg (*Efficient generation of networks with given expected
+/// degrees*, WAW 2011): with `p` the `q` of the last pair looked at, jump a
+/// Geometric(`p`) gap as [`gnp_sparse`] does, accept the pair landed on with
+/// probability `q / p`, and carry its `q` on as the next `p`. The row stops
+/// when `p` reaches 0 or the jump runs past the last node. That takes
+/// expected `O(n + m)` draws instead of one per pair. (Not bitwise-identical
+/// to the per-pair trials of earlier versions at the same seed: the
+/// distribution is the same, the realization is not.)
 pub fn power_law(n: usize, m: usize, gamma: f64, seed: u64) -> DataGraph {
     let (w, s) = chung_lu_weights(n, m, gamma);
-    // past_max[u] / past_min[u]: the extreme weights of nodes u.., with the
-    // identities of max and min past the last node.
-    let (mut past_max, mut past_min) = (vec![0.0; n + 1], vec![f64::INFINITY; n + 1]);
-    for v in (0..n).rev() {
-        past_max[v] = w[v].max(past_max[v + 1]);
-        past_min[v] = w[v].min(past_min[v + 1]);
-    }
-    let mut rng = Rng::seed_from_u64(seed);
+    debug_assert!(
+        w.windows(2).all(|pair| pair[0] >= pair[1]),
+        "skip sampling needs weights that do not grow with the node id"
+    );
     let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        let bound = w[u] * past_max[u + 1] / s;
-        if bound < 1.0 && w[u] * past_min[u + 1] / s > 0.0 {
-            for v in (u + 1)..n {
-                let r = rng.gen_f64();
-                if r < bound && r < w[u] * w[v] / s {
-                    b.add_edge(u as NodeId, v as NodeId);
+    if s <= 0.0 {
+        // m = 0: no edge is expected, and every w_u·w_v / s would be 0 / 0.
+        return b.build();
+    }
+    let q = |u: usize, v: usize| (w[u] * w[v] / s).min(1.0);
+    let mut rng = Rng::seed_from_u64(seed);
+    for u in 0..n.saturating_sub(1) {
+        let mut v = u + 1;
+        let mut p = q(u, v);
+        while v < n && p > 0.0 {
+            if p < 1.0 {
+                // Geometric(p) pairs skipped: every pair ahead has q <= p.
+                let gap = ((-rng.gen_f64()).ln_1p() / (-p).ln_1p()).floor();
+                if gap >= (n - v) as f64 {
+                    break;
                 }
+                v += gap as usize;
             }
-        } else {
-            for v in (u + 1)..n {
-                let p = (w[u] * w[v] / s).min(1.0);
-                if p > 0.0 && rng.gen_bool(p) {
-                    b.add_edge(u as NodeId, v as NodeId);
-                }
+            let here = q(u, v);
+            if rng.gen_f64() < here / p {
+                b.add_edge(u as NodeId, v as NodeId);
             }
+            p = here;
+            v += 1;
         }
     }
     b.build()
@@ -313,6 +350,29 @@ mod tests {
         assert_ne!(a.edges(), c.edges());
     }
 
+    /// An order-sensitive FNV-style fold of a graph's sorted edge list.
+    fn edge_fingerprint(g: &DataGraph) -> u64 {
+        g.edges().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, e| {
+            let (u, v) = e.endpoints();
+            (h ^ (u64::from(u) << 32 | u64::from(v))).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn gnm_edges_are_pinned_per_seed() {
+        // The edge sets depend only on the RNG stream: the dedup set's hash
+        // function must not move them.
+        for (n, m, seed, fingerprint) in [
+            (50, 200, 7, 810_019_767_293_179_827),
+            (1_000, 5_000, 3, 1_869_517_844_508_089_063),
+            (20_000, 80_000, 5, 1_485_914_412_666_153_683),
+        ] {
+            let g = gnm(n, m, seed);
+            assert_eq!(g.num_edges(), m);
+            assert_eq!(edge_fingerprint(&g), fingerprint, "gnm:{n},{m},{seed}");
+        }
+    }
+
     #[test]
     #[should_panic]
     fn gnm_rejects_too_many_edges() {
@@ -359,57 +419,100 @@ mod tests {
         assert!(g.max_degree() <= 6);
     }
 
-    /// [`power_law`] as one Bernoulli trial per pair, with no row bound.
-    fn power_law_reference(n: usize, m: usize, gamma: f64, seed: u64) -> DataGraph {
+    /// Every pair's edge probability `min(1, w_u·w_v / s)` under [`power_law`].
+    fn pair_probabilities(n: usize, m: usize, gamma: f64) -> Vec<(usize, usize, f64)> {
         let (w, s) = chung_lu_weights(n, m, gamma);
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut b = GraphBuilder::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                let p = (w[u] * w[v] / s).min(1.0);
-                if p > 0.0 && rng.gen_bool(p) {
-                    b.add_edge(u as NodeId, v as NodeId);
-                }
-            }
-        }
-        b.build()
+        (0..n)
+            .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+            .map(|(u, v)| (u, v, (w[u] * w[v] / s).min(1.0)))
+            .collect()
     }
 
     #[test]
-    fn power_law_draws_the_edges_of_one_trial_per_pair() {
-        let (mut rows_at_one, mut rows_at_zero) = (0, 0);
-        for (i, &(n, m, gamma)) in [
-            (1, 0, 2.5),
-            (2, 1, 2.5),
-            (40, 100, 1.01),
-            (1_500, 3_000, 1.01),
-            (200, 600, 1.05),
-            (300, 2_000, 1.2),
-            (500, 1_500, 1.5),
-            (800, 3_000, 2.2),
-            (1_000, 3_000, 2.5),
-            (600, 5_000, 3.0),
-            (2_000, 6_000, 2.2),
-        ]
-        .iter()
-        .enumerate()
-        {
-            let (w, s) = chung_lu_weights(n, m, gamma);
-            rows_at_one += (0..n.saturating_sub(1))
-                .filter(|&u| w[u] * w[u + 1] / s >= 1.0)
-                .count();
-            rows_at_zero += (0..n.saturating_sub(1))
-                .filter(|&u| w[u] * w[n - 1] / s == 0.0)
-                .count();
-            for seed in [i as u64, 1_000 + i as u64] {
-                let fast = power_law(n, m, gamma, seed);
-                let reference = power_law_reference(n, m, gamma, seed);
-                assert_eq!(fast.num_nodes(), reference.num_nodes());
-                assert_eq!(fast.edges(), reference.edges(), "n {n} m {m} gamma {gamma}");
+    fn power_law_draws_every_pair_with_its_chung_lu_probability() {
+        const SEEDS: u64 = 10_000;
+        let (mut pairs_at_one, mut pairs_at_zero) = (0, 0);
+        for (n, m, gamma) in [(50, 100, 1.01), (10, 20, 1.2), (12, 30, 2.2), (12, 30, 2.5)] {
+            let probabilities = pair_probabilities(n, m, gamma);
+            pairs_at_one += probabilities.iter().filter(|&&(.., p)| p >= 1.0).count();
+            pairs_at_zero += probabilities.iter().filter(|&&(.., p)| p == 0.0).count();
+            let mut seen = vec![vec![0u64; n]; n];
+            for seed in 0..SEEDS {
+                for e in power_law(n, m, gamma, seed).edges() {
+                    let (u, v) = e.endpoints();
+                    seen[u as usize][v as usize] += 1;
+                }
+            }
+            for (u, v, p) in probabilities {
+                let count = seen[u][v];
+                if p >= 1.0 {
+                    assert_eq!(
+                        count, SEEDS,
+                        "gamma {gamma}: hub pair ({u}, {v}) is always drawn"
+                    );
+                    continue;
+                }
+                // 5σ of the binomial count, plus one count of slack so the
+                // rarest pairs (T·p far below 1) may be drawn once.
+                let expected = SEEDS as f64 * p;
+                let sigma = (expected * (1.0 - p)).sqrt();
+                assert!(
+                    (count as f64 - expected).abs() <= 5.0 * sigma + 1.0,
+                    "gamma {gamma}: pair ({u}, {v}) drawn {count} times in {SEEDS}, expected {expected:.1}"
+                );
             }
         }
-        assert!(rows_at_one > 0, "the sweep reaches hub rows with p >= 1");
-        assert!(rows_at_zero > 0, "the sweep reaches rows with p == 0");
+        assert!(pairs_at_one > 0, "the sweep reaches hub pairs with p >= 1");
+        assert!(pairs_at_zero > 0, "the sweep reaches pairs with p == 0");
+    }
+
+    #[test]
+    fn power_law_edge_count_has_the_chung_lu_mean_and_variance() {
+        const SEEDS: u64 = 200;
+        for (n, m, gamma) in [(300, 900, 1.2), (2_000, 6_000, 2.2), (1_000, 3_000, 2.5)] {
+            let probabilities = pair_probabilities(n, m, gamma);
+            let mean: f64 = probabilities.iter().map(|&(.., p)| p).sum();
+            let variance: f64 = probabilities.iter().map(|&(.., p)| p * (1.0 - p)).sum();
+            let counts: Vec<f64> = (0..SEEDS)
+                .map(|seed| power_law(n, m, gamma, seed).num_edges() as f64)
+                .collect();
+            let sample_mean = counts.iter().sum::<f64>() / SEEDS as f64;
+            let sample_variance = counts
+                .iter()
+                .map(|c| (c - sample_mean).powi(2))
+                .sum::<f64>()
+                / (SEEDS - 1) as f64;
+            // The sample mean lies within 5σ of Σp; the sample variance of
+            // independent pairs within a factor 1.5 of Σp(1 − p).
+            assert!(
+                (sample_mean - mean).abs() <= 5.0 * (variance / SEEDS as f64).sqrt(),
+                "gamma {gamma}: mean {sample_mean} edges, expected {mean}"
+            );
+            assert!(
+                (sample_variance / variance - 1.0).abs() < 0.5,
+                "gamma {gamma}: variance {sample_variance}, expected {variance}"
+            );
+        }
+    }
+
+    #[test]
+    fn power_law_is_deterministic_per_seed() {
+        for (n, m, gamma) in [
+            (1, 0, 2.5),
+            (2, 1, 2.5),
+            (1_500, 3_000, 1.01),
+            (2_000, 6_000, 2.2),
+        ] {
+            let a = power_law(n, m, gamma, 7);
+            assert_eq!(a.num_nodes(), n);
+            assert_eq!(a.edges(), power_law(n, m, gamma, 7).edges());
+        }
+        assert_ne!(
+            power_law(500, 1_500, 2.5, 1).edges(),
+            power_law(500, 1_500, 2.5, 2).edges()
+        );
+        // No expected edges, none drawn.
+        assert_eq!(power_law(10, 0, 2.5, 3).num_edges(), 0);
     }
 
     #[test]
