@@ -2,9 +2,10 @@
 //! triangle enumeration, with and without a shuffle memory budget.
 //!
 //! One process generates a sparse `G(n, p)` graph (~1.05 M edges), runs the
-//! bucket-ordered triangle count under a [`SPILL_GATE_BUDGET_BYTES`] budget
-//! first — `VmHWM` is a lifetime high-water mark, so the budgeted peak must be
-//! read before any unbudgeted shuffle runs — and then unbudgeted at every
+//! bucket-oriented triangle count (Section 2.3's algorithm) under a
+//! [`SPILL_GATE_BUDGET_BYTES`] budget first — `VmHWM` is a lifetime
+//! high-water mark, so the budgeted peak must be read before any unbudgeted
+//! shuffle runs — and then unbudgeted at every
 //! thread count of [`THREAD_COUNTS`]. The budgeted run must spill, count what
 //! every unbudgeted run counts, and peak within the post-generation baseline
 //! plus budget plus [`SPILL_GATE_SLACK_BYTES`]; the process's final peak per
@@ -37,7 +38,7 @@ pub const POOL_WORKERS: usize = 1;
 /// prices a shuffled triangle record at ~13 bytes and the graph itself at 28
 /// bytes/edge (CSR + edge list on a sparse G(n, p) with n ≈ 1.4 m); with
 /// generator scratch, one partition's grouping tables per worker and every
-/// thread count's allocator retention the process reads 124–131
+/// thread count's allocator retention the process reads 116–134
 /// bytes/edge on a 2-core Linux host. An engine that decodes a worker's
 /// whole input before it reduces reads 167–174 there and fails (the
 /// pre-arena shuffle measured ~450).
@@ -54,7 +55,7 @@ pub const SPILL_GATE_BUDGET_BYTES: usize = 32 << 20;
 /// retention and code/stack. An engine that decodes and groups a worker's
 /// whole input before it reduces (~8 bytes per shuffled record on this
 /// workload, ~50 MiB) does NOT fit. (Measured on a 2-core Linux host: the
-/// budgeted run peaks at 86–92 MiB against a ~105.6 MiB allowance; the
+/// budgeted run peaks at 78–80 MiB against a ~105.5 MiB allowance; the
 /// whole-input engine peaks at 111–114 MiB.)
 pub const SPILL_GATE_SLACK_BYTES: u64 = 43 << 20;
 
@@ -93,10 +94,10 @@ pub fn memory_gate() -> Result<String, String> {
         EnumerationRequest::named("triangle", &graph)
             .expect("triangle is a catalog pattern")
             .reducers(64)
-            .strategy(StrategyKind::BucketOrderedTriangles)
+            .strategy(StrategyKind::BucketOriented)
             .engine(config)
             .plan()
-            .expect("bucket-ordered applies to the triangle pattern")
+            .expect("bucket-oriented applies to the triangle pattern")
             .count()
     };
 
@@ -110,7 +111,7 @@ pub fn memory_gate() -> Result<String, String> {
         .collect();
 
     let mut out = format!(
-        "memory gate: sparse G(n = {n}, p = {p:.2e}) seed {seed} -> {edges} edges, bucket-ordered \
+        "memory gate: sparse G(n = {n}, p = {p:.2e}) seed {seed} -> {edges} edges, bucket-oriented \
          triangle count at 64 reducers; {} MiB budget at 4 threads spilled {:.1} MiB over \
          {spill_runs} runs; unbudgeted at threads {THREAD_COUNTS:?}\n",
         SPILL_GATE_BUDGET_BYTES >> 20,

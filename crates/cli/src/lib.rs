@@ -326,8 +326,7 @@ request options:
   --spill-dir <dir>     where spill run files go (default: the OS temp dir;
                         always cleaned up, even on panic)
   --strategy <name>     force a strategy: bucket-oriented, variable-oriented,
-                        cq-oriented, bucket-ordered-triangles,
-                        partition-triangles, multiway-triangles,
+                        cq-oriented, partition-triangles, multiway-triangles,
                         cascade-triangles, serial-triangles, serial-join
 
 output options:
@@ -1134,6 +1133,29 @@ mod tests {
         }
     }
 
+    /// The `--strategy` list in the help is written by hand: it must name
+    /// exactly the strategies the flag accepts.
+    #[test]
+    fn help_lists_every_strategy_name() {
+        assert!(matches!(
+            Command::parse(&["--help"]),
+            Err(CliError::Usage(msg)) if msg.is_empty()
+        ));
+        let start = USAGE.find("--strategy <name>").expect("a --strategy entry");
+        let entry = &USAGE[start..];
+        let entry = &entry[..entry.find("\n\n").unwrap_or(entry.len())];
+        let listed: Vec<&str> = entry["--strategy <name>".len()..]
+            .trim_start()
+            .trim_start_matches("force a strategy:")
+            .split([',', ' ', '\n'])
+            .filter(|word| !word.is_empty())
+            .collect();
+        assert_eq!(listed, strategy_names(), "{entry}");
+        // Section 2.3's triangle round is bucket-oriented processing now,
+        // and no longer a strategy of its own.
+        assert!(!USAGE.contains("bucket-ordered"));
+    }
+
     #[test]
     fn usage_errors_are_specific() {
         let err = |args: &[&str]| match Command::parse(args) {
@@ -1691,7 +1713,7 @@ mod tests {
             threads: Some(2),
             memory_budget: None,
             spill_dir: None,
-            strategy: Some(StrategyKind::BucketOrderedTriangles),
+            strategy: Some(StrategyKind::BucketOriented),
         };
         let budgeted = RequestOpts {
             memory_budget: Some(64 << 10),

@@ -375,12 +375,12 @@ mod tests {
         assert_eq!(bounded_len(&u32::MAX), 5);
         assert_eq!(bounded_len(&u64::MAX), 10);
         assert_eq!(bounded_len(&usize::MAX), 10);
-        // Composites are the sum of their parts; the multiway round's record
-        // (a bucket triple and a role-tagged pair of ids) at its largest.
+        // Composites are the sum of their parts: a bucket triple and a
+        // tagged pair of ids at its largest.
         assert_eq!(bounded_len(&[u32::MAX; 3]), 15);
         assert_eq!(bounded_len(&(u32::MAX, u64::MAX)), 15);
-        let multiway = ([u32::MAX; 3], (u8::MAX, u32::MAX, u32::MAX));
-        assert_eq!(bounded_len(&multiway), 26);
+        let tagged = ([u32::MAX; 3], (u8::MAX, u32::MAX, u32::MAX));
+        assert_eq!(bounded_len(&tagged), 26);
         assert_eq!(bounded_len(&([0u32; 3], (0u8, 0u32, 0u32))), 6);
         assert_eq!(<[u32; 0]>::MAX_ENCODED_LEN, Some(0));
     }

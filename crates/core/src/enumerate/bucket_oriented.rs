@@ -28,7 +28,7 @@
 
 use super::{least_min_degree, KeySpace};
 use crate::result::{MapReduceRun, RunStats};
-use crate::sink::{CollectSink, InstanceSink};
+use crate::sink::InstanceSink;
 use std::ops::Range;
 use subgraph_cq::{ConjunctiveQuery, JoinPlan, LocalGraph};
 use subgraph_graph::{BucketThenIdOrder, DataGraph, Edge};
@@ -43,21 +43,6 @@ use subgraph_pattern::{automorphism_group, Instance, PatternNode, SampleGraph};
 /// byte costs do not depend on the encoding.
 pub(crate) fn vec_key_record_bytes(p: usize) -> usize {
     p * std::mem::size_of::<u32>() + std::mem::size_of::<Edge>()
-}
-
-/// The mapper of the bucket-multiset rounds: `edge` goes to every reducer
-/// whose multiset holds the buckets of both endpoints.
-pub(crate) fn ship_by_endpoint_buckets(
-    space: &KeySpace,
-    order: &BucketThenIdOrder,
-    edge: &Edge,
-    ctx: &mut MapContext<u32, Edge>,
-) {
-    let bu = order.bucket(edge.lo()) as u32;
-    let bv = order.bucket(edge.hi()) as u32;
-    for &key in space.destinations(bu, bv) {
-        ctx.emit(key, *edge);
-    }
 }
 
 /// The ownership test of one bucket-oriented reducer, in the form the join
@@ -222,9 +207,7 @@ pub fn bucket_oriented_with_cqs(
     b: usize,
     config: &EngineConfig,
 ) -> MapReduceRun {
-    let mut collected = CollectSink::new();
-    let stats = bucket_oriented_with_cqs_into(p, cqs, graph, b, config, &mut collected);
-    stats.into_run(collected.into_items())
+    RunStats::collect(|sink| bucket_oriented_with_cqs_into(p, cqs, graph, b, config, sink))
 }
 
 /// Streaming variant of [`bucket_oriented_with_cqs`]: the final reducers feed
@@ -258,8 +241,14 @@ fn run_plans(
     let order = BucketThenIdOrder::new(b);
     let min_degree = least_min_degree(plans);
 
+    // `edge` goes to every reducer whose multiset holds the buckets of both
+    // endpoints.
     let mapper = |edge: &Edge, ctx: &mut MapContext<u32, Edge>| {
-        ship_by_endpoint_buckets(&space, &order, edge, ctx)
+        let bu = order.bucket(edge.lo()) as u32;
+        let bv = order.bucket(edge.hi()) as u32;
+        for &key in space.destinations(bu, bv) {
+            ctx.emit(key, *edge);
+        }
     };
 
     let reducer = |key: &u32, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
@@ -302,9 +291,7 @@ mod tests {
 
     /// Collect-mode driver over the streaming runner.
     fn collect_run(sample: &SampleGraph, graph: &DataGraph, b: usize) -> MapReduceRun {
-        let mut collected = CollectSink::new();
-        let stats = run_bucket_oriented(sample, graph, b, &config(), &mut collected);
-        stats.into_run(collected.into_items())
+        RunStats::collect(|sink| run_bucket_oriented(sample, graph, b, &config(), sink))
     }
 
     fn agree(sample: &SampleGraph, graph: &DataGraph, b: usize) {

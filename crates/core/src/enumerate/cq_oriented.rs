@@ -7,7 +7,7 @@
 
 use super::{integer_shares, run_share_vector_round};
 use crate::result::{MapReduceRun, RunStats};
-use crate::sink::{CollectSink, InstanceSink};
+use crate::sink::InstanceSink;
 use subgraph_cq::{cq_for_ordering, cqs_for_sample, ConjunctiveQuery, JoinPlan};
 use subgraph_graph::DataGraph;
 use subgraph_mapreduce::EngineConfig;
@@ -52,9 +52,7 @@ pub fn single_cq_job(
     k: usize,
     config: &EngineConfig,
 ) -> MapReduceRun {
-    let mut collected = CollectSink::new();
-    let stats = single_cq_job_into(cq, graph, k, config, &mut collected);
-    stats.into_run(collected.into_items())
+    RunStats::collect(|sink| single_cq_job_into(cq, graph, k, config, sink))
 }
 
 /// Streaming variant of [`single_cq_job`].
@@ -106,9 +104,7 @@ mod tests {
 
     /// Collect-mode driver over the streaming runner.
     fn collect_run(sample: &SampleGraph, graph: &DataGraph, k: usize) -> MapReduceRun {
-        let mut collected = CollectSink::new();
-        let stats = run_cq_oriented(sample, graph, k, &config(), &mut collected);
-        stats.into_run(collected.into_items())
+        RunStats::collect(|sink| run_cq_oriented(sample, graph, k, &config(), sink))
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Every key of a Section 2.3 / Section 4 round is a short sequence of bucket
 //! numbers, and the set of keys a round can use is known before the first
 //! edge is mapped: the non-decreasing `p`-sequences over `b` buckets
-//! (bucket-oriented processing and the bucket-ordered triangle algorithm), or
-//! the share vectors `∏ [0, shares[i])` (variable- and CQ-oriented
-//! processing). A [`KeySpace`] enumerates that set once per round and ranks
+//! (bucket-oriented processing, which at `p = 3` is Section 2.3's triangle
+//! algorithm), or the share vectors `∏ [0, shares[i])` (variable- and
+//! CQ-oriented processing). A [`KeySpace`] enumerates that set once per round and ranks
 //! it, so the shuffle carries a `u32` reducer index — one multiply to hash,
 //! one or two varint bytes on the wire — and the mapper's whole job becomes
 //! "hash the two endpoints, emit the edge to a precomputed slice of indices".

@@ -14,7 +14,7 @@
 use super::bucket_oriented::sample_plan;
 use super::{integer_shares, run_share_vector_round};
 use crate::result::{MapReduceRun, RunStats};
-use crate::sink::{CollectSink, InstanceSink};
+use crate::sink::InstanceSink;
 use subgraph_cq::JoinPlan;
 use subgraph_graph::DataGraph;
 use subgraph_mapreduce::EngineConfig;
@@ -66,9 +66,7 @@ pub fn run_with_plan(
     plan: &VariableOrientedPlan,
     config: &EngineConfig,
 ) -> MapReduceRun {
-    let mut collected = CollectSink::new();
-    let stats = run_with_plan_into(graph, plan, config, &mut collected);
-    stats.into_run(collected.into_items())
+    RunStats::collect(|sink| run_with_plan_into(graph, plan, config, sink))
 }
 
 /// Streaming variant of [`run_with_plan`].

@@ -4,9 +4,10 @@
 //!
 //! The crate is organised along the paper's two halves:
 //!
-//! * **Communication cost (Sections 2–5).** [`triangles`] holds the three
-//!   single-round triangle algorithms compared in Figures 1–2 (Partition,
-//!   plain multiway join, bucket-ordered multiway join); [`enumerate`] holds
+//! * **Communication cost (Sections 2–5).** [`triangles`] holds the
+//!   single-round triangle algorithms compared in Figures 1–2 (Partition and
+//!   the plain multiway join; the bucket-ordered multiway join is
+//!   bucket-oriented processing on the triangle); [`enumerate`] holds
 //!   the three processing strategies for arbitrary sample graphs (CQ-oriented,
 //!   variable-oriented, bucket-oriented) built on the conjunctive-query
 //!   machinery of `subgraph-cq`, the share optimizer of `subgraph-shares` and

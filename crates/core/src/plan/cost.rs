@@ -137,21 +137,26 @@ impl CostEstimate {
         format!("{} ({})", self.strategy, self.paper_section)
     }
 
-    /// One aligned row for [`crate::plan::ExecutionPlan::explain`], its label
-    /// padded to `width` characters.
-    pub(crate) fn explain_row(&self, marker: char, width: usize) -> String {
-        let shares = if self.shares.is_empty() {
+    /// The shares column of an explain row: `b=…` for a bucket count, the
+    /// share vector, or `-` when no single vector describes the strategy.
+    pub(crate) fn shares_cell(&self) -> String {
+        if self.shares.is_empty() {
             "-".to_string()
         } else if let Some(b) = self.buckets {
             format!("b={b}")
         } else {
             let rendered: Vec<String> = self.shares.iter().map(|&s| format_value(s)).collect();
             format!("[{}]", rendered.join(", "))
-        };
+        }
+    }
+
+    /// One aligned row for [`crate::plan::ExecutionPlan::explain`], its label
+    /// padded to `width` characters and its shares to `shares_width`.
+    pub(crate) fn explain_row(&self, marker: char, width: usize, shares_width: usize) -> String {
         format!(
-            "{marker} {:<width$} {:<10} {:>12} {:>14} {:>10} {:>14}",
+            "{marker} {:<width$} {:<shares_width$} {:>12} {:>14} {:>10} {:>14}",
             self.label(),
-            shares,
+            self.shares_cell(),
             format_value(self.replication_per_edge),
             format_value(self.communication),
             format_value(self.reducers),

@@ -317,14 +317,22 @@ impl<'g> ExecutionPlan<'g> {
             }
         }
         out.push_str("candidates (cheapest first):\n");
-        // The strategy column fits its longest label, and never narrows
-        // below 28 characters.
+        // The strategy and shares columns fit their longest cells, and never
+        // narrow below 28 and 10 characters.
         let width = (self.candidates.iter())
             .map(|c| c.label().chars().count())
             .fold(28, usize::max);
+        let shares_width = (self.candidates.iter())
+            .map(|c| c.shares_cell().chars().count())
+            .fold(10, usize::max);
         out.push_str(&format!(
-            "  {:<label$} shares        repl/edge  communication   reducers           work\n",
+            "  {:<label$} {:<shares_width$} {:>12} {:>14} {:>10} {:>14}\n",
             "strategy",
+            "shares",
+            "repl/edge",
+            "communication",
+            "reducers",
+            "work",
             label = width + 2,
         ));
         for candidate in &self.candidates {
@@ -334,7 +342,7 @@ impl<'g> ExecutionPlan<'g> {
                 ' '
             };
             out.push_str("  ");
-            out.push_str(&candidate.explain_row(marker, width));
+            out.push_str(&candidate.explain_row(marker, width, shares_width));
             out.push('\n');
         }
         out
@@ -430,20 +438,43 @@ mod tests {
             variable.contains('[') && !variable.contains(".0"),
             "{variable}"
         );
-        // One column start for every row, however long a label.
-        let text = EnumerationRequest::named("triangle", &g)
-            .unwrap()
-            .reducers(2)
-            .plan()
-            .unwrap()
-            .explain();
-        let mut rows = text.lines().skip_while(|l| !l.starts_with("candidates"));
-        let header = rows.nth(1).expect("a header row");
-        let column = header.find("shares").expect("a shares column");
-        for row in rows {
-            let cells: Vec<char> = row.chars().skip(column - 1).take(2).collect();
-            assert!(cells[0] == ' ' && cells[1] != ' ', "{row}");
-        }
+        // A share vector wider than the shares heading: four shares, one of
+        // them two digits long.
+        let vector = &variable[variable.find('[').unwrap() + 1..variable.find(']').unwrap()];
+        let shares: Vec<&str> = vector.split(", ").collect();
+        assert!(
+            shares.len() == 4 && shares.iter().any(|s| s.len() == 2),
+            "{variable}"
+        );
+        // Every row's cells line up under the header's, however long a label
+        // or a share vector: the shares start at their heading, the numbers
+        // end at theirs.
+        let aligned = |text: &str| {
+            let mut rows = text.lines().skip_while(|l| !l.starts_with("candidates"));
+            let header = rows.nth(1).expect("a header row");
+            let shares = header.find("shares").expect("a shares column");
+            let ends: Vec<usize> = ["repl/edge", "communication", "reducers", "work"]
+                .iter()
+                .map(|heading| header.find(heading).expect("a heading") + heading.len())
+                .collect();
+            for row in rows {
+                let cell: Vec<char> = row.chars().collect();
+                let at = |i: usize| cell.get(i).copied().unwrap_or(' ');
+                assert!(at(shares - 1) == ' ' && at(shares) != ' ', "{row}");
+                for &end in &ends {
+                    assert!(at(end - 1) != ' ' && at(end) == ' ', "{row}");
+                }
+            }
+        };
+        aligned(&text);
+        aligned(
+            &EnumerationRequest::named("triangle", &g)
+                .unwrap()
+                .reducers(2)
+                .plan()
+                .unwrap()
+                .explain(),
+        );
     }
 
     #[test]
@@ -605,15 +636,14 @@ mod tests {
             .plan()
             .unwrap();
         let kinds: Vec<StrategyKind> = plan.candidates().iter().map(|c| c.strategy).collect();
-        assert!(kinds.contains(&StrategyKind::BucketOrderedTriangles));
         assert!(kinds.contains(&StrategyKind::PartitionTriangles));
         assert!(kinds.contains(&StrategyKind::MultiwayTriangles));
         assert!(kinds.contains(&StrategyKind::CascadeTriangles));
         // The paper's best one-round algorithm wins: b per edge beats every
-        // alternative at equal reducer counts (Figure 2), and the generic
-        // bucket-oriented scheme at p = 3 predicts the same replication, so
-        // the tie-break keeps the generic strategy ahead only if it is not
-        // worse. Either way the winner ships b = 10 copies per edge.
+        // alternative at equal reducer counts (Figure 2), and at p = 3 the
+        // bucket-oriented scheme is that algorithm (Section 2.3), shipping
+        // b = 10 copies per edge.
+        assert_eq!(plan.strategy(), StrategyKind::BucketOriented);
         assert!((plan.predicted_replication() - 10.0).abs() < 1e-9);
         let report = plan.execute();
         assert_eq!(report.duplicates(), 0);

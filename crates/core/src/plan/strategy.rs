@@ -16,11 +16,8 @@ use crate::plan::request::EnumerationRequest;
 use crate::result::SerialStats;
 use crate::serial::{enumerate_by_decomposition_into, enumerate_triangles_into};
 use crate::sink::{CollectSink, InstanceSink};
-use crate::triangles::bucket_ordered::{
-    run_bucket_ordered_triangles_into, triple_key_record_bytes,
-};
 use crate::triangles::cascade::{cascade_record_bytes, run_cascade_triangles_into};
-use crate::triangles::multiway::{multiway_record_bytes, run_multiway_triangles_into};
+use crate::triangles::multiway::run_multiway_triangles_into;
 use crate::triangles::partition::run_partition_triangles_into;
 use std::fmt;
 use subgraph_cq::LocalGraph;
@@ -39,15 +36,13 @@ use subgraph_shares::counting::{
 /// variant wins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StrategyKind {
-    /// Section 2.3 generalized: hash-ordered nodes, one reducer per
-    /// non-decreasing bucket multiset (Section 4.5).
+    /// Section 4.5: hash-ordered nodes, one reducer per non-decreasing
+    /// bucket multiset — on the triangle, Section 2.3's algorithm.
     BucketOriented,
     /// Section 4.3: all CQs in one job, one optimized share per variable.
     VariableOriented,
     /// Section 4.1: one job per conjunctive query (Theorem 4.4 baseline).
     CqOriented,
-    /// Section 2.3: the hash-ordered triangle special case.
-    BucketOrderedTriangles,
     /// Section 2.1: the Partition algorithm of Suri-Vassilvitskii.
     PartitionTriangles,
     /// Section 2.2: the plain multiway-join triangle algorithm.
@@ -63,12 +58,11 @@ pub enum StrategyKind {
 
 impl StrategyKind {
     /// All strategy kinds in tie-breaking order.
-    pub fn all() -> [StrategyKind; 9] {
+    pub fn all() -> [StrategyKind; 8] {
         [
             StrategyKind::BucketOriented,
             StrategyKind::VariableOriented,
             StrategyKind::CqOriented,
-            StrategyKind::BucketOrderedTriangles,
             StrategyKind::PartitionTriangles,
             StrategyKind::MultiwayTriangles,
             StrategyKind::CascadeTriangles,
@@ -93,7 +87,6 @@ impl fmt::Display for StrategyKind {
             StrategyKind::BucketOriented => "bucket-oriented",
             StrategyKind::VariableOriented => "variable-oriented",
             StrategyKind::CqOriented => "cq-oriented",
-            StrategyKind::BucketOrderedTriangles => "bucket-ordered-triangles",
             StrategyKind::PartitionTriangles => "partition-triangles",
             StrategyKind::MultiwayTriangles => "multiway-triangles",
             StrategyKind::CascadeTriangles => "cascade-triangles",
@@ -155,7 +148,6 @@ pub(crate) fn builtin_strategies() -> Vec<std::sync::Arc<dyn Strategy>> {
         std::sync::Arc::new(BucketOriented),
         std::sync::Arc::new(VariableOriented),
         std::sync::Arc::new(CqOriented),
-        std::sync::Arc::new(BucketOrderedTriangles),
         std::sync::Arc::new(PartitionTriangles),
         std::sync::Arc::new(MultiwayTriangles),
         std::sync::Arc::new(CascadeTriangles),
@@ -166,10 +158,15 @@ pub(crate) fn builtin_strategies() -> Vec<std::sync::Arc<dyn Strategy>> {
 
 // ---- shared helpers --------------------------------------------------------
 
-/// True when the sample graph is exactly the triangle, enabling the Section 2
-/// special-case algorithms.
-fn is_triangle(sample: &SampleGraph) -> bool {
-    sample.num_nodes() == 3 && sample.num_edges() == 3
+/// Applicability of the Section 2 algorithms: the sample graph is exactly
+/// the triangle.
+fn triangle_only(request: &EnumerationRequest<'_>) -> Result<(), String> {
+    let sample = request.sample();
+    if sample.num_nodes() == 3 && sample.num_edges() == 3 {
+        Ok(())
+    } else {
+        Err("specialized to the triangle sample graph".into())
+    }
 }
 
 /// Applicability of the strategies that evaluate the Theorem 3.1 CQ
@@ -188,14 +185,6 @@ fn one_cq_per_order_class(request: &EnumerationRequest<'_>) -> Result<(), String
         ));
     }
     request.check_order_classes().map_err(|e| e.to_string())
-}
-
-/// The bucket-multiset rounds run `p`-coordinate keys over
-/// [`buckets_for_budget`] buckets: a budget whose key space cannot be built
-/// is turned down here, in the key space's own words, not at execute time.
-fn multiset_key_space(p: usize, request: &EnumerationRequest<'_>) -> Result<(), String> {
-    let b = buckets_for_budget(p, request.reducer_budget());
-    KeySpace::check_multisets(b, p).map_err(|e| e.to_string())
 }
 
 /// The share-vector rounds index their reducers by a `u32` and route by one
@@ -317,7 +306,11 @@ impl Strategy for BucketOriented {
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
         one_cq_per_order_class(request)?;
-        multiset_key_space(request.sample().num_nodes(), request)
+        // A budget whose key space cannot be built is turned down here, in
+        // the key space's own words, not at execute time.
+        let p = request.sample().num_nodes();
+        let b = buckets_for_budget(p, request.reducer_budget());
+        KeySpace::check_multisets(b, p).map_err(|e| e.to_string())
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
@@ -501,55 +494,6 @@ impl Strategy for CqOriented {
     }
 }
 
-/// Section 2.3 hash-ordered triangle algorithm.
-pub struct BucketOrderedTriangles;
-
-impl Strategy for BucketOrderedTriangles {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::BucketOrderedTriangles
-    }
-
-    fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if !is_triangle(request.sample()) {
-            return Err("specialized to the triangle sample graph".into());
-        }
-        multiset_key_space(3, request)
-    }
-
-    fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
-        let b = buckets_for_budget(3, request.reducer_budget());
-        let (n, m) = (request.graph().num_nodes(), request.graph().num_edges());
-        mr_estimate(
-            self.kind(),
-            "§2.3",
-            1,
-            vec![b as f64; 3],
-            Some(b),
-            vec![RoundCost::without_combiner(
-                "bucket-ordered",
-                b as f64 * m as f64,
-                triple_key_record_bytes(),
-            )],
-            useful_reducers(b as u64, 3) as f64,
-            predicted_parallel_work(b, 3, 0.0, 1.5, n, m),
-            m,
-        )
-    }
-
-    fn execute_into(
-        &self,
-        request: &EnumerationRequest<'_>,
-        chosen: &CostEstimate,
-        sink: &mut dyn InstanceSink,
-    ) -> RunReport {
-        let b = chosen
-            .buckets
-            .unwrap_or_else(|| buckets_for_budget(3, request.reducer_budget()));
-        let stats = run_bucket_ordered_triangles_into(request.graph(), b, request.config(), sink);
-        RunReport::streamed_map_reduce(self.kind(), 1, stats)
-    }
-}
-
 /// Section 2.1 Partition algorithm.
 pub struct PartitionTriangles;
 
@@ -559,16 +503,12 @@ impl Strategy for PartitionTriangles {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if is_triangle(request.sample()) {
-            Ok(())
-        } else {
-            Err("specialized to the triangle sample graph".into())
-        }
+        triangle_only(request)
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
         let b = partition_groups_for_budget(request.reducer_budget());
-        let (n, m) = (request.graph().num_nodes(), request.graph().num_edges());
+        let m = request.graph().num_edges();
         mr_estimate(
             self.kind(),
             "§2.1",
@@ -578,10 +518,10 @@ impl Strategy for PartitionTriangles {
             vec![RoundCost::without_combiner(
                 "partition",
                 partition_triangle_replication(b as u64) * m as f64,
-                triple_key_record_bytes(),
+                vec_key_record_bytes(3),
             )],
             binomial(b as u64, 3) as f64,
-            predicted_parallel_work(b, 3, 0.0, 1.5, n, m),
+            decomposition_work(request.sample(), request.graph().num_nodes(), m, b as f64),
             m,
         )
     }
@@ -609,22 +549,12 @@ impl Strategy for MultiwayTriangles {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if is_triangle(request.sample()) {
-            Ok(())
-        } else {
-            Err("specialized to the triangle sample graph".into())
-        }
+        triangle_only(request)
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
         let b = cube_root_budget(request.reducer_budget());
-        let (n, m) = (request.graph().num_nodes(), request.graph().num_edges());
-        // The reducers merge-join XY and XZ on X: node x pairs its d⁺(x)
-        // neighbours above it with each other once over its b² reducers,
-        // whatever b is. Σ_x d⁺(x)² <= m · max d⁺ is m · min(m, n − 1) on a
-        // star, the worst case — as the other estimates' Theorem 6.1 bounds
-        // are worst cases.
-        let join_work = m as f64 * m.min(n.saturating_sub(1)) as f64;
+        let m = request.graph().num_edges();
         // Mappers emit all 3b copies per edge (footnote 1); the map-side
         // combiner merges an edge's coinciding role emissions, shipping the
         // paper's 3b − 2 — unless combiners are disabled in the engine config.
@@ -644,10 +574,10 @@ impl Strategy for MultiwayTriangles {
                 "multiway",
                 emitted,
                 shuffled,
-                multiway_record_bytes(),
+                vec_key_record_bytes(3),
             )],
             (b as f64).powi(3),
-            join_work,
+            decomposition_work(request.sample(), request.graph().num_nodes(), m, b as f64),
             m,
         )
     }
@@ -675,11 +605,7 @@ impl Strategy for CascadeTriangles {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if is_triangle(request.sample()) {
-            Ok(())
-        } else {
-            Err("specialized to the triangle sample graph".into())
-        }
+        triangle_only(request)
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
@@ -748,10 +674,7 @@ impl Strategy for SerialTriangles {
     }
 
     fn applicability(&self, request: &EnumerationRequest<'_>) -> Result<(), String> {
-        if !is_triangle(request.sample()) {
-            return Err("the Section 2 baseline enumerates triangles only".into());
-        }
-        Ok(())
+        triangle_only(request)
     }
 
     fn estimate(&self, request: &EnumerationRequest<'_>) -> CostEstimate {
@@ -872,17 +795,14 @@ mod tests {
         let g = generators::complete(5);
         let request = EnumerationRequest::new(catalog::square(), &g);
         for strategy in [
-            Box::new(BucketOrderedTriangles) as Box<dyn Strategy>,
-            Box::new(PartitionTriangles),
+            Box::new(PartitionTriangles) as Box<dyn Strategy>,
             Box::new(MultiwayTriangles),
             Box::new(CascadeTriangles),
         ] {
             assert!(strategy.applicability(&request).is_err());
         }
         let triangle_request = EnumerationRequest::new(catalog::triangle(), &g);
-        assert!(BucketOrderedTriangles
-            .applicability(&triangle_request)
-            .is_ok());
+        assert!(PartitionTriangles.applicability(&triangle_request).is_ok());
     }
 
     #[test]
@@ -944,7 +864,8 @@ mod tests {
     fn estimates_carry_the_paper_formulas() {
         let g = generators::gnm(100, 600, 5);
         let request = EnumerationRequest::new(catalog::triangle(), &g).reducers(220);
-        let ordered = BucketOrderedTriangles.estimate(&request);
+        // Bucket-oriented on the triangle is Section 2.3's algorithm.
+        let ordered = BucketOriented.estimate(&request);
         assert_eq!(ordered.buckets, Some(10));
         assert!((ordered.replication_per_edge - 10.0).abs() < 1e-12);
         assert!((ordered.communication - 6000.0).abs() < 1e-9);

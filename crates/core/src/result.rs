@@ -7,6 +7,7 @@
 //! the collect-mode wrappers the oracle tests and legacy callers use.
 
 use crate::enumerate::KeySpace;
+use crate::sink::{CollectSink, InstanceSink};
 use std::sync::OnceLock;
 use subgraph_mapreduce::{JobMetrics, PipelineReport, RoundMetrics};
 use subgraph_pattern::Instance;
@@ -148,6 +149,14 @@ impl RunStats {
         self.metrics.outputs = self.outputs;
         self.round_metrics.extend(other.round_metrics);
         self.possible_keys.extend(other.possible_keys);
+    }
+
+    /// Runs a streaming runner into a [`crate::sink::CollectSink`] and
+    /// attaches what it gathered ([`RunStats::into_run`]).
+    pub(crate) fn collect(run: impl FnOnce(&mut dyn InstanceSink) -> RunStats) -> MapReduceRun {
+        let mut collected = CollectSink::new();
+        let stats = run(&mut collected);
+        stats.into_run(collected.into_items())
     }
 
     /// Upgrades the stats to a collect-mode [`MapReduceRun`] by attaching the

@@ -1,5 +1,6 @@
 //! The bucket-ordered multiway-join triangle algorithm (Section 2.3) — the
-//! paper's best one-round triangle algorithm.
+//! paper's best one-round triangle algorithm, and the triangle case of
+//! [`crate::enumerate::bucket_oriented`].
 //!
 //! Nodes are ordered by `(hash bucket, identifier)`. Because the edge relation
 //! now respects the bucket order, only reducers whose bucket triple is
@@ -8,99 +9,34 @@
 //! by its two endpoint buckets plus any third bucket), so the communication
 //! cost is `b` per edge — a factor 3/2 better than Partition and 1.65 better
 //! than the plain multiway join at equal reducer counts (Figure 1).
-
-use super::{local_triangles, TRIANGLE_EDGES};
-use crate::enumerate::bucket_oriented::ship_by_endpoint_buckets;
-use crate::enumerate::KeySpace;
-use crate::result::RunStats;
-use crate::sink::InstanceSink;
-use subgraph_cq::LocalGraph;
-use subgraph_graph::{BucketThenIdOrder, DataGraph, Edge};
-use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
-use subgraph_pattern::Instance;
-
-/// Bytes one shuffled record of this round occupies (bucket-triple key plus
-/// an edge value) — used by both the engine weigher and the planner's byte
-/// prediction, so predicted and measured `shuffle_bytes` agree exactly.
-pub(crate) fn triple_key_record_bytes() -> usize {
-    std::mem::size_of::<[u32; 3]>() + std::mem::size_of::<Edge>()
-}
-
-/// Runs the Section 2.3 algorithm with `b` buckets as a declarative
-/// single-round [`Pipeline`], streaming each triangle into `sink`.
-///
-/// Internal runner behind [`crate::plan::StrategyKind::BucketOrderedTriangles`].
-pub(crate) fn run_bucket_ordered_triangles_into(
-    graph: &DataGraph,
-    b: usize,
-    config: &EngineConfig,
-    sink: &mut dyn InstanceSink,
-) -> RunStats {
-    let space = KeySpace::multisets(b, 3)
-        .expect("the planner offers the bucket-ordered round only where its key space exists");
-    let order = BucketThenIdOrder::new(b);
-
-    // The sorted triple of the endpoint buckets plus any third bucket: `b`
-    // keys per edge.
-    let mapper = |edge: &Edge, ctx: &mut MapContext<u32, Edge>| {
-        ship_by_endpoint_buckets(&space, &order, edge, ctx)
-    };
-
-    let reducer = |key: &u32, edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        let triple = space.coords(*key);
-        // No degree filter: the work counted is the Section 2 algorithm's
-        // over the reducer's whole input.
-        let local = LocalGraph::build(edges, &order, 0);
-        let bucket_of = |v: u32| order.bucket(local.global(v)) as u32;
-        // The local enumeration streams straight through to the round's
-        // output: no per-reducer triangle buffer exists.
-        let work = local_triangles(&local, |triangle| {
-            // A triangle is emitted only by the reducer whose key is the
-            // sorted bucket triple of its nodes (local ids ascend in
-            // (bucket, id) order, so the triple arrives sorted). For
-            // triangles spanning two or three distinct buckets that reducer
-            // is the only one holding all three edges anyway; for triangles
-            // whose nodes share a single bucket `a` every reducer [a, a, *]
-            // holds the edges, and this check keeps the paper's "discovered
-            // by only one reducer" guarantee.
-            if triangle.map(bucket_of)[..] == triple[..] {
-                ctx.emit(local.instance(&triangle, &TRIANGLE_EDGES));
-            }
-        });
-        ctx.add_work(work);
-    };
-
-    let report = Pipeline::new()
-        .round(
-            Round::new("bucket-ordered", mapper, reducer)
-                .record_bytes(|_: &u32, _: &Edge| triple_key_record_bytes()),
-        )
-        .run_with_sink(graph.edges(), config, sink);
-    RunStats::from_pipeline(report).with_key_space(&space)
-}
-
-/// Collect-mode wrapper over [`run_bucket_ordered_triangles_into`] (tests and
-/// in-crate comparisons).
-#[cfg(test)]
-pub(crate) fn run_bucket_ordered_triangles(
-    graph: &DataGraph,
-    b: usize,
-    config: &EngineConfig,
-) -> crate::result::MapReduceRun {
-    let mut collected = crate::sink::CollectSink::new();
-    let stats = run_bucket_ordered_triangles_into(graph, b, config, &mut collected);
-    stats.into_run(collected.into_items())
-}
+//!
+//! Section 4.5 generalizes exactly this scheme to `p` nodes, so the planner's
+//! `bucket-oriented` strategy *is* this algorithm on the triangle: the same
+//! keys, the same `b` records per edge, and a triangle emitted only by the
+//! reducer whose key is the sorted bucket triple of its nodes. The tests
+//! below pin that at `p = 3`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::enumerate::bucket_oriented::run_bucket_oriented;
+    use crate::result::{MapReduceRun, RunStats};
     use crate::serial::triangles::enumerate_triangles_serial;
-    use subgraph_graph::generators;
+    use subgraph_graph::{generators, DataGraph};
+    use subgraph_mapreduce::EngineConfig;
+    use subgraph_pattern::catalog;
     use subgraph_shares::counting::useful_reducers;
 
     fn config() -> EngineConfig {
         EngineConfig::with_threads(4)
+    }
+
+    /// The bucket-oriented round on the triangle with `b` buckets.
+    fn run_bucket_ordered_triangles(
+        graph: &DataGraph,
+        b: usize,
+        config: &EngineConfig,
+    ) -> MapReduceRun {
+        RunStats::collect(|sink| run_bucket_oriented(&catalog::triangle(), graph, b, config, sink))
     }
 
     #[test]
@@ -152,17 +88,19 @@ mod tests {
     #[test]
     fn total_reducer_work_stays_near_the_serial_work() {
         // Theorem 6.1 / Section 2.3: the total computation at the reducers is
-        // O(m^{3/2}), the same order as the serial algorithm.
+        // O(m^{3/2}), the same order as the serial algorithm — here the same
+        // join run by one reducer over every edge (b = 1), counted in the
+        // same unit (edges read plus candidates tried).
         let g = generators::gnm(300, 2700, 11);
-        let serial = enumerate_triangles_serial(&g);
+        let serial = run_bucket_ordered_triangles(&g, 1, &config()).metrics;
         for b in [2usize, 4, 8] {
             let run = run_bucket_ordered_triangles(&g, b, &config());
-            let ratio = run.metrics.reducer_work as f64 / serial.work.max(1) as f64;
+            let ratio = run.metrics.reducer_work as f64 / serial.reducer_work.max(1) as f64;
             assert!(
                 ratio < 12.0,
                 "b={b}: parallel work {} vs serial {} (ratio {ratio})",
                 run.metrics.reducer_work,
-                serial.work
+                serial.reducer_work
             );
         }
     }

@@ -210,9 +210,7 @@ pub(crate) fn run_cascade_triangles(
     graph: &DataGraph,
     config: &EngineConfig,
 ) -> crate::result::MapReduceRun {
-    let mut collected = crate::sink::CollectSink::new();
-    let stats = run_cascade_triangles_into(graph, config, &mut collected);
-    stats.into_run(collected.into_items())
+    RunStats::collect(|sink| run_cascade_triangles_into(graph, config, sink))
 }
 
 /// Runs only the first (wedge) round — exposed for tests and experiments that
@@ -228,9 +226,10 @@ pub fn wedge_round(graph: &DataGraph, config: &EngineConfig) -> (Vec<Wedge>, Job
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::bucket_oriented::run_bucket_oriented;
     use crate::serial::triangles::enumerate_triangles_serial;
-    use crate::triangles::bucket_ordered::run_bucket_ordered_triangles;
     use subgraph_graph::generators;
+    use subgraph_pattern::catalog;
 
     fn config() -> EngineConfig {
         EngineConfig::with_threads(4)
@@ -336,7 +335,9 @@ mod tests {
         // moderate b — the paper's motivation for multiway joins.
         let g = generators::power_law(800, 4_000, 2.2, 9);
         let cascade = run_cascade_triangles(&g, &config());
-        let one_round = run_bucket_ordered_triangles(&g, 8, &config());
+        let one_round = RunStats::collect(|sink| {
+            run_bucket_oriented(&catalog::triangle(), &g, 8, &config(), sink)
+        });
         assert_eq!(cascade.count(), one_round.count());
         assert!(
             cascade.metrics.key_value_pairs > one_round.metrics.key_value_pairs,

@@ -10,38 +10,25 @@
 //!
 //! The paper's `3b − 2` counts the two coinciding reducers once; its
 //! footnote 1 notes that naive mappers ship all `3b`. Here the map-side
-//! combiner realizes the `3b − 2` bound: an edge's role markers are bitmask
-//! values, and the combiner ORs together the markers an edge sends to the
-//! same reducer (the coinciding pairs are always emitted by the same map
-//! shard, so the combiner sees them together). With combiners enabled the
-//! measured `shuffle_records` per edge is exactly `3b − 2`; disabling them
+//! combiner realizes the `3b − 2` bound: it keeps one copy of an edge per
+//! reducer (the coinciding pairs are always emitted by the same map shard, so
+//! the combiner sees them together). With combiners enabled the measured
+//! `shuffle_records` per edge is exactly `3b − 2`; disabling them
 //! ([`EngineConfig::combiners`]) restores the naive `3b`.
+//!
+//! A reducer does not need to know which role an edge came in: it runs the
+//! triangle's one join ([`sample_plan`]) over its edges, binding `X`, `Y` and
+//! `Z` only to nodes that hash to its key's coordinates. The plan orders its
+//! variables `X0 < X1 < X2` by node id, as the join orders `X < Y < Z`, so
+//! every edge a match needs reached the reducer in the right role.
 
+use crate::enumerate::bucket_oriented::sample_plan;
 use crate::result::RunStats;
 use crate::sink::InstanceSink;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
-use subgraph_graph::{DataGraph, Edge, NodeId};
+use subgraph_cq::LocalGraph;
+use subgraph_graph::{DataGraph, Edge, IdOrder, NodeId};
 use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
-use subgraph_pattern::Instance;
-
-/// Bitmask of the roles an edge plays at one reducer. Mappers emit single-bit
-/// masks; the combiner ORs the masks of coinciding emissions together.
-type Roles = u8;
-
-/// The edge serves the `E(X,Y)` subgoal.
-const ROLE_XY: Roles = 1;
-/// The edge serves the `E(Y,Z)` subgoal.
-const ROLE_YZ: Roles = 1 << 1;
-/// The edge serves the `E(X,Z)` subgoal.
-const ROLE_XZ: Roles = 1 << 2;
-
-/// Bytes one shuffled record of this round occupies (ordered bucket-triple
-/// key plus a role-tagged edge value) — shared by the engine weigher and the
-/// planner's byte prediction.
-pub(crate) fn multiway_record_bytes() -> usize {
-    std::mem::size_of::<[u32; 3]>() + std::mem::size_of::<(Roles, NodeId, NodeId)>()
-}
+use subgraph_pattern::{catalog, Instance};
 
 /// Runs the Section 2.2 multiway-join triangle algorithm with `b` buckets per
 /// variable (`b³` potential reducers) as a declarative single-round
@@ -55,63 +42,42 @@ pub(crate) fn run_multiway_triangles_into(
 ) -> RunStats {
     assert!(b >= 1, "at least one bucket per variable is required");
     let hash = move |v: NodeId| -> u32 { bucket_hash(v, b) };
+    let plan = sample_plan(&catalog::triangle());
+    debug_assert_eq!(plan.positions(), [(0, 0), (1, 1), (2, 2)]);
 
-    let mapper = move |edge: &Edge, ctx: &mut MapContext<[u32; 3], (Roles, NodeId, NodeId)>| {
+    let mapper = move |edge: &Edge, ctx: &mut MapContext<[u32; 3], Edge>| {
         // The edge relation holds (lo, hi): lo < hi in the identifier order.
-        let (u, v) = edge.endpoints();
-        let (hu, hv) = (hash(u), hash(v));
+        let (hu, hv) = (hash(edge.lo()), hash(edge.hi()));
         for other in 0..b as u32 {
-            ctx.emit([hu, hv, other], (ROLE_XY, u, v));
-            ctx.emit([other, hu, hv], (ROLE_YZ, u, v));
-            ctx.emit([hu, other, hv], (ROLE_XZ, u, v));
+            ctx.emit([hu, hv, other], *edge); // E(X, Y)
+            ctx.emit([other, hu, hv], *edge); // E(Y, Z)
+            ctx.emit([hu, other, hv], *edge); // E(X, Z)
         }
     };
 
-    // Merge the role masks an edge ships to the same reducer; first-seen
-    // order is preserved so deterministic runs stay deterministic.
-    let combiner = |_key: &[u32; 3], values: Vec<(Roles, NodeId, NodeId)>| {
-        let mut merged: Vec<(Roles, NodeId, NodeId)> = Vec::new();
-        let mut index: HashMap<(NodeId, NodeId), usize> = HashMap::new();
-        for (roles, u, v) in values {
-            match index.entry((u, v)) {
-                Entry::Occupied(slot) => merged[*slot.get()].0 |= roles,
-                Entry::Vacant(slot) => {
-                    slot.insert(merged.len());
-                    merged.push((roles, u, v));
-                }
-            }
-        }
-        merged
+    // One copy of an edge per reducer: the reducer's local graph collapses
+    // repeated edges anyway.
+    let combiner = |_key: &[u32; 3], mut edges: Vec<Edge>| {
+        edges.sort_unstable();
+        edges.dedup();
+        edges
     };
 
-    let reducer =
-        |_key: &[u32; 3], tuples: &[(Roles, NodeId, NodeId)], ctx: &mut ReduceContext<Instance>| {
-            let mut xy: Vec<(NodeId, NodeId)> = Vec::new();
-            let mut xz: Vec<(NodeId, NodeId)> = Vec::new();
-            let mut yz: HashSet<(NodeId, NodeId)> = HashSet::new();
-            for &(roles, u, v) in tuples {
-                if roles & ROLE_XY != 0 {
-                    xy.push((u, v));
-                }
-                if roles & ROLE_XZ != 0 {
-                    xz.push((u, v));
-                }
-                if roles & ROLE_YZ != 0 {
-                    yz.insert((u, v));
-                }
-            }
-            // Canonical join order, so the output is identical whether or not
-            // the combiner reordered the merged tuples.
-            xy.sort_unstable();
-            xz.sort_unstable();
-            // Join on X between the XY and XZ tuples, then probe YZ.
-            join_on_x(&xy, &xz, |x, y, z| {
-                ctx.add_work(1);
-                if y < z && yz.contains(&(y, z)) {
-                    ctx.emit(Instance::from_edge_set([(x, y), (y, z), (x, z)]));
-                }
-            });
-        };
+    let reducer = |key: &[u32; 3], edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
+        // No degree filter: with combiners off an edge arrives once per role
+        // it plays here, and the filter counts every copy toward a node's
+        // degree, so a filtered build would keep nodes the combined run
+        // drops and the two runs would join different graphs.
+        let local = LocalGraph::build(edges, &IdOrder, 0);
+        let bucket_of: Vec<u32> = local.nodes().iter().map(|&v| hash(v)).collect();
+        let work = plan.run(
+            &local,
+            |var, node, _| bucket_of[node as usize] == key[var as usize],
+            |assignment| ctx.emit(plan.instance(&local, assignment)),
+        );
+        // Distinct edges, not copies received: the same either way.
+        ctx.add_work(local.num_edges() as u64 + work);
+    };
 
     let report = Pipeline::new()
         .round(Round::new("multiway", mapper, reducer).combiner(combiner))
@@ -127,31 +93,7 @@ pub(crate) fn run_multiway_triangles(
     b: usize,
     config: &EngineConfig,
 ) -> crate::result::MapReduceRun {
-    let mut collected = crate::sink::CollectSink::new();
-    let stats = run_multiway_triangles_into(graph, b, config, &mut collected);
-    stats.into_run(collected.into_items())
-}
-
-/// Merge join of two `(X, _)` tuple lists sorted by `X`: calls `matched(x, y,
-/// z)` for every `(x, y)` of `xy` and `(x, z)` of `xz`, ordered by the `xy`
-/// tuple and then the `xz` tuple — the pairs a nested loop over both lists
-/// keeps, in the same order, without visiting the pairs whose `X` differ.
-fn join_on_x(
-    xy: &[(NodeId, NodeId)],
-    xz: &[(NodeId, NodeId)],
-    mut matched: impl FnMut(NodeId, NodeId, NodeId),
-) {
-    let mut rest = xz;
-    for run in xy.chunk_by(|a, b| a.0 == b.0) {
-        let x = run[0].0;
-        rest = &rest[rest.partition_point(|&(x2, _)| x2 < x)..];
-        let same_x = &rest[..rest.partition_point(|&(x2, _)| x2 == x)];
-        for &(_, y) in run {
-            for &(_, z) in same_x {
-                matched(x, y, z);
-            }
-        }
-    }
+    RunStats::collect(|sink| run_multiway_triangles_into(graph, b, config, sink))
 }
 
 fn bucket_hash(v: NodeId, b: usize) -> u32 {
@@ -165,6 +107,7 @@ fn bucket_hash(v: NodeId, b: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::bucket_oriented::vec_key_record_bytes;
     use crate::serial::triangles::enumerate_triangles_serial;
     use subgraph_graph::generators;
 
@@ -201,7 +144,7 @@ mod tests {
             );
             assert_eq!(
                 run.metrics.shuffle_bytes,
-                (run.metrics.shuffle_records * multiway_record_bytes()) as u64,
+                (run.metrics.shuffle_records * vec_key_record_bytes(3)) as u64,
                 "b={b}"
             );
             assert!(run.metrics.reducers_used <= b * b * b);
@@ -237,43 +180,16 @@ mod tests {
     }
 
     #[test]
-    fn the_join_visits_exactly_the_pairs_with_equal_x_in_nested_loop_order() {
-        let mut xy: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 2), (2, 3), (5, 6), (5, 7), (9, 9)];
-        let mut xz: Vec<(NodeId, NodeId)> = vec![(0, 4), (1, 2), (2, 5), (2, 8), (5, 1), (7, 3)];
-        for _ in 0..2 {
-            let mut nested = Vec::new();
-            for &(x1, y) in &xy {
-                for &(x2, z) in &xz {
-                    if x1 == x2 {
-                        nested.push((x1, y, z));
-                    }
-                }
-            }
-            let mut merged = Vec::new();
-            join_on_x(&xy, &xz, |x, y, z| merged.push((x, y, z)));
-            assert_eq!(merged, nested);
-            // Every pair visited is a matched pair: 2·1 at X = 0, 1·2 at
-            // X = 2, 2·1 at X = 5.
-            assert_eq!(merged.len(), 6);
-            std::mem::swap(&mut xy, &mut xz);
-        }
-        join_on_x(&[], &xz, |_, _, _| panic!("nothing to match"));
-    }
-
-    #[test]
     fn one_reducer_works_once_per_matched_pair() {
-        // At b = 1 both role lists hold every edge (lo, hi), so the matched
-        // pairs are Σ_x d⁺(x)², d⁺(x) being x's neighbours above it.
+        // At b = 1 the one reducer holds every edge and runs the triangle's
+        // plan over all of them: its work is the graph's edges plus the
+        // candidates the plan tries over the whole graph in id order.
         let g = generators::gnm(200, 1_500, 4);
-        let mut above = vec![0u64; g.num_nodes()];
-        for e in g.edges() {
-            above[e.endpoints().0 as usize] += 1;
-        }
+        let plan = sample_plan(&catalog::triangle());
+        let whole = LocalGraph::build(g.edges(), &IdOrder, 0);
+        let tried = plan.run(&whole, |_, _, _| true, |_| {});
         let run = run_multiway_triangles(&g, 1, &config());
-        assert_eq!(
-            run.metrics.reducer_work,
-            above.iter().map(|d| d * d).sum::<u64>()
-        );
+        assert_eq!(run.metrics.reducer_work, g.num_edges() as u64 + tried);
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! for that triangle (the group multiset completed with the smallest unused
 //! group numbers), which costs the same extra bookkeeping the paper mentions.
 
-use super::{local_triangles, TRIANGLE_EDGES};
+use crate::enumerate::bucket_oriented::sample_plan;
 use crate::result::RunStats;
 use crate::sink::InstanceSink;
 use subgraph_cq::LocalGraph;
 use subgraph_graph::{DataGraph, Edge, IdOrder, NodeId};
 use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
-use subgraph_pattern::Instance;
+use subgraph_pattern::{catalog, Instance};
 
 /// Runs the Partition algorithm with `b` node groups as a declarative
 /// single-round [`Pipeline`], streaming each triangle into `sink`.
@@ -29,6 +29,7 @@ pub(crate) fn run_partition_triangles_into(
 ) -> RunStats {
     assert!(b >= 3, "Partition needs at least 3 groups");
     let group = move |v: NodeId| -> u32 { hash_group(v, b) };
+    let plan = sample_plan(&catalog::triangle());
 
     let mapper = move |edge: &Edge, ctx: &mut MapContext<[u32; 3], Edge>| {
         let gu = group(edge.lo());
@@ -45,21 +46,21 @@ pub(crate) fn run_partition_triangles_into(
         }
     };
 
-    let reducer = move |key: &[u32; 3], edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        // No degree filter: the work counted is the Section 2 algorithm's
-        // over the reducer's whole input.
-        let local = LocalGraph::build(edges, &IdOrder, 0);
-        // The local enumeration streams straight through to the round's
-        // output: no per-reducer triangle buffer exists.
-        let work = local_triangles(&local, |triangle| {
-            // De-duplicate triangles that span fewer than three groups:
-            // emit only from the canonical reducer for the group set.
-            let groups = triangle.map(|v| group(local.global(v)));
-            if canonical_triple(&groups, b) == *key {
-                ctx.emit(local.instance(&triangle, &TRIANGLE_EDGES));
-            }
-        });
-        ctx.add_work(work);
+    let reducer = |key: &[u32; 3], edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
+        let local = LocalGraph::build(edges, &IdOrder, plan.min_degree());
+        let work = plan.run(
+            &local,
+            |_, _, _| true,
+            |assignment| {
+                // De-duplicate triangles that span fewer than three groups:
+                // emit only from the canonical reducer for the group set.
+                let groups = [0, 1, 2].map(|var| group(local.global(assignment[var])));
+                if canonical_triple(groups) == *key {
+                    ctx.emit(plan.instance(&local, assignment));
+                }
+            },
+        );
+        ctx.add_work(edges.len() as u64 + work);
     };
 
     let report = Pipeline::new()
@@ -76,30 +77,22 @@ pub(crate) fn run_partition_triangles(
     b: usize,
     config: &EngineConfig,
 ) -> crate::result::MapReduceRun {
-    let mut collected = crate::sink::CollectSink::new();
-    let stats = run_partition_triangles_into(graph, b, config, &mut collected);
-    stats.into_run(collected.into_items())
+    RunStats::collect(|sink| run_partition_triangles_into(graph, b, config, sink))
 }
 
 /// The canonical reducer triple for a triangle whose nodes fall into `groups`:
 /// the distinct groups, padded with the smallest group numbers not already
 /// present, sorted ascending.
-fn canonical_triple(groups: &[u32], b: usize) -> [u32; 3] {
-    let mut distinct: Vec<u32> = groups.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let mut filler = 0u32;
-    while distinct.len() < 3 {
-        if !distinct.contains(&filler) {
-            distinct.push(filler);
-        }
-        filler += 1;
-        if filler as usize > b {
-            break;
-        }
+fn canonical_triple(groups: [u32; 3]) -> [u32; 3] {
+    let mut triple = groups.to_vec();
+    triple.sort_unstable();
+    triple.dedup();
+    let mut fillers = (0..).filter(|g| !groups.contains(g));
+    while triple.len() < 3 {
+        triple.extend(fillers.next());
     }
-    distinct.sort_unstable();
-    [distinct[0], distinct[1], distinct[2]]
+    triple.sort_unstable();
+    [triple[0], triple[1], triple[2]]
 }
 
 fn hash_group(v: NodeId, b: usize) -> u32 {

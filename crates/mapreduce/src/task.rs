@@ -151,7 +151,7 @@ pub trait Reducer<K, V, O>: Sync {
 /// combined values must produce the same outputs as running it on the raw
 /// values, for any way the engine splits the map input into shards. That
 /// holds when `combine` is associative and commutative in the values (e.g.
-/// partial sums, merged role bitmasks, deduplication) and the reducer does
+/// partial sums, set unions, deduplication) and the reducer does
 /// not depend on the arrival order of its values.
 ///
 /// Combiners never change *what* is computed — only how many key-value pairs

@@ -19,8 +19,9 @@ fn main() {
     );
 
     // 2. Triangles: the planner compares Partition (Section 2.1), the plain
-    //    multiway join (Section 2.2), the bucket-ordered join (Section 2.3)
-    //    and the two-round cascade, then runs the cheapest.
+    //    multiway join (Section 2.2), bucket-oriented processing (on the
+    //    triangle, Section 2.3's bucket-ordered join) and the two-round
+    //    cascade, then runs the cheapest.
     let plan = EnumerationRequest::named("triangle", &data_graph)
         .unwrap()
         .reducers(220)

@@ -61,7 +61,11 @@
 //! assert_eq!(report.duplicates(), 0); // every instance exactly once
 //! ```
 //!
-//! Need a specific algorithm (for comparisons or tests)? Force it:
+//! Need a specific algorithm (for comparisons or tests)? Force it. The
+//! Section 2 triangle algorithms differ only in their maps: Partition
+//! (`PartitionTriangles`), the plain multiway join (`MultiwayTriangles`) and
+//! Section 2.3's bucket-ordered join, which is bucket-oriented processing on
+//! the triangle (`BucketOriented`); every reducer runs the same join.
 //!
 //! ```
 //! use subgraph_mr::prelude::*;

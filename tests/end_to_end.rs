@@ -77,7 +77,7 @@ fn triangle_algorithms_agree_with_each_other_and_the_serial_baseline() {
     for kind in [
         StrategyKind::PartitionTriangles,
         StrategyKind::MultiwayTriangles,
-        StrategyKind::BucketOrderedTriangles,
+        StrategyKind::BucketOriented,
         StrategyKind::CascadeTriangles,
     ] {
         for k in [27usize, 220] {
@@ -143,12 +143,10 @@ fn communication_costs_follow_the_paper_ordering() {
             .unwrap_or_else(|| panic!("{kind} missing"))
             .communication
     };
-    assert!(
-        estimate(StrategyKind::BucketOrderedTriangles) < estimate(StrategyKind::PartitionTriangles)
-    );
+    assert!(estimate(StrategyKind::BucketOriented) < estimate(StrategyKind::PartitionTriangles));
     assert!(estimate(StrategyKind::PartitionTriangles) < estimate(StrategyKind::MultiwayTriangles));
 
-    let ordered = run_forced(&sample, &graph, StrategyKind::BucketOrderedTriangles, 220);
+    let ordered = run_forced(&sample, &graph, StrategyKind::BucketOriented, 220);
     let partition = run_forced(&sample, &graph, StrategyKind::PartitionTriangles, 220);
     let multiway = run_forced(&sample, &graph, StrategyKind::MultiwayTriangles, 220);
     assert!(ordered.communication() < partition.communication());
@@ -172,7 +170,7 @@ fn power_law_graphs_are_handled_end_to_end() {
     let graph = generators::power_law(400, 1_500, 2.5, 1007);
     let sample = catalog::triangle();
     let expected = oracle_count(&sample, &graph);
-    let run = run_forced(&sample, &graph, StrategyKind::BucketOrderedTriangles, 56);
+    let run = run_forced(&sample, &graph, StrategyKind::BucketOriented, 56);
     assert_eq!(run.count(), expected);
     assert_eq!(run.duplicates(), 0);
 }

@@ -118,7 +118,7 @@ fn triangle_map_reduce_is_exactly_once_on_skewed_graphs() {
         let graph = generators::power_law(n, n * 4, 2.4, 340 + case as u64);
         let serial = enumerate_triangles_serial(&graph);
         let run = EnumerationRequest::new(catalog::triangle(), &graph)
-            .strategy(StrategyKind::BucketOrderedTriangles)
+            .strategy(StrategyKind::BucketOriented)
             .reducers(reducer_budget_for_buckets(3, buckets))
             .engine(EngineConfig::serial())
             .plan()

@@ -130,12 +130,12 @@ fn predicted_shuffle_bytes_match_measured_for_exact_strategies() {
             );
         }
     }
-    // The triangle specializations with exact predictions, including the
-    // multiway join whose combiner discount (3b - 2 of 3b) is part of the
-    // prediction.
+    // The Section 2 triangle rounds with exact predictions: Section 2.3's
+    // (bucket-oriented at p = 3) and the multiway join, whose combiner
+    // discount (3b - 2 of 3b) is part of the prediction.
     let graph = generators::gnm(80, 500, 14_000);
     for (kind, k) in [
-        (StrategyKind::BucketOrderedTriangles, 220),
+        (StrategyKind::BucketOriented, 220),
         (StrategyKind::MultiwayTriangles, 216),
     ] {
         let plan = EnumerationRequest::new(catalog::triangle(), &graph)

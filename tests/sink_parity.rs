@@ -41,7 +41,7 @@ fn strategies(sample: &SampleGraph) -> Vec<(StrategyKind, usize)> {
     if sample.num_nodes() == 3 && sample.num_edges() == 3 {
         kinds.extend([
             (StrategyKind::SerialTriangles, 1),
-            (StrategyKind::BucketOrderedTriangles, 220),
+            (StrategyKind::BucketOriented, 220),
             (StrategyKind::PartitionTriangles, 220),
             (StrategyKind::MultiwayTriangles, 216),
             (StrategyKind::CascadeTriangles, 220),
@@ -266,7 +266,7 @@ fn a_64k_budget_really_spills_on_a_shuffle_heavy_run_and_stays_identical() {
     // combining rounds spill too.
     let graph = generators::gnm(240, 9_000, 9_300);
     for (kind, k, shipped) in [
-        (StrategyKind::BucketOrderedTriangles, 220, 90_000),
+        (StrategyKind::BucketOriented, 220, 90_000),
         (StrategyKind::MultiwayTriangles, 216, 144_000),
     ] {
         for threads in [2usize, 8] {
@@ -333,7 +333,7 @@ fn a_hot_group_larger_than_the_budget_is_reduced_whole() {
         let context = format!("threads={threads}");
         let run = |budget: usize| {
             let config = EngineConfig::with_threads(threads).memory_budget(budget);
-            request(StrategyKind::BucketOrderedTriangles, 4, config)
+            request(StrategyKind::BucketOriented, 4, config)
         };
         let (base, budgeted) = (run(0), run(64 << 10));
         let metrics = budgeted.metrics.as_ref().unwrap();

@@ -27,7 +27,7 @@ fn mr_strategies(sample: &SampleGraph) -> Vec<(StrategyKind, usize)> {
     ];
     if sample.num_nodes() == 3 && sample.num_edges() == 3 {
         kinds.extend([
-            (StrategyKind::BucketOrderedTriangles, 220),
+            (StrategyKind::BucketOriented, 220),
             (StrategyKind::PartitionTriangles, 220),
             (StrategyKind::MultiwayTriangles, 216),
             (StrategyKind::CascadeTriangles, 220),
