@@ -541,6 +541,7 @@ impl KernelReport {
                 "pick ms",
                 "id-order ms",
                 "id-order cand.",
+                "pick / id-order",
                 "degree-order ms",
                 "degree-order cand.",
                 "Thm 7.3 ms",
@@ -556,6 +557,7 @@ impl KernelReport {
                 format!("{:.1}", s.pick_run.millis),
                 format!("{:.1}", s.id_order.millis),
                 s.id_order.work.to_string(),
+                format!("{:.2}", s.pick_run.millis / s.id_order.millis),
                 format!("{:.1}", s.degree_order.millis),
                 s.degree_order.work.to_string(),
                 format!("{:.1}", s.bounded_degree.millis),
@@ -567,7 +569,8 @@ impl KernelReport {
             "pick: the planned k = 1 query counting (planning not timed); id-order / \
              degree-order: the pattern's one symmetry-broken plan over a local graph of every \
              edge, nodes ranked by id or by Lemma 7.1's degree order (build + join; cand. = \
-             candidates tried); Thm 7.3: serial::enumerate_bounded_degree, the k = 1 pick \
+             candidates tried; pick / id-order < 1: the pick is the faster); Thm 7.3: \
+             serial::enumerate_bounded_degree, the k = 1 pick \
              before serial-join; one thread, best of three, a run over 1 s not repeated; every \
              count must agree (the b = 1 data point of the convertibility argument)",
         );

@@ -688,8 +688,8 @@ impl Strategy for SerialTriangles {
         // hit skips both.
         let forward = request.graph().forward();
         let mut two_paths = 0.0;
-        for v in request.graph().nodes() {
-            let later = forward.later(v).len() as f64;
+        for r in 0..forward.num_nodes() as u32 {
+            let later = forward.later(r).len() as f64;
             two_paths += later * (later - 1.0) / 2.0;
         }
         serial_estimate(self.kind(), "§2 / Lemma 7.1", two_paths)

@@ -128,6 +128,11 @@ fn cast_section<T: Copy>(bytes: &[u8]) -> &[T] {
     let size = std::mem::size_of::<T>();
     debug_assert_eq!(bytes.len() % size, 0);
     debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<T>(), 0);
+    // SAFETY: the callers pass a section whose length is a multiple of
+    // `size_of::<T>()` and whose start is `T`-aligned (the buffer is 8-byte
+    // aligned and the `.sgr` loader rejects a section start that is not),
+    // every bit pattern is a valid `T`, and the result borrows `bytes`, which
+    // nothing mutates.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, bytes.len() / size) }
 }
 

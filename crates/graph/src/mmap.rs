@@ -27,7 +27,11 @@ pub struct Mapping {
 
 // The mapping is immutable shared memory; the raw pointer is the only reason
 // Send/Sync are not derived.
+// SAFETY: a `Mapping` owns its region (only `drop` unmaps it, once), so moving
+// it to another thread moves sole ownership of the pages with it.
 unsafe impl Send for Mapping {}
+// SAFETY: the region is mapped `PROT_READ` and no method writes through the
+// pointer, so shared references on many threads only ever read it.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
@@ -42,8 +46,11 @@ impl Mapping {
 
     /// The mapped bytes.
     pub fn as_slice(&self) -> &[u8] {
-        // Safety: ptr is valid for len bytes for the lifetime of self and
-        // nobody mutates the mapping (PROT_READ).
+        // SAFETY: a successful mmap returned `ptr`, valid for `len` bytes
+        // until `drop` unmaps it, which the borrow of `self` rules out; the
+        // pages are `PROT_READ`, so nobody mutates them while borrowed. (A
+        // file truncated under the mapping would fault on access instead:
+        // served files are assumed immutable.)
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
@@ -71,6 +78,10 @@ mod sys {
         let fd = file.as_raw_fd();
         let ret: i64;
         // mmap(NULL, len, PROT_READ, MAP_PRIVATE, fd, 0)
+        // SAFETY: the syscall reads only its six argument registers and
+        // clobbers rax, rcx and r11, all declared; it touches no Rust memory
+        // (the kernel picks the address), `fd` is open for the borrow of
+        // `file`, and `len > 0` was checked by `map_file`.
         unsafe {
             asm!(
                 "syscall",
@@ -98,6 +109,9 @@ mod sys {
 
     pub(super) fn unmap(ptr: *const u8, len: usize) {
         let _ret: i64;
+        // SAFETY: `ptr`/`len` are exactly a region `map_readonly` mapped, and
+        // this runs once, from `Mapping::drop`, after every borrow of the
+        // slice has ended; registers as in `map_readonly`.
         unsafe {
             asm!(
                 "syscall",
@@ -138,8 +152,9 @@ impl AlignedBuf {
     /// Reads all of `file` (of size `len`) into an aligned buffer.
     pub fn read_from(file: &mut File, len: usize) -> io::Result<AlignedBuf> {
         let mut words = vec![0u64; len.div_ceil(8)];
-        // Safety: u64 -> u8 reinterpretation is always valid; the slice
-        // covers exactly the vector's initialized storage.
+        // SAFETY: `words` holds `len.div_ceil(8) * 8 >= len` initialised
+        // bytes, u8 has no alignment and every bit pattern is valid for both
+        // types, and `words` is not touched while `bytes` lives.
         let bytes = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len) };
         file.read_exact(bytes)?;
         AlignedBuf::check_trailing(file)?;
@@ -161,6 +176,9 @@ impl AlignedBuf {
 
     /// The buffered bytes.
     pub fn as_slice(&self) -> &[u8] {
+        // SAFETY: `read_from` sized `words` to at least `len` initialised
+        // bytes and nothing mutates them after construction; the slice
+        // borrows `self`.
         unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
     }
 }

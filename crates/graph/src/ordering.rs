@@ -201,88 +201,91 @@ impl NodeOrder for DegeneracyOrder {
     }
 }
 
-/// The degree-ordered orientation of a data graph: a CSR over the
-/// later-neighbour sets `Γ_<(v)` of Lemma 7.1, with each run sorted by the
-/// degree order itself.
+/// The degree-ordered orientation of a data graph, in the degree order's
+/// rank space: ranks follow `(degree, id)` (Lemma 7.1), and the run of rank
+/// `r` holds the ranks of its node's later neighbours `Γ_<(v)`, ascending.
 ///
-/// Orienting every edge from its earlier to its later endpoint stores each
-/// edge exactly once (`Σ_v |Γ_<(v)| = m`) and every run has length `O(√m)`.
-/// Because runs are sorted by the same order that oriented them, any pair
-/// `(u, w)` drawn as `run[i], run[j]` with `i < j` satisfies `u ≺ w`, so the
-/// `u–w` adjacency test of the Section 2 triangle algorithm becomes a
-/// membership test of `w` in the (short) run of `u` — sequential reads over a
-/// structure a fraction of the adjacency's size, instead of binary searches
-/// over the full CSR.
+/// Each edge is stored once, at its earlier endpoint, and every run has
+/// length `O(√m)`. A pair `run[i], run[j]` with `i < j` is a properly ordered
+/// 2-path's endpoints `u ≺ w`, so Section 2's closing `u–w` test is a binary
+/// search of `w` in the run of `u`; ids are needed only for a found triangle
+/// ([`Self::node`]). This is Latapy's compact-forward layout (Theoretical
+/// Computer Science 407, 2008).
 ///
-/// Building the index costs one `O(n + m log Δ)` sweep; it is immutable
-/// afterwards, which is what lets [`crate::DataGraph::forward`] cache it for
-/// the graph's lifetime.
+/// Building costs one counting sort over degrees, which ranks the nodes, and
+/// one sort of each short run: `O(n + m log Δ)`. The index is immutable,
+/// which lets [`crate::DataGraph::forward`] cache it for the graph's lifetime.
 #[derive(Clone, Debug)]
 pub struct ForwardIndex {
-    /// Run of `v` is `targets[offsets[v]..offsets[v+1]]`. `u32` keeps the
-    /// table compact; an in-memory graph has fewer than `2^32` edges.
+    /// Run of rank `r` is `targets[offsets[r]..offsets[r+1]]`. `u32` keeps
+    /// the table compact; an in-memory graph has fewer than `2^32` edges.
     offsets: Vec<u32>,
-    targets: Vec<NodeId>,
+    /// Later neighbours, as ranks.
+    targets: Vec<u32>,
+    /// `nodes[r]` is the node of rank `r`.
+    nodes: Vec<NodeId>,
 }
 
 impl ForwardIndex {
     /// Builds the forward index of `graph` under its degree order.
     pub fn new(graph: &DataGraph) -> Self {
-        let order = DegreeOrder::new(graph);
-        let mut offsets = Vec::with_capacity(graph.num_nodes() + 1);
-        offsets.push(0u32);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(graph.num_edges());
+        // Counting sort by degree; visiting nodes in id order keeps equal
+        // degrees in id order, so ranks follow `(degree, id)`.
+        let mut next = vec![0u32; graph.max_degree() + 2];
         for v in graph.nodes() {
+            next[graph.degree(v) + 1] += 1;
+        }
+        for d in 1..next.len() {
+            next[d] += next[d - 1];
+        }
+        let mut rank = vec![0u32; graph.num_nodes()];
+        let mut nodes = vec![0; graph.num_nodes()];
+        for v in graph.nodes() {
+            let slot = &mut next[graph.degree(v)];
+            rank[v as usize] = *slot;
+            nodes[*slot as usize] = v;
+            *slot += 1;
+        }
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0u32);
+        let mut targets = Vec::with_capacity(graph.num_edges());
+        for (r, &v) in nodes.iter().enumerate() {
             let start = targets.len();
-            targets.extend(
-                graph
-                    .neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|&u| order.precedes(v, u)),
-            );
-            targets[start..].sort_unstable_by_key(|&u| order.key(u));
+            let ranked = graph.neighbors(v).iter().map(|&u| rank[u as usize]);
+            targets.extend(ranked.filter(|&s| s > r as u32));
+            targets[start..].sort_unstable();
             offsets.push(targets.len() as u32);
         }
-        ForwardIndex { offsets, targets }
+        ForwardIndex {
+            offsets,
+            targets,
+            nodes,
+        }
     }
 
-    /// The later neighbours `Γ_<(v)`, sorted by the degree order.
-    pub fn later(&self, v: NodeId) -> &[NodeId] {
-        let v = v as usize;
-        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    /// The ranks of the later neighbours `Γ_<(v)` of the node `v` of rank
+    /// `r`, ascending.
+    pub fn later(&self, r: u32) -> &[u32] {
+        let r = r as usize;
+        &self.targets[self.offsets[r] as usize..self.offsets[r + 1] as usize]
     }
 
-    /// Number of nodes the index covers.
+    /// The node of rank `r`.
+    pub fn node(&self, r: u32) -> NodeId {
+        self.nodes[r as usize]
+    }
+
+    /// Number of nodes the index covers (ranks are `0..num_nodes()`).
     pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
+        self.nodes.len()
     }
 }
 
 /// Returns the neighbours of `v` that strictly follow `v` in `order`
 /// (the set `Γ_<(v)` of Lemma 7.1).
 pub fn later_neighbors<O: NodeOrder>(graph: &DataGraph, order: &O, v: NodeId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    later_neighbors_into(graph, order, v, &mut out);
-    out
-}
-
-/// Allocation-free variant of [`later_neighbors`]: clears `out` and refills it
-/// with `Γ_<(v)`, so tight per-node loops can reuse one buffer.
-pub fn later_neighbors_into<O: NodeOrder>(
-    graph: &DataGraph,
-    order: &O,
-    v: NodeId,
-    out: &mut Vec<NodeId>,
-) {
-    out.clear();
-    out.extend(
-        graph
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&u| order.precedes(v, u)),
-    );
+    let neighbors = graph.neighbors(v).iter().copied();
+    neighbors.filter(|&u| order.precedes(v, u)).collect()
 }
 
 #[cfg(test)]
@@ -392,25 +395,47 @@ mod tests {
 
     #[test]
     fn forward_index_orients_every_edge_once() {
-        for seed in 0..3 {
-            let g = generators::gnm(50, 180, seed);
-            let f = ForwardIndex::new(&g);
-            let order = DegreeOrder::new(&g);
+        // Isolated nodes (the sparse gnm, the padded star) and degree ties
+        // (all of them; the cycle and the clique are all ties).
+        let mut graphs: Vec<_> = (0..3).map(|seed| generators::gnm(50, 180, seed)).collect();
+        graphs.push(generators::gnm(60, 40, 1));
+        graphs.push(crate::graph::DataGraph::from_edges(
+            9,
+            [(4, 0), (4, 1), (4, 2), (7, 8)],
+        ));
+        graphs.push(generators::cycle(8));
+        graphs.push(generators::complete(6));
+        for g in &graphs {
+            let f = ForwardIndex::new(g);
+            let order = DegreeOrder::new(g);
             assert_eq!(f.num_nodes(), g.num_nodes());
-            let mut total = 0;
-            for v in g.nodes() {
-                let run = f.later(v);
-                total += run.len();
-                // Run contents are exactly Γ_<(v), sorted by the order.
-                for &u in run {
-                    assert!(g.has_edge(v, u));
-                    assert!(order.precedes(v, u));
-                }
-                for w in run.windows(2) {
-                    assert!(order.precedes(w[0], w[1]));
-                }
+            let ranks = 0..g.num_nodes() as u32;
+            // Rank order is (degree, id), and `node` is a bijection onto the nodes.
+            for r in 1..g.num_nodes() as u32 {
+                assert!(order.precedes(f.node(r - 1), f.node(r)));
             }
-            assert_eq!(total, g.num_edges());
+            let mut nodes: Vec<NodeId> = ranks.clone().map(|r| f.node(r)).collect();
+            nodes.sort_unstable();
+            assert!(nodes.iter().copied().eq(g.nodes()));
+            let mut edges = Vec::new();
+            for r in ranks {
+                let run = f.later(r);
+                assert!(
+                    run.windows(2).all(|w| w[0] < w[1]),
+                    "run of rank {r} ascends"
+                );
+                assert!(
+                    run.iter().all(|&s| s > r),
+                    "run of rank {r} holds later ranks"
+                );
+                edges.extend(run.iter().map(|&s| {
+                    let (u, v) = (f.node(r), f.node(s));
+                    (u.min(v), u.max(v))
+                }));
+            }
+            edges.sort_unstable();
+            let canonical: Vec<_> = g.edges().iter().map(|e| (e.lo(), e.hi())).collect();
+            assert_eq!(edges, canonical, "every edge once");
         }
     }
 

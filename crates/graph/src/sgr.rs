@@ -152,6 +152,9 @@ impl SgrError {
 /// the on-disk representation).
 #[cfg(target_endian = "little")]
 fn section_bytes<T: Copy>(s: &[T]) -> &[u8] {
+    // SAFETY: `s` covers `size_of_val(s)` initialised bytes; `T` is one of the
+    // padding-free section types (`u64`, `NodeId`, `Edge`), u8 has no
+    // alignment, and the result borrows `s`.
     unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u8, std::mem::size_of_val(s)) }
 }
 
@@ -601,10 +604,10 @@ mod tests {
         let path = temp_path("forward.sgr");
         write_sgr_file(&g, &path).unwrap();
         let loaded = load_sgr_file(&path).unwrap();
-        let mut total = 0;
-        for v in loaded.nodes() {
-            total += loaded.forward().later(v).len();
-        }
+        let forward = loaded.forward();
+        let total: usize = (0..forward.num_nodes() as u32)
+            .map(|r| forward.later(r).len())
+            .sum();
         assert_eq!(total, loaded.num_edges());
         std::fs::remove_file(&path).ok();
     }

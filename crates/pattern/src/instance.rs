@@ -86,6 +86,17 @@ impl Instance {
         Instance { nodes, edges }
     }
 
+    /// The triangle on three distinct data nodes, given in any order.
+    pub fn triangle(mut nodes: [NodeId; 3]) -> Self {
+        nodes.sort_unstable();
+        let [a, b, c] = nodes;
+        assert!(a < b && b < c, "a triangle has three distinct nodes");
+        Instance {
+            nodes: nodes.to_vec(),
+            edges: vec![(a, b), (a, c), (b, c)],
+        }
+    }
+
     /// The sorted data-graph nodes of the instance.
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
@@ -144,5 +155,15 @@ mod tests {
         let a = Instance::from_edge_set([(5, 2), (2, 5), (7, 2)]);
         assert_eq!(a.edges(), &[(2, 5), (2, 7)]);
         assert_eq!(a.nodes(), &[2, 5, 7]);
+    }
+
+    #[test]
+    fn triangle_is_the_canonical_triangle_instance() {
+        let a = Instance::triangle([7, 2, 5]);
+        assert_eq!(
+            a,
+            Instance::from_assignment(&catalog::triangle(), &[5, 7, 2])
+        );
+        assert_eq!(a, Instance::from_edge_set([(5, 2), (7, 2), (5, 7)]));
     }
 }

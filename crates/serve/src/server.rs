@@ -508,6 +508,9 @@ pub fn install_signal_handlers() -> &'static AtomicBool {
         extern "C" {
             fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
         }
+        // SAFETY: `signal(2)` with a valid signal number and an `extern "C"`
+        // handler that lives for the whole program; the handler only stores
+        // to an atomic, which is async-signal-safe.
         unsafe {
             signal(2, on_signal);
             signal(15, on_signal);
