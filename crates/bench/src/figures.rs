@@ -1,15 +1,20 @@
-//! Figures 1 and 2: the three single-round triangle algorithms, driven
-//! through the planner's strategy overrides. Section 2.3's algorithm is
-//! bucket-oriented processing on the triangle.
+//! Figures 1 and 2: the three single-round triangle algorithms. Section
+//! 2.3's algorithm is bucket-oriented processing on the triangle, run through
+//! the planner's strategy override; Partition and the plain multiway join,
+//! which the planner does not register, are called as functions.
 
 use crate::report::{fmt, Table};
 use subgraph_core::plan::{EnumerationRequest, RunReport, StrategyKind};
+use subgraph_core::sink::CountSink;
+use subgraph_core::triangles::multiway::run_multiway_triangles_into;
+use subgraph_core::triangles::partition::run_partition_triangles_into;
+use subgraph_core::{MapReduceRun, RunStats};
 use subgraph_graph::{generators, DataGraph};
 use subgraph_mapreduce::EngineConfig;
 use subgraph_pattern::catalog;
 use subgraph_shares::counting::{
-    binomial, multiway_triangle_replication, ordered_triangle_replication,
-    partition_triangle_replication, useful_reducers,
+    multiway_triangle_replication, ordered_triangle_replication, partition_triangle_replication,
+    useful_reducers,
 };
 
 /// The synthetic data graph used for the measured columns of Figures 1 and 2.
@@ -26,6 +31,17 @@ fn run_triangles(graph: &DataGraph, kind: StrategyKind, budget: usize) -> RunRep
         .plan()
         .expect("triangle strategies apply to the triangle pattern")
         .execute()
+}
+
+/// Partition with `b` node groups (`C(b, 3)` reducers), counted.
+fn run_partition(graph: &DataGraph, b: usize) -> RunStats {
+    run_partition_triangles_into(graph, b, &EngineConfig::default(), &mut CountSink::new())
+}
+
+/// The plain multiway join with `b` buckets per variable (`b³` reducers),
+/// collected.
+fn run_multiway(graph: &DataGraph, b: usize, config: &EngineConfig) -> MapReduceRun {
+    RunStats::collect(|sink| run_multiway_triangles_into(graph, b, config, sink))
 }
 
 /// Figure 1 — asymptotic comparison of the three algorithms at (approximately)
@@ -47,13 +63,10 @@ pub fn figure1() -> String {
             "measured (per edge)",
         ],
     );
-    // Budgets chosen so the planner's bucket selection lands exactly on b.
-    let partition_run = run_triangles(
-        &graph,
-        StrategyKind::PartitionTriangles,
-        binomial(b_partition as u64, 3) as usize,
-    );
-    let partition_metrics = partition_run.metrics.as_ref().unwrap();
+    // The bucket-oriented budget is chosen so the planner's bucket selection
+    // lands exactly on b.
+    let partition_run = run_partition(&graph, b_partition);
+    let partition_metrics = &partition_run.metrics;
     table.row(&[
         "Partition [19]".into(),
         format!("(6k)^1/3 = {b_partition}"),
@@ -61,8 +74,8 @@ pub fn figure1() -> String {
         fmt(partition_triangle_replication(b_partition as u64)),
         fmt(partition_metrics.shuffled_per_input()),
     ]);
-    let multiway_run = run_triangles(&graph, StrategyKind::MultiwayTriangles, b_multiway.pow(3));
-    let multiway_metrics = multiway_run.metrics.as_ref().unwrap();
+    let multiway_run = run_multiway(&graph, b_multiway, &EngineConfig::default());
+    let multiway_metrics = &multiway_run.metrics;
     table.row(&[
         "Section 2.2 multiway join".into(),
         format!("k^1/3 = {b_multiway}"),
@@ -94,7 +107,7 @@ pub fn figure1() -> String {
          map-side combiner merges the two coinciding roles, so the measured shipped count \
          matches the paper's 3b−2 exactly (see the `combiner` reproduction)",
     );
-    assert_eq!(partition_run.count(), ordered_run.count());
+    assert_eq!(partition_run.outputs, ordered_run.count());
     assert_eq!(multiway_run.count(), ordered_run.count());
     table.render()
 }
@@ -114,8 +127,8 @@ pub fn figure2() -> String {
             "measured cost/edge",
         ],
     );
-    let partition_run = run_triangles(&graph, StrategyKind::PartitionTriangles, 220);
-    let partition_metrics = partition_run.metrics.as_ref().unwrap();
+    let partition_run = run_partition(&graph, 12);
+    let partition_metrics = &partition_run.metrics;
     table.row(&[
         "Partition [19]".into(),
         "12".into(),
@@ -124,8 +137,8 @@ pub fn figure2() -> String {
         "13.75".into(),
         fmt(partition_metrics.shuffled_per_input()),
     ]);
-    let multiway_run = run_triangles(&graph, StrategyKind::MultiwayTriangles, 216);
-    let multiway_metrics = multiway_run.metrics.as_ref().unwrap();
+    let multiway_run = run_multiway(&graph, 6, &EngineConfig::default());
+    let multiway_metrics = &multiway_run.metrics;
     table.row(&[
         "Section 2.2 multiway join".into(),
         "6".into(),
@@ -158,7 +171,10 @@ pub fn figure2() -> String {
     table.note(&format!(
         "total reducer work (edges read + join candidates tried): Partition {}, multiway {}, \
          ordered {}; serial baseline (one reducer, b = 1) {}",
-        partition_run.work, multiway_run.work, ordered_run.work, serial_run.work
+        partition_metrics.reducer_work,
+        multiway_metrics.reducer_work,
+        ordered_run.work,
+        serial_run.work
     ));
     table.render()
 }
@@ -205,7 +221,7 @@ pub fn cascade_comparison() -> String {
         graph.num_edges(),
         graph.max_degree()
     ));
-    // The cascade is a true two-round pipeline now: show where the pairs go.
+    // The cascade runs two rounds: show where the pairs go.
     for round in &cascade.round_metrics {
         table.note(&format!(
             "cascade round {:?}: {} inputs, {} kv pairs shipped ({} bytes), {} outputs",
@@ -226,15 +242,8 @@ pub fn cascade_comparison() -> String {
 pub fn combiner_table() -> String {
     let graph = figure_graph();
     let b = 6usize;
-    let run = |combiners: bool| {
-        EnumerationRequest::new(catalog::triangle(), &graph)
-            .reducers(b.pow(3))
-            .strategy(StrategyKind::MultiwayTriangles)
-            .engine(EngineConfig::default().combiners(combiners))
-            .plan()
-            .expect("multiway applies to triangles")
-            .execute()
-    };
+    let run =
+        |combiners: bool| run_multiway(&graph, b, &EngineConfig::default().combiners(combiners));
     let with = run(true);
     let without = run(false);
     assert_eq!(with.instances(), without.instances());
@@ -250,7 +259,7 @@ pub fn combiner_table() -> String {
         ],
     );
     for (label, report) in [("on", &with), ("off", &without)] {
-        let metrics = report.metrics.as_ref().unwrap();
+        let metrics = &report.metrics;
         table.row(&[
             label.into(),
             metrics.key_value_pairs.to_string(),
@@ -262,7 +271,7 @@ pub fn combiner_table() -> String {
     }
     table.note(&format!(
         "combiner savings: {:.1}% of emitted pairs merged away (3b − 2 = {} of 3b = {} per edge)",
-        with.metrics.as_ref().unwrap().combiner_savings() * 100.0,
+        with.metrics.combiner_savings() * 100.0,
         3 * b - 2,
         3 * b
     ));
@@ -273,6 +282,7 @@ pub fn combiner_table() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subgraph_mapreduce::JobMetrics;
 
     #[test]
     fn figure1_reports_the_ordered_algorithm_as_cheapest() {
@@ -290,49 +300,46 @@ mod tests {
     }
 
     /// The sink-refactor acceptance check for the reproductions: running the
-    /// Figure 1/2 strategies in count-only mode (CountSink, no instance
+    /// Figure 1/2 algorithms in count-only mode (CountSink, no instance
     /// storage) yields byte-identical counts, shuffle records and shuffle
     /// bytes to the collect path the figures measure.
     #[test]
     fn count_mode_matches_the_figure_counts_and_counters() {
         let graph = figure_graph();
-        for (kind, budget) in [
-            (StrategyKind::PartitionTriangles, 220),
-            (StrategyKind::MultiwayTriangles, 216),
-            (StrategyKind::BucketOriented, 220),
-        ] {
-            let plan = EnumerationRequest::new(catalog::triangle(), &graph)
-                .reducers(budget)
-                .strategy(kind)
-                .plan()
-                .expect("triangle strategies apply");
-            let collected = plan.execute();
-            let counted = plan.count();
-            assert!(counted.is_streamed());
-            assert_eq!(counted.count(), collected.count(), "{kind}");
-            let counted_metrics = counted.metrics.as_ref().unwrap();
-            let collected_metrics = collected.metrics.as_ref().unwrap();
+        // Partition and the multiway join are functions: their count-only
+        // run must measure exactly what their collecting run measures.
+        let config = EngineConfig::default();
+        for (name, b) in [("partition", 12), ("multiway", 6)] {
+            let run = |sink: &mut dyn subgraph_core::sink::InstanceSink| match name {
+                "partition" => run_partition_triangles_into(&graph, b, &config, sink),
+                _ => run_multiway_triangles_into(&graph, b, &config, sink),
+            };
+            let collected = RunStats::collect(run);
+            let counted = run(&mut CountSink::new());
+            assert_eq!(counted.outputs, collected.count(), "{name}");
             assert_eq!(
-                counted_metrics.key_value_pairs, collected_metrics.key_value_pairs,
-                "{kind}"
+                counted.metrics.without_timings(),
+                collected.metrics.without_timings(),
+                "{name}"
             );
-            assert_eq!(
-                counted_metrics.shuffle_records, collected_metrics.shuffle_records,
-                "{kind}"
-            );
-            assert_eq!(
-                counted_metrics.shuffle_bytes, collected_metrics.shuffle_bytes,
-                "{kind}"
-            );
-            assert_eq!(
-                counted_metrics.reducer_work, collected_metrics.reducer_work,
-                "{kind}"
-            );
-            // Honest rendering: a count-only run never reads as "0 instances".
-            assert!(counted
-                .describe_output()
-                .contains(&format!("{} instances streamed", collected.count())));
         }
+        let plan = EnumerationRequest::new(catalog::triangle(), &graph)
+            .reducers(220)
+            .strategy(StrategyKind::BucketOriented)
+            .plan()
+            .expect("bucket-oriented applies to the triangle");
+        let collected = plan.execute();
+        let counted = plan.count();
+        assert!(counted.is_streamed());
+        assert_eq!(counted.count(), collected.count());
+        assert_eq!(
+            counted.metrics.as_ref().map(JobMetrics::without_timings),
+            collected.metrics.as_ref().map(JobMetrics::without_timings)
+        );
+        // Honest rendering: a count-only run never reads as "0 instances".
+        assert!(counted
+            .describe_output()
+            .contains(&format!("{} instances streamed", collected.count())));
     }
 
     #[test]

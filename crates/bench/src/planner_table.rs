@@ -4,14 +4,14 @@
 
 use crate::report::{fmt, Table};
 use std::time::Instant;
-use subgraph_core::plan::{EnumerationRequest, StrategyKind};
+use subgraph_core::plan::EnumerationRequest;
 use subgraph_graph::generators;
 use subgraph_pattern::{automorphism_group, catalog};
 
 /// One row per (pattern, budget): the chosen strategy, its predicted
-/// replication and reducer work, the order classes cq-oriented processing
-/// runs one job each for, and the measured communication after executing
-/// the plan. Every cell is a function of the inputs alone, so the table is
+/// replication and reducer work, the pattern's order classes (the jobs
+/// CQ-oriented processing would run, one each), and the measured
+/// communication after executing the plan. Every cell is a function of the inputs alone, so the table is
 /// part of the golden `docs/REPRODUCTION.txt`; plan time is measured by
 /// [`plan_timing`].
 pub fn planner_choices() -> String {
@@ -36,10 +36,9 @@ pub fn planner_choices() -> String {
                 .reducers(k)
                 .plan()
                 .expect("catalog patterns plan");
-            // Serial-only plans have no cq-oriented candidate.
-            let classes = (plan.candidates().iter())
-                .find(|c| c.strategy == StrategyKind::CqOriented)
-                .map(|c| c.round_costs[0].jobs);
+            // Serial plans run no map-reduce job.
+            let classes = (!plan.strategy().is_serial())
+                .then(|| automorphism_group(plan.request().sample()).order_classes());
             // The measured columns come from a count-only (streamed) run —
             // RunReport::count() stays accurate with a CountSink, so the
             // instances column never lies for runs that retained nothing.
@@ -67,10 +66,13 @@ pub fn planner_choices() -> String {
          the whole graph (serial-join, priced at the smaller Theorem 7.2 / 7.3 bound), or \
          Schank's algorithm for the triangle",
     );
-    table.note("Theorem 4.4 in action: cq-oriented is never chosen over the combined schemes");
     table.note(
-        "order classes: p!/|Aut|, the jobs cq-oriented processing runs, one CQ each and all \
-         priced by one share solve ('-': cq-oriented is not a candidate)",
+        "Theorem 4.4: cq-oriented processing is never cheaper than the combined schemes, so the \
+         planner does not register it (combined-vs-separate measures both)",
+    );
+    table.note(
+        "order classes: p!/|Aut|, the jobs cq-oriented processing would run, one CQ each \
+         ('-': a serial plan)",
     );
     table.note(
         "measured columns come from count-only runs (instances streamed through a CountSink, \

@@ -326,7 +326,6 @@ request options:
   --spill-dir <dir>     where spill run files go (default: the OS temp dir;
                         always cleaned up, even on panic)
   --strategy <name>     force a strategy: bucket-oriented, variable-oriented,
-                        cq-oriented, partition-triangles, multiway-triangles,
                         cascade-triangles, serial-triangles, serial-join
 
 output options:
@@ -1111,7 +1110,7 @@ mod tests {
             "--threads",
             "2",
             "--strategy",
-            "multiway-triangles",
+            "cascade-triangles",
             "--verbose",
         ]);
         match cmd {
@@ -1124,7 +1123,7 @@ mod tests {
                 assert_eq!(opts.pattern, "triangle");
                 assert_eq!(opts.reducers, Some(27));
                 assert_eq!(opts.threads, Some(2));
-                assert_eq!(opts.strategy, Some(StrategyKind::MultiwayTriangles));
+                assert_eq!(opts.strategy, Some(StrategyKind::CascadeTriangles));
                 assert_eq!(format, Format::Csv);
                 assert_eq!(output, Some(PathBuf::from("/tmp/out.csv")));
                 assert!(verbose);
@@ -1152,8 +1151,13 @@ mod tests {
             .collect();
         assert_eq!(listed, strategy_names(), "{entry}");
         // Section 2.3's triangle round is bucket-oriented processing now,
-        // and no longer a strategy of its own.
+        // and no longer a strategy of its own; the paper's dominated
+        // algorithms are functions, not strategies.
         assert!(!USAGE.contains("bucket-ordered"));
+        for removed in ["partition-triangles", "multiway-triangles", "cq-oriented"] {
+            assert!(!USAGE.contains(removed), "{removed}");
+            assert_eq!(parse_strategy(removed), None, "{removed}");
+        }
     }
 
     #[test]
@@ -1427,7 +1431,7 @@ mod tests {
             "--generate",
             "gnm:9,20,1",
             "--strategy",
-            "cq-oriented"
+            "bucket-oriented"
         ])
         .contains("does not take --strategy"));
         assert!(err(&["serve"]).contains("needs a graph"));

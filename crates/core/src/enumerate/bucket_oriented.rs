@@ -32,7 +32,7 @@ use crate::sink::InstanceSink;
 use std::ops::Range;
 use subgraph_cq::{ConjunctiveQuery, JoinPlan, LocalGraph};
 use subgraph_graph::{BucketThenIdOrder, DataGraph, Edge};
-use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
+use subgraph_mapreduce::{EngineConfig, MapContext, ReduceContext, Round};
 use subgraph_pattern::{automorphism_group, Instance, PatternNode, SampleGraph};
 
 /// Bytes one shuffled record occupies for a `p`-variable bucket-multiset key
@@ -267,13 +267,10 @@ fn run_plans(
     };
 
     let record_bytes = vec_key_record_bytes(space.width());
-    let report = Pipeline::new()
-        .round(
-            Round::new("bucket-oriented", mapper, reducer)
-                .record_bytes(move |_: &u32, _: &Edge| record_bytes),
-        )
-        .run_with_sink(graph.edges(), config, sink);
-    RunStats::from_pipeline(report).with_key_space(&space)
+    let metrics = Round::new("bucket-oriented", mapper, reducer)
+        .record_bytes(move |_: &u32, _: &Edge| record_bytes)
+        .run(graph.edges(), config, sink);
+    RunStats::single_round("bucket-oriented", metrics).with_key_space(&space)
 }
 
 #[cfg(test)]

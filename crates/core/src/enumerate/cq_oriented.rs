@@ -2,16 +2,18 @@
 //! by its own map-reduce job with its own optimized shares.
 //!
 //! Theorem 4.4 shows this is never better than evaluating the whole CQ group
-//! at once; it is provided as the baseline the benchmark harness compares
-//! variable-oriented processing against.
+//! at once, so it is not a planner strategy: it is the baseline the paper's
+//! tables and the test suites compare variable-oriented processing against,
+//! called directly.
 
 use super::{integer_shares, run_share_vector_round};
+use crate::plan::MAX_ORDER_CLASSES;
 use crate::result::{MapReduceRun, RunStats};
 use crate::sink::InstanceSink;
-use subgraph_cq::{cq_for_ordering, cqs_for_sample, ConjunctiveQuery, JoinPlan};
+use subgraph_cq::{cqs_for_sample, ConjunctiveQuery, JoinPlan};
 use subgraph_graph::DataGraph;
 use subgraph_mapreduce::EngineConfig;
-use subgraph_pattern::SampleGraph;
+use subgraph_pattern::{automorphism_group, SampleGraph};
 use subgraph_shares::dominance::single_cq_expression_with_dominance;
 use subgraph_shares::{optimize_shares, SharesSolution};
 
@@ -21,17 +23,31 @@ use subgraph_shares::{optimize_shares, SharesSolution};
 /// comparison); the per-job breakdown lands in `round_metrics` (the jobs are
 /// independent, not chained rounds, but share the same reporting shape).
 ///
-/// Internal runner behind [`crate::plan::StrategyKind::CqOriented`]: every
-/// job streams into the same `sink`, so the combined instance stream is the
-/// job-order concatenation (deterministic under a deterministic engine
+/// Every job streams into the same `sink`, so the combined instance stream is
+/// the job-order concatenation (deterministic under a deterministic engine
 /// config).
-pub(crate) fn run_cq_oriented(
+///
+/// There is one job per order class (`p!/|Aut|`, Theorem 3.1), so a pattern
+/// past [`MAX_ORDER_CLASSES`] classes panics, as does a sample node without
+/// an edge (no edge-relation CQ binds it) and a budget whose share grid
+/// builds no key space.
+pub fn run_cq_oriented(
     sample: &SampleGraph,
     graph: &DataGraph,
     k_per_query: usize,
     config: &EngineConfig,
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
+    let classes = automorphism_group(sample).order_classes();
+    assert!(
+        classes <= MAX_ORDER_CLASSES,
+        "cq-oriented processing runs one job per order class: {classes} classes \
+         exceed the limit of {MAX_ORDER_CLASSES}"
+    );
+    assert!(
+        sample.nodes().all(|v| sample.degree(v) > 0),
+        "cq-oriented processing needs an edge at every sample node"
+    );
     let cqs = cqs_for_sample(sample);
     let mut combined = RunStats::default();
     for (job, cq) in cqs.iter().enumerate() {
@@ -85,9 +101,10 @@ fn job_solution(cq: &ConjunctiveQuery, k: usize) -> SharesSolution {
 /// undirected sample edge, and the dominance rule never looks at orientation,
 /// so every order class's query has the same expression, hence bitwise the
 /// same solution. The identity ordering's query stands for all `p!/|Aut|`.
+#[cfg(test)]
 pub(crate) fn class_job_solution(sample: &SampleGraph, k: usize) -> SharesSolution {
     let identity: Vec<_> = sample.nodes().collect();
-    job_solution(&cq_for_ordering(sample, &identity), k)
+    job_solution(&subgraph_cq::cq_for_ordering(sample, &identity), k)
 }
 
 #[cfg(test)]
@@ -157,5 +174,57 @@ mod tests {
             combined.metrics.key_value_pairs
         );
         assert_eq!(separate.count(), combined.count());
+    }
+
+    #[test]
+    fn every_job_ships_the_class_solve_at_its_integer_shares() {
+        // One job per order class, each shipping every edge once per subgoal
+        // to the product of the other variables' shares — the Shares
+        // expression at the integer shares of the one class solve, times the
+        // number of classes.
+        let g = generators::gnm(40, 200, 12);
+        for (sample, k) in [
+            (catalog::square(), 32),
+            (catalog::lollipop(), 750),
+            (catalog::cycle(5), 64),
+        ] {
+            let shares = integer_shares(&class_job_solution(&sample, k).shares, k);
+            let per_edge: u64 = (sample.edges().iter())
+                .map(|&(a, b)| {
+                    (sample.nodes().filter(|&v| v != a && v != b))
+                        .map(|v| u64::from(shares[v as usize]))
+                        .product::<u64>()
+                })
+                .sum();
+            let classes = automorphism_group(&sample).order_classes() as usize;
+            let run = collect_run(&sample, &g, k);
+            assert_eq!(run.round_metrics.len(), classes);
+            assert_eq!(
+                run.metrics.shuffle_records as u64,
+                classes as u64 * per_edge * g.num_edges() as u64,
+                "k={k} shares={shares:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the limit")]
+    fn patterns_past_the_order_class_limit_are_refused() {
+        let g = generators::gnm(30, 60, 3);
+        collect_run(&catalog::cycle(16), &g, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs an edge at every sample node")]
+    fn a_sample_node_without_an_edge_is_refused() {
+        let g = generators::gnm(30, 60, 3);
+        collect_run(&SampleGraph::from_edges(3, &[(0, 1)]), &g, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "the key space exceeds")]
+    fn a_budget_past_the_key_space_is_refused() {
+        let g = generators::gnm(100, 200, 1);
+        collect_run(&catalog::hypercube(3), &g, 4_000_000_000);
     }
 }

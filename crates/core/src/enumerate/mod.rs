@@ -33,7 +33,7 @@ use crate::sink::InstanceSink;
 use std::collections::BTreeSet;
 use subgraph_cq::{JoinPlan, LocalGraph, Var};
 use subgraph_graph::{DataGraph, Edge, IdOrder, NodeId};
-use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
+use subgraph_mapreduce::{EngineConfig, MapContext, ReduceContext, Round};
 use subgraph_pattern::Instance;
 
 /// Per-variable hash of a data node into one of `share` buckets. Each variable
@@ -121,12 +121,10 @@ pub(crate) fn run_share_vector_round(
     };
 
     let record_bytes = vec_key_record_bytes(shares.len());
-    let report = Pipeline::new()
-        .round(
-            Round::new(name, mapper, reducer).record_bytes(move |_: &u32, _: &Edge| record_bytes),
-        )
-        .run_with_sink(graph.edges(), config, sink);
-    RunStats::from_pipeline(report).with_key_space(&space)
+    let metrics = Round::new(name, mapper, reducer)
+        .record_bytes(move |_: &u32, _: &Edge| record_bytes)
+        .run(graph.edges(), config, sink);
+    RunStats::single_round(name, metrics).with_key_space(&space)
 }
 
 /// The degree below which a reducer's node can be in no match of any of

@@ -6,10 +6,11 @@
 //!
 //! * **Communication cost (Sections 2–5).** [`triangles`] holds the
 //!   single-round triangle algorithms compared in Figures 1–2 (Partition and
-//!   the plain multiway join; the bucket-ordered multiway join is
-//!   bucket-oriented processing on the triangle); [`enumerate`] holds
-//!   the three processing strategies for arbitrary sample graphs (CQ-oriented,
-//!   variable-oriented, bucket-oriented) built on the conjunctive-query
+//!   the plain multiway join, plain functions the planner does not register;
+//!   the bucket-ordered multiway join is bucket-oriented processing on the
+//!   triangle); [`enumerate`] holds the three processing schemes for
+//!   arbitrary sample graphs (CQ-oriented, a function, Theorem 4.4's
+//!   baseline; variable- and bucket-oriented, planner strategies) built on the conjunctive-query
 //!   machinery of `subgraph-cq`, the share optimizer of `subgraph-shares` and
 //!   the instrumented engine of `subgraph-mapreduce`.
 //! * **Computation cost (Sections 6–7).** [`serial`] holds the serial

@@ -5,15 +5,11 @@ use crate::plan::strategy::StrategyKind;
 
 /// The planner's per-round communication prediction: what the mappers emit,
 /// what actually crosses the shuffle after map-side combining, and the
-/// shuffled payload in bytes — per job, for `jobs` identical jobs.
+/// shuffled payload in bytes.
 #[derive(Clone, Debug)]
 pub struct RoundCost {
-    /// Round (or, for CQ-oriented processing, parallel job) name.
+    /// Round name.
     pub name: String,
-    /// How many identical jobs the numbers below describe each of: 1 for an
-    /// ordinary round, `p!/|Aut|` for CQ-oriented processing's one job per
-    /// order class (every class has the same single-CQ cost).
-    pub jobs: usize,
     /// Predicted key-value pairs emitted by the round's mappers.
     pub emitted: f64,
     /// Predicted key-value pairs shipped through the shuffle — equals
@@ -35,7 +31,6 @@ impl RoundCost {
     ) -> Self {
         RoundCost {
             name: name.into(),
-            jobs: 1,
             emitted: records,
             shuffled: records,
             shuffle_bytes: records * bytes_per_record as f64,
@@ -51,7 +46,6 @@ impl RoundCost {
     ) -> Self {
         RoundCost {
             name: name.into(),
-            jobs: 1,
             emitted,
             shuffled,
             shuffle_bytes: shuffled * bytes_per_record as f64,
@@ -76,8 +70,8 @@ pub struct CostEstimate {
     pub shares: Vec<f64>,
     /// The single bucket count `b` for hash-ordered schemes, if applicable.
     pub buckets: Option<usize>,
-    /// Per-round communication predictions (one entry per round, or per
-    /// parallel job for CQ-oriented processing; empty for serial strategies).
+    /// Per-round communication predictions (one entry per round; empty for
+    /// serial strategies).
     pub round_costs: Vec<RoundCost>,
     /// Predicted copies of each data edge shipped to reducers after combiner
     /// discounts (the paper's per-edge replication formulas: `b`, `3b − 2`,
@@ -92,15 +86,13 @@ pub struct CostEstimate {
     /// [`crate::convertible::predicted_parallel_work`]); for serial strategies
     /// this is the predicted serial running-time bound.
     pub reducer_work: f64,
-    /// 1 for CQ-oriented processing (its one share solve prices every order
-    /// class), 0 for every other strategy. Kept, with
-    /// [`CostEstimate::classes_pruned`], for the repo benchmark's harness,
-    /// which reads both and counts a failed operation unless their sum is 0
-    /// or `p!/|Aut(S)|`, until ROADMAP item 1(c) drops them.
+    /// Harness-only: always 0, since no registered strategy searches CQ
+    /// order classes. Kept, with [`CostEstimate::classes_pruned`], because the
+    /// repo benchmark's harness reads both (and counts a failed operation
+    /// unless their sum is 0 or `p!/|Aut(S)|`), until ROADMAP item 1(c)
+    /// drops them.
     pub classes_scored: usize,
-    /// `p!/|Aut(S)| − 1` for CQ-oriented processing, 0 for every other
-    /// strategy; kept for the harness until ROADMAP item 1(c) drops it (see
-    /// [`CostEstimate::classes_scored`]).
+    /// Harness-only: always 0 (see [`CostEstimate::classes_scored`]).
     pub classes_pruned: usize,
 }
 
@@ -108,16 +100,12 @@ impl CostEstimate {
     /// Predicted key-value pairs emitted by the mappers across all rounds
     /// (before combiner discounts).
     pub fn emitted_communication(&self) -> f64 {
-        (self.round_costs.iter())
-            .map(|r| r.jobs as f64 * r.emitted)
-            .sum()
+        (self.round_costs.iter()).map(|r| r.emitted).sum()
     }
 
     /// Predicted shuffled payload bytes across all rounds.
     pub fn predicted_shuffle_bytes(&self) -> f64 {
-        (self.round_costs.iter())
-            .map(|r| r.jobs as f64 * r.shuffle_bytes)
-            .sum()
+        (self.round_costs.iter()).map(|r| r.shuffle_bytes).sum()
     }
 
     /// True when a map-side combiner is predicted to remove pairs before the
@@ -206,7 +194,7 @@ mod tests {
     #[test]
     fn round_costs_expose_combiner_discounts_and_byte_totals() {
         let estimate = CostEstimate {
-            strategy: StrategyKind::MultiwayTriangles,
+            strategy: StrategyKind::BucketOriented,
             paper_section: "2.2",
             rounds: 1,
             shares: vec![],
@@ -228,14 +216,13 @@ mod tests {
         let plain = RoundCost::without_combiner("r", 10.0, 8);
         assert_eq!(plain.emitted, plain.shuffled);
         assert_eq!(plain.shuffle_bytes, 80.0);
-        // One entry for twelve identical jobs counts twelve times.
-        let jobs = CostEstimate {
-            round_costs: vec![RoundCost { jobs: 12, ..plain }],
+        let uncombined = CostEstimate {
+            round_costs: vec![plain],
             ..estimate
         };
-        assert_eq!(jobs.emitted_communication(), 120.0);
-        assert_eq!(jobs.predicted_shuffle_bytes(), 960.0);
-        assert!(!jobs.has_combiner_discount());
+        assert_eq!(uncombined.emitted_communication(), 10.0);
+        assert_eq!(uncombined.predicted_shuffle_bytes(), 80.0);
+        assert!(!uncombined.has_combiner_discount());
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! The cost-driven planning layer: one entry point for every enumeration
-//! strategy in the workspace.
+//! The cost-driven planning layer: one entry point for every registered
+//! enumeration strategy in the workspace.
 //!
 //! The paper's central contribution is *choosing* among single-round
 //! strategies by comparing predicted communication and computation cost —
 //! Partition vs. multiway vs. bucket-ordered for triangles (Section 2), CQ-,
 //! variable- and bucket-oriented processing for general sample graphs
-//! (Section 4), and the convertible serial algorithms (Sections 6-7). This
-//! module packages that choice the way a query optimizer would:
+//! (Section 4), and the convertible serial algorithms (Sections 6-7). The
+//! paper settles part of that choice itself: Partition, the plain multiway
+//! join and CQ-oriented processing never win, so they are plain functions,
+//! not strategies (see [`strategy`]). This module packages the rest of the
+//! choice the way a query optimizer would:
 //!
 //! 1. Build an [`EnumerationRequest`] — the sample graph (or a named catalog
 //!    pattern), the data-graph handle, the reducer budget `k`, an optional

@@ -4,36 +4,25 @@
 use crate::plan::cost::{format_value, CostEstimate};
 use crate::plan::report::RunReport;
 use crate::plan::request::{EnumerationRequest, PlanError};
-use crate::plan::strategy::{builtin_strategies, Strategy, StrategyKind};
+use crate::plan::strategy::StrategyKind;
 use crate::sink::{CountSink, InstanceSink};
-use std::sync::Arc;
 
 /// Chooses the cheapest strategy for an [`EnumerationRequest`].
 ///
-/// The planner asks every registered strategy for a [`CostEstimate`] and ranks
-/// them the way the paper compares algorithms: predicted communication cost
-/// first (Sections 2 and 4), predicted computation cost as the tie-breaker
-/// (Sections 6-7). A reducer budget of at most 1 plans among the serial
-/// algorithms; a larger budget plans among the map-reduce strategies. A
-/// strategy override in the request skips the ranking entirely (only the
-/// applicability check runs).
-pub struct Planner {
-    strategies: Vec<Arc<dyn Strategy>>,
-}
+/// The planner asks every built-in strategy ([`StrategyKind::all`]) for a
+/// [`CostEstimate`] and ranks them the way the paper compares algorithms:
+/// predicted communication cost first (Sections 2 and 4), predicted
+/// computation cost as the tie-breaker (Sections 6-7). A reducer budget of at
+/// most 1 plans among the serial algorithms; a larger budget plans among the
+/// map-reduce strategies. A strategy override in the request skips the
+/// ranking entirely (only the applicability check runs).
+#[derive(Default)]
+pub struct Planner;
 
 impl Planner {
     /// A planner over every built-in strategy.
     pub fn new() -> Self {
-        Planner {
-            strategies: builtin_strategies(),
-        }
-    }
-
-    /// A planner restricted to an explicit strategy list (mainly for tests
-    /// and ablation experiments). The plan executes exactly the instances
-    /// registered here, so custom [`Strategy`] implementations run as given.
-    pub fn with_strategies(strategies: Vec<Arc<dyn Strategy>>) -> Self {
-        Planner { strategies }
+        Planner
     }
 
     /// Plans a request: estimates every applicable strategy, ranks, and
@@ -47,11 +36,7 @@ impl Planner {
         }
 
         if let Some(kind) = request.strategy_override() {
-            let strategy = self
-                .strategies
-                .iter()
-                .find(|s| s.kind() == kind)
-                .ok_or(PlanError::NoApplicableStrategy)?;
+            let strategy = kind.strategy();
             strategy
                 .applicability(&request)
                 .map_err(|reason| PlanError::NotApplicable {
@@ -62,52 +47,47 @@ impl Planner {
             return Ok(ExecutionPlan {
                 candidates: vec![chosen.clone()],
                 chosen,
-                chosen_impl: Arc::clone(strategy),
                 request,
             });
         }
 
         // Budget <= 1 means "no cluster": plan among the serial algorithms.
         let want_serial = request.reducer_budget() <= 1;
-        let mut scored: Vec<(CostEstimate, Arc<dyn Strategy>)> = Vec::new();
+        let mut candidates: Vec<CostEstimate> = Vec::new();
         let mut first_refusal = None;
-        for s in self
-            .strategies
-            .iter()
-            .filter(|s| s.kind().is_serial() == want_serial)
+        for kind in StrategyKind::all()
+            .into_iter()
+            .filter(|k| k.is_serial() == want_serial)
         {
-            match s.applicability(&request) {
-                Ok(()) => scored.push((s.estimate(&request), Arc::clone(s))),
+            match kind.strategy().applicability(&request) {
+                Ok(()) => candidates.push(kind.strategy().estimate(&request)),
                 Err(reason) => {
                     first_refusal.get_or_insert(PlanError::NotApplicable {
-                        strategy: s.kind(),
+                        strategy: kind,
                         reason,
                     });
                 }
             }
         }
-        if scored.is_empty() {
+        if candidates.is_empty() {
             // Past the order-class limit every general map-reduce strategy
             // refuses; name that first. Otherwise name the first candidate's
-            // refusal, and report a bare "no strategy" only when there was no
-            // candidate at all.
+            // refusal: both families have registered strategies, so one
+            // refused.
             if !want_serial {
                 request.check_order_classes()?;
             }
-            return Err(first_refusal.unwrap_or(PlanError::NoApplicableStrategy));
+            return Err(first_refusal.expect("both strategy families are registered"));
         }
         // Stable sort: registration order breaks exact ties.
-        scored.sort_by(|a, b| {
-            a.0.score()
-                .partial_cmp(&b.0.score())
+        candidates.sort_by(|a, b| {
+            a.score()
+                .partial_cmp(&b.score())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let chosen_impl = Arc::clone(&scored[0].1);
-        let candidates: Vec<CostEstimate> = scored.into_iter().map(|(c, _)| c).collect();
         Ok(ExecutionPlan {
             chosen: candidates[0].clone(),
             candidates,
-            chosen_impl,
             request,
         })
     }
@@ -116,9 +96,8 @@ impl Planner {
     /// without re-estimating anything: `chosen` (and the optional ranked
     /// `candidates` list for `explain()`) come from an earlier
     /// [`Planner::plan`] whose estimates the caller kept — a plan cache does
-    /// exactly this. The strategy implementation is looked up by kind; every
-    /// derived parameter (shares, bucket counts) is reused from `chosen`, so
-    /// resuming performs zero planning work.
+    /// exactly this. Every derived parameter (shares, bucket counts) is
+    /// reused from `chosen`, so resuming performs zero planning work.
     ///
     /// The caller is responsible for keying cached estimates so `chosen` is
     /// valid for `request` — same pattern, same reducer budget, and a data
@@ -129,53 +108,28 @@ impl Planner {
         request: EnumerationRequest<'g>,
         chosen: CostEstimate,
         candidates: Vec<CostEstimate>,
-    ) -> Result<ExecutionPlan<'g>, PlanError> {
-        let strategy = self
-            .strategies
-            .iter()
-            .find(|s| s.kind() == chosen.strategy)
-            .ok_or(PlanError::NoApplicableStrategy)?;
+    ) -> ExecutionPlan<'g> {
         let candidates = if candidates.is_empty() {
             vec![chosen.clone()]
         } else {
             candidates
         };
-        Ok(ExecutionPlan {
+        ExecutionPlan {
             chosen,
-            chosen_impl: Arc::clone(strategy),
             candidates,
             request,
-        })
-    }
-}
-
-impl Default for Planner {
-    fn default() -> Self {
-        Planner::new()
+        }
     }
 }
 
 /// The outcome of planning: the chosen strategy, every candidate's predicted
 /// costs, and the request itself — inspect it with
 /// [`ExecutionPlan::explain`], run it with [`ExecutionPlan::execute`].
+#[derive(Debug)]
 pub struct ExecutionPlan<'g> {
     request: EnumerationRequest<'g>,
     chosen: CostEstimate,
-    /// The strategy instance that produced `chosen` — execution runs exactly
-    /// this object, so custom strategies registered through
-    /// [`Planner::with_strategies`] are honoured.
-    chosen_impl: Arc<dyn Strategy>,
     candidates: Vec<CostEstimate>,
-}
-
-impl std::fmt::Debug for ExecutionPlan<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecutionPlan")
-            .field("request", &self.request)
-            .field("chosen", &self.chosen)
-            .field("candidates", &self.candidates)
-            .finish_non_exhaustive()
-    }
 }
 
 impl<'g> ExecutionPlan<'g> {
@@ -272,35 +226,15 @@ impl<'g> ExecutionPlan<'g> {
             "  predicted reducer work: {}\n",
             format_value(self.chosen.reducer_work)
         ));
-        // CQ-oriented processing runs one job per order class (`p!/|Aut|`),
-        // all priced by one share solve. Reported even when another strategy
-        // wins.
-        for candidate in &self.candidates {
-            let classes = candidate.classes_scored + candidate.classes_pruned;
-            if classes > 0 {
-                out.push_str(&format!(
-                    "  order classes ({}): {classes} (one CQ each, equal cost)\n",
-                    candidate.strategy,
-                ));
-            }
-        }
         // The per-round breakdown earns its lines when there is something a
-        // single total cannot show: several rounds or jobs, or a combiner
-        // discount.
+        // single total cannot show: several rounds, or a combiner discount.
         let costs = &self.chosen.round_costs;
-        if costs.len() > 1
-            || costs.iter().any(|r| r.jobs > 1)
-            || self.chosen.has_combiner_discount()
-        {
+        if costs.len() > 1 || self.chosen.has_combiner_discount() {
             out.push_str("  per-round communication:\n");
             for round in costs {
-                let jobs = match round.jobs {
-                    1 => String::new(),
-                    n => format!("{n} jobs × "),
-                };
                 if round.shuffled < round.emitted {
                     out.push_str(&format!(
-                        "    {}: {jobs}{} pairs emitted, {} shipped after map-side combining ({} bytes)\n",
+                        "    {}: {} pairs emitted, {} shipped after map-side combining ({} bytes)\n",
                         round.name,
                         format_value(round.emitted),
                         format_value(round.shuffled),
@@ -308,7 +242,7 @@ impl<'g> ExecutionPlan<'g> {
                     ));
                 } else {
                     out.push_str(&format!(
-                        "    {}: {jobs}{} pairs shipped ({} bytes)\n",
+                        "    {}: {} pairs shipped ({} bytes)\n",
                         round.name,
                         format_value(round.shuffled),
                         format_value(round.shuffle_bytes),
@@ -353,7 +287,10 @@ impl<'g> ExecutionPlan<'g> {
     /// the strategy so planning work (share optimization, bucket selection)
     /// is reused, not repeated.
     pub fn execute(&self) -> RunReport {
-        self.chosen_impl.execute(&self.request, &self.chosen)
+        self.chosen
+            .strategy
+            .strategy()
+            .execute(&self.request, &self.chosen)
     }
 
     /// Executes the chosen strategy, streaming every instance into `sink`
@@ -364,7 +301,9 @@ impl<'g> ExecutionPlan<'g> {
     /// ([`RunReport::is_streamed`] is true, [`RunReport::count`] is
     /// accurate).
     pub fn run_with_sink(&self, sink: &mut dyn InstanceSink) -> RunReport {
-        self.chosen_impl
+        self.chosen
+            .strategy
+            .strategy()
             .execute_into(&self.request, &self.chosen, sink)
     }
 
@@ -385,6 +324,7 @@ impl<'g> ExecutionPlan<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::cq_oriented::run_cq_oriented;
     use crate::serial::generic::enumerate_generic;
     use subgraph_graph::generators;
     use subgraph_mapreduce::EngineConfig;
@@ -399,22 +339,29 @@ mod tests {
         // Theorem 4.4 / Section 4.5: evaluating all CQs in one hash-ordered
         // job beats one job per CQ. At k = 750 the bucket-oriented scheme uses
         // b = 10 buckets and ships C(11, 2) = 55 copies per edge, while the 12
-        // lollipop CQs at ~65 copies each ship ~780.
+        // lollipop CQs at ~65 copies each ship ~780 — which is why
+        // CQ-oriented processing is a function, not a candidate.
         let g = generators::gnm(60, 300, 9);
         let plan = EnumerationRequest::named("lollipop", &g)
             .unwrap()
             .reducers(750)
+            .engine(serial())
             .plan()
             .unwrap();
         assert_eq!(plan.strategy(), StrategyKind::BucketOriented);
-        let cq = plan
-            .candidates()
-            .iter()
-            .find(|c| c.strategy == StrategyKind::CqOriented)
-            .expect("cq-oriented was considered");
-        assert!(plan.predicted_communication() < cq.communication);
         assert!((plan.predicted_replication() - 55.0).abs() < 1e-9);
-        assert!(cq.replication_per_edge > 700.0);
+        let cq = run_cq_oriented(
+            &catalog::lollipop(),
+            &g,
+            750,
+            &serial(),
+            &mut CountSink::new(),
+        );
+        assert_eq!(cq.outputs, plan.count().count());
+        // Each of the 12 jobs reads every edge, so count copies per data edge.
+        let shipped = cq.metrics.shuffle_records as f64;
+        assert!(shipped / g.num_edges() as f64 > 700.0, "{shipped}");
+        assert!(plan.predicted_communication() < shipped);
     }
 
     #[test]
@@ -430,7 +377,7 @@ mod tests {
         assert!(text.contains("shares: [10, 10, 10, 10]"));
         assert!(text.contains("predicted replication: 55 per edge"));
         assert!(text.contains("predicted reducer work:"));
-        assert!(text.contains("cq-oriented"));
+        assert!(!text.contains("order classes"), "{text}");
         let variable = (text.lines())
             .find(|l| l.contains("variable-oriented (§4.3)"))
             .expect("variable-oriented is a candidate");
@@ -530,11 +477,12 @@ mod tests {
         let g = generators::gnm(40, 200, 5);
         let plan = EnumerationRequest::new(catalog::triangle(), &g)
             .reducers(64)
-            .strategy(StrategyKind::MultiwayTriangles)
+            .strategy(StrategyKind::CascadeTriangles)
             .engine(serial())
             .plan()
             .unwrap();
-        assert_eq!(plan.strategy(), StrategyKind::MultiwayTriangles);
+        assert_eq!(plan.strategy(), StrategyKind::CascadeTriangles);
+        assert_eq!(plan.candidates().len(), 1);
         let report = plan.execute();
         assert_eq!(
             report.count(),
@@ -546,12 +494,12 @@ mod tests {
     fn override_of_inapplicable_strategy_errors() {
         let g = generators::complete(6);
         let err = EnumerationRequest::new(catalog::square(), &g)
-            .strategy(StrategyKind::PartitionTriangles)
+            .strategy(StrategyKind::CascadeTriangles)
             .plan()
             .unwrap_err();
         match err {
             PlanError::NotApplicable { strategy, .. } => {
-                assert_eq!(strategy, StrategyKind::PartitionTriangles)
+                assert_eq!(strategy, StrategyKind::CascadeTriangles)
             }
             other => panic!("expected NotApplicable, got {other:?}"),
         }
@@ -580,13 +528,9 @@ mod tests {
         for fact in ["hypercube4", "p = 16", "|Aut| = 384", "54486432000"] {
             assert!(text.contains(fact), "{text}");
         }
-        // Forcing one of the three per-class strategies names the same
-        // reason; the serial family builds no CQ collection and still plans.
-        for kind in [
-            StrategyKind::BucketOriented,
-            StrategyKind::VariableOriented,
-            StrategyKind::CqOriented,
-        ] {
+        // Forcing either general map-reduce strategy names the same reason;
+        // the serial family builds no CQ collection and still plans.
+        for kind in [StrategyKind::BucketOriented, StrategyKind::VariableOriented] {
             let request = EnumerationRequest::named("c16", &g).unwrap();
             match request.strategy(kind).plan().unwrap_err() {
                 PlanError::NotApplicable { strategy, reason } => {
@@ -605,16 +549,20 @@ mod tests {
         // The limit is 10!: ten nodes always fit, symmetric patterns of any
         // size do, and both plan without enumerating a permutation.
         assert_eq!(MAX_ORDER_CLASSES, (1..=10).product::<u128>());
-        for (pattern, classes) in [("star12", 12), ("k12", 1)] {
+        for pattern in ["star12", "k12"] {
             let plan = EnumerationRequest::named(pattern, &g)
                 .unwrap()
                 .plan()
                 .unwrap();
-            // The harness's contract: scored + pruned is 0 or p!/|Aut|.
-            let counted = (plan.candidates().iter())
-                .map(|c| c.classes_scored + c.classes_pruned)
-                .find(|&n| n > 0);
-            assert_eq!(counted, Some(classes), "{pattern}");
+            // No registered estimate searches order classes: the harness's
+            // class counters read 0.
+            for candidate in plan.candidates() {
+                assert_eq!(
+                    (candidate.classes_scored, candidate.classes_pruned),
+                    (0, 0),
+                    "{pattern}"
+                );
+            }
         }
     }
 
@@ -636,8 +584,8 @@ mod tests {
             .plan()
             .unwrap();
         let kinds: Vec<StrategyKind> = plan.candidates().iter().map(|c| c.strategy).collect();
-        assert!(kinds.contains(&StrategyKind::PartitionTriangles));
-        assert!(kinds.contains(&StrategyKind::MultiwayTriangles));
+        assert_eq!(kinds.len(), 3, "{kinds:?}");
+        assert!(kinds.contains(&StrategyKind::VariableOriented));
         assert!(kinds.contains(&StrategyKind::CascadeTriangles));
         // The paper's best one-round algorithm wins: b per edge beats every
         // alternative at equal reducer counts (Figure 2), and at p = 3 the
@@ -667,16 +615,14 @@ mod tests {
         let chosen = first.chosen().clone();
         let candidates = first.candidates().to_vec();
         drop(first);
-        let resumed = planner
-            .resume(
-                EnumerationRequest::named("triangle", &g)
-                    .unwrap()
-                    .reducers(220)
-                    .engine(serial()),
-                chosen,
-                candidates,
-            )
-            .unwrap();
+        let resumed = planner.resume(
+            EnumerationRequest::named("triangle", &g)
+                .unwrap()
+                .reducers(220)
+                .engine(serial()),
+            chosen,
+            candidates,
+        );
         assert_eq!(resumed.strategy(), resumed.chosen().strategy);
         assert_eq!(resumed.count().count(), expected);
         assert!(resumed.explain().contains("chosen strategy:"));
@@ -694,42 +640,34 @@ mod tests {
             )
             .unwrap();
         let chosen = plan.chosen().clone();
-        let resumed = planner
-            .resume(
-                EnumerationRequest::named("triangle", &g)
-                    .unwrap()
-                    .reducers(64),
-                chosen,
-                Vec::new(),
-            )
-            .unwrap();
+        let resumed = planner.resume(
+            EnumerationRequest::named("triangle", &g)
+                .unwrap()
+                .reducers(64),
+            chosen,
+            Vec::new(),
+        );
         assert_eq!(resumed.candidates().len(), 1);
     }
 
     #[test]
-    fn restricted_planner_reports_no_applicable_strategy() {
-        let g = generators::complete(5);
-        // No candidate at all: nothing to name.
-        let err = Planner::with_strategies(Vec::new())
-            .plan(EnumerationRequest::new(catalog::square(), &g))
-            .unwrap_err();
-        assert_eq!(err, PlanError::NoApplicableStrategy);
-        // A candidate that refuses: its refusal is the answer.
-        let planner = Planner::with_strategies(vec![std::sync::Arc::new(
-            crate::plan::strategy::PartitionTriangles,
-        )]);
-        let err = planner
-            .plan(EnumerationRequest::new(catalog::square(), &g))
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                PlanError::NotApplicable {
-                    strategy: StrategyKind::PartitionTriangles,
-                    ..
-                }
-            ),
-            "{err}"
-        );
+    fn small_triangle_budgets_plan_four_bucket_oriented_keys() {
+        // At k = 4–7 the triangle plans b = 2 (C(4, 3) = 4 keys, 2 records
+        // per edge), not one reducer that a single thread joins alone.
+        for g in [
+            generators::gnm(1_000, 5_000, 7),
+            generators::power_law(2_000, 10_000, 2.2, 3),
+        ] {
+            for k in 4..=7 {
+                let plan = EnumerationRequest::named("triangle", &g)
+                    .unwrap()
+                    .reducers(k)
+                    .plan()
+                    .unwrap();
+                assert_eq!(plan.strategy(), StrategyKind::BucketOriented, "k={k}");
+                assert_eq!(plan.chosen().buckets, Some(2), "k={k}");
+                assert_eq!(plan.chosen().reducers, 4.0, "k={k}");
+            }
+        }
     }
 }

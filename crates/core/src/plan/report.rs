@@ -37,15 +37,12 @@ pub struct RunReport {
     pub strategy: StrategyKind,
     /// Number of map-reduce rounds executed (0 for serial strategies, 1 for
     /// the paper's single-round algorithms, 2 for the cascade baseline).
-    /// CQ-oriented processing counts as 1 round even though it runs one
-    /// parallel job per query — see `round_metrics` for the breakdown.
     pub rounds: usize,
     output: ReportOutput,
     /// Measured cost metrics combined over all round(s); `None` for serial
     /// strategies.
     pub metrics: Option<JobMetrics>,
-    /// Measured metrics per round (per parallel job for CQ-oriented
-    /// processing); empty for serial strategies.
+    /// Measured metrics per round; empty for serial strategies.
     pub round_metrics: Vec<RoundMetrics>,
     /// Per round of `round_metrics`, how many reducer keys the round could
     /// have used; empty when the strategy does not enumerate its keys up

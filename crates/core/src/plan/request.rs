@@ -11,10 +11,11 @@ use subgraph_pattern::{automorphism_group, catalog, SampleGraph};
 /// Default reducer budget when the caller does not specify one.
 pub const DEFAULT_REDUCERS: usize = 64;
 
-/// The most CQ order classes (`p!/|Aut(S)|`, Theorem 3.1) a strategy will
-/// take on — variable- and CQ-oriented processing each execute one
-/// conjunctive query or one job per class (bucket-oriented processing, which
-/// builds none, is held to the same limit for now). 10!: every pattern on at
+/// The most CQ order classes (`p!/|Aut(S)|`, Theorem 3.1) the general
+/// map-reduce strategies take on, and the most jobs
+/// [`crate::enumerate::cq_oriented::run_cq_oriented`] runs (one per class);
+/// bucket- and variable-oriented processing, which build none, are held to
+/// the same limit for now. 10!: every pattern on at
 /// most ten nodes is under it whatever its symmetry, as are the symmetric
 /// larger ones (`star16`, `k16`: 16 and 1 classes), while `hypercube4` and
 /// `c16` (5·10¹⁰ and 7·10¹¹ classes, terabytes of CQs) are refused by name
@@ -95,11 +96,7 @@ impl<'g> EnumerationRequest<'g> {
     }
 
     /// Sets the reducer budget `k` (the paper's fixed number of reducers the
-    /// communication cost is optimized against). One exception inherits the
-    /// paper's own framing: CQ-oriented processing provisions `k` reducers
-    /// *per conjunctive query* (Theorem 4.4 compares against exactly that,
-    /// and separate jobs still never win); its estimate reports the
-    /// `|CQs| x k` total.
+    /// communication cost is optimized against).
     pub fn reducers(mut self, k: usize) -> Self {
         self.reducers = k;
         self
@@ -224,11 +221,6 @@ pub enum PlanError {
         /// `p!/|Aut(S)|`.
         classes: u128,
     },
-    /// The planner has no candidate strategy for the request at all (only
-    /// possible with a custom, restricted [`Planner`]). When candidates exist
-    /// and all refuse, planning answers the first one's
-    /// [`PlanError::NotApplicable`] instead.
-    NoApplicableStrategy,
 }
 
 impl fmt::Display for PlanError {
@@ -255,9 +247,6 @@ impl fmt::Display for PlanError {
                  order classes (p!/|Aut|); one conjunctive query is built per class, and the \
                  limit is {MAX_ORDER_CLASSES}"
             ),
-            PlanError::NoApplicableStrategy => {
-                write!(f, "no registered strategy can run this request")
-            }
         }
     }
 }

@@ -9,7 +9,7 @@
 use crate::enumerate::KeySpace;
 use crate::sink::{CollectSink, InstanceSink};
 use std::sync::OnceLock;
-use subgraph_mapreduce::{JobMetrics, PipelineReport, RoundMetrics};
+use subgraph_mapreduce::{JobMetrics, RoundMetrics};
 use subgraph_pattern::Instance;
 
 /// Number of distinct instances in a slice, computed without cloning the
@@ -108,26 +108,14 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Wraps the outcome of a [`subgraph_mapreduce::Pipeline`] sink run.
-    pub fn from_pipeline(report: PipelineReport) -> Self {
-        let metrics = report.combined();
-        RunStats {
-            outputs: metrics.outputs,
-            metrics,
-            round_metrics: report.rounds,
-            possible_keys: Vec::new(),
-            reducer_join: None,
-        }
-    }
-
     /// Records that every round of this run drew its keys from `space`.
     pub(crate) fn with_key_space(mut self, space: &KeySpace) -> Self {
         self.possible_keys = vec![space.len(); self.round_metrics.len()];
         self
     }
 
-    /// Stats for one named round (the per-round breakdown of single-round
-    /// algorithms).
+    /// Stats for one named round's metrics, as [`subgraph_mapreduce::Round::run`]
+    /// returns them.
     pub fn single_round(name: &str, metrics: JobMetrics) -> Self {
         RunStats {
             outputs: metrics.outputs,
@@ -153,7 +141,7 @@ impl RunStats {
 
     /// Runs a streaming runner into a [`crate::sink::CollectSink`] and
     /// attaches what it gathered ([`RunStats::into_run`]).
-    pub(crate) fn collect(run: impl FnOnce(&mut dyn InstanceSink) -> RunStats) -> MapReduceRun {
+    pub fn collect(run: impl FnOnce(&mut dyn InstanceSink) -> RunStats) -> MapReduceRun {
         let mut collected = CollectSink::new();
         let stats = run(&mut collected);
         stats.into_run(collected.into_items())
@@ -176,9 +164,8 @@ impl RunStats {
     }
 }
 
-/// Output of a map-reduce enumeration algorithm in collect mode (one pipeline
-/// of one or more rounds, or — for CQ-oriented processing — several parallel
-/// jobs).
+/// Output of a map-reduce enumeration algorithm in collect mode (one or more
+/// rounds, or — for CQ-oriented processing — several independent jobs).
 #[derive(Clone, Debug)]
 pub struct MapReduceRun {
     /// Every instance emitted by the final reducers. Private so the lazily
@@ -193,22 +180,9 @@ pub struct MapReduceRun {
 }
 
 impl MapReduceRun {
-    /// Wraps the outcome of a [`subgraph_mapreduce::Pipeline`] run.
-    pub fn from_pipeline(instances: Vec<Instance>, report: PipelineReport) -> Self {
-        RunStats::from_pipeline(report).into_run(instances)
-    }
-
     /// Wraps a single round's result (named for the per-round breakdown).
     pub fn single_round(instances: Vec<Instance>, name: &str, metrics: JobMetrics) -> Self {
-        MapReduceRun {
-            instances,
-            round_metrics: vec![RoundMetrics {
-                name: name.to_string(),
-                metrics: metrics.clone(),
-            }],
-            metrics,
-            distinct: OnceLock::new(),
-        }
+        RunStats::single_round(name, metrics).into_run(instances)
     }
 
     /// The collected instances.

@@ -12,7 +12,7 @@
 //! [`subgraph_mapreduce::sink::OutputSink`]: any `OutputSink<Instance>`
 //! implements it automatically, and a `&mut dyn InstanceSink` upcasts to the
 //! `&mut dyn OutputSink<Instance>` the engine's
-//! [`subgraph_mapreduce::Pipeline::run_with_sink`] consumes. The built-in
+//! [`subgraph_mapreduce::Round::run`] consumes. The built-in
 //! sinks:
 //!
 //! | sink | retains | memory |
@@ -412,7 +412,7 @@ mod tests {
         let mut collect: CollectSink<Instance> = CollectSink::new();
         let dyn_sink: &mut dyn InstanceSink = &mut collect;
         // The upcast the strategies rely on when handing the sink to the
-        // engine's Pipeline::run_with_sink.
+        // engine's Round::run.
         let engine_sink: &mut dyn OutputSink<Instance> = dyn_sink;
         engine_sink.accept(instance(7));
         assert_eq!(collect.items().len(), 1);

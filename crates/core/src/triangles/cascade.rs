@@ -10,10 +10,10 @@
 //! * **Round 2** joins the wedges with `E(X,Z)` on `(X, Z)`, keeping the
 //!   wedges whose endpoints are adjacent.
 //!
-//! The cascade runs as a true two-round [`Pipeline`]: the wedge round's
-//! reducer outputs flow through a [`Pipeline::prepare`] stage (which mixes in
-//! the closing edges) into the second round, and the returned
-//! [`crate::result::RunStats`] carries per-round metrics for both rounds.
+//! The cascade is two [`Round::run`] calls: the wedge round's outputs are
+//! collected, tagged and mixed with the closing edges into the second
+//! round's inputs, and the returned [`crate::result::RunStats`] carries
+//! per-round metrics for both rounds.
 //!
 //! Its communication cost is `2m` in round 1 plus `m +` (number of wedges) in
 //! round 2; on skewed graphs the wedge count is far larger than the `O(bm)`
@@ -24,7 +24,7 @@
 use crate::result::RunStats;
 use crate::sink::InstanceSink;
 use subgraph_graph::{DataGraph, Edge, NodeId};
-use subgraph_mapreduce::{EngineConfig, JobMetrics, MapContext, Pipeline, ReduceContext, Round};
+use subgraph_mapreduce::{CollectSink, EngineConfig, JobMetrics, MapContext, ReduceContext, Round};
 use subgraph_pattern::Instance;
 
 /// A wedge `x − y − z` with `x < y < z` produced by the first round.
@@ -177,9 +177,9 @@ fn closing_round_spec() -> Round<'static, Round2Input, (NodeId, NodeId), Round2V
     Round::new("closing", mapper, reducer)
 }
 
-/// Runs the two-round cascade pipeline, streaming the triangles of the
-/// closing round into `sink`; the wedge round still materializes (its output
-/// feeds round 2), but the final round's reducers feed the sink directly.
+/// Runs the two-round cascade, streaming the triangles of the closing round
+/// into `sink`; the wedge round materializes (its output feeds round 2), but
+/// the closing round's reducers feed the sink directly.
 ///
 /// Internal runner behind [`crate::plan::StrategyKind::CascadeTriangles`].
 pub(crate) fn run_cascade_triangles_into(
@@ -187,20 +187,20 @@ pub(crate) fn run_cascade_triangles_into(
     config: &EngineConfig,
     sink: &mut dyn InstanceSink,
 ) -> RunStats {
-    let report = Pipeline::new()
-        .round(wedge_round_spec())
-        .prepare(|wedges: Vec<Wedge>| {
-            // The second round joins the wedge stream with the edge
-            // relation: feed it both, tagged by origin.
-            wedges
-                .into_iter()
-                .map(Round2Input::Wedge)
-                .chain(graph.edges().iter().copied().map(Round2Input::Edge))
-                .collect()
-        })
-        .round(closing_round_spec())
-        .run_with_sink(graph.edges(), config, sink);
-    RunStats::from_pipeline(report)
+    let (wedges, wedge) = wedge_round(graph, config);
+    // The second round joins the wedge stream with the edge relation: feed it
+    // both, tagged by origin.
+    let inputs: Vec<Round2Input> = (wedges.into_iter().map(Round2Input::Wedge))
+        .chain(graph.edges().iter().copied().map(Round2Input::Edge))
+        .collect();
+    let closing = closing_round_spec().run(&inputs, config, sink);
+    // Costs add over the rounds; the outputs are the closing round's.
+    let outputs = closing.outputs;
+    let mut stats = RunStats::single_round("wedge", wedge);
+    stats.absorb(RunStats::single_round("closing", closing));
+    stats.outputs = outputs;
+    stats.metrics.outputs = outputs;
+    stats
 }
 
 /// Collect-mode wrapper over [`run_cascade_triangles_into`] (tests and
@@ -216,11 +216,9 @@ pub(crate) fn run_cascade_triangles(
 /// Runs only the first (wedge) round — exposed for tests and experiments that
 /// inspect the intermediate wedge stream.
 pub fn wedge_round(graph: &DataGraph, config: &EngineConfig) -> (Vec<Wedge>, JobMetrics) {
-    let (wedges, report) = Pipeline::new()
-        .round(wedge_round_spec())
-        .run(graph.edges(), config);
-    let metrics = report.rounds.into_iter().next().expect("one round").metrics;
-    (wedges, metrics)
+    let mut wedges = CollectSink::new();
+    let metrics = wedge_round_spec().run(graph.edges(), config, &mut wedges);
+    (wedges.into_items(), metrics)
 }
 
 #[cfg(test)]

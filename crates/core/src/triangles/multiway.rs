@@ -27,14 +27,17 @@ use crate::result::RunStats;
 use crate::sink::InstanceSink;
 use subgraph_cq::LocalGraph;
 use subgraph_graph::{DataGraph, Edge, IdOrder, NodeId};
-use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
+use subgraph_mapreduce::{EngineConfig, MapContext, ReduceContext, Round};
 use subgraph_pattern::{catalog, Instance};
 
 /// Runs the Section 2.2 multiway-join triangle algorithm with `b` buckets per
-/// variable (`b³` potential reducers) as a declarative single-round
-/// [`Pipeline`] whose combiner merges coinciding role emissions, streaming
-/// each triangle into `sink`.
-pub(crate) fn run_multiway_triangles_into(
+/// variable (`b³` potential reducers) as one [`Round`] whose combiner merges
+/// coinciding role emissions, streaming each triangle into `sink`.
+///
+/// Not a planner strategy: Section 2 shows it ships more than Section 2.3's
+/// algorithm (bucket-oriented processing at `p = 3`) at every reducer count,
+/// so the paper's tables and the test suites call it directly.
+pub fn run_multiway_triangles_into(
     graph: &DataGraph,
     b: usize,
     config: &EngineConfig,
@@ -79,14 +82,13 @@ pub(crate) fn run_multiway_triangles_into(
         ctx.add_work(local.num_edges() as u64 + work);
     };
 
-    let report = Pipeline::new()
-        .round(Round::new("multiway", mapper, reducer).combiner(combiner))
-        .run_with_sink(graph.edges(), config, sink);
-    RunStats::from_pipeline(report)
+    let metrics = Round::new("multiway", mapper, reducer)
+        .combiner(combiner)
+        .run(graph.edges(), config, sink);
+    RunStats::single_round("multiway", metrics)
 }
 
-/// Collect-mode wrapper over [`run_multiway_triangles_into`] (tests and
-/// in-crate comparisons).
+/// Collect-mode wrapper over [`run_multiway_triangles_into`].
 #[cfg(test)]
 pub(crate) fn run_multiway_triangles(
     graph: &DataGraph,

@@ -16,12 +16,17 @@ use crate::result::RunStats;
 use crate::sink::InstanceSink;
 use subgraph_cq::LocalGraph;
 use subgraph_graph::{DataGraph, Edge, IdOrder, NodeId};
-use subgraph_mapreduce::{EngineConfig, MapContext, Pipeline, ReduceContext, Round};
+use subgraph_mapreduce::{EngineConfig, MapContext, ReduceContext, Round};
 use subgraph_pattern::{catalog, Instance};
 
-/// Runs the Partition algorithm with `b` node groups as a declarative
-/// single-round [`Pipeline`], streaming each triangle into `sink`.
-pub(crate) fn run_partition_triangles_into(
+/// Runs the Partition algorithm with `b` node groups (`C(b, 3)` reducer
+/// triples) as one [`Round`], streaming each triangle into `sink`.
+///
+/// Not a planner strategy: Section 2 shows it ships more than Section 2.3's
+/// algorithm (bucket-oriented processing at `p = 3`) at every reducer count,
+/// so the paper's tables and the test suites call it directly. Panics when
+/// `b < 3`.
+pub fn run_partition_triangles_into(
     graph: &DataGraph,
     b: usize,
     config: &EngineConfig,
@@ -63,14 +68,11 @@ pub(crate) fn run_partition_triangles_into(
         ctx.add_work(edges.len() as u64 + work);
     };
 
-    let report = Pipeline::new()
-        .round(Round::new("partition", mapper, reducer))
-        .run_with_sink(graph.edges(), config, sink);
-    RunStats::from_pipeline(report)
+    let metrics = Round::new("partition", mapper, reducer).run(graph.edges(), config, sink);
+    RunStats::single_round("partition", metrics)
 }
 
-/// Collect-mode wrapper over [`run_partition_triangles_into`] (tests and
-/// in-crate comparisons).
+/// Collect-mode wrapper over [`run_partition_triangles_into`].
 #[cfg(test)]
 pub(crate) fn run_partition_triangles(
     graph: &DataGraph,
@@ -145,6 +147,30 @@ mod tests {
             let max_reducers = b * (b - 1) * (b - 2) / 6;
             assert!(run.metrics.reducers_used <= max_reducers);
         }
+    }
+
+    #[test]
+    fn shipped_records_follow_the_group_split_and_the_paper_average() {
+        // An edge inside one group goes to the C(b − 1, 2) triples holding
+        // that group, an edge across two groups to the b − 2 triples holding
+        // both: the shipped count is exact, and its mean per edge is Section
+        // 2.1's (3/2)(b − 1)(b − 2)/b — 13.75 at b = 12.
+        let g = generators::gnm(2_000, 20_000, 12);
+        let b = 12;
+        let expected: usize = (g.edges().iter())
+            .map(|e| {
+                if hash_group(e.lo(), b) == hash_group(e.hi(), b) {
+                    (b - 1) * (b - 2) / 2
+                } else {
+                    b - 2
+                }
+            })
+            .sum();
+        let run = run_partition_triangles(&g, b, &config());
+        assert_eq!(run.metrics.shuffle_records, expected);
+        assert_eq!(partition_triangle_replication(b as u64), 13.75);
+        let per_edge = expected as f64 / g.num_edges() as f64;
+        assert!((per_edge - 13.75).abs() < 0.5, "{per_edge}");
     }
 
     #[test]

@@ -1,9 +1,5 @@
-//! Engine configuration and shard assignment.
-//!
-//! The pre-pipeline single-round `run_job` entry point is gone: build a
-//! [`crate::pipeline::Round`] and run it through a one-round
-//! [`crate::pipeline::Pipeline`] instead (`Pipeline::new().round(..).run(..)`
-//! or `run_with_sink(..)` for streaming output delivery).
+//! Engine configuration and shard assignment. A round runs through
+//! [`crate::Round::run`] with an [`EngineConfig`].
 
 use crate::pool::WorkerPool;
 use std::path::PathBuf;
@@ -177,35 +173,13 @@ mod tests {
     use super::*;
     use crate::hash::hash_of;
     use crate::metrics::JobMetrics;
-    use crate::pipeline::{Pipeline, Round};
+    use crate::pipeline::Round;
+    use crate::reference::collect;
     use crate::sink::{BufferShard, OutputSink, SinkShard};
-    use crate::task::{MapContext, Mapper, ReduceContext, Reducer};
-    use crate::ArenaCodec;
-    use std::hash::Hash;
+    use crate::task::{MapContext, ReduceContext};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
     use std::time::{Duration, Instant};
-
-    /// One-round pipeline helper with the shape of the old `run_job` entry
-    /// point, so these engine-level tests stay focused on the dataflow.
-    fn run_round<I, K, V, O>(
-        inputs: &[I],
-        mapper: impl Mapper<I, K, V>,
-        reducer: impl Reducer<K, V, O>,
-        config: &EngineConfig,
-    ) -> (Vec<O>, JobMetrics)
-    where
-        I: Sync + Send + Clone + 'static,
-        K: Hash + Eq + Ord + Send + ArenaCodec,
-        V: Send + ArenaCodec,
-        O: Send + Clone + 'static,
-    {
-        let (outputs, report) = Pipeline::new()
-            .round(Round::new("job", mapper, reducer))
-            .run(inputs, config);
-        let metrics = report.rounds.into_iter().next().expect("one round").metrics;
-        (outputs, metrics)
-    }
 
     /// Word-count style job: count occurrences of each number modulo 10.
     fn modulo_count(inputs: &[u64], threads: usize) -> (Vec<(u64, usize)>, JobMetrics) {
@@ -214,10 +188,9 @@ mod tests {
             ctx.add_work(vs.len() as u64);
             ctx.emit((*k, vs.len()));
         };
-        run_round(
+        collect(
+            &Round::new("job", mapper, reducer),
             inputs,
-            mapper,
-            reducer,
             &EngineConfig::with_threads(threads),
         )
     }
@@ -259,7 +232,11 @@ mod tests {
         };
         let reducer = |_k: &u64, vs: &[u64], ctx: &mut ReduceContext<usize>| ctx.emit(vs.len());
         let inputs: Vec<u64> = (0..50).collect();
-        let (_, metrics) = run_round(&inputs, mapper, reducer, &EngineConfig::serial());
+        let (_, metrics) = collect(
+            &Round::new("job", mapper, reducer),
+            &inputs,
+            &EngineConfig::serial(),
+        );
         assert_eq!(metrics.key_value_pairs, 150);
         assert!((metrics.replication_per_input() - 3.0).abs() < 1e-12);
         assert_eq!(metrics.reducers_used, 52); // keys 0..=51
@@ -282,7 +259,11 @@ mod tests {
         let mapper = |_x: &u64, _ctx: &mut MapContext<u64, u64>| {};
         let reducer = |_k: &u64, _vs: &[u64], ctx: &mut ReduceContext<u64>| ctx.emit(1);
         let inputs: Vec<u64> = (0..10).collect();
-        let (outputs, metrics) = run_round(&inputs, mapper, reducer, &EngineConfig::default());
+        let (outputs, metrics) = collect(
+            &Round::new("job", mapper, reducer),
+            &inputs,
+            &EngineConfig::default(),
+        );
         assert!(outputs.is_empty());
         assert_eq!(metrics.key_value_pairs, 0);
         assert_eq!(metrics.reducers_used, 0);
@@ -379,8 +360,11 @@ mod tests {
             ctx.emit((k.clone(), vs.len()));
         };
         let inputs: Vec<u64> = (0..150).collect();
-        let (outputs, metrics) =
-            run_round(&inputs, mapper, reducer, &EngineConfig::with_threads(3));
+        let (outputs, metrics) = collect(
+            &Round::new("job", mapper, reducer),
+            &inputs,
+            &EngineConfig::with_threads(3),
+        );
         assert_eq!(metrics.reducers_used, 15);
         assert_eq!(outputs.len(), 15);
         assert!(outputs.iter().all(|(_, c)| *c == 10));
@@ -442,9 +426,7 @@ mod tests {
                 folded,
                 folds: Vec::new(),
             };
-            Pipeline::new()
-                .round(Round::new("folds", mapper, reducer))
-                .run_with_sink(&inputs, &config, &mut sink);
+            Round::new("folds", mapper, reducer).run(&inputs, &config, &mut sink);
             let label = format!("threads {threads}, budget {budget}");
             assert_eq!(calls.load(Ordering::SeqCst), inputs.len(), "{label}");
             assert_eq!(

@@ -1,5 +1,5 @@
-//! An in-process map-reduce engine with multi-round pipelines, map-side
-//! combiners, and cost instrumentation.
+//! An in-process map-reduce engine with map-side combiners and cost
+//! instrumentation.
 //!
 //! The paper analyses its algorithms on two cost measures (Section 1.2):
 //!
@@ -15,10 +15,10 @@
 //! counts rather than against estimates. Reducer keys in the paper are lists
 //! of bucket numbers; the engine is generic over any hashable key type.
 //!
-//! Multi-round algorithms (the paper's Section 2 cascade baseline and any
-//! future iterative workloads) are expressed as a [`Pipeline`] of [`Round`]s:
-//! the reducer outputs of round *k* feed the mappers of round *k + 1*, and a
-//! [`PipelineReport`] collects every round's [`JobMetrics`]. A round may
+//! A [`Round`] is one map-reduce job, run with one call ([`Round::run`]) that
+//! returns its [`JobMetrics`]. A multi-round algorithm (the paper's Section 2
+//! cascade baseline) is successive calls: one round's collected outputs,
+//! reshaped in plain code, are the next round's inputs. A round may
 //! attach a map-side [`Combiner`] that pre-aggregates pairs per map shard
 //! before the shuffle; the metrics then separate what the mappers *emitted*
 //! (`key_value_pairs`) from what was actually *shipped* (`shuffle_records`,
@@ -39,11 +39,10 @@
 //! tracks the budget rather than the workload while outputs stay
 //! byte-identical.
 //!
-//! Results leave the engine through streaming [`OutputSink`]s
-//! ([`Pipeline::run_with_sink`]): the final round's reduce workers feed one
-//! sink shard each, so a counting sink enumerates outputs far larger than
-//! memory without the engine ever materializing them. [`Pipeline::run`] is
-//! the collecting wrapper ([`CollectSink`]) over the same path.
+//! Results leave the engine through streaming [`OutputSink`]s: a round's
+//! reduce workers feed one sink shard per reduce bucket, so a counting sink
+//! enumerates outputs far larger than memory without the engine ever
+//! materializing them, and a [`CollectSink`] gathers them into a `Vec`.
 
 pub(crate) mod arena;
 pub mod engine;
@@ -58,7 +57,7 @@ pub mod task;
 pub use engine::{shard_for_hash, EngineConfig};
 pub use hash::{hash_of, FxBuildHasher, FxHasher};
 pub use metrics::JobMetrics;
-pub use pipeline::{Pipeline, PipelineReport, Round, RoundMetrics};
+pub use pipeline::{Round, RoundMetrics};
 pub use pool::WorkerPool;
 pub use sink::{BufferShard, CollectSink, CountSink, FnSink, OutputSink, SampleSink, SinkShard};
 pub use subgraph_codec::ArenaCodec;

@@ -1,9 +1,9 @@
 //! A persistent worker pool: the engine's execution substrate.
 //!
-//! Before this module existed every [`crate::Pipeline`] round paid two
+//! Before this module existed every [`crate::Round`] paid two
 //! `std::thread::scope` spawn/join cycles — once for the map phase, once for
 //! the reduce phase. A long-lived process (the `subgraph serve` query
-//! service, a bench sweeping thread counts, any multi-round pipeline) repeats
+//! service, a bench sweeping thread counts, any multi-round algorithm) repeats
 //! that cost per round, and on small rounds the spawn/teardown dominates the
 //! useful work. A [`WorkerPool`] keeps its OS threads alive for the pool's
 //! lifetime and hands them *indexed tasks* instead:

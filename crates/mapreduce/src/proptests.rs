@@ -4,10 +4,9 @@
 
 use crate::engine::EngineConfig;
 use crate::metrics::JobMetrics;
-use crate::pipeline::{Pipeline, Round};
-use crate::reference::{CombineFn, Job};
-use crate::task::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
-use crate::ArenaCodec;
+use crate::pipeline::Round;
+use crate::reference::{collect, CombineFn, Job};
+use crate::task::{Combiner, MapContext, ReduceContext};
 use std::collections::HashMap;
 
 /// SplitMix64 — enough randomness for input generation.
@@ -27,25 +26,6 @@ fn random_inputs(seed: u64, max_len: usize, value_range: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Runs one round through the pipeline API (the non-deprecated counterpart of
-/// the old `run_job` helper).
-fn run_single_round<K, V, O>(
-    inputs: &[u64],
-    mapper: impl Mapper<u64, K, V>,
-    reducer: impl Reducer<K, V, O>,
-    config: &EngineConfig,
-) -> (Vec<O>, JobMetrics)
-where
-    K: std::hash::Hash + Eq + Ord + Send + ArenaCodec + 'static,
-    V: Send + ArenaCodec + 'static,
-    O: Send + Clone + 'static,
-{
-    let (outputs, report) = Pipeline::new()
-        .round(Round::new("job", mapper, reducer))
-        .run(inputs, config);
-    (outputs, report.rounds.into_iter().next().unwrap().metrics)
-}
-
 /// Grouping semantics: the engine delivers every value to exactly one reducer
 /// invocation, keyed correctly, regardless of thread count.
 #[test]
@@ -57,10 +37,9 @@ fn grouping_matches_a_hashmap_reference() {
         let reducer = |k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64, usize)>| {
             ctx.emit((*k, vs.iter().sum(), vs.len()));
         };
-        let (outputs, metrics) = run_single_round(
+        let (outputs, metrics) = collect(
+            &Round::new("job", mapper, reducer),
             &inputs,
-            mapper,
-            reducer,
             &EngineConfig::with_threads(threads),
         );
 
@@ -97,10 +76,9 @@ fn communication_cost_counts_every_emission() {
             ctx.add_work(vs.len() as u64);
             ctx.emit(vs.len());
         };
-        let (_, metrics) = run_single_round(
+        let (_, metrics) = collect(
+            &Round::new("job", mapper, reducer),
             &inputs,
-            mapper,
-            reducer,
             &EngineConfig::with_threads(threads),
         );
         assert_eq!(
@@ -141,10 +119,9 @@ fn outputs_are_thread_count_invariant() {
         };
         let mut baseline: Option<Vec<(u64, u64)>> = None;
         for threads in [1usize, 2, 5] {
-            let (mut outputs, _) = run_single_round(
+            let (mut outputs, _) = collect(
+                &Round::new("job", mapper, reducer),
                 &inputs,
-                mapper,
-                reducer,
                 &EngineConfig::with_threads(threads),
             );
             outputs.sort_unstable();
@@ -175,8 +152,7 @@ fn aggregation_job(
         round
     };
     let config = EngineConfig::with_threads(threads).combiners(use_combiners);
-    let (outputs, report) = Pipeline::new().round(round).run(inputs, &config);
-    (outputs, report.rounds.into_iter().next().unwrap().metrics)
+    collect(&round, inputs, &config)
 }
 
 /// Combiner-on and combiner-off runs produce identical reducer outputs —
@@ -265,15 +241,11 @@ fn identity_combiner_changes_nothing() {
             } else {
                 round
             };
-            Pipeline::new()
-                .round(round)
-                .run(&inputs, &EngineConfig::with_threads(threads))
+            collect(&round, &inputs, &EngineConfig::with_threads(threads))
         };
-        let (with, report_with) = run(true);
-        let (without, report_without) = run(false);
+        let (with, mw) = run(true);
+        let (without, mo) = run(false);
         assert_eq!(with, without, "seed {seed}");
-        let mw = &report_with.rounds[0].metrics;
-        let mo = &report_without.rounds[0].metrics;
         assert_eq!(mw.combiner_output_records, mw.combiner_input_records);
         assert_eq!(mw.shuffle_records, mo.shuffle_records, "seed {seed}");
         assert_eq!(mw.shuffle_bytes, mo.shuffle_bytes, "seed {seed}");
@@ -310,10 +282,11 @@ fn parallel_shuffle_run(
     threads: usize,
     combine: bool,
 ) -> (Vec<(u64, u64, usize)>, JobMetrics) {
-    let (outputs, report) = Pipeline::new()
-        .round(parity_job(combine).round("parity"))
-        .run(inputs, &EngineConfig::with_threads(threads));
-    (outputs, report.rounds.into_iter().next().unwrap().metrics)
+    collect(
+        &parity_job(combine).round("parity"),
+        inputs,
+        &EngineConfig::with_threads(threads),
+    )
 }
 
 /// Parity of the parallel two-phase shuffle against the single-threaded
@@ -400,11 +373,11 @@ fn outputs_and_counters_are_invariant_across_memory_budgets() {
         };
         let run = |budget: usize| {
             let config = EngineConfig::with_threads(threads).memory_budget(budget);
-            let (outputs, report) = Pipeline::new()
-                .round(Round::new("budget-sweep", mapper, reducer))
-                .run(&inputs, &config);
-            let metrics = report.rounds.into_iter().next().unwrap().metrics;
-            (outputs, metrics)
+            collect(
+                &Round::new("budget-sweep", mapper, reducer),
+                &inputs,
+                &config,
+            )
         };
         let (base_out, base_metrics) = run(0);
         assert_eq!(base_metrics.spilled_bytes, 0, "seed {seed}");
@@ -437,14 +410,16 @@ fn struct_combiners_work_like_closure_combiners() {
         ctx.emit((*k, vs.iter().sum()));
     };
     let config = EngineConfig::with_threads(4);
-    let (a, _) = Pipeline::new()
-        .round(Round::new("struct", mapper, reducer).combiner(Summing))
-        .run(&inputs, &config);
-    let (b, _) = Pipeline::new()
-        .round(
-            Round::new("closure", mapper, reducer)
-                .combiner(|_k: &u64, vs: Vec<u64>| vec![vs.iter().sum()]),
-        )
-        .run(&inputs, &config);
+    let (a, _) = collect(
+        &Round::new("struct", mapper, reducer).combiner(Summing),
+        &inputs,
+        &config,
+    );
+    let (b, _) = collect(
+        &Round::new("closure", mapper, reducer)
+            .combiner(|_k: &u64, vs: Vec<u64>| vec![vs.iter().sum()]),
+        &inputs,
+        &config,
+    );
     assert_eq!(a, b);
 }

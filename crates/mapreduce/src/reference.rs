@@ -18,6 +18,24 @@ use crate::{hash_of, shard_for_hash, ArenaCodec, JobMetrics, MapContext, ReduceC
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
+/// Runs `round` over `inputs` into a [`CollectSink`](crate::CollectSink): the
+/// outputs in delivery order, and the round's metrics.
+pub fn collect<I, K, V, O>(
+    round: &Round<'_, I, K, V, O>,
+    inputs: &[I],
+    config: &crate::EngineConfig,
+) -> (Vec<O>, JobMetrics)
+where
+    I: Sync,
+    K: Hash + Ord + Send + ArenaCodec,
+    V: Send + ArenaCodec,
+    O: Send + 'static,
+{
+    let mut sink = crate::CollectSink::new();
+    let metrics = round.run(inputs, config, &mut sink);
+    (sink.into_items(), metrics)
+}
+
 /// A combiner as a plain function.
 pub type CombineFn<K, V> = fn(&K, Vec<V>) -> Vec<V>;
 

@@ -336,7 +336,7 @@ impl QueryEngine {
         let (plan, cache_hit) = match self.cache.lookup(&key) {
             Some(cached) => (
                 self.planner
-                    .resume(request, cached.chosen, cached.candidates)?,
+                    .resume(request, cached.chosen, cached.candidates),
                 true,
             ),
             None => {

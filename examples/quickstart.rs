@@ -18,10 +18,11 @@ fn main() {
         data_graph.max_degree()
     );
 
-    // 2. Triangles: the planner compares Partition (Section 2.1), the plain
-    //    multiway join (Section 2.2), bucket-oriented processing (on the
-    //    triangle, Section 2.3's bucket-ordered join) and the two-round
-    //    cascade, then runs the cheapest.
+    // 2. Triangles: the planner compares bucket-oriented processing (on the
+    //    triangle, Section 2.3's bucket-ordered join), variable-oriented
+    //    processing and the two-round cascade, then runs the cheapest.
+    //    Partition and the plain multiway join ship more at every budget
+    //    (Section 2), so they are functions, not candidates.
     let plan = EnumerationRequest::named("triangle", &data_graph)
         .unwrap()
         .reducers(220)
@@ -54,9 +55,10 @@ fn main() {
     );
 
     // 3. An arbitrary sample graph: the lollipop of Figure 4. The planner
-    //    weighs CQ-oriented (Section 4.1), variable-oriented (Section 4.3)
-    //    and bucket-oriented (Section 4.5) processing by predicted
-    //    communication — Theorem 4.4's comparison, performed automatically.
+    //    weighs variable-oriented (Section 4.3) and bucket-oriented
+    //    (Section 4.5) processing by predicted communication; CQ-oriented
+    //    processing (Section 4.1) never wins (Theorem 4.4), so it is no
+    //    candidate.
     let plan = EnumerationRequest::named("lollipop", &data_graph)
         .unwrap()
         .reducers(750)

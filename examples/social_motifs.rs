@@ -65,8 +65,8 @@ fn main() {
 
     println!(
         "\nEach motif was planned for a budget of {reducer_budget} reducers: the planner \
-         compared CQ-oriented, variable-oriented and bucket-oriented processing (Section 4) \
-         on predicted communication and ran the winner in one round — in count-only mode, \
+         compared variable-oriented and bucket-oriented processing (Section 4) on predicted \
+         communication and ran the winner in one round — in count-only mode, \
          streaming every instance through a CountSink instead of materializing a Vec."
     );
 }

@@ -61,11 +61,15 @@
 //! assert_eq!(report.duplicates(), 0); // every instance exactly once
 //! ```
 //!
-//! Need a specific algorithm (for comparisons or tests)? Force it. The
-//! Section 2 triangle algorithms differ only in their maps: Partition
-//! (`PartitionTriangles`), the plain multiway join (`MultiwayTriangles`) and
-//! Section 2.3's bucket-ordered join, which is bucket-oriented processing on
-//! the triangle (`BucketOriented`); every reducer runs the same join.
+//! Need a specific strategy (for comparisons or tests)? Force it. The
+//! planner registers only strategies that can win; the paper's dominated
+//! algorithms are plain functions with their own parameters: Partition
+//! (`run_partition_triangles_into`, `b` node groups) and the plain multiway
+//! join (`run_multiway_triangles_into`, `b` buckets per variable) of
+//! Section 2, and CQ-oriented processing (`run_cq_oriented`, `k` reducers
+//! per job) of Section 4.1. Section 2.3's bucket-ordered join is
+//! bucket-oriented processing on the triangle (`BucketOriented`); every
+//! Section 2 reducer runs the same join.
 //!
 //! ```
 //! use subgraph_mr::prelude::*;
@@ -74,11 +78,17 @@
 //! let forced = EnumerationRequest::named("triangle", &data_graph)
 //!     .unwrap()
 //!     .reducers(220)
-//!     .strategy(StrategyKind::PartitionTriangles)
+//!     .strategy(StrategyKind::BucketOriented)
 //!     .plan()
 //!     .unwrap();
 //! let report = forced.execute();
 //! assert_eq!(report.duplicates(), 0);
+//! // Partition at b = 12 groups: C(12, 3) = 220 reducer triples.
+//! let config = EngineConfig::default();
+//! let partition =
+//!     run_partition_triangles_into(&data_graph, 12, &config, &mut CountSink::new());
+//! assert_eq!(partition.outputs, report.count());
+//! assert!(partition.metrics.shuffle_records > report.communication());
 //! ```
 //!
 //! A reducer budget of 1 means "no cluster": the planner then chooses among
@@ -115,7 +125,7 @@
 //! ```
 //!
 //! See `docs/PLANNER.md` for the strategy-to-paper-section map and
-//! `docs/ENGINE.md` for the Pipeline/Round/Combiner execution model, the
+//! `docs/ENGINE.md` for the Round/Combiner execution model, the
 //! "Output sinks" section, and the metrics glossary.
 
 pub use subgraph_core as core;
@@ -127,6 +137,9 @@ pub use subgraph_shares as shares;
 
 /// A convenient prelude for examples and downstream users.
 pub mod prelude {
+    /// The paper's algorithms the planner does not register (they never win
+    /// a ranking), as plain functions.
+    pub use subgraph_core::enumerate::cq_oriented::run_cq_oriented;
     /// The planner API — the primary entry point.
     pub use subgraph_core::plan::{
         CostEstimate, EnumerationRequest, ExecutionPlan, PlanError, Planner, RunReport, Strategy,
@@ -144,12 +157,13 @@ pub mod prelude {
         CollectSink, CountSink, CsvSink, EdgeListSink, FnSink, InstanceSink, NdjsonSink,
         OutputSink, SampleSink, SerializeSink,
     };
+    pub use subgraph_core::triangles::{
+        multiway::run_multiway_triangles_into, partition::run_partition_triangles_into,
+    };
     pub use subgraph_core::{MapReduceRun, RunStats, SerialRun, SerialStats};
     pub use subgraph_cq::{cqs_for_sample, cycle_cqs, evaluate_cqs, merge_by_orientation};
     pub use subgraph_graph::{generators, DataGraph, GraphBuilder, GraphSource, NodeId};
-    pub use subgraph_mapreduce::{
-        Combiner, EngineConfig, JobMetrics, Pipeline, PipelineReport, Round, RoundMetrics,
-    };
+    pub use subgraph_mapreduce::{Combiner, EngineConfig, JobMetrics, Round, RoundMetrics};
     pub use subgraph_pattern::{catalog, Instance, SampleGraph};
     pub use subgraph_shares::{optimize_shares, CostExpression};
 }

@@ -1,7 +1,8 @@
 //! End-to-end integration tests across the whole workspace: every map-reduce
 //! strategy, every serial algorithm and every CQ family must agree with the
-//! generic oracle and produce each instance exactly once — all driven through
-//! the unified `EnumerationRequest` / `Planner` entry point.
+//! generic oracle and produce each instance exactly once — driven through the
+//! unified `EnumerationRequest` / `Planner` entry point, or, for the paper's
+//! algorithms the planner does not register, through their functions.
 
 use subgraph_mr::prelude::*;
 
@@ -29,7 +30,6 @@ fn all_strategies_agree_on_the_square() {
 
     for kind in [
         StrategyKind::VariableOriented,
-        StrategyKind::CqOriented,
         StrategyKind::BucketOriented,
         StrategyKind::SerialJoin,
     ] {
@@ -37,6 +37,11 @@ fn all_strategies_agree_on_the_square() {
         assert_eq!(report.count(), expected, "{kind}");
         assert_eq!(report.duplicates(), 0, "{kind}");
     }
+    // Section 4.1's one job per CQ, 64 reducers each.
+    let config = EngineConfig::default();
+    let cq = RunStats::collect(|sink| run_cq_oriented(&sample, &graph, 64, &config, sink));
+    assert_eq!(cq.count(), expected);
+    assert_eq!(cq.duplicates(), 0);
     // The serial algorithms of Theorems 7.2 and 7.3, outside the planner.
     assert_eq!(
         enumerate_by_decomposition(&sample, &graph).count(),
@@ -74,16 +79,26 @@ fn triangle_algorithms_agree_with_each_other_and_the_serial_baseline() {
     let expected = serial.count();
     let sample = catalog::triangle();
 
-    for kind in [
-        StrategyKind::PartitionTriangles,
-        StrategyKind::MultiwayTriangles,
-        StrategyKind::BucketOriented,
-        StrategyKind::CascadeTriangles,
-    ] {
+    for kind in [StrategyKind::BucketOriented, StrategyKind::CascadeTriangles] {
         for k in [27usize, 220] {
             let report = run_forced(&sample, &graph, kind, k);
             assert_eq!(report.count(), expected, "{kind} k={k}");
             assert_eq!(report.duplicates(), 0, "{kind} k={k}");
+        }
+    }
+    // Partition and the multiway join at the group and bucket counts that
+    // fit 27 and 220 reducers: C(6, 3) = 20 and C(12, 3) = 220; 3³ and 6³.
+    let config = EngineConfig::default();
+    for (partition_b, multiway_b) in [(6usize, 3usize), (12, 6)] {
+        let partition = RunStats::collect(|sink| {
+            run_partition_triangles_into(&graph, partition_b, &config, sink)
+        });
+        let multiway = RunStats::collect(|sink| {
+            run_multiway_triangles_into(&graph, multiway_b, &config, sink)
+        });
+        for (name, run) in [("partition", partition), ("multiway", multiway)] {
+            assert_eq!(run.count(), expected, "{name}");
+            assert_eq!(run.duplicates(), 0, "{name}");
         }
     }
     assert_eq!(oracle_count(&sample, &graph), expected);
@@ -129,28 +144,27 @@ fn pentagons_by_four_different_routes() {
 fn communication_costs_follow_the_paper_ordering() {
     // At comparable reducer counts: bucket-ordered < Partition < multiway,
     // which is the ordering of Figure 2 — both measured and as predicted by
-    // the planner's cost estimates.
+    // the planner's estimate and the paper's formulas.
+    use subgraph_mr::shares::counting::{
+        multiway_triangle_replication, partition_triangle_replication,
+    };
     let graph = generators::gnm(250, 2_200, 1005);
     let sample = catalog::triangle();
     let plan = EnumerationRequest::new(sample.clone(), &graph)
         .reducers(220)
         .plan()
         .unwrap();
-    let estimate = |kind: StrategyKind| {
-        plan.candidates()
-            .iter()
-            .find(|c| c.strategy == kind)
-            .unwrap_or_else(|| panic!("{kind} missing"))
-            .communication
-    };
-    assert!(estimate(StrategyKind::BucketOriented) < estimate(StrategyKind::PartitionTriangles));
-    assert!(estimate(StrategyKind::PartitionTriangles) < estimate(StrategyKind::MultiwayTriangles));
+    assert_eq!(plan.strategy(), StrategyKind::BucketOriented);
+    let m = graph.num_edges() as f64;
+    assert!(plan.predicted_communication() < partition_triangle_replication(12) * m);
+    assert!(partition_triangle_replication(12) < multiway_triangle_replication(6));
 
+    let config = EngineConfig::default();
     let ordered = run_forced(&sample, &graph, StrategyKind::BucketOriented, 220);
-    let partition = run_forced(&sample, &graph, StrategyKind::PartitionTriangles, 220);
-    let multiway = run_forced(&sample, &graph, StrategyKind::MultiwayTriangles, 220);
-    assert!(ordered.communication() < partition.communication());
-    assert!(partition.communication() < multiway.communication());
+    let partition = run_partition_triangles_into(&graph, 12, &config, &mut CountSink::new());
+    let multiway = run_multiway_triangles_into(&graph, 6, &config, &mut CountSink::new());
+    assert!(ordered.communication() < partition.metrics.shuffle_records);
+    assert!(partition.metrics.shuffle_records < multiway.metrics.shuffle_records);
 }
 
 #[test]
@@ -188,8 +202,10 @@ fn explain_describes_the_plan_end_to_end() {
     assert!(text.contains("reducer budget k = 128"));
     assert!(text.contains("predicted replication"));
     assert!(text.contains("predicted reducer work"));
-    // Every general-pattern strategy shows up in the candidate table.
+    // Every general-pattern strategy shows up in the candidate table;
+    // CQ-oriented processing, which never wins (Theorem 4.4), is no
+    // candidate.
     assert!(text.contains("bucket-oriented"));
     assert!(text.contains("variable-oriented"));
-    assert!(text.contains("cq-oriented"));
+    assert!(!text.contains("cq-oriented"));
 }

@@ -4,9 +4,14 @@
 //!    (`enumerate_generic`) on random G(n, m) graphs for every catalog
 //!    pattern, whatever strategy the planner picks.
 //! 2. The planner's predicted replication stays within a constant factor of
-//!    the measured `JobMetrics::key_value_pairs`.
+//!    the measured `JobMetrics::key_value_pairs` — and so do the paper's
+//!    formulas for the algorithms the planner does not register.
 
+use subgraph_mr::cq::cq_for_ordering;
+use subgraph_mr::pattern::automorphism_group;
 use subgraph_mr::prelude::*;
+use subgraph_mr::shares::counting::multiway_triangle_replication;
+use subgraph_mr::shares::dominance::single_cq_expression_with_dominance;
 
 fn catalog_patterns() -> Vec<(&'static str, SampleGraph)> {
     vec![
@@ -59,7 +64,6 @@ fn predicted_replication_is_within_a_constant_factor_of_measured() {
         for (kind, k) in [
             (StrategyKind::BucketOriented, 70),
             (StrategyKind::VariableOriented, 64),
-            (StrategyKind::CqOriented, 32),
         ] {
             let plan = EnumerationRequest::new(sample.clone(), &graph)
                 .reducers(k)
@@ -75,6 +79,26 @@ fn predicted_replication_is_within_a_constant_factor_of_measured() {
                 "{name} {kind}: measured {measured} vs predicted {predicted}"
             );
         }
+        // CQ-oriented processing at 32 reducers per job: one job per order
+        // class, each priced by the identity ordering's real-valued share
+        // solve (every class has the same Shares expression).
+        let identity: Vec<_> = sample.nodes().collect();
+        let expression = single_cq_expression_with_dominance(&cq_for_ordering(&sample, &identity));
+        let classes = automorphism_group(&sample).order_classes() as f64;
+        let predicted =
+            classes * optimize_shares(&expression, 32.0).cost_per_edge * graph.num_edges() as f64;
+        let run = run_cq_oriented(
+            &sample,
+            &graph,
+            32,
+            &EngineConfig::serial(),
+            &mut CountSink::new(),
+        );
+        let measured = run.metrics.key_value_pairs as f64;
+        assert!(
+            measured <= predicted * 3.0 && measured >= predicted / 3.0,
+            "{name} cq-oriented: measured {measured} vs predicted {predicted}"
+        );
     }
 }
 
@@ -132,49 +156,55 @@ fn predicted_shuffle_bytes_match_measured_for_exact_strategies() {
     }
     // The Section 2 triangle rounds with exact predictions: Section 2.3's
     // (bucket-oriented at p = 3) and the multiway join, whose combiner
-    // discount (3b - 2 of 3b) is part of the prediction.
+    // discount (3b - 2 of 3b) is part of the paper's formula.
     let graph = generators::gnm(80, 500, 14_000);
-    for (kind, k) in [
-        (StrategyKind::BucketOriented, 220),
-        (StrategyKind::MultiwayTriangles, 216),
-    ] {
-        let plan = EnumerationRequest::new(catalog::triangle(), &graph)
-            .reducers(k)
-            .engine(EngineConfig::serial())
-            .strategy(kind)
-            .plan()
-            .unwrap();
-        let report = plan.execute();
-        assert_eq!(
-            report.shuffle_bytes() as f64,
-            plan.chosen().predicted_shuffle_bytes(),
-            "{kind}"
-        );
-        assert_eq!(
-            report.communication() as f64,
-            plan.predicted_communication(),
-            "{kind}"
-        );
-    }
+    let plan = EnumerationRequest::new(catalog::triangle(), &graph)
+        .reducers(220)
+        .engine(EngineConfig::serial())
+        .strategy(StrategyKind::BucketOriented)
+        .plan()
+        .unwrap();
+    let report = plan.execute();
+    assert_eq!(
+        report.shuffle_bytes() as f64,
+        plan.chosen().predicted_shuffle_bytes()
+    );
+    assert_eq!(
+        report.communication() as f64,
+        plan.predicted_communication()
+    );
+    // A multiway record is its three key coordinates and the edge.
+    let record_bytes = 3 * 4 + std::mem::size_of::<subgraph_mr::graph::Edge>();
+    let shipped = multiway_triangle_replication(6) * graph.num_edges() as f64;
+    let multiway =
+        run_multiway_triangles_into(&graph, 6, &EngineConfig::serial(), &mut CountSink::new());
+    assert_eq!(multiway.metrics.shuffle_records as f64, shipped);
+    assert_eq!(
+        multiway.metrics.shuffle_bytes as f64,
+        shipped * record_bytes as f64
+    );
 }
 
 #[test]
 fn multiway_emission_and_shipment_bracket_the_paper_formulas() {
     // Emitted pairs follow footnote 1's naive 3b per edge; shipped pairs
-    // follow the paper's 3b - 2 once the combiner merges coinciding roles.
+    // follow the paper's 3b - 2 once the combiner merges coinciding roles,
+    // and the naive 3b without it.
     let graph = generators::gnm(80, 500, 15_000);
-    let plan = EnumerationRequest::new(catalog::triangle(), &graph)
-        .reducers(216)
-        .engine(EngineConfig::serial())
-        .strategy(StrategyKind::MultiwayTriangles)
-        .plan()
-        .unwrap();
-    let b = plan.chosen().buckets.expect("bucketed strategy");
-    let report = plan.execute();
-    let m = graph.num_edges();
-    assert_eq!(report.emitted_communication(), 3 * b * m);
-    assert_eq!(report.communication(), (3 * b - 2) * m);
-    assert_eq!(plan.chosen().emitted_communication(), (3 * b * m) as f64);
+    let (b, m) = (6, graph.num_edges());
+    let run = |config: EngineConfig| {
+        run_multiway_triangles_into(&graph, b, &config, &mut CountSink::new()).metrics
+    };
+    let combined = run(EngineConfig::serial());
+    assert_eq!(combined.key_value_pairs, 3 * b * m);
+    assert_eq!(combined.shuffle_records, (3 * b - 2) * m);
+    assert_eq!(
+        combined.shuffle_records as f64,
+        multiway_triangle_replication(b as u64) * m as f64
+    );
+    let naive = run(EngineConfig::serial().combiners(false));
+    assert_eq!(naive.key_value_pairs, 3 * b * m);
+    assert_eq!(naive.shuffle_records, 3 * b * m);
 }
 
 #[test]

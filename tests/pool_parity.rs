@@ -12,21 +12,21 @@
 //!    measurements, not results). A 64 KiB memory budget changes only the
 //!    spill counters.
 //! 2. **Edge cases**: a pool with more workers than input items, an
-//!    empty-input round, and one pool reused across two pipelines of
+//!    empty-input round, and one pool reused across two rounds of
 //!    different key/value types.
 //! 3. **Planner-level parity**: a real strategy run through
 //!    `EnumerationRequest` counts the same on the global and a private pool.
 
 use std::sync::Arc;
 use subgraph_mr::mapreduce::{
-    hash_of, shard_for_hash, ArenaCodec, EngineConfig, JobMetrics, MapContext, Pipeline,
-    PipelineReport, ReduceContext, Round, WorkerPool,
+    hash_of, shard_for_hash, ArenaCodec, CollectSink, EngineConfig, JobMetrics, MapContext,
+    ReduceContext, Round, WorkerPool,
 };
 use subgraph_mr::prelude::{generators, EnumerationRequest};
 
 #[path = "../crates/mapreduce/src/reference.rs"]
 mod reference;
-use reference::{CombineFn, Job};
+use reference::{collect, CombineFn, Job};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -53,10 +53,10 @@ fn counting_job(combine: bool) -> Job<u64, u64, u64, (u64, u64)> {
     }
 }
 
-/// The single round's counters, timings zeroed, spill counters optionally
-/// flattened too.
-fn counters(report: &PipelineReport, flatten_spill: bool) -> JobMetrics {
-    let mut metrics = report.rounds[0].metrics.without_timings();
+/// The round's counters, timings zeroed, spill counters optionally flattened
+/// too.
+fn counters(metrics: &JobMetrics, flatten_spill: bool) -> JobMetrics {
+    let mut metrics = metrics.without_timings();
     if flatten_spill {
         metrics.spilled_bytes = 0;
         metrics.spill_runs = 0;
@@ -70,14 +70,14 @@ fn assert_matches_reference<I, K, V, O>(
     inputs: &[I],
     config: &EngineConfig,
     context: &str,
-) -> PipelineReport
+) -> JobMetrics
 where
     I: Clone + Send + Sync + 'static,
     K: std::hash::Hash + Ord + Clone + Send + ArenaCodec + 'static,
     V: Send + ArenaCodec + 'static,
     O: Clone + Send + PartialEq + std::fmt::Debug + 'static,
 {
-    let (outputs, report) = Pipeline::new().round(job.round("job")).run(inputs, config);
+    let (outputs, metrics) = collect(&job.round("job"), inputs, config);
     let (expected, expected_metrics) = job.reference(
         inputs,
         config.num_threads,
@@ -87,8 +87,8 @@ where
     // Exact order, not just the same multiset: the engine promises
     // reproducible output order.
     assert_eq!(outputs, expected, "{context}");
-    assert_eq!(counters(&report, true), expected_metrics, "{context}");
-    report
+    assert_eq!(counters(&metrics, true), expected_metrics, "{context}");
+    metrics
 }
 
 #[test]
@@ -120,8 +120,7 @@ fn a_64k_budget_matches_the_reference() {
         let config = EngineConfig::with_threads(threads)
             .memory_budget(64 << 10)
             .with_pool(Arc::clone(&pool));
-        let report = assert_matches_reference(&counting_job(false), &inputs, &config, &context);
-        let spill = &report.rounds[0].metrics;
+        let spill = assert_matches_reference(&counting_job(false), &inputs, &config, &context);
         assert!(
             spill.spilled_bytes > 0 && spill.spill_runs > 0,
             "{context}: 250k records must overflow a 64 KiB budget \
@@ -149,8 +148,8 @@ fn more_pool_workers_than_input_items() {
     let pool = Arc::new(WorkerPool::new(8));
     let inputs: Vec<u64> = vec![5, 9, 13];
     let config = EngineConfig::with_threads(8).with_pool(Arc::clone(&pool));
-    let report = assert_matches_reference(&counting_job(false), &inputs, &config, "3 items");
-    assert_eq!(report.rounds[0].metrics.input_records, 3);
+    let metrics = assert_matches_reference(&counting_job(false), &inputs, &config, "3 items");
+    assert_eq!(metrics.input_records, 3);
 }
 
 #[test]
@@ -159,8 +158,7 @@ fn empty_input_pipeline_on_the_pool() {
     let inputs: Vec<u64> = Vec::new();
     for threads in THREAD_COUNTS {
         let config = EngineConfig::with_threads(threads).with_pool(Arc::clone(&pool));
-        let report = assert_matches_reference(&counting_job(true), &inputs, &config, "empty");
-        let metrics = &report.rounds[0].metrics;
+        let metrics = assert_matches_reference(&counting_job(true), &inputs, &config, "empty");
         assert_eq!(metrics.key_value_pairs, 0);
         assert_eq!(metrics.shuffle_records, 0);
         assert_eq!(metrics.reducers_used, 0);
@@ -189,8 +187,8 @@ fn one_pool_serves_two_pipelines_of_different_types() {
     for round in 0..3 {
         assert_matches_reference(&counting_job(true), &numbers, &config, "numbers");
         // Heap-backed keys (Vec<u32>).
-        let report = assert_matches_reference(&lengths, &words, &config, "words");
-        assert_eq!(report.rounds[0].metrics.input_records, 6, "round {round}");
+        let metrics = assert_matches_reference(&lengths, &words, &config, "words");
+        assert_eq!(metrics.input_records, 6, "round {round}");
     }
 }
 

@@ -1,7 +1,8 @@
 //! Sink-parity suite: the streaming result path must be indistinguishable
 //! from the legacy `Vec` path for every strategy.
 //!
-//! Pinned invariants, for every planner-selectable strategy at
+//! Pinned invariants, for every planner-selectable strategy and every paper
+//! algorithm the planner does not register (`common::PaperAlgorithm`) at
 //! `num_threads ∈ {1, 2, 8}` (deterministic seeded sweeps):
 //!
 //! 1. **CountSink** — the streamed count equals the collect path's
@@ -21,6 +22,9 @@
 //! final round streamed through per-bucket shards (no instance ever hit a
 //! buffering `Vec` path) while matching the collect path's metrics.
 
+mod common;
+
+use common::PaperAlgorithm;
 use std::any::Any;
 use std::cell::Cell;
 use subgraph_mr::core::sink::{Csv, EdgeList, Ndjson, TextFormat, TextSink};
@@ -35,15 +39,12 @@ fn strategies(sample: &SampleGraph) -> Vec<(StrategyKind, usize)> {
     let mut kinds = vec![
         (StrategyKind::BucketOriented, 64),
         (StrategyKind::VariableOriented, 64),
-        (StrategyKind::CqOriented, 32),
         (StrategyKind::SerialJoin, 1),
     ];
     if sample.num_nodes() == 3 && sample.num_edges() == 3 {
         kinds.extend([
             (StrategyKind::SerialTriangles, 1),
             (StrategyKind::BucketOriented, 220),
-            (StrategyKind::PartitionTriangles, 220),
-            (StrategyKind::MultiwayTriangles, 216),
             (StrategyKind::CascadeTriangles, 220),
         ]);
     }
@@ -79,12 +80,20 @@ fn assert_same_metrics(streamed: &RunReport, collected: &RunReport, context: &st
         collected.metrics.as_ref().map(JobMetrics::without_timings),
         "{context}: combined metrics diverge between sink and collect paths"
     );
+    assert_same_rounds(&streamed.round_metrics, &collected.round_metrics, context);
+    assert_eq!(streamed.work, collected.work, "{context}");
+    assert_eq!(streamed.rounds, collected.rounds, "{context}");
     assert_eq!(
-        streamed.round_metrics.len(),
-        collected.round_metrics.len(),
+        streamed.shuffle_bytes(),
+        collected.shuffle_bytes(),
         "{context}"
     );
-    for (s, c) in streamed.round_metrics.iter().zip(&collected.round_metrics) {
+}
+
+/// Per-round names and counters, timings aside, agree round for round.
+fn assert_same_rounds(streamed: &[RoundMetrics], collected: &[RoundMetrics], context: &str) {
+    assert_eq!(streamed.len(), collected.len(), "{context}");
+    for (s, c) in streamed.iter().zip(collected) {
         assert_eq!(s.name, c.name, "{context}");
         assert_eq!(
             s.metrics.without_timings(),
@@ -93,13 +102,6 @@ fn assert_same_metrics(streamed: &RunReport, collected: &RunReport, context: &st
             s.name
         );
     }
-    assert_eq!(streamed.work, collected.work, "{context}");
-    assert_eq!(streamed.rounds, collected.rounds, "{context}");
-    assert_eq!(
-        streamed.shuffle_bytes(),
-        collected.shuffle_bytes(),
-        "{context}"
-    );
 }
 
 /// The counters with the spill counters also flattened — for comparing a
@@ -129,6 +131,23 @@ fn count_sink_matches_the_collect_path_for_every_strategy() {
                 assert_same_metrics(&counted, &collected, &context);
             }
         }
+        for algorithm in PaperAlgorithm::applicable(&sample) {
+            for threads in THREAD_COUNTS {
+                let context = format!("{name} {algorithm:?} threads={threads}");
+                let config = EngineConfig::with_threads(threads);
+                let collected = algorithm.run(&sample, &graph, &config);
+                let mut counter = CountSink::new();
+                let counted = algorithm.run_into(&sample, &graph, &config, &mut counter);
+                assert_eq!(counter.count(), collected.count(), "{context}");
+                assert_eq!(counted.outputs, collected.count(), "{context}");
+                assert_eq!(
+                    counted.metrics.without_timings(),
+                    collected.metrics.without_timings(),
+                    "{context}"
+                );
+                assert_same_rounds(&counted.round_metrics, &collected.round_metrics, &context);
+            }
+        }
     }
 }
 
@@ -145,6 +164,20 @@ fn collect_sink_matches_the_collect_path_multiset() {
                 let report = plan.run_with_sink(&mut sink);
                 let mut streamed = sink.into_items();
                 assert_eq!(report.count(), streamed.len(), "{context}");
+                legacy.sort_unstable();
+                streamed.sort_unstable();
+                assert_eq!(streamed, legacy, "{context}");
+            }
+        }
+        for algorithm in PaperAlgorithm::applicable(&sample) {
+            for threads in THREAD_COUNTS {
+                let context = format!("{name} {algorithm:?} threads={threads}");
+                let config = EngineConfig::with_threads(threads);
+                let mut legacy = algorithm.run(&sample, &graph, &config).into_instances();
+                let mut sink = CollectSink::new();
+                let stats = algorithm.run_into(&sample, &graph, &config, &mut sink);
+                let mut streamed = sink.into_items();
+                assert_eq!(stats.outputs, streamed.len(), "{context}");
                 legacy.sort_unstable();
                 streamed.sort_unstable();
                 assert_eq!(streamed, legacy, "{context}");
@@ -167,6 +200,19 @@ fn fn_sink_sees_the_exact_deterministic_order() {
                 {
                     let mut sink = FnSink::new(|instance: Instance| seen.push(instance));
                     plan.run_with_sink(&mut sink);
+                }
+                assert_eq!(seen, legacy, "{context}");
+            }
+        }
+        for algorithm in PaperAlgorithm::applicable(&sample) {
+            for threads in THREAD_COUNTS {
+                let context = format!("{name} {algorithm:?} threads={threads}");
+                let config = EngineConfig::with_threads(threads);
+                let legacy = algorithm.run(&sample, &graph, &config).into_instances();
+                let mut seen = Vec::new();
+                {
+                    let mut sink = FnSink::new(|instance: Instance| seen.push(instance));
+                    algorithm.run_into(&sample, &graph, &config, &mut sink);
                 }
                 assert_eq!(seen, legacy, "{context}");
             }
@@ -253,6 +299,27 @@ fn a_forced_64k_budget_matches_the_unbudgeted_run_for_every_strategy() {
                 );
             }
         }
+        for algorithm in PaperAlgorithm::applicable(&sample) {
+            for threads in THREAD_COUNTS {
+                let context = format!("{name} {algorithm:?} threads={threads} budget=64K");
+                let run = |budget: usize| {
+                    let config = EngineConfig::with_threads(threads).memory_budget(budget);
+                    algorithm.run(&sample, &graph, &config)
+                };
+                let base = run(0);
+                let budgeted = run(64 << 10);
+                assert_eq!(budgeted.instances(), base.instances(), "{context}");
+                assert_eq!(
+                    counters_without_spill(&budgeted.metrics),
+                    counters_without_spill(&base.metrics),
+                    "{context}"
+                );
+                assert_eq!(
+                    base.metrics.spilled_bytes, 0,
+                    "{context}: the unbudgeted run must never touch disk"
+                );
+            }
+        }
     }
 }
 
@@ -265,33 +332,40 @@ fn a_64k_budget_really_spills_on_a_shuffle_heavy_run_and_stays_identical() {
     // multiway round ships 16 combined records per edge (3b − 2 at b = 6):
     // combining rounds spill too.
     let graph = generators::gnm(240, 9_000, 9_300);
-    for (kind, k, shipped) in [
-        (StrategyKind::BucketOriented, 220, 90_000),
-        (StrategyKind::MultiwayTriangles, 216, 144_000),
-    ] {
+    let triangle = catalog::triangle();
+    for (multiway, shipped) in [(false, 90_000), (true, 144_000)] {
         for threads in [2usize, 8] {
-            let context = format!("{kind} threads={threads} budget=64K");
-            let run = |budget: usize| {
-                EnumerationRequest::named("triangle", &graph)
-                    .unwrap()
-                    .reducers(k)
-                    .strategy(kind)
-                    .engine(EngineConfig::with_threads(threads).memory_budget(budget))
-                    .plan()
-                    .unwrap()
-                    .execute()
+            let label = if multiway {
+                "multiway"
+            } else {
+                "bucket-oriented"
             };
-            let base = run(0);
-            assert_eq!(base.communication(), shipped, "{context}");
-            let budgeted = run(64 << 10);
-            assert_eq!(budgeted.count(), base.count(), "{context}");
-            assert_eq!(budgeted.instances(), base.instances(), "{context}");
+            let context = format!("{label} threads={threads} budget=64K");
+            let run = |budget: usize| {
+                let config = EngineConfig::with_threads(threads).memory_budget(budget);
+                if multiway {
+                    let run = PaperAlgorithm::Multiway.run(&triangle, &graph, &config);
+                    (run.metrics.clone(), run.into_instances())
+                } else {
+                    let report = EnumerationRequest::new(triangle.clone(), &graph)
+                        .reducers(220)
+                        .strategy(StrategyKind::BucketOriented)
+                        .engine(config)
+                        .plan()
+                        .unwrap()
+                        .execute();
+                    (report.metrics.clone().unwrap(), report.into_instances())
+                }
+            };
+            let (base, base_instances) = run(0);
+            assert_eq!(base.shuffle_records, shipped, "{context}");
+            let (spill, instances) = run(64 << 10);
+            assert_eq!(instances, base_instances, "{context}");
             assert_eq!(
-                budgeted.metrics.as_ref().map(counters_without_spill),
-                base.metrics.as_ref().map(counters_without_spill),
+                counters_without_spill(&spill),
+                counters_without_spill(&base),
                 "{context}"
             );
-            let spill = budgeted.metrics.as_ref().unwrap();
             assert!(
                 spill.spilled_bytes > 0 && spill.spill_runs > 0,
                 "{context}: a 64 KiB budget must spill this workload \
@@ -299,7 +373,7 @@ fn a_64k_budget_really_spills_on_a_shuffle_heavy_run_and_stays_identical() {
                 spill.spilled_bytes,
                 spill.spill_runs
             );
-            assert_eq!(base.metrics.as_ref().unwrap().spilled_bytes, 0, "{context}");
+            assert_eq!(base.spilled_bytes, 0, "{context}");
         }
     }
 }

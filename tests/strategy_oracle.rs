@@ -1,6 +1,7 @@
-//! Differential test suite: every planner-selectable strategy against the
-//! serial oracle (`enumerate_generic`) on seeded random graphs — G(n, p) and
-//! power-law — across thread counts.
+//! Differential test suite: every planner-selectable strategy, and every
+//! paper algorithm the planner does not register (`common::PaperAlgorithm`),
+//! against the serial oracle (`enumerate_generic`) on seeded random graphs —
+//! G(n, p) and power-law — across thread counts.
 //!
 //! The invariants pinned here are stronger than instance counts:
 //!
@@ -13,6 +14,9 @@
 //!    (the multiway join) returns an identical instance stream with combiners
 //!    disabled, while shipping strictly more shuffle records.
 
+mod common;
+
+use common::PaperAlgorithm;
 use subgraph_mr::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -23,13 +27,10 @@ fn mr_strategies(sample: &SampleGraph) -> Vec<(StrategyKind, usize)> {
     let mut kinds = vec![
         (StrategyKind::BucketOriented, 64),
         (StrategyKind::VariableOriented, 64),
-        (StrategyKind::CqOriented, 32),
     ];
     if sample.num_nodes() == 3 && sample.num_edges() == 3 {
         kinds.extend([
             (StrategyKind::BucketOriented, 220),
-            (StrategyKind::PartitionTriangles, 220),
-            (StrategyKind::MultiwayTriangles, 216),
             (StrategyKind::CascadeTriangles, 220),
         ]);
     }
@@ -96,6 +97,17 @@ fn every_mr_strategy_matches_the_oracle_multiset_across_thread_counts() {
                         );
                     }
                 }
+                for algorithm in PaperAlgorithm::applicable(&sample) {
+                    for threads in THREAD_COUNTS {
+                        let config = EngineConfig::with_threads(threads);
+                        let run = algorithm.run(&sample, &graph, &config);
+                        assert_eq!(
+                            sorted_instances(run.into_instances()),
+                            oracle,
+                            "{case} {family} seed={seed} {algorithm:?} threads={threads}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -138,6 +150,18 @@ fn deterministic_mode_repeats_the_exact_instance_order() {
                 );
             }
         }
+        for algorithm in PaperAlgorithm::applicable(&sample) {
+            for threads in [2usize, 8] {
+                let config = EngineConfig::with_threads(threads);
+                let first = algorithm.run(&sample, &graph, &config);
+                let second = algorithm.run(&sample, &graph, &config);
+                assert_eq!(
+                    first.instances(),
+                    second.instances(),
+                    "{family} {algorithm:?} threads={threads}"
+                );
+            }
+        }
     }
 }
 
@@ -146,27 +170,17 @@ fn multiway_combiner_is_transparent_to_the_result_stream() {
     let sample = catalog::triangle();
     for (family, graph) in test_graphs(11) {
         for threads in THREAD_COUNTS {
-            let base = EnumerationRequest::new(sample.clone(), &graph)
-                .reducers(216)
-                .strategy(StrategyKind::MultiwayTriangles);
-            let with = base
-                .clone()
-                .engine(EngineConfig::with_threads(threads))
-                .plan()
-                .unwrap()
-                .execute();
-            let without = base
-                .engine(EngineConfig::with_threads(threads).combiners(false))
-                .plan()
-                .unwrap()
-                .execute();
+            let multiway = PaperAlgorithm::Multiway;
+            let config = EngineConfig::with_threads(threads);
+            let with = multiway.run(&sample, &graph, &config);
+            let without = multiway.run(&sample, &graph, &config.combiners(false));
             assert_eq!(
                 with.instances(),
                 without.instances(),
                 "{family} threads={threads}"
             );
-            let with_metrics = with.metrics.as_ref().unwrap();
-            let without_metrics = without.metrics.as_ref().unwrap();
+            let with_metrics = &with.metrics;
+            let without_metrics = &without.metrics;
             assert!(
                 with_metrics.shuffle_records < without_metrics.shuffle_records,
                 "{family} threads={threads}: combiner did not reduce the shuffle"
