@@ -7,7 +7,9 @@
 //!
 //! Run with no arguments to list the available reproductions.
 
-use subgraph_bench::{cli_table, computation, cq_tables, figures, planner_table, share_tables};
+use subgraph_bench::{
+    cli_table, computation, cq_tables, explain_matrix, figures, planner_table, share_tables,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -19,6 +21,7 @@ fn main() {
         match arg.as_str() {
             "all" => print!("{}", subgraph_bench::run_all()),
             "planner" => print!("{}", planner_table::planner_choices()),
+            "explain-matrix" => print!("{}", explain_matrix::explain_matrix()),
             "plan-times" => {
                 let report = planner_table::plan_timing();
                 subgraph_bench::report::write_tracked_json(
@@ -77,6 +80,8 @@ fn print_usage() {
          targets:\n  \
          all                   every table and figure\n  \
          planner               strategy chosen per pattern and reducer budget\n  \
+         explain-matrix        the planner's unforced decision for 14 patterns x 10 budgets x 2 \
+         graphs, one line each (golden docs/EXPLAIN.txt)\n  \
          plan-times            plan-time sweep: one plan() per catalog pattern, star9/10, \
          k8/9, c9, path8, k12, path10 and the hypercube4 refusal, median of 5 samples of >= 10 ms \
          (writes BENCH_planner.json)\n  \

@@ -28,6 +28,7 @@
 //! | Theorem 7.3 (bounded degree) | [`computation::bounded_degree_table`] |
 //! | Section 7.4 (relation sizes) | [`computation::relation_size_table`] |
 //! | strategy choice (Sections 2, 4, 6-7) | [`planner_table::planner_choices`] |
+//! | planner decisions per pattern, budget and graph (golden `docs/EXPLAIN.txt`) | [`explain_matrix::explain_matrix`] |
 //! | reduce kernel (local-graph build + compiled join vs the generic oracle) | [`kernel_bench::kernel_timing`] |
 //! | text-sink gate (ndjson enumerate vs count of one plan, a ratio) | [`sink_gate::sink_gate`] |
 //! | peak RSS per edge and under a spilling memory budget (≥ 1M edges) | [`memory_gate::memory_gate`] |
@@ -43,6 +44,7 @@
 pub mod cli_table;
 pub mod computation;
 pub mod cq_tables;
+pub mod explain_matrix;
 pub mod figures;
 pub mod kernel_bench;
 pub mod memory_gate;
