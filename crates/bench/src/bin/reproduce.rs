@@ -39,7 +39,6 @@ fn main() {
             "fig1" => print!("{}", figures::figure1()),
             "fig2" => print!("{}", figures::figure2()),
             "cascade" => print!("{}", figures::cascade_comparison()),
-            "combiner" => print!("{}", figures::combiner_table()),
             "square-cqs" => print!("{}", cq_tables::square_cqs()),
             "lollipop-cqs" => print!("{}", cq_tables::lollipop_cqs()),
             "cycle-cqs" => print!("{}", cq_tables::cycle_cq_table()),
@@ -108,7 +107,6 @@ fn print_usage() {
          fig1                  Figure 1  (asymptotic triangle comparison)\n  \
          fig2                  Figure 2  (specific reducer counts)\n  \
          cascade               Section 2 motivation (1-round vs 2-round cascade)\n  \
-         combiner              Section 2.2 multiway join: combiner on vs off\n  \
          square-cqs            Example 3.2 / Figure 3\n  \
          lollipop-cqs          Figures 5-7\n  \
          cycle-cqs             Section 5 / Examples 5.3-5.5\n  \

@@ -128,24 +128,4 @@ mod tests {
             "regenerate docs/EXPLAIN.txt on purpose"
         );
     }
-
-    #[test]
-    fn a_line_names_the_pick_and_every_candidate_or_its_refusal() {
-        let graph = GraphSource::parse_generator("gnm:200,800,1")
-            .and_then(|source| source.load())
-            .unwrap();
-        let (line, pick) = plan_line("g", &graph, "square", 1);
-        assert_eq!(pick, "serial-join");
-        assert!(line.starts_with("g square k=1: pick serial-join shares []"));
-        assert!(line.contains("serial-triangles refused ("), "{line}");
-        let (line, pick) = plan_line("g", &graph, "triangle", 64);
-        assert_eq!(pick, "bucket-oriented");
-        for kind in [
-            "bucket-oriented pairs",
-            "variable-oriented pairs",
-            "cascade-triangles pairs",
-        ] {
-            assert!(line.contains(kind), "{line}");
-        }
-    }
 }

@@ -10,7 +10,7 @@ use subgraph_core::triangles::multiway::run_multiway_triangles_into;
 use subgraph_core::triangles::partition::run_partition_triangles_into;
 use subgraph_core::{MapReduceRun, RunStats};
 use subgraph_graph::{generators, DataGraph};
-use subgraph_mapreduce::EngineConfig;
+use subgraph_mapreduce::{EngineConfig, JobMetrics};
 use subgraph_pattern::catalog;
 use subgraph_shares::counting::{
     multiway_triangle_replication, ordered_triangle_replication, partition_triangle_replication,
@@ -40,8 +40,23 @@ fn run_partition(graph: &DataGraph, b: usize) -> RunStats {
 
 /// The plain multiway join with `b` buckets per variable (`b³` reducers),
 /// collected.
-fn run_multiway(graph: &DataGraph, b: usize, config: &EngineConfig) -> MapReduceRun {
-    RunStats::collect(|sink| run_multiway_triangles_into(graph, b, config, sink))
+fn run_multiway(graph: &DataGraph, b: usize) -> MapReduceRun {
+    RunStats::collect(|sink| run_multiway_triangles_into(graph, b, &EngineConfig::default(), sink))
+}
+
+/// The note on footnote 1: a naive multiway mapper sends all `3b` role
+/// copies of an edge, where the measured run sends `3b − 2`; the pairs and
+/// bytes it would ship, each pair priced like the measured run's.
+fn naive_multiway_note(graph: &DataGraph, b: usize, measured: &JobMetrics) -> String {
+    let pairs = 3 * b * graph.num_edges();
+    let bytes = measured.shuffle_bytes / measured.shuffle_records as u64 * pairs as u64;
+    format!(
+        "the multiway mapper sends each edge to its 3b−2 = {} distinct reducers, so the \
+         measured column is the paper's 3b−2 exactly; footnote 1's naive mapper sends all \
+         3b = {} role copies: {pairs} pairs ({bytes} bytes) at b = {b}",
+        3 * b - 2,
+        3 * b
+    )
 }
 
 /// Figure 1 — asymptotic comparison of the three algorithms at (approximately)
@@ -72,16 +87,16 @@ pub fn figure1() -> String {
         format!("(6k)^1/3 = {b_partition}"),
         "3·(6k)^1/3 / 2  (≈ 3b/2)".into(),
         fmt(partition_triangle_replication(b_partition as u64)),
-        fmt(partition_metrics.shuffled_per_input()),
+        fmt(partition_metrics.replication_per_input()),
     ]);
-    let multiway_run = run_multiway(&graph, b_multiway, &EngineConfig::default());
+    let multiway_run = run_multiway(&graph, b_multiway);
     let multiway_metrics = &multiway_run.metrics;
     table.row(&[
         "Section 2.2 multiway join".into(),
         format!("k^1/3 = {b_multiway}"),
         "3·k^1/3 − 2  (= 3b−2)".into(),
         fmt(multiway_triangle_replication(b_multiway as u64)),
-        fmt(multiway_metrics.shuffled_per_input()),
+        fmt(multiway_metrics.replication_per_input()),
     ]);
     let ordered_run = run_triangles(
         &graph,
@@ -94,7 +109,7 @@ pub fn figure1() -> String {
         format!("(6k)^1/3 = {b_ordered}"),
         "(6k)^1/3  (= b)".into(),
         fmt(ordered_triangle_replication(b_ordered as u64)),
-        fmt(ordered_metrics.shuffled_per_input()),
+        fmt(ordered_metrics.replication_per_input()),
     ]);
     table.note(&format!(
         "data graph: n = {}, m = {}; all three algorithms found {} triangles",
@@ -102,11 +117,7 @@ pub fn figure1() -> String {
         graph.num_edges(),
         ordered_run.count()
     ));
-    table.note(
-        "the multiway mappers emit the naive 3b pairs per edge (paper footnote 1); the \
-         map-side combiner merges the two coinciding roles, so the measured shipped count \
-         matches the paper's 3b−2 exactly (see the `combiner` reproduction)",
-    );
+    table.note(&naive_multiway_note(&graph, b_multiway, multiway_metrics));
     assert_eq!(partition_run.outputs, ordered_run.count());
     assert_eq!(multiway_run.count(), ordered_run.count());
     table.render()
@@ -135,9 +146,9 @@ pub fn figure2() -> String {
         "C(12,3) = 220".into(),
         partition_metrics.reducers_used.to_string(),
         "13.75".into(),
-        fmt(partition_metrics.shuffled_per_input()),
+        fmt(partition_metrics.replication_per_input()),
     ]);
-    let multiway_run = run_multiway(&graph, 6, &EngineConfig::default());
+    let multiway_run = run_multiway(&graph, 6);
     let multiway_metrics = &multiway_run.metrics;
     table.row(&[
         "Section 2.2 multiway join".into(),
@@ -145,7 +156,7 @@ pub fn figure2() -> String {
         "6³ = 216".into(),
         multiway_metrics.reducers_used.to_string(),
         "16".into(),
-        fmt(multiway_metrics.shuffled_per_input()),
+        fmt(multiway_metrics.replication_per_input()),
     ]);
     let ordered_run = run_triangles(&graph, StrategyKind::BucketOriented, 220);
     let ordered_metrics = ordered_run.metrics.as_ref().unwrap();
@@ -155,16 +166,13 @@ pub fn figure2() -> String {
         "C(12,3) = 220".into(),
         ordered_metrics.reducers_used.to_string(),
         "10".into(),
-        fmt(ordered_metrics.shuffled_per_input()),
+        fmt(ordered_metrics.replication_per_input()),
     ]);
     table.note(&format!(
         "triangles found by all three algorithms: {}",
         ordered_run.count()
     ));
-    table.note(
-        "the multiway measured column matches the paper's 3b−2 = 16 because the map-side \
-         combiner merges coinciding role emissions before the shuffle",
-    );
+    table.note(&naive_multiway_note(&graph, 6, multiway_metrics));
     // Every reducer runs the triangle's one join; the same join by one
     // reducer over every edge is the serial baseline.
     let serial_run = run_triangles(&graph, StrategyKind::BucketOriented, 1);
@@ -235,54 +243,9 @@ pub fn cascade_comparison() -> String {
     table.render()
 }
 
-/// Map-side combiner effect — the multiway join with the role-merging
-/// combiner enabled (paper's `3b − 2` per edge) versus disabled (footnote 1's
-/// naive `3b`), with byte accounting. Outputs are identical by construction;
-/// the table asserts it.
-pub fn combiner_table() -> String {
-    let graph = figure_graph();
-    let b = 6usize;
-    let run =
-        |combiners: bool| run_multiway(&graph, b, &EngineConfig::default().combiners(combiners));
-    let with = run(true);
-    let without = run(false);
-    assert_eq!(with.instances(), without.instances());
-    let mut table = Table::new(
-        "Map-side combiner — multiway join, emitted vs shipped (b = 6)",
-        &[
-            "combiner",
-            "kv pairs emitted",
-            "kv pairs shipped",
-            "shipped/edge",
-            "shuffle bytes",
-            "triangles",
-        ],
-    );
-    for (label, report) in [("on", &with), ("off", &without)] {
-        let metrics = &report.metrics;
-        table.row(&[
-            label.into(),
-            metrics.key_value_pairs.to_string(),
-            metrics.shuffle_records.to_string(),
-            fmt(metrics.shuffled_per_input()),
-            metrics.shuffle_bytes.to_string(),
-            report.count().to_string(),
-        ]);
-    }
-    table.note(&format!(
-        "combiner savings: {:.1}% of emitted pairs merged away (3b − 2 = {} of 3b = {} per edge)",
-        with.metrics.combiner_savings() * 100.0,
-        3 * b - 2,
-        3 * b
-    ));
-    table.note("both runs return byte-identical triangle sets (asserted)");
-    table.render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subgraph_mapreduce::JobMetrics;
 
     #[test]
     fn figure1_reports_the_ordered_algorithm_as_cheapest() {
@@ -340,14 +303,5 @@ mod tests {
         assert!(counted
             .describe_output()
             .contains(&format!("{} instances streamed", collected.count())));
-    }
-
-    #[test]
-    fn combiner_table_shows_the_discount() {
-        let text = combiner_table();
-        assert!(text.contains("combiner"));
-        assert!(text.contains("on"));
-        assert!(text.contains("off"));
-        assert!(text.contains("3b − 2 = 16"));
     }
 }

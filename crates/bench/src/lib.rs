@@ -12,7 +12,6 @@
 //! |---|---|
 //! | Figure 1 (asymptotic triangle comparison) | [`figures::figure1`] |
 //! | Figure 2 (specific reducer counts) | [`figures::figure2`] |
-//! | Section 2.2 / footnote 1 (map-side combiner effect) | [`figures::combiner_table`] |
 //! | Example 3.1–3.2 / Figure 3 (square CQs) | [`cq_tables::square_cqs`] |
 //! | Figures 5–7 (lollipop CQs) | [`cq_tables::lollipop_cqs`] |
 //! | Section 5 / Examples 5.3–5.5 (cycle CQs) | [`cq_tables::cycle_cq_table`] |
@@ -60,7 +59,6 @@ pub fn run_all() -> String {
     out.push_str(&figures::figure1());
     out.push_str(&figures::figure2());
     out.push_str(&figures::cascade_comparison());
-    out.push_str(&figures::combiner_table());
     out.push_str(&cq_tables::square_cqs());
     out.push_str(&cq_tables::lollipop_cqs());
     out.push_str(&cq_tables::cycle_cq_table());

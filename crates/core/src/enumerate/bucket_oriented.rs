@@ -327,7 +327,7 @@ mod tests {
                 let run = collect_run(&sample, &g, b);
                 let expected =
                     bucket_oriented_replication(b as u64, p as u64) as usize * g.num_edges();
-                assert_eq!(run.metrics.key_value_pairs, expected, "p={p} b={b}");
+                assert_eq!(run.metrics.shuffle_records, expected, "p={p} b={b}");
                 let max = useful_reducers(b as u64, p as u64);
                 assert!((run.metrics.reducers_used as u128) <= max);
             }
@@ -365,7 +365,7 @@ mod tests {
             let per_cq = bucket_oriented_with_cqs(p, &cqs_for_sample(&sample), &g, 3, &config());
             // The map side is the same round; only the reducers' join differs.
             let shipped = |m: &subgraph_mapreduce::JobMetrics| {
-                (m.key_value_pairs, m.shuffle_bytes, m.reducers_used)
+                (m.shuffle_records, m.shuffle_bytes, m.reducers_used)
             };
             assert_eq!(shipped(&one.metrics), shipped(&per_cq.metrics));
             let (work, per_cq_work) = (one.metrics.reducer_work, per_cq.metrics.reducer_work);
@@ -459,7 +459,7 @@ mod tests {
         let g = generators::gnm(25, 100, 25);
         let run = collect_run(&catalog::square(), &g, 1);
         assert_eq!(run.metrics.reducers_used, 1);
-        assert_eq!(run.metrics.key_value_pairs, g.num_edges());
+        assert_eq!(run.metrics.shuffle_records, g.num_edges());
         assert_eq!(
             run.count(),
             enumerate_generic(&catalog::square(), &g).count()

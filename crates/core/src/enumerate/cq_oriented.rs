@@ -168,10 +168,10 @@ mod tests {
             variable_oriented::run_with_plan(&g, &variable_oriented::plan(&sample, 128), &config());
         let separate = collect_run(&sample, &g, 128);
         assert!(
-            separate.metrics.key_value_pairs >= combined.metrics.key_value_pairs,
+            separate.metrics.shuffle_records >= combined.metrics.shuffle_records,
             "separate {} vs combined {}",
-            separate.metrics.key_value_pairs,
-            combined.metrics.key_value_pairs
+            separate.metrics.shuffle_records,
+            combined.metrics.shuffle_records
         );
         assert_eq!(separate.count(), combined.count());
     }

@@ -143,7 +143,7 @@ mod tests {
         assert_eq!(shares, plan.shares);
         let run = run_with_plan(&g, &plan, &config());
         let predicted_total = replication * g.num_edges() as f64;
-        let measured = run.metrics.key_value_pairs as f64;
+        let measured = run.metrics.shuffle_records as f64;
         assert!(
             (measured - predicted_total).abs() / predicted_total < 1e-9,
             "measured {measured} vs predicted {predicted_total}"

@@ -3,18 +3,13 @@
 
 use crate::plan::strategy::StrategyKind;
 
-/// The planner's per-round communication prediction: what the mappers emit,
-/// what actually crosses the shuffle after map-side combining, and the
-/// shuffled payload in bytes.
+/// The planner's per-round communication prediction: the pairs the round
+/// ships and their payload in bytes.
 #[derive(Clone, Debug)]
 pub struct RoundCost {
     /// Round name.
     pub name: String,
-    /// Predicted key-value pairs emitted by the round's mappers.
-    pub emitted: f64,
-    /// Predicted key-value pairs shipped through the shuffle — equals
-    /// `emitted` for rounds without a combiner, less with one (e.g. the
-    /// multiway join's `3b − 2` vs the naive `3b`).
+    /// Predicted key-value pairs shipped through the shuffle.
     pub shuffled: f64,
     /// Predicted shuffled payload bytes (`shuffled` × per-record bytes, with
     /// the same record weigher the engine uses).
@@ -22,33 +17,12 @@ pub struct RoundCost {
 }
 
 impl RoundCost {
-    /// A round without a combiner: everything emitted is shipped, at
-    /// `bytes_per_record` bytes each.
-    pub fn without_combiner(
-        name: impl Into<String>,
-        records: f64,
-        bytes_per_record: usize,
-    ) -> Self {
+    /// A round that ships `records` pairs of `bytes_per_record` bytes each.
+    pub fn new(name: impl Into<String>, records: f64, bytes_per_record: usize) -> Self {
         RoundCost {
             name: name.into(),
-            emitted: records,
             shuffled: records,
             shuffle_bytes: records * bytes_per_record as f64,
-        }
-    }
-
-    /// A round whose combiner discounts the emitted pairs down to `shuffled`.
-    pub fn with_combiner(
-        name: impl Into<String>,
-        emitted: f64,
-        shuffled: f64,
-        bytes_per_record: usize,
-    ) -> Self {
-        RoundCost {
-            name: name.into(),
-            emitted,
-            shuffled,
-            shuffle_bytes: shuffled * bytes_per_record as f64,
         }
     }
 }
@@ -73,9 +47,8 @@ pub struct CostEstimate {
     /// Per-round communication predictions (one entry per round; empty for
     /// serial strategies).
     pub round_costs: Vec<RoundCost>,
-    /// Predicted copies of each data edge shipped to reducers after combiner
-    /// discounts (the paper's per-edge replication formulas: `b`, `3b − 2`,
-    /// `C(b+p-3, p-2)`, ...).
+    /// Predicted copies of each data edge shipped to reducers (the paper's
+    /// per-edge replication formulas: `b`, `3b − 2`, `C(b+p-3, p-2)`, ...).
     pub replication_per_edge: f64,
     /// Predicted total communication cost: the sum of the per-round shipped
     /// pairs (`replication_per_edge x m`).
@@ -97,22 +70,11 @@ pub struct CostEstimate {
 }
 
 impl CostEstimate {
-    /// Predicted key-value pairs emitted by the mappers across all rounds
-    /// (before combiner discounts).
-    pub fn emitted_communication(&self) -> f64 {
-        (self.round_costs.iter()).map(|r| r.emitted).sum()
-    }
-
     /// Predicted shuffled payload bytes across all rounds.
     pub fn predicted_shuffle_bytes(&self) -> f64 {
         (self.round_costs.iter()).map(|r| r.shuffle_bytes).sum()
     }
 
-    /// True when a map-side combiner is predicted to remove pairs before the
-    /// shuffle.
-    pub fn has_combiner_discount(&self) -> bool {
-        self.round_costs.iter().any(|r| r.shuffled < r.emitted)
-    }
     /// The planner's ranking key: communication first (the paper's primary
     /// cost), predicted computation as the tie-breaker, strategy order as the
     /// final deterministic tie-breaker.
@@ -192,16 +154,16 @@ mod tests {
     }
 
     #[test]
-    fn round_costs_expose_combiner_discounts_and_byte_totals() {
+    fn round_costs_price_their_records_and_sum_to_the_byte_total() {
         let estimate = CostEstimate {
-            strategy: StrategyKind::BucketOriented,
-            paper_section: "2.2",
-            rounds: 1,
+            strategy: StrategyKind::CascadeTriangles,
+            paper_section: "2",
+            rounds: 2,
             shares: vec![],
-            buckets: Some(6),
+            buckets: None,
             round_costs: vec![
-                RoundCost::with_combiner("multiway", 1800.0, 1600.0, 24),
-                RoundCost::without_combiner("extra", 100.0, 16),
+                RoundCost::new("wedge", 1600.0, 24),
+                RoundCost::new("closing", 100.0, 16),
             ],
             replication_per_edge: 17.0,
             communication: 1700.0,
@@ -210,19 +172,9 @@ mod tests {
             classes_scored: 0,
             classes_pruned: 0,
         };
-        assert_eq!(estimate.emitted_communication(), 1900.0);
+        assert_eq!(estimate.round_costs[1].shuffled, 100.0);
+        assert_eq!(estimate.round_costs[1].shuffle_bytes, 1600.0);
         assert_eq!(estimate.predicted_shuffle_bytes(), 1600.0 * 24.0 + 1600.0);
-        assert!(estimate.has_combiner_discount());
-        let plain = RoundCost::without_combiner("r", 10.0, 8);
-        assert_eq!(plain.emitted, plain.shuffled);
-        assert_eq!(plain.shuffle_bytes, 80.0);
-        let uncombined = CostEstimate {
-            round_costs: vec![plain],
-            ..estimate
-        };
-        assert_eq!(uncombined.emitted_communication(), 10.0);
-        assert_eq!(uncombined.predicted_shuffle_bytes(), 80.0);
-        assert!(!uncombined.has_combiner_discount());
     }
 
     #[test]

@@ -227,27 +227,17 @@ impl<'g> ExecutionPlan<'g> {
             format_value(self.chosen.reducer_work)
         ));
         // The per-round breakdown earns its lines when there is something a
-        // single total cannot show: several rounds, or a combiner discount.
+        // single total cannot show: several rounds (the cascade).
         let costs = &self.chosen.round_costs;
-        if costs.len() > 1 || self.chosen.has_combiner_discount() {
+        if costs.len() > 1 {
             out.push_str("  per-round communication:\n");
             for round in costs {
-                if round.shuffled < round.emitted {
-                    out.push_str(&format!(
-                        "    {}: {} pairs emitted, {} shipped after map-side combining ({} bytes)\n",
-                        round.name,
-                        format_value(round.emitted),
-                        format_value(round.shuffled),
-                        format_value(round.shuffle_bytes),
-                    ));
-                } else {
-                    out.push_str(&format!(
-                        "    {}: {} pairs shipped ({} bytes)\n",
-                        round.name,
-                        format_value(round.shuffled),
-                        format_value(round.shuffle_bytes),
-                    ));
-                }
+                out.push_str(&format!(
+                    "    {}: {} pairs shipped ({} bytes)\n",
+                    round.name,
+                    format_value(round.shuffled),
+                    format_value(round.shuffle_bytes),
+                ));
             }
         }
         out.push_str("candidates (cheapest first):\n");

@@ -215,8 +215,8 @@ impl RunReport {
         }
         if let Some(metrics) = &self.metrics {
             out.push_str(&format!(
-                "shuffle:  {} pairs shipped ({} emitted before combining, {} bytes)\n",
-                metrics.shuffle_records, metrics.key_value_pairs, metrics.shuffle_bytes,
+                "shuffle:  {} pairs shipped ({} bytes)\n",
+                metrics.shuffle_records, metrics.shuffle_bytes,
             ));
             let millis = |d: std::time::Duration| d.as_secs_f64() * 1e3;
             for (i, round) in self.round_metrics.iter().enumerate() {
@@ -253,17 +253,10 @@ impl RunReport {
         out
     }
 
-    /// Measured communication cost: key-value pairs actually shipped through
-    /// the shuffle(s), i.e. after map-side combining. 0 for serial strategies,
-    /// which ship nothing; identical to [`RunReport::emitted_communication`]
-    /// for strategies without a combiner.
+    /// Measured communication cost: key-value pairs shipped through the
+    /// shuffle(s). 0 for serial strategies, which ship nothing.
     pub fn communication(&self) -> usize {
         self.metrics.as_ref().map_or(0, |m| m.shuffle_records)
-    }
-
-    /// Key-value pairs emitted by the mappers before any combining.
-    pub fn emitted_communication(&self) -> usize {
-        self.metrics.as_ref().map_or(0, |m| m.key_value_pairs)
     }
 
     /// Measured shuffled payload bytes across all rounds.
@@ -304,9 +297,6 @@ mod tests {
             RunStats::single_round(
                 "bucket-oriented",
                 JobMetrics {
-                    key_value_pairs: 45,
-                    combiner_input_records: 45,
-                    combiner_output_records: 42,
                     shuffle_records: 42,
                     shuffle_bytes: 840,
                     reducer_work: 7,
@@ -319,7 +309,6 @@ mod tests {
         assert_eq!(mr.count(), 1);
         assert_eq!(mr.instances().len(), 1);
         assert_eq!(mr.communication(), 42);
-        assert_eq!(mr.emitted_communication(), 45);
         assert_eq!(mr.shuffle_bytes(), 840);
         assert_eq!(mr.work, 7);
         assert_eq!(mr.rounds, 1);
@@ -387,7 +376,6 @@ mod tests {
                 ..RunStats::single_round(
                     "bucket-oriented",
                     JobMetrics {
-                        key_value_pairs: 45,
                         shuffle_records: 42,
                         shuffle_bytes: 840,
                         wire_bytes: 315,
@@ -406,7 +394,7 @@ mod tests {
         let text = streamed.render();
         assert!(text.contains("strategy: bucket-oriented (1 round)"));
         assert!(text.contains("3 instances streamed"));
-        assert!(text.contains("42 pairs shipped (45 emitted before combining, 840 bytes)"));
+        assert!(text.contains("shuffle:  42 pairs shipped (840 bytes)"));
         assert!(text.contains("round bucket-oriented"));
         assert!(text.contains("keys 9/56, wire 7.5 B/rec vs priced 20.0 B/rec"));
         assert!(text.contains("map 1.5 ms, exchange 0.0 ms, reduce 12.0 ms, sink fold 2.3 ms"));

@@ -221,8 +221,7 @@ fn wedge_bound(request: &EnumerationRequest<'_>) -> f64 {
 
 /// The common part of every map-reduce estimate: total communication and the
 /// per-edge replication are derived from the per-round shipped-pair
-/// predictions, so combiner discounts automatically propagate into the
-/// planner's ranking.
+/// predictions.
 #[allow(clippy::too_many_arguments)]
 fn mr_estimate(
     kind: StrategyKind,
@@ -286,7 +285,7 @@ impl Strategy for BucketOriented {
             1,
             vec![b as f64; p],
             Some(b),
-            vec![RoundCost::without_combiner(
+            vec![RoundCost::new(
                 "bucket-oriented",
                 records,
                 vec_key_record_bytes(p),
@@ -339,7 +338,7 @@ impl Strategy for VariableOriented {
             1,
             shares.iter().map(|&s| s as f64).collect(),
             None,
-            vec![RoundCost::without_combiner(
+            vec![RoundCost::new(
                 "variable-oriented",
                 replication * m as f64,
                 vec_key_record_bytes(p),
@@ -397,8 +396,8 @@ impl Strategy for CascadeTriangles {
             Vec::new(),
             None,
             vec![
-                RoundCost::without_combiner("wedge", 2.0 * m as f64, wedge_bytes),
-                RoundCost::without_combiner("closing", m as f64 + wedges, closing_bytes),
+                RoundCost::new("wedge", 2.0 * m as f64, wedge_bytes),
+                RoundCost::new("closing", m as f64 + wedges, closing_bytes),
             ],
             request.graph().num_nodes() as f64 + wedges.min(m as f64 * m as f64),
             2.0 * m as f64 + 2.0 * wedges,
@@ -647,7 +646,6 @@ mod tests {
         assert_eq!(ordered.buckets, Some(10));
         assert!((ordered.replication_per_edge - 10.0).abs() < 1e-12);
         assert!((ordered.communication - 6000.0).abs() < 1e-9);
-        assert!(!ordered.has_combiner_discount());
         // Figure 2's ordering at ~220 reducers: Partition at b = 12
         // (C(12, 3) = 220) and the multiway join at b = 6 (6³ = 216) ship
         // more per edge, which is why neither is registered.

@@ -93,7 +93,7 @@ pub struct RunStats {
     /// Instances streamed to the sink by the final round's reducers.
     pub outputs: usize,
     /// Combined cost metrics over all rounds (communication cost, reducers
-    /// used, reducer work, combiner savings, skew, timings).
+    /// used, reducer work, skew, timings).
     pub metrics: JobMetrics,
     /// Per-round (or, for CQ-oriented processing, per-job) metrics in
     /// execution order. Never empty for a run that executed the engine.
@@ -241,7 +241,6 @@ mod tests {
     fn single_round_runs_carry_one_round_entry() {
         let a = Instance::from_edge_set([(0, 1), (1, 2), (0, 2)]);
         let metrics = JobMetrics {
-            key_value_pairs: 9,
             shuffle_records: 9,
             outputs: 1,
             ..JobMetrics::default()
@@ -258,7 +257,6 @@ mod tests {
         let mut total = RunStats::single_round(
             "job-0",
             JobMetrics {
-                key_value_pairs: 10,
                 shuffle_records: 10,
                 outputs: 2,
                 ..JobMetrics::default()
@@ -267,7 +265,6 @@ mod tests {
         total.absorb(RunStats::single_round(
             "job-1",
             JobMetrics {
-                key_value_pairs: 5,
                 shuffle_records: 5,
                 outputs: 3,
                 ..JobMetrics::default()
@@ -275,7 +272,7 @@ mod tests {
         ));
         assert_eq!(total.outputs, 5);
         assert_eq!(total.metrics.outputs, 5);
-        assert_eq!(total.metrics.key_value_pairs, 15);
+        assert_eq!(total.metrics.shuffle_records, 15);
         assert_eq!(total.round_metrics.len(), 2);
         assert_eq!(total.round_metrics[1].name, "job-1");
     }

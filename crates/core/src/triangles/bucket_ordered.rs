@@ -57,7 +57,7 @@ mod tests {
         let g = generators::gnm(150, 1500, 9);
         for b in [2usize, 5, 10, 16] {
             let run = run_bucket_ordered_triangles(&g, b, &config());
-            assert_eq!(run.metrics.key_value_pairs, b * g.num_edges(), "b={b}");
+            assert_eq!(run.metrics.shuffle_records, b * g.num_edges(), "b={b}");
             // Only non-decreasing triples are ever materialized.
             let max = useful_reducers(b as u64, 3);
             assert!((run.metrics.reducers_used as u128) <= max, "b={b}");
@@ -74,12 +74,12 @@ mod tests {
         let partition = crate::triangles::partition::run_partition_triangles(&g, 12, &config());
         let multiway = crate::triangles::multiway::run_multiway_triangles(&g, 6, &config());
         assert!(
-            ordered.metrics.key_value_pairs < partition.metrics.key_value_pairs,
+            ordered.metrics.shuffle_records < partition.metrics.shuffle_records,
             "ordered {} vs partition {}",
-            ordered.metrics.key_value_pairs,
-            partition.metrics.key_value_pairs
+            ordered.metrics.shuffle_records,
+            partition.metrics.shuffle_records
         );
-        assert!(ordered.metrics.key_value_pairs < multiway.metrics.key_value_pairs);
+        assert!(ordered.metrics.shuffle_records < multiway.metrics.shuffle_records);
         // All three agree on the answer.
         assert_eq!(ordered.count(), partition.count());
         assert_eq!(ordered.count(), multiway.count());
@@ -111,6 +111,6 @@ mod tests {
         let run = run_bucket_ordered_triangles(&g, 1, &config());
         assert_eq!(run.metrics.reducers_used, 1);
         assert_eq!(run.count(), enumerate_triangles_serial(&g).count());
-        assert_eq!(run.metrics.key_value_pairs, g.num_edges());
+        assert_eq!(run.metrics.shuffle_records, g.num_edges());
     }
 }

@@ -277,7 +277,7 @@ mod tests {
         // Round 1 maps the m edges and ships two pairs per edge.
         assert_eq!(run.round_metrics[0].metrics.input_records, g.num_edges());
         assert_eq!(
-            run.round_metrics[0].metrics.key_value_pairs,
+            run.round_metrics[0].metrics.shuffle_records,
             2 * g.num_edges()
         );
         // Round 2 maps every wedge plus every edge, one pair each.
@@ -286,10 +286,9 @@ mod tests {
             run.round_metrics[1].metrics.input_records,
             wedges + g.num_edges()
         );
-        // No combiner: shipped equals emitted, and bytes follow the weigher.
+        // Bytes follow each round's weigher.
         let (r1_bytes, r2_bytes) = cascade_record_bytes();
         for (round, bytes) in run.round_metrics.iter().zip([r1_bytes, r2_bytes]) {
-            assert_eq!(round.metrics.shuffle_records, round.metrics.key_value_pairs);
             assert_eq!(
                 round.metrics.shuffle_bytes,
                 (round.metrics.shuffle_records * bytes) as u64
@@ -297,9 +296,9 @@ mod tests {
         }
         // The combined metrics add the rounds.
         assert_eq!(
-            run.metrics.key_value_pairs,
-            run.round_metrics[0].metrics.key_value_pairs
-                + run.round_metrics[1].metrics.key_value_pairs
+            run.metrics.shuffle_records,
+            run.round_metrics[0].metrics.shuffle_records
+                + run.round_metrics[1].metrics.shuffle_records
         );
     }
 
@@ -309,7 +308,7 @@ mod tests {
         let g = generators::complete(8);
         let (wedges, metrics) = wedge_round(&g, &config());
         assert_eq!(wedges.len(), 56);
-        assert_eq!(metrics.key_value_pairs, 2 * g.num_edges());
+        assert_eq!(metrics.shuffle_records, 2 * g.num_edges());
         for w in &wedges {
             assert!(w.x < w.y && w.y < w.z);
         }
@@ -321,7 +320,7 @@ mod tests {
         let (wedges, _) = wedge_round(&g, &config());
         let run = run_cascade_triangles(&g, &config());
         assert_eq!(
-            run.metrics.key_value_pairs,
+            run.metrics.shuffle_records,
             2 * g.num_edges() + wedges.len() + g.num_edges()
         );
     }
@@ -338,10 +337,10 @@ mod tests {
         });
         assert_eq!(cascade.count(), one_round.count());
         assert!(
-            cascade.metrics.key_value_pairs > one_round.metrics.key_value_pairs,
+            cascade.metrics.shuffle_records > one_round.metrics.shuffle_records,
             "cascade {} vs one-round {}",
-            cascade.metrics.key_value_pairs,
-            one_round.metrics.key_value_pairs
+            cascade.metrics.shuffle_records,
+            one_round.metrics.shuffle_records
         );
     }
 
@@ -353,7 +352,7 @@ mod tests {
         let g = generators::cycle(12);
         let run = run_cascade_triangles(&g, &config());
         assert_eq!(run.count(), 0);
-        assert!(run.metrics.key_value_pairs > 3 * g.num_edges());
+        assert!(run.metrics.shuffle_records > 3 * g.num_edges());
     }
 
     #[test]
@@ -364,6 +363,6 @@ mod tests {
         let g = generators::complete_bipartite(6, 6);
         let run = run_cascade_triangles(&g, &config());
         assert_eq!(run.count(), 0);
-        assert_eq!(run.metrics.key_value_pairs, 3 * g.num_edges());
+        assert_eq!(run.metrics.shuffle_records, 3 * g.num_edges());
     }
 }

@@ -6,15 +6,13 @@
 //! triple `[x, y, z]` of buckets (so there are `b³` reducers), and each edge
 //! is sent in three roles: as an `(X,Y)` tuple to the `b` reducers
 //! `[h(u), h(v), *]`, as `(Y,Z)` to `[*, h(u), h(v)]`, and as `(X,Z)` to
-//! `[h(u), *, h(v)]` — `3b` key-value pairs per edge.
+//! `[h(u), *, h(v)]`.
 //!
-//! The paper's `3b − 2` counts the two coinciding reducers once; its
-//! footnote 1 notes that naive mappers ship all `3b`. Here the map-side
-//! combiner realizes the `3b − 2` bound: it keeps one copy of an edge per
-//! reducer (the coinciding pairs are always emitted by the same map shard, so
-//! the combiner sees them together). With combiners enabled the measured
-//! `shuffle_records` per edge is exactly `3b − 2`; disabling them
-//! ([`EngineConfig::combiners`]) restores the naive `3b`.
+//! Two of those `3b` keys always coincide with others, so an edge reaches
+//! the paper's `3b − 2` distinct reducers; footnote 1 notes that naive
+//! mappers ship all `3b`. The mapper here emits each distinct key once
+//! (`destinations`), so the measured `shuffle_records` per edge is exactly
+//! `3b − 2` and every reducer receives each of its edges once.
 //!
 //! A reducer does not need to know which role an edge came in: it runs the
 //! triangle's one join ([`sample_plan`]) over its edges, binding `X`, `Y` and
@@ -31,8 +29,8 @@ use subgraph_mapreduce::{EngineConfig, MapContext, ReduceContext, Round};
 use subgraph_pattern::{catalog, Instance};
 
 /// Runs the Section 2.2 multiway-join triangle algorithm with `b` buckets per
-/// variable (`b³` potential reducers) as one [`Round`] whose combiner merges
-/// coinciding role emissions, streaming each triangle into `sink`.
+/// variable (`b³` potential reducers) as one [`Round`] that sends each edge
+/// to its `3b − 2` distinct reducers, streaming each triangle into `sink`.
 ///
 /// Not a planner strategy: Section 2 shows it ships more than Section 2.3's
 /// algorithm (bucket-oriented processing at `p = 3`) at every reducer count,
@@ -50,27 +48,16 @@ pub fn run_multiway_triangles_into(
 
     let mapper = move |edge: &Edge, ctx: &mut MapContext<[u32; 3], Edge>| {
         // The edge relation holds (lo, hi): lo < hi in the identifier order.
-        let (hu, hv) = (hash(edge.lo()), hash(edge.hi()));
-        for other in 0..b as u32 {
-            ctx.emit([hu, hv, other], *edge); // E(X, Y)
-            ctx.emit([other, hu, hv], *edge); // E(Y, Z)
-            ctx.emit([hu, other, hv], *edge); // E(X, Z)
-        }
-    };
-
-    // One copy of an edge per reducer: the reducer's local graph collapses
-    // repeated edges anyway.
-    let combiner = |_key: &[u32; 3], mut edges: Vec<Edge>| {
-        edges.sort_unstable();
-        edges.dedup();
-        edges
+        destinations(hash(edge.lo()), hash(edge.hi()), b as u32, |key| {
+            ctx.emit(key, *edge)
+        });
     };
 
     let reducer = |key: &[u32; 3], edges: &[Edge], ctx: &mut ReduceContext<Instance>| {
-        // No degree filter: with combiners off an edge arrives once per role
-        // it plays here, and the filter counts every copy toward a node's
-        // degree, so a filtered build would keep nodes the combined run
-        // drops and the two runs would join different graphs.
+        // No degree filter: dropping the edges at this reducer's degree-1
+        // nodes would lower the work it reports (its edges plus the plan's
+        // candidates), and with it Figure 2's work column for the multiway
+        // join.
         let local = LocalGraph::build(edges, &IdOrder, 0);
         let bucket_of: Vec<u32> = local.nodes().iter().map(|&v| hash(v)).collect();
         let work = plan.run(
@@ -78,13 +65,10 @@ pub fn run_multiway_triangles_into(
             |var, node, _| bucket_of[node as usize] == key[var as usize],
             |assignment| ctx.emit(plan.instance(&local, assignment)),
         );
-        // Distinct edges, not copies received: the same either way.
         ctx.add_work(local.num_edges() as u64 + work);
     };
 
-    let metrics = Round::new("multiway", mapper, reducer)
-        .combiner(combiner)
-        .run(graph.edges(), config, sink);
+    let metrics = Round::new("multiway", mapper, reducer).run(graph.edges(), config, sink);
     RunStats::single_round("multiway", metrics)
 }
 
@@ -96,6 +80,24 @@ pub(crate) fn run_multiway_triangles(
     config: &EngineConfig,
 ) -> crate::result::MapReduceRun {
     RunStats::collect(|sink| run_multiway_triangles_into(graph, b, config, sink))
+}
+
+/// Calls `emit` once for each of the `3b − 2` distinct reducer keys of an
+/// edge whose endpoints hash to `hu = h(lo)` and `hv = h(hi)`: for every
+/// bucket `o`, `[hu, hv, o]` (role `E(X,Y)`); `[o, hu, hv]` (role `E(Y,Z)`)
+/// unless it is `[hu, hu, hu]`, which the first role already sent; and
+/// `[hu, o, hv]` (role `E(X,Z)`) unless `o` is `hu` or `hv`, whose keys the
+/// second and first roles already sent.
+fn destinations(hu: u32, hv: u32, b: u32, mut emit: impl FnMut([u32; 3])) {
+    for o in 0..b {
+        emit([hu, hv, o]);
+        if !(o == hu && hu == hv) {
+            emit([o, hu, hv]);
+        }
+        if o != hu && o != hv {
+            emit([hu, o, hv]);
+        }
+    }
 }
 
 fn bucket_hash(v: NodeId, b: usize) -> u32 {
@@ -111,6 +113,7 @@ mod tests {
     use super::*;
     use crate::enumerate::bucket_oriented::vec_key_record_bytes;
     use crate::serial::triangles::enumerate_triangles_serial;
+    use std::collections::BTreeSet;
     use subgraph_graph::generators;
 
     fn config() -> EngineConfig {
@@ -131,14 +134,31 @@ mod tests {
     }
 
     #[test]
-    fn emission_is_3b_and_the_combiner_ships_3b_minus_2_per_edge() {
+    fn destinations_are_the_distinct_keys_of_the_three_roles() {
+        for b in [1u32, 2, 3, 6] {
+            // Every (h(u), h(v)) pair: equal and unequal hashes alike.
+            for hu in 0..b {
+                for hv in 0..b {
+                    let mut sent = Vec::new();
+                    destinations(hu, hv, b, |key| sent.push(key));
+                    let roles: BTreeSet<[u32; 3]> = (0..b)
+                        .flat_map(|o| [[hu, hv, o], [o, hu, hv], [hu, o, hv]])
+                        .collect();
+                    let distinct: BTreeSet<[u32; 3]> = sent.iter().copied().collect();
+                    let label = format!("b={b} hu={hu} hv={hv}");
+                    assert_eq!(sent.len(), distinct.len(), "repeated key: {label}");
+                    assert_eq!(distinct, roles, "{label}");
+                    assert_eq!(sent.len() as u32, 3 * b - 2, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ships_3b_minus_2_records_per_edge() {
         let g = generators::gnm(100, 800, 5);
-        for b in [2usize, 5, 8] {
+        for b in [1usize, 2, 4, 6, 8] {
             let run = run_multiway_triangles(&g, b, &config());
-            // Mappers emit the naive 3b pairs per edge (footnote 1)...
-            assert_eq!(run.metrics.key_value_pairs, 3 * b * g.num_edges());
-            // ...and the combiner merges the two coinciding pairs per edge,
-            // shipping exactly the paper's 3b − 2.
             assert_eq!(
                 run.metrics.shuffle_records,
                 (3 * b - 2) * g.num_edges(),
@@ -154,30 +174,12 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_combiner_ships_the_naive_3b_with_identical_output() {
-        let g = generators::gnm(80, 500, 7);
-        let b = 4;
-        let with = run_multiway_triangles(&g, b, &config());
-        let without = run_multiway_triangles(&g, b, &config().combiners(false));
-        assert_eq!(without.metrics.shuffle_records, 3 * b * g.num_edges());
-        assert_eq!(
-            with.metrics.key_value_pairs,
-            without.metrics.key_value_pairs
-        );
-        assert!(with.metrics.shuffle_records < without.metrics.shuffle_records);
-        assert!(with.metrics.shuffle_bytes < without.metrics.shuffle_bytes);
-        // Deterministic configs: byte-identical instance streams.
-        assert_eq!(with.instances(), without.instances());
-        assert_eq!(with.metrics.reducer_work, without.metrics.reducer_work);
-    }
-
-    #[test]
     fn single_bucket_degenerates_to_one_reducer() {
         let g = generators::gnm(30, 120, 2);
         let run = run_multiway_triangles(&g, 1, &config());
         assert_eq!(run.metrics.reducers_used, 1);
         assert_eq!(run.count(), enumerate_triangles_serial(&g).count());
-        // 3b − 2 = 1 at b = 1: the combiner collapses all three role copies.
+        // 3b − 2 = 1 at b = 1: the three roles share the one key.
         assert_eq!(run.metrics.shuffle_records, g.num_edges());
     }
 

@@ -178,7 +178,7 @@ mod tests {
         let g = generators::complete_bipartite(12, 12);
         let run = run_partition_triangles(&g, 4, &config());
         assert_eq!(run.count(), 0);
-        assert!(run.metrics.key_value_pairs > 0);
+        assert!(run.metrics.shuffle_records > 0);
     }
 
     #[test]

@@ -16,12 +16,8 @@
 //!    for the record types' [`ArenaCodec::MAX_ENCODED_LEN`]; a record with
 //!    no bound, or one that may not fit, is encoded into a scratch buffer
 //!    first and copied, which is what decides whether it opens a new chunk.
-//!    Both ways leave the same bytes in the same chunks. A round whose
-//!    combiner is active first maps the shard into a plain pair buffer,
-//!    groups it by key in a `PrehashedMap`, combines each group and emits
-//!    the kept values with the hash computed while grouping — so the
-//!    combiner's scope is the map shard and `shuffle_records` counts what
-//!    survives it.
+//!    Both ways leave the same bytes in the same chunks, and
+//!    `shuffle_records` counts every emission.
 //! 2. **Exchange.** The coordinator transposes arena ownership (map-shard
 //!    major to bucket major) without touching a record. Bucket `b` holds
 //!    the `16 / passes` consecutive partitions starting at
@@ -55,12 +51,11 @@
 //! where a key's partition is `shard_for_hash(hash,`
 //! [`EngineConfig::reduce_partitions`]`)` — a refinement of every bucket
 //! layout, because the number of passes divides 16. So a run's output
-//! is a pure function of the input, the thread count and the combiner
-//! toggle, at every budget. `shuffle_bytes` is priced by the round's
-//! record weigher once per record at decode; `wire_bytes` is the encoded
-//! length of the same records. Each key is hashed once on the map side
-//! (routing, or grouping when combining) and once at decode (grouping); the
-//! debug hash counters assert exactly that shape. `spill_read_secs` is a
+//! is a pure function of the input and the thread count, at every budget.
+//! `shuffle_bytes` is priced by the round's record weigher once per record
+//! at decode; `wire_bytes` is the encoded length of the same records. Each
+//! key is hashed once on the map side (routing) and once at decode
+//! (grouping); the debug hash counters assert exactly that shape. `spill_read_secs` is a
 //! slice of `reduce_time` (the critical-path run-file reads), and so are
 //! the folds that run before the last bucket finishes; `sink_fold_time` is
 //! the fold tail after it.
@@ -68,11 +63,11 @@
 use crate::engine::{shard_for_hash, EngineConfig, PARTITIONS_PER_WORKER};
 use crate::hash::{hash_for_shuffle, prehashed_map_with_capacity, Prehashed, PrehashedMap};
 use crate::metrics::JobMetrics;
-use crate::pipeline::Round;
 use crate::pool::BufferPool;
+use crate::round::Round;
 use crate::sink::{OutputSink, SinkShard};
 use crate::spill::{RunReader, RunSlice, SpillRound};
-use crate::task::{Combiner, MapContext, ReduceContext};
+use crate::task::{MapContext, ReduceContext};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -247,19 +242,13 @@ where
 
 impl<K, V> ArenaState<K, V> {
     /// Routes and serializes one emission: hash the key (the counted,
-    /// emit-side hash), then [`ArenaState::emit_hashed`].
+    /// emit-side hash), pick the reduce bucket, encode into that bucket's
+    /// arena — in place when the open chunk has room for the record's bound,
+    /// through `scratch` otherwise. Under a budget, opening a chunk that
+    /// pushes the round's resident bytes past the budget triggers a spill of
+    /// this task's sealed chunks.
     pub(crate) fn emit(&mut self, key: &K, value: &V) {
         let hash = (self.hash)(key);
-        self.emit_hashed(hash, key, value);
-    }
-
-    /// Routes and serializes one emission whose key hash is already known:
-    /// pick the reduce bucket, encode into that bucket's arena — in place when
-    /// the open chunk has room for the record's bound, through `scratch`
-    /// otherwise. Under a budget, opening a chunk that pushes the round's
-    /// resident bytes past the budget triggers a spill of this task's sealed
-    /// chunks.
-    fn emit_hashed(&mut self, hash: u64, key: &K, value: &V) {
         let shard = shard_for_hash(hash, self.buckets.len());
         let encode = self.encode;
         let in_place = self.record_bound.is_some_and(|bound| {
@@ -362,70 +351,30 @@ fn take_slots<T>(slots: Vec<Slot<T>>) -> Vec<T> {
 struct MappedShard {
     /// One arena per reduce bucket, indexed by [`shard_for_hash`].
     buckets: Vec<ArenaBucket>,
-    /// Pairs the mapper emitted.
-    emitted: usize,
-    /// Records written to the arenas: the combiner's output when one ran,
-    /// `emitted` otherwise.
+    /// Records written to the arenas: every pair the mapper emitted.
     shipped: usize,
 }
 
-/// Maps one logical shard into fresh arenas (see the module docs for the
-/// combining variant).
+/// Maps one logical shard into fresh arenas.
 fn map_shard<I, K, V, O>(
     records: &[I],
     round: &Round<'_, I, K, V, O>,
-    combiner: Option<&dyn Combiner<K, V>>,
-    mut state: ArenaState<K, V>,
-) -> MappedShard
-where
-    K: Hash + Eq,
-{
+    state: ArenaState<K, V>,
+) -> MappedShard {
     #[cfg(debug_assertions)]
     let _ = crate::hash::debug_hash_count::take();
-    let mapper = &*round.mapper;
-    let (buckets, emitted, shipped) = match combiner {
-        None => {
-            let mut ctx = MapContext::with_arena(state);
-            for record in records {
-                mapper.map(record, &mut ctx);
-            }
-            let (buckets, emitted) = ctx.into_arena();
-            (buckets, emitted, emitted)
-        }
-        Some(combiner) => {
-            let mut ctx = MapContext::new();
-            for record in records {
-                mapper.map(record, &mut ctx);
-            }
-            let pairs = ctx.into_pairs();
-            let emitted = pairs.len();
-            // Grouping-map iteration order is a function of hasher, capacity
-            // and insertion order, so the combined records reach the arenas
-            // in a deterministic order.
-            let mut groups: PrehashedMap<K, Vec<V>> = prehashed_map_with_capacity(emitted);
-            for (key, value) in pairs {
-                groups.entry(Prehashed::new(key)).or_default().push(value);
-            }
-            for (key, values) in groups {
-                for value in combiner.combine(key.key(), values) {
-                    state.emit_hashed(key.hash(), key.key(), &value);
-                }
-            }
-            let (buckets, shipped) = state.into_parts();
-            (buckets, emitted, shipped)
-        }
-    };
+    let mut ctx = MapContext::new(state);
+    for record in records {
+        round.mapper.map(record, &mut ctx);
+    }
+    let (buckets, shipped) = ctx.into_arena();
     #[cfg(debug_assertions)]
     debug_assert_eq!(
         crate::hash::debug_hash_count::take() as usize,
-        emitted,
+        shipped,
         "the map side hashes each emitted key exactly once"
     );
-    MappedShard {
-        buckets,
-        emitted,
-        shipped,
-    }
+    MappedShard { buckets, shipped }
 }
 
 /// What one reduce task hands back: its counters, summed over the buckets it
@@ -693,11 +642,6 @@ where
     let passes = config.reduce_passes();
     let buckets = threads * passes;
     let spill = spill_round_for(config, threads, buckets);
-    let combiner = if config.use_combiners {
-        round.combiner.as_deref()
-    } else {
-        None
-    };
     let mut metrics = JobMetrics {
         input_records: inputs.len(),
         ..JobMetrics::default()
@@ -710,17 +654,12 @@ where
     let map_slots: Vec<Slot<MappedShard>> = (0..shards.len()).map(|_| Mutex::new(None)).collect();
     pool.run_indexed(shards.len(), |shard| {
         let state = ArenaState::new(buckets, Arc::clone(buffers)).with_spill(spill.clone(), shard);
-        let mapped = map_shard(shards[shard], round, combiner, state);
+        let mapped = map_shard(shards[shard], round, state);
         *map_slots[shard].lock().expect("map slot poisoned") = Some(mapped);
     });
     let mapped = take_slots(map_slots);
     metrics.map_time = map_start.elapsed();
-    metrics.key_value_pairs = mapped.iter().map(|shard| shard.emitted).sum();
     metrics.shuffle_records = mapped.iter().map(|shard| shard.shipped).sum();
-    if combiner.is_some() {
-        metrics.combiner_input_records = metrics.key_value_pairs;
-        metrics.combiner_output_records = metrics.shuffle_records;
-    }
 
     // ---- Exchange phase ---------------------------------------------------
     // Pure ownership moves: the coordinator handles `shards x buckets`

@@ -11,12 +11,6 @@ pub struct EngineConfig {
     /// Number of worker threads for both the map and the reduce phase.
     /// Defaults to the number of available CPUs (at least 1).
     pub num_threads: usize,
-    /// If true (the default), rounds with an attached
-    /// [`crate::Combiner`] pre-aggregate their map output per shard before the
-    /// shuffle. Disable to measure the raw communication cost of a pipeline;
-    /// the reducer outputs are identical either way (that is the combiner
-    /// contract, and the property tests pin it).
-    pub use_combiners: bool,
     /// Resident-memory budget in bytes for a round's in-flight arena records
     /// (0, the default, means unbounded — never touch disk). When the sealed
     /// arena chunks of a round cross this budget, map workers spill them to
@@ -26,9 +20,8 @@ pub struct EngineConfig {
     /// per reduce worker, one bucket's decoded groups (see
     /// [`EngineConfig::reduce_partitions`]) and the reducer's own working
     /// memory sit outside it, and one key's group is never split.
-    /// Combining rounds spill their combined records the same way. Outputs
-    /// and all non-spill [`crate::JobMetrics`] counters are byte-identical
-    /// at any budget (the parity suites pin it).
+    /// Outputs and all non-spill [`crate::JobMetrics`] counters are
+    /// byte-identical at any budget (the parity suites pin it).
     pub memory_budget: usize,
     /// Base directory for spill run files (`None`, the default, uses the OS
     /// temp dir). Each round creates — and removes on completion *and* on
@@ -49,7 +42,6 @@ impl Default for EngineConfig {
             num_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            use_combiners: true,
             memory_budget: 0,
             spill_dir: None,
             pool: None,
@@ -72,12 +64,6 @@ impl EngineConfig {
             num_threads: num_threads.max(1),
             ..EngineConfig::default()
         }
-    }
-
-    /// Enables or disables map-side combiners (enabled by default).
-    pub fn combiners(mut self, enabled: bool) -> Self {
-        self.use_combiners = enabled;
-        self
     }
 
     /// Sets the resident-memory budget in bytes for in-flight arena records
@@ -173,8 +159,8 @@ mod tests {
     use super::*;
     use crate::hash::hash_of;
     use crate::metrics::JobMetrics;
-    use crate::pipeline::Round;
     use crate::reference::collect;
+    use crate::round::Round;
     use crate::sink::{BufferShard, OutputSink, SinkShard};
     use crate::task::{MapContext, ReduceContext};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -203,7 +189,6 @@ mod tests {
         assert_eq!(outputs.len(), 10);
         assert!(outputs.iter().all(|&(_, c)| c == 100));
         assert_eq!(metrics.input_records, 1000);
-        assert_eq!(metrics.key_value_pairs, 1000);
         assert_eq!(metrics.shuffle_records, 1000);
         assert_eq!(metrics.reducers_used, 10);
         assert_eq!(metrics.max_reducer_input, 100);
@@ -237,7 +222,7 @@ mod tests {
             &inputs,
             &EngineConfig::serial(),
         );
-        assert_eq!(metrics.key_value_pairs, 150);
+        assert_eq!(metrics.shuffle_records, 150);
         assert!((metrics.replication_per_input() - 3.0).abs() < 1e-12);
         assert_eq!(metrics.reducers_used, 52); // keys 0..=51
     }
@@ -247,7 +232,6 @@ mod tests {
         let inputs: Vec<u64> = Vec::new();
         let (outputs, metrics) = modulo_count(&inputs, 4);
         assert!(outputs.is_empty());
-        assert_eq!(metrics.key_value_pairs, 0);
         assert_eq!(metrics.shuffle_records, 0);
         assert_eq!(metrics.shuffle_bytes, 0);
         assert_eq!(metrics.reducers_used, 0);
@@ -265,7 +249,7 @@ mod tests {
             &EngineConfig::default(),
         );
         assert!(outputs.is_empty());
-        assert_eq!(metrics.key_value_pairs, 0);
+        assert_eq!(metrics.shuffle_records, 0);
         assert_eq!(metrics.reducers_used, 0);
     }
 

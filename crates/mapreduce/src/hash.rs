@@ -13,7 +13,7 @@
 //! resulting 64-bit hash is carried alongside the record through partitioning
 //! ([`crate::shard_for_hash`] reuses it for routing) and grouping (the
 //! crate-internal `Prehashed` wrapper and pass-through hasher reuse it for
-//! the hash-map lookups on both sides of the exchange). In debug builds the
+//! the grouping lookups). In debug builds the
 //! engine's counted hashing path bumps a thread-local counter and every map
 //! and reduce worker asserts the invariant when it finishes; the public
 //! [`hash_of`] helper is uncounted, so user code can hash freely.
@@ -142,36 +142,12 @@ pub(crate) struct Prehashed<K> {
     key: K,
 }
 
-impl<K: Hash> Prehashed<K> {
-    /// Hashes `key` (the one counted [`hash_for_shuffle`] call this record
-    /// will ever see) and bundles the two.
-    #[inline]
-    pub(crate) fn new(key: K) -> Self {
-        Prehashed {
-            hash: hash_for_shuffle(&key),
-            key,
-        }
-    }
-}
-
 impl<K> Prehashed<K> {
     /// Rebundles a key with a hash computed earlier (e.g. on the map worker
     /// that emitted it).
     #[inline]
     pub(crate) fn from_parts(hash: u64, key: K) -> Self {
         Prehashed { hash, key }
-    }
-
-    /// The precomputed [`hash_of`] value.
-    #[inline]
-    pub(crate) fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// Borrows the key.
-    #[inline]
-    pub(crate) fn key(&self) -> &K {
-        &self.key
     }
 
     /// Unwraps the key.
@@ -294,17 +270,15 @@ mod tests {
 
     #[test]
     fn prehashed_reuses_the_stored_hash() {
-        let prehashed = Prehashed::new(7u64);
-        assert_eq!(prehashed.hash(), hash_of(&7u64));
-        assert_eq!(*prehashed.key(), 7);
-        let rebuilt = Prehashed::from_parts(prehashed.hash(), 7u64);
-        assert_eq!(prehashed, rebuilt);
-        assert_eq!(rebuilt.into_key(), 7);
+        let prehashed = |key: u64| Prehashed::from_parts(hash_of(&key), key);
+        assert_eq!(prehashed(7), prehashed(7));
+        assert_ne!(prehashed(7), prehashed(8));
+        assert_eq!(prehashed(7).into_key(), 7);
 
         let mut map = prehashed_map_with_capacity::<u64, u32>(4);
-        map.insert(Prehashed::new(1u64), 10);
-        map.insert(Prehashed::new(2u64), 20);
-        assert_eq!(map.get(&Prehashed::new(1u64)), Some(&10));
+        map.insert(prehashed(1), 10);
+        map.insert(prehashed(2), 20);
+        assert_eq!(map.get(&prehashed(1)), Some(&10));
         assert_eq!(map.len(), 2);
     }
 
@@ -322,7 +296,7 @@ mod tests {
         // Prehashed entries must not hash again.
         let _ = hash_for_shuffle(&7u64);
         let mut map = prehashed_map_with_capacity::<u64, u32>(4);
-        map.insert(Prehashed::new(99u64), 1);
+        map.insert(Prehashed::from_parts(hash_for_shuffle(&99u64), 99u64), 1);
         assert_eq!(debug_hash_count::take(), 2);
         assert_eq!(debug_hash_count::take(), 0);
     }

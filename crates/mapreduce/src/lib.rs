@@ -1,5 +1,4 @@
-//! An in-process map-reduce engine with map-side combiners and cost
-//! instrumentation.
+//! An in-process map-reduce engine with cost instrumentation.
 //!
 //! The paper analyses its algorithms on two cost measures (Section 1.2):
 //!
@@ -18,11 +17,10 @@
 //! A [`Round`] is one map-reduce job, run with one call ([`Round::run`]) that
 //! returns its [`JobMetrics`]. A multi-round algorithm (the paper's Section 2
 //! cascade baseline) is successive calls: one round's collected outputs,
-//! reshaped in plain code, are the next round's inputs. A round may
-//! attach a map-side [`Combiner`] that pre-aggregates pairs per map shard
-//! before the shuffle; the metrics then separate what the mappers *emitted*
-//! (`key_value_pairs`) from what was actually *shipped* (`shuffle_records`,
-//! `shuffle_bytes`).
+//! reshaped in plain code, are the next round's inputs. Every pair a mapper
+//! emits is shipped, so the metrics count it once (`shuffle_records`, priced
+//! in `shuffle_bytes`): a mapper that should ship a record to a reducer once
+//! emits it once.
 //!
 //! Every round runs on one executor, a persistent [`WorkerPool`]
 //! (work-stealing indexed tasks on long-lived threads), as a two-phase
@@ -30,8 +28,7 @@
 //! per reduce bucket (routing each key with the in-repo [`hash_of`] FxHash and
 //! encoding each record with its [`ArenaCodec`]), the coordinator only moves
 //! arena ownership, and reduce tasks decode, group, sort and reduce their
-//! buckets one at a time, in parallel. A round with a combiner groups and combines each map shard's
-//! pairs before they enter the arena. The engine intentionally does not model
+//! buckets one at a time, in parallel. The engine intentionally does not model
 //! network transfer or fault tolerance — neither affects the two cost
 //! measures above. It does, however, bound its own memory: past an
 //! [`EngineConfig::memory_budget`] the arenas spill sealed chunk runs to disk
@@ -48,8 +45,8 @@ pub(crate) mod arena;
 pub mod engine;
 pub mod hash;
 pub mod metrics;
-pub mod pipeline;
 pub mod pool;
+pub mod round;
 pub mod sink;
 pub(crate) mod spill;
 pub mod task;
@@ -57,11 +54,11 @@ pub mod task;
 pub use engine::{shard_for_hash, EngineConfig};
 pub use hash::{hash_of, FxBuildHasher, FxHasher};
 pub use metrics::JobMetrics;
-pub use pipeline::{Round, RoundMetrics};
 pub use pool::WorkerPool;
+pub use round::{Round, RoundMetrics};
 pub use sink::{BufferShard, CollectSink, CountSink, FnSink, OutputSink, SampleSink, SinkShard};
 pub use subgraph_codec::ArenaCodec;
-pub use task::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
+pub use task::{MapContext, Mapper, ReduceContext, Reducer};
 
 #[cfg(test)]
 mod proptests;

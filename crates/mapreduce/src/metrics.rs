@@ -8,19 +8,8 @@ pub struct JobMetrics {
     /// Number of input records fed to the mappers (for the paper's algorithms:
     /// the number of edges `m` of the data graph).
     pub input_records: usize,
-    /// Total key-value pairs emitted by all mappers, *before* any map-side
-    /// combining — the paper's **communication cost** (Section 1.2) for rounds
-    /// without a combiner.
-    pub key_value_pairs: usize,
-    /// Key-value pairs fed into the map-side combiner (equals
-    /// [`JobMetrics::key_value_pairs`] when a combiner ran, 0 otherwise).
-    pub combiner_input_records: usize,
-    /// Key-value pairs left after map-side combining (0 when no combiner ran).
-    /// Always `<= combiner_input_records`.
-    pub combiner_output_records: usize,
-    /// Key-value pairs actually shipped through the shuffle: the combiner
-    /// output when a combiner ran, the mapper emissions otherwise. This is the
-    /// communication cost the cluster would really pay.
+    /// Key-value pairs the mappers emitted, every one of which crosses the
+    /// shuffle — the paper's **communication cost** (Section 1.2).
     pub shuffle_records: usize,
     /// Total payload bytes of the shuffled records, as measured by the round's
     /// record weigher (per-record key + value bytes).
@@ -43,8 +32,8 @@ pub struct JobMetrics {
     pub reducer_work: u64,
     /// Total number of output records emitted by the reducers.
     pub outputs: usize,
-    /// Wall-clock time of the map phase (mapping, combining, and encoding
-    /// each record into its reduce bucket's arena).
+    /// Wall-clock time of the map phase (mapping, and encoding each record
+    /// into its reduce bucket's arena).
     pub map_time: Duration,
     /// Wall-clock time of the exchange: the coordinator regrouping the map
     /// tasks' arenas by reduce bucket (pure ownership moves — grouping
@@ -86,28 +75,7 @@ impl JobMetrics {
         if self.input_records == 0 {
             0.0
         } else {
-            self.key_value_pairs as f64 / self.input_records as f64
-        }
-    }
-
-    /// Key-value pairs actually shipped per input record — equals
-    /// [`JobMetrics::replication_per_input`] for rounds without a combiner,
-    /// and reflects the combiner savings otherwise.
-    pub fn shuffled_per_input(&self) -> f64 {
-        if self.input_records == 0 {
-            0.0
-        } else {
             self.shuffle_records as f64 / self.input_records as f64
-        }
-    }
-
-    /// Fraction of mapper emissions the combiner removed before the shuffle
-    /// (0.0 when no combiner ran or nothing was combined away).
-    pub fn combiner_savings(&self) -> f64 {
-        if self.combiner_input_records == 0 {
-            0.0
-        } else {
-            1.0 - self.combiner_output_records as f64 / self.combiner_input_records as f64
         }
     }
 
@@ -116,9 +84,6 @@ impl JobMetrics {
     /// the maximum.
     pub fn absorb(&mut self, other: &JobMetrics) {
         self.input_records += other.input_records;
-        self.key_value_pairs += other.key_value_pairs;
-        self.combiner_input_records += other.combiner_input_records;
-        self.combiner_output_records += other.combiner_output_records;
         self.shuffle_records += other.shuffle_records;
         self.shuffle_bytes += other.shuffle_bytes;
         self.wire_bytes += other.wire_bytes;
@@ -153,7 +118,7 @@ impl JobMetrics {
         if self.reducers_used == 0 {
             0.0
         } else {
-            self.key_value_pairs as f64 / self.reducers_used as f64
+            self.shuffle_records as f64 / self.reducers_used as f64
         }
     }
 
@@ -182,11 +147,8 @@ mod tests {
     fn derived_quantities() {
         let metrics = JobMetrics {
             input_records: 100,
-            key_value_pairs: 500,
-            combiner_input_records: 500,
-            combiner_output_records: 400,
-            shuffle_records: 400,
-            shuffle_bytes: 6400,
+            shuffle_records: 500,
+            shuffle_bytes: 8000,
             reducers_used: 50,
             max_reducer_input: 20,
             reducer_work: 1234,
@@ -194,8 +156,6 @@ mod tests {
             ..JobMetrics::default()
         };
         assert!((metrics.replication_per_input() - 5.0).abs() < 1e-12);
-        assert!((metrics.shuffled_per_input() - 4.0).abs() < 1e-12);
-        assert!((metrics.combiner_savings() - 0.2).abs() < 1e-12);
         assert!((metrics.mean_reducer_input() - 10.0).abs() < 1e-12);
         assert!((metrics.skew() - 2.0).abs() < 1e-12);
     }
@@ -204,8 +164,6 @@ mod tests {
     fn empty_job_has_zero_ratios() {
         let metrics = JobMetrics::default();
         assert_eq!(metrics.replication_per_input(), 0.0);
-        assert_eq!(metrics.shuffled_per_input(), 0.0);
-        assert_eq!(metrics.combiner_savings(), 0.0);
         assert_eq!(metrics.mean_reducer_input(), 0.0);
         assert_eq!(metrics.skew(), 0.0);
         assert_eq!(metrics.total_time(), Duration::ZERO);
@@ -215,7 +173,6 @@ mod tests {
     fn absorb_adds_counters_and_keeps_the_max_skew_indicator() {
         let mut a = JobMetrics {
             input_records: 10,
-            key_value_pairs: 30,
             shuffle_records: 30,
             shuffle_bytes: 600,
             reducers_used: 4,
@@ -226,9 +183,6 @@ mod tests {
         };
         let b = JobMetrics {
             input_records: 20,
-            key_value_pairs: 40,
-            combiner_input_records: 40,
-            combiner_output_records: 35,
             shuffle_records: 35,
             shuffle_bytes: 700,
             reducers_used: 6,
@@ -246,9 +200,6 @@ mod tests {
         };
         a.absorb(&b);
         assert_eq!(a.input_records, 30);
-        assert_eq!(a.key_value_pairs, 70);
-        assert_eq!(a.combiner_input_records, 40);
-        assert_eq!(a.combiner_output_records, 35);
         assert_eq!(a.shuffle_records, 65);
         assert_eq!(a.shuffle_bytes, 1300);
         assert_eq!(a.reducers_used, 10);

@@ -1,4 +1,4 @@
-//! Streaming output sinks: where a pipeline's final-round reducer outputs go
+//! Streaming output sinks: where a round's reducer outputs go
 //! *instead of* being merged into a `Vec`.
 //!
 //! The paper's bucket schemes exist so that instance sets far larger than any
@@ -66,7 +66,7 @@ impl<T: Send + 'static> SinkShard<T> for BufferShard<T> {
     }
 }
 
-/// A streaming receiver for pipeline outputs. Dyn-safe: algorithms take
+/// A streaming receiver for round outputs. Dyn-safe: algorithms take
 /// `&mut dyn OutputSink<T>` so one implementation serves every sink.
 ///
 /// Single-threaded producers (the serial algorithms, tests) may simply call

@@ -3,68 +3,35 @@
 use crate::arena::ArenaState;
 use crate::sink::SinkShard;
 
-/// How a [`MapContext`] stores its emissions: routed and serialized on the
-/// fly into per-reduce-bucket byte arenas (see `crate::arena`), or as plain
-/// pairs that a combining round groups and combines per map shard first.
-enum Emissions<K, V> {
-    Pairs(Vec<(K, V)>),
-    Arena(ArenaState<K, V>),
-}
-
 /// Collects the key-value pairs emitted by a mapper (each emission is one
 /// unit of communication cost). The engine reuses one context for all of a
-/// map worker's records, so emissions accumulate instead of paying one
-/// allocation per record. Whether emissions accumulate as pairs or as
-/// serialized arena records is the engine's choice; mappers never see the
-/// difference.
+/// map worker's records, and every emission is routed and serialized on the
+/// spot into that worker's per-reduce-bucket byte arenas (see
+/// `crate::arena`), so emissions accumulate without one allocation per
+/// record and mappers never see the encoding.
 pub struct MapContext<K, V> {
-    emitted: Emissions<K, V>,
+    arena: ArenaState<K, V>,
 }
 
 impl<K, V> MapContext<K, V> {
-    pub(crate) fn new() -> Self {
-        MapContext {
-            emitted: Emissions::Pairs(Vec::new()),
-        }
-    }
-
-    /// A context that serializes emissions straight into per-shard arenas.
-    pub(crate) fn with_arena(state: ArenaState<K, V>) -> Self {
-        MapContext {
-            emitted: Emissions::Arena(state),
-        }
+    /// A context that serializes emissions into the given per-shard arenas.
+    pub(crate) fn new(arena: ArenaState<K, V>) -> Self {
+        MapContext { arena }
     }
 
     /// Emits one key-value pair towards the reducers.
     pub fn emit(&mut self, key: K, value: V) {
-        match &mut self.emitted {
-            Emissions::Pairs(pairs) => pairs.push((key, value)),
-            Emissions::Arena(state) => state.emit(&key, &value),
-        }
+        self.arena.emit(&key, &value);
     }
 
     /// Number of pairs emitted into this context so far.
     pub fn emitted_len(&self) -> usize {
-        match &self.emitted {
-            Emissions::Pairs(pairs) => pairs.len(),
-            Emissions::Arena(state) => state.emitted(),
-        }
+        self.arena.emitted()
     }
 
-    /// The emitted pairs (pair contexts only).
-    pub(crate) fn into_pairs(self) -> Vec<(K, V)> {
-        match self.emitted {
-            Emissions::Pairs(pairs) => pairs,
-            Emissions::Arena(_) => unreachable!("into_pairs on an arena context"),
-        }
-    }
-
-    /// The filled arenas and emission count (arena contexts only).
+    /// The filled arenas and emission count.
     pub(crate) fn into_arena(self) -> (Vec<crate::arena::ArenaBucket>, usize) {
-        match self.emitted {
-            Emissions::Pairs(_) => unreachable!("into_arena on a pair context"),
-            Emissions::Arena(state) => state.into_parts(),
-        }
+        self.arena.into_parts()
     }
 }
 
@@ -144,26 +111,6 @@ pub trait Reducer<K, V, O>: Sync {
     fn reduce(&self, key: &K, values: &[V], ctx: &mut ReduceContext<O>);
 }
 
-/// A map-side combiner: pre-aggregates the values a *single map shard*
-/// collected for one key before they are shipped through the shuffle.
-///
-/// The contract is the classic MapReduce one: running the reducer on the
-/// combined values must produce the same outputs as running it on the raw
-/// values, for any way the engine splits the map input into shards. That
-/// holds when `combine` is associative and commutative in the values (e.g.
-/// partial sums, set unions, deduplication) and the reducer does
-/// not depend on the arrival order of its values.
-///
-/// Combiners never change *what* is computed — only how many key-value pairs
-/// cross the shuffle. [`crate::JobMetrics`] reports the effect through
-/// `combiner_input_records` / `combiner_output_records` and the
-/// `shuffle_records` / `shuffle_bytes` counters.
-pub trait Combiner<K, V>: Sync {
-    /// Combines the values one map shard collected for `key` into an
-    /// equivalent (usually shorter) list.
-    fn combine(&self, key: &K, values: Vec<V>) -> Vec<V>;
-}
-
 /// Blanket implementation so plain closures can act as mappers.
 impl<I, K, V, F> Mapper<I, K, V> for F
 where
@@ -184,28 +131,29 @@ where
     }
 }
 
-/// Blanket implementation so plain closures can act as combiners.
-impl<K, V, F> Combiner<K, V> for F
-where
-    F: Fn(&K, Vec<V>) -> Vec<V> + Sync,
-{
-    fn combine(&self, key: &K, values: Vec<V>) -> Vec<V> {
-        self(key, values)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::WorkerPool;
     use crate::sink::BufferShard;
+    use std::sync::Arc;
+
+    /// A map context over two reduce buckets' arenas.
+    fn map_context() -> MapContext<u32, u32> {
+        let pool = WorkerPool::new(0);
+        MapContext::new(ArenaState::new(2, Arc::clone(pool.buffers())))
+    }
 
     #[test]
     fn map_context_counts_emissions() {
-        let mut ctx: MapContext<u32, &str> = MapContext::new();
-        ctx.emit(1, "a");
-        ctx.emit(2, "b");
+        let mut ctx = map_context();
+        ctx.emit(1, 10);
+        ctx.emit(2, 20);
         assert_eq!(ctx.emitted_len(), 2);
-        assert_eq!(ctx.into_pairs(), vec![(1, "a"), (2, "b")]);
+        let (buckets, emitted) = ctx.into_arena();
+        assert_eq!((buckets.len(), emitted), (2, 2));
+        #[cfg(debug_assertions)]
+        let _ = crate::hash::debug_hash_count::take();
     }
 
     #[test]
@@ -228,9 +176,11 @@ mod tests {
     #[test]
     fn closures_implement_the_traits() {
         let mapper = |x: &u32, ctx: &mut MapContext<u32, u32>| ctx.emit(x % 2, *x);
-        let mut ctx = MapContext::new();
+        let mut ctx = map_context();
         mapper.map(&5, &mut ctx);
-        assert_eq!(ctx.into_pairs(), vec![(1, 5)]);
+        assert_eq!(ctx.emitted_len(), 1);
+        #[cfg(debug_assertions)]
+        let _ = crate::hash::debug_hash_count::take();
 
         let reducer = |_k: &u32, vs: &[u32], ctx: &mut ReduceContext<u32>| {
             ctx.emit(vs.iter().sum());

@@ -57,7 +57,7 @@ fn main() {
             plan.strategy().to_string(),
             run.count(),
             format!("{:.0}", plan.predicted_communication()),
-            metrics.key_value_pairs,
+            metrics.shuffle_records,
             metrics.reducers_used,
             metrics.max_reducer_input
         );

@@ -14,7 +14,7 @@
 //! | [`pattern`] | `subgraph-pattern` | sample graphs, automorphism groups, decompositions, instances |
 //! | [`cq`] | `subgraph-cq` | conjunctive queries with comparisons: generation, merging, cycles, evaluation |
 //! | [`shares`] | `subgraph-shares` | Afrati–Ullman share optimization and reducer-count combinatorics |
-//! | [`mapreduce`] | `subgraph-mapreduce` | instrumented in-process map-reduce engine: multi-round pipelines, map-side combiners |
+//! | [`mapreduce`] | `subgraph-mapreduce` | instrumented in-process map-reduce engine: one round per call, streaming sinks, spilling under a memory budget |
 //! | [`core`] | `subgraph-core` | the paper's algorithms behind the cost-driven `Planner`/`ExecutionPlan` API |
 //!
 //! Two more workspace crates sit outside the facade: `subgraph-cli` builds
@@ -125,7 +125,7 @@
 //! ```
 //!
 //! See `docs/PLANNER.md` for the strategy-to-paper-section map and
-//! `docs/ENGINE.md` for the Round/Combiner execution model, the
+//! `docs/ENGINE.md` for the round execution model, the
 //! "Output sinks" section, and the metrics glossary.
 
 pub use subgraph_core as core;
@@ -163,7 +163,7 @@ pub mod prelude {
     pub use subgraph_core::{MapReduceRun, RunStats, SerialRun, SerialStats};
     pub use subgraph_cq::{cqs_for_sample, cycle_cqs, evaluate_cqs, merge_by_orientation};
     pub use subgraph_graph::{generators, DataGraph, GraphBuilder, GraphSource, NodeId};
-    pub use subgraph_mapreduce::{Combiner, EngineConfig, JobMetrics, Round, RoundMetrics};
+    pub use subgraph_mapreduce::{EngineConfig, JobMetrics, Round, RoundMetrics};
     pub use subgraph_pattern::{catalog, Instance, SampleGraph};
     pub use subgraph_shares::{optimize_shares, CostExpression};
 }

@@ -127,7 +127,7 @@ fn triangle_map_reduce_is_exactly_once_on_skewed_graphs() {
         assert_eq!(run.count(), serial.count(), "n={n} b={buckets}");
         assert_eq!(run.duplicates(), 0, "n={n} b={buckets}");
         assert_eq!(
-            run.metrics.as_ref().map(|m| m.key_value_pairs),
+            run.metrics.as_ref().map(|m| m.shuffle_records),
             Some(buckets * graph.num_edges()),
             "n={n} b={buckets}"
         );

@@ -4,7 +4,7 @@
 //!    (`enumerate_generic`) on random G(n, m) graphs for every catalog
 //!    pattern, whatever strategy the planner picks.
 //! 2. The planner's predicted replication stays within a constant factor of
-//!    the measured `JobMetrics::key_value_pairs` — and so do the paper's
+//!    the measured `JobMetrics::shuffle_records` — and so do the paper's
 //!    formulas for the algorithms the planner does not register.
 
 use subgraph_mr::cq::cq_for_ordering;
@@ -94,7 +94,7 @@ fn predicted_replication_is_within_a_constant_factor_of_measured() {
             &EngineConfig::serial(),
             &mut CountSink::new(),
         );
-        let measured = run.metrics.key_value_pairs as f64;
+        let measured = run.metrics.shuffle_records as f64;
         assert!(
             measured <= predicted * 3.0 && measured >= predicted / 3.0,
             "{name} cq-oriented: measured {measured} vs predicted {predicted}"
@@ -155,8 +155,8 @@ fn predicted_shuffle_bytes_match_measured_for_exact_strategies() {
         }
     }
     // The Section 2 triangle rounds with exact predictions: Section 2.3's
-    // (bucket-oriented at p = 3) and the multiway join, whose combiner
-    // discount (3b - 2 of 3b) is part of the paper's formula.
+    // (bucket-oriented at p = 3) and the multiway join, whose mapper sends
+    // each edge to the paper's 3b - 2 distinct reducers.
     let graph = generators::gnm(80, 500, 14_000);
     let plan = EnumerationRequest::new(catalog::triangle(), &graph)
         .reducers(220)
@@ -187,24 +187,27 @@ fn predicted_shuffle_bytes_match_measured_for_exact_strategies() {
 
 #[test]
 fn multiway_emission_and_shipment_bracket_the_paper_formulas() {
-    // Emitted pairs follow footnote 1's naive 3b per edge; shipped pairs
-    // follow the paper's 3b - 2 once the combiner merges coinciding roles,
-    // and the naive 3b without it.
+    // The mapper emits each edge's 3b - 2 distinct reducer keys once, so
+    // the shipped pairs are the paper's formula exactly, below footnote 1's
+    // naive 3b, at every bucket count and thread count.
     let graph = generators::gnm(80, 500, 15_000);
-    let (b, m) = (6, graph.num_edges());
-    let run = |config: EngineConfig| {
-        run_multiway_triangles_into(&graph, b, &config, &mut CountSink::new()).metrics
-    };
-    let combined = run(EngineConfig::serial());
-    assert_eq!(combined.key_value_pairs, 3 * b * m);
-    assert_eq!(combined.shuffle_records, (3 * b - 2) * m);
-    assert_eq!(
-        combined.shuffle_records as f64,
-        multiway_triangle_replication(b as u64) * m as f64
-    );
-    let naive = run(EngineConfig::serial().combiners(false));
-    assert_eq!(naive.key_value_pairs, 3 * b * m);
-    assert_eq!(naive.shuffle_records, 3 * b * m);
+    let m = graph.num_edges();
+    for b in [1usize, 2, 4, 6, 8] {
+        for threads in [1usize, 2, 8] {
+            let config = EngineConfig::with_threads(threads);
+            let shipped = run_multiway_triangles_into(&graph, b, &config, &mut CountSink::new())
+                .metrics
+                .shuffle_records;
+            let label = format!("b={b} threads={threads}");
+            assert_eq!(shipped, (3 * b - 2) * m, "{label}");
+            assert_eq!(
+                shipped as f64,
+                multiway_triangle_replication(b as u64) * m as f64,
+                "{label}"
+            );
+            assert!(shipped < 3 * b * m, "{label}");
+        }
+    }
 }
 
 #[test]

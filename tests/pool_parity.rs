@@ -5,8 +5,8 @@
 //!
 //! Pinned invariants:
 //!
-//! 1. **Byte-identical parity sweep** at `num_threads ∈ {1, 2, 8}`, with and
-//!    without combiners, on an explicit pool and on the process-global one:
+//! 1. **Byte-identical parity sweep** at `num_threads ∈ {1, 2, 8}`, on an
+//!    explicit pool and on the process-global one:
 //!    outputs arrive in the exact order the reference produces, and all
 //!    counters match field for field (timings excluded — they are
 //!    measurements, not results). A 64 KiB memory budget changes only the
@@ -26,16 +26,12 @@ use subgraph_mr::prelude::{generators, EnumerationRequest};
 
 #[path = "../crates/mapreduce/src/reference.rs"]
 mod reference;
-use reference::{collect, CombineFn, Job};
+use reference::{collect, Job};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn count_by_key_mod_53(x: &u64) -> Vec<(u64, u64)> {
     vec![(x % 53, *x)]
-}
-
-fn sum_values(_key: &u64, values: Vec<u64>) -> Vec<u64> {
-    vec![values.iter().sum()]
 }
 
 fn emit_sum(key: &u64, values: &[u64]) -> Vec<(u64, u64)> {
@@ -44,10 +40,9 @@ fn emit_sum(key: &u64, values: &[u64]) -> Vec<(u64, u64)> {
 
 /// Word-count style job; 53 distinct keys so every reduce shard sees work at
 /// 8 threads.
-fn counting_job(combine: bool) -> Job<u64, u64, u64, (u64, u64)> {
+fn counting_job() -> Job<u64, u64, u64, (u64, u64)> {
     Job {
         map: count_by_key_mod_53,
-        combine: combine.then_some(sum_values as CombineFn<u64, u64>),
         reduce: emit_sum,
         weigh: |_, _| 16,
     }
@@ -73,17 +68,12 @@ fn assert_matches_reference<I, K, V, O>(
 ) -> JobMetrics
 where
     I: Clone + Send + Sync + 'static,
-    K: std::hash::Hash + Ord + Clone + Send + ArenaCodec + 'static,
+    K: std::hash::Hash + Ord + Send + ArenaCodec + 'static,
     V: Send + ArenaCodec + 'static,
     O: Clone + Send + PartialEq + std::fmt::Debug + 'static,
 {
     let (outputs, metrics) = collect(&job.round("job"), inputs, config);
-    let (expected, expected_metrics) = job.reference(
-        inputs,
-        config.num_threads,
-        config.reduce_partitions(),
-        config.use_combiners,
-    );
+    let (expected, expected_metrics) = job.reference(inputs, config.reduce_partitions());
     // Exact order, not just the same multiset: the engine promises
     // reproducible output order.
     assert_eq!(outputs, expected, "{context}");
@@ -96,13 +86,9 @@ fn pool_executions_match_the_reference() {
     let inputs: Vec<u64> = (0..2000).map(|i| i * 37 % 613).collect();
     let pool = Arc::new(WorkerPool::new(3));
     for threads in THREAD_COUNTS {
-        for combine in [true, false] {
-            let config = EngineConfig::with_threads(threads)
-                .combiners(combine)
-                .with_pool(Arc::clone(&pool));
-            let context = format!("threads={threads} combine={combine}");
-            assert_matches_reference(&counting_job(true), &inputs, &config, &context);
-        }
+        let config = EngineConfig::with_threads(threads).with_pool(Arc::clone(&pool));
+        let context = format!("threads={threads}");
+        assert_matches_reference(&counting_job(), &inputs, &config, &context);
     }
 }
 
@@ -120,7 +106,7 @@ fn a_64k_budget_matches_the_reference() {
         let config = EngineConfig::with_threads(threads)
             .memory_budget(64 << 10)
             .with_pool(Arc::clone(&pool));
-        let spill = assert_matches_reference(&counting_job(false), &inputs, &config, &context);
+        let spill = assert_matches_reference(&counting_job(), &inputs, &config, &context);
         assert!(
             spill.spilled_bytes > 0 && spill.spill_runs > 0,
             "{context}: 250k records must overflow a 64 KiB budget \
@@ -139,7 +125,7 @@ fn global_pool_default_matches_the_reference() {
     for threads in THREAD_COUNTS {
         let config = EngineConfig::with_threads(threads);
         let context = format!("threads={threads}");
-        assert_matches_reference(&counting_job(true), &inputs, &config, &context);
+        assert_matches_reference(&counting_job(), &inputs, &config, &context);
     }
 }
 
@@ -148,7 +134,7 @@ fn more_pool_workers_than_input_items() {
     let pool = Arc::new(WorkerPool::new(8));
     let inputs: Vec<u64> = vec![5, 9, 13];
     let config = EngineConfig::with_threads(8).with_pool(Arc::clone(&pool));
-    let metrics = assert_matches_reference(&counting_job(false), &inputs, &config, "3 items");
+    let metrics = assert_matches_reference(&counting_job(), &inputs, &config, "3 items");
     assert_eq!(metrics.input_records, 3);
 }
 
@@ -158,8 +144,7 @@ fn empty_input_pipeline_on_the_pool() {
     let inputs: Vec<u64> = Vec::new();
     for threads in THREAD_COUNTS {
         let config = EngineConfig::with_threads(threads).with_pool(Arc::clone(&pool));
-        let metrics = assert_matches_reference(&counting_job(true), &inputs, &config, "empty");
-        assert_eq!(metrics.key_value_pairs, 0);
+        let metrics = assert_matches_reference(&counting_job(), &inputs, &config, "empty");
         assert_eq!(metrics.shuffle_records, 0);
         assert_eq!(metrics.reducers_used, 0);
         assert_eq!(metrics.outputs, 0);
@@ -178,14 +163,13 @@ fn one_pool_serves_two_pipelines_of_different_types() {
     let config = EngineConfig::with_threads(4).with_pool(Arc::clone(&pool));
     let lengths = Job {
         map: word_length,
-        combine: None,
         reduce: |key, ones| vec![(key[0], ones.iter().sum::<u64>())],
         weigh: |key, _| 4 * key.len() + 8,
     };
     let words = vec!["map", "reduce", "combine", "shuffle", "sort", "merge"];
     let numbers: Vec<u64> = (0..900).collect();
     for round in 0..3 {
-        assert_matches_reference(&counting_job(true), &numbers, &config, "numbers");
+        assert_matches_reference(&counting_job(), &numbers, &config, "numbers");
         // Heap-backed keys (Vec<u32>).
         let metrics = assert_matches_reference(&lengths, &words, &config, "words");
         assert_eq!(metrics.input_records, 6, "round {round}");

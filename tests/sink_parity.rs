@@ -329,8 +329,8 @@ fn a_64k_budget_really_spills_on_a_shuffle_heavy_run_and_stays_identical() {
     // exercises seal → spill → merge, and the merged answer is byte-identical
     // to the in-memory one. (At ~4 wire bytes per record, 90 000 records fill
     // more than one 4 KiB chunk per bucket even across 8 × 8 buckets.) The
-    // multiway round ships 16 combined records per edge (3b − 2 at b = 6):
-    // combining rounds spill too.
+    // multiway round ships each edge to its 16 distinct reducers (3b − 2 at
+    // b = 6).
     let graph = generators::gnm(240, 9_000, 9_300);
     let triangle = catalog::triangle();
     for (multiway, shipped) in [(false, 90_000), (true, 144_000)] {

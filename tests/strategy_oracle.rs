@@ -10,9 +10,6 @@
 //! 2. **Determinism** — two runs of the same
 //!    strategy at the same thread count return byte-identical instance
 //!    streams (same order, not just the same set).
-//! 3. **Combiner transparency** — the only strategy with a map-side combiner
-//!    (the multiway join) returns an identical instance stream with combiners
-//!    disabled, while shipping strictly more shuffle records.
 
 mod common;
 
@@ -161,35 +158,6 @@ fn deterministic_mode_repeats_the_exact_instance_order() {
                     "{family} {algorithm:?} threads={threads}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn multiway_combiner_is_transparent_to_the_result_stream() {
-    let sample = catalog::triangle();
-    for (family, graph) in test_graphs(11) {
-        for threads in THREAD_COUNTS {
-            let multiway = PaperAlgorithm::Multiway;
-            let config = EngineConfig::with_threads(threads);
-            let with = multiway.run(&sample, &graph, &config);
-            let without = multiway.run(&sample, &graph, &config.combiners(false));
-            assert_eq!(
-                with.instances(),
-                without.instances(),
-                "{family} threads={threads}"
-            );
-            let with_metrics = &with.metrics;
-            let without_metrics = &without.metrics;
-            assert!(
-                with_metrics.shuffle_records < without_metrics.shuffle_records,
-                "{family} threads={threads}: combiner did not reduce the shuffle"
-            );
-            assert!(with_metrics.shuffle_bytes < without_metrics.shuffle_bytes);
-            assert_eq!(
-                with_metrics.key_value_pairs, without_metrics.key_value_pairs,
-                "the combiner must not change what the mappers emit"
-            );
         }
     }
 }
